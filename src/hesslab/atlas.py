@@ -26,7 +26,7 @@ from .exact import (
     factor_small,
 )
 from .hessenberg import FamilyPoint, HessType, family_member
-from .reducedness import Bounded, ReducedVerdict, Sail, is_reduced
+from .reducedness import ReducedVerdict, Sail, is_reduced
 
 
 def discriminant_at(fp: FamilyPoint) -> int:
@@ -147,8 +147,6 @@ def _classify_cell(args) -> GridCell:
     if d > 0:
         return GridCell(mn, "RS")
     verdict = is_reduced(mat, strategy)
-    if verdict.status == "Inconclusive" and isinstance(strategy, Sail):
-        verdict = is_reduced(mat, Bounded(1000))
     if verdict.status == "Nonreduced":
         return GridCell(mn, "NRS_Nonreduced", verdict)
     if verdict.status == "Reduced":

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from .exact import (
     ExactError,
@@ -44,7 +45,7 @@ from . import atlas as atlas_mod
 
 @dataclass(frozen=True)
 class Config:
-    bound: int = 1000
+    bound: Optional[int] = None   # no default: bound 1000 scans for ~45 min
     precision_bits: int = 4096
     region: int = 40_000_000
     window: int = 20
@@ -103,10 +104,18 @@ def _matrix_str(m):
     return "; ".join(" ".join(str(x) for x in r) for r in m.rows)
 
 
+def _scan_bound(args, cfg) -> int:
+    bound = args.bound if args.bound is not None else cfg.bound
+    if bound is None:
+        raise ExactError("a bounded scan needs --bound (or bound in the "
+                         "config file)")
+    return bound
+
+
 def _strategy(args, cfg):
     name = getattr(args, "strategy", "sail")
     if name == "bounded":
-        return Bounded(args.bound if args.bound else cfg.bound)
+        return Bounded(_scan_bound(args, cfg))
     return Sail(precision=cfg.precision_bits, region=cfg.region)
 
 
@@ -143,7 +152,7 @@ def _cmd_form(args, cfg):
 
 def _cmd_minimize(args, cfg):
     m = parse_matrix(args.matrix)
-    bound = args.bound if args.bound else cfg.bound
+    bound = _scan_bound(args, cfg)
     best, wits = minimize_md_bounded(m, bound)
     _emit(args,
           {"min": best, "bound": bound, "witnesses": [list(w) for w in wits]},
@@ -339,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write a PPM/SVG rendering here")
     p = add("atlas4", _cmd_atlas4, help="classify the fixed 4D family cube")
     p.add_argument("--bound", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p = add("ray", _cmd_ray, help="verdicts along an NRS-ray")
     p.add_argument("--type", required=True)
     p.add_argument("--anchor", required=True)

@@ -169,29 +169,6 @@ def project_pi(e: EigenData3, v: IntVector) -> PiPoint:
     return PiPoint(v, _x_coord(e, v), _y_sq(e, v))
 
 
-def orbit_coordinate_bounds(e: EigenData3, v: IntVector) -> List[Fraction]:
-    """Rational upper bounds R_i with |u_i| <= R_i for every u in the torus
-    orbit of v.  Coordinate i of the orbit traces x*g1_i plus an ellipse of
-    semi-axes (q_i, (Mq - Re(c) q)_i / Im(c)) where q = v - x*g1."""
-    x = _x_coord(e, v)
-    qvec = [e.field.element([vi]) - x * gi for vi, gi in zip(v, e.g1)]
-    mv = e.matrix * v
-    mq = [e.field.element([mvi]) - (e.r * x) * gi for mvi, gi in zip(mv, e.g1)]
-    half_s = e.s * Fraction(1, 2)
-    im_sq = e.q - half_s * half_s
-    if im_sq.sign() <= 0:
-        raise SailError("complex pair degenerated")
-    bounds = []
-    for i, (qi, mqi) in enumerate(zip(qvec, mq)):
-        bi_sq = (mqi - half_s * qi) * (mqi - half_s * qi) / im_sq
-        amp_sq = qi * qi + bi_sq
-        center = x * e.g1[i]
-        _, amp_hi = amp_sq.interval(_SMALL)
-        c_lo, c_hi = center.interval(_SMALL)
-        bounds.append(max(abs(c_lo), abs(c_hi)) + _sqrt_upper(amp_hi))
-    return bounds
-
-
 def _sqrt_upper(x: Fraction) -> Fraction:
     """A rational upper bound for sqrt(max(x, 0))."""
     if x <= 0:
@@ -211,18 +188,6 @@ def _isqrt_up(n: int) -> int:
 def _isqrt_down(n: int) -> int:
     import math
     return max(math.isqrt(n), 1)
-
-
-def gamma0_box(e: EigenData3, p: IntVector) -> List[int]:
-    """Integer coordinate box certified to contain Gamma^0(p), the convex
-    hull of the torus orbits of p and of M p."""
-    b1 = orbit_coordinate_bounds(e, p)
-    b2 = orbit_coordinate_bounds(e, e.matrix * p)
-    out = []
-    for x, y in zip(b1, b2):
-        m = max(x, y)
-        out.append(int(m) + 1)
-    return out
 
 
 def dirichlet_generator(m: IntMatrix) -> IntMatrix:
@@ -350,63 +315,6 @@ def _y_float(e: EigenData3, pts):
             + f[1] * f[1] * qf + f[1] * f[2] * sf * qf + f[2] * f[2] * qf * qf)
 
 
-def gamma0_slab_points(e: EigenData3, p: IntVector, cap: int = 40_000_000):
-    """Integer points of a certified superset of Gamma^0(p), as an (N, 3)
-    numpy array.
-
-    Gamma^0(p) sits inside the slab {x(p') between x(p) and x(Mp)} cut with
-    {F <= max(F(p), F(Mp))}: x is linear and F is convex, so both bounds
-    pass from the two orbits to their convex hull.  The slab is thin in the
-    w direction, so enumeration solves for the coordinate axis best aligned
-    with w instead of walking the full bounding box; all float cuts carry
-    wide safety margins, so the output can only be a superset.
-    """
-    import numpy as np
-    x_p = _x_coord(e, p)
-    if x_p.sign() <= 0:
-        raise SailError("slab seed must have positive x coordinate")
-    rf = e.r.approx()
-    xpf = x_p.approx()
-    x_lo, x_hi = sorted((xpf, rf * xpf))
-    pad = 1e-6
-    x_lo *= 1 - pad
-    x_hi *= 1 + pad
-    f_p = _y_sq(e, p).approx()
-    f_max = (f_p * max(1.0, 1.0 / rf)) * (1 + pad) + pad
-
-    box = gamma0_box(e, p)
-    wf = np.array([wi.approx() for wi in e.w]) / e.w_dot_g1.approx()
-    wmax = np.abs(wf).max()
-    usable = [i for i in range(3) if abs(wf[i]) > 1e-6 * wmax]
-    k = max(usable, key=lambda i: box[i])
-    a, b = [i for i in range(3) if i != k]
-    grid_size = (2 * box[a] + 1) * (2 * box[b] + 1)
-    if grid_size > cap:
-        return _ellipsoid_points(e, p, cap)
-    ga, gb = np.meshgrid(np.arange(-box[a], box[a] + 1),
-                         np.arange(-box[b], box[b] + 1), indexing="ij")
-    d = wf[a] * ga.ravel() + wf[b] * gb.ravel()
-    lo = (x_lo - d) / wf[k]
-    hi = (x_hi - d) / wf[k]
-    if wf[k] < 0:
-        lo, hi = hi, lo
-    slack = 1e-9 * (1.0 + np.abs(d) / abs(wf[k])) + 1e-9
-    lo = np.maximum(np.ceil(lo - slack), -box[k])
-    hi = np.minimum(np.floor(hi + slack), box[k])
-    cnt = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    total = int(cnt.sum())
-    if total > cap:
-        return _ellipsoid_points(e, p, cap)
-    run_starts = np.cumsum(cnt) - cnt
-    offs = np.arange(total) - np.repeat(run_starts, cnt)
-    pts = np.empty((total, 3), dtype=np.int64)
-    pts[:, a] = np.repeat(ga.ravel(), cnt)
-    pts[:, b] = np.repeat(gb.ravel(), cnt)
-    pts[:, k] = np.repeat(lo, cnt) + offs
-    pts = pts[np.any(pts != 0, axis=1)]
-    return pts[_y_float(e, pts) <= f_max]
-
-
 def _lll_basis(a):
     """Rows of a unimodular integer matrix, LLL-reduced for the inner
     product <x, y> = x a y with a positive definite (3x3, float)."""
@@ -456,16 +364,25 @@ def _f_quadratic(e: EigenData3):
     return rows.T @ c @ rows
 
 
-def _ellipsoid_points(e: EigenData3, p: IntVector, cap: int):
-    """Certified superset of the slab via an ellipsoid in a reduced basis.
+def gamma0_slab_points(e: EigenData3, p: IntVector, cap: int = 40_000_000):
+    """Integer points of a certified superset of Gamma^0(p), as an (N, 3)
+    numpy array.
 
-    The region {x in the window, F <= F_max} is a long thin needle around
-    the real eigenline; its coordinate bounding box can be astronomically
-    larger than its point count.  An LLL basis for the metric blending the
-    (x - x_mid)^2 window term with F/F_max turns the needle into a small
-    box.  All cuts are float with wide inflation, and the final filter is
-    the same padded one as the direct slab, so only a superset can come
-    out.
+    Gamma^0(p) sits inside the slab {x(p') between x(p) and x(Mp)} cut with
+    {F <= max(F(p), F(Mp))}: x is linear and F is convex, so both bounds
+    pass from the two orbits to their convex hull.  That region is a long
+    thin needle around the real eigenline, so its coordinate bounding box
+    can be astronomically larger than its point count.  An LLL basis
+    (Lenstra-Lenstra-Lovasz) for the metric blending the (x - x_mid)^2
+    window term with F/F_max turns the needle into a small box, whose
+    bounds come from the inverse metric (Fincke-Pohst).  All cuts are
+    float, with wide inflation but no proven error bound.
+
+    Raises Inconclusive when the box has more than `cap` cells, when the
+    float metric yields a non-finite or out-of-range bound, or when p
+    itself is missing from the output: p lies in its own slab (x(p) is a
+    window end and F(p) <= F_max), so its absence proves that points were
+    dropped.
     """
     import numpy as np
     x_p = _x_coord(e, p)
@@ -492,16 +409,20 @@ def _ellipsoid_points(e: EigenData3, p: IntVector, cap: int):
     dual = np.linalg.inv(basis.astype(float).T)  # u_i = dual[i] . v
     a_inv = np.linalg.inv(a)
     u0 = dual @ center
-    radii = np.sqrt(2.2 * np.einsum("ij,jk,ik->i", dual, a_inv, dual)) + 1
-    los = np.ceil(u0 - radii).astype(np.int64)
-    his = np.floor(u0 + radii).astype(np.int64)
-    sizes = np.maximum(his - los + 1, 0)
-    total = int(sizes.prod())
-    if total > cap or total <= 0:
+    with np.errstate(invalid="ignore"):
+        radii = np.sqrt(2.2 * np.einsum("ij,jk,ik->i", dual, a_inv, dual)) + 1
+    los = np.ceil(u0 - radii)
+    his = np.floor(u0 + radii)
+    # NaN, infinite and non-integral (beyond 2^53) bounds all fail here
+    if not np.all(np.abs(np.concatenate((los, his))) < 2.0 ** 53):
+        raise Inconclusive(
+            "reduced-basis ellipsoid has a non-finite or out-of-range bound")
+    total = float(np.prod(his - los + 1))
+    if total > cap:
         raise Inconclusive(
             "reduced-basis ellipsoid with %d cells exceeds the cap" % total)
-    grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(los, his)],
-                        indexing="ij")
+    grids = np.meshgrid(*[np.arange(l, h + 1, dtype=np.int64)
+                          for l, h in zip(los, his)], indexing="ij")
     u = np.stack([g.ravel() for g in grids], axis=1)
     pts = u @ basis
     xv = pts.astype(float) @ wf
@@ -509,7 +430,11 @@ def _ellipsoid_points(e: EigenData3, p: IntVector, cap: int):
     keep = (xv >= x_lo - slack) & (xv <= x_hi + slack) \
         & np.any(pts != 0, axis=1)
     pts = pts[keep]
-    return pts[_y_float(e, pts) <= f_max]
+    pts = pts[_y_float(e, pts) <= f_max]
+    if not np.any(np.all(pts == np.array(tuple(p)), axis=1)):
+        raise Inconclusive("slab enumeration lost its own seed %s"
+                           % (tuple(p),))
+    return pts
 
 
 def improve_seed(e: EigenData3, seed: IntVector, boxes=(16, 96)):
@@ -555,17 +480,6 @@ def improve_seed(e: EigenData3, seed: IntVector, boxes=(16, 96)):
     return best_v
 
 
-def _box_grid(box: int, cap: int):
-    import numpy as np
-    volume = (2 * box + 1) ** 3
-    if volume > cap:
-        raise Inconclusive("box with %d points exceeds the cap" % volume)
-    rng = np.arange(-box, box + 1)
-    grids = np.meshgrid(rng, rng, rng, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts[np.any(pts != 0, axis=1)]
-
-
 def _candidate_preimages(e: EigenData3, pts) -> List[IntVector]:
     """Cull an integer point array to possible hull vertices: positive x
     and Pareto-minimal in (x, y_sq) up to a wide float safety margin.  Only
@@ -600,26 +514,23 @@ def _candidate_preimages(e: EigenData3, pts) -> List[IntVector]:
     return out
 
 
-def compute_sail(m: IntMatrix, bits: int = 4096, box: int = None,
+def compute_sail(m: IntMatrix, bits: int = 4096,
                  point_cap: int = 40_000_000) -> SailData:
     """Hull vertices of one sail covering a full period of the Dirichlet
     action, with the fundamental window marked.
 
-    Points are gathered from the certified Gamma^0(e1) slab together with
-    its generator images, so the central period window of the hull is the
-    true sail; the period consistency of the result is verified before
-    returning.  Passing an explicit `box` switches to plain enumeration of
-    the coordinate box instead of the certified slab.
+    Points are gathered from the certified Gamma^0(e1) slab of
+    gamma0_slab_points (at most `point_cap` enumerated cells, else
+    Inconclusive) together with its generator images, so the central
+    period window of the hull is the true sail; the period consistency of
+    the result is verified before returning.
     """
     e = eigen_data(m, bits)
     g, rho = _expansion(e)
     seed = IntVector((1, 0, 0))
     if _x_coord(e, seed).sign() < 0:
         seed = -seed
-    if box is not None:
-        pts = _box_grid(box, point_cap)
-    else:
-        pts = gamma0_slab_points(e, seed, point_cap)
+    pts = gamma0_slab_points(e, seed, point_cap)
     base = _candidate_preimages(e, pts)
 
     seen = set()

@@ -133,6 +133,31 @@ def test_classify_grid_known_nonreduced_cell():
     assert counts == {"NRS_Nonreduced": 1}
 
 
+def test_inconclusive_cell_is_unknown_without_bounded_scan(monkeypatch):
+    import hesslab.atlas as atlas_mod
+    import hesslab.reducedness as red_mod
+    from hesslab.reducedness import ReducedVerdict, Sail
+
+    strategies = []
+
+    def stub(mat, strategy):
+        strategies.append(strategy)
+        if isinstance(strategy, Sail):
+            return ReducedVerdict("Inconclusive", reason="stub")
+        return red_mod.is_reduced(mat, strategy)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("minimize_md_bounded was called")
+
+    monkeypatch.setattr(atlas_mod, "is_reduced", stub)
+    monkeypatch.setattr(red_mod, "minimize_md_bounded", no_scan)
+    cells, counts = classify_grid(T_212, A_212, (0, 0), (0, 0))
+    assert counts == {"NRS_Unknown": 1}
+    assert cells[0].verdict.status == "Inconclusive"
+    assert cells[0].verdict.reason == "stub"
+    assert all(isinstance(s, Sail) for s in strategies)
+
+
 def test_render_grid_ppm_golden():
     cell = GridCell((0, 0), "ReduciblePoly")
     out = render_grid([cell])

@@ -90,6 +90,19 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     assert conf.precision_bits == 1024  # file beats built-in
 
 
+def test_bounded_scan_needs_a_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
+    for argv in (["minimize", "0 1 2; 1 0 0; 0 3 5"],
+                 ["verdict", "0 1 2; 1 0 0; 0 3 5", "--strategy", "bounded"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert "--bound" in err
+    code, out, _ = run(["minimize", "0 1 2; 1 0 0; 0 3 5", "--bound", "4",
+                        "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["bound"] == 4
+
+
 def test_atlas_out_and_json_files(tmp_path, capsys):
     ppm = tmp_path / "grid.ppm"
     js = tmp_path / "grid.json"

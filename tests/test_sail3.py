@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 
 from hesslab.exact import IntMatrix, IntVector, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
+import hesslab.sail3 as sail3
 from hesslab.sail3 import (
+    Inconclusive,
     SailError,
     compute_sail,
     dirichlet_generator,
     eigen_data,
-    gamma0_box,
     gamma0_slab_points,
     improve_seed,
     project_pi,
@@ -91,7 +93,7 @@ def test_slab_contains_fundamental_vertices():
 
 def test_slab_hard_cell_regression():
     # this family cell has a coordinate bounding box with ~2e9 cross
-    # section; the reduced-basis ellipsoid route must keep it feasible
+    # section; the reduced-basis ellipsoid must keep it feasible
     t = HessType.parse("<0,1|1,0,2>")
     mat = family_member(FamilyPoint(t, IntVector((1, 0, 1)), (-6, 15)))
     e = eigen_data(mat)
@@ -104,10 +106,73 @@ def test_slab_hard_cell_regression():
     assert len(pts) > 0
 
 
-def test_gamma0_box_positive():
-    e = eigen_data(FRO)
-    box = gamma0_box(e, IntVector((1, 0, 0)))
-    assert len(box) == 3 and all(b >= 1 for b in box)
+def _positive_seed(e, v):
+    v = IntVector(v)
+    return -v if _x_coord(e, v).sign() < 0 else v
+
+
+def _strictly_inside_slab(m, p, box):
+    """Points of the coordinate box [-box, box]^3 inside the slab of p by a
+    1e-3 relative margin, from numpy's left eigenvectors of M.  x and F are
+    known only up to positive scales here, so the slab is tested through
+    the ratios x(v)/x(p) in [min(1, r), max(1, r)] and
+    F(v)/F(p) <= max(1, 1/r)."""
+    vals, vecs = np.linalg.eig(np.array(m.rows, dtype=float).T)
+    i = int(np.argmin(np.abs(vals.imag)))
+    j = int(np.argmax(vals.imag))
+    r, left_real, left_complex = vals[i].real, vecs[:, i].real, vecs[:, j]
+    rng = np.arange(-box, box + 1)
+    pts = np.stack([g.ravel() for g in np.meshgrid(rng, rng, rng,
+                                                   indexing="ij")], axis=1)
+    pf = np.array(tuple(p), dtype=float)
+    xr = (pts @ left_real) / (pf @ left_real)
+    fr = np.abs(pts @ left_complex) ** 2 / abs(pf @ left_complex) ** 2
+    lo, hi = sorted((1.0, r))
+    tol = 1e-3
+    inside = (xr > lo * (1 + tol)) & (xr < hi * (1 - tol)) \
+        & (fr < max(1.0, 1.0 / r) * (1 - tol))
+    return pts[inside]
+
+
+def _band_cell(m, n):
+    t = HessType.parse("<0,1|1,0,2>")
+    return family_member(FamilyPoint(t, IntVector((1, 0, 1)), (m, n)))
+
+
+@pytest.mark.parametrize("m, seed", [
+    (FRO, (1, 0, 0)),
+    (M1, (1, 0, 0)),
+    # the hard cell of test_slab_hard_cell_regression, with the seed that
+    # improve_seed finds for it
+    (_band_cell(-6, 15), (32, -11, 62)),
+    (_band_cell(-3, 9), (1, 0, 0)),
+    (_band_cell(0, 9), (1, 0, 0)),
+], ids=["FRO", "M1", "hard(-6,15)", "band(-3,9)", "band(0,9)"])
+def test_slab_enumeration_is_sound(m, seed):
+    # the natural seed spans a slab of a few points; the wider seed's slab
+    # holds hundreds of points of the box
+    e = eigen_data(m)
+    checked = 0
+    for p in (_positive_seed(e, seed), _positive_seed(e, (3, -2, 4))):
+        pts = gamma0_slab_points(e, p)
+        keys = {tuple(v) for v in pts.tolist()}
+        for v in (p, m * p):
+            assert tuple(v) in keys or tuple(-v) in keys
+        inside = _strictly_inside_slab(m, p, 24)
+        missing = [v for v in map(tuple, inside.tolist()) if v not in keys]
+        assert not missing, missing[:5]
+        checked += len(inside)
+    assert checked > 0
+
+
+def test_slab_nan_radius_is_inconclusive(monkeypatch):
+    # a negative definite float metric makes the radii sqrt(negative) =
+    # NaN; this once came back as an empty point set with no error
+    monkeypatch.setattr(sail3, "_f_quadratic",
+                        lambda e: -1e30 * np.eye(3))
+    e = eigen_data(M1)
+    with pytest.raises(Inconclusive):
+        gamma0_slab_points(e, IntVector((1, 0, 0)))
 
 
 def test_dirichlet_generator_is_m():
