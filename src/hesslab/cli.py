@@ -257,7 +257,9 @@ def _cmd_atlas(args, cfg):
 
 
 def _cmd_atlas4(args, cfg):
-    bound = args.bound if args.bound else cfg.window4
+    bound = args.bound if args.bound is not None else cfg.window4
+    if bound < 0:
+        raise ExactError("atlas4 --bound must be at least 0, got %d" % bound)
     cells = atlas_mod.classify_family_4d(bound)
     counts = {}
     for c in cells:

@@ -609,11 +609,6 @@ def _split_quartic(p: IntPoly):
     return None
 
 
-def has_repeated_factor(p: IntPoly) -> bool:
-    fs = factor_small(p)
-    return len(set(fs)) != len(fs)
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains (rational coefficients)
 

@@ -4,7 +4,8 @@ Conjugacy classes split by trace: |tr| < 2 gives three finite classes,
 tr = +-2 the unipotent families, and |tr| > 2 the real-spectrum classes,
 classified completely by the period of the characteristic sequence
 (alternating integer lengths and integer angles) of a sail of the
-Klein continued fraction.
+Klein continued fraction.  That period is read from the regular
+continued fraction of an eigenline slope; no lattice points are scanned.
 """
 
 from __future__ import annotations
@@ -110,130 +111,26 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def integer_length(p: IntVector, q: IntVector) -> int:
-    return math.gcd(abs(q[0] - p[0]), abs(q[1] - p[1]))
+def sail_period(m: IntMatrix) -> Period:
+    """Period of the characteristic sequence of the sail of m.
 
+    The sail is that of the cone between the eigenlines of m that
+    contains (1,0) in the basis m is written in.  Its characteristic
+    (LLS) sequence alternates integer lengths and integer angles, and it
+    is the periodic part of the regular continued fraction of the fixed
+    point (a - d + sqrt(D)) / 2c of g = [[a, b], [c, d]], where g = m or
+    -m, whichever has positive trace, and D = tr^2 - 4 (c != 0 because
+    m is hyperbolic).  The expansion runs on exact integers in O(period)
+    steps; its cycle is rotated by one place when the cycle's start
+    index plus [c < 0] is even, so that lengths sit at even places.
+    Then:
 
-def integer_angle(p: IntVector, q: IntVector, r: IntVector) -> int:
-    u = (p[0] - q[0], p[1] - q[1])
-    v = (r[0] - q[0], r[1] - q[1])
-    d = abs(u[0] * v[1] - u[1] * v[0])
-    num = d
-    den = integer_length(p, q) * integer_length(q, r)
-    if num % den != 0:
-        raise ExactError("integer angle is not integral")
-    return num // den
-
-
-def _cross(u, v) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _triangle_points(u, v) -> List[Tuple[int, int]]:
-    """Integer points of the closed triangle O, u, v except the origin.
-
-    Scanline over x: for each column the three half planes
-    alpha = s (x v1 - y v0) >= 0, beta = s (u0 y - u1 x) >= 0 and
-    alpha + beta <= s d cut out one y interval, so the cost is linear
-    in the bounding box width plus the number of points found.
-    """
-    d = _cross(u, v)
-    if d == 0:
-        raise ExactError("degenerate sail triangle")
-    s = 1 if d > 0 else -1
-    xs = sorted((0, u[0], v[0]))
-    ys = sorted((0, u[1], v[1]))
-    out: List[Tuple[int, int]] = []
-    for x in range(xs[0], xs[2] + 1):
-        lo, hi = ys[0], ys[2]
-        # each constraint c_y * y >= rhs intersects [lo, hi]
-        for c_y, rhs in (
-                (-s * v[0], -s * x * v[1]),
-                (s * u[0], s * u[1] * x),
-                (s * v[0] - s * u[0], s * x * v[1] - s * u[1] * x - s * d)):
-            if c_y > 0:
-                lo = max(lo, -((-rhs) // c_y))
-            elif c_y < 0:
-                hi = min(hi, rhs // c_y)
-            elif rhs > 0:
-                lo, hi = 1, 0
-                break
-        for y in range(lo, hi + 1):
-            if x or y:
-                out.append((x, y))
-    return out
-
-
-def _fixed_form_reduction(g: IntMatrix) -> IntMatrix:
-    """A unimodular u such that u^-1 g u has entries of size O(|trace|).
-
-    Gauss reduction of the fixed-point quadratic form of g (the binary
-    form c x^2 + (d - a) x y - b y^2 with discriminant tr^2 - 4); the
-    conjugated matrix is an automorph of the reduced form and so has
-    entries bounded by its coefficients plus the trace.
-    """
-    a, b = g[0, 0], g[0, 1]
-    c, d = g[1, 0], g[1, 1]
-    qa, qb, qc = c, d - a, -b
-    disc = qb * qb - 4 * qa * qc
-    rd = math.isqrt(disc)
-    u = IntMatrix.identity(2)
-    seen = set()
-    for _ in range(4000):
-        if (qa, qb, qc) in seen or qc == 0:
-            break
-        seen.add((qa, qb, qc))
-        if max(abs(qa), abs(qc)) <= rd and 0 < qb <= rd:
-            break
-        c2 = 2 * qc
-        if abs(qc) >= rd:
-            m = (2 * qb + c2) // (2 * c2)
-        elif qc > 0:
-            m = (qb + rd) // c2
-        else:
-            m = -((-(qb + rd)) // c2)
-        qa, qb, qc = qc, -qb + c2 * m, qa - qb * m + qc * m * m
-        u = u * IntMatrix([[0, -1], [1, m]])
-    return u
-
-
-def _near_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Origin-facing convex hull chain of points inside one cone, listed
-    clockwise (decreasing angle)."""
-    import functools
-
-    def cmp(a, b):
-        c = _cross(a, b)
-        if c:
-            return -1 if c < 0 else 1
-        # same ray: nearer point first
-        na = abs(a[0]) + abs(a[1])
-        nb = abs(b[0]) + abs(b[1])
-        return -1 if na < nb else (1 if na > nb else 0)
-
-    pts = sorted(set(points), key=functools.cmp_to_key(cmp))
-    hull: List[Tuple[int, int]] = []
-    for p in pts:
-        if hull and _cross(hull[-1], p) == 0:
-            continue  # farther point on the same ray
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if _cross((b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
-def sail_period(m: IntMatrix, periods: int = 1) -> Period:
-    """Period of the characteristic sequence of a sail of m.
-
-    Works geometrically: g (= m or -m, whichever has positive eigenvalues)
-    acts on the cone of p0 = (1,0); the sail piece between the rays of
-    g^-1 p0 and g^2 p0 lies in the union of the triangles O, g^k p0,
-    g^(k+1) p0, so its vertices are read off the origin-facing hull of
-    their integer points; the induced index shift gives the period.
+    - an odd continued-fraction period is doubled, so the result always
+      has even length;
+    - when g is the k-th power of a primitive element the period is
+      repeated k times; k comes from the continuant traces
+      t_(j+1) = t_1 t_j - t_(j-1), t_0 = 2, which must reach |tr|;
+    - the result is the lexicographically largest even rotation.
     """
     if m.n != 2:
         raise ExactError("sail_period requires a 2x2 matrix")
@@ -242,91 +139,37 @@ def sail_period(m: IntMatrix, periods: int = 1) -> Period:
     tr = m.trace()
     if abs(tr) <= 2:
         raise ExactError("sail periods require |trace| > 2")
-    g = m if tr > 2 else IntMatrix([[-m[0, 0], -m[0, 1]], [-m[1, 0], -m[1, 1]]])
-    if max(abs(g[i, j]) for i in range(2) for j in range(2)) > 64:
-        # the period only depends on the conjugacy class, so shrink the
-        # entries first; otherwise the triangle scan is hopeless
-        u = _fixed_form_reduction(g)
-        g = u.inverse_unimodular() * g * u
-
-    p0 = IntVector((1, 0))
-    orbit = [p0]
-    ginv = g.inverse_unimodular()
-    orbit.insert(0, ginv * p0)
-    for _ in range(2):
-        orbit.append(g * orbit[-1])
-    pts: List[Tuple[int, int]] = []
-    for a, b in zip(orbit, orbit[1:]):
-        pts.extend(_triangle_points((a[0], a[1]), (b[0], b[1])))
-
-    # mirror to make the g action run counterclockwise; swapping the two
-    # coordinates is in GL(2,Z), so it preserves all lattice invariants
-    mirrored = _cross(tuple(p0), tuple(g * p0)) < 0
-    if mirrored:
-        pts = [(y, x) for x, y in pts]
-        gm = IntMatrix([[g[1, 1], g[1, 0]], [g[0, 1], g[0, 0]]])
-    else:
-        gm = g
-    hull = _near_hull(pts)
-    if len(hull) < 3:
-        raise ExactError("sail hull degenerated")
-
-    # near the window boundary the hull can pick up points that are not
-    # sail vertices (their supporting vertex fell outside the orbit
-    # window); genuine vertices are recognized by equivariance, since
-    # the window spans three fundamental domains
-    sset = set(hull)
-    gminv = gm.inverse_unimodular()
-    flags = []
-    for v in hull:
-        q = gm * IntVector(v)
-        q2 = gminv * IntVector(v)
-        flags.append((q[0], q[1]) in sset or (q2[0], q2[1]) in sset)
-    core = _longest_true_run(hull, flags)
-    if len(core) < 3:
-        raise ExactError("sail hull degenerated")
-
-    # index shift induced by the generator
-    pos = {v: i for i, v in enumerate(core)}
-    i0 = image = None
-    for probe in range(len(core)):
-        q = gm * IntVector(core[probe])
-        j = pos.get((q[0], q[1]))
-        if j is None or j == probe:
-            continue
-        step = 1 if j > probe else -1
-        if 0 <= j + step < len(core):
-            i0, image = probe, j
-            break
-    if i0 is None:
-        raise ExactError("period shift not visible in the computed hull window")
-    shift = image - i0
-    p = abs(shift)
-    step = 1 if shift > 0 else -1
-
-    entries: List[int] = []
-    idx = i0
-    for _ in range(p):
-        nxt = idx + step
-        after = nxt + step
-        entries.append(integer_length(IntVector(core[idx]), IntVector(core[nxt])))
-        entries.append(integer_angle(IntVector(core[idx]), IntVector(core[nxt]),
-                                     IntVector(core[after])))
-        idx = nxt
-    return Period(_canonical_rotation(entries))
-
-
-def _longest_true_run(items, flags):
-    best: List[Tuple[int, int]] = []
-    cur: List[Tuple[int, int]] = []
-    for item, ok in zip(items, flags):
-        if ok:
-            cur.append(item)
-            if len(cur) > len(best):
-                best = list(cur)
-        else:
-            cur = []
-    return best
+    s = 1 if tr > 0 else -1
+    a, c, d = s * m[0, 0], s * m[1, 0], s * m[1, 1]
+    disc = tr * tr - 4
+    root = math.isqrt(disc)
+    # x = (p + sqrt(disc)) / q with q | disc - p^2, since disc - (a-d)^2 = 4bc
+    p, q = a - d, 2 * c
+    seen = {}
+    quotients: List[int] = []
+    while (p, q) not in seen:
+        seen[p, q] = len(quotients)
+        k = (p + root + (q < 0)) // q  # floor((p + sqrt(disc)) / q)
+        quotients.append(k)
+        p = k * q - p
+        q = (disc - p * p) // q
+    start = seen[p, q]
+    cycle = quotients[start:]
+    if (start + (c < 0)) % 2 == 0:
+        cycle = cycle[1:] + cycle[:1]
+    if len(cycle) % 2:
+        cycle = cycle + cycle
+    # t_1 is the trace of the product of [[e, 1], [1, 0]] over the cycle
+    x00, x01, x10, x11 = 1, 0, 0, 1
+    for e in cycle:
+        x00, x01, x10, x11 = x00 * e + x01, x00, x10 * e + x11, x10
+    t1 = x00 + x11
+    prev, cur, reps = 2, t1, 1
+    while cur < abs(tr):
+        prev, cur, reps = cur, t1 * cur - prev, reps + 1
+    if cur != abs(tr):
+        raise ExactError("trace is not a continuant trace of the period")
+    return Period(_canonical_rotation(cycle * reps))
 
 
 def _canonical_rotation(entries: List[int]) -> List[int]:

@@ -359,24 +359,3 @@ def sign_a_plus_b_sqrt_pair(a: FieldElement, sa: FieldElement,
     if t == 0:
         return 0
     return s1 * t if t > 0 else s2
-
-
-def sign_quadratic_surd(p: Fraction, q: Fraction, d: int) -> int:
-    """Exact sign of p + q*sqrt(d) for rationals p, q and a nonsquare d > 0.
-
-    Used by the 2D sail code; no floats anywhere.
-    """
-    if d < 0:
-        raise ExactError("negative discriminant")
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return (q > 0) - (q < 0)
-    sp = 1 if p > 0 else -1
-    sq = 1 if q > 0 else -1
-    if sp == sq:
-        return sp
-    t = p * p - q * q * d
-    if t == 0:
-        return 0
-    return sp if t > 0 else sq

@@ -194,21 +194,10 @@ def dirichlet_generator(m: IntMatrix) -> IntMatrix:
     """The smallest power (up to sign) of M with positive real eigenvalue.
 
     For SL(3,Z) NRS matrices the real eigenvalue satisfies r * |c|^2 = 1,
-    so r > 0 always and the generator is M itself; the other branches are
-    kept for robustness against future det/-sign extensions.
+    so r > 0 always and the generator is M itself.
     """
     _require_nrs(m)
-    p = char_poly(m)
-    bound = Fraction(1) + max(abs(c) for c in p.coeffs[:-1])
-    if count_real_roots(p, Fraction(0), bound) == 1:
-        return m
-    neg = IntMatrix([[-m[i, j] for j in range(3)] for i in range(3)])
-    if det(neg) == 1:
-        pn = char_poly(neg)
-        bn = Fraction(1) + max(abs(c) for c in pn.coeffs[:-1])
-        if count_real_roots(pn, Fraction(0), bn) == 1:
-            return neg
-    return m * m
+    return m
 
 
 def verify_dirichlet_element(m: IntMatrix, x: IntMatrix) -> bool:

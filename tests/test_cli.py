@@ -103,6 +103,19 @@ def test_bounded_scan_needs_a_bound(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["bound"] == 4
 
 
+def test_atlas4_bound_zero_and_negative(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
+    # --bound 0 is the one-cell cube, not the config's default window
+    code, out, _ = run(["atlas4", "--bound", "0", "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bound"] == 0
+    assert [c["params"] for c in doc["cells"]] == [[0, 0, 0]]
+    code, out, err = run(["atlas4", "--bound", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert "--bound" in err
+
+
 def test_atlas_out_and_json_files(tmp_path, capsys):
     ppm = tmp_path / "grid.ppm"
     js = tmp_path / "grid.json"

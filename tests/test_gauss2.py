@@ -5,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import continuant_matrix, random_unimodular
-from hesslab.exact import ExactError, IntMatrix, IntVector, det, parse_matrix
+from hesslab.exact import ExactError, IntMatrix, det, parse_matrix
 from hesslab.gauss2 import (
     Period,
     Sl2Class,
     classify_sl2,
-    integer_angle,
-    integer_length,
     periods_equal,
     sail_period,
 )
@@ -40,14 +38,6 @@ def test_periods_equal_cyclic():
     assert periods_equal(Period((2, 1, 1, 3)), Period((1, 3, 2, 1)))
     assert not periods_equal(Period((2, 1)), Period((2, 1, 2, 1)))
     assert not periods_equal(Period((2, 1, 1, 3)), Period((2, 1, 3, 1)))
-
-
-def test_integer_invariants():
-    assert integer_length(IntVector((0, 0)), IntVector((2, 4))) == 2
-    assert integer_angle(IntVector((1, 0)), IntVector((0, 0)),
-                         IntVector((0, 1))) == 1
-    assert integer_angle(IntVector((1, 0)), IntVector((0, 0)),
-                         IntVector((1, 2))) == 2
 
 
 def test_classify_complex_spectrum():
@@ -105,6 +95,42 @@ def test_period_against_continuant_trace():
         p = sail_period(mat)
         cm = continuant_matrix(p.entries)
         assert abs(cm.trace()) == abs(mat.trace()), (m, p.entries)
+
+
+def test_sail_period_of_powers():
+    # g^k has the period of g repeated k times
+    assert sail_period(h25(3) ** 2).entries == (2, 1, 1, 3) * 2
+    assert sail_period(h25(3) ** 3).entries == (2, 1, 1, 3) * 3
+
+
+def _hyperbolic_sl2(lo, hi):
+    r = range(lo, hi + 1)
+    return [IntMatrix([[a, b], [c, d]])
+            for a in r for b in r for c in r for d in r
+            if a * d - b * c == 1 and abs(a + d) > 2]
+
+
+def test_sail_period_exact_under_shears():
+    # T^k = [[1,k],[0,1]] fixes (1,0), so T^-k m T^k has the same cone of
+    # (1,0) and the same sail: the period must match exactly, not only up
+    # to a cyclic shift, however large the conjugate's entries get
+    mats = _hyperbolic_sl2(-6, 6)
+    assert len(mats) == 216
+    for m in mats:
+        want = sail_period(m).entries
+        for k in (9, -9, 25, -25, 60, -60):
+            t = IntMatrix([[1, k], [0, 1]])
+            got = sail_period(t.inverse_unimodular() * m * t).entries
+            assert got == want, (m.rows, k, got, want)
+            assert len(got) % 2 == 0
+            assert abs(continuant_matrix(got).trace()) == abs(m.trace())
+
+
+def test_sail_period_large_entry_golden():
+    # T^9 [[-5,-4],[-6,-5]] T^-9; the period of its (1,0) cone is (2,4),
+    # as for the unconjugated matrix, not the odd shift (4,2)
+    assert sail_period(parse_matrix("-5 -4; -6 -5")).entries == (2, 4)
+    assert sail_period(parse_matrix("-59 482; -6 49")).entries == (2, 4)
 
 
 def test_sail_period_needs_hyperbolic():
