@@ -18,13 +18,11 @@ from typing import Optional
 
 from .exact import (
     ExactError,
-    IntVector,
     matrix_to_json,
     parse_matrix,
     parse_vector,
 )
 from .hessenberg import (
-    FamilyPoint,
     HessType,
     hessenberg_complexity,
     reduce_to_perfect,

@@ -272,49 +272,50 @@ class IntPoly:
 def char_poly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(tI - M), exact integer coefficients.
 
-    Evaluated at n+1 integer points and recovered by Lagrange interpolation
-    over the rationals; the result is integral for an integer matrix.
+    Faddeev-LeVerrier over the integers: M_k = M M_(k-1) + c_(n-k+1) I and
+    c_(n-k) = -tr(M M_k) / k, where the division is exact.
     """
     n = m.n
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        rows = [
-            [(x if i == j else 0) - m.rows[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        ys.append(_det_rows(rows))
-    coeffs = _lagrange_interpolate(xs, ys)
-    if len(coeffs) < n + 1:
-        coeffs = coeffs + [0] * (n + 1 - len(coeffs))
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ExactError("characteristic polynomial interpolation failed")
-        out.append(c.numerator)
-    return IntPoly(out)
+    a = m.rows
+    cols = list(zip(*a))
+    coeffs = [0] * n + [1]
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        mk_cols = list(zip(*mk))
+        mk = [[sum(x * y for x, y in zip(row, col)) + (c if i == j else 0)
+               for j, col in enumerate(mk_cols)]
+              for i, row in enumerate(a)]
+        trace = sum(x * y for row, col in zip(mk, cols) for x, y in zip(row, col))
+        q, r = divmod(-trace, k)
+        if r:
+            raise ExactError("characteristic polynomial recursion is not integral")
+        coeffs[n - k] = q
+    return IntPoly(coeffs)
 
 
-def _lagrange_interpolate(xs, ys):
-    """Coefficients (Fractions, low first) of the interpolating polynomial."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] += -xs[j] * b
-                new[k + 1] += b
-            basis = new
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return coeffs
+def rational_inverse(rows: Sequence[Sequence[int]]):
+    """(B, d) with integer rows B and d > 0 such that A B = d I for the
+    square integer matrix A, by Gauss-Jordan elimination over Q; None when
+    A is singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    inverse = [row[n:] for row in aug]
+    d = math.lcm(*(x.denominator for row in inverse for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in inverse], d
 
 
 def resultant(p: IntPoly, q: IntPoly) -> int:

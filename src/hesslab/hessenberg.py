@@ -10,6 +10,7 @@ implements that basis construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -24,6 +25,7 @@ from .exact import (
     elementary_divisors,
     integer_distance,
     integer_volume,
+    rational_inverse,
     saturation_basis,
 )
 
@@ -271,7 +273,7 @@ def family_member(fp: FamilyPoint) -> IntMatrix:
     """Realize M_0 + sum c_i M_i(Omega) for a family point."""
     t = fp.type
     n = t.n
-    if not validate_type(t, fp.anchor):
+    if not _valid_pair(t, fp.anchor):
         raise ExactError("type/anchor pair does not give an SL(n,Z) family")
     last = list(fp.anchor)
     for j, c in enumerate(fp.params):
@@ -279,6 +281,12 @@ def family_member(fp: FamilyPoint) -> IntMatrix:
         last = [x + c * y for x, y in zip(last, col)]
     cols = [t.column_vector(j) for j in range(n - 1)] + [IntVector(last)]
     return IntMatrix.from_columns(cols)
+
+
+@functools.lru_cache(maxsize=1024)
+def _valid_pair(t: HessType, anchor: IntVector) -> bool:
+    """validate_type, checked once per (type, anchor) pair."""
+    return validate_type(t, anchor)
 
 
 def validate_type(t: HessType, anchor: IntVector) -> bool:
@@ -314,33 +322,12 @@ def last_column_from(t: HessType, p: IntPoly) -> Optional[IntVector]:
         pe = char_poly(IntMatrix.from_columns(cols + [e]))
         gradients.append([pe.coeffs[k] - base.coeffs[k] for k in range(n)])
     # solve sum_i v_i * gradients[i][k] = p_k - base_k   for k = 0..n-1
-    a = [[Fraction(gradients[i][k]) for i in range(n)] for k in range(n)]
-    b = [Fraction(p.coeffs[k] - base.coeffs[k]) for k in range(n)]
-    sol = _gauss_solve(a, b)
-    if sol is None:
+    inv = rational_inverse([[gradients[i][k] for i in range(n)] for k in range(n)])
+    if inv is None:
         return None
-    if any(s.denominator != 1 for s in sol):
+    rows, den = inv
+    b = [p.coeffs[k] - base.coeffs[k] for k in range(n)]
+    sol = [divmod(sum(x * y for x, y in zip(row, b)), den) for row in rows]
+    if any(r for _, r in sol):
         return None
-    v = IntVector(s.numerator for s in sol)
-    return v
-
-
-def _gauss_solve(a, b):
-    n = len(b)
-    for col in range(n):
-        pr = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            return None
-        a[col], a[pr] = a[pr], a[col]
-        b[col], b[pr] = b[pr], b[col]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col] / a[col][col]
-                for j in range(col, n):
-                    a[i][j] -= f * a[col][j]
-                b[i] -= f * b[col]
-    return [b[i] / a[i][i] for i in range(n)]
+    return IntVector(q for q, _ in sol)

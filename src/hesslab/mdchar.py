@@ -10,10 +10,9 @@ bridge between sails and reducedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
-from .exact import ExactError, IntMatrix, IntVector, det
+from .exact import ExactError, IntMatrix, IntVector, det, rational_inverse
 
 # monomial order of the stored cubic coefficients
 MONOMIALS3 = ("x^3", "x^2*y", "x^2*z", "x*y^2", "x*y*z", "x*z^2",
@@ -25,6 +24,9 @@ _EXPONENTS3 = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
 # matrix is invertible, so the coefficients are recovered exactly
 _POINTS3 = ((0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0),
             (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1), (1, 2, 0))
+_POINTS3_INVERSE, _POINTS3_DEN = rational_inverse(
+    [[p[0] ** a * p[1] ** b * p[2] ** g for a, b, g in _EXPONENTS3]
+     for p in _POINTS3])
 
 
 @dataclass(frozen=True)
@@ -79,40 +81,21 @@ def md_det3(m: IntMatrix, v) -> int:
 def md_form3(m: IntMatrix) -> MDForm3:
     """Coefficients of det[v | Mv | M^2 v] as a cubic form in v.
 
-    Extracted by evaluation at the fixed ten points and solving the linear
-    system over Q; the solution is integral because the form is.
+    Recovered from its values at the fixed ten points by the precomputed
+    integer inverse of their monomial matrix; the division by its
+    denominator is exact because the form is integral.
     """
     if m.n != 3:
         raise ExactError("md_form3 requires a 3x3 matrix")
-    rows = []
-    rhs = []
-    for p in _POINTS3:
-        rows.append([Fraction(p[0] ** a * p[1] ** b * p[2] ** g)
-                     for a, b, g in _EXPONENTS3])
-        rhs.append(Fraction(md_det3(m, p)))
-    sol = _solve10(rows, rhs)
+    vals = [md_det3(m, p) for p in _POINTS3]
     coeffs = []
-    for s in sol:
-        if s.denominator != 1:
+    for row in _POINTS3_INVERSE:
+        c, r = divmod(sum(a * b for a, b in zip(row, vals)), _POINTS3_DEN)
+        if r:
             raise ExactError("interpolation produced a non-integer coefficient")
-        coeffs.append(s.numerator)
+        coeffs.append(c)
     return MDForm3(tuple(coeffs))
 
 
 def parity_all_even(f: MDForm3) -> bool:
     return f.parity_all_even()
-
-
-def _solve10(a, b):
-    n = len(b)
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col] / a[col][col]
-                for j in range(col, n):
-                    a[i][j] -= f * a[col][j]
-                b[i] -= f * b[col]
-    return [b[i] / a[i][i] for i in range(n)]

@@ -1,42 +1,40 @@
-"""Exact arithmetic in the cubic field Q(r) of a real algebraic number.
+"""Exact arithmetic in the number field Q(r) of a real algebraic number.
 
 The sail machinery needs exact signs of expressions built from the real
 eigenvalue r of an NRS matrix and square roots of nonnegative field
-elements.  Elements of Q(r) are polynomials of degree < deg(minpoly) with
-rational coefficients; signs are decided by refining an isolating interval
-of r (termination is guaranteed because a nonzero element of the field
-cannot vanish at r).
+elements.  The minimal polynomial is monic with integer coefficients, so
+an element of Q(r) is held as integer coefficients of 1, r, ..., r^(d-1)
+over one positive denominator (Cohen, A Course in Computational Algebraic
+Number Theory, 4.2) and products reduce by the minimal polynomial in
+integers.  Signs are decided by interval evaluation on a dyadic isolating
+interval of r, bisected one bit at a time (termination is guaranteed
+because a nonzero element of the field cannot vanish at r).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import List, Tuple
 
-from .exact import ExactError, IntPoly, count_real_roots, sturm_chain
+from .exact import ExactError, IntPoly, _det_rows, count_real_roots
 
 _DEFAULT_PRECISION_BITS = 4096
+_APPROX_WIDTH = Fraction(1, 1 << 40)
 
 
 class PrecisionExhausted(ExactError):
     """An adaptive sign computation hit the configured precision cap."""
 
 
-def _poly_eval_interval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction):
-    """Interval Horner evaluation: encloses {p(t) : t in [lo, hi]}."""
-    alo = ahi = Fraction(0)
-    for c in reversed(coeffs):
-        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(products) + c, max(products) + c
-    return alo, ahi
-
-
 def isolate_real_roots(p: IntPoly) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint open isolating intervals for all real roots, left to right."""
+    """Disjoint open isolating intervals for all real roots, left to right.
+
+    The root bound is an integer, so every endpoint is dyadic."""
     if p.degree < 1:
         return []
-    bound = Fraction(1) + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.coeffs[-1]))
+    lead = abs(p.coeffs[-1])
+    bound = Fraction(1 - (-max(abs(c) for c in p.coeffs[:-1]) // lead))
     total = count_real_roots(p, -bound, bound)
     intervals = []
     stack = [(-bound, bound, total)]
@@ -58,69 +56,104 @@ def isolate_real_roots(p: IntPoly) -> List[Tuple[Fraction, Fraction]]:
     return intervals
 
 
-@dataclass
+def _dyadic_numerator(x: Fraction, k: int) -> int:
+    """x * 2^k, which must be an integer."""
+    num, rem = divmod(x.numerator << k, x.denominator)
+    if rem:
+        raise ExactError("isolating interval endpoints must be dyadic")
+    return num
+
+
 class RealRoot:
     """A real root of an integer polynomial, held as a shrinking isolating
-    interval.  Mutable on purpose: refinement is shared by every field
-    element pointing at the same root."""
+    interval (a/2^k, b/2^k) with integers a < b, plus the sign of the
+    polynomial at the left end.  Mutable on purpose: refinement is shared
+    by every field element pointing at the same root."""
 
-    poly: IntPoly
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("poly", "a", "b", "k", "sign_a")
 
-    def __post_init__(self):
-        if self.poly(self.lo) == 0:
+    def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction):
+        lo, hi = Fraction(lo), Fraction(hi)
+        k = max(lo.denominator, hi.denominator).bit_length() - 1
+        self.poly = poly
+        self.a = _dyadic_numerator(lo, k)
+        self.b = _dyadic_numerator(hi, k)
+        self.k = k
+        self.sign_a = self._sign_at(self.a, k)
+        if self.sign_a == 0:
             raise ExactError("isolating interval endpoint hits the root")
-        if self.poly(self.lo) * self.poly(self.hi) > 0:
+        if self.sign_a * self._sign_at(self.b, k) > 0:
             raise ExactError("interval does not isolate a sign change")
 
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, 1 << self.k)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, 1 << self.k)
+
+    def _sign_at(self, m: int, k: int) -> int:
+        """Sign of poly(m / 2^k), from sum c_i m^i 2^(k(d-i)) by Horner."""
+        cs = self.poly.coeffs
+        acc = cs[-1]
+        shift = 0
+        for c in cs[-2::-1]:
+            shift += k
+            acc = acc * m + (c << shift)
+        return (acc > 0) - (acc < 0)
+
     def refine(self) -> None:
-        mid = (self.lo + self.hi) / 2
-        if self.poly(mid) == 0:
+        """One bisection step: the interval halves."""
+        a, b, k = self.a, self.b, self.k + 1
+        mid = a + b
+        s = self._sign_at(mid, k)
+        if s == 0:
             # land the interval strictly around the (rational) root
-            w = (self.hi - self.lo) / 4
-            self.lo, self.hi = mid - w, mid + w
-            return
-        if self.poly(self.lo) * self.poly(mid) < 0:
-            self.hi = mid
+            self.a, self.b, self.k = 3 * a + b, a + 3 * b, k + 1
+            self.sign_a = self._sign_at(self.a, self.k)
+        elif self.sign_a * s < 0:
+            self.a, self.b, self.k = 2 * a, mid, k
         else:
-            self.lo = mid
+            self.a, self.b, self.k = mid, 2 * b, k
+            self.sign_a = s
 
-    def refine_to(self, width: Fraction) -> None:
-        while self.hi - self.lo > width:
-            self.refine()
-
-    def approx(self) -> float:
-        self.refine_to(Fraction(1, 1 << 30))
-        return float((self.lo + self.hi) / 2)
+    def __repr__(self):
+        return "RealRoot(%s, %s, %s)" % (self.poly, self.lo, self.hi)
 
 
-def _polydiv(num: List[Fraction], den: List[Fraction]):
-    """Quotient and remainder in Q[t]; coefficient lists are low-first."""
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    inv = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
+def _horner_interval(num, a: int, b: int, k: int) -> Tuple[int, int]:
+    """Interval Horner evaluation of sum num_i t^i over t in [a/2^k, b/2^k]:
+    integers lo <= hi such that [lo, hi] / 2^(k(d-1)) is the enclosure."""
+    lo = hi = num[-1]
+    shift = 0
+    for c in num[-2::-1]:
+        shift += k
+        if a >= 0:
+            lo *= a if lo >= 0 else b
+            hi *= b if hi >= 0 else a
+        else:
+            products = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = min(products), max(products)
+        c <<= shift
+        lo += c
+        hi += c
+    return lo, hi
 
 
 class NumberField:
-    """Q(r) for a fixed real root r of an irreducible integer polynomial."""
+    """Q(r) for a fixed real root r of an irreducible monic integer
+    polynomial."""
 
     def __init__(self, minpoly: IntPoly, root: RealRoot,
                  precision_bits: int = _DEFAULT_PRECISION_BITS):
+        if not minpoly.monic:
+            raise ExactError("the minimal polynomial must be monic")
         self.minpoly = minpoly
         self.root = root
         self.degree = minpoly.degree
         self.precision_bits = precision_bits
-        self._min_coeffs = [Fraction(c) for c in minpoly.coeffs]
+        self._low = minpoly.coeffs[:-1]   # r^d = -sum _low[i] r^i
 
     @staticmethod
     def for_largest_root(minpoly: IntPoly,
@@ -131,12 +164,30 @@ class NumberField:
         lo, hi = roots[-1]
         return NumberField(minpoly, RealRoot(minpoly, lo, hi), precision_bits)
 
+    def _reduce(self, cs: list) -> tuple:
+        """Integer coefficients of a polynomial in r, reduced to degree < d
+        (in place) by the monic minimal polynomial."""
+        d = self.degree
+        low = self._low
+        for i in range(len(cs) - 1, d - 1, -1):
+            h = cs[i]
+            if h:
+                base = i - d
+                for j, c in enumerate(low):
+                    cs[base + j] -= h * c
+        if len(cs) < d:
+            cs += [0] * (d - len(cs))
+        return tuple(cs[:d])
+
     def element(self, coeffs) -> "FieldElement":
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            _, cs = _polydiv(cs, self._min_coeffs)
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs[: self.degree]))
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            return FieldElement(self, self._reduce(cs))
+        cs = [Fraction(c) for c in cs]
+        den = lcm(*(c.denominator for c in cs))
+        return FieldElement(
+            self, self._reduce([c.numerator * (den // c.denominator) for c in cs]),
+            den)
 
     def zero(self) -> "FieldElement":
         return self.element([])
@@ -148,44 +199,68 @@ class NumberField:
         return self.element([0, 1])
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """An element of Q(r), stored as coefficients of 1, r, ..., r^(d-1)."""
+    """An element of Q(r): integer coefficients `num` of 1, r, ..., r^(d-1)
+    over the positive denominator `den`, with gcd(den, *num) = 1, so equal
+    values have equal representations."""
 
-    field: NumberField
-    coeffs: tuple
+    __slots__ = ("field", "num", "den", "_approx")
+
+    def __init__(self, field: NumberField, num: tuple, den: int = 1):
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+        self.field = field
+        self.num = num
+        self.den = den
+        self._approx = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients of 1, r, ..., r^(d-1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __add__(self, other):
+        num, den = self.num, self.den
+        if other.__class__ is int:
+            return FieldElement(self.field, (num[0] + other * den,) + num[1:], den)
         other = self._coerce(other)
+        if den == other.den:
+            return FieldElement(self.field,
+                                tuple(a + b for a, b in zip(num, other.num)), den)
+        oden = other.den
         return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+                            tuple(a * oden + b * den for a, b in zip(num, other.num)),
+                            den * oden)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field,
-                            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is int:
+            return self + (-other)
+        return self + (-self._coerce(other))
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
+        if other.__class__ is int:
+            return FieldElement(self.field, tuple(a * other for a in self.num),
+                                self.den)
         other = self._coerce(other)
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        _, rem = _polydiv(prod, self.field._min_coeffs)
-        rem += [Fraction(0)] * (d - len(rem))
-        return FieldElement(self.field, tuple(rem[:d]))
+        b = other.num
+        prod = [0] * (len(self.num) + len(b) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return FieldElement(self.field, self.field._reduce(prod),
+                            self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -194,30 +269,27 @@ class FieldElement:
         return self._coerce(other) - self
 
     def inverse(self) -> "FieldElement":
-        """Extended Euclid against the minimal polynomial."""
+        """Adjugate over determinant of the integer matrix of multiplication
+        by this element: its first adjugate column solves num * y = 1."""
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
-        r0 = list(self.field._min_coeffs)
-        r1 = [c for c in self.coeffs]
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1) and len(r1) > 1:
-            q, r2 = _polydiv(r0, r1)
-            s2 = list(s0)
-            s2 += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s2))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s2[i + j] -= qc * sc
-            r0, r1 = r1, r2
-            s0, s1 = s1, s2
-            while len(r1) > 1 and r1[-1] == 0:
-                r1.pop()
-        if r1 == [Fraction(0)]:
+        low = self.field._low
+        d = len(low)
+        cols = [self.num]
+        for _ in range(d - 1):
+            v = cols[-1]
+            top = v[-1]
+            cols.append((-top * low[0],)
+                        + tuple(v[i - 1] - top * low[i] for i in range(1, d)))
+        rows = list(zip(*cols))
+        cof = [(-1) ** j * _det_rows([r[:j] + r[j + 1:] for r in rows[1:]])
+               if d > 1 else 1 for j in range(d)]
+        det = sum(x * c for x, c in zip(rows[0], cof))
+        if det == 0:
             raise ExactError("element shares a factor with the minimal polynomial")
-        inv_lead = 1 / r1[0]
-        return self.field.element([c * inv_lead for c in s1])
+        if det < 0:
+            det, cof = -det, [-c for c in cof]
+        return FieldElement(self.field, tuple(self.den * c for c in cof), det)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -225,18 +297,17 @@ class FieldElement:
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             return other
-        return self.field.element([Fraction(other)])
+        return self.field.element([other])
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            c = self.coeffs[0]
+        num = self.num
+        if not any(num[1:]):
+            c = num[0]
             return (c > 0) - (c < 0)
         root = self.field.root
         budget = self.field.precision_bits
         while True:
-            lo, hi = _poly_eval_interval(self.coeffs, root.lo, root.hi)
+            lo, hi = _horner_interval(num, root.a, root.b, root.k)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -248,27 +319,36 @@ class FieldElement:
 
     def interval(self, width: Fraction) -> Tuple[Fraction, Fraction]:
         """A rational enclosure of the real value, of at most given width."""
+        width = Fraction(width)
         root = self.field.root
+        num = self.num
         while True:
-            lo, hi = _poly_eval_interval(self.coeffs, root.lo, root.hi)
-            if hi - lo <= width:
-                return lo, hi
+            lo, hi = _horner_interval(num, root.a, root.b, root.k)
+            scale = self.den << (root.k * (len(num) - 1))
+            if (hi - lo) * width.denominator <= width.numerator * scale:
+                return Fraction(lo, scale), Fraction(hi, scale)
             root.refine()
 
     def approx(self) -> float:
-        lo, hi = self.interval(Fraction(1, 1 << 40))
-        return float((lo + hi) / 2)
+        """A float near the value (from an enclosure of width 2^-40),
+        computed once per element."""
+        if self._approx is None:
+            lo, hi = self.interval(_APPROX_WIDTH)
+            self._approx = float((lo + hi) / 2)
+        return self._approx
 
     def __eq__(self, other):
-        if not isinstance(other, (FieldElement, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        elif not isinstance(other, FieldElement):
             return NotImplemented
-        return (self - self._coerce(other)).is_zero()
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def cmp(self, other) -> int:
-        return (self - self._coerce(other)).sign()
+        return (self - other).sign()
 
     def __lt__(self, other):
         return self.cmp(other) < 0

@@ -11,7 +11,6 @@ heuristic certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -21,7 +20,6 @@ from .mdchar import md_characteristic, md_form3
 from .numberfield import PrecisionExhausted
 from .sail3 import Inconclusive as SailInconclusive
 from .sail3 import (
-    SailError,
     compute_sail,
     eigen_data,
     gamma0_slab_points,

@@ -542,8 +542,9 @@ def compute_sail(m: IntMatrix, bits: int = 4096,
     hull = _lower_hull(surv_sorted)
 
     # fundamental window [xa, rho*xa) with xa = min over the seed pair
+    # (p, M p); the slab spans the same x range
     x_seed = _x_coord(e, seed)
-    x_gseed = x_seed * rho
+    x_gseed = x_seed * e.r
     xa = x_seed if x_seed.cmp(x_gseed) <= 0 else x_gseed
     xb = xa * rho
     fund = [i for i, p in enumerate(hull)

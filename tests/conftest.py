@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -52,3 +54,110 @@ def nonzero_vectors(draw, n=3, lo=-20, hi=20):
                            min_size=n, max_size=n)
                   .filter(lambda c: any(c)))
     return IntVector(coords)
+
+
+def leibniz_det(rows):
+    """Determinant by the permutation expansion, independent of the
+    library's elimination."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+class PolyModField:
+    """Plain Fraction-polynomial oracle for Q(r) = Q[t]/(minpoly): schoolbook
+    products with long division, extended Euclid for inverses, and signs
+    from Fraction bisection of the root with interval Horner evaluation."""
+
+    def __init__(self, minpoly, lo, hi):
+        self.p = [Fraction(c) for c in minpoly]
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        self.d = len(minpoly) - 1
+
+    def _rem(self, a):
+        a = list(a)
+        for i in range(len(a) - 1, self.d - 1, -1):
+            f = a[i] / self.p[-1]
+            for j, c in enumerate(self.p):
+                a[i - self.d + j] -= f * c
+        return (a + [Fraction(0)] * self.d)[:self.d]
+
+    def add(self, a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    def sub(self, a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    def mul(self, a, b):
+        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return self._rem(prod)
+
+    def inverse(self, a):
+        def trim(c):
+            c = list(c)
+            while len(c) > 1 and c[-1] == 0:
+                c.pop()
+            return c
+
+        def divmod_poly(num, den):
+            num, q = list(num), [Fraction(0)] * max(1, len(num) - len(den) + 1)
+            for i in range(len(num) - len(den), -1, -1):
+                q[i] = num[i + len(den) - 1] / den[-1]
+                for j, c in enumerate(den):
+                    num[i + j] -= q[i] * c
+            return q, trim(num[:len(den) - 1] or [Fraction(0)])
+
+        def mul_poly(x, y):
+            out = [Fraction(0)] * (len(x) + len(y) - 1)
+            for i, u in enumerate(x):
+                for j, v in enumerate(y):
+                    out[i + j] += u * v
+            return out
+
+        r0, r1 = trim(self.p), trim(a)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, r2 = divmod_poly(r0, r1)
+            qs = mul_poly(q, s1)
+            s2 = [(s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
+                  for i in range(max(len(s0), len(qs)))]
+            r0, r1, s0, s1 = r1, r2, s1, s2
+        assert r1[0] != 0
+        return self._rem([c / r1[0] for c in s1])
+
+    def _enclose(self, a):
+        lo = hi = Fraction(0)
+        for c in reversed(a):
+            products = (lo * self.lo, lo * self.hi, hi * self.lo, hi * self.hi)
+            lo, hi = min(products) + c, max(products) + c
+        return lo, hi
+
+    def _bisect(self):
+        def ev(x):
+            return sum(c * x ** i for i, c in enumerate(self.p))
+        mid = (self.lo + self.hi) / 2
+        if ev(self.lo) * ev(mid) < 0:
+            self.hi = mid
+        else:
+            self.lo = mid
+
+    def sign(self, a):
+        if not any(a):
+            return 0
+        while True:
+            lo, hi = self._enclose(a)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            self._bisect()

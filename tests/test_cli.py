@@ -72,6 +72,15 @@ def test_fingerprint(capsys):
     assert len(doc["matrices"]) == 2
 
 
+def test_sail_below_one_real_eigenvalue(capsys):
+    # r ~ 0.57 < 1; certified Reduced by verdict, so sail must not exit 2
+    code, out, _ = run(["sail", "0 0 1; 1 0 -2; 0 1 1", "--json"], capsys)
+    assert code == 0
+    assert any(e["is_fundamental"] for e in json.loads(out))
+    code, out, _ = run(["verdict", "0 0 1; 1 0 -2; 0 1 1", "--json"], capsys)
+    assert code == 0 and json.loads(out)["status"] == "Reduced"
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "hessenberg-lab.toml"
     cfg.write_text("precision_bits = 1024\nbound = 7\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_vectors, small_matrices, unimodular_matrices
+from conftest import leibniz_det, nonzero_vectors, small_matrices, unimodular_matrices
 from hesslab.exact import (
     ExactError,
     IntMatrix,
@@ -148,6 +148,19 @@ def test_char_poly_conjugacy_invariant(m, u):
         return
     h = u.inverse_unimodular() * m * u
     assert char_poly(h) == char_poly(m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(
+    lambda n: small_matrices(n=n, lo=-30, hi=30)))
+def test_char_poly_matches_determinant_oracle(m):
+    p = char_poly(m)
+    n = m.n
+    assert p.degree == n and p.monic
+    for x in range(-1, n + 1):
+        rows = [[(x if i == j else 0) - m[i, j] for j in range(n)]
+                for i in range(n)]
+        assert p(x) == leibniz_det(rows)
 
 
 @settings(max_examples=100, deadline=None)

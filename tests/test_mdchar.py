@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_vectors, small_matrices, unimodular_matrices
+from conftest import leibniz_det, nonzero_vectors, small_matrices, unimodular_matrices
 from hesslab.exact import ExactError, IntVector, det, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member, hessenberg_complexity, is_hessenberg
-from hesslab.mdchar import MDForm3, md_characteristic, md_form3, parity_all_even
+from hesslab.mdchar import MDForm3, md_characteristic, md_det3, md_form3, parity_all_even
 
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 FRO = parse_matrix("0 0 1; 1 0 1; 0 1 3")
@@ -69,6 +69,16 @@ def test_md_equivariance(m, v, u):
 @given(small_matrices(n=3, lo=-6, hi=6), nonzero_vectors(lo=-10, hi=10))
 def test_form_matches_md_everywhere(m, v):
     assert abs(md_form3(m)(tuple(v))) == md_characteristic(m, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices(n=3, lo=-40, hi=40), nonzero_vectors(lo=-50, hi=50))
+def test_form_equals_signed_det(m, v):
+    value = md_form3(m)(v)
+    assert value == md_det3(m, v)
+    w = m * v
+    u = m * w
+    assert value == leibniz_det([[v[i], w[i], u[i]] for i in range(3)])
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesslab.exact import IntPoly
+from conftest import PolyModField
+from hesslab.exact import ExactError, IntPoly
 from hesslab.numberfield import (
     NumberField,
     PrecisionExhausted,
+    RealRoot,
     isolate_real_roots,
     sign_a_plus_b_sqrt,
     sign_three_sqrt,
@@ -132,3 +134,64 @@ def test_precision_exhausted_is_raised():
     val = r.approx() - float(mid)
     if s != 0:
         assert s == (1 if val > 0 else -1) or abs(val) < 1e-9
+
+
+# (minimal polynomial low-first, an isolating interval of its largest real
+# root): the NRS cubic, its mirror t -> -t (a negative root), sqrt(2) and
+# the quartic t^4 - t - 1
+_ORACLE_FIELDS = (((-1, -2, -3, 1), 3, 4), ((1, -2, 3, 1), -4, -3),
+                  ((-2, 0, 1), 1, 2), ((-1, -1, 0, 0, 1), 1, 2))
+
+
+def _coefficients(d):
+    return st.lists(st.fractions(min_value=-30, max_value=30,
+                                 max_denominator=12),
+                    min_size=d, max_size=d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_field_matches_fraction_oracle(data):
+    poly, lo, hi = data.draw(st.sampled_from(_ORACLE_FIELDS))
+    d = len(poly) - 1
+    k = NumberField.for_largest_root(IntPoly(poly))
+    ref = PolyModField(poly, lo, hi)
+    a = data.draw(_coefficients(d))
+    b = data.draw(_coefficients(d))
+    x, y = k.element(a), k.element(b)
+    assert list(x.coeffs) == a and list(y.coeffs) == b
+
+    cases = [(x, a), (y, b),
+             (x + y, ref.add(a, b)), (x - y, ref.sub(a, b)),
+             (x * y, ref.mul(a, b)), (x * 3 - y, ref.sub([3 * c for c in a], b)),
+             (2 - x * x, ref.sub([2] + [0] * (d - 1), ref.mul(a, a))),
+             (x * Fraction(-5, 7) + 1, ref.add([c * Fraction(-5, 7) for c in a],
+                                               [1] + [0] * (d - 1)))]
+    if any(b):
+        cases.append((x / y, ref.mul(a, ref.inverse(b))))
+        cases.append((y.inverse() * y, [1] + [0] * (d - 1)))
+    for z, want in cases:
+        assert list(z.coeffs) == want
+        assert z.sign() == ref.sign(want)
+        assert z == k.element(want) and hash(z) == hash(k.element(want))
+    assert x.cmp(y) == ref.sign(ref.sub(a, b))
+    assert (x < y) == (ref.sign(ref.sub(a, b)) < 0)
+
+    z, want = cases[data.draw(st.integers(0, len(cases) - 1))]
+    width = Fraction(1, 2 ** data.draw(st.integers(0, 60)))
+    z_lo, z_hi = z.interval(width)
+    assert isinstance(z_lo, Fraction) and 0 <= z_hi - z_lo <= width
+    assert ref.sign(ref.sub(want, [z_lo] + [0] * (d - 1))) >= 0
+    assert ref.sign(ref.sub(want, [z_hi] + [0] * (d - 1))) <= 0
+    # a rational within 2^-41 of the value: the sign must still be exact
+    mid = (z_lo + z_hi) / 2
+    assert (z - mid).sign() == ref.sign(ref.sub(want, [mid] + [0] * (d - 1)))
+    assert abs(z.approx() - float(mid)) <= (float(width) + 2.0 ** -40
+                                            + 1e-15 * abs(float(mid)))
+
+
+def test_non_monic_minimal_polynomial_is_rejected():
+    p = IntPoly([-1, 0, 2])
+    lo, hi = isolate_real_roots(p)[-1]
+    with pytest.raises(ExactError):
+        NumberField(p, RealRoot(p, lo, hi))

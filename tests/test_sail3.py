@@ -175,6 +175,39 @@ def test_slab_nan_radius_is_inconclusive(monkeypatch):
         gamma0_slab_points(e, IntVector((1, 0, 0)))
 
 
+# every NRS cell of the two criterion-9 windows (m, n in [-20, 20]) whose
+# sail window used to sit one period above the slab (real eigenvalue
+# r < 1) and fail the period consistency check
+_LOW_R_WINDOW_CELLS = (
+    ("<0,1|0,0,1>", (1, 0, 0),
+     ((-1, -2), (-10, 6), (-12, -7), (-13, 7), (-16, -8), (-2, -3), (-2, 1),
+      (-3, 2), (-4, -4), (-4, 3), (-5, 4), (-6, -5), (-7, 5), (-9, -6))),
+    ("<0,1|1,0,2>", (1, 0, 1),
+     ((-1, -1), (-11, -5), (-11, 4), (-16, -6), (-16, 5), (-2, -1), (-2, -2),
+      (-2, 0), (-3, 1), (-4, -3), (-4, 2), (-5, 2), (-7, -4), (-7, 3),
+      (-8, 3))),
+)
+
+
+def test_sail_window_when_real_eigenvalue_below_one():
+    cells = [(HessType.parse(t), IntVector(a), mn)
+             for t, a, mns in _LOW_R_WINDOW_CELLS for mn in mns]
+    assert len(cells) == 29
+    for t, anchor, mn in cells:
+        mat = family_member(FamilyPoint(t, anchor, mn))
+        e = eigen_data(mat)
+        assert (e.r - 1).sign() < 0, mn
+        sail = compute_sail(mat)
+        fund = sail.fundamental_vertices()
+        assert fund, mn
+        # the window is [x(M p), x(p)) for the seed p = +-e1
+        x_p = _x_coord(e, IntVector((1, 0, 0)))
+        if x_p.sign() < 0:
+            x_p = -x_p
+        for v in fund:
+            assert v.x.cmp(e.r * x_p) >= 0 and v.x.cmp(x_p) < 0, mn
+
+
 def test_dirichlet_generator_is_m():
     assert dirichlet_generator(FRO) == FRO
     assert dirichlet_generator(M1) == M1
