@@ -4,9 +4,11 @@ A perfect Hessenberg matrix is reduced when no integer-conjugate perfect
 matrix has smaller Hessenberg complexity; equivalently, when the minimum of
 the MD-characteristic over nonzero integer vectors equals the complexity.
 The Sail strategy certifies that minimum by scanning a certified superset
-of Gamma^0(e1), which contains the integer points of a fundamental domain
-of the sails; the Bounded strategy is a plain box scan and is only ever a
-heuristic certificate.
+of Gamma^0(p), which contains the integer points of a fundamental domain
+of the sails; the seed p is e1 or a short row of the reduced basis of
+e1's slab (sail3.fundamental_slab), so the scan's size does not depend on
+the basis the input is written in.  The Bounded strategy is a plain box
+scan and is only ever a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from .sail3 import Inconclusive as SailInconclusive
 from .sail3 import (
     compute_sail,
     eigen_data,
+    fundamental_slab,
     gamma0_slab_points,
-    improve_seed,
-    _x_coord,
+    _expansion,
+    _period_shift,
+    _positive,
 )
 
 
@@ -167,42 +171,41 @@ def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]
 
 
 def _sail_minimum(m: IntMatrix, strategy: Sail) -> Tuple[int, List[IntVector]]:
-    """Certified global MD minimum over nonzero integer vectors, from the
-    Gamma^0(e1) slab (it contains the integer points of the orbits of a
-    fundamental domain, where the minimum is attained)."""
+    """Certified global MD minimum over nonzero integer vectors, with its
+    minimisers (up to sign) in the closed window [x(e1), x(M e1)] of e1
+    (taken up to sign; ends in x order).
+
+    The slab of fundamental_slab contains the integer points of the orbits
+    of a fundamental domain, where the minimum is attained.  The MD
+    characteristic is invariant under M, so each minimiser found there is
+    carried into e1's window by the power of M that lands it there; both
+    ends of the window count when e1's orbit is minimal.
+    """
     import numpy as np
     e = eigen_data(m, strategy.precision)
-    seed = IntVector((1, 0, 0))
-    if _x_coord(e, seed).sign() < 0:
-        seed = -seed
-    pts = None
-    for attempt in range(3):
-        try:
-            pts = gamma0_slab_points(e, seed, strategy.region)
-            break
-        except SailInconclusive:
-            better = improve_seed(e, seed)
-            if better is None or tuple(better) == tuple(seed):
-                raise
-            seed = better
-    if pts is None:
-        pts = gamma0_slab_points(e, seed, strategy.region)
+    pts = gamma0_slab_points(e, fundamental_slab(e), strategy.region)
     if len(pts) == 0:
         raise SailInconclusive("empty slab enumeration")
     vals = np.abs(_eval_form_batch(md_form3(m).coeffs, pts))
     nz = vals > 0
     pts, vals = pts[nz], vals[nz]
     best = int(vals.min())
+
+    g, g_inv, rho = _expansion(e)
+    e1 = _positive(e, IntVector((1, 0, 0)))
+    start = e1 if g == m else m * e1
     wits = []
     seen = set()
     for p in pts[vals == best].tolist():
         v = IntVector(int(c) for c in p)
         if not v.is_primitive():
             continue
-        v = _canonical_sign(v)
-        if tuple(v) not in seen:
-            seen.add(tuple(v))
-            wits.append(v)
+        _, u = _period_shift(e, g, g_inv, rho, _positive(e, v), start)
+        for w in ((u, g * u) if u == start else (g * u,)):
+            w = _canonical_sign(w)
+            if tuple(w) not in seen:
+                seen.add(tuple(w))
+                wits.append(w)
     wits.sort(key=tuple)
     return best, wits
 

@@ -81,6 +81,17 @@ def test_sail_below_one_real_eigenvalue(capsys):
     assert code == 0 and json.loads(out)["status"] == "Reduced"
 
 
+def test_singular_float_metric_is_inconclusive(capsys):
+    # entries near 2.4e8 make the float slab metric singular; it used to
+    # escape as numpy's LinAlgError
+    code, out, err = run(["fingerprint",
+                          "-142846070 -73023007 -244434686; "
+                          "108932175 55686202 186402060; "
+                          "50935673 26038350 87159873"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("Inconclusive:")
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "hessenberg-lab.toml"
     cfg.write_text("precision_bits = 1024\nbound = 7\n")

@@ -1,8 +1,22 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hesslab.exact import IntMatrix, IntVector, parse_matrix
+from conftest import random_unimodular
+from hesslab.exact import (
+    IntMatrix,
+    IntVector,
+    char_poly,
+    det,
+    discriminant,
+    factor_small,
+    parse_matrix,
+)
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
+from hesslab.mdchar import md_characteristic
 import hesslab.sail3 as sail3
 from hesslab.sail3 import (
     Inconclusive,
@@ -10,9 +24,10 @@ from hesslab.sail3 import (
     compute_sail,
     dirichlet_generator,
     eigen_data,
+    fundamental_slab,
     gamma0_slab_points,
-    improve_seed,
     project_pi,
+    reduced_slab,
     verify_dirichlet_element,
     _x_coord,
     _y_sq,
@@ -83,7 +98,7 @@ def test_sail_vertices_sorted_and_consistent():
 
 def test_slab_contains_fundamental_vertices():
     e = eigen_data(M1)
-    pts = gamma0_slab_points(e, IntVector((1, 0, 0)))
+    pts = gamma0_slab_points(e, reduced_slab(e, IntVector((1, 0, 0))))
     keys = {tuple(int(c) for c in p) for p in pts.tolist()}
     sail = compute_sail(M1)
     for p in sail.fundamental_vertices():
@@ -93,17 +108,17 @@ def test_slab_contains_fundamental_vertices():
 
 def test_slab_hard_cell_regression():
     # this family cell has a coordinate bounding box with ~2e9 cross
-    # section; the reduced-basis ellipsoid must keep it feasible
+    # section; the reduced-basis ellipsoid must keep feasible both the slab
+    # of (32, -11, 62), a seed that once took a 0.9 GB cube scan to find,
+    # and the slab of the seed the enumeration chooses
     t = HessType.parse("<0,1|1,0,2>")
     mat = family_member(FamilyPoint(t, IntVector((1, 0, 1)), (-6, 15)))
     e = eigen_data(mat)
-    seed = IntVector((1, 0, 0))
+    seed = IntVector((32, -11, 62))
     if _x_coord(e, seed).sign() < 0:
         seed = -seed
-    better = improve_seed(e, seed)
-    assert better is not None
-    pts = gamma0_slab_points(e, better, 40_000_000)
-    assert len(pts) > 0
+    for slab in (reduced_slab(e, seed), fundamental_slab(e)):
+        assert len(gamma0_slab_points(e, slab, 40_000_000)) > 0
 
 
 def _positive_seed(e, v):
@@ -154,7 +169,7 @@ def test_slab_enumeration_is_sound(m, seed):
     e = eigen_data(m)
     checked = 0
     for p in (_positive_seed(e, seed), _positive_seed(e, (3, -2, 4))):
-        pts = gamma0_slab_points(e, p)
+        pts = gamma0_slab_points(e, reduced_slab(e, p))
         keys = {tuple(v) for v in pts.tolist()}
         for v in (p, m * p):
             assert tuple(v) in keys or tuple(-v) in keys
@@ -166,13 +181,14 @@ def test_slab_enumeration_is_sound(m, seed):
 
 
 def test_slab_nan_radius_is_inconclusive(monkeypatch):
-    # a negative definite float metric makes the radii sqrt(negative) =
-    # NaN; this once came back as an empty point set with no error
+    # a negative definite float metric once made the radii sqrt(negative)
+    # = NaN, which came back as an empty point set with no error; its
+    # Gram determinants are negative, which the integral LLL rejects
     monkeypatch.setattr(sail3, "_f_quadratic",
                         lambda e: -1e30 * np.eye(3))
     e = eigen_data(M1)
     with pytest.raises(Inconclusive):
-        gamma0_slab_points(e, IntVector((1, 0, 0)))
+        gamma0_slab_points(e, reduced_slab(e, IntVector((1, 0, 0))))
 
 
 # every NRS cell of the two criterion-9 windows (m, n in [-20, 20]) whose
@@ -206,6 +222,63 @@ def test_sail_window_when_real_eigenvalue_below_one():
             x_p = -x_p
         for v in fund:
             assert v.x.cmp(e.r * x_p) >= 0 and v.x.cmp(x_p) < 0, mn
+
+
+def _criterion9_nrs_cells():
+    for t, anchor in (("<0,1|0,0,1>", (1, 0, 0)), ("<0,1|1,0,2>", (1, 0, 1))):
+        for mn in ((m, n) for m in range(-20, 21) for n in range(-20, 21)):
+            mat = family_member(FamilyPoint(HessType.parse(t),
+                                            IntVector(anchor), mn))
+            p = char_poly(mat)
+            if len(factor_small(p)) == 1 and discriminant(p) < 0:
+                yield mat
+
+
+def _conjugate_of_m1(rng, steps):
+    u = random_unimodular(rng, 3, steps)
+    if det(u) != 1:
+        u = u * IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    return u.inverse_unimodular() * M1 * u
+
+
+def test_sail_vertices_are_periodic():
+    # the output must hold sail vertices only: a vertex of the hull of a
+    # truncated point set, such as the left end (1, 0, 2) that
+    # <0,1|1,0,2> at (-4, 2) once returned, has no G-image among them
+    rng = random.Random(8)
+    mats = [M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
+                        for _ in range(20)]
+    nrs = list(_criterion9_nrs_cells())
+    assert len(nrs) == 838
+    for m in mats + nrs:
+        sail = compute_sail(m)
+        g = sail.generator
+        # |x| / |x(e1)|, from numpy's left real eigenvector
+        vals, vecs = np.linalg.eig(np.array(m.rows, dtype=float).T)
+        left = vecs[:, int(np.argmin(np.abs(vals.imag)))].real
+        left = left / left[0]
+        x_ge1 = left @ np.array(g.rows, dtype=float)[:, 0]
+        keys = {tuple(p.preimage) for p in sail.vertices}
+        for p in sail.vertices:
+            x = abs(left @ np.array(tuple(p.preimage), dtype=float))
+            if x < x_ge1 * (1 - 1e-9):
+                assert tuple(g * p.preimage) in keys, (str(m), p.preimage)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=8, max_value=24))
+def test_sail_under_long_conjugators(seed, steps):
+    m = _conjugate_of_m1(random.Random(seed), steps)
+    assume(max(abs(c) for row in m.rows for c in row) <= 10 ** 5)
+    e = eigen_data(m)
+    # the e1 slabs of such inputs run to ~27k points on average and past
+    # the 40M-cell cap; the chosen seed's slab held at most 53 points over
+    # 1628 draws
+    assert len(gamma0_slab_points(e, fundamental_slab(e))) <= 100
+    sail = compute_sail(m)
+    assert min(md_characteristic(m, p.preimage)
+               for p in sail.fundamental_vertices()) == 3
 
 
 def test_dirichlet_generator_is_m():
