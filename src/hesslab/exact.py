@@ -4,12 +4,13 @@ Everything in this module works over arbitrary-precision integers (or
 ``fractions.Fraction`` where division is unavoidable); no floating point
 arithmetic is used anywhere.  The central objects are square integer
 matrices, integer vectors and monic integer polynomials of degree at most
-four, together with the lattice-index computations (Smith normal form)
-that the reduction machinery in the rest of the package is built on.
+four.  Lattice indices (the integer volume of a set of vectors and the
+integer distance of a vector from their span) are gcds of maximal minors.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -352,117 +353,29 @@ def discriminant(p: IntPoly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and lattice indices
+# lattice indices
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]):
-    """Smith normal form with transforms: returns (U, D, V, rank).
-
-    U (r x r) and V (c x c) are unimodular with U * A * V = D, D diagonal
-    with d_1 | d_2 | ... ; D is returned as a list of lists.
-    """
-    a = [list(map(int, r)) for r in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for r in a:
-            r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-
-    t = 0
-    while t < min(nr, nc):
-        # find pivot
-        pr = pc = -1
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best, pr, pc = x, i, j
-        if best is None:
+def _minor_gcd(rows: Sequence[Sequence[int]]) -> int:
+    """gcd of the maximal minors of the k x n matrix with the given rows;
+    0 exactly when the rows are linearly dependent."""
+    if not rows:
+        return 1
+    k = len(rows)
+    g = 0
+    for cs in itertools.combinations(range(len(rows[0])), k):
+        g = math.gcd(g, _det_rows([[r[c] for c in cs] for r in rows]))
+        if g == 1:
             break
-        swap_rows(t, pr)
-        swap_cols(t, pc)
-        # clear row and column t
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # divisibility condition
-        fixed = False
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    add_row(t, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    rank = sum(1 for i in range(min(nr, nc)) if a[i][i] != 0)
-    return u, a, v, rank
-
-
-def elementary_divisors(rows: Sequence[Sequence[int]]):
-    _, d, _, rank = smith_normal_form(rows)
-    return [d[i][i] for i in range(rank)]
-
-
-def saturation_basis(rows: Sequence[Sequence[int]]):
-    """Basis (list of IntVector) of all integer points in the span of rows."""
-    _, _, v, rank = smith_normal_form(rows)
-    # U A V = D, so A = U^-1 D V^-1; the row space of A equals the row space
-    # of D V^-1, i.e. span of the first `rank` rows of V^-1 scaled by d_i.
-    vinv = IntMatrix(v).inverse_unimodular()
-    return [vinv.row(i) for i in range(rank)]
+    return g
 
 
 def integer_volume(vs: Sequence[IntVector]) -> int:
     """Index of the sublattice spanned by vs inside the integer lattice of
-    their span (product of elementary divisors)."""
-    rows = [list(v) for v in vs]
-    divs = elementary_divisors(rows)
-    if len(divs) != len(vs):
+    their span: the gcd of the maximal minors of the rows vs."""
+    vol = _minor_gcd([list(v) for v in vs])
+    if vol == 0:
         raise ExactError("vectors are linearly dependent")
-    vol = 1
-    for d in divs:
-        vol *= d
     return vol
 
 
@@ -472,21 +385,17 @@ def integer_distance(v: IntVector, basis: Sequence[IntVector]) -> int:
     The plane carries its full integer sublattice (the saturation of
     span(basis)); the distance is the index of the lattice generated by
     that sublattice together with v inside the full integer lattice of the
-    bigger span.
+    bigger span.  Both indices are gcds of maximal minors, and the minors
+    of (basis, v) are those of (saturation, v) times integer_volume(basis).
     """
     rows = [list(b) for b in basis]
-    divs = elementary_divisors(rows)
-    if len(divs) != len(basis):
+    base = _minor_gcd(rows)
+    if base == 0:
         raise ExactError("basis vectors are linearly dependent")
-    sat = saturation_basis(rows)
-    stacked = [list(b) for b in sat] + [list(v)]
-    divs2 = elementary_divisors(stacked)
-    if len(divs2) != len(sat) + 1:
+    full = _minor_gcd(rows + [list(v)])
+    if full == 0:
         raise ExactError("vector lies in the span of the basis")
-    dist = 1
-    for d in divs2:
-        dist *= d
-    return dist
+    return full // base
 
 
 # ---------------------------------------------------------------------------

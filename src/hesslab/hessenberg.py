@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .exact import (
@@ -21,12 +20,9 @@ from .exact import (
     IntPoly,
     IntVector,
     char_poly,
-    det,
-    elementary_divisors,
     integer_distance,
     integer_volume,
     rational_inverse,
-    saturation_basis,
 )
 
 
@@ -158,54 +154,25 @@ def matrix_type(m: IntMatrix) -> HessType:
     return HessType([[m[i, j] for i in range(j + 2)] for j in range(n - 1)])
 
 
-def _solve_in_basis(basis: Sequence[IntVector], target: IntVector):
-    """Exact rational coordinates of target in the given basis (full rank)."""
-    k = len(basis)
-    n = target.n
-    a = [[Fraction(basis[j][i]) for j in range(k)] for i in range(n)]
-    b = [Fraction(target[i]) for i in range(n)]
-    # gaussian elimination on the n x k system (consistent by assumption)
-    piv_rows = []
-    col = 0
-    r = 0
-    used = [False] * n
-    sol = [Fraction(0)] * k
-    rows = list(range(n))
-    for col in range(k):
-        pr = None
-        for i in rows:
-            if not used[i] and a[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            raise ExactError("basis is rank deficient")
-        used[pr] = True
-        piv_rows.append(pr)
-        inv = a[pr][col]
-        for i in range(n):
-            if i != pr and a[i][col] != 0:
-                f = a[i][col] / inv
-                for j in range(col, k):
-                    a[i][j] -= f * a[pr][j]
-                b[i] -= f * b[pr]
-    for col, pr in enumerate(piv_rows):
-        sol[col] = b[pr] / a[pr][col]
-    # consistency
-    for i in range(n):
-        if not used[i] and b[i] != 0:
-            raise ExactError("target is not in the span of the basis")
-    return sol
-
-
 def reduce_to_perfect(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatrix]:
     """Conjugate m to its unique perfect Hessenberg form for the given seed.
 
     Returns (H, U) with U unimodular, U^-1 m U = H, and the columns of U the
-    constructed integer basis g_1, ..., g_n with g_1 = seed.  The basis is
-    built inductively: g_{k+1} completes (g_1..g_k) to a basis of the
-    integer points of span(seed, m seed, ..., m^k seed), signed so the
-    subdiagonal entry is positive and shifted so the entries above it land
-    in [0, subdiagonal).
+    integer basis g_1, ..., g_n with g_1 = seed.  Given the seed, H and U
+    are unique: g_{k+1} must complete (g_1..g_k) to a basis of the integer
+    points of span(seed, m seed, ..., m^k seed), signed so the subdiagonal
+    entry is positive and shifted so the entries above it land in
+    [0, subdiagonal).
+
+    The flag is built inside one unimodular matrix C, kept with its inverse
+    and changed only by integer column operations (the matching row
+    operations on C^-1): columns 0..k-1 of C are g_1..g_k and the rest
+    complete them to a basis of Z^n.  Step k writes t = seed (k = 0) or
+    t = m g_k in C's coordinates, runs Euclid on the completion coordinates
+    until only coordinate k is nonzero (a Hermite normal form step),
+    shifts column k by the flag columns into the perfect range, and
+    size-reduces the remaining completion columns against the flag to keep
+    the entries small.
     """
     n = m.n
     if seed.n != n:
@@ -215,55 +182,58 @@ def reduce_to_perfect(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatr
     if not seed.is_primitive():
         raise ReductionError("seed must be primitive (unit integer length)")
 
-    basis = [seed]
-    for k in range(n - 1):
-        u = m * basis[k]
-        rows = [list(g) for g in basis] + [list(u)]
-        divs = elementary_divisors(rows)
-        if len(divs) != k + 2:
-            raise ReductionError(
-                "flag degenerated at step %d: characteristic polynomial reducible" % (k + 1)
-            )
-        sat = saturation_basis(rows)
-        # coordinates of the current basis inside the saturated lattice
-        coords = [_solve_in_basis(sat, g) for g in basis]
-        crows = [[c.numerator if c.denominator == 1 else None for c in row] for row in coords]
-        if any(c is None for row in crows for c in row):
-            raise ReductionError("saturation bookkeeping failed")
-        # complete to a unimodular (k+2)x(k+2) matrix: the last row of V'
-        # from the Smith form of the coordinate matrix does it
-        from .exact import smith_normal_form, IntMatrix as _IM
+    # cols[j] is column j of C; inv[i] is row i of C^-1
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
 
-        _, d, v, rank = smith_normal_form(crows)
-        assert rank == k + 1 and all(d[i][i] == 1 for i in range(rank))
-        vinv = _IM(v).inverse_unimodular()
-        hcoords = vinv.row(k + 1)
-        h = IntVector(
-            sum(hcoords[j] * sat[j][i] for j in range(k + 2)) for i in range(n)
-        )
-        # express u in (g_1..g_k, h) and normalize
-        coeffs = _solve_in_basis(basis + [h], u)
-        dcoef = coeffs[-1]
-        assert dcoef.denominator == 1 and dcoef != 0
-        dcoef = dcoef.numerator
-        if dcoef < 0:
-            h = -h
-            coeffs = _solve_in_basis(basis + [h], u)
-            dcoef = coeffs[-1].numerator
-        shifts = []
-        for c in coeffs[:-1]:
-            assert c.denominator == 1
-            shifts.append(c.numerator // dcoef)
-        if any(shifts):
-            h = h + IntVector(
-                sum(s * g[i] for s, g in zip(shifts, basis)) for i in range(n)
-            )
-        basis.append(h)
+    def add_col(dst, src, q):
+        # c_dst += q c_src; C^-1 row src -= q row dst; y_src -= q y_dst
+        cols[dst] = [a + q * b for a, b in zip(cols[dst], cols[src])]
+        inv[src] = [a - q * b for a, b in zip(inv[src], inv[dst])]
 
-    u = IntMatrix.from_columns(basis)
-    if det(u) not in (1, -1):
-        raise ReductionError("constructed basis is not unimodular")
-    h = u.inverse_unimodular() * m * u
+    for k in range(n):
+        t = list(seed) if k == 0 else [
+            sum(a * b for a, b in zip(row, cols[k - 1])) for row in m.rows]
+        y = [sum(a * b for a, b in zip(row, t)) for row in inv]
+        while True:
+            nonzero = [j for j in range(k, n) if y[j]]
+            if not nonzero:
+                raise ReductionError(
+                    "flag degenerated at step %d: characteristic polynomial reducible" % k)
+            p = min(nonzero, key=lambda j: abs(y[j]))
+            if p != k:
+                cols[k], cols[p] = cols[p], cols[k]
+                inv[k], inv[p] = inv[p], inv[k]
+                y[k], y[p] = y[p], y[k]
+            if len(nonzero) == 1:
+                break
+            for j in range(k + 1, n):
+                q = y[j] // y[k]
+                if q:
+                    add_col(k, j, q)
+                    y[j] -= q * y[k]
+        if y[k] < 0:
+            cols[k] = [-a for a in cols[k]]
+            inv[k] = [-a for a in inv[k]]
+        d = abs(y[k])
+        for i in range(k):
+            q = y[i] // d
+            if q:
+                add_col(k, i, q)
+        for j in range(k + 1, n):
+            for i in range(k, -1, -1):
+                ci = cols[i]
+                norm = sum(a * a for a in ci)
+                dot = sum(a * b for a, b in zip(cols[j], ci))
+                q = (2 * dot + norm) // (2 * norm)
+                if q:
+                    add_col(j, i, -q)
+
+    u = IntMatrix.from_columns(cols)
+    u_inv = IntMatrix(inv)
+    if u_inv * u != IntMatrix.identity(n):
+        raise ReductionError("column operations lost the inverse")
+    h = u_inv * m * u
     if not is_perfect(h):
         raise ReductionError("reduction did not reach a perfect matrix")
     return h, u

@@ -10,6 +10,7 @@ under positive axis scalings, so the scale never matters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -168,27 +169,6 @@ def project_pi(e: EigenData3, v: IntVector) -> PiPoint:
     return PiPoint(v, _x_coord(e, v), _y_sq(e, v))
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(max(x, 0))."""
-    if x <= 0:
-        return Fraction(0)
-    n = max(x.numerator, 1)
-    d = x.denominator
-    # integer sqrt upper bounds
-    return Fraction(_isqrt_up(n), _isqrt_down(d))
-
-
-def _isqrt_up(n: int) -> int:
-    import math
-    s = math.isqrt(n)
-    return s if s * s == n else s + 1
-
-
-def _isqrt_down(n: int) -> int:
-    import math
-    return max(math.isqrt(n), 1)
-
-
 def dirichlet_generator(m: IntMatrix) -> IntMatrix:
     """The smallest power (up to sign) of M with positive real eigenvalue.
 
@@ -258,7 +238,7 @@ class SailData:
             x_lo, x_hi = p.x.interval(Fraction(1, 10 ** 12))
             ysq_lo, ysq_hi = p.y_sq.interval(Fraction(1, 10 ** 12))
             y_lo = _sqrt_lower(max(ysq_lo, Fraction(0)))
-            y_hi = _sqrt_upper(ysq_hi)
+            y_hi = _sqrt_upper(max(ysq_hi, Fraction(0)))
             out.append({
                 "preimage": list(p.preimage),
                 "x": [_dec(x_lo), _dec(x_hi)],
@@ -269,11 +249,16 @@ class SailData:
 
 
 def _sqrt_lower(x: Fraction) -> Fraction:
-    if x <= 0:
-        return Fraction(0)
-    import math
+    """floor(sqrt(n d)) / d <= sqrt(x) for x = n / d >= 0."""
     n, d = x.numerator, x.denominator
-    return Fraction(math.isqrt(n), _isqrt_up(d))
+    return Fraction(math.isqrt(n * d), d)
+
+
+def _sqrt_upper(x: Fraction) -> Fraction:
+    """ceil(sqrt(n d)) / d >= sqrt(x) for x = n / d >= 0."""
+    nd = x.numerator * x.denominator
+    s = math.isqrt(nd)
+    return Fraction(s + (s * s < nd), x.denominator)
 
 
 def _dec(x: Fraction) -> str:
@@ -317,7 +302,6 @@ def _period_shift(e: EigenData3, g: IntMatrix, g_inv: IntMatrix, rho: float,
     """(k, G^k v) with x(G^k v) <= x(t) < x(G^(k+1) v), for x(v) > 0 and G
     expanding x by rho: a float guess of k from logarithms, fixed by the
     signs of x, which is linear."""
-    import math
     ratio = _x_approx(e, t) / _x_approx(e, v)
     k = math.floor(math.log(ratio) / math.log(rho)) \
         if 0 < ratio < math.inf else 0
@@ -466,7 +450,6 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     Raises Inconclusive when the metric is not finite and positive
     definite, or when a box bound is out of range.
     """
-    import math
     import numpy as np
     x_p = _x_coord(e, p)
     if x_p.sign() <= 0:

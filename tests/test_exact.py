@@ -174,6 +174,20 @@ def test_integer_volume_equals_abs_det(m):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=4).flatmap(unimodular_matrices),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=-9, max_value=9), st.integers(min_value=-9, max_value=9),
+       st.integers(min_value=-9, max_value=9).filter(bool))
+def test_lattice_indices_in_unimodular_frame(u, d1, d2, a, b, k):
+    # e1, e2, e3 through a unimodular u: the lattice d1 Z Ue1 + d2 Z (Ue2 +
+    # a Ue1) has index d1 d2 in its saturation Z Ue1 + Z Ue2, and k Ue3 +
+    # b Ue1 sits |k| lattice planes away from that saturation
+    e1, e2, e3 = (u.column(j) for j in range(3))
+    assert integer_volume([e1.scale(d1), (e2 + e1.scale(a)).scale(d2)]) == d1 * d2
+    assert integer_distance(e3.scale(k) + e1.scale(b), [e1, e2]) == abs(k)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3))
 def test_discriminant_zero_iff_repeated_factor(cs):
     p = IntPoly([cs[0], cs[1], cs[2], 1])

@@ -1,10 +1,14 @@
+import contextlib
+import math
 import random
+import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unimodular
+from hesslab.atlas import FAMILY_4D_ANCHOR, FAMILY_4D_TYPE
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, factor_small, parse_matrix
 from hesslab.hessenberg import (
     FamilyPoint,
@@ -148,7 +152,6 @@ def test_reduce_output_is_perfect_and_conjugate(seed):
     v_raw = [rng.randint(-9, 9) for _ in range(3)]
     if not any(v_raw):
         v_raw[0] = 1
-    import math
     g = 0
     for c in v_raw:
         g = math.gcd(g, abs(c))
@@ -157,4 +160,59 @@ def test_reduce_output_is_perfect_and_conjugate(seed):
     assert is_perfect(h)
     assert det(w) in (1, -1)
     assert w.inverse_unimodular() * m * w == h
-    assert w.column(0) == v or w.column(0) == -v
+    assert w.column(0) == v
+
+
+class _CpuBudgetExceeded(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def cpu_budget(seconds):
+    """Raise _CpuBudgetExceeded once the process has used this much CPU."""
+    def over_budget(signum, frame):
+        raise _CpuBudgetExceeded()
+
+    old = signal.signal(signal.SIGPROF, over_budget)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, old)
+
+
+def test_reduce_large_conjugate_within_cpu_budget():
+    # the seed-8504 conjugate of M1 and one of its sail vertices: the flag
+    # must be built without the coefficient blow-up of an unreduced
+    # lattice-index computation
+    m = parse_matrix("-21174 -6739 2262; 63588 20238 -6793; -8807 -2803 941")
+    v = IntVector((-25086, 75148, -10999))
+    with cpu_budget(2.0):
+        h, w = reduce_to_perfect(m, v)
+    assert h == parse_matrix("0 2 3; 1 1 1; 0 3 4")
+    assert w.column(0) == v
+    assert w.inverse_unimodular() * m * w == h
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3))
+def test_reduce_4d_family_conjugates(seed, params):
+    base = family_member(FamilyPoint(FAMILY_4D_TYPE, FAMILY_4D_ANCHOR, params))
+    assume(len(factor_small(char_poly(base))) == 1)
+    rng = random.Random(seed)
+    u = random_unimodular(rng, 4, rng.randint(4, 16))
+    m = u.inverse_unimodular() * base * u
+    v_raw = [rng.randint(-9, 9) for _ in range(4)]
+    g = math.gcd(*v_raw)
+    assume(g != 0)
+    v = IntVector(c // g for c in v_raw)
+    with cpu_budget(2.0):
+        h, w = reduce_to_perfect(m, v)
+        # the seed u v for base reproduces the same perfect form
+        h_base, _ = reduce_to_perfect(base, u * v)
+    assert is_perfect(h)
+    assert w.column(0) == v
+    assert w.inverse_unimodular() * m * w == h
+    assert h_base == h

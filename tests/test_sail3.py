@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,14 +87,19 @@ def test_frobenius_sail_fundamental_domain():
 
 
 def test_sail_vertices_sorted_and_consistent():
-    sail = compute_sail(M1)
-    xs = [p.x for p in sail.vertices]
-    for a, b in zip(xs, xs[1:]):
-        assert a.cmp(b) < 0
-    dump = sail.to_json()
-    assert any(e["is_fundamental"] for e in dump)
-    for entry in dump:
-        assert float(entry["x"][0]) <= float(entry["x"][1])
+    for m in (M1, FRO):
+        sail = compute_sail(m)
+        xs = [p.x for p in sail.vertices]
+        for a, b in zip(xs, xs[1:]):
+            assert a.cmp(b) < 0
+        dump = sail.to_json()
+        assert any(e["is_fundamental"] for e in dump)
+        for entry in dump:
+            assert float(entry["x"][0]) <= float(entry["x"][1])
+            # the 1e-12 enclosure of y_sq gives a y enclosure no wider
+            # than the last printed digit
+            y_lo, y_hi = (Fraction(t) for t in entry["y"])
+            assert 0 <= y_hi - y_lo <= Fraction(1, 10 ** 9), (m, entry)
 
 
 def test_slab_contains_fundamental_vertices():
