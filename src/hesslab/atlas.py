@@ -20,10 +20,10 @@ from .exact import (
     IntPoly,
     IntVector,
     char_poly,
-    count_real_roots,
     discriminant,
     det,
     factor_small,
+    quartic_real_roots,
 )
 from .hessenberg import FamilyPoint, HessType, family_member
 from .reducedness import ReducedVerdict, Sail, is_reduced
@@ -232,24 +232,21 @@ def reducible_4d(l: int, m: int, n: int) -> bool:
 
 def classify_family_4d(bound: int = 15) -> List[GridCell]:
     """Classification of the fixed 4D family on |l|,|m|,|n| <= bound:
-    reducible cells and, for irreducible ones, the spectrum kind counted
-    exactly by Sturm sequences."""
+    reducible cells and, for irreducible ones, the spectrum kind from the
+    sign invariants of quartic_real_roots.  quartic_4d is the family's
+    characteristic polynomial at every cell (its coefficients are affine in
+    (l, m, n), and the tests check it at four affinely independent points)."""
+    kinds = {0: "Spectrum4(complex)", 2: "Spectrum4(2+2)", 4: "Spectrum4(real)"}
     cells = []
     rng = range(-bound, bound + 1)
     for l in rng:
         for m in rng:
             for n in rng:
-                fp = FamilyPoint(FAMILY_4D_TYPE, FAMILY_4D_ANCHOR, (l, m, n))
-                p = char_poly(family_member(fp))
-                assert p == quartic_4d(l, m, n)
+                p = quartic_4d(l, m, n)
                 if len(factor_small(p)) != 1:
                     cells.append(GridCell((l, m, n), "ReduciblePoly"))
-                    continue
-                bound_r = Fraction(1) + max(abs(c) for c in p.coeffs[:-1])
-                real = count_real_roots(p, -bound_r, bound_r)
-                kind = {0: "Spectrum4(complex)", 2: "Spectrum4(2+2)",
-                        4: "Spectrum4(real)"}[real]
-                cells.append(GridCell((l, m, n), kind))
+                else:
+                    cells.append(GridCell((l, m, n), kinds[quartic_real_roots(p)]))
     return cells
 
 

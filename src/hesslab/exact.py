@@ -6,6 +6,8 @@ arithmetic is used anywhere.  The central objects are square integer
 matrices, integer vectors and monic integer polynomials of degree at most
 four.  Lattice indices (the integer volume of a set of vectors and the
 integer distance of a vector from their span) are gcds of maximal minors.
+Discriminants are closed forms in the coefficients, and real roots are
+counted by integer Sturm chains of primitive pseudo-remainders.
 """
 
 from __future__ import annotations
@@ -121,7 +123,6 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
-            n = self.n
             ot = other.transpose().rows
             return IntMatrix(
                 [sum(a * b for a, b in zip(row, col)) for col in ot]
@@ -146,9 +147,6 @@ class IntMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
-
-    def is_sl(self) -> bool:
-        return det(self) == 1
 
     def adjugate(self) -> "IntMatrix":
         n = self.n
@@ -319,37 +317,28 @@ def rational_inverse(rows: Sequence[Sequence[int]]):
             for row in inverse], d
 
 
-def resultant(p: IntPoly, q: IntPoly) -> int:
-    """Sylvester-matrix resultant of two integer polynomials."""
-    dp, dq = p.degree, q.degree
-    if dp == 0 or dq == 0:
-        # deg-0 cases: Res(c, q) = c^deg(q)
-        if dp == 0:
-            return p.coeffs[0] ** dq
-        return q.coeffs[0] ** dp
-    size = dp + dq
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(dq):
-        rows.append([0] * i + pc + [0] * (size - dp - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + qc + [0] * (size - dq - 1 - i))
-    return _det_rows(rows)
-
-
 def discriminant(p: IntPoly) -> int:
-    """Discriminant of an integer polynomial of degree 2..4."""
+    """Discriminant of an integer polynomial of degree 2..4, by the closed
+    forms in its coefficients (any leading coefficient)."""
     d = p.degree
-    if not 2 <= d <= 4:
-        raise ExactError("discriminant requires degree in 2..4, got %d" % d)
-    lc = p.coeffs[-1]
-    res = resultant(p, p.derivative())
-    sign = (-1) ** (d * (d - 1) // 2)
-    val = Fraction(sign * res, lc)
-    if val.denominator != 1:
-        raise ExactError("non-integral discriminant")
-    return val.numerator
+    if d == 2:
+        c, b, a = p.coeffs
+        return b * b - 4 * a * c
+    if d == 3:
+        e, c, b, a = p.coeffs
+        return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * e
+                - 27 * a * a * e * e + 18 * a * b * c * e)
+    if d == 4:
+        e, d, c, b, a = p.coeffs
+        return (256 * a ** 3 * e ** 3 - 192 * a * a * b * d * e * e
+                - 128 * a * a * c * c * e * e + 144 * a * a * c * d * d * e
+                - 27 * a * a * d ** 4 + 144 * a * b * b * c * e * e
+                - 6 * a * b * b * d * d * e - 80 * a * b * c * c * d * e
+                + 18 * a * b * c * d ** 3 + 16 * a * c ** 4 * e
+                - 4 * a * c ** 3 * d * d - 27 * b ** 4 * e * e
+                + 18 * b ** 3 * c * d * e - 4 * b ** 3 * d ** 3
+                - 4 * b * b * c ** 3 * e + b * b * c * c * d * d)
+    raise ExactError("discriminant requires degree in 2..4, got %d" % d)
 
 
 # ---------------------------------------------------------------------------
@@ -520,67 +509,75 @@ def _split_quartic(p: IntPoly):
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains (rational coefficients)
+# real roots
 
 
-def sturm_chain(coeffs: Sequence[Fraction]):
-    """Sturm chain of a polynomial given as Fraction coefficients, low first."""
-
-    def deg(c):
-        return len(c) - 1
-
-    def polydiv_rem(a, b):
-        a = list(a)
-        while deg(a) >= deg(b) and any(a):
-            k = deg(a) - deg(b)
-            f = a[-1] / b[-1]
-            for i, bc in enumerate(b):
-                a[i + k] -= f * bc
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-            if all(x == 0 for x in a):
-                return [Fraction(0)]
-        return a
-
-    p0 = [Fraction(c) for c in coeffs]
-    while len(p0) > 1 and p0[-1] == 0:
-        p0.pop()
-    p1 = [i * c for i, c in enumerate(p0)][1:] or [Fraction(0)]
-    chain = [p0, p1]
-    while deg(chain[-1]) > 0:
-        rem = polydiv_rem(chain[-2], chain[-1])
-        rem = [-c for c in rem]
-        if all(c == 0 for c in rem):
-            break
-        chain.append(rem)
-    return chain
+def quartic_real_roots(p: IntPoly) -> int:
+    """Number of real roots of a squarefree quartic a t^4 + ... + e: 2 when
+    its discriminant is negative; otherwise 4 when P = 8ac - 3b^2 < 0 and
+    D = 64a^3 e - 16a^2 c^2 + 16ab^2 c - 16a^2 bd - 3b^4 < 0, else 0 (Rees
+    1922; Lazard 1988)."""
+    if p.degree != 4:
+        raise ExactError("quartic_real_roots requires degree 4, got %d" % p.degree)
+    disc = discriminant(p)
+    if disc == 0:
+        raise ExactError("quartic has a repeated root")
+    if disc < 0:
+        return 2
+    e, d, c, b, a = p.coeffs
+    big_p = 8 * a * c - 3 * b * b
+    big_d = (64 * a ** 3 * e - 16 * a * a * c * c + 16 * a * b * b * c
+             - 16 * a * a * b * d - 3 * b ** 4)
+    return 4 if big_p < 0 and big_d < 0 else 0
 
 
-def _sign_changes_at(chain, x):
-    signs = []
-    for c in chain:
-        acc = Fraction(0)
-        for cc in reversed(c):
-            acc = acc * x + cc
-        if acc != 0:
-            signs.append(1 if acc > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sturm_remainder(a, b):
+    """-|lc(b)|^(deg a - deg b + 1) (a mod b) over its content: a positive
+    multiple of the rational Sturm remainder, so every sign is kept."""
+    a = list(a)
+    lead, scale, db = b[-1], abs(b[-1]), len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        top = a.pop()
+        f = top if lead > 0 else -top
+        a = [scale * x for x in a]
+        for i in range(db):
+            a[k + i] -= f * b[i]
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    g = math.gcd(*a)
+    return [-x // g for x in a] if g else [0]
+
+
+def _sign_changes(chain, x, side: int) -> int:
+    """Sign changes of the chain at the rational x = u/v (v > 0), where a
+    member of degree d takes the sign of v^d times its value, the sum of
+    c_j u^j v^(d-j); x = None is side * infinity, the point (side, 0)."""
+    u, v = (side, 0) if x is None else (x.numerator, x.denominator)
+    values = []
+    for cs in chain:
+        acc, w = 0, 1
+        for c in reversed(cs):
+            acc = acc * u + c * w
+            w *= v
+        values.append(acc)
+    signs = [y > 0 for y in values if y]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_real_roots(p: IntPoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of p in (lo, hi]; None means +/-inf.
+    """Number of distinct real roots of p in (lo, hi]; the endpoints are
+    integers or Fractions, and None means -inf for lo and +inf for hi.
 
     p must be squarefree for exact counts on half-open intervals containing
     roots at the endpoints; the usual Sturm caveats apply.
     """
-    chain = sturm_chain([Fraction(c) for c in p.coeffs])
-    bound = Fraction(1) + max(
-        (Fraction(abs(c), abs(p.coeffs[-1])) for c in p.coeffs[:-1]),
-        default=Fraction(0),
-    )
-    a = Fraction(lo) if lo is not None else -bound
-    b = Fraction(hi) if hi is not None else bound
-    return _sign_changes_at(chain, a) - _sign_changes_at(chain, b)
+    chain = [list(p.coeffs), list(p.derivative().coeffs)]
+    while len(chain[-1]) > 1:
+        rem = _sturm_remainder(chain[-2], chain[-1])
+        if rem == [0]:
+            break
+        chain.append(rem)
+    return _sign_changes(chain, lo, -1) - _sign_changes(chain, hi, 1)
 
 
 # ---------------------------------------------------------------------------

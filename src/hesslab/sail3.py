@@ -188,9 +188,7 @@ def verify_dirichlet_element(m: IntMatrix, x: IntMatrix) -> bool:
         return False
     if det(x) != 1:
         return False
-    p = char_poly(x)
-    bound = Fraction(1) + max(abs(c) for c in p.coeffs[:-1])
-    return count_real_roots(p, -bound, Fraction(0)) == 0
+    return count_real_roots(char_poly(x), None, 0) == 0
 
 
 def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:

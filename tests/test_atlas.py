@@ -20,7 +20,14 @@ from hesslab.atlas import (
     reducible_4d,
     render_grid,
 )
-from hesslab.exact import IntVector, char_poly, discriminant, factor_small
+from hesslab.exact import (
+    IntVector,
+    char_poly,
+    count_real_roots,
+    discriminant,
+    factor_small,
+    quartic_real_roots,
+)
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 
 T_FRO = HessType.parse("<0,1|0,0,1>")
@@ -98,9 +105,28 @@ def test_reducible_4d_matches_factorization():
 
 
 def test_quartic_4d_matches_family_char_poly():
-    for lmn in [(0, 0, 0), (1, 2, 3), (-3, 1, -2), (5, -5, 4)]:
+    # a family member differs from the anchor member only in its last
+    # column, and det(tI - M) is linear in one column, so both sides have
+    # coefficients affine in (l, m, n): agreement at the origin and the
+    # three unit vectors proves the identity at every cell, which is what
+    # lets classify_family_4d use quartic_4d directly
+    for lmn in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                (1, 2, 3), (-3, 1, -2), (5, -5, 4)]:
         fp = FamilyPoint(FAMILY_4D_TYPE, FAMILY_4D_ANCHOR, lmn)
         assert char_poly(family_member(fp)) == quartic_4d(*lmn)
+
+
+def test_quartic_real_roots_matches_sturm_on_cube():
+    kinds = Counter()
+    for l in range(-6, 7):
+        for m in range(-6, 7):
+            for n in range(-6, 7):
+                p = quartic_4d(l, m, n)
+                if len(factor_small(p)) == 1:
+                    real = quartic_real_roots(p)
+                    assert real == count_real_roots(p), (l, m, n)
+                    kinds[real] += 1
+    assert kinds == {0: 68, 2: 1106, 4: 754}
 
 
 def test_classify_family_4d_small_cube():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -168,3 +170,13 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(["no-such-command"], capsys)
     assert code == 1
     assert "invalid choice" in err
+
+
+def test_python_m_hesslab():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hesslab", "atlas4", "--bound", "1", "--json"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["cells"]) == 27

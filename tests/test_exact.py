@@ -11,6 +11,7 @@ from hesslab.exact import (
     IntMatrix,
     IntPoly,
     IntVector,
+    _det_rows,
     char_poly,
     count_real_roots,
     det,
@@ -21,7 +22,7 @@ from hesslab.exact import (
     matrix_from_json,
     matrix_to_json,
     parse_matrix,
-    resultant,
+    quartic_real_roots,
 )
 
 
@@ -124,12 +125,6 @@ def test_factor_small_quartic_root_at_one():
     assert any(f(1) == 0 for f in fs)
 
 
-def test_resultant_shared_root():
-    # t - 1 and (t - 1)(t - 2) share a root, so the resultant vanishes
-    assert resultant(IntPoly([-1, 1]), IntPoly([2, -3, 1])) == 0
-    assert resultant(IntPoly([-1, 1]), IntPoly([1, 1])) != 0
-
-
 def test_parse_matrix_position_annotated():
     with pytest.raises(ExactError) as ei:
         parse_matrix("1 2; 3 x")
@@ -211,3 +206,84 @@ def test_negative_discriminant_iff_one_real_root(cs):
     bound = Fraction(1) + max(abs(c) for c in p.coeffs[:-1])
     real = count_real_roots(p, -bound, bound)
     assert (d < 0) == (real == 1)
+
+
+_NONZERO = st.integers(min_value=-6, max_value=6).filter(bool)
+
+
+@st.composite
+def _small_polys(draw):
+    """Integer polynomials of degree 2..4, non-monic ones included; about a
+    third carry a repeated factor (q t - r)^2."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        q, r = draw(_NONZERO), draw(st.integers(min_value=-4, max_value=4))
+        rest = draw(st.lists(st.integers(min_value=-6, max_value=6),
+                             min_size=d - 2, max_size=d - 2))
+        square = IntPoly([-r, q]) * IntPoly([-r, q])
+        return square * IntPoly(rest + [draw(_NONZERO)])
+    low = draw(st.lists(st.integers(min_value=-9, max_value=9),
+                        min_size=d, max_size=d))
+    return IntPoly(low + [draw(_NONZERO)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_polys())
+def test_discriminant_matches_sylvester(p):
+    # oracle: (-1)^(d(d-1)/2) Res(p, p') / lc, with Res(p, p') the
+    # determinant of the Sylvester matrix built here
+    d = p.degree
+    pc = list(reversed(p.coeffs))
+    qc = list(reversed(p.derivative().coeffs))
+    size = 2 * d - 1
+    rows = [[0] * i + pc + [0] * (size - d - 1 - i) for i in range(d - 1)]
+    rows += [[0] * i + qc + [0] * (size - d - i) for i in range(d)]
+    res = _det_rows(rows)
+    lc = p.coeffs[-1]
+    assert res % lc == 0
+    assert discriminant(p) == (-1) ** (d * (d - 1) // 2) * res // lc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
+       _NONZERO)
+def test_quartic_real_roots_matches_sturm(low, a):
+    p = IntPoly(low + [a])
+    if discriminant(p) == 0:
+        with pytest.raises(ExactError):
+            quartic_real_roots(p)
+        return
+    assert quartic_real_roots(p) == count_real_roots(p)
+
+
+def _ratio(t):
+    return Fraction(*t)
+
+
+_RATIONAL = st.builds(Fraction, st.integers(min_value=-12, max_value=12),
+                      st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NONZERO,
+       st.lists(st.tuples(st.integers(min_value=-12, max_value=12),
+                          st.integers(min_value=1, max_value=4)),
+                max_size=4, unique_by=_ratio),
+       st.lists(st.integers(min_value=1, max_value=9), max_size=2, unique=True),
+       st.one_of(st.none(), _RATIONAL), st.one_of(st.none(), _RATIONAL))
+def test_count_real_roots_factored_oracle(c, linear, quadratic, lo, hi):
+    # p = c (q1 t - p1)...(qk t - pk)(t^2 + k1)...: its real roots are the
+    # distinct rationals pi/qi, so (lo, hi] holds those between the ends
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    p = IntPoly([c])
+    for num, den in linear:
+        p = p * IntPoly([-num, den])
+    for k in quadratic:
+        p = p * IntPoly([k, 0, 1])
+    roots = [Fraction(num, den) for num, den in linear]
+    want = sum(1 for r in roots
+               if (lo is None or lo < r) and (hi is None or r <= hi))
+    assert count_real_roots(p, lo, hi) == want
+    if p.degree == 4:
+        assert quartic_real_roots(p) == len(roots)
