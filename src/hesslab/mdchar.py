@@ -12,22 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .exact import ExactError, IntMatrix, IntVector, det, rational_inverse
+from .exact import ExactError, IntMatrix, IntVector, det
 
 # monomial order of the stored cubic coefficients
 MONOMIALS3 = ("x^3", "x^2*y", "x^2*z", "x*y^2", "x*y*z", "x*z^2",
               "y^3", "y^2*z", "y*z^2", "z^3")
 _EXPONENTS3 = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
                (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
-
-# ten evaluation points with coordinates in {0,1,2}; the induced monomial
-# matrix is invertible, so the coefficients are recovered exactly
-_POINTS3 = ((0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0),
-            (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1), (1, 2, 0))
-_POINTS3_INVERSE, _POINTS3_DEN = rational_inverse(
-    [[p[0] ** a * p[1] ** b * p[2] ** g for a, b, g in _EXPONENTS3]
-     for p in _POINTS3])
-
 
 @dataclass(frozen=True)
 class MDForm3:
@@ -81,20 +72,26 @@ def md_det3(m: IntMatrix, v) -> int:
 def md_form3(m: IntMatrix) -> MDForm3:
     """Coefficients of det[v | Mv | M^2 v] as a cubic form in v.
 
-    Recovered from its values at the fixed ten points by the precomputed
-    integer inverse of their monomial matrix; the division by its
-    denominator is exact because the form is integral.
+    In closed form: det[v | Mv | M^2 v] = v . (Mv x M^2 v)
+    = sum_(i,j,k) v_i v_j v_k (a_j x b_k)_i, with a_j the columns of M and
+    b_k those of M^2, so the coefficient of a monomial is the sum of
+    (a_j x b_k)_i over the ordered triples (i, j, k) of its variables.
     """
     if m.n != 3:
         raise ExactError("md_form3 requires a 3x3 matrix")
-    vals = [md_det3(m, p) for p in _POINTS3]
-    coeffs = []
-    for row in _POINTS3_INVERSE:
-        c, r = divmod(sum(a * b for a, b in zip(row, vals)), _POINTS3_DEN)
-        if r:
-            raise ExactError("interpolation produced a non-integer coefficient")
-        coeffs.append(c)
-    return MDForm3(tuple(coeffs))
+    cols = m.transpose().rows
+    cols2 = (m * m).transpose().rows
+    coeffs = dict.fromkeys(_EXPONENTS3, 0)
+    for j, a in enumerate(cols):
+        for k, b in enumerate(cols2):
+            cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0])
+            for i, c in enumerate(cross):
+                exps = [0, 0, 0]
+                for t in (i, j, k):
+                    exps[t] += 1
+                coeffs[tuple(exps)] += c
+    return MDForm3(tuple(coeffs[t] for t in _EXPONENTS3))
 
 
 def parity_all_even(f: MDForm3) -> bool:

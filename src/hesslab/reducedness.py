@@ -211,12 +211,16 @@ def _sail_minimum(m: IntMatrix, strategy: Sail) -> Tuple[int, List[IntVector]]:
 
 
 def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
+    """The reducedness verdict of a perfect Hessenberg matrix with an
+    irreducible characteristic polynomial.  The Sail route checks
+    irreducibility in sail3, which raises SailError (an ExactError) with
+    the message the Bounded route raises."""
     if not is_perfect(m):
         raise ExactError("matrix is not a perfect Hessenberg matrix")
-    if len(factor_small(char_poly(m))) != 1:
-        raise ExactError("characteristic polynomial is reducible")
     target = hessenberg_complexity(m)
     if isinstance(strategy, Bounded):
+        if len(factor_small(char_poly(m))) != 1:
+            raise ExactError("characteristic polynomial is reducible")
         best, wits = minimize_md_bounded(m, strategy.B)
         if best < target:
             return ReducedVerdict("Nonreduced", witness=wits[0])
@@ -256,5 +260,8 @@ def fingerprint(m: IntMatrix, precision: int = 4096,
             seen[tuple(tuple(r) for r in h.rows)] = h
     mats = [seen[k] for k in sorted(seen)]
     for h in mats:
-        assert hessenberg_complexity(h) == best
+        complexity = hessenberg_complexity(h)
+        if complexity != best:
+            raise ExactError("perfect form %s has complexity %d, not the "
+                             "minimal MD value %d" % (h, complexity, best))
     return Fingerprint(tuple(mats), best)

@@ -6,11 +6,21 @@ eigenvector, y the torus-orbit radius.  Both are carried exactly: x lives
 in Q(r) and y is stored through its square y_sq in Q(r) (a fixed positive
 multiple of the true squared radius; convex hulls in (x, y) are invariant
 under positive axis scalings, so the scale never matters).
+
+eigen_data compiles an operator once into integer tables over the power
+basis 1, r, r^2 of Q(r): x is a 3x3 table over one denominator, and
+F = y_sq a table of the six monomials f_a f_b of the omega rows f = (f_0,
+f_1, f_2), also over one denominator.  x(v) and F(v) are then integer dot
+products that build one FieldElement each.  Hull orientations are decided
+in outward-rounded float interval arithmetic where that is certain, and
+in Q(r) otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -18,6 +28,7 @@ from typing import List, Tuple
 from .exact import (
     ExactError,
     IntMatrix,
+    IntPoly,
     IntVector,
     char_poly,
     count_real_roots,
@@ -42,7 +53,9 @@ class Inconclusive(SailError):
     """Raised when a certified computation exceeds its configured budget."""
 
 
-def _require_nrs(m: IntMatrix) -> None:
+def _require_nrs(m: IntMatrix) -> IntPoly:
+    """The characteristic polynomial of m, once m is known to be an NRS
+    operator in SL(3,Z)."""
     if m.n != 3:
         raise SailError("sails are implemented for 3x3 operators only")
     if det(m) != 1:
@@ -52,17 +65,28 @@ def _require_nrs(m: IntMatrix) -> None:
         raise SailError("characteristic polynomial is reducible")
     if discriminant(p) >= 0:
         raise SailError("matrix has real spectrum (RS); sails unsupported")
+    return p
 
 
 @dataclass
 class EigenData3:
-    """Exact eigen data of an NRS operator.
+    """Exact eigen data of an NRS operator, compiled for x and F.
 
     g1 is the real eigenvector, a column of adj(M - rI); the coordinate x
     is the linear form x_form, a row w of adj(M - rI) divided once by the
     entry where that row meets g1's column.  s and q are the elementary
     symmetric functions c + conj(c) and c*conj(c) of the complex pair, used
-    to fold the complex coordinate modulus into Q(r).
+    to fold the complex coordinate modulus into Q(r): with f = omega_rows v,
+    F(v) = f_0^2 + f_0 f_1 s + f_0 f_2 (s^2 - 2q) + f_1^2 q + f_1 f_2 sq
+    + f_2^2 q^2.
+
+    The compiled tables hold the same values as integers over the power
+    basis 1, r, r^2, one row per power r^k: x_table[k][j] is the
+    coefficient of r^k in x_form[j] over the denominator x_den, so the
+    coefficient of r^k in x(v) is x_table[k] . v / x_den; f_table[k] holds
+    the coefficients of r^k in the six constants 1, s, s^2 - 2q, q, sq, q^2
+    (the multipliers of the monomials f_0^2, f_0 f_1, f_0 f_2, f_1^2,
+    f_1 f_2, f_2^2) over the denominator f_den.
     """
 
     matrix: IntMatrix
@@ -74,6 +98,10 @@ class EigenData3:
     omega_rows: Tuple[Tuple[int, ...], ...]  # 3 integer rows: omega_0/1/2 at a fixed row
     s: FieldElement
     q: FieldElement
+    x_table: Tuple[Tuple[int, int, int], ...]
+    x_den: int
+    f_table: Tuple[Tuple[int, ...], ...]
+    f_den: int
 
     @property
     def precision_bits(self) -> int:
@@ -81,19 +109,38 @@ class EigenData3:
 
 
 def _adjugate_coeffs(m: IntMatrix):
-    """Matrix coefficients omega_0,1,2 with adj(M - t I) = sum omega_k t^k."""
+    """Matrix coefficients omega_0,1,2 with adj(M - t I) = sum omega_k t^k.
+
+    By Cayley-Hamilton, omega_0 = M^2 - tr(M) M + c2 I = adj(M),
+    omega_1 = M - tr(M) I and omega_2 = I, with c2 the sum of the
+    principal 2-minors of M.
+    """
     ident = IntMatrix.identity(3)
-    a0 = m.adjugate()
-    ap = (m - ident).adjugate()
-    am = (m + ident).adjugate()
-    w1 = [[(ap[i, j] - am[i, j]) // 2 for j in range(3)] for i in range(3)]
-    w2 = [[(ap[i, j] + am[i, j]) // 2 - a0[i, j] for j in range(3)] for i in range(3)]
-    return a0, IntMatrix(w1), IntMatrix(w2)
+    trace = m.trace()
+    c2 = sum(m[i, i] * m[j, j] - m[i, j] * m[j, i]
+             for i, j in ((0, 1), (0, 2), (1, 2)))
+    return (m * m - m.scale(trace) + ident.scale(c2), m - ident.scale(trace),
+            ident)
+
+
+def _power_table(elems):
+    """(table, den) with den the least common denominator of the field
+    elements and table[k][j] the coefficient of r^k in elems[j] * den."""
+    den = math.lcm(*(f.den for f in elems))
+    return tuple(zip(*(tuple(c * (den // f.den) for c in f.num)
+                       for f in elems))), den
+
+
+def _quadratic(field: NumberField, f_table, f_den: int,
+               f0: int, f1: int, f2: int) -> FieldElement:
+    """F at the omega-row values (f0, f1, f2), from the compiled table."""
+    mono = (f0 * f0, f0 * f1, f0 * f2, f1 * f1, f1 * f2, f2 * f2)
+    return FieldElement(field, tuple(sum(map(operator.mul, mono, row))
+                                     for row in f_table), f_den)
 
 
 def eigen_data(m: IntMatrix, bits: int = 4096) -> EigenData3:
-    _require_nrs(m)
-    p = char_poly(m)
+    p = _require_nrs(m)
     field = NumberField.for_largest_root(p, precision_bits=bits)
     r = field.gen()
     a0, w1, w2 = _adjugate_coeffs(m)
@@ -115,26 +162,27 @@ def eigen_data(m: IntMatrix, bits: int = 4096) -> EigenData3:
     g1 = tuple(b_entry(i, j0) for i in range(3))
     wg_inv = b_entry(i0, j0).inverse()
     x_form = tuple(b_entry(i0, j) * wg_inv for j in range(3))
+    x_table, x_den = _power_table(x_form)
 
     trace = m.trace()
     s = field.element([trace]) - r
     q = r.inverse()
+    f_table, f_den = _power_table(
+        (field.one(), s, s * s - 2 * q, q, s * q, q * q))
 
     # a row of the adjugate that stays nonzero at the complex eigenvalues:
     # row i works iff the induced modulus form is not identically zero
     omega_rows = None
     for i in range(3):
-        rows = (tuple(a0[i, j] for j in range(3)),
-                tuple(w1[i, j] for j in range(3)),
-                tuple(w2[i, j] for j in range(3)))
-        probe = EigenData3(m, a0, field, r, g1, x_form, rows, s, q)
-        if any(_y_sq(probe, IntVector(e)).sign() != 0
-               for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        rows = (a0.rows[i], w1.rows[i], w2.rows[i])
+        if any(_quadratic(field, f_table, f_den, *col).sign() != 0
+               for col in zip(*rows)):
             omega_rows = rows
             break
     if omega_rows is None:
         raise SailError("no usable left eigenvector row for the complex pair")
-    return EigenData3(m, a0, field, r, g1, x_form, omega_rows, s, q)
+    return EigenData3(m, a0, field, r, g1, x_form, omega_rows, s, q,
+                      x_table, x_den, f_table, f_den)
 
 
 @dataclass(frozen=True)
@@ -143,25 +191,36 @@ class PiPoint:
     x: FieldElement
     y_sq: FieldElement
 
+    @functools.cached_property
+    def box(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+        """(x_lo, x_hi, y_sq_lo, y_sq_hi): enclosures of x and y_sq of
+        width at most 2^-20, computed once."""
+        return self.x.interval(_SMALL) + self.y_sq.interval(_SMALL)
+
+    @functools.cached_property
+    def float_box(self):
+        """(x_lo, x_hi, y_lo, y_hi): float bounds on x and on y =
+        sqrt(y_sq), from box by correctly rounded float() and math.sqrt,
+        each widened one ulp outward; None when a conversion overflows."""
+        x_lo, x_hi, y_lo, y_hi = self.box
+        try:
+            return (_down(float(x_lo)), _up(float(x_hi)),
+                    _down(math.sqrt(max(0.0, _down(float(y_lo))))),
+                    _up(math.sqrt(_up(float(y_hi)))))
+        except OverflowError:
+            return None
+
 
 def _x_coord(e: EigenData3, v: IntVector) -> FieldElement:
-    f0, f1, f2 = e.x_form
-    return f0 * v[0] + f1 * v[1] + f2 * v[2]
+    a, b, c = v[0], v[1], v[2]
+    return FieldElement(e.field, tuple(a * t0 + b * t1 + c * t2
+                                       for t0, t1, t2 in e.x_table), e.x_den)
 
 
 def _y_sq(e: EigenData3, v: IntVector) -> FieldElement:
-    f0 = sum(c * vi for c, vi in zip(e.omega_rows[0], v))
-    f1 = sum(c * vi for c, vi in zip(e.omega_rows[1], v))
-    f2 = sum(c * vi for c, vi in zip(e.omega_rows[2], v))
-    K = e.field
-    s, q = e.s, e.q
-    out = K.element([f0 * f0])
-    out = out + (f0 * f1) * s
-    out = out + (f0 * f2) * (s * s - 2 * q)
-    out = out + (f1 * f1) * q
-    out = out + (f1 * f2) * (s * q)
-    out = out + (f2 * f2) * (q * q)
-    return out
+    a, b, c = v[0], v[1], v[2]
+    return _quadratic(e.field, e.f_table, e.f_den,
+                      *(w[0] * a + w[1] * b + w[2] * c for w in e.omega_rows))
 
 
 def project_pi(e: EigenData3, v: IntVector) -> PiPoint:
@@ -191,8 +250,40 @@ def verify_dirichlet_element(m: IntMatrix, x: IntMatrix) -> bool:
     return count_real_roots(char_poly(x), None, 0) == 0
 
 
+def _down(v: float) -> float:
+    return math.nextafter(v, -math.inf)
+
+
+def _up(v: float) -> float:
+    return math.nextafter(v, math.inf)
+
+
 def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:
-    """Sign of the cross product (p2-p1) x (p3-p1) in the (x, y) chart."""
+    """Sign of the cross product (p2-p1) x (p3-p1) in the (x, y) chart,
+    a y3 + b y2 + c y1 with a = x2 - x1, b = x1 - x3, c = x3 - x2.
+
+    The float filter evaluates that sum over the points' float_box bounds.
+    float() of a Fraction, math.sqrt, * and + are correctly rounded, so
+    each result is within half an ulp of the exact operation on its float
+    arguments, and one math.nextafter step outward makes it a bound; the
+    interval so built contains the exact sum.  An overflow only widens it
+    to an infinite end, and inf - inf or inf * 0 makes it NaN.  The filter
+    decides when the interval lies strictly on one side of 0; when it
+    contains 0 or is NaN, or a float conversion overflowed, the sign is
+    decided exactly by sign_three_sqrt in Q(r).
+    """
+    b1, b2, b3 = p1.float_box, p2.float_box, p3.float_box
+    if b1 is not None and b2 is not None and b3 is not None:
+        lo = hi = 0.0
+        for u, v, w in ((b2, b1, b3), (b1, b3, b2), (b3, b2, b1)):
+            # the term (x_u - x_v) * y_w
+            d_lo, d_hi = _down(u[0] - v[1]), _up(u[1] - v[0])
+            lo = _down(lo + _down(d_lo * (w[2] if d_lo >= 0 else w[3])))
+            hi = _up(hi + _up(d_hi * (w[3] if d_hi >= 0 else w[2])))
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
     a = p2.x - p1.x
     b = p1.x - p3.x
     c = p3.x - p2.x
@@ -202,15 +293,10 @@ def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:
 def _pareto_filter(points: List[PiPoint]) -> List[PiPoint]:
     """Keep points not dominated in both coordinates; hull vertices of a
     point set with positive-quadrant recession cone survive this cull."""
-    decorated = []
-    for p in points:
-        x_lo, x_hi = p.x.interval(_SMALL)
-        y_lo, y_hi = p.y_sq.interval(_SMALL)
-        decorated.append((x_lo, x_hi, y_lo, y_hi, p))
-    decorated.sort(key=lambda t: (t[0], t[2]))
     out = []
     best_y_hi = None
-    for x_lo, x_hi, y_lo, y_hi, p in decorated:
+    for p in sorted(points, key=lambda p: (p.box[0], p.box[2])):
+        _, _, y_lo, y_hi = p.box
         if best_y_hi is not None and y_lo >= best_y_hi:
             continue
         out.append(p)

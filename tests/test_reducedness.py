@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import random_unimodular
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
+import hesslab.reducedness as red_mod
 from hesslab.reducedness import (
     Bounded,
     Sail,
@@ -95,6 +96,15 @@ def test_fingerprint_distinguishes_5_5_pair():
     assert {str(m) for m in fa.matrices} == {str(a)}
     assert {str(m) for m in fb.matrices} == {str(b)}
     assert not ({str(m) for m in fa.matrices} & {str(m) for m in fb.matrices})
+
+
+def test_fingerprint_checks_complexity_of_each_form(monkeypatch):
+    # a perfect form whose complexity is not the minimal MD value (FRO has
+    # complexity 1, M1's minimum is 3) must raise, also under python -O
+    monkeypatch.setattr(red_mod, "reduce_to_perfect",
+                        lambda m, v: (FRO, IntMatrix.identity(3)))
+    with pytest.raises(ExactError, match="complexity 1, not the minimal MD"):
+        fingerprint(M1)
 
 
 def test_verdict_json_shapes():

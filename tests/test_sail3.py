@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unimodular
+from conftest import nonzero_vectors, random_unimodular, small_matrices
 from hesslab.exact import (
     IntMatrix,
     IntVector,
@@ -18,6 +20,7 @@ from hesslab.exact import (
 )
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 from hesslab.mdchar import md_characteristic
+from hesslab.numberfield import sign_three_sqrt
 import hesslab.sail3 as sail3
 from hesslab.sail3 import (
     Inconclusive,
@@ -47,16 +50,135 @@ def test_rs_matrix_rejected():
 
 
 def test_eigen_data_consistency():
-    e = eigen_data(FRO)
-    # g1 is an eigenvector: (M - r) g1 = 0 componentwise
-    r = e.r
-    for i in range(3):
-        acc = e.field.zero()
-        for j in range(3):
-            acc = acc + e.g1[j] * FRO[i, j]
-        assert (acc - r * e.g1[i]).is_zero()
-    assert _x_coord(e, IntVector((1, 0, 0))).is_rational() or True
-    assert _y_sq(e, IntVector((1, 0, 0))).sign() > 0
+    for m in (FRO, M1):
+        e = eigen_data(m)
+        r = e.r
+        for i in range(3):
+            # g1 is a right eigenvector: (M - r) g1 = 0 componentwise
+            acc = e.field.zero()
+            for j in range(3):
+                acc = acc + e.g1[j] * m[i, j]
+            assert (acc - r * e.g1[i]).is_zero()
+            # x_form is a left eigenvector: sum_j x_form[j] M[j][i] = r x_form[i]
+            acc = e.field.zero()
+            for j in range(3):
+                acc = acc + e.x_form[j] * m[j, i]
+            assert (acc - r * e.x_form[i]).is_zero()
+        x_g1 = e.field.zero()
+        for f, g in zip(e.x_form, e.g1):
+            x_g1 = x_g1 + f * g
+        assert not x_g1.is_zero()
+        assert _y_sq(e, IntVector((1, 0, 0))).sign() > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(n=3, lo=-9, hi=9))
+def test_adjugate_coeffs_cayley_hamilton(m):
+    w0, w1, w2 = sail3._adjugate_coeffs(m)
+    for t in (-1, 0, 1, 2, 3):
+        total = w0 + w1.scale(t) + w2.scale(t * t)
+        assert total == (m - IntMatrix.identity(3).scale(t)).adjugate(), t
+
+
+def _x_coord_oracle(e, v):
+    f0, f1, f2 = e.x_form
+    return f0 * v[0] + f1 * v[1] + f2 * v[2]
+
+
+def _y_sq_oracle(e, v):
+    f0 = sum(c * vi for c, vi in zip(e.omega_rows[0], v))
+    f1 = sum(c * vi for c, vi in zip(e.omega_rows[1], v))
+    f2 = sum(c * vi for c, vi in zip(e.omega_rows[2], v))
+    s, q = e.s, e.q
+    out = e.field.element([f0 * f0])
+    out = out + (f0 * f1) * s
+    out = out + (f0 * f2) * (s * s - 2 * q)
+    out = out + (f1 * f1) * q
+    out = out + (f1 * f2) * (s * q)
+    out = out + (f2 * f2) * (q * q)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _operator_data(i):
+    """eigen_data of M1, FRO, a 12-step conjugate of M1 and a band cell."""
+    ops = (M1, FRO, _conjugate_of_m1(random.Random(11), 12), _band_cell(-3, 9))
+    return ops[i], eigen_data(ops[i])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=3),
+       nonzero_vectors(lo=-10 ** 6, hi=10 ** 6))
+def test_compiled_x_and_f_match_field_formulas(i, v):
+    _, e = _operator_data(i)
+    # equal values have equal (num, den), which == compares
+    x, y_sq = _x_coord_oracle(e, v), _y_sq_oracle(e, v)
+    assert _x_coord(e, v) == x and _y_sq(e, v) == y_sq
+    p = project_pi(e, v)
+    assert p.x == x and p.y_sq == y_sq
+
+
+def _exact_orientation(p1, p2, p3):
+    return sign_three_sqrt(p2.x - p1.x, p3.y_sq, p1.x - p3.x, p2.y_sq,
+                           p3.x - p2.x, p1.y_sq)
+
+
+class _CountingExact:
+    """sail3.sign_three_sqrt replaced by a counting wrapper while active."""
+
+    def __enter__(self):
+        self.calls = 0
+
+        def counted(*args):
+            self.calls += 1
+            return sign_three_sqrt(*args)
+
+        sail3.sign_three_sqrt = counted
+        return self
+
+    def __exit__(self, *exc):
+        sail3.sign_three_sqrt = sign_three_sqrt
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2),
+       st.lists(nonzero_vectors(lo=-30, hi=30), min_size=3, max_size=3),
+       st.sampled_from(("random", "repeated", "collinear", "huge")))
+def test_orientation_filter_matches_exact(i, vs, shape):
+    _, e = _operator_data(i)
+    if shape == "repeated":
+        vs = [vs[0], vs[1], vs[0]]
+    elif shape == "collinear":
+        # x is linear and y homogeneous of degree one, so v, 2v, 3v project
+        # onto one ray through the origin
+        vs = [vs[0], vs[0].scale(2), vs[0].scale(3)]
+    elif shape == "huge":
+        # x and y_sq beyond the float range: the conversion overflows
+        vs = [v.scale(10 ** 400) for v in vs]
+    p1, p2, p3 = (project_pi(e, v) for v in vs)
+    want = _exact_orientation(p1, p2, p3)
+    with _CountingExact() as exact:
+        assert sail3._orientation(p1, p2, p3) == want
+    if want == 0 or shape == "huge":
+        # an interval that holds 0 and an overflow both fall back
+        assert exact.calls == 1
+
+
+def test_orientation_falls_back_on_nan_and_missing_box():
+    e = eigen_data(M1)
+    pts = [project_pi(e, IntVector(v))
+           for v in ((1, 0, 0), (0, 1, 0), (0, -1, 1))]
+    want = _exact_orientation(*pts)
+    assert want != 0
+    with _CountingExact() as exact:
+        assert sail3._orientation(*pts) == want
+    assert exact.calls == 0
+    nan = float("nan")
+    for box in (None, (nan, nan, nan, nan), (-math.inf, math.inf, 0.0, 0.0)):
+        pts[1].__dict__["float_box"] = box
+        with _CountingExact() as exact:
+            assert sail3._orientation(*pts) == want
+        assert exact.calls == 1, box
 
 
 def test_x_equivariance():
