@@ -3,12 +3,13 @@
 A perfect Hessenberg matrix is reduced when no integer-conjugate perfect
 matrix has smaller Hessenberg complexity; equivalently, when the minimum of
 the MD-characteristic over nonzero integer vectors equals the complexity.
-The Sail strategy certifies that minimum by scanning a certified superset
-of Gamma^0(p), which contains the integer points of a fundamental domain
-of the sails; the seed p is e1 or a short row of the reduced basis of
-e1's slab (sail3.fundamental_slab), so the scan's size does not depend on
-the basis the input is written in.  The Bounded strategy is a plain box
-scan and is only ever a heuristic certificate.
+The Sail strategy takes that minimum exactly, in Python integers, over the
+slab points of sail3.fundamental_window: they meet the orbit of every sail
+vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
+minimum, and each minimiser is carried into e1's window.  The
+fingerprint reads the same minimum off the sail that compute_sail builds
+from the same points; only it builds a hull.  The Bounded strategy is a
+plain box scan and is only ever a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
 from .mdchar import md_characteristic, md_form3
 from .numberfield import PrecisionExhausted
 from .sail3 import Inconclusive as SailInconclusive
-from .sail3 import (
-    compute_sail,
-    eigen_data,
-    fundamental_slab,
-    gamma0_slab_points,
-    _expansion,
-    _period_shift,
-    _positive,
-)
+from .sail3 import compute_sail, fundamental_window
 
 
 @dataclass(frozen=True)
@@ -175,39 +168,24 @@ def _sail_minimum(m: IntMatrix, strategy: Sail) -> Tuple[int, List[IntVector]]:
     minimisers (up to sign) in the closed window [x(e1), x(M e1)] of e1
     (taken up to sign; ends in x order).
 
-    The slab of fundamental_slab contains the integer points of the orbits
-    of a fundamental domain, where the minimum is attained.  The MD
-    characteristic is invariant under M, so each minimiser found there is
-    carried into e1's window by the power of M that lands it there; both
+    The points of fundamental_window meet the orbit of every sail vertex,
+    where the minimum is attained; md vanishes on no nonzero vector, as the
+    characteristic polynomial is irreducible.  The MD characteristic is
+    invariant under M, so each minimiser is carried into e1's window; both
     ends of the window count when e1's orbit is minimal.
     """
-    import numpy as np
-    e = eigen_data(m, strategy.precision)
-    pts = gamma0_slab_points(e, fundamental_slab(e), strategy.region)
-    if len(pts) == 0:
-        raise SailInconclusive("empty slab enumeration")
-    vals = np.abs(_eval_form_batch(md_form3(m).coeffs, pts))
-    nz = vals > 0
-    pts, vals = pts[nz], vals[nz]
-    best = int(vals.min())
-
-    g, g_inv, rho = _expansion(e)
-    e1 = _positive(e, IntVector((1, 0, 0)))
-    start = e1 if g == m else m * e1
-    wits = []
-    seen = set()
-    for p in pts[vals == best].tolist():
-        v = IntVector(int(c) for c in p)
-        if not v.is_primitive():
-            continue
-        _, u = _period_shift(e, g, g_inv, rho, _positive(e, v), start)
-        for w in ((u, g * u) if u == start else (g * u,)):
-            w = _canonical_sign(w)
-            if tuple(w) not in seen:
-                seen.add(tuple(w))
-                wits.append(w)
-    wits.sort(key=tuple)
-    return best, wits
+    w = fundamental_window(m, strategy.precision, strategy.region)
+    form = md_form3(m)
+    vals = [abs(form(v)) for v in w.points]
+    best = min(vals)
+    wits = set()
+    for v, val in zip(w.points, vals):
+        if val == best and v.is_primitive():
+            u = w.carry(v)
+            wits.add(_canonical_sign(u))
+            if u == w.start:
+                wits.add(_canonical_sign(w.generator * u))
+    return best, sorted(wits, key=tuple)
 
 
 def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:

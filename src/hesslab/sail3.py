@@ -14,6 +14,10 @@ f_1, f_2), also over one denominator.  x(v) and F(v) are then integer dot
 products that build one FieldElement each.  Hull orientations are decided
 in outward-rounded float interval arithmetic where that is certain, and
 in Q(r) otherwise.
+
+fundamental_window is the one place that knows which of M and M^-1
+expands x and where e1's window lies; the reducedness verdict and
+compute_sail take their points and their window from it.
 """
 
 from __future__ import annotations
@@ -290,18 +294,41 @@ def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:
     return sign_three_sqrt(a, p3.y_sq, b, p2.y_sq, c, p1.y_sq)
 
 
+def _box_sign(a_lo, a_hi, b_lo, b_hi) -> int:
+    """1 or -1 when [a_lo, a_hi] lies wholly above or below [b_lo, b_hi],
+    else 0."""
+    return (b_hi < a_lo) - (a_hi < b_lo)
+
+
+def _x_cmp(p: PiPoint, q: PiPoint) -> int:
+    """The sign of x(p) - x(q): from the points' boxes where these are
+    disjoint, else in Q(r)."""
+    return _box_sign(p.box[0], p.box[1], q.box[0], q.box[1]) or p.x.cmp(q.x)
+
+
+def _y_cmp(p: PiPoint, q: PiPoint) -> int:
+    """The sign of y_sq(p) - y_sq(q), decided as _x_cmp decides x."""
+    return _box_sign(p.box[2], p.box[3], q.box[2], q.box[3]) \
+        or p.y_sq.cmp(q.y_sq)
+
+
+_X_ORDER = functools.cmp_to_key(_x_cmp)
+
+
 def _pareto_filter(points: List[PiPoint]) -> List[PiPoint]:
-    """Keep points not dominated in both coordinates; hull vertices of a
-    point set with positive-quadrant recession cone survive this cull."""
+    """The points that no other point weakly dominates in (x, y_sq), in
+    ascending x, each once.
+
+    Hull vertices of a point set with positive-quadrant recession cone
+    survive: in x order, p is dropped when the last point q kept, whose
+    y_sq is the least so far, has y_sq(q) <= y_sq(p), so that p lies in
+    q + R_+^2.  Both orders are decided exactly, and distinct integer
+    vectors have distinct x, since x vanishes on no nonzero integer vector.
+    """
     out = []
-    best_y_hi = None
-    for p in sorted(points, key=lambda p: (p.box[0], p.box[2])):
-        _, _, y_lo, y_hi = p.box
-        if best_y_hi is not None and y_lo >= best_y_hi:
-            continue
-        out.append(p)
-        if best_y_hi is None or y_hi < best_y_hi:
-            best_y_hi = y_hi
+    for p in sorted(points, key=_X_ORDER):
+        if not out or _y_cmp(out[-1], p) > 0:
+            out.append(p)
     return out
 
 
@@ -349,14 +376,6 @@ def _dec(x: Fraction) -> str:
     return "%.9f" % float(x)
 
 
-def _expansion(e: EigenData3):
-    """(G, G^-1, rho): the generator of the sail period action that expands
-    x, its inverse, and the float expansion factor rho > 1 of x."""
-    if (e.r - 1).sign() > 0:
-        return e.matrix, e.inverse, e.r.approx()
-    return e.inverse, e.matrix, 1 / e.r.approx()
-
-
 def _x_sign(e: EigenData3, v: IntVector) -> int:
     """The sign of x(v), from floats where their error bound decides it.
 
@@ -379,24 +398,6 @@ def _positive(e: EigenData3, v: IntVector) -> IntVector:
     """v or -v, whichever has positive x (x vanishes on no nonzero integer
     vector, since the real eigenvalue is irrational)."""
     return -v if _x_sign(e, v) < 0 else v
-
-
-def _period_shift(e: EigenData3, g: IntMatrix, g_inv: IntMatrix, rho: float,
-                  v: IntVector, t: IntVector):
-    """(k, G^k v) with x(G^k v) <= x(t) < x(G^(k+1) v), for x(v) > 0 and G
-    expanding x by rho: a float guess of k from logarithms, fixed by the
-    signs of x, which is linear."""
-    ratio = _x_approx(e, t) / _x_approx(e, v)
-    k = math.floor(math.log(ratio) / math.log(rho)) \
-        if 0 < ratio < math.inf else 0
-    u = v
-    for _ in range(abs(k)):
-        u = (g if k > 0 else g_inv) * u
-    while _x_sign(e, u - t) > 0:
-        u, k = g_inv * u, k - 1
-    while _x_sign(e, g * u - t) <= 0:
-        u, k = g * u, k + 1
-    return k, u
 
 
 def _x_approx(e: EigenData3, v: IntVector) -> float:
@@ -601,14 +602,15 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
                 tuple(int(c) for c in los), tuple(int(c) for c in his))
 
 
-def gamma0_slab_points(e: EigenData3, slab: Slab, cap: int = 40_000_000):
+def gamma0_slab_points(e: EigenData3, slab: Slab,
+                       cap: int = 40_000_000) -> List[IntVector]:
     """Integer points of the slab of reduced_slab, a certified superset of
-    Gamma^0(slab.seed), as an (N, 3) numpy array.
+    Gamma^0(slab.seed).
 
     Raises Inconclusive when the box has more than `cap` cells, or when
-    the seed p itself is missing from the output: p lies in its own slab
-    (x(p) is a window end and F(p) <= F_max), so its absence proves that
-    points were dropped.
+    the seed p or its image Mp is missing from the output: x(p) and x(Mp)
+    are the slab's x ends and F(Mp) = F(p) / r, so both lie in the slab,
+    and the absence of either proves that points were dropped.
     """
     import numpy as np
     los, his = np.array(slab.los), np.array(slab.his)
@@ -625,12 +627,13 @@ def gamma0_slab_points(e: EigenData3, slab: Slab, cap: int = 40_000_000):
     keep = (xv >= slab.x_lo - slack) & (xv <= slab.x_hi + slack) \
         & np.any(pts != 0, axis=1)
     pts = pts[keep]
-    pts = pts[_y_float(e, pts) <= slab.f_max]
-    p = slab.seed
-    if not np.any(np.all(pts == np.array(tuple(p)), axis=1)):
-        raise Inconclusive("slab enumeration lost its own seed %s"
-                           % (tuple(p),))
-    return pts
+    out = [IntVector(v) for v in pts[_y_float(e, pts) <= slab.f_max].tolist()]
+    found = set(out)
+    for end in (slab.seed, e.matrix * slab.seed):
+        if end not in found:
+            raise Inconclusive("slab enumeration lost its end %s"
+                               % (tuple(end),))
+    return out
 
 
 # a basis row replaces e1 as the seed only when its slab is this many
@@ -640,17 +643,18 @@ _SEED_GAIN = 16
 
 
 def fundamental_slab(e: EigenData3) -> Slab:
-    """The slab that both the verdict and the sail enumerate: that of e1 (up
-    to sign), or that of the row of e1's reduced basis with the smallest
-    slab, when it is at least _SEED_GAIN times smaller.
+    """The slab of fundamental_window: that of e1 (up to sign), or that of
+    the row of e1's reduced basis with the smallest slab, when it is at
+    least _SEED_GAIN times smaller.
 
     A slab's volume is proportional to x(p) * F(p), so e1's depends on the
     basis the input is written in.  A shortest vector v of any metric
     alpha X + beta F (X = x^2) has x(v) * F(v) <= C sqrt(det(X + F)), which
     no unimodular change of basis alters, so a short row of the basis bounds
     the slab whatever the input basis.  Every integer vector with positive x
-    spans a window of one full period, so the choice affects cost only; the
-    row seed's slab is re-reduced from e1's basis.
+    spans one full period of x, so every G-orbit with positive x meets the
+    slab and e1's window is reached from it; the choice affects cost only.
+    The row seed's slab is re-reduced from e1's basis.
     """
     import numpy as np
     slab = reduced_slab(e, _positive(e, IntVector((1, 0, 0))))
@@ -662,102 +666,107 @@ def fundamental_slab(e: EigenData3) -> Slab:
     return reduced_slab(e, _positive(e, IntVector(cands[i])), slab.basis)
 
 
-def _candidate_preimages(e: EigenData3, pts) -> List[IntVector]:
-    """Cull an integer point array to possible hull vertices: positive x
-    and Pareto-minimal in (x, y_sq) up to a wide float safety margin.  Only
-    surely-positive points may dominate others, and survivors with an
-    uncertain x sign are resolved exactly."""
-    import numpy as np
-    xf = _x_float(e, pts)
-    yf = _y_float(e, pts)
-    eps = 1e-9 * (1.0 + np.abs(pts).sum(axis=1).astype(float))
-    keep = xf > -eps
-    pts, xf, yf, eps = pts[keep], xf[keep], yf[keep], eps[keep]
+@dataclass(frozen=True)
+class FundamentalWindow:
+    """e1's window and the slab points that the verdict, the fingerprint
+    and the sail share.
 
-    margin = 1e-6
-    order = np.argsort(xf, kind="stable")
-    y_hi = np.where(xf[order] > eps[order],
-                    yf[order] * (1 + margin) + margin, np.inf)
-    y_lo = yf[order] * (1 - margin) - margin
-    best_prev = np.concatenate(([np.inf], np.minimum.accumulate(y_hi)[:-1]))
-    surv = order[y_lo < best_prev]
+    The generator G is the one of M and M^-1 that expands x, by the float
+    factor rho > 1; start is e1 (up to sign) when G = M and M e1 otherwise,
+    so the window [x(start), x(G start)) has the ends x(e1) and x(M e1) in
+    x order.  points are gamma0_slab_points of fundamental_slab, which
+    spans x from x(seed) to x(M seed), one period.
+    """
 
-    out = []
-    for idx in surv:
-        v = IntVector(int(c) for c in pts[idx])
-        if xf[idx] <= eps[idx] and _x_coord(e, v).sign() <= 0:
-            continue
-        out.append(v)
-    return out
+    eigen: EigenData3
+    generator: IntMatrix
+    generator_inv: IntMatrix
+    rho: float
+    start: IntVector
+    seed: IntVector
+    points: List[IntVector]
+
+    def carry(self, v: IntVector) -> IntVector:
+        """The member of the G-orbit of v or -v with x in the window: a
+        float guess of the power from logarithms, fixed by signs of x,
+        which is linear."""
+        e, t = self.eigen, self.start
+        v = _positive(e, v)
+        ratio = _x_approx(e, t) / _x_approx(e, v)
+        k = math.floor(math.log(ratio) / math.log(self.rho)) \
+            if 0 < ratio < math.inf else 0
+        step = self.generator if k > 0 else self.generator_inv
+        for _ in range(abs(k)):
+            v = step * v
+        while _x_sign(e, v - t) < 0:
+            v = self.generator * v
+        while True:
+            u = self.generator_inv * v
+            if _x_sign(e, u - t) < 0:
+                return v
+            v = u
+
+
+def fundamental_window(m: IntMatrix, bits: int = 4096,
+                       cap: int = 40_000_000) -> FundamentalWindow:
+    """e1's window of m, with the points of its fundamental slab (at most
+    `cap` enumerated cells, else Inconclusive)."""
+    e = eigen_data(m, bits)
+    slab = fundamental_slab(e)
+    points = gamma0_slab_points(e, slab, cap)
+    e1 = _positive(e, IntVector((1, 0, 0)))
+    if (e.r - 1).sign() > 0:
+        return FundamentalWindow(e, m, e.inverse, e.r.approx(), e1,
+                                 slab.seed, points)
+    return FundamentalWindow(e, e.inverse, m, 1 / e.r.approx(), m * e1,
+                             slab.seed, points)
 
 
 def compute_sail(m: IntMatrix, bits: int = 4096,
                  point_cap: int = 40_000_000) -> SailData:
-    """The sail vertices with x in [x(G^-1 e1), x(G^2 e1)], where G is the
-    generator (M or M^-1) that expands x and e1 is taken up to sign, with
-    the fundamental window [x(e1), x(M e1)) (ends in x order) marked.
+    """The sail vertices with x in [x(G^-1 e1), x(G^2 e1)], with those of
+    e1's window marked fundamental; G and the window are fundamental_window's
+    (at most `point_cap` enumerated cells, else Inconclusive).
 
-    Points come from the slab of fundamental_slab (at most `point_cap`
-    enumerated cells, else Inconclusive), which spans one period
-    [x(p0), x(G p0)] of x.  The hull of the G^-1, G^0 and G^1 images of its
-    hull candidates has a full period, and so a sail vertex, on each side
-    of [x(p0), x(G p0)), so its vertices there are the sail's; their period
-    consistency is verified.  With k such that x(G^k p0) <= x(e1) <
-    x(G^(k+1) p0), the G^j images of that period, j = k-1..k+2, cover the
-    output range.
+    The window's slab points with positive x span one period
+    [x(p0), x(G p0)] of x, p0 the slab's seed or its M image.  Their
+    Pareto-minimal points, with the G^-1 and G images of those, have a full
+    period, and so a sail vertex, on each side of [x(p0), x(G p0)), so the
+    vertices of their hull there are the sail's; their period consistency
+    is verified.  Carried into e1's window they are its vertices, and
+    their G-images fill the output range.
     """
-    e = eigen_data(m, bits)
-    g, g_inv, rho = _expansion(e)
-    slab = fundamental_slab(e)
-    base = _candidate_preimages(e, gamma0_slab_points(e, slab, point_cap))
-    near = {tuple(u): u for v in base for u in (g_inv * v, v, g * v)}
-    hull = _lower_hull(_sort_points(_pareto_filter(
-        [project_pi(e, u) for u in near.values()])))
+    w = fundamental_window(m, bits, point_cap)
+    e, g, g_inv = w.eigen, w.generator, w.generator_inv
+    base = _pareto_filter([project_pi(e, v) for v in w.points
+                           if _x_sign(e, v) > 0])
+    hull = _lower_hull(_pareto_filter(base + [
+        project_pi(e, u) for p in base
+        for u in (g_inv * p.preimage, g * p.preimage)]))
 
-    p0 = slab.seed if g == e.matrix else e.matrix * slab.seed
-    x0, x1 = _x_coord(e, p0), _x_coord(e, g * p0)
-    period = [p.preimage for p in hull if p.x.cmp(x0) >= 0 and p.x.cmp(x1) < 0]
-    hull_keys = {tuple(p.preimage) for p in hull}
-    if not period or any(tuple(g * v) not in hull_keys for v in period):
+    p0 = w.seed if g == m else m * w.seed
+    x0, x1 = project_pi(e, p0), project_pi(e, g * p0)
+    period = [p.preimage for p in hull
+              if _x_cmp(p, x0) >= 0 and _x_cmp(p, x1) < 0]
+    hull_keys = {p.preimage for p in hull}
+    if not period or any(g * v not in hull_keys for v in period):
         raise Inconclusive("sail period window failed the consistency check")
 
-    e1 = _positive(e, IntVector((1, 0, 0)))
-    x_e1 = _x_coord(e, e1)
-    k, _ = _period_shift(e, g, g_inv, rho, p0, e1)
-    lo = _x_coord(e, g_inv * e1)
-    hi = _x_coord(e, g * (g * e1))
-    step = g ** (k - 1) if k >= 1 else g_inv ** (1 - k)
-    vertices = []
-    for _ in range(4):
-        for v in period:
-            p = project_pi(e, step * v)
-            if p.x.cmp(lo) >= 0 and p.x.cmp(hi) <= 0:
-                vertices.append(p)
-        step = g * step
-
-    # fundamental window: [x(e1), x(G e1)) when G = M, else [x(M e1), x(e1))
-    xa, xb = (x_e1, _x_coord(e, g * e1)) if g == e.matrix else (lo, x_e1)
-    fund = [i for i, p in enumerate(vertices)
-            if p.x.cmp(xa) >= 0 and p.x.cmp(xb) < 0]
-    return SailData(m, tuple(vertices), g, tuple(fund))
-
-
-def _sort_points(points: List[PiPoint]) -> List[PiPoint]:
-    import functools
-
-    def cmp(p1, p2):
-        c = p1.x.cmp(p2.x)
-        if c:
-            return c
-        return p1.y_sq.cmp(p2.y_sq)
-
-    pts = sorted(points, key=functools.cmp_to_key(cmp))
-    out = []
-    for p in pts:
-        if out and out[-1].x.cmp(p.x) == 0:
-            continue  # keep the lower point at equal x
-        out.append(p)
-    return out
+    fund = sorted((project_pi(e, w.carry(v)) for v in period), key=_X_ORDER)
+    # the output range is the window's G^-1, G^0 and G^1 images when
+    # G = M (start = e1), its G^0, G^1 and G^2 images when G = M^-1
+    # (start = G^-1 e1), and G^2 e1 where e1 is a vertex
+    first = g_inv if g == m else IntMatrix.identity(3)
+    level = [first * p.preimage for p in fund]
+    preimages = []
+    for _ in range(3):
+        preimages += level
+        level = [g * v for v in level]
+    if fund[0].preimage == w.start:
+        preimages.append(level[0])
+    lo = len(fund) if g == m else 0
+    return SailData(m, tuple(project_pi(e, v) for v in preimages), g,
+                    tuple(range(lo, lo + len(fund))))
 
 
 def _lower_hull(points: List[PiPoint]) -> List[PiPoint]:

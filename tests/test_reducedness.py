@@ -15,6 +15,7 @@ from hesslab.reducedness import (
     is_reduced,
     minimize_md_bounded,
 )
+from hesslab.sail3 import Inconclusive
 
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 M2 = parse_matrix("0 2 3; 1 1 1; 0 3 4")
@@ -105,6 +106,19 @@ def test_fingerprint_checks_complexity_of_each_form(monkeypatch):
                         lambda m, v: (FRO, IntMatrix.identity(3)))
     with pytest.raises(ExactError, match="complexity 1, not the minimal MD"):
         fingerprint(M1)
+
+
+def test_fingerprint_when_the_float_box_misses_slab_points():
+    # a conjugate of M1 whose float slab box holds only e1 of its slab: the
+    # fingerprint once came back as M1 alone, while M1's class has two
+    # perfect forms; M e1, the slab's other x end, is missing
+    m = parse_matrix("-183860 -33803956239 33301628802; 1 183860 -181120; "
+                     "0 3 5")
+    try:
+        fp = fingerprint(m)
+    except Inconclusive:
+        return
+    assert fp == fingerprint(M1)
 
 
 def test_verdict_json_shapes():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -20,15 +21,18 @@ from hesslab.exact import (
 )
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 from hesslab.mdchar import md_characteristic
-from hesslab.numberfield import sign_three_sqrt
+from hesslab.numberfield import NumberField, sign_three_sqrt
+from hesslab.reducedness import Sail, _canonical_sign, _sail_minimum, fingerprint
 import hesslab.sail3 as sail3
 from hesslab.sail3 import (
     Inconclusive,
+    PiPoint,
     SailError,
     compute_sail,
     dirichlet_generator,
     eigen_data,
     fundamental_slab,
+    fundamental_window,
     gamma0_slab_points,
     project_pi,
     reduced_slab,
@@ -181,6 +185,26 @@ def test_orientation_falls_back_on_nan_and_missing_box():
         assert exact.calls == 1, box
 
 
+def test_pareto_filter_decides_x_order_exactly():
+    # x(p2) - x(p1) = r - d is below 2^-25, so the 2^-20 boxes of a fresh
+    # field overlap, and p1 has the larger y_sq: both points are
+    # Pareto-minimal, but a filter that ordered by box ends alone once
+    # sorted p2 first and dropped p1
+    lo, _ = NumberField.for_largest_root(char_poly(M1)).gen().interval(
+        Fraction(1, 1 << 40))
+    d = Fraction(math.floor(lo * (1 << 25)), 1 << 25)
+    field = NumberField.for_largest_root(char_poly(M1))
+    third = field.element([Fraction(1, 3)])
+    p1 = PiPoint(IntVector((1, 0, 0)), third, field.element([2]))
+    p2 = PiPoint(IntVector((0, 1, 0)), third + (field.gen() - d),
+                 field.element([1]))
+    for pts in ([p1, p2], [p2, p1]):
+        assert sail3._pareto_filter(pts) == [p1, p2]
+    # a repeated or weakly dominated point goes
+    p3 = PiPoint(IntVector((0, 0, 1)), third + 1, field.element([1]))
+    assert sail3._pareto_filter([p3, p2, p1, p2]) == [p1, p2]
+
+
 def test_x_equivariance():
     e = eigen_data(FRO)
     v = IntVector((1, 2, 0))
@@ -227,7 +251,7 @@ def test_sail_vertices_sorted_and_consistent():
 def test_slab_contains_fundamental_vertices():
     e = eigen_data(M1)
     pts = gamma0_slab_points(e, reduced_slab(e, IntVector((1, 0, 0))))
-    keys = {tuple(int(c) for c in p) for p in pts.tolist()}
+    keys = {tuple(p) for p in pts}
     sail = compute_sail(M1)
     for p in sail.fundamental_vertices():
         v = tuple(p.preimage)
@@ -298,7 +322,7 @@ def test_slab_enumeration_is_sound(m, seed):
     checked = 0
     for p in (_positive_seed(e, seed), _positive_seed(e, (3, -2, 4))):
         pts = gamma0_slab_points(e, reduced_slab(e, p))
-        keys = {tuple(v) for v in pts.tolist()}
+        keys = {tuple(v) for v in pts}
         for v in (p, m * p):
             assert tuple(v) in keys or tuple(-v) in keys
         inside = _strictly_inside_slab(m, p, 24)
@@ -393,6 +417,46 @@ def test_sail_vertices_are_periodic():
                 assert tuple(g * p.preimage) in keys, (str(m), p.preimage)
 
 
+def test_window_carry_lands_in_window():
+    # FRO, M1, a conjugate of M1 and an r < 1 cell (G = M^-1)
+    # (G = M^-1); a wrong expansion factor makes the float guess of the
+    # power undershoot or overshoot, which the exact steps must correct
+    for m in (FRO, M1, _conjugate_of_m1(random.Random(5), 12),
+              _band_cell(-2, -1)):
+        w0 = fundamental_window(m)
+        e, g = w0.eigen, w0.generator
+        x_lo, x_hi = _x_coord(e, w0.start), _x_coord(e, g * w0.start)
+        for w in (w0, dataclasses.replace(w0, rho=w0.rho ** 2),
+                  dataclasses.replace(w0, rho=w0.rho ** 0.5)):
+            for v in w.points + [w.start]:
+                u = w.carry(v)
+                assert x_lo.cmp(_x_coord(e, u)) <= 0 < x_hi.cmp(_x_coord(e, u))
+                for k in (-4, -1, 1, 3):
+                    step = g ** k if k > 0 else w.generator_inv ** -k
+                    assert w.carry(step * v) == u
+                    assert w.carry(-(step * v)) == u
+            assert w.carry(g * w.start) == w.start
+
+
+def test_verdict_minimum_is_the_sails():
+    # the verdict's minimum and witnesses over the window's slab points are
+    # the MD-minimal sail vertices of e1's closed window
+    rng = random.Random(9)
+    mats = [M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
+                        for _ in range(20)]
+    for m in mats + list(_criterion9_nrs_cells())[::4]:
+        best, wits = _sail_minimum(m, Sail())
+        fund = compute_sail(m).fundamental_vertices()
+        vals = [md_characteristic(m, p.preimage) for p in fund]
+        assert best == min(vals), str(m)
+        want = {tuple(_canonical_sign(p.preimage))
+                for p, val in zip(fund, vals) if val == best}
+        w = fundamental_window(m)
+        if fund[0].preimage == w.start and vals[0] == best:
+            want.add(tuple(_canonical_sign(w.generator * w.start)))
+        assert {tuple(v) for v in wits} == want, str(m)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=8, max_value=24))
@@ -404,9 +468,7 @@ def test_sail_under_long_conjugators(seed, steps):
     # the 40M-cell cap; the chosen seed's slab held at most 53 points over
     # 1628 draws
     assert len(gamma0_slab_points(e, fundamental_slab(e))) <= 100
-    sail = compute_sail(m)
-    assert min(md_characteristic(m, p.preimage)
-               for p in sail.fundamental_vertices()) == 3
+    assert fingerprint(m) == fingerprint(M1)
 
 
 def test_dirichlet_generator_is_m():
