@@ -52,6 +52,14 @@ class Config:
     palette: dict = None
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ExactError("%s must be an integer, got %r" % (what, text)) \
+            from None
+
+
 def _load_config_file(path: str) -> dict:
     out = {}
     with open(path) as fh:
@@ -75,19 +83,20 @@ def load_config(path=None) -> Config:
         palette = {}
         for key, val in raw.items():
             if key in ("bound", "precision_bits", "region", "window", "window4"):
-                cfg = replace(cfg, **{key: int(val)})
+                cfg = replace(cfg, **{key: _int(val, "config key " + key)})
             elif key == "format":
                 cfg = replace(cfg, fmt=val)
             elif key.startswith("palette."):
                 palette[key.split(".", 1)[1]] = tuple(
-                    int(x) for x in val.split(","))
+                    _int(x, "config key " + key) for x in val.split(","))
             else:
                 raise ExactError("unknown config key %r" % key)
         if palette:
             cfg = replace(cfg, palette=palette)
     env_bits = os.environ.get("HESSLAB_PRECISION_BITS")
     if env_bits:
-        cfg = replace(cfg, precision_bits=int(env_bits))
+        cfg = replace(cfg, precision_bits=_int(env_bits,
+                                               "HESSLAB_PRECISION_BITS"))
     return cfg
 
 
@@ -223,14 +232,10 @@ def _parse_range(text, default):
     """`-20:20,-20:20` -> ((-20,20), (-20,20))."""
     if not text:
         return (-default, default), (-default, default)
-    parts = text.split(",")
-    if len(parts) != 2:
+    parts = [p.split(":") for p in text.split(",")]
+    if len(parts) != 2 or any(len(p) != 2 for p in parts):
         raise ExactError("range must look like -20:20,-20:20")
-    out = []
-    for p in parts:
-        lo, hi = p.split(":")
-        out.append((int(lo), int(hi)))
-    return tuple(out)
+    return tuple(tuple(_int(x, "a range bound") for x in p) for p in parts)
 
 
 def _cmd_atlas(args, cfg):
@@ -243,15 +248,9 @@ def _cmd_atlas(args, cfg):
         fmt = "SVG" if args.out.lower().endswith(".svg") else cfg.fmt
         with open(args.out, "wb") as fh:
             fh.write(atlas_mod.render_grid(cells, fmt, cfg.palette))
-    data = {"window": {"m": list(m_range), "n": list(n_range)},
-            "counts": counts, "cells": [c.to_json() for c in cells]}
-    if args.json and args.json is not True:
-        with open(args.json, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
-        args = argparse.Namespace(**{**vars(args), "json": False})
-    _emit(args, data, "\n".join(
-        "%s %d" % (k, v) for k, v in sorted(counts.items())))
-    return 0
+    window = {"m": list(m_range), "n": list(n_range)}
+    return _emit_atlas(args, {"window": window, "counts": counts,
+                              "cells": [c.to_json() for c in cells]})
 
 
 def _cmd_atlas4(args, cfg):
@@ -262,14 +261,19 @@ def _cmd_atlas4(args, cfg):
     counts = {}
     for c in cells:
         counts[c.cls] = counts.get(c.cls, 0) + 1
-    data = {"bound": bound, "counts": counts,
-            "cells": [c.to_json() for c in cells]}
+    return _emit_atlas(args, {"bound": bound, "counts": counts,
+                              "cells": [c.to_json() for c in cells]})
+
+
+def _emit_atlas(args, data):
+    """Emit an atlas, or write it to the path given to --json; the text
+    form is its class counts."""
     if args.json and args.json is not True:
         with open(args.json, "w") as fh:
             json.dump(data, fh, sort_keys=True)
         args = argparse.Namespace(**{**vars(args), "json": False})
     _emit(args, data, "\n".join(
-        "%s %d" % (k, v) for k, v in sorted(counts.items())))
+        "%s %d" % (k, v) for k, v in sorted(data["counts"].items())))
     return 0
 
 

@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -152,6 +151,11 @@ class IntMatrix:
         n = self.n
         if n == 1:
             return IntMatrix([[1]])
+        if n == 3:  # the columns are cross products of the rows
+            (a, b, c), (d, e, f), (g, h, i) = self.rows
+            return IntMatrix([[e * i - f * h, c * h - b * i, b * f - c * e],
+                              [f * g - d * i, a * i - c * g, c * d - a * f],
+                              [d * h - e * g, b * g - a * h, a * e - b * d]])
         adj = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -291,30 +295,6 @@ def char_poly(m: IntMatrix) -> IntPoly:
             raise ExactError("characteristic polynomial recursion is not integral")
         coeffs[n - k] = q
     return IntPoly(coeffs)
-
-
-def rational_inverse(rows: Sequence[Sequence[int]]):
-    """(B, d) with integer rows B and d > 0 such that A B = d I for the
-    square integer matrix A, by Gauss-Jordan elimination over Q; None when
-    A is singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            f = aug[i][col]
-            if i != col and f != 0:
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inverse = [row[n:] for row in aug]
-    d = math.lcm(*(x.denominator for row in inverse for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row]
-            for row in inverse], d
 
 
 def discriminant(p: IntPoly) -> int:

@@ -20,9 +20,9 @@ from .exact import (
     IntPoly,
     IntVector,
     char_poly,
+    det,
     integer_distance,
     integer_volume,
-    rational_inverse,
 )
 
 
@@ -66,9 +66,6 @@ class HessType:
             out *= c[-1] ** (n - 1 - j)
         return out
 
-    def satisfies_perfect_bounds(self) -> bool:
-        return all(0 <= x < c[-1] for c in self.columns for x in c[:-1])
-
     @staticmethod
     def parse(text: str) -> "HessType":
         text = text.strip()
@@ -107,11 +104,6 @@ class FamilyPoint:
             "anchor": list(self.anchor),
             "params": list(self.params),
         }
-
-    @staticmethod
-    def from_json(obj) -> "FamilyPoint":
-        return FamilyPoint(HessType.parse(obj["type"]), IntVector(obj["anchor"]),
-                           obj["params"])
 
 
 def is_hessenberg(m: IntMatrix) -> bool:
@@ -291,13 +283,15 @@ def last_column_from(t: HessType, p: IntPoly) -> Optional[IntVector]:
         e = IntVector([1 if j == i else 0 for j in range(n)])
         pe = char_poly(IntMatrix.from_columns(cols + [e]))
         gradients.append([pe.coeffs[k] - base.coeffs[k] for k in range(n)])
-    # solve sum_i v_i * gradients[i][k] = p_k - base_k   for k = 0..n-1
-    inv = rational_inverse([[gradients[i][k] for i in range(n)] for k in range(n)])
-    if inv is None:
+    # solve sum_i v_i * gradients[i][k] = p_k - base_k   for k = 0..n-1,
+    # as adj(A) b / det(A)
+    a = IntMatrix([[gradients[i][k] for i in range(n)] for k in range(n)])
+    den = det(a)
+    if den == 0:
         return None
-    rows, den = inv
     b = [p.coeffs[k] - base.coeffs[k] for k in range(n)]
-    sol = [divmod(sum(x * y for x, y in zip(row, b)), den) for row in rows]
+    sol = [divmod(sum(x * y for x, y in zip(row, b)), den)
+           for row in a.adjugate().rows]
     if any(r for _, r in sol):
         return None
     return IntVector(q for q, _ in sol)

@@ -224,9 +224,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     def __add__(self, other):
         num, den = self.num, self.den
         if other.__class__ is int:
@@ -252,6 +249,10 @@ class FieldElement:
         if other.__class__ is int:
             return FieldElement(self.field, tuple(a * other for a in self.num),
                                 self.den)
+        if other.__class__ is Fraction:
+            return FieldElement(self.field,
+                                tuple(a * other.numerator for a in self.num),
+                                self.den * other.denominator)
         other = self._coerce(other)
         b = other.num
         prod = [0] * (len(self.num) + len(b) - 1)
@@ -328,6 +329,23 @@ class FieldElement:
             if (hi - lo) * width.denominator <= width.numerator * scale:
                 return Fraction(lo, scale), Fraction(hi, scale)
             root.refine()
+
+    def floor(self, shift: int = 0) -> int:
+        """floor(value * 2^shift), exactly, so whatever the refinement of r:
+        the enclosure is refined until it holds at most one integer, and
+        sign() puts the value on one side of that one."""
+        up, down = 1 << max(shift, 0), 1 << max(-shift, 0)
+        num, root = self.num, self.field.root
+        for _ in range(self.field.precision_bits + 1):
+            lo, hi = _horner_interval(num, root.a, root.b, root.k)
+            scale = (self.den << (root.k * (len(num) - 1))) * down
+            n = hi * up // scale
+            if lo * up // scale == n:
+                return n
+            if (hi - lo) * up << 8 <= scale:
+                return n - ((self * up - n * down).sign() < 0)
+            root.refine()
+        raise PrecisionExhausted("floor of field element undecided at cap")
 
     def approx(self) -> float:
         """A float near the value (from an enclosure of width 2^-40),

@@ -11,9 +11,10 @@ eigen_data compiles an operator once into integer tables over the power
 basis 1, r, r^2 of Q(r): x is a 3x3 table over one denominator, and
 F = y_sq a table of the six monomials f_a f_b of the omega rows f = (f_0,
 f_1, f_2), also over one denominator.  x(v) and F(v) are then integer dot
-products that build one FieldElement each.  Hull orientations are decided
-in outward-rounded float interval arithmetic where that is certain, and
-in Q(r) otherwise.
+products that build one FieldElement each.  The slab enumeration runs in
+Python integers and Q(r) with proven bounds; hull orientations are decided
+in outward-rounded float interval arithmetic where that is certain, and in
+Q(r) otherwise.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x and where e1's window lies; the reducedness verdict and
@@ -23,6 +24,7 @@ compute_sail take their points and their window from it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -90,7 +92,10 @@ class EigenData3:
     coefficient of r^k in x(v) is x_table[k] . v / x_den; f_table[k] holds
     the coefficients of r^k in the six constants 1, s, s^2 - 2q, q, sq, q^2
     (the multipliers of the monomials f_0^2, f_0 f_1, f_0 f_2, f_1^2,
-    f_1 f_2, f_2^2) over the denominator f_den.
+    f_1 f_2, f_2^2) over the denominator f_den.  For the slab box, g_hat
+    is g1 / x(g1), the integer columns omega_cols sum over c^k to a complex
+    eigenvector g_c with phi(g_c) != 0 for the left one phi(v) = sum c^k
+    f_k, and rho_scale is 4 / |phi(g_c)|^2.
     """
 
     matrix: IntMatrix
@@ -106,10 +111,9 @@ class EigenData3:
     x_den: int
     f_table: Tuple[Tuple[int, ...], ...]
     f_den: int
-
-    @property
-    def precision_bits(self) -> int:
-        return self.field.precision_bits
+    g_hat: Tuple[FieldElement, FieldElement, FieldElement]
+    omega_cols: Tuple[Tuple[int, int, int], ...]
+    rho_scale: FieldElement
 
 
 def _adjugate_coeffs(m: IntMatrix):
@@ -120,11 +124,7 @@ def _adjugate_coeffs(m: IntMatrix):
     principal 2-minors of M.
     """
     ident = IntMatrix.identity(3)
-    trace = m.trace()
-    c2 = sum(m[i, i] * m[j, j] - m[i, j] * m[j, i]
-             for i, j in ((0, 1), (0, 2), (1, 2)))
-    return (m * m - m.scale(trace) + ident.scale(c2), m - ident.scale(trace),
-            ident)
+    return m.adjugate(), m - ident.scale(m.trace()), ident
 
 
 def _power_table(elems):
@@ -152,17 +152,11 @@ def eigen_data(m: IntMatrix, bits: int = 4096) -> EigenData3:
     def b_entry(i, j):
         return field.element([a0[i, j], w1[i, j], w2[i, j]])
 
-    pivot = None
-    for i in range(3):
-        for j in range(3):
-            if b_entry(i, j).sign() != 0:
-                pivot = (i, j)
-                break
-        if pivot:
+    for i0, j0 in itertools.product(range(3), range(3)):
+        if b_entry(i0, j0).sign() != 0:
             break
-    if pivot is None:
+    else:
         raise SailError("adjugate vanished at the real eigenvalue")
-    i0, j0 = pivot
     g1 = tuple(b_entry(i, j0) for i in range(3))
     wg_inv = b_entry(i0, j0).inverse()
     x_form = tuple(b_entry(i0, j) * wg_inv for j in range(3))
@@ -174,19 +168,32 @@ def eigen_data(m: IntMatrix, bits: int = 4096) -> EigenData3:
     f_table, f_den = _power_table(
         (field.one(), s, s * s - 2 * q, q, s * q, q * q))
 
-    # a row of the adjugate that stays nonzero at the complex eigenvalues:
-    # row i works iff the induced modulus form is not identically zero
-    omega_rows = None
-    for i in range(3):
-        rows = (a0.rows[i], w1.rows[i], w2.rows[i])
-        if any(_quadratic(field, f_table, f_den, *col).sign() != 0
-               for col in zip(*rows)):
-            omega_rows = rows
+    # an entry (i, j) of the adjugate that stays nonzero at the complex
+    # eigenvalues: its row gives F, its column the complex eigenvector
+    for i, j in itertools.product(range(3), range(3)):
+        entry = _quadratic(field, f_table, f_den, a0[i, j], w1[i, j], w2[i, j])
+        if entry.sign() != 0:
             break
-    if omega_rows is None:
+    else:
         raise SailError("no usable left eigenvector row for the complex pair")
+    omega_rows = (a0.rows[i], w1.rows[i], w2.rows[i])
+    omega_cols = tuple(tuple(r[j] for r in w.rows) for w in (a0, w1, w2))
+    # adj(M - tI)^2 = p'(t) adj(M - tI) at an eigenvalue t (rank one, trace
+    # p'(t) = 3 t^2 - 2 tr(M) t + c2, c2 = tr adj(M)): so x(g1) = p'(r) and
+    # phi(g_c) = y(c) for y = p' h, h the entry.  Norms replace inversions:
+    # p'(r) |p'(c)|^2 = -disc(p), and y(r) |y(c)|^2 is a rational
+    slope = (a0.trace(), -2 * trace, 3)
+    x_g1_inv = _quadratic(field, f_table, f_den, *slope) \
+        * Fraction(-1, discriminant(p))
+    g_hat = tuple(g * x_g1_inv for g in g1)
+    h = (a0[i, j], w1[i, j], w2[i, j])
+    y = field.element([sum(slope[k] * h[n - k] for k in range(3)
+                           if 0 <= n - k < 3) for n in range(5)])
+    norm = y * _quadratic(field, f_table, f_den, *y.num)
+    rho_scale = y * Fraction(4 * norm.den, norm.num[0])
     return EigenData3(m, a0, field, r, g1, x_form, omega_rows, s, q,
-                      x_table, x_den, f_table, f_den)
+                      x_table, x_den, f_table, f_den, g_hat, omega_cols,
+                      rho_scale)
 
 
 @dataclass(frozen=True)
@@ -404,20 +411,6 @@ def _x_approx(e: EigenData3, v: IntVector) -> float:
     return sum(f.approx() * c for f, c in zip(e.x_form, v))
 
 
-def _x_float(e: EigenData3, pts):
-    import numpy as np
-    return pts.astype(float) @ np.array([f.approx() for f in e.x_form])
-
-
-def _y_float(e: EigenData3, pts):
-    import numpy as np
-    coords = pts.astype(float)
-    sf, qf = e.s.approx(), e.q.approx()
-    f = [coords @ np.array(row, dtype=float) for row in e.omega_rows]
-    return (f[0] * f[0] + f[0] * f[1] * sf + f[0] * f[2] * (sf * sf - 2 * qf)
-            + f[1] * f[1] * qf + f[1] * f[2] * sf * qf + f[2] * f[2] * qf * qf)
-
-
 def _integral_lll(gram):
     """Rows of a unimodular integer matrix, LLL-reduced (delta = 3/4) for
     the integer Gram matrix `gram` (3x3).
@@ -488,151 +481,162 @@ def _integral_lll(gram):
 
 @dataclass(frozen=True)
 class Slab:
-    """The slab of a seed p, {x between x(p) and x(Mp)} cut with
-    {F <= f_max}, padded, with an integral-LLL basis of its metric (rows of
-    a unimodular matrix) and the box [los, his] of basis coordinates that
-    covers its ellipsoid."""
+    """The slab {x between x(p) and x(Mp), F <= f_max = max(F(p), F(Mp))}
+    of a seed p, with an integral-LLL basis (rows of a unimodular matrix),
+    x(p), f_max and the floors of their log2."""
 
     seed: IntVector
-    x_lo: float
-    x_hi: float
-    f_max: float
     basis: Tuple[Tuple[int, int, int], ...]
-    los: Tuple[int, int, int]
-    his: Tuple[int, int, int]
+    x_p: FieldElement
+    f_max: FieldElement
+    logs: Tuple[int, int]
 
 
-def _f_quadratic(e: EigenData3):
-    """Float 3x3 matrix of the quadratic form F (squared orbit radius)."""
-    import numpy as np
-    rows = np.array([row for row in e.omega_rows], dtype=float)
-    sf, qf = e.s.approx(), e.q.approx()
-    c = np.array([
-        [1.0, sf / 2, (sf * sf - 2 * qf) / 2],
-        [sf / 2, qf, sf * qf / 2],
-        [(sf * sf - 2 * qf) / 2, sf * qf / 2, qf * qf],
-    ])
-    return rows.T @ c @ rows
+def _polar(e: EigenData3, u, v) -> FieldElement:
+    """2 Phi(u, v), Phi the polar form of F, from the compiled table."""
+    (f0, f1, f2), (g0, g1, g2) = (
+        [w[0] * a[0] + w[1] * a[1] + w[2] * a[2] for w in e.omega_rows]
+        for a in (u, v))
+    mono = (2 * f0 * g0, f0 * g1 + f1 * g0, f0 * g2 + f2 * g0, 2 * f1 * g1,
+            f1 * g2 + f2 * g1, 2 * f2 * g2)
+    return FieldElement(e.field, tuple(sum(map(operator.mul, mono, row))
+                                       for row in e.f_table), e.f_den)
+
+
+def _log2_floor(a: FieldElement) -> int:
+    """floor(log2 a), exactly; Inconclusive unless 2^-precision_bits < a."""
+    for shift in range(0, a.field.precision_bits + 64, 64):
+        n = a.floor(shift)
+        if n:
+            break
+    if n <= 0:
+        raise Inconclusive("slab metric is not positive definite")
+    return n.bit_length() - 1 - shift
+
+
+# bits of the cuts' integer filter below x(p) and f_max
+_FILTER_BITS = 40
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     """The slab of p, reduced from the basis rows `start` (the identity by
     default).
 
-    Gamma^0(p) sits inside the slab {x(p') between x(p) and x(Mp)} cut with
-    {F <= max(F(p), F(Mp))}: x is linear and F is convex, so both bounds
-    pass from the two orbits to their convex hull.  That region is a long
-    thin needle around the real eigenline, so its coordinate bounding box
-    can be astronomically larger than its point count.  The metric blending
-    the (x - x_mid)^2 window term with F/F_max, scaled and rounded to an
-    integer Gram matrix, gets an integral LLL basis (Lenstra-Lenstra-Lovasz)
-    that turns the needle into a small box, whose bounds come from the
-    inverse Gram matrix (Fincke-Pohst).  The basis is unimodular by
-    construction, so rounding affects only its quality; the box and the
-    cuts of gamma0_slab_points are float, with wide inflation but no proven
-    error bound.
-
-    Raises Inconclusive when the metric is not finite and positive
-    definite, or when a box bound is out of range.
+    Gamma^0(p) sits inside the slab (x is linear and F convex), a needle
+    that an integral LLL basis of the metric x^2 / h^2 + F / f_max, h =
+    |x(Mp) - x(p)| / 2, turns into a small box.  Scaled, with x(p) and
+    f_max rounded down to powers of 2, the metric is x(u) x(v) / x(p)^2 +
+    (r - 1)^2 / 8 * 2 Phi(u, v) / f_max; its Gram matrix is made from the
+    floors of x, (r - 1)^2 / 8 and 2 Phi at 2^b, a function of p and
+    `start` alone however far r is refined, and rounding affects only the
+    basis quality.  While it is not positive definite, b grows from 62 by
+    64 up to precision_bits, and then the slab is Inconclusive.
     """
-    import numpy as np
     x_p = _x_coord(e, p)
     if x_p.sign() <= 0:
         raise SailError("slab seed must have positive x coordinate")
-    rf = e.r.approx()
-    xpf = x_p.approx()
-    x_lo, x_hi = sorted((xpf, rf * xpf))
-    pad = 1e-6
-    x_lo *= 1 - pad
-    x_hi *= 1 + pad
-    x_mid = (x_lo + x_hi) / 2
-    half = (x_hi - x_lo) / 2
-    f_p = _y_sq(e, p).approx()
-    f_max = (f_p * max(1.0, 1.0 / rf)) * (1 + pad) + pad
+    rows = tuple(map(tuple, start or IntMatrix.identity(3).rows))
+    # f_max = max(F(p), F(Mp)), as F(Mp) = F(p) / r
+    f_max = _y_sq(e, p if (e.r - 1).sign() > 0 else e.matrix * p)
+    sx, sf = -_log2_floor(x_p), -_log2_floor(f_max)
+    xs = [_x_coord(e, c) for c in rows]
+    polar = [_polar(e, rows[k], rows[l]) for k, l in _PAIRS]
+    blend = (e.r - 1) * (e.r - 1)
+    for bits in range(62, e.field.precision_bits + 1, 64):
+        x = [a.floor(sx + bits) for a in xs]
+        b = blend.floor(bits - 3)
+        g = [(x[k] * x[l] + b * a.floor(sf + bits)) >> bits
+             for (k, l), a in zip(_PAIRS, polar)]
+        try:
+            h = _integral_lll([g[0:3], [g[1], g[3], g[4]], [g[2], g[4], g[5]]])
+            return Slab(p, tuple(tuple(sum(map(operator.mul, hk, col))
+                                       for col in zip(*rows)) for hk in h),
+                        x_p, f_max, (-sx, -sf))
+        except Inconclusive:
+            pass
+    raise Inconclusive("slab metric is not positive definite")
 
-    wf = np.array([f.approx() for f in e.x_form])
-    a = np.outer(wf, wf) / (half * half) + _f_quadratic(e) / f_max
-    if start is not None:
-        s = np.array(start, dtype=float)
-        a = s @ a @ s.T
-    top = float(np.abs(a).max())
-    if not 0 < top < math.inf:  # NaN fails too
-        raise Inconclusive("slab metric is not finite")
-    shift = 62 - math.frexp(top)[1]
-    gram = [[round(math.ldexp(c, shift)) for c in row] for row in a.tolist()]
-    h = _integral_lll(gram)
-    basis = IntMatrix(h) if start is None else IntMatrix(h) * IntMatrix(start)
 
-    # u-coordinates of the ellipsoid (u B - c) a (u B - c)^T <= 2.2 have
-    # |u_i - u0_i| <= sqrt(2.2 * (G^-1)_ii), G = h gram h^T / 2^shift
-    hg = [[sum(hk[j] * gram[j][l] for j in range(3)) for l in range(3)]
-          for hk in h]
-    g = [[sum(x * y for x, y in zip(row, hl)) for hl in h] for row in hg]
-    minors = (g[1][1] * g[2][2] - g[1][2] ** 2,
-              g[0][0] * g[2][2] - g[0][2] ** 2,
-              g[0][0] * g[1][1] - g[0][1] ** 2)
-    det_g = (g[0][0] * minors[0]
-             - g[0][1] * (g[0][1] * g[2][2] - g[1][2] * g[0][2])
-             + g[0][2] * (g[0][1] * g[1][2] - g[1][1] * g[0][2]))
-    try:
-        radii = np.sqrt([2.2 * math.ldexp(mi / det_g, shift)
-                         for mi in minors]) + 1
-    except OverflowError:
-        raise Inconclusive("reduced-basis ellipsoid has an out-of-range bound")
-    g1f = np.array([gi.approx() for gi in e.g1])
-    center = (x_mid / float(wf @ g1f)) * g1f
-    # u_i = v . (b_(i+1) x b_(i+2)) / det(B) for v = u B
-    b = basis.rows
-    cross = [[b[i][1] * b[j][2] - b[i][2] * b[j][1],
-              b[i][2] * b[j][0] - b[i][0] * b[j][2],
-              b[i][0] * b[j][1] - b[i][1] * b[j][0]]
-             for i, j in ((1, 2), (2, 0), (0, 1))]
-    u0 = (np.array(cross, dtype=float) @ center) \
-        / sum(x * y for x, y in zip(cross[0], b[0]))
-    los = np.ceil(u0 - radii)
-    his = np.floor(u0 + radii)
-    reach = np.abs(np.concatenate((los, his))).max() \
-        * max(abs(c) for row in basis.rows for c in row)
-    # NaN, infinite and non-integral (beyond 2^53) bounds all fail here,
-    # as do points beyond int64
-    if not reach < 2.0 ** 53:
-        raise Inconclusive(
-            "reduced-basis ellipsoid has a non-finite or out-of-range bound")
-    return Slab(p, x_lo, x_hi, f_max, basis.rows,
-                tuple(int(c) for c in los), tuple(int(c) for c in his))
+def _slab_box(e: EigenData3, basis, x_ends, sx: int, f_hi: int, sf: int):
+    """Bounds (los, his) of the basis coordinates over the slab, given the
+    floors x_ends of 2^sx x(p) and 2^sx x(Mp), and f_hi of 2^sf f_max.
+    Coordinate i of v is l_i . v, l_i column i of B^-1.  Split v along the
+    real eigenvector g1 and the plane of a complex one g_c: l_i . v =
+    x(v) alpha_i + l_i . v_c, alpha_i = (l_i . g1) / x(g1), v_c = z g_c +
+    conj(z g_c).  F(v) = |phi(v)|^2 = |z|^2 |phi(g_c)|^2, so |l_i . v_c| <=
+    2 |z| |l_i . g_c| <= rho_i, rho_i^2 = f_max rho_scale |l_i . g_c|^2.
+    Each factor lies between its floor and the next integer; products of
+    those bound both terms to 2^-8, and los, his round outward.
+    """
+    m = 8  # bits of the box bounds
+    inv = IntMatrix(basis).inverse_unimodular().rows
+    # x(p) 2^sx, rho_scale 2^sr in [2^40, 2^41); 2^(t + m - sx) alpha_i is
+    # within sum |l_ij| of a; |l_i . g_c|^2 makes rho_i^2 2^(100 - 2m)
+    t = 50 + max(sum(map(abs, ell)) for ell in zip(*inv)).bit_length()
+    g = [c.floor(t + m - sx) for c in e.g_hat]
+    sr = _FILTER_BITS - _log2_floor(e.rho_scale)
+    kappa = (f_hi + 1) * (e.rho_scale.floor(sr) + 1)
+    los, his = [], []
+    for ell in zip(*inv):
+        a, err = sum(map(operator.mul, ell, g)), sum(map(abs, ell))
+        ends = [u * v for u in (a - err, a + err) for x in x_ends
+                for v in (x, x + 1)]
+        h = (sum(map(operator.mul, ell, col)) for col in e.omega_cols)
+        q = _quadratic(e.field, e.f_table, e.f_den, *h).floor(
+            100 + 2 * m - sf - sr) + 1
+        q = -(-kappa * q >> 100)
+        s = _sqrt_upper(Fraction(q)).numerator  # rho_i < s / 2^m
+        los.append(-((s - (min(ends) >> t)) >> m))
+        his.append((s - (-max(ends) >> t)) >> m)
+    return los, his
 
 
 def gamma0_slab_points(e: EigenData3, slab: Slab,
                        cap: int = 40_000_000) -> List[IntVector]:
-    """Integer points of the slab of reduced_slab, a certified superset of
-    Gamma^0(slab.seed).
-
-    Raises Inconclusive when the box has more than `cap` cells, or when
-    the seed p or its image Mp is missing from the output: x(p) and x(Mp)
-    are the slab's x ends and F(Mp) = F(p) / r, so both lie in the slab,
-    and the absence of either proves that points were dropped.
+    """The nonzero integer points of the slab, a certified superset of
+    Gamma^0(slab.seed).  The cells u of _slab_box pass an integer filter
+    with a proven bound: with X_i = floor(2^sx x(b_i)) and P_ij = floor(2^sf
+    Phi(b_i, b_j)), sum u_i X_i and sum u_i u_j P_ij are within n and n^2
+    (n = sum |u_i|) of 2^sx x(u B) and 2^sf F(u B); cells it leaves open are
+    decided exactly.  Raises Inconclusive when the box has more than `cap`
+    cells, or when p or Mp, both in the slab, is missing from the output.
     """
-    import numpy as np
-    los, his = np.array(slab.los), np.array(slab.his)
-    total = float(np.prod(his - los + 1))
-    if total > cap:
-        raise Inconclusive(
-            "reduced-basis ellipsoid with %d cells exceeds the cap" % total)
-    grids = np.meshgrid(*[np.arange(l, h + 1, dtype=np.int64)
-                          for l, h in zip(los, his)], indexing="ij")
-    u = np.stack([g.ravel() for g in grids], axis=1)
-    pts = u @ np.array(slab.basis, dtype=np.int64)
-    xv = _x_float(e, pts)
-    slack = 1e-9 * (1.0 + np.abs(pts).sum(axis=1).astype(float)) + 1e-9
-    keep = (xv >= slab.x_lo - slack) & (xv <= slab.x_hi + slack) \
-        & np.any(pts != 0, axis=1)
-    pts = pts[keep]
-    out = [IntVector(v) for v in pts[_y_float(e, pts) <= slab.f_max].tolist()]
-    found = set(out)
-    for end in (slab.seed, e.matrix * slab.seed):
-        if end not in found:
-            raise Inconclusive("slab enumeration lost its end %s"
-                               % (tuple(end),))
+    p, basis, x_p, f_max = slab.seed, slab.basis, slab.x_p, slab.f_max
+    mp = e.matrix * p
+    x_mp = _x_coord(e, mp)
+    sx, sf = (_FILTER_BITS - k for k in slab.logs)
+    x_lo, x_hi = x_ends = sorted((x_p.floor(sx), x_mp.floor(sx)))
+    f_hi = f_max.floor(sf)
+    los, his = _slab_box(e, basis, x_ends, sx, f_hi, sf)
+    if math.prod(max(0, hi - lo + 1) for lo, hi in zip(los, his)) > cap:
+        raise Inconclusive("reduced-basis slab box exceeds %d cells" % cap)
+
+    x0, x1, x2 = (_x_coord(e, b).floor(sx) for b in basis)
+    p00, p01, p02, p11, p12, p22 = (_polar(e, basis[i], basis[j]).floor(sf - 1)
+                                    for i, j in _PAIRS)
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = basis
+    out = []
+    for u0 in range(los[0], his[0] + 1):
+        for u1 in range(los[1], his[1] + 1):
+            xa, na = u0 * x0 + u1 * x1, abs(u0) + abs(u1)
+            fa = (u0 * p00 + 2 * u1 * p01) * u0 + u1 * u1 * p11
+            fl = 2 * (u0 * p02 + u1 * p12)
+            for u2 in range(los[2], his[2] + 1):
+                n = na + abs(u2)
+                xv, fv = xa + u2 * x2, fa + u2 * (fl + u2 * p22)
+                if xv + n < x_lo or xv - n > x_hi or fv - n * n > f_hi:
+                    continue
+                v = IntVector((u0 * b00 + u1 * b10 + u2 * b20,
+                               u0 * b01 + u1 * b11 + u2 * b21,
+                               u0 * b02 + u1 * b12 + u2 * b22))
+                if (xv - n > x_lo and xv + n < x_hi and fv + n * n < f_hi
+                        or v == p or v == mp
+                        or (_x_sign(e, v - p) * _x_sign(e, mp - v) >= 0
+                            and _y_sq(e, v).cmp(f_max) <= 0)):
+                    out.append(v)
+    for end in {p, mp} - set(out):
+        raise Inconclusive("slab enumeration lost its end %s" % (tuple(end),))
     return out
 
 
@@ -643,9 +647,9 @@ _SEED_GAIN = 16
 
 
 def fundamental_slab(e: EigenData3) -> Slab:
-    """The slab of fundamental_window: that of e1 (up to sign), or that of
-    the row of e1's reduced basis with the smallest slab, when it is at
-    least _SEED_GAIN times smaller.
+    """The slab of fundamental_window: that of e1 (up to sign), or, while
+    a row of the current reduced basis has a slab at least _SEED_GAIN
+    times smaller, that of the row with the smallest.
 
     A slab's volume is proportional to x(p) * F(p), so e1's depends on the
     basis the input is written in.  A shortest vector v of any metric
@@ -654,16 +658,20 @@ def fundamental_slab(e: EigenData3) -> Slab:
     the slab whatever the input basis.  Every integer vector with positive x
     spans one full period of x, so every G-orbit with positive x meets the
     slab and e1's window is reached from it; the choice affects cost only.
-    The row seed's slab is re-reduced from e1's basis.
+    A row seed is re-reduced from the current basis (on long conjugators
+    one step can leave 10^6 points); volumes, a multiple of the norm, are
+    bounded below and compared exactly, so the steps end and the choice
+    depends on the operator alone.
     """
-    import numpy as np
     slab = reduced_slab(e, _positive(e, IntVector((1, 0, 0))))
-    cands = np.array((tuple(slab.seed),) + slab.basis, dtype=np.int64)
-    vol = np.abs(_x_float(e, cands)) * _y_float(e, cands)
-    i = 1 + int(np.argmin(vol[1:]))
-    if _SEED_GAIN * vol[i] > vol[0]:
-        return slab
-    return reduced_slab(e, _positive(e, IntVector(cands[i])), slab.basis)
+    while True:
+        cands = [slab.seed] + [_positive(e, IntVector(b)) for b in slab.basis]
+        vols = [_x_coord(e, v) * _y_sq(e, v) for v in cands]
+        i = min((1, 2, 3), key=functools.cmp_to_key(
+            lambda a, b: vols[a].cmp(vols[b])))
+        if (vols[i] * _SEED_GAIN).cmp(vols[0]) > 0:
+            return slab
+        slab = reduced_slab(e, cands[i], slab.basis)
 
 
 @dataclass(frozen=True)
@@ -692,7 +700,7 @@ class FundamentalWindow:
         which is linear."""
         e, t = self.eigen, self.start
         v = _positive(e, v)
-        ratio = _x_approx(e, t) / _x_approx(e, v)
+        ratio = _x_approx(e, t) / (_x_approx(e, v) or math.nan)
         k = math.floor(math.log(ratio) / math.log(self.rho)) \
             if 0 < ratio < math.inf else 0
         step = self.generator if k > 0 else self.generator_inv

@@ -83,15 +83,42 @@ def test_sail_below_one_real_eigenvalue(capsys):
     assert code == 0 and json.loads(out)["status"] == "Reduced"
 
 
-def test_singular_float_metric_is_inconclusive(capsys):
-    # entries near 2.4e8 make the float slab metric singular; it used to
-    # escape as numpy's LinAlgError
+def test_fingerprint_where_the_float_metric_was_singular(capsys):
+    # entries near 2.4e8 made the float slab metric singular: it escaped as
+    # numpy's LinAlgError, then exited 2 as Inconclusive; the metric in
+    # Q(r) is positive definite and the input is a conjugate of M1
     code, out, err = run(["fingerprint",
                           "-142846070 -73023007 -244434686; "
                           "108932175 55686202 186402060; "
                           "50935673 26038350 87159873"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("Inconclusive:")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["min MD value 3", "0 1 2; 1 0 0; 0 3 5",
+                                "0 2 3; 1 1 1; 0 3 4"]
+
+
+_ATLAS = ["atlas", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1"]
+
+
+@pytest.mark.parametrize("argv, env, config", [
+    (_ATLAS + ["--range", "x:1,2:3"], None, None),
+    (_ATLAS + ["--range", "12,2:3"], None, None),
+    (["complexity", "0 1 2; 1 0 0; 0 3 5"], "abc", None),
+    (["complexity", "0 1 2; 1 0 0; 0 3 5"], None, "region = abc\n"),
+], ids=["range-not-int", "range-no-colon", "env-bits", "config-region"])
+def test_malformed_numbers_are_input_errors(argv, env, config, tmp_path,
+                                            capsys, monkeypatch):
+    # each escaped as a ValueError traceback
+    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
+    if env is not None:
+        monkeypatch.setenv("HESSLAB_PRECISION_BITS", env)
+    else:
+        monkeypatch.delenv("HESSLAB_PRECISION_BITS", raising=False)
+    if config is not None:
+        (tmp_path / "conf").write_text(config)
+        argv = ["--config", str(tmp_path / "conf")] + argv
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
@@ -180,3 +207,38 @@ def test_python_m_hesslab():
         capture_output=True, text=True, env=env, cwd=root, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["cells"]) == 27
+
+
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from hesslab import cli
+M1 = "0 1 2; 1 0 0; 0 3 5"
+runs = [["verdict", M1, "--json"], ["fingerprint", M1, "--json"],
+        ["sail", M1, "--json"]]
+runs += [["atlas", "--type", t, "--anchor", a, "--range", r, "--json"]
+         for t, a, r in (("<0,1|1,0,2>", "1,0,1", "-1:1,7:9"),
+                         ("<0,1|0,0,1>", "1,0,0", "-5:-3,-1:1"))]
+for argv in runs:
+    if cli.main(argv) != 0:
+        sys.exit("%s failed" % argv[0])
+"""
+
+
+def test_certified_path_runs_without_numpy():
+    # numpy serves only the bounded scan; the Sail verdict, the fingerprint,
+    # the sail and the Sail atlas are Python integers and Q(r) throughout
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
+                          capture_output=True, text=True, env=env, cwd=root,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    docs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert docs[0]["status"] == "Reduced"
+    assert docs[1]["min_value"] == 3 and len(docs[1]["matrices"]) == 2
+    assert any(v["is_fundamental"] for v in docs[2])
+    for atlas in docs[3:]:
+        assert len(atlas["cells"]) == 9
+        assert "NRS_Unknown" not in atlas["counts"]
+        assert any(k.startswith("NRS") for k in atlas["counts"])

@@ -119,6 +119,30 @@ def test_sign_three_sqrt_fuzz(a, s3, b, s2, c, s1):
         assert got == (1 if val > 0 else -1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                min_size=3, max_size=3),
+       st.integers(min_value=1, max_value=10 ** 6),
+       st.integers(min_value=-40, max_value=80))
+def test_floor_is_exact_and_ignores_refinement(num, den, shift):
+    # floor(value * 2^shift) is the floor read off a narrow enclosure, and
+    # a root refined first gives the same
+    scale = Fraction(2) ** shift / den
+    a = _field().element(num) * Fraction(1, den)
+    lo, hi = _field().element(num).interval(Fraction(1, 2) ** (shift + 220))
+    assert math.floor(lo * scale) == math.floor(hi * scale) == a.floor(shift)
+    b = _field().element(num) * Fraction(1, den)
+    b.interval(Fraction(1, 2 ** 300))
+    assert b.floor(shift) == a.floor(shift)
+    # r minus its floor at 2^-(shift + 40) lies in [0, 2^-(shift + 40)):
+    # enclosures straddle 0 until sign() decides the side
+    r = _field().gen()
+    g = math.floor(r.interval(Fraction(1, 2) ** (shift + 60))[0]
+                   * 2 ** (shift + 40))
+    tiny = r - Fraction(g, 1) * Fraction(1, 2) ** (shift + 40)
+    assert tiny.floor(shift) == 0 and (-tiny).floor(shift) == -1
+
+
 def test_precision_exhausted_is_raised():
     # comparing r against a rational agreeing to hundreds of digits must
     # either resolve exactly or raise, never return a wrong sign

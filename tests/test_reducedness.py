@@ -15,7 +15,6 @@ from hesslab.reducedness import (
     is_reduced,
     minimize_md_bounded,
 )
-from hesslab.sail3 import Inconclusive
 
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 M2 = parse_matrix("0 2 3; 1 1 1; 0 3 4")
@@ -109,16 +108,17 @@ def test_fingerprint_checks_complexity_of_each_form(monkeypatch):
 
 
 def test_fingerprint_when_the_float_box_misses_slab_points():
-    # a conjugate of M1 whose float slab box holds only e1 of its slab: the
-    # fingerprint once came back as M1 alone, while M1's class has two
-    # perfect forms; M e1, the slab's other x end, is missing
-    m = parse_matrix("-183860 -33803956239 33301628802; 1 183860 -181120; "
-                     "0 3 5")
-    try:
-        fp = fingerprint(m)
-    except Inconclusive:
-        return
-    assert fp == fingerprint(M1)
+    # conjugates of M1 whose float slab box missed slab points: the first
+    # two lost the slab's end M e1 and were Inconclusive, and the last
+    # kept both ends but printed M1 alone, while M1's class has two
+    # perfect forms
+    for rows in ("-183860 -33803956239 33301628802; 1 183860 -181120; "
+                 "0 3 5",
+                 "108370394 -95149174421 -1533766115515; 1 -873 -14153; "
+                 "7657 -6722843 -108369516",
+                 "771620 -595395962667 2; 1 -771620 0; "
+                 "-730866 563954477253 5"):
+        assert fingerprint(parse_matrix(rows)) == fingerprint(M1), rows
 
 
 def test_verdict_json_shapes():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nonzero_vectors, random_unimodular, small_matrices
@@ -22,7 +22,13 @@ from hesslab.exact import (
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 from hesslab.mdchar import md_characteristic
 from hesslab.numberfield import NumberField, sign_three_sqrt
-from hesslab.reducedness import Sail, _canonical_sign, _sail_minimum, fingerprint
+from hesslab.reducedness import (
+    Sail,
+    _canonical_sign,
+    _sail_minimum,
+    fingerprint,
+    is_reduced,
+)
 import hesslab.sail3 as sail3
 from hesslab.sail3 import (
     Inconclusive,
@@ -260,7 +266,7 @@ def test_slab_contains_fundamental_vertices():
 
 def test_slab_hard_cell_regression():
     # this family cell has a coordinate bounding box with ~2e9 cross
-    # section; the reduced-basis ellipsoid must keep feasible both the slab
+    # section; the reduced-basis box must keep feasible both the slab
     # of (32, -11, 62), a seed that once took a 0.9 GB cube scan to find,
     # and the slab of the seed the enumeration chooses
     t = HessType.parse("<0,1|1,0,2>")
@@ -271,6 +277,9 @@ def test_slab_hard_cell_regression():
         seed = -seed
     for slab in (reduced_slab(e, seed), fundamental_slab(e)):
         assert len(gamma0_slab_points(e, slab, 40_000_000)) > 0
+        # the cap bounds the cells of the box, which holds p and M p
+        with pytest.raises(Inconclusive, match="exceeds 1 cells"):
+            gamma0_slab_points(e, slab, 1)
 
 
 def _positive_seed(e, v):
@@ -332,15 +341,33 @@ def test_slab_enumeration_is_sound(m, seed):
     assert checked > 0
 
 
-def test_slab_nan_radius_is_inconclusive(monkeypatch):
-    # a negative definite float metric once made the radii sqrt(negative)
-    # = NaN, which came back as an empty point set with no error; its
-    # Gram determinants are negative, which the integral LLL rejects
-    monkeypatch.setattr(sail3, "_f_quadratic",
-                        lambda e: -1e30 * np.eye(3))
-    e = eigen_data(M1)
+def test_indefinite_slab_metric_is_inconclusive(monkeypatch):
+    # a negative definite float metric once made the box radii NaN, which
+    # came back as an empty point set with no error.  Scaling the F part of
+    # the exact metric by -1/1000 leaves a form of signature (1, 2) with a
+    # positive first entry: its Gram matrix is rejected by the integral LLL
+    # at every scale, 62, 126, 190 and 254 bits under a 256-bit cap, and
+    # then the slab is Inconclusive
+    polar = sail3._polar
+    monkeypatch.setattr(sail3, "_polar",
+                        lambda e, u, v: polar(e, u, v) * Fraction(-1, 1000))
+    lll = sail3._integral_lll
+    scales = []
+
+    def counting_lll(gram):
+        scales.append(gram)
+        return lll(gram)
+
+    monkeypatch.setattr(sail3, "_integral_lll", counting_lll)
+    e = eigen_data(M1, bits=256)
+    with pytest.raises(Inconclusive, match="not positive definite"):
+        reduced_slab(e, IntVector((1, 0, 0)))
+    assert len(scales) == 4
+    for small, large in zip(scales, scales[1:]):
+        assert large[0][0].bit_length() - small[0][0].bit_length() == 64
     with pytest.raises(Inconclusive):
-        gamma0_slab_points(e, reduced_slab(e, IntVector((1, 0, 0))))
+        fundamental_window(M1, bits=256)
+    assert is_reduced(M1, Sail(precision=256)).status == "Inconclusive"
 
 
 # every NRS cell of the two criterion-9 windows (m, n in [-20, 20]) whose
@@ -459,16 +486,41 @@ def test_verdict_minimum_is_the_sails():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.integers(min_value=8, max_value=24))
+       st.integers(min_value=8, max_value=30))
+# conjugators whose float slab metric or box made the fingerprint
+# Inconclusive
+@example(24, 24)
+@example(44, 20)
+@example(3, 30)
+# a 60-step conjugator (entries near 3e17) whose slab points have x below
+# the float resolution of carry's power guess, which divided by zero
+@example(1013, 60)
 def test_sail_under_long_conjugators(seed, steps):
     m = _conjugate_of_m1(random.Random(seed), steps)
-    assume(max(abs(c) for row in m.rows for c in row) <= 10 ** 5)
     e = eigen_data(m)
     # the e1 slabs of such inputs run to ~27k points on average and past
     # the 40M-cell cap; the chosen seed's slab held at most 53 points over
     # 1628 draws
     assert len(gamma0_slab_points(e, fundamental_slab(e))) <= 100
     assert fingerprint(m) == fingerprint(M1)
+
+
+# a conjugate of M1 whose float metric, rounded from approximations at
+# the root's current refinement, chose another seed once r was refined
+_REFINED_ROOT_CONJUGATE = parse_matrix("-20 10 7; -45 23 13; -6 3 2")
+
+
+@pytest.mark.parametrize("m", [M1, FRO, _REFINED_ROOT_CONJUGATE,
+                               _band_cell(-6, 15)],
+                         ids=["M1", "FRO", "conjugate", "hard(-6,15)"])
+def test_fundamental_slab_ignores_root_refinement(m):
+    fresh = eigen_data(m)
+    refined = eigen_data(m)
+    refined.r.interval(Fraction(1, 2 ** 300))
+    slabs = [fundamental_slab(e) for e in (fresh, refined)]
+    assert slabs[0] == slabs[1]
+    assert gamma0_slab_points(fresh, slabs[0]) \
+        == gamma0_slab_points(refined, slabs[1])
 
 
 def test_dirichlet_generator_is_m():
