@@ -58,9 +58,14 @@ class ParabolaParams:
 
 
 def _symmetric_functions(m: IntMatrix) -> Tuple[int, int, int]:
-    """(b1, b2, b3) of a 3x3 matrix: trace, sum of principal 2-minors (the
-    trace of the adjugate), determinant."""
-    return m.trace(), m.adjugate().trace(), det(m)
+    """(b1, b2, b3): trace, sum of principal 2-minors, determinant."""
+    b1 = m.trace()
+    b2 = 0
+    n = m.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            b2 += m[i, i] * m[j, j] - m[i, j] * m[j, i]
+    return b1, b2, det(m)
 
 
 def parabola_params(t: HessType, anchor) -> ParabolaParams:

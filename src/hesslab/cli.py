@@ -248,9 +248,15 @@ def _cmd_atlas(args, cfg):
         fmt = "SVG" if args.out.lower().endswith(".svg") else cfg.fmt
         with open(args.out, "wb") as fh:
             fh.write(atlas_mod.render_grid(cells, fmt, cfg.palette))
-    window = {"m": list(m_range), "n": list(n_range)}
-    return _emit_atlas(args, {"window": window, "counts": counts,
-                              "cells": [c.to_json() for c in cells]})
+    data = {"window": {"m": list(m_range), "n": list(n_range)},
+            "counts": counts, "cells": [c.to_json() for c in cells]}
+    if args.json and args.json is not True:
+        with open(args.json, "w") as fh:
+            json.dump(data, fh, sort_keys=True)
+        args = argparse.Namespace(**{**vars(args), "json": False})
+    _emit(args, data, "\n".join(
+        "%s %d" % (k, v) for k, v in sorted(counts.items())))
+    return 0
 
 
 def _cmd_atlas4(args, cfg):
@@ -261,19 +267,14 @@ def _cmd_atlas4(args, cfg):
     counts = {}
     for c in cells:
         counts[c.cls] = counts.get(c.cls, 0) + 1
-    return _emit_atlas(args, {"bound": bound, "counts": counts,
-                              "cells": [c.to_json() for c in cells]})
-
-
-def _emit_atlas(args, data):
-    """Emit an atlas, or write it to the path given to --json; the text
-    form is its class counts."""
+    data = {"bound": bound, "counts": counts,
+            "cells": [c.to_json() for c in cells]}
     if args.json and args.json is not True:
         with open(args.json, "w") as fh:
             json.dump(data, fh, sort_keys=True)
         args = argparse.Namespace(**{**vars(args), "json": False})
     _emit(args, data, "\n".join(
-        "%s %d" % (k, v) for k, v in sorted(data["counts"].items())))
+        "%s %d" % (k, v) for k, v in sorted(counts.items())))
     return 0
 
 

@@ -66,6 +66,9 @@ class HessType:
             out *= c[-1] ** (n - 1 - j)
         return out
 
+    def satisfies_perfect_bounds(self) -> bool:
+        return all(0 <= x < c[-1] for c in self.columns for x in c[:-1])
+
     @staticmethod
     def parse(text: str) -> "HessType":
         text = text.strip()
@@ -104,6 +107,11 @@ class FamilyPoint:
             "anchor": list(self.anchor),
             "params": list(self.params),
         }
+
+    @staticmethod
+    def from_json(obj) -> "FamilyPoint":
+        return FamilyPoint(HessType.parse(obj["type"]), IntVector(obj["anchor"]),
+                           obj["params"])
 
 
 def is_hessenberg(m: IntMatrix) -> bool:

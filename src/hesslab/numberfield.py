@@ -224,6 +224,9 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def is_rational(self) -> bool:
+        return not any(self.num[1:])
+
     def __add__(self, other):
         num, den = self.num, self.den
         if other.__class__ is int:
@@ -249,10 +252,6 @@ class FieldElement:
         if other.__class__ is int:
             return FieldElement(self.field, tuple(a * other for a in self.num),
                                 self.den)
-        if other.__class__ is Fraction:
-            return FieldElement(self.field,
-                                tuple(a * other.numerator for a in self.num),
-                                self.den * other.denominator)
         other = self._coerce(other)
         b = other.num
         prod = [0] * (len(self.num) + len(b) - 1)
