@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,13 +46,13 @@ class IntVector:
         return self.coords[i]
 
     def __add__(self, other: "IntVector") -> "IntVector":
-        return IntVector(a + b for a, b in zip(self.coords, other.coords))
+        return _vector(tuple(map(operator.add, self.coords, other.coords)))
 
     def __sub__(self, other: "IntVector") -> "IntVector":
-        return IntVector(a - b for a, b in zip(self.coords, other.coords))
+        return _vector(tuple(map(operator.sub, self.coords, other.coords)))
 
     def __neg__(self) -> "IntVector":
-        return IntVector(-a for a in self.coords)
+        return _vector(tuple(-a for a in self.coords))
 
     def scale(self, k: int) -> "IntVector":
         return IntVector(k * a for a in self.coords)
@@ -88,10 +89,10 @@ class IntMatrix:
         return self.rows[i][j]
 
     def row(self, i: int) -> IntVector:
-        return IntVector(self.rows[i])
+        return _vector(self.rows[i])
 
     def column(self, j: int) -> IntVector:
-        return IntVector(r[j] for r in self.rows)
+        return _vector(tuple(r[j] for r in self.rows))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -102,34 +103,47 @@ class IntMatrix:
         return IntMatrix([[c[i] for c in cols] for i in range(len(cols))])
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
+        return _matrix(tuple(zip(*self.rows)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        )
+        return _matrix(tuple(tuple(map(operator.add, ra, rb))
+                             for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        )
+        return _matrix(tuple(tuple(map(operator.sub, ra, rb))
+                             for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([-x for x in r] for r in self.rows)
+        return _matrix(tuple(tuple(-x for x in r) for r in self.rows))
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix([k * x for x in r] for r in self.rows)
 
     def __mul__(self, other):
+        rows = self.rows
         if isinstance(other, IntMatrix):
-            ot = other.transpose().rows
-            return IntMatrix(
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
-                for row in self.rows
-            )
+            if len(rows) == 3 and len(other.rows) == 3:
+                (a, b, c), (d, e, f), (g, h, i) = rows
+                (p, q, r), (s, t, u), (v, w, x) = other.rows
+                return _matrix((
+                    (a * p + b * s + c * v, a * q + b * t + c * w,
+                     a * r + b * u + c * x),
+                    (d * p + e * s + f * v, d * q + e * t + f * w,
+                     d * r + e * u + f * x),
+                    (g * p + h * s + i * v, g * q + h * t + i * w,
+                     g * r + h * u + i * x)))
+            cols = tuple(zip(*other.rows))
+            return _matrix(tuple(tuple(sum(map(operator.mul, row, col))
+                                       for col in cols) for row in rows))
         if isinstance(other, IntVector):
-            return IntVector(sum(a * b for a, b in zip(row, other.coords))
-                             for row in self.rows)
+            vs = other.coords
+            if len(rows) == 3 and len(vs) == 3:
+                (a, b, c), (d, e, f), (g, h, i) = rows
+                x, y, z = vs
+                return _vector((a * x + b * y + c * z, d * x + e * y + f * z,
+                                g * x + h * y + i * z))
+            return _vector(tuple(sum(map(operator.mul, row, vs))
+                                 for row in rows))
         return NotImplemented
 
     def __pow__(self, k: int) -> "IntMatrix":
@@ -150,12 +164,12 @@ class IntMatrix:
     def adjugate(self) -> "IntMatrix":
         n = self.n
         if n == 1:
-            return IntMatrix([[1]])
+            return _matrix(((1,),))
         if n == 3:  # the columns are cross products of the rows
             (a, b, c), (d, e, f), (g, h, i) = self.rows
-            return IntMatrix([[e * i - f * h, c * h - b * i, b * f - c * e],
-                              [f * g - d * i, a * i - c * g, c * d - a * f],
-                              [d * h - e * g, b * g - a * h, a * e - b * d]])
+            return _matrix(((e * i - f * h, c * h - b * i, b * f - c * e),
+                            (f * g - d * i, a * i - c * g, c * d - a * f),
+                            (d * h - e * g, b * g - a * h, a * e - b * d)))
         adj = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -164,7 +178,7 @@ class IntMatrix:
                     for r in range(n) if r != i
                 ]
                 adj[j][i] = (-1) ** (i + j) * _det_rows(minor)
-        return IntMatrix(adj)
+        return _matrix(tuple(map(tuple, adj)))
 
     def inverse_unimodular(self) -> "IntMatrix":
         d = det(self)
@@ -177,10 +191,30 @@ class IntMatrix:
         return "; ".join(" ".join(str(x) for x in r) for r in self.rows)
 
 
+# Results of arithmetic are built from tuples of Python ints by these two,
+# which skip the public constructors' int() pass: that pass converts entries
+# from outside (numpy integers, say), and it dominated small 3x3 products.
+
+def _vector(coords: tuple) -> IntVector:
+    v = object.__new__(IntVector)
+    object.__setattr__(v, "coords", coords)
+    return v
+
+
+def _matrix(rows: tuple) -> IntMatrix:
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
 def _det_rows(rows) -> int:
-    """Fraction-free Gauss-Bareiss determinant of a list-of-lists."""
+    """Determinant of a list-of-lists: the cofactor expansion for 3x3,
+    fraction-free Gauss-Bareiss otherwise."""
+    n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(r) for r in rows]
-    n = len(a)
     if n == 1:
         return a[0][0]
     sign = 1
@@ -275,11 +309,16 @@ class IntPoly:
 def char_poly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(tI - M), exact integer coefficients.
 
-    Faddeev-LeVerrier over the integers: M_k = M M_(k-1) + c_(n-k+1) I and
-    c_(n-k) = -tr(M M_k) / k, where the division is exact.
+    A closed form for 3x3; otherwise Faddeev-LeVerrier over the integers:
+    M_k = M M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(M M_k) / k, where the
+    division is exact.
     """
     n = m.n
     a = m.rows
+    if n == 3:  # t^3 - tr t^2 + c2 t - det, c2 the principal 2-minors
+        (p, q, r), (s, t, u), (v, w, x) = a
+        c2 = p * t - q * s + p * x - r * v + t * x - u * w
+        return IntPoly((-det(m), c2, -(p + t + x), 1))
     cols = list(zip(*a))
     coeffs = [0] * n + [1]
     mk = [[0] * n for _ in range(n)]

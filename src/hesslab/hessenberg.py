@@ -75,8 +75,15 @@ class HessType:
         if text.startswith("<") and text.endswith(">"):
             text = text[1:-1]
         cols = []
-        for chunk in text.split("|"):
-            cols.append([int(t) for t in chunk.split(",")])
+        for cn, chunk in enumerate(text.split("|")):
+            col = []
+            for en, tok in enumerate(chunk.split(",")):
+                try:
+                    col.append(int(tok))
+                except ValueError:
+                    raise ExactError("type column %d, entry %d: %r is not an "
+                                     "integer" % (cn + 1, en + 1, tok)) from None
+            cols.append(col)
         return HessType(cols)
 
     def __str__(self) -> str:

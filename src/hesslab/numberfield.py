@@ -317,34 +317,39 @@ class FieldElement:
             root.refine()
             budget -= 1
 
-    def interval(self, width: Fraction) -> Tuple[Fraction, Fraction]:
-        """A rational enclosure of the real value, of at most given width."""
-        width = Fraction(width)
-        root = self.field.root
-        num = self.num
-        while True:
-            lo, hi = _horner_interval(num, root.a, root.b, root.k)
-            scale = self.den << (root.k * (len(num) - 1))
-            if (hi - lo) * width.denominator <= width.numerator * scale:
-                return Fraction(lo, scale), Fraction(hi, scale)
-            root.refine()
-
-    def floor(self, shift: int = 0) -> int:
-        """floor(value * 2^shift), exactly, so whatever the refinement of r:
-        the enclosure is refined until it holds at most one integer, and
-        sign() puts the value on one side of that one."""
+    def bounds(self, shift: int = 0) -> Tuple[int, int]:
+        """The floor and the ceiling of value * 2^shift, exactly, so whatever
+        the refinement of r: the Horner enclosure is refined until, rounded
+        outward, it spans at most one unit, or is narrow enough that sign()
+        puts the value on one side of the one integer inside it.  The value
+        of an element with an r-term is irrational, so its bounds differ by
+        one; a rational element's enclosure is the value itself."""
         up, down = 1 << max(shift, 0), 1 << max(-shift, 0)
         num, root = self.num, self.field.root
         for _ in range(self.field.precision_bits + 1):
             lo, hi = _horner_interval(num, root.a, root.b, root.k)
             scale = (self.den << (root.k * (len(num) - 1))) * down
-            n = hi * up // scale
-            if lo * up // scale == n:
-                return n
+            n, m = lo * up // scale, -(-hi * up // scale)
+            if m - n <= 1:
+                return n, m
             if (hi - lo) * up << 8 <= scale:
-                return n - ((self * up - n * down).sign() < 0)
+                # 2^-8 wide: n + 1 is the one integer inside
+                s = (self * up - (n + 1) * down).sign()
+                return n + (s >= 0), n + 1 + (s > 0)
             root.refine()
-        raise PrecisionExhausted("floor of field element undecided at cap")
+        raise PrecisionExhausted("bounds of field element undecided at cap")
+
+    def floor(self, shift: int = 0) -> int:
+        """floor(value * 2^shift), exactly."""
+        return self.bounds(shift)[0]
+
+    def interval(self, width: Fraction) -> Tuple[Fraction, Fraction]:
+        """A dyadic enclosure of the real value, of at most given width:
+        the bounds at the least 2^-b <= width."""
+        width = Fraction(width)
+        b = (-(-width.denominator // width.numerator) - 1).bit_length()
+        lo, hi = self.bounds(b)
+        return Fraction(lo, 1 << b), Fraction(hi, 1 << b)
 
     def approx(self) -> float:
         """A float near the value (from an enclosure of width 2^-40),

@@ -218,9 +218,10 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
 def fingerprint(m: IntMatrix, precision: int = 4096,
                 region: int = 40_000_000) -> Fingerprint:
     """Distinct perfect forms reached from the MD-minimal vertices of a
-    fundamental domain (both sails; the second sail is the -E image of the
-    first, and reduce_to_perfect is even in the seed, so each vertex is
-    processed through both signs)."""
+    fundamental domain, one reduction per vertex.  The second sail is the
+    -E image of the first, and it needs none: reduce_to_perfect is even in
+    the seed, as -U(v) meets every condition that fixes U(-v), so H(-v) =
+    H(v)."""
     if det(m) != 1 or m.n != 3:
         raise ExactError("fingerprints require SL(3,Z) input")
     sail = compute_sail(m, bits=precision, point_cap=region)
@@ -233,9 +234,8 @@ def fingerprint(m: IntMatrix, precision: int = 4096,
     for p, val in zip(fund, values):
         if val != best:
             continue
-        for v in (p.preimage, -p.preimage):
-            h, _ = reduce_to_perfect(m, v)
-            seen[tuple(tuple(r) for r in h.rows)] = h
+        h, _ = reduce_to_perfect(m, p.preimage)
+        seen[h.rows] = h
     mats = [seen[k] for k in sorted(seen)]
     for h in mats:
         complexity = hessenberg_complexity(h)

@@ -12,9 +12,11 @@ basis 1, r, r^2 of Q(r): x is a 3x3 table over one denominator, and
 F = y_sq a table of the six monomials f_a f_b of the omega rows f = (f_0,
 f_1, f_2), also over one denominator.  x(v) and F(v) are then integer dot
 products that build one FieldElement each.  The slab enumeration runs in
-Python integers and Q(r) with proven bounds; hull orientations are decided
-in outward-rounded float interval arithmetic where that is certain, and in
-Q(r) otherwise.
+Python integers and Q(r) with proven bounds.  Each projected point keeps
+the integer floor and ceiling of 2^20 x and 2^20 y_sq: orders of x and
+y_sq compare those integers first, and hull orientations are decided in
+outward-rounded float interval arithmetic on floats made from them where
+that is certain; both fall back to Q(r) otherwise.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x and where e1's window lies; the reducedness verdict and
@@ -48,7 +50,8 @@ from .numberfield import (
     sign_three_sqrt,
 )
 
-_SMALL = Fraction(1, 1 << 20)
+# bits of the PiPoint boxes, even so that sqrt(2^-b) is a power of two
+_BOX_BITS = 20
 
 
 class SailError(ExactError):
@@ -203,23 +206,27 @@ class PiPoint:
     y_sq: FieldElement
 
     @functools.cached_property
-    def box(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        """(x_lo, x_hi, y_sq_lo, y_sq_hi): enclosures of x and y_sq of
-        width at most 2^-20, computed once."""
-        return self.x.interval(_SMALL) + self.y_sq.interval(_SMALL)
+    def box(self) -> Tuple[int, int, int, int]:
+        """(x_lo, x_hi, y_sq_lo, y_sq_hi): the integer bounds of 2^20 x and
+        2^20 y_sq (FieldElement.bounds), computed once."""
+        return self.x.bounds(_BOX_BITS) + self.y_sq.bounds(_BOX_BITS)
 
     @functools.cached_property
     def float_box(self):
         """(x_lo, x_hi, y_lo, y_hi): float bounds on x and on y =
         sqrt(y_sq), from box by correctly rounded float() and math.sqrt,
-        each widened one ulp outward; None when a conversion overflows."""
+        each widened one ulp outward, then scaled by 2^-20 (2^-10 for y);
+        None when a conversion overflows."""
         x_lo, x_hi, y_lo, y_hi = self.box
         try:
-            return (_down(float(x_lo)), _up(float(x_hi)),
-                    _down(math.sqrt(max(0.0, _down(float(y_lo))))),
-                    _up(math.sqrt(_up(float(y_hi)))))
+            x = _down(float(x_lo)), _up(float(x_hi))
+            y = (_down(math.sqrt(max(0.0, _down(float(y_lo))))),
+                 _up(math.sqrt(_up(float(y_hi)))))
         except OverflowError:
             return None
+        return (math.ldexp(x[0], -_BOX_BITS), math.ldexp(x[1], -_BOX_BITS),
+                math.ldexp(y[0], -_BOX_BITS // 2),
+                math.ldexp(y[1], -_BOX_BITS // 2))
 
 
 def _x_coord(e: EigenData3, v: IntVector) -> FieldElement:
@@ -235,7 +242,8 @@ def _y_sq(e: EigenData3, v: IntVector) -> FieldElement:
 
 
 def project_pi(e: EigenData3, v: IntVector) -> PiPoint:
-    v = IntVector(v)
+    if not isinstance(v, IntVector):
+        v = IntVector(v)
     return PiPoint(v, _x_coord(e, v), _y_sq(e, v))
 
 
@@ -274,14 +282,16 @@ def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:
     a y3 + b y2 + c y1 with a = x2 - x1, b = x1 - x3, c = x3 - x2.
 
     The float filter evaluates that sum over the points' float_box bounds.
-    float() of a Fraction, math.sqrt, * and + are correctly rounded, so
-    each result is within half an ulp of the exact operation on its float
-    arguments, and one math.nextafter step outward makes it a bound; the
-    interval so built contains the exact sum.  An overflow only widens it
-    to an infinite end, and inf - inf or inf * 0 makes it NaN.  The filter
-    decides when the interval lies strictly on one side of 0; when it
-    contains 0 or is NaN, or a float conversion overflowed, the sign is
-    decided exactly by sign_three_sqrt in Q(r).
+    float() of an int, math.sqrt, * and + are correctly rounded, so each
+    result is within half an ulp of the exact operation on its float
+    arguments, and one math.nextafter step outward makes it a bound;
+    math.ldexp by 2^-20 or 2^-10 is exact, except that it may take a
+    one-step widening of 0 back to 0, itself a bound.  The interval so built
+    contains the exact sum.  An overflow only widens it to an infinite end,
+    and inf - inf or inf * 0 makes it NaN.  The filter decides when the
+    interval lies strictly on one side of 0; when it contains 0 or is NaN,
+    or a float conversion overflowed, the sign is decided exactly by
+    sign_three_sqrt in Q(r).
     """
     b1, b2, b3 = p1.float_box, p2.float_box, p3.float_box
     if b1 is not None and b2 is not None and b3 is not None:

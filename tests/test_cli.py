@@ -74,6 +74,34 @@ def test_fingerprint(capsys):
     assert len(doc["matrices"]) == 2
 
 
+# (preimage, x, y, is_fundamental) of M1's sail; the printed enclosures are
+# FieldElement.interval at width 10^-12, rounded to nine decimals
+_M1_SAIL = (
+    ((0, -5, 3), "0.191282440", "5.131338958", False),
+    ((-1, 2, -1), "0.678862991", "2.723812375", False),
+    ((1, 0, 0), "1.000000000", "2.244234607", True),
+    ((0, -1, 1), "3.549008421", "1.191282440", True),
+    ((0, 1, 0), "5.227871412", "0.981535037", False),
+    ((1, 0, 2), "18.553759666", "0.521017477", False),
+    ((1, 0, 3), "27.330639500", "0.429282672", False),
+)
+
+
+def test_sail_and_fingerprint_json_golden(capsys):
+    code, out, _ = run(["sail", "0 1 2; 1 0 0; 0 3 5", "--json"], capsys)
+    assert code == 0
+    assert out == "[%s]\n" % ", ".join(
+        '{"is_fundamental": %s, "preimage": [%s], "x": ["%s", "%s"], '
+        '"y": ["%s", "%s"]}' % ("true" if fund else "false",
+                                ", ".join(map(str, v)), x, x, y, y)
+        for v, x, y, fund in _M1_SAIL)
+    code, out, _ = run(["fingerprint", "0 1 2; 1 0 0; 0 3 5", "--json"],
+                       capsys)
+    assert code == 0
+    assert out == ('{"matrices": [[[0, 1, 2], [1, 0, 0], [0, 3, 5]], '
+                   '[[0, 2, 3], [1, 1, 1], [0, 3, 4]]], "min_value": 3}\n')
+
+
 def test_sail_below_one_real_eigenvalue(capsys):
     # r ~ 0.57 < 1; certified Reduced by verdict, so sail must not exit 2
     code, out, _ = run(["sail", "0 0 1; 1 0 -2; 0 1 1", "--json"], capsys)
@@ -104,7 +132,10 @@ _ATLAS = ["atlas", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1"]
     (_ATLAS + ["--range", "12,2:3"], None, None),
     (["complexity", "0 1 2; 1 0 0; 0 3 5"], "abc", None),
     (["complexity", "0 1 2; 1 0 0; 0 3 5"], None, "region = abc\n"),
-], ids=["range-not-int", "range-no-colon", "env-bits", "config-region"])
+    (["ray", "--type", "<a>", "--anchor", "1,0,1", "--start", "0,0",
+      "--dir", "1,0"], None, None),
+], ids=["range-not-int", "range-no-colon", "env-bits", "config-region",
+        "type-not-int"])
 def test_malformed_numbers_are_input_errors(argv, env, config, tmp_path,
                                             capsys, monkeypatch):
     # each escaped as a ValueError traceback
@@ -119,6 +150,14 @@ def test_malformed_numbers_are_input_errors(argv, env, config, tmp_path,
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_type_names_the_entry(capsys):
+    # int() in HessType.parse escaped as a ValueError traceback
+    code, _, err = run(["atlas", "--type", "<0,1|1,x,2>", "--anchor", "1,0,1"],
+                       capsys)
+    assert code == 1
+    assert err == "error: type column 2, entry 2: 'x' is not an integer\n"
 
 
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):

@@ -145,9 +145,16 @@ def test_char_poly_conjugacy_invariant(m, u):
     assert char_poly(h) == char_poly(m)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from((2, 3, 4)).flatmap(
-    lambda n: small_matrices(n=n, lo=-30, hi=30)))
+_BIG = 10 ** 20
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(
+    st.sampled_from((2, 3, 4)).flatmap(
+        lambda n: small_matrices(n=n, lo=-30, hi=30)),
+    # entries near 10^20 run the 3x3 closed form on big integers
+    small_matrices(n=3, lo=-_BIG - 30, hi=-_BIG + 30),
+    small_matrices(n=3, lo=-_BIG, hi=_BIG)))
 def test_char_poly_matches_determinant_oracle(m):
     p = char_poly(m)
     n = m.n
@@ -156,6 +163,39 @@ def test_char_poly_matches_determinant_oracle(m):
         rows = [[(x if i == j else 0) - m[i, j] for j in range(n)]
                 for i in range(n)]
         assert p(x) == leibniz_det(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(
+    lambda n: st.tuples(small_matrices(n=n, lo=-_BIG, hi=_BIG),
+                        small_matrices(n=n, lo=-_BIG, hi=_BIG))))
+def test_matrix_kernel_matches_loops(pair):
+    # the 3x3 closed forms and the generic code against plain loops
+    a, b = pair
+    n = a.n
+    prod = [[sum(a[i, k] * b[k, j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    assert (a * b).rows == tuple(map(tuple, prod))
+    v = b.column(0)
+    assert (a * v).coords == tuple(row[0] for row in prod)
+    assert det(a) == leibniz_det(a.rows)
+    assert a * a.adjugate() == IntMatrix.identity(n).scale(det(a))
+    assert (a + b) - b == a and -(-a) == a and a.transpose().transpose() == a
+    for x in [a * b, a * v, a.adjugate(), a + b, a - b, -a, a.row(1)]:
+        entries = x.coords if isinstance(x, IntVector) else sum(x.rows, ())
+        assert all(type(c) is int for c in entries)
+
+
+def test_public_constructors_convert_numpy_integers():
+    np = pytest.importorskip("numpy")
+    rows = np.array([[0, 1, 2], [1, 0, 0], [0, 3, 5]], dtype=np.int64)
+    m = IntMatrix(rows)
+    v = IntVector(rows[0])
+    assert all(type(c) is int for c in sum(m.rows, ()) + v.coords)
+    assert m == parse_matrix("0 1 2; 1 0 0; 0 3 5") and v == IntVector((0, 1, 2))
+    # products of converted entries stay Python ints, which do not wrap
+    big = IntMatrix(rows * 2 ** 40)
+    assert (big * big)[2, 2] == 25 * 2 ** 80
 
 
 @settings(max_examples=100, deadline=None)

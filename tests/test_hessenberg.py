@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unimodular
+from conftest import nonzero_vectors, random_unimodular, unimodular_matrices
 from hesslab.atlas import FAMILY_4D_ANCHOR, FAMILY_4D_TYPE
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, factor_small, parse_matrix
 from hesslab.hessenberg import (
@@ -79,11 +79,18 @@ def test_reduce_reducible_poly_degenerates():
         reduce_to_perfect(m, IntVector((1, 0, 0)))
 
 
-def test_reduce_even_in_seed():
-    for v in [(1, 0, 0), (0, 1, 2), (3, 1, -2)]:
-        h1, _ = reduce_to_perfect(M1, IntVector(v))
-        h2, _ = reduce_to_perfect(M1, -IntVector(v))
-        assert h1 == h2
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((M1, FRO)), unimodular_matrices(steps=10),
+       nonzero_vectors(lo=-40, hi=40))
+def test_reduce_even_in_seed(m, u, v):
+    # -U(v) meets every condition that fixes U(-v), so the fingerprint
+    # reduces each MD-minimal vertex once, not through both signs
+    assume(v.is_primitive())
+    m = u.inverse_unimodular() * m * u
+    h1, u1 = reduce_to_perfect(m, v)
+    h2, u2 = reduce_to_perfect(m, -v)
+    assert h1 == h2
+    assert u2 == -u1
 
 
 def test_reduce_constant_on_dirichlet_orbit():

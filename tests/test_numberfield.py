@@ -143,6 +143,41 @@ def test_floor_is_exact_and_ignores_refinement(num, den, shift):
     assert tiny.floor(shift) == 0 and (-tiny).floor(shift) == -1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                min_size=3, max_size=3),
+       st.integers(min_value=1, max_value=10 ** 6),
+       st.integers(min_value=-40, max_value=80),
+       st.integers(min_value=0, max_value=300))
+def test_bounds_enclose_and_ignore_refinement(num, den, shift, refined):
+    # floor and ceiling of value * 2^shift, checked by exact signs, the same
+    # whether r was refined to 2^-refined first or not at all
+    a = _field().element(num) * Fraction(1, den)
+    lo, hi = a.bounds(shift)
+    assert lo == a.floor(shift)
+    scaled = a * Fraction(2) ** shift
+    assert (scaled - lo).sign() >= 0 and (scaled - hi).sign() <= 0
+    assert hi - lo == (0 if a.is_rational() and (scaled - lo).is_zero()
+                       else 1)
+    b = _field().element(num) * Fraction(1, den)
+    b.interval(Fraction(1, 2 ** refined))
+    assert b.bounds(shift) == (lo, hi)
+
+
+def test_bounds_of_rationals_and_near_integers():
+    k = _field()
+    assert k.element([Fraction(3, 4)]).bounds(2) == (3, 3)
+    assert k.element([Fraction(-3, 4)]).bounds(1) == (-2, -1)
+    assert k.element([Fraction(-3, 4)]).bounds(-1) == (-1, 0)
+    # r - d is positive and below 2^-60, so the enclosures straddle 0 until
+    # the exact sign decides
+    r = k.gen()
+    d = Fraction(math.floor(r.interval(Fraction(1, 2 ** 80))[0] * 2 ** 60),
+                 2 ** 60)
+    tiny = _field().gen() - d
+    assert tiny.bounds(20) == (0, 1) and (-tiny).bounds(20) == (-1, 0)
+
+
 def test_precision_exhausted_is_raised():
     # comparing r against a rational agreeing to hundreds of digits must
     # either resolve exactly or raise, never return a wrong sign

@@ -174,6 +174,42 @@ def test_orientation_filter_matches_exact(i, vs, shape):
         assert exact.calls == 1
 
 
+def _float_box_holds(p):
+    x_lo, x_hi, y_lo, y_hi = map(Fraction, p.float_box)
+    assert (p.x - x_lo).sign() >= 0 and (p.x - x_hi).sign() <= 0
+    assert y_lo <= 0 or (p.y_sq - y_lo * y_lo).sign() >= 0
+    assert y_hi >= 0 and (p.y_sq - y_hi * y_hi).sign() <= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=3),
+       nonzero_vectors(lo=-10 ** 6, hi=10 ** 6))
+def test_float_box_holds_x_and_y(i, v):
+    _, e = _operator_data(i)
+    p = project_pi(e, v)
+    assert p.box == p.x.bounds(20) + p.y_sq.bounds(20)
+    _float_box_holds(p)
+    # beyond the float range the conversion overflows: no box, and the
+    # orientation falls back (the "huge" case above)
+    assert project_pi(e, v.scale(10 ** 400)).float_box is None
+
+
+def test_float_box_near_the_box_resolution():
+    # values at, just off and far below 2^-20: integer bounds of a few
+    # units, and widenings of 0 that ldexp flushes back to 0
+    field = NumberField.for_largest_root(char_poly(M1))
+    r = field.gen()
+    lo, _ = r.interval(Fraction(1, 1 << 80))
+    tiny = r - Fraction(math.floor(lo * (1 << 60)), 1 << 60)  # in (0, 2^-60)
+    unit = Fraction(1, 1 << 20)
+    values = [field.element([c]) for c in (0, unit, -unit, unit / 2, 3 * unit)]
+    values += [tiny, -tiny, tiny + unit, unit - tiny, tiny * (1 << 30)]
+    for x in values:
+        for y_sq in values:
+            if y_sq.sign() >= 0:
+                _float_box_holds(PiPoint(IntVector((1, 0, 0)), x, y_sq))
+
+
 def test_orientation_falls_back_on_nan_and_missing_box():
     e = eigen_data(M1)
     pts = [project_pi(e, IntVector(v))
