@@ -7,8 +7,11 @@ an element of Q(r) is held as integer coefficients of 1, r, ..., r^(d-1)
 over one positive denominator (Cohen, A Course in Computational Algebraic
 Number Theory, 4.2) and products reduce by the minimal polynomial in
 integers.  Signs are decided by interval evaluation on a dyadic isolating
-interval of r, bisected one bit at a time (termination is guaranteed
-because a nonzero element of the field cannot vanish at r).
+interval of r, refined to the precision each decision asks for by
+certified Newton steps, with a bisection wherever a step fails (quadratic
+interval refinement: Abbott, 2006; Kerber and Sagraloff, 2011).
+Termination is guaranteed because a nonzero element of the field cannot
+vanish at r.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import List, Tuple
 from .exact import ExactError, IntPoly, _det_rows, count_real_roots
 
 _DEFAULT_PRECISION_BITS = 4096
-_APPROX_WIDTH = Fraction(1, 1 << 40)
 
 
 class PrecisionExhausted(ExactError):
@@ -102,6 +104,48 @@ class RealRoot:
             shift += k
             acc = acc * m + (c << shift)
         return (acc > 0) - (acc < 0)
+
+    @property
+    def bits(self) -> int:
+        """The precision: the largest n with width (b - a)/2^k below 2^-n."""
+        return self.k - (self.b - self.a).bit_length()
+
+    def refine_to(self, bits: int) -> None:
+        """Refine until the interval is narrower than 2^-bits; one that is
+        not yet ends with precision exactly `bits`.
+
+        Each step tries Newton's method from the midpoint m / 2^j at K bits,
+        about twice the current precision: T = floor(2^K (m/2^j -
+        p/p')), in integers, with p and p' scaled by 2^(jd) and 2^(j(d-1)).
+        The interval ((T - 1)/2^K, (T + 2)/2^K) holds the root once
+        Newton's error is below 2^-K, and it is kept only if it lies inside
+        the old one and exact signs of p at its ends bracket the root;
+        otherwise the step is one bisection.
+        """
+        cs = self.poly.coeffs
+        while True:
+            have = self.bits
+            if have >= bits:
+                return
+            a, b, k = self.a, self.b, self.k
+            big_k = min(2 * have, bits + 2)
+            if big_k >= k + 2:
+                m, j = a + b, k + 1
+                pv, dv = cs[-1], 0
+                shift = 0
+                for c in cs[-2::-1]:
+                    shift += j
+                    dv = dv * m + pv
+                    pv = pv * m + (c << shift)
+                if dv:
+                    t = ((m * dv - pv) << (big_k - j)) // dv
+                    lo, hi, up = t - 1, t + 2, big_k - k
+                    if (a << up <= lo and hi <= b << up
+                            and self._sign_at(lo, big_k) == self.sign_a
+                            and self._sign_at(hi, big_k) == -self.sign_a):
+                        self.a, self.b, self.k = lo, hi, big_k
+                        continue
+            self.refine()
 
     def refine(self) -> None:
         """One bisection step: the interval halves."""
@@ -300,44 +344,60 @@ class FieldElement:
         return self.field.element([other])
 
     def sign(self) -> int:
+        """The exact sign: the Horner enclosure over the interval of r,
+        with r refined to twice its bits plus 8 while it straddles 0.  A
+        call adds at most precision_bits bits to r, then raises
+        PrecisionExhausted."""
         num = self.num
         if not any(num[1:]):
             c = num[0]
             return (c > 0) - (c < 0)
         root = self.field.root
-        budget = self.field.precision_bits
+        cap = None
         while True:
             lo, hi = _horner_interval(num, root.a, root.b, root.k)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            if budget <= 0:
+            bits = root.bits
+            if cap is None:
+                cap = bits + self.field.precision_bits
+            if bits >= cap:
                 raise PrecisionExhausted("sign of field element undecided at cap")
-            root.refine()
-            budget -= 1
+            root.refine_to(min(2 * max(bits, 0) + 8, cap))
 
     def bounds(self, shift: int = 0) -> Tuple[int, int]:
         """The floor and the ceiling of value * 2^shift, exactly, so whatever
         the refinement of r: the Horner enclosure is refined until, rounded
         outward, it spans at most one unit, or is narrow enough that sign()
-        puts the value on one side of the one integer inside it.  The value
-        of an element with an r-term is irrational, so its bounds differ by
-        one; a rational element's enclosure is the value itself."""
+        puts the value on one side of the one integer inside it.  Each
+        refinement asks r for the bits that narrow the enclosure, scaled by
+        2^shift, from its current width to about 2^-10, and a call adds at
+        most precision_bits bits to r, as in sign().  The value of an
+        element with an r-term is irrational, so its bounds differ by one;
+        a rational element's enclosure is the value itself."""
         up, down = 1 << max(shift, 0), 1 << max(-shift, 0)
         num, root = self.num, self.field.root
-        for _ in range(self.field.precision_bits + 1):
+        cap = None
+        while True:
             lo, hi = _horner_interval(num, root.a, root.b, root.k)
             scale = (self.den << (root.k * (len(num) - 1))) * down
             n, m = lo * up // scale, -(-hi * up // scale)
             if m - n <= 1:
                 return n, m
-            if (hi - lo) * up << 8 <= scale:
+            spread = (hi - lo) * up
+            if spread << 8 <= scale:
                 # 2^-8 wide: n + 1 is the one integer inside
                 s = (self * up - (n + 1) * down).sign()
                 return n + (s >= 0), n + 1 + (s > 0)
-            root.refine()
-        raise PrecisionExhausted("bounds of field element undecided at cap")
+            bits = root.bits
+            if cap is None:
+                cap = bits + self.field.precision_bits
+            if bits >= cap:
+                raise PrecisionExhausted("bounds of field element undecided at cap")
+            root.refine_to(min(bits + spread.bit_length() - scale.bit_length()
+                               + 10, cap))
 
     def floor(self, shift: int = 0) -> int:
         """floor(value * 2^shift), exactly."""
@@ -352,11 +412,11 @@ class FieldElement:
         return Fraction(lo, 1 << b), Fraction(hi, 1 << b)
 
     def approx(self) -> float:
-        """A float near the value (from an enclosure of width 2^-40),
-        computed once per element."""
+        """The float nearest the midpoint of the bounds at 2^-40, computed
+        once per element."""
         if self._approx is None:
-            lo, hi = self.interval(_APPROX_WIDTH)
-            self._approx = float((lo + hi) / 2)
+            lo, hi = self.bounds(40)
+            self._approx = (lo + hi) / (1 << 41)
         return self._approx
 
     def __eq__(self, other):

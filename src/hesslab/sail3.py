@@ -62,9 +62,9 @@ class Inconclusive(SailError):
     """Raised when a certified computation exceeds its configured budget."""
 
 
-def _require_nrs(m: IntMatrix) -> IntPoly:
-    """The characteristic polynomial of m, once m is known to be an NRS
-    operator in SL(3,Z)."""
+def _require_nrs(m: IntMatrix) -> Tuple[IntPoly, int]:
+    """The characteristic polynomial of m and its (negative) discriminant,
+    once m is known to be an NRS operator in SL(3,Z)."""
     if m.n != 3:
         raise SailError("sails are implemented for 3x3 operators only")
     if det(m) != 1:
@@ -72,9 +72,10 @@ def _require_nrs(m: IntMatrix) -> IntPoly:
     p = char_poly(m)
     if len(factor_small(p)) != 1:
         raise SailError("characteristic polynomial is reducible")
-    if discriminant(p) >= 0:
+    disc = discriminant(p)
+    if disc >= 0:
         raise SailError("matrix has real spectrum (RS); sails unsupported")
-    return p
+    return p, disc
 
 
 @dataclass
@@ -107,6 +108,7 @@ class EigenData3:
     r: FieldElement
     g1: Tuple[FieldElement, FieldElement, FieldElement]
     x_form: Tuple[FieldElement, FieldElement, FieldElement]
+    x_approx: Tuple[float, float, float]  # x_form[i].approx(), fixed per operator
     omega_rows: Tuple[Tuple[int, ...], ...]  # 3 integer rows: omega_0/1/2 at a fixed row
     s: FieldElement
     q: FieldElement
@@ -147,7 +149,7 @@ def _quadratic(field: NumberField, f_table, f_den: int,
 
 
 def eigen_data(m: IntMatrix, bits: int = 4096) -> EigenData3:
-    p = _require_nrs(m)
+    p, disc = _require_nrs(m)
     field = NumberField.for_largest_root(p, precision_bits=bits)
     r = field.gen()
     a0, w1, w2 = _adjugate_coeffs(m)
@@ -187,14 +189,15 @@ def eigen_data(m: IntMatrix, bits: int = 4096) -> EigenData3:
     # p'(r) |p'(c)|^2 = -disc(p), and y(r) |y(c)|^2 is a rational
     slope = (a0.trace(), -2 * trace, 3)
     x_g1_inv = _quadratic(field, f_table, f_den, *slope) \
-        * Fraction(-1, discriminant(p))
+        * Fraction(-1, disc)
     g_hat = tuple(g * x_g1_inv for g in g1)
     h = (a0[i, j], w1[i, j], w2[i, j])
     y = field.element([sum(slope[k] * h[n - k] for k in range(3)
                            if 0 <= n - k < 3) for n in range(5)])
     norm = y * _quadratic(field, f_table, f_den, *y.num)
     rho_scale = y * Fraction(4 * norm.den, norm.num[0])
-    return EigenData3(m, a0, field, r, g1, x_form, omega_rows, s, q,
+    return EigenData3(m, a0, field, r, g1, x_form,
+                      tuple(f.approx() for f in x_form), omega_rows, s, q,
                       x_table, x_den, f_table, f_den, g_hat, omega_cols,
                       rho_scale)
 
@@ -396,13 +399,13 @@ def _dec(x: Fraction) -> str:
 def _x_sign(e: EigenData3, v: IntVector) -> int:
     """The sign of x(v), from floats where their error bound decides it.
 
-    Each x_form[i].approx() is the midpoint of an enclosure of width
-    2^-40, so it is within 2^-41 + 2^-53 |x_form[i]| of its value, and the
-    float dot product adds at most 4 * 2^-53 * sum |x_form[i] v_i|.  A
-    float result beyond twice that bound has the exact sign; any other is
-    decided in Q(r).
+    Each x_approx[i] = x_form[i].approx() is the float nearest the
+    midpoint of an enclosure of width 2^-40, so it is within
+    2^-41 + 2^-53 |x_form[i]| of its value, and the float dot product adds
+    at most 4 * 2^-53 * sum |x_form[i] v_i|.  A float result beyond twice
+    that bound has the exact sign; any other is decided in Q(r).
     """
-    terms = [f.approx() * c for f, c in zip(e.x_form, v)]
+    terms = [f * c for f, c in zip(e.x_approx, v)]
     xf = sum(terms)
     bound = 2.0 ** -40 * sum(abs(c) for c in v) \
         + 2.0 ** -49 * sum(abs(t) for t in terms)
@@ -418,7 +421,7 @@ def _positive(e: EigenData3, v: IntVector) -> IntVector:
 
 
 def _x_approx(e: EigenData3, v: IntVector) -> float:
-    return sum(f.approx() * c for f, c in zip(e.x_form, v))
+    return sum(f * c for f, c in zip(e.x_approx, v))
 
 
 def _integral_lll(gram):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PolyModField
-from hesslab.exact import ExactError, IntPoly
+from hesslab.exact import ExactError, IntPoly, IntVector, parse_matrix
+from hesslab.hessenberg import FamilyPoint, HessType, family_member
 from hesslab.numberfield import (
     NumberField,
     PrecisionExhausted,
@@ -16,6 +17,7 @@ from hesslab.numberfield import (
     sign_a_plus_b_sqrt,
     sign_three_sqrt,
 )
+from hesslab.reducedness import Sail, is_reduced
 
 
 def _field():
@@ -179,20 +181,23 @@ def test_bounds_of_rationals_and_near_integers():
 
 
 def test_precision_exhausted_is_raised():
-    # comparing r against a rational agreeing to hundreds of digits must
-    # either resolve exactly or raise, never return a wrong sign
+    # r against a rational within 2^-200 of it: one call may add at most 64
+    # bits to r, so sign() and bounds() must raise, never return a wrong
+    # answer; the default cap decides the sign exactly
+    lo, hi = _field().gen().interval(Fraction(1, 2 ** 200))
+    mid = (lo + hi) / 2
     k = NumberField.for_largest_root(IntPoly([-1, -2, -3, 1]),
                                      precision_bits=64)
-    r = k.gen()
-    lo, hi = r.interval(Fraction(1, 2 ** 40))
-    mid = (lo + hi) / 2
-    try:
-        s = (r - mid).sign()
-    except PrecisionExhausted:
-        return
-    val = r.approx() - float(mid)
-    if s != 0:
-        assert s == (1 if val > 0 else -1) or abs(val) < 1e-9
+    tiny = k.gen() - mid
+    start = k.root.bits
+    with pytest.raises(PrecisionExhausted):
+        tiny.sign()
+    assert k.root.bits == start + 64
+    with pytest.raises(PrecisionExhausted):
+        (tiny * 2 ** 190).bounds(0)
+    assert k.root.bits == start + 128
+    ref = PolyModField((-1, -2, -3, 1), 3, 4)
+    assert (_field().gen() - mid).sign() == ref.sign([-mid, 1, 0])
 
 
 # (minimal polynomial low-first, an isolating interval of its largest real
@@ -247,6 +252,82 @@ def test_field_matches_fraction_oracle(data):
     assert (z - mid).sign() == ref.sign(ref.sub(want, [mid] + [0] * (d - 1)))
     assert abs(z.approx() - float(mid)) <= (float(width) + 2.0 ** -40
                                             + 1e-15 * abs(float(mid)))
+
+
+# 2^20 t^2 - 2 on (0, 2): the root sqrt(2)/1024 sits near the left end, so
+# Newton's step from the midpoint overshoots until the interval is narrow
+_SKEWED = ((-2, 0, 1 << 20), 0, 2)
+
+
+def _count_bisections(monkeypatch):
+    """A list that gains an entry at every RealRoot.refine call."""
+    calls = []
+    bisect = RealRoot.refine
+    monkeypatch.setattr(RealRoot, "refine",
+                        lambda self: calls.append(1) or bisect(self))
+    return calls
+
+
+def _assert_refined(root, old, bits):
+    """The contract of refine_to(bits), checked with Fraction values of p:
+    a narrower isolating interval inside the old one, precision exactly
+    bits if it was below."""
+    def p(x):
+        return sum(c * x ** i for i, c in enumerate(root.poly.coeffs))
+    old_lo, old_hi, old_bits = old
+    assert root.a < root.b
+    assert root.sign_a == (p(root.lo) > 0) - (p(root.lo) < 0) != 0
+    assert p(root.lo) * p(root.hi) < 0
+    assert old_lo <= root.lo and root.hi <= old_hi
+    assert root.hi - root.lo < Fraction(2) ** -bits
+    assert root.bits == max(bits, old_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS + (_SKEWED,)),
+       st.integers(0, 60), st.integers(-5, 400))
+def test_refine_to_keeps_an_isolating_interval(field, start, bits):
+    poly, lo, hi = field
+    root = RealRoot(IntPoly(poly), lo, hi)
+    assert root.k == 0
+    for _ in range(start):
+        root.refine()
+    old = (root.lo, root.hi, root.bits)
+    root.refine_to(bits)
+    _assert_refined(root, old, bits)
+
+
+def test_refine_to_takes_newton_steps_and_bisections(monkeypatch):
+    # from a k = 0 start both paths run: bisections until Newton's bracket
+    # holds, then Newton steps; on the skewed field the bracket check turns
+    # the overshooting steps into bisections
+    calls = _count_bisections(monkeypatch)
+    for poly, lo, hi in _ORACLE_FIELDS + (_SKEWED,):
+        for bits in range(0, 41):
+            root = RealRoot(IntPoly(poly), lo, hi)
+            old = (root.lo, root.hi, root.bits)
+            root.refine_to(bits)
+            _assert_refined(root, old, bits)
+        del calls[:]
+        root = RealRoot(IntPoly(poly), lo, hi)
+        root.refine_to(400)
+        assert 1 <= len(calls) <= (30 if poly == _SKEWED[0] else 8)
+        assert root.bits == 400
+
+
+def test_refine_to_cuts_the_bisections_of_a_verdict(monkeypatch):
+    # M1 and ten criterion-9 NRS band cells: bisecting alone takes about 73
+    # steps per operator, Newton steps leave about 14
+    t = HessType.parse("<0,1|1,0,2>")
+    cells = [(m, n) for m in (-4, -3, -2) for n in range(6, 10)][:10]
+    mats = [parse_matrix("0 1 2; 1 0 0; 0 3 5")] + [
+        family_member(FamilyPoint(t, IntVector((1, 0, 1)), mn))
+        for mn in cells]
+    calls = _count_bisections(monkeypatch)
+    for mat in mats:
+        del calls[:]
+        assert is_reduced(mat, Sail()).status in ("Reduced", "Nonreduced")
+        assert len(calls) <= 25
 
 
 def test_non_monic_minimal_polynomial_is_rejected():
