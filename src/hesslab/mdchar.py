@@ -10,7 +10,7 @@ bridge between sails and reducedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterable, List, Tuple
 
 from .exact import ExactError, IntMatrix, IntVector, det
 
@@ -27,12 +27,16 @@ class MDForm3:
     coeffs: Tuple[int, ...]
 
     def __call__(self, v) -> int:
-        x, y, z = v[0], v[1], v[2]
-        out = 0
-        for c, (a, b, g) in zip(self.coeffs, _EXPONENTS3):
-            if c:
-                out += c * x ** a * y ** b * z ** g
-        return out
+        return self.along_z(v[0], v[1], (v[2],))[0]
+
+    def along_z(self, x: int, y: int, zs: Iterable[int]) -> List[int]:
+        """Values at (x, y, z) for each z in zs: the form as a cubic in z,
+        its four coefficients taken from x and y, evaluated by Horner."""
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = self.coeffs
+        a2 = c5 * x + c8 * y
+        a1 = (c2 * x + c4 * y) * x + c7 * y * y
+        a0 = ((c0 * x + c1 * y) * x + c3 * y * y) * x + c6 * y * y * y
+        return [((c9 * z + a2) * z + a1) * z + a0 for z in zs]
 
     def parity_all_even(self) -> bool:
         return all(c % 2 == 0 for c in self.coeffs)

@@ -9,11 +9,14 @@ vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
 minimum, and each minimiser is carried into e1's window.  The
 fingerprint reads the same minimum off the sail that compute_sail builds
 from the same points; only it builds a hull.  The Bounded strategy is a
-plain box scan and is only ever a heuristic certificate.
+box scan in Python integers: it finds the exact minimum over the box (or
+raises ExactError when the MD characteristic vanishes on all of it), but
+a minimum over a box is only ever a heuristic certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -81,86 +84,45 @@ def _canonical_sign(v: IntVector) -> IntVector:
     return v if tuple(v) >= tuple(-v) else -v
 
 
-def _eval_form_batch(coeffs, pts):
-    """Vectorized signed-det cubic over an (N, 3) int array; falls back to
-    exact Python integers when int64 could overflow."""
-    import numpy as np
-    bmax = int(np.abs(pts).max()) if len(pts) else 0
-    cmax = max((abs(c) for c in coeffs), default=0)
-    if cmax * (bmax ** 3) * 10 < 2 ** 62:
-        x = pts[:, 0].astype(np.int64)
-        y = pts[:, 1].astype(np.int64)
-        z = pts[:, 2].astype(np.int64)
-        from .mdchar import _EXPONENTS3
-        out = np.zeros(len(pts), dtype=np.int64)
-        for c, (a, b, g) in zip(coeffs, _EXPONENTS3):
-            if c:
-                out += c * x ** a * y ** b * z ** g
-        return out
-    from .mdchar import MDForm3
-    form = MDForm3(tuple(coeffs))
-    return np.array([form(p) for p in pts.tolist()], dtype=object)
-
-
 def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]:
-    """Exact minimum of the MD-characteristic over primitive vectors with
-    sup-norm at most `bound`, with every attaining vector (up to sign)."""
+    """Exact minimum of the MD-characteristic over the primitive vectors of
+    sup-norm at most `bound` on which it is nonzero, with every attaining
+    vector (up to sign, sorted).  For n = 3 each (x, y) column of the box is
+    one cubic in z, evaluated by Horner.  Raises ExactError when the
+    characteristic vanishes on the whole box."""
     if bound < 1:
         raise ExactError("bound must be positive")
-    n = m.n
-    if n == 3:
-        import numpy as np
-        coeffs = md_form3(m).coeffs
-        rng = np.arange(-bound, bound + 1)
-        side = 2 * bound + 1
-        # slice along the first axis so memory stays bounded for large B
-        step = max(1, 4_000_000 // (side * side))
-        best = None
-        wits = []
-        for x0 in range(-bound, bound + 1, step):
-            xs = np.arange(x0, min(x0 + step, bound + 1))
-            gx, gy, gz = np.meshgrid(xs, rng, rng, indexing="ij")
-            pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-            pts = pts[np.any(pts != 0, axis=1)]
-            vals = np.abs(_eval_form_batch(coeffs, pts))
-            nz = vals > 0
-            pts, vals = pts[nz], vals[nz]
-            if not len(vals):
-                continue
-            chunk_best = int(vals.min())
-            if best is None or chunk_best < best:
-                best = chunk_best
-                wits = [pts[vals == chunk_best]]
-            elif chunk_best == best:
-                wits.append(pts[vals == chunk_best])
-        wits = np.concatenate(wits) if wits else np.empty((0, 3), dtype=np.int64)
+    span = range(-bound, bound + 1)
+    best = None
+    wits = []
+    if m.n == 3:
+        form = md_form3(m)
+        for x in span:
+            for y in span:
+                vals = [abs(v) for v in form.along_z(x, y, span)]
+                low = min(filter(None, vals), default=None)
+                if low is None or (best is not None and low > best):
+                    continue
+                if best is None or low < best:
+                    best, wits = low, []
+                wits += [(x, y, z) for z, v in zip(span, vals) if v == low]
     else:
-        import itertools
-        best = None
-        wits = []
-        for p in itertools.product(range(-bound, bound + 1), repeat=n):
-            if all(c == 0 for c in p):
+        for p in itertools.product(span, repeat=m.n):
+            if not any(p):
                 continue
-            v = IntVector(p)
-            val = md_characteristic(m, v)
+            val = md_characteristic(m, IntVector(p))
             if val == 0:
                 continue
             if best is None or val < best:
                 best, wits = val, [p]
             elif val == best:
                 wits.append(p)
-    seen = set()
-    out = []
-    for p in wits:
-        v = IntVector(int(c) for c in p)
-        if not v.is_primitive():
-            continue
-        v = _canonical_sign(v)
-        if tuple(v) not in seen:
-            seen.add(tuple(v))
-            out.append(v)
-    out.sort(key=tuple)
-    return best, out
+    if best is None:
+        raise ExactError("the MD characteristic vanishes on every vector "
+                         "of sup-norm at most %d" % bound)
+    out = {_canonical_sign(v) for v in map(IntVector, wits)
+           if v.is_primitive()}
+    return best, sorted(out, key=tuple)
 
 
 def _sail_minimum(m: IntMatrix, strategy: Sail) -> Tuple[int, List[IntVector]]:

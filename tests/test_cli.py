@@ -1,5 +1,8 @@
+import argparse
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -152,6 +155,16 @@ def test_malformed_numbers_are_input_errors(argv, env, config, tmp_path,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("matrix", ["1 0 0; 0 1 0; 0 0 1", "1 0; 0 1"])
+def test_minimize_where_md_vanishes_on_the_box(matrix, capsys):
+    # the scan returned no minimum, and printing it escaped as a TypeError
+    # traceback
+    code, out, err = run(["minimize", matrix, "--bound", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: the MD characteristic vanishes on every vector "
+                   "of sup-norm at most 2\n")
+
+
 def test_malformed_type_names_the_entry(capsys):
     # int() in HessType.parse escaped as a ValueError traceback
     code, _, err = run(["atlas", "--type", "<0,1|1,x,2>", "--anchor", "1,0,1"],
@@ -248,36 +261,87 @@ def test_python_m_hesslab():
     assert len(json.loads(proc.stdout)["cells"]) == 27
 
 
+_M1 = "0 1 2; 1 0 0; 0 3 5"
+_FRO = "0 0 1; 1 0 1; 0 1 3"
+_NUMPY_FREE_RUNS = {
+    "reduce": ["reduce", "1 2 3; 4 5 6; 7 8 10"],
+    "complexity": ["complexity", _M1],
+    "mdchar": ["mdchar", _M1, "--vector", "1,0,0"],
+    "form": ["form", _M1],
+    "minimize3": ["minimize", _M1, "--bound", "4"],
+    "minimize2": ["minimize", "2 7; 5 18", "--bound", "6"],
+    "verdict": ["verdict", _M1],
+    "verdict-bounded": ["verdict", _M1, "--strategy", "bounded",
+                        "--bound", "4"],
+    "fingerprint": ["fingerprint", _M1],
+    "sail": ["sail", _M1],
+    "period": ["period", "2 7; 5 18"],
+    "classify2": ["classify2", "2 7; 5 18"],
+    "atlas-212": ["atlas", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1",
+                  "--range", "-1:1,7:9"],
+    "atlas-fro": ["atlas", "--type", "<0,1|0,0,1>", "--anchor", "1,0,0",
+                  "--range", "-5:-3,-1:1"],
+    "atlas4": ["atlas4", "--bound", "1"],
+    "ray": ["ray", "--type", "<0,1|0,0,1>", "--anchor", "1,0,0",
+            "--start", "2,2", "--dir", "-1,0", "--tmax", "4"],
+    "verify-dirichlet": ["verify-dirichlet", _FRO, _FRO],
+}
+
 _WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from hesslab import cli
-M1 = "0 1 2; 1 0 0; 0 3 5"
-runs = [["verdict", M1, "--json"], ["fingerprint", M1, "--json"],
-        ["sail", M1, "--json"]]
-runs += [["atlas", "--type", t, "--anchor", a, "--range", r, "--json"]
-         for t, a, r in (("<0,1|1,0,2>", "1,0,1", "-1:1,7:9"),
-                         ("<0,1|0,0,1>", "1,0,0", "-5:-3,-1:1"))]
-for argv in runs:
-    if cli.main(argv) != 0:
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv + ["--json"]) != 0:
         sys.exit("%s failed" % argv[0])
 """
 
 
 def test_certified_path_runs_without_numpy():
-    # numpy serves only the bounded scan; the Sail verdict, the fingerprint,
-    # the sail and the Sail atlas are Python integers and Q(r) throughout
+    # hesslab has no runtime dependency: every subcommand, the bounded scan
+    # of minimize and verdict included, runs with numpy blocked
+    commands = next(a.choices for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in _NUMPY_FREE_RUNS.values()} == set(commands)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
-                          capture_output=True, text=True, env=env, cwd=root,
-                          timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY,
+         json.dumps(list(_NUMPY_FREE_RUNS.values()))],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    docs = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert docs[0]["status"] == "Reduced"
-    assert docs[1]["min_value"] == 3 and len(docs[1]["matrices"]) == 2
-    assert any(v["is_fundamental"] for v in docs[2])
-    for atlas in docs[3:]:
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(_NUMPY_FREE_RUNS)
+    docs = dict(zip(_NUMPY_FREE_RUNS, map(json.loads, lines)))
+    assert docs["complexity"] == {"complexity": 3}
+    assert docs["minimize3"]["min"] == 3 and docs["minimize2"]["min"] == 5
+    assert docs["verdict"]["status"] == "Reduced"
+    assert docs["verdict-bounded"]["certificate"] == {"kind": "BoundChecked",
+                                                      "bound": 4}
+    assert docs["fingerprint"]["min_value"] == 3
+    assert len(docs["fingerprint"]["matrices"]) == 2
+    assert any(v["is_fundamental"] for v in docs["sail"])
+    assert docs["period"] == {"period": [2, 1, 1, 3]}
+    for name in ("atlas-212", "atlas-fro"):
+        atlas = docs[name]
         assert len(atlas["cells"]) == 9
         assert "NRS_Unknown" not in atlas["counts"]
         assert any(k.startswith("NRS") for k in atlas["counts"])
+    assert len(docs["atlas4"]["cells"]) == 27
+    assert len(docs["ray"]["entries"]) == 5
+    assert docs["verify-dirichlet"] == {"member": True}
+
+
+def test_no_module_imports_numpy():
+    src = pathlib.Path(cli.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "numpy" for n in names), path.name

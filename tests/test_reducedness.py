@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_unimodular
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
+from hesslab.mdchar import md_characteristic
 import hesslab.reducedness as red_mod
 from hesslab.reducedness import (
     Bounded,
@@ -29,15 +31,29 @@ def test_minimize_bounded_example():
     assert (0, 1, 0) in keys
 
 
+# a conjugate of M1 with entries near 1.5e12: from B = 23 its cubic form
+# failed the old vectorised scan's int64 guard and took an object-array path
+BIG = parse_matrix("108370394 -95149174421 -1533766115515; 1 -873 -14153; "
+                   "7657 -6722843 -108369516")
+
+
 def test_minimize_bounded_matches_brute_force():
-    import itertools
-    from hesslab.mdchar import md_characteristic
-    best, _ = minimize_md_bounded(M1, 4)
-    ref = min(
-        md_characteristic(M1, IntVector(p))
-        for p in itertools.product(range(-4, 5), repeat=3)
-        if any(p) and md_characteristic(M1, IntVector(p)) > 0)
-    assert best == ref
+    # md is homogeneous, so the box minimum is taken on a primitive vector;
+    # witnesses are the primitive minimisers, the larger of v and -v, sorted.
+    # M1's and BIG's include z = 0 vectors, FRO's include (0, 0, 1)
+    cases = [(M1, 4), (FRO, 4), (BIG, 23), (parse_matrix("2 7; 5 18"), 6),
+             (parse_matrix("0 0 0 -1; 1 0 0 0; 0 1 0 1; 0 0 1 2"), 2)]
+    for m, bound in cases:
+        vals = {}
+        for p in itertools.product(range(-bound, bound + 1), repeat=m.n):
+            v = IntVector(p)
+            if p > tuple(-v) and v.is_primitive():
+                vals[p] = md_characteristic(m, v)
+        ref = min(val for val in vals.values() if val)
+        best, wits = minimize_md_bounded(m, bound)
+        assert best == ref, m
+        assert [tuple(w) for w in wits] == \
+            sorted(p for p, val in vals.items() if val == ref), m
 
 
 def test_is_reduced_example_pair():
