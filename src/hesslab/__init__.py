@@ -30,13 +30,12 @@ from .hessenberg import (
     matrix_type,
     reduce_to_perfect,
 )
-from .mdchar import MDForm3, md_characteristic, md_form3, parity_all_even
+from .mdchar import MDForm3, md_characteristic, md_form3
 from .numberfield import NumberField, PrecisionExhausted
 from .sail3 import (
     Inconclusive,
     SailData,
     compute_sail,
-    dirichlet_generator,
     verify_dirichlet_element,
 )
 from .reducedness import (

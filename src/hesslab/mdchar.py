@@ -65,14 +65,6 @@ def md_characteristic(m: IntMatrix, v: IntVector) -> int:
     return abs(det(IntMatrix.from_columns(cols)))
 
 
-def md_det3(m: IntMatrix, v) -> int:
-    """Signed determinant det[v, Mv, M^2 v] for n = 3."""
-    v = IntVector(v)
-    w = m * v
-    u = m * w
-    return det(IntMatrix.from_columns([v, w, u]))
-
-
 def md_form3(m: IntMatrix) -> MDForm3:
     """Coefficients of det[v | Mv | M^2 v] as a cubic form in v.
 
@@ -97,6 +89,3 @@ def md_form3(m: IntMatrix) -> MDForm3:
                 coeffs[tuple(exps)] += c
     return MDForm3(tuple(coeffs[t] for t in _EXPONENTS3))
 
-
-def parity_all_even(f: MDForm3) -> bool:
-    return f.parity_all_even()

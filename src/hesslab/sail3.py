@@ -250,16 +250,6 @@ def project_pi(e: EigenData3, v: IntVector) -> PiPoint:
     return PiPoint(v, _x_coord(e, v), _y_sq(e, v))
 
 
-def dirichlet_generator(m: IntMatrix) -> IntMatrix:
-    """The smallest power (up to sign) of M with positive real eigenvalue.
-
-    For SL(3,Z) NRS matrices the real eigenvalue satisfies r * |c|^2 = 1,
-    so r > 0 always and the generator is M itself.
-    """
-    _require_nrs(m)
-    return m
-
-
 def verify_dirichlet_element(m: IntMatrix, x: IntMatrix) -> bool:
     """Membership test for the Dirichlet group of m: commutes with m, has
     determinant one, and all its real eigenvalues are positive."""

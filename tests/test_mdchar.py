@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import leibniz_det, nonzero_vectors, small_matrices, unimodular_matrices
-from hesslab.exact import ExactError, IntVector, det, parse_matrix
+from hesslab.exact import ExactError, IntMatrix, IntVector, det, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member, hessenberg_complexity, is_hessenberg
-from hesslab.mdchar import MDForm3, md_characteristic, md_det3, md_form3, parity_all_even
+from hesslab.mdchar import MDForm3, md_characteristic, md_form3
 
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 FRO = parse_matrix("0 0 1; 1 0 1; 0 1 3")
@@ -41,10 +41,10 @@ def test_form_x3_coefficient_is_complexity():
 def test_parity_statement():
     t = HessType.parse("<0,1|1,0,2>")
     f_odd = md_form3(family_member(FamilyPoint(t, IntVector((1, 0, 1)), (1, 2))))
-    assert parity_all_even(f_odd)
+    assert f_odd.parity_all_even()
     f_even = md_form3(family_member(FamilyPoint(t, IntVector((1, 0, 1)), (1, 1))))
-    assert not parity_all_even(f_even)
-    assert parity_all_even(MDForm3((0,) * 10))
+    assert not f_even.parity_all_even()
+    assert MDForm3((0,) * 10).parity_all_even()
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,9 +75,9 @@ def test_form_matches_md_everywhere(m, v):
 @given(small_matrices(n=3, lo=-40, hi=40), nonzero_vectors(lo=-50, hi=50))
 def test_form_equals_signed_det(m, v):
     value = md_form3(m)(v)
-    assert value == md_det3(m, v)
     w = m * v
     u = m * w
+    assert value == det(IntMatrix.from_columns([v, w, u]))
     assert value == leibniz_det([[v[i], w[i], u[i]] for i in range(3)])
 
 
@@ -88,7 +88,6 @@ def test_complexity_identity_n3(m):
     rows[2][0] = 0
     rows[1][0] = abs(rows[1][0]) + 1
     rows[2][1] = abs(rows[2][1]) + 1
-    from hesslab.exact import IntMatrix
     h = IntMatrix(rows)
     assert is_hessenberg(h)
     assert hessenberg_complexity(h) == md_characteristic(h, IntVector((1, 0, 0)))

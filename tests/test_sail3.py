@@ -35,7 +35,6 @@ from hesslab.sail3 import (
     PiPoint,
     SailError,
     compute_sail,
-    dirichlet_generator,
     eigen_data,
     fundamental_slab,
     fundamental_window,
@@ -557,11 +556,6 @@ def test_fundamental_slab_ignores_root_refinement(m):
     assert slabs[0] == slabs[1]
     assert gamma0_slab_points(fresh, slabs[0]) \
         == gamma0_slab_points(refined, slabs[1])
-
-
-def test_dirichlet_generator_is_m():
-    assert dirichlet_generator(FRO) == FRO
-    assert dirichlet_generator(M1) == M1
 
 
 def test_verify_dirichlet_element():
