@@ -87,36 +87,31 @@ def _canonical_sign(v: IntVector) -> IntVector:
 def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]:
     """Exact minimum of the MD-characteristic over the primitive vectors of
     sup-norm at most `bound` on which it is nonzero, with every attaining
-    vector (up to sign, sorted).  For n = 3 each (x, y) column of the box is
-    one cubic in z, evaluated by Horner.  Raises ExactError when the
-    characteristic vanishes on the whole box."""
+    vector (up to sign, sorted).  The box is scanned in columns along the
+    last coordinate; for n = 3 each (x, y) column is one cubic in z,
+    evaluated by Horner.  Raises ExactError when the characteristic
+    vanishes on the whole box."""
     if bound < 1:
         raise ExactError("bound must be positive")
     span = range(-bound, bound + 1)
-    best = None
-    wits = []
     if m.n == 3:
         form = md_form3(m)
-        for x in span:
-            for y in span:
-                vals = [abs(v) for v in form.along_z(x, y, span)]
-                low = min(filter(None, vals), default=None)
-                if low is None or (best is not None and low > best):
-                    continue
-                if best is None or low < best:
-                    best, wits = low, []
-                wits += [(x, y, z) for z, v in zip(span, vals) if v == low]
+        columns = (((x, y), form.along_z(x, y, span))
+                   for x in span for y in span)
     else:
-        for p in itertools.product(span, repeat=m.n):
-            if not any(p):
-                continue
-            val = md_characteristic(m, IntVector(p))
-            if val == 0:
-                continue
-            if best is None or val < best:
-                best, wits = val, [p]
-            elif val == best:
-                wits.append(p)
+        def md(p):
+            return md_characteristic(m, IntVector(p)) if any(p) else 0
+        columns = ((head, [md(head + (z,)) for z in span])
+                   for head in itertools.product(span, repeat=m.n - 1))
+    best, wits = None, []
+    for head, vals in columns:
+        vals = [abs(v) for v in vals]
+        low = min(filter(None, vals), default=None)
+        if low is None or best is not None and low > best:
+            continue
+        if best is None or low < best:
+            best, wits = low, []
+        wits += [head + (z,) for z, v in zip(span, vals) if v == low]
     if best is None:
         raise ExactError("the MD characteristic vanishes on every vector "
                          "of sup-norm at most %d" % bound)
