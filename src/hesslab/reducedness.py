@@ -6,9 +6,8 @@ the MD-characteristic over nonzero integer vectors equals the complexity.
 The Sail strategy takes that minimum exactly, in Python integers, over the
 slab points of sail3.fundamental_window: they meet the orbit of every sail
 vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
-minimum, and each minimiser is carried into e1's window.  The
-fingerprint reads the same minimum off the sail that compute_sail builds
-from the same points; only it builds a hull.  The Bounded strategy is a
+minimum, and each minimiser is carried into e1's window; the
+fingerprint reduces those minimisers.  The Bounded strategy is a
 box scan in Python integers: it finds the exact minimum over the box (or
 raises ExactError when the MD characteristic vanishes on all of it), but
 a minimum over a box is only ever a heuristic certificate.
@@ -24,8 +23,7 @@ from .exact import ExactError, IntMatrix, IntVector, char_poly, det, factor_smal
 from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
 from .mdchar import md_characteristic, md_form3
 from .numberfield import PrecisionExhausted
-from .sail3 import Inconclusive as SailInconclusive
-from .sail3 import compute_sail, fundamental_window
+from .sail3 import Inconclusive as SailInconclusive, fundamental_window
 
 
 @dataclass(frozen=True)
@@ -174,24 +172,19 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
 
 def fingerprint(m: IntMatrix, precision: int = 4096,
                 region: int = 40_000_000) -> Fingerprint:
-    """Distinct perfect forms reached from the MD-minimal vertices of a
-    fundamental domain, one reduction per vertex.  The second sail is the
-    -E image of the first, and it needs none: reduce_to_perfect is even in
-    the seed, as -U(v) meets every condition that fixes U(-v), so H(-v) =
-    H(v)."""
+    """Distinct perfect forms reached from the verdict's MD minimisers, one
+    reduction per witness.  Those are the MD-minimal vertices of e1's
+    window up to sign, and its far end G e1 or G^-1 e1 when e1's orbit is
+    minimal; neither changes the form.  reduce_to_perfect is even in the
+    seed, as -U(v) meets every condition that fixes U(-v), so H(-v) =
+    H(v); and the flag of M v is M times the flag of v, so U(M v) = M U(v)
+    and H(M v) = H(v), and likewise for M^-1."""
     if det(m) != 1 or m.n != 3:
         raise ExactError("fingerprints require SL(3,Z) input")
-    sail = compute_sail(m, bits=precision, point_cap=region)
-    fund = sail.fundamental_vertices()
-    if not fund:
-        raise ExactError("empty fundamental domain")
-    values = [md_characteristic(m, p.preimage) for p in fund]
-    best = min(values)
+    best, wits = _sail_minimum(m, Sail(precision, region))
     seen = {}
-    for p, val in zip(fund, values):
-        if val != best:
-            continue
-        h, _ = reduce_to_perfect(m, p.preimage)
+    for v in wits:
+        h, _ = reduce_to_perfect(m, v)
         seen[h.rows] = h
     mats = [seen[k] for k in sorted(seen)]
     for h in mats:

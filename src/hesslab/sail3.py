@@ -19,8 +19,9 @@ outward-rounded float interval arithmetic on floats made from them where
 that is certain; both fall back to Q(r) otherwise.
 
 fundamental_window is the one place that knows which of M and M^-1
-expands x and where e1's window lies; the reducedness verdict and
-compute_sail take their points and their window from it.
+expands x and where e1's window lies; the reducedness verdict and the
+fingerprint share its points and its window, and compute_sail, which
+builds the sail's hull from them, serves only the `sail` command.
 """
 
 from __future__ import annotations

@@ -19,7 +19,12 @@ from hesslab.exact import (
     factor_small,
     parse_matrix,
 )
-from hesslab.hessenberg import FamilyPoint, HessType, family_member
+from hesslab.hessenberg import (
+    FamilyPoint,
+    HessType,
+    family_member,
+    reduce_to_perfect,
+)
 from hesslab.mdchar import md_characteristic
 from hesslab.numberfield import NumberField, sign_three_sqrt
 from hesslab.reducedness import (
@@ -500,13 +505,17 @@ def test_window_carry_lands_in_window():
             assert w.carry(g * w.start) == w.start
 
 
+def _window_operators():
+    rng = random.Random(9)
+    return ([M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
+                         for _ in range(20)]
+            + list(_criterion9_nrs_cells())[::4])
+
+
 def test_verdict_minimum_is_the_sails():
     # the verdict's minimum and witnesses over the window's slab points are
     # the MD-minimal sail vertices of e1's closed window
-    rng = random.Random(9)
-    mats = [M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
-                        for _ in range(20)]
-    for m in mats + list(_criterion9_nrs_cells())[::4]:
+    for m in _window_operators():
         best, wits = _sail_minimum(m, Sail())
         fund = compute_sail(m).fundamental_vertices()
         vals = [md_characteristic(m, p.preimage) for p in fund]
@@ -517,6 +526,19 @@ def test_verdict_minimum_is_the_sails():
         if fund[0].preimage == w.start and vals[0] == best:
             want.add(tuple(_canonical_sign(w.generator * w.start)))
         assert {tuple(v) for v in wits} == want, str(m)
+
+
+def test_fingerprint_is_the_sails():
+    # the fingerprint reduces the verdict's witnesses; the forms are those
+    # of the MD-minimal vertices of the sail that compute_sail builds
+    for m in _window_operators():
+        fund = compute_sail(m).fundamental_vertices()
+        vals = [md_characteristic(m, p.preimage) for p in fund]
+        forms = {reduce_to_perfect(m, p.preimage)[0].rows
+                 for p, val in zip(fund, vals) if val == min(vals)}
+        fp = fingerprint(m)
+        assert fp.min_value == min(vals), str(m)
+        assert [h.rows for h in fp.matrices] == sorted(forms), str(m)
 
 
 @settings(max_examples=100, deadline=None)
