@@ -57,6 +57,9 @@ class MDForm3:
 def md_characteristic(m: IntMatrix, v: IntVector) -> int:
     """|det[v, Mv, ..., M^(n-1) v]|, exact."""
     v = IntVector(v)
+    if v.n != m.n:
+        raise ExactError("vector has %d entries, the matrix is %dx%d"
+                         % (v.n, m.n, m.n))
     if v.is_zero():
         raise ExactError("zero vector")
     cols = [v]

@@ -37,6 +37,13 @@ def test_mdchar_and_zero_vector(capsys):
                         "--vector", "0,0,0"], capsys)
     assert code == 1
     assert "zero vector" in err
+    # a vector of the wrong length is an input error, not a traceback or
+    # a silently truncated product
+    for vec in ("1,0", "1,0,0,0"):
+        code, out, err = run(["mdchar", "0 1 2; 1 0 0; 0 3 5",
+                              "--vector", vec], capsys)
+        assert code == 1 and out == ""
+        assert "vector has %d entries" % len(vec.split(",")) in err
 
 
 def test_malformed_matrix_is_annotated(capsys):
