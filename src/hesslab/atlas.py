@@ -156,16 +156,20 @@ def _classify_cell(args) -> GridCell:
 
 def classify_grid(t: HessType, anchor, m_range, n_range,
                   strategy=None, jobs: int = 1):
-    """Classify every cell of the window; returns (cells, counts) with the
+    """Classify every cell of the window, in a pool of at most `jobs`
+    processes (one per cell at most); returns (cells, counts) with the
     cells ordered by (m, n) regardless of execution order."""
     if strategy is None:
         strategy = Sail()
     work = [(str(t), tuple(anchor), (m, n), strategy)
             for m in range(m_range[0], m_range[1] + 1)
             for n in range(n_range[0], n_range[1] + 1)]
-    if jobs > 1:
+    if jobs < 1:
+        raise ExactError("jobs must be at least 1, got %d" % jobs)
+    workers = min(jobs, len(work))
+    if workers > 1:
         import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             cells = pool.map(_classify_cell, work, chunksize=8)
     else:
         cells = [_classify_cell(w) for w in work]
@@ -186,6 +190,9 @@ def ray_scan(t: HessType, anchor, start, direction, t_max: int,
     """
     if strategy is None:
         strategy = Sail()
+    if len(start) != 2:
+        raise ExactError("ray start must have two entries (m,n), got %d"
+                         % len(start))
     if tuple(direction) not in ((-1, 0), (t.columns[0][0], t.columns[0][1])):
         raise ExactError("ray direction must be (-1,0) or (a11,a21)")
     entries = []

@@ -21,6 +21,7 @@ from hesslab.atlas import (
     render_grid,
 )
 from hesslab.exact import (
+    ExactError,
     IntVector,
     char_poly,
     count_real_roots,
@@ -199,3 +200,45 @@ def test_render_grid_palette_and_svg():
     assert b"m=0 n=0" in svg
     assert set(DEFAULT_PALETTE) >= {"RS", "NRS_Reduced", "NRS_Nonreduced",
                                     "ReduciblePoly"}
+
+
+def test_classify_grid_parallel_equals_serial():
+    serial = classify_grid(T_212, A_212, (-3, 3), (5, 9), jobs=1)
+    assert classify_grid(T_212, A_212, (-3, 3), (5, 9), jobs=2) == serial
+
+
+def test_classify_grid_pool_size(monkeypatch):
+    # the pool gets at most one worker per cell, and none for one cell;
+    # jobs below 1 ran serially before
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work, chunksize=1):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    cells, _ = classify_grid(T_FRO, A_FRO, (0, 0), (0, 2), jobs=8)
+    assert sizes == [3] and len(cells) == 3
+    classify_grid(T_FRO, A_FRO, (0, 0), (0, 0), jobs=8)
+    assert sizes == [3]
+    for jobs in (0, -1):
+        with pytest.raises(ExactError, match="jobs must be at least 1"):
+            classify_grid(T_FRO, A_FRO, (0, 0), (0, 0), jobs=jobs)
+
+
+@pytest.mark.parametrize("start", [(0,), (0, 0, 0)])
+def test_ray_scan_start_needs_two_entries(start):
+    # (0,) escaped as an IndexError; (0, 0, 0) dropped its last entry
+    with pytest.raises(ExactError, match="ray start must have two entries"):
+        ray_scan(T_212, A_212, start, (-1, 0), 2)
