@@ -9,7 +9,6 @@ NRS region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,9 +18,9 @@ from .exact import (
     IntMatrix,
     IntPoly,
     IntVector,
+    _is_square,
     char_poly,
     discriminant,
-    det,
     factor_small,
     quartic_real_roots,
 )
@@ -57,17 +56,6 @@ class ParabolaParams:
             - self.gamma2
 
 
-def _symmetric_functions(m: IntMatrix) -> Tuple[int, int, int]:
-    """(b1, b2, b3): trace, sum of principal 2-minors, determinant."""
-    b1 = m.trace()
-    b2 = 0
-    n = m.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            b2 += m[i, i] * m[j, j] - m[i, j] * m[j, i]
-    return b1, b2, det(m)
-
-
 def parabola_params(t: HessType, anchor) -> ParabolaParams:
     if t.n != 3:
         raise ExactError("parabola parameters are defined for 3x3 families")
@@ -75,7 +63,9 @@ def parabola_params(t: HessType, anchor) -> ParabolaParams:
     a11, a21 = base[0, 0], base[1, 0]
     a22, a32 = base[1, 1], base[2, 1]
     a33 = base[2, 2]
-    b1, b2, b3 = _symmetric_functions(base)
+    # det(tI - base) = t^3 - b1 t^2 + b2 t - b3
+    minus_b3, b2, minus_b1, _ = char_poly(base).coeffs
+    b1, b3 = -minus_b1, -minus_b3
     return ParabolaParams(
         alpha1=Fraction(-a32, 4 * a21),
         beta1=Fraction(a11 - a22 - a33, 2 * a21),
@@ -217,10 +207,6 @@ FAMILY_4D_ANCHOR = IntVector((0, 0, 0, 1))
 def quartic_4d(l: int, m: int, n: int) -> IntPoly:
     """t^4 + (-4n-2)t^3 + (-4m-2)t^2 + (2-4l)t + 1."""
     return IntPoly((1, 2 - 4 * l, -4 * m - 2, -4 * n - 2, 1))
-
-
-def _is_square(k: int) -> bool:
-    return k >= 0 and math.isqrt(k) ** 2 == k
 
 
 def reducible_4d(l: int, m: int, n: int) -> bool:

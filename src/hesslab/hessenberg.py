@@ -66,9 +66,6 @@ class HessType:
             out *= c[-1] ** (n - 1 - j)
         return out
 
-    def satisfies_perfect_bounds(self) -> bool:
-        return all(0 <= x < c[-1] for c in self.columns for x in c[:-1])
-
     @staticmethod
     def parse(text: str) -> "HessType":
         text = text.strip()
