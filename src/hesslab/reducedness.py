@@ -174,11 +174,11 @@ def fingerprint(m: IntMatrix, precision: int = 4096,
                 region: int = 40_000_000) -> Fingerprint:
     """Distinct perfect forms reached from the verdict's MD minimisers, one
     reduction per witness.  Those are the MD-minimal vertices of e1's
-    window up to sign, and its far end G e1 or G^-1 e1 when e1's orbit is
-    minimal; neither changes the form.  reduce_to_perfect is even in the
-    seed, as -U(v) meets every condition that fixes U(-v), so H(-v) =
-    H(v); and the flag of M v is M times the flag of v, so U(M v) = M U(v)
-    and H(M v) = H(v), and likewise for M^-1."""
+    window up to sign, and both of its ends e1 and M e1 when e1's orbit is
+    minimal; neither sign nor M changes the form.  reduce_to_perfect is
+    even in the seed, as -U(v) meets every condition that fixes U(-v), so
+    H(-v) = H(v); and the flag of M v is M times the flag of v, so
+    U(M v) = M U(v) and H(M v) = H(v), and likewise for M^-1."""
     if det(m) != 1 or m.n != 3:
         raise ExactError("fingerprints require SL(3,Z) input")
     best, wits = _sail_minimum(m, Sail(precision, region))

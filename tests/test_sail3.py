@@ -534,10 +534,11 @@ def test_fingerprint_is_the_sails():
     for m in _window_operators():
         fund = compute_sail(m).fundamental_vertices()
         vals = [md_characteristic(m, p.preimage) for p in fund]
+        best = min(vals)
         forms = {reduce_to_perfect(m, p.preimage)[0].rows
-                 for p, val in zip(fund, vals) if val == min(vals)}
+                 for p, val in zip(fund, vals) if val == best}
         fp = fingerprint(m)
-        assert fp.min_value == min(vals), str(m)
+        assert fp.min_value == best, str(m)
         assert [h.rows for h in fp.matrices] == sorted(forms), str(m)
 
 
