@@ -125,8 +125,7 @@ class GridCell:
 
 
 def _classify_cell(args) -> GridCell:
-    type_str, anchor, mn, strategy = args
-    t = HessType.parse(type_str)
+    t, anchor, mn, strategy = args
     fp = FamilyPoint(t, IntVector(anchor), mn)
     mat = family_member(fp)
     p = char_poly(mat)
@@ -151,7 +150,7 @@ def classify_grid(t: HessType, anchor, m_range, n_range,
     cells ordered by (m, n) regardless of execution order."""
     if strategy is None:
         strategy = Sail()
-    work = [(str(t), tuple(anchor), (m, n), strategy)
+    work = [(t, tuple(anchor), (m, n), strategy)
             for m in range(m_range[0], m_range[1] + 1)
             for n in range(n_range[0], n_range[1] + 1)]
     if jobs < 1:
@@ -189,7 +188,7 @@ def ray_scan(t: HessType, anchor, start, direction, t_max: int,
     last_nonreduced = None
     for k in range(t_max + 1):
         mn = (start[0] + k * direction[0], start[1] + k * direction[1])
-        cell = _classify_cell((str(t), tuple(anchor), mn, strategy))
+        cell = _classify_cell((t, tuple(anchor), mn, strategy))
         entries.append((k, cell.cls, cell.verdict))
         if cell.cls == "NRS_Nonreduced":
             last_nonreduced = k

@@ -143,10 +143,7 @@ def _cmd_complexity(args, cfg):
 
 def _cmd_mdchar(args, cfg):
     m = parse_matrix(args.matrix)
-    v = parse_vector(args.vector)
-    if v.is_zero():
-        raise ExactError("zero vector")
-    val = md_characteristic(m, v)
+    val = md_characteristic(m, parse_vector(args.vector))
     _emit(args, {"md": val}, str(val))
     return 0
 
@@ -248,15 +245,10 @@ def _cmd_atlas(args, cfg):
         fmt = "SVG" if args.out.lower().endswith(".svg") else cfg.fmt
         with open(args.out, "wb") as fh:
             fh.write(atlas_mod.render_grid(cells, fmt, cfg.palette))
-    data = {"window": {"m": list(m_range), "n": list(n_range)},
-            "counts": counts, "cells": [c.to_json() for c in cells]}
-    if args.json and args.json is not True:
-        with open(args.json, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
-        args = argparse.Namespace(**{**vars(args), "json": False})
-    _emit(args, data, "\n".join(
-        "%s %d" % (k, v) for k, v in sorted(counts.items())))
-    return 0
+    return _emit_atlas(args, {"window": {"m": list(m_range),
+                                         "n": list(n_range)},
+                              "counts": counts,
+                              "cells": [c.to_json() for c in cells]})
 
 
 def _cmd_atlas4(args, cfg):
@@ -267,14 +259,19 @@ def _cmd_atlas4(args, cfg):
     counts = {}
     for c in cells:
         counts[c.cls] = counts.get(c.cls, 0) + 1
-    data = {"bound": bound, "counts": counts,
-            "cells": [c.to_json() for c in cells]}
+    return _emit_atlas(args, {"bound": bound, "counts": counts,
+                              "cells": [c.to_json() for c in cells]})
+
+
+def _emit_atlas(args, data):
+    """An atlas's JSON to `--json PATH`, or to stdout under a bare --json,
+    and its class counts as text otherwise."""
     if args.json and args.json is not True:
         with open(args.json, "w") as fh:
             json.dump(data, fh, sort_keys=True)
         args = argparse.Namespace(**{**vars(args), "json": False})
     _emit(args, data, "\n".join(
-        "%s %d" % (k, v) for k, v in sorted(counts.items())))
+        "%s %d" % (k, v) for k, v in sorted(data["counts"].items())))
     return 0
 
 

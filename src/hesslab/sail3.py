@@ -12,11 +12,11 @@ basis 1, r, r^2 of Q(r): x is a 3x3 table over one denominator, and
 F = y_sq a table of the six monomials f_a f_b of the omega rows f = (f_0,
 f_1, f_2), also over one denominator.  x(v) and F(v) are then integer dot
 products that build one FieldElement each.  The slab enumeration runs in
-Python integers and Q(r) with proven bounds.  Each projected point keeps
-the integer floor and ceiling of 2^20 x and 2^20 y_sq: orders of x and
-y_sq compare those integers first, and hull orientations are decided in
-outward-rounded float interval arithmetic on floats made from them where
-that is certain; both fall back to Q(r) otherwise.
+Python integers and Q(r) with proven bounds.  Every sign, order and
+orientation is decided on integer floors at 2^b with a proven error, and
+in Q(r) where that leaves it open: signs of x(v) on the floors of 2^40
+x_form, orders and hull orientations of projected points on the floors
+and ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x and where e1's window lies; the reducedness verdict and the
@@ -51,8 +51,10 @@ from .numberfield import (
     sign_three_sqrt,
 )
 
-# bits of the PiPoint boxes, even so that sqrt(2^-b) is a power of two
+# bits of the PiPoint boxes
 _BOX_BITS = 20
+# bits of the integer filters of x(v) and of the slab's cuts
+_FILTER_BITS = 40
 
 
 class SailError(ExactError):
@@ -109,7 +111,7 @@ class EigenData3:
     r: FieldElement
     g1: Tuple[FieldElement, FieldElement, FieldElement]
     x_form: Tuple[FieldElement, FieldElement, FieldElement]
-    x_approx: Tuple[float, float, float]  # x_form[i].approx(), fixed per operator
+    x_floor: Tuple[int, int, int]  # floor(2^40 x_form[i]), for _x_sign
     omega_rows: Tuple[Tuple[int, ...], ...]  # 3 integer rows: omega_0/1/2 at a fixed row
     s: FieldElement
     q: FieldElement
@@ -198,7 +200,8 @@ def eigen_data(m: IntMatrix, bits: int = 4096) -> EigenData3:
     norm = y * _quadratic(field, f_table, f_den, *y.num)
     rho_scale = y * Fraction(4 * norm.den, norm.num[0])
     return EigenData3(m, a0, field, r, g1, x_form,
-                      tuple(f.approx() for f in x_form), omega_rows, s, q,
+                      tuple(f.floor(_FILTER_BITS) for f in x_form),
+                      omega_rows, s, q,
                       x_table, x_den, f_table, f_den, g_hat, omega_cols,
                       rho_scale)
 
@@ -216,21 +219,11 @@ class PiPoint:
         return self.x.bounds(_BOX_BITS) + self.y_sq.bounds(_BOX_BITS)
 
     @functools.cached_property
-    def float_box(self):
-        """(x_lo, x_hi, y_lo, y_hi): float bounds on x and on y =
-        sqrt(y_sq), from box by correctly rounded float() and math.sqrt,
-        each widened one ulp outward, then scaled by 2^-20 (2^-10 for y);
-        None when a conversion overflows."""
-        x_lo, x_hi, y_lo, y_hi = self.box
-        try:
-            x = _down(float(x_lo)), _up(float(x_hi))
-            y = (_down(math.sqrt(max(0.0, _down(float(y_lo))))),
-                 _up(math.sqrt(_up(float(y_hi)))))
-        except OverflowError:
-            return None
-        return (math.ldexp(x[0], -_BOX_BITS), math.ldexp(x[1], -_BOX_BITS),
-                math.ldexp(y[0], -_BOX_BITS // 2),
-                math.ldexp(y[1], -_BOX_BITS // 2))
+    def y_box(self) -> Tuple[int, int]:
+        """(y_lo, y_hi): integer bounds of 2^20 y, y = sqrt(y_sq), the
+        integer square roots of 2^20 times box's bounds of 2^20 y_sq."""
+        lo, hi = (b << _BOX_BITS for b in self.box[2:])
+        return math.isqrt(lo), _sqrt_upper(Fraction(hi)).numerator
 
 
 def _x_coord(e: EigenData3, v: IntVector) -> FieldElement:
@@ -263,42 +256,27 @@ def verify_dirichlet_element(m: IntMatrix, x: IntMatrix) -> bool:
     return count_real_roots(char_poly(x), None, 0) == 0
 
 
-def _down(v: float) -> float:
-    return math.nextafter(v, -math.inf)
-
-
-def _up(v: float) -> float:
-    return math.nextafter(v, math.inf)
-
-
 def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:
     """Sign of the cross product (p2-p1) x (p3-p1) in the (x, y) chart,
     a y3 + b y2 + c y1 with a = x2 - x1, b = x1 - x3, c = x3 - x2.
 
-    The float filter evaluates that sum over the points' float_box bounds.
-    float() of an int, math.sqrt, * and + are correctly rounded, so each
-    result is within half an ulp of the exact operation on its float
-    arguments, and one math.nextafter step outward makes it a bound;
-    math.ldexp by 2^-20 or 2^-10 is exact, except that it may take a
-    one-step widening of 0 back to 0, itself a bound.  The interval so built
-    contains the exact sum.  An overflow only widens it to an infinite end,
-    and inf - inf or inf * 0 makes it NaN.  The filter decides when the
-    interval lies strictly on one side of 0; when it contains 0 or is NaN,
-    or a float conversion overflowed, the sign is decided exactly by
-    sign_three_sqrt in Q(r).
+    The integer filter evaluates 2^40 times that sum over the points'
+    bounds of 2^20 x (box) and 2^20 y (y_box), in integer interval
+    arithmetic, so the interval it builds contains the exact value.  It
+    decides when the interval lies strictly on one side of 0; otherwise the
+    sign is decided exactly by sign_three_sqrt in Q(r).
     """
-    b1, b2, b3 = p1.float_box, p2.float_box, p3.float_box
-    if b1 is not None and b2 is not None and b3 is not None:
-        lo = hi = 0.0
-        for u, v, w in ((b2, b1, b3), (b1, b3, b2), (b3, b2, b1)):
-            # the term (x_u - x_v) * y_w
-            d_lo, d_hi = _down(u[0] - v[1]), _up(u[1] - v[0])
-            lo = _down(lo + _down(d_lo * (w[2] if d_lo >= 0 else w[3])))
-            hi = _up(hi + _up(d_hi * (w[3] if d_hi >= 0 else w[2])))
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+    lo = hi = 0
+    for u, v, w in ((p2, p1, p3), (p1, p3, p2), (p3, p2, p1)):
+        # the term (x_u - x_v) * y_w
+        d_lo, d_hi = u.box[0] - v.box[1], u.box[1] - v.box[0]
+        y_lo, y_hi = w.y_box
+        lo += d_lo * (y_lo if d_lo >= 0 else y_hi)
+        hi += d_hi * (y_hi if d_hi >= 0 else y_lo)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
     a = p2.x - p1.x
     b = p1.x - p3.x
     c = p3.x - p2.x
@@ -384,24 +362,25 @@ def _sqrt_upper(x: Fraction) -> Fraction:
 
 
 def _dec(x: Fraction) -> str:
-    return "%.9f" % float(x)
+    """x to 9 decimals, rounded half to even, with its sign."""
+    n = round(abs(x) * 10 ** 9)
+    return "%s%d.%09d" % ("-" if x < 0 else "", n // 10 ** 9, n % 10 ** 9)
+
+
+def _x_sum(e: EigenData3, v: IntVector) -> int:
+    """sum v_i X_i with X_i = x_floor[i]: 2^40 x_form[i] lies in [X_i,
+    X_i + 1), so the sum is within sum |v_i| of 2^40 x(v), strictly."""
+    x0, x1, x2 = e.x_floor
+    return v[0] * x0 + v[1] * x1 + v[2] * x2
 
 
 def _x_sign(e: EigenData3, v: IntVector) -> int:
-    """The sign of x(v), from floats where their error bound decides it.
-
-    Each x_approx[i] = x_form[i].approx() is the float nearest the
-    midpoint of an enclosure of width 2^-40, so it is within
-    2^-41 + 2^-53 |x_form[i]| of its value, and the float dot product adds
-    at most 4 * 2^-53 * sum |x_form[i] v_i|.  A float result beyond twice
-    that bound has the exact sign; any other is decided in Q(r).
-    """
-    terms = [f * c for f, c in zip(e.x_approx, v)]
-    xf = sum(terms)
-    bound = 2.0 ** -40 * sum(abs(c) for c in v) \
-        + 2.0 ** -49 * sum(abs(t) for t in terms)
-    if abs(xf) > bound:
-        return 1 if xf > 0 else -1
+    """The sign of x(v): that of _x_sum where its magnitude is at least
+    its error bound sum |v_i|, the bound of gamma0_slab_points' filter;
+    any other is decided in Q(r)."""
+    s = _x_sum(e, v)
+    if abs(s) >= abs(v[0]) + abs(v[1]) + abs(v[2]):
+        return (s > 0) - (s < 0)
     return _x_coord(e, v).sign()
 
 
@@ -409,10 +388,6 @@ def _positive(e: EigenData3, v: IntVector) -> IntVector:
     """v or -v, whichever has positive x (x vanishes on no nonzero integer
     vector, since the real eigenvalue is irrational)."""
     return -v if _x_sign(e, v) < 0 else v
-
-
-def _x_approx(e: EigenData3, v: IntVector) -> float:
-    return sum(f * c for f, c in zip(e.x_approx, v))
 
 
 def _integral_lll(gram):
@@ -518,8 +493,6 @@ def _log2_floor(a: FieldElement) -> int:
     return n.bit_length() - 1 - shift
 
 
-# bits of the cuts' integer filter below x(p) and f_max
-_FILTER_BITS = 40
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
@@ -700,13 +673,14 @@ class FundamentalWindow:
 
     def carry(self, v: IntVector) -> IntVector:
         """The member of the G-orbit of v or -v with x in the window: a
-        float guess of the power from logarithms, fixed by signs of x,
-        which is linear."""
+        float guess of the power from the logarithms of the integer sums
+        _x_sum of start and v (math.log takes ints of any size), fixed by
+        exact signs of x, which is linear."""
         e, t = self.eigen, self.start
         v = _positive(e, v)
-        ratio = _x_approx(e, t) / (_x_approx(e, v) or math.nan)
-        k = math.floor(math.log(ratio) / math.log(self.rho)) \
-            if 0 < ratio < math.inf else 0
+        xt, xv = _x_sum(e, t), _x_sum(e, v)
+        k = math.floor((math.log(xt) - math.log(xv)) / math.log(self.rho)) \
+            if xt > 0 and xv > 0 else 0
         step = self.generator if k > 0 else self.generator_inv
         for _ in range(abs(k)):
             v = step * v

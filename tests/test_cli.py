@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from hesslab import cli
+from hesslab.exact import IntMatrix
 
 
 def run(argv, capsys):
@@ -132,6 +133,22 @@ def test_fingerprint_where_the_float_metric_was_singular(capsys):
     assert code == 0 and err == ""
     assert out.splitlines() == ["min MD value 3", "0 1 2; 1 0 0; 0 3 5",
                                 "0 2 3; 1 1 1; 0 3 4"]
+
+
+def test_conjugate_beyond_the_float_range(capsys):
+    # X^-1 M1 X for the shear X = [[1, 10^320, 0], [0, 1, 0], [0, 0, 1]]:
+    # its x form has entries beyond the float range, where a float filter
+    # of x's sign overflowed; the fingerprint is M1's, as for every
+    # conjugate, and the sail prints
+    x = IntMatrix([[1, 10 ** 320, 0], [0, 1, 0], [0, 0, 1]])
+    m1 = IntMatrix([[0, 1, 2], [1, 0, 0], [0, 3, 5]])
+    m = x.inverse_unimodular() * m1 * x
+    text = "; ".join(" ".join(map(str, row)) for row in m.rows)
+    code, out, _ = run(["fingerprint", text, "--json"], capsys)
+    assert code == 0
+    assert run(["fingerprint", _M1, "--json"], capsys) == (0, out, "")
+    code, out, _ = run(["sail", text, "--json"], capsys)
+    assert code == 0 and any(e["is_fundamental"] for e in json.loads(out))
 
 
 _ATLAS = ["atlas", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1"]

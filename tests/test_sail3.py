@@ -167,40 +167,51 @@ def test_orientation_filter_matches_exact(i, vs, shape):
         # onto one ray through the origin
         vs = [vs[0], vs[0].scale(2), vs[0].scale(3)]
     elif shape == "huge":
-        # x and y_sq beyond the float range: the conversion overflows
+        # x and y_sq far beyond the float range
         vs = [v.scale(10 ** 400) for v in vs]
     p1, p2, p3 = (project_pi(e, v) for v in vs)
     want = _exact_orientation(p1, p2, p3)
     with _CountingExact() as exact:
         assert sail3._orientation(p1, p2, p3) == want
-    if want == 0 or shape == "huge":
-        # an interval that holds 0 and an overflow both fall back
+    if want == 0:
+        # an interval that holds 0 falls back
         assert exact.calls == 1
+    elif shape == "huge":
+        # the cross product of huge points outgrows the boxes' widths, so
+        # the integer filter decides
+        assert exact.calls == 0
 
 
-def _float_box_holds(p):
-    x_lo, x_hi, y_lo, y_hi = map(Fraction, p.float_box)
-    assert (p.x - x_lo).sign() >= 0 and (p.x - x_hi).sign() <= 0
-    assert y_lo <= 0 or (p.y_sq - y_lo * y_lo).sign() >= 0
-    assert y_hi >= 0 and (p.y_sq - y_hi * y_hi).sign() <= 0
+def _box_holds(p):
+    # box bounds 2^20 x and 2^20 y_sq, y_box 2^20 y, each by its floor
+    # and ceiling
+    x_lo, x_hi, ysq_lo, ysq_hi = p.box
+    y_lo, y_hi = p.y_box
+    unit = Fraction(1, 1 << 20)
+    assert (p.x - x_lo * unit).sign() >= 0 >= (p.x - x_hi * unit).sign()
+    assert (p.y_sq - ysq_lo * unit).sign() >= 0 \
+        >= (p.y_sq - ysq_hi * unit).sign()
+    assert x_hi - x_lo <= 1 and ysq_hi - ysq_lo <= 1
+    assert (p.y_sq - (y_lo * unit) ** 2).sign() >= 0 \
+        >= (p.y_sq - (y_hi * unit) ** 2).sign()
+    assert (y_lo + 1) ** 2 > ysq_lo << 20
+    assert y_hi == 0 or (y_hi - 1) ** 2 < ysq_hi << 20
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=3),
        nonzero_vectors(lo=-10 ** 6, hi=10 ** 6))
-def test_float_box_holds_x_and_y(i, v):
+def test_box_holds_x_and_y(i, v):
     _, e = _operator_data(i)
-    p = project_pi(e, v)
-    assert p.box == p.x.bounds(20) + p.y_sq.bounds(20)
-    _float_box_holds(p)
-    # beyond the float range the conversion overflows: no box, and the
-    # orientation falls back (the "huge" case above)
-    assert project_pi(e, v.scale(10 ** 400)).float_box is None
+    for w in (v, v.scale(10 ** 400)):
+        p = project_pi(e, w)
+        assert p.box == p.x.bounds(20) + p.y_sq.bounds(20)
+        _box_holds(p)
 
 
-def test_float_box_near_the_box_resolution():
+def test_box_near_the_box_resolution():
     # values at, just off and far below 2^-20: integer bounds of a few
-    # units, and widenings of 0 that ldexp flushes back to 0
+    # units, and of 0
     field = NumberField.for_largest_root(char_poly(M1))
     r = field.gen()
     lo, _ = r.interval(Fraction(1, 1 << 80))
@@ -211,24 +222,88 @@ def test_float_box_near_the_box_resolution():
     for x in values:
         for y_sq in values:
             if y_sq.sign() >= 0:
-                _float_box_holds(PiPoint(IntVector((1, 0, 0)), x, y_sq))
+                _box_holds(PiPoint(IntVector((1, 0, 0)), x, y_sq))
 
 
-def test_orientation_falls_back_on_nan_and_missing_box():
+def test_orientation_falls_back_on_a_wide_box():
     e = eigen_data(M1)
-    pts = [project_pi(e, IntVector(v))
-           for v in ((1, 0, 0), (0, 1, 0), (0, -1, 1))]
+    vs = [IntVector(v) for v in ((1, 0, 0), (0, 1, 0), (0, -1, 1))]
+    pts = [project_pi(e, v) for v in vs]
     want = _exact_orientation(*pts)
     assert want != 0
     with _CountingExact() as exact:
         assert sail3._orientation(*pts) == want
     assert exact.calls == 0
-    nan = float("nan")
-    for box in (None, (nan, nan, nan, nan), (-math.inf, math.inf, 0.0, 0.0)):
-        pts[1].__dict__["float_box"] = box
+    # a box that still holds x and y_sq but is too wide to decide: the
+    # filter's interval holds 0, and the sign comes from Q(r)
+    for k in range(3):
+        pts = [project_pi(e, v) for v in vs]
+        pts[k].__dict__["box"] = (-1 << 60, 1 << 60, 0, 1 << 60)
         with _CountingExact() as exact:
             assert sail3._orientation(*pts) == want
-        assert exact.calls == 1, box
+        assert exact.calls == 1, k
+
+
+@functools.lru_cache(maxsize=None)
+def _convergent_vectors(i):
+    """q e2 - p e1 for the convergents p / q < 2^80 of alpha = x(e2) /
+    x(e1), whose x = x(e1) (q alpha - p) shrinks like 1 / q."""
+    _, e = _operator_data(i)
+    a, _ = (e.x_form[1] / e.x_form[0]).interval(Fraction(1, 1 << 240))
+    out = []
+    p0, q0, p1, q1 = 1, 0, math.floor(a), 1
+    a -= p1
+    while q1 < 1 << 80:
+        out.append(IntVector((-p1, q1, 0)))
+        c = math.floor(1 / a)
+        a = 1 / a - c
+        p0, q0, p1, q1 = p1, q1, c * p1 + p0, c * q1 + q0
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=200),
+       nonzero_vectors(lo=-10 ** 6, hi=10 ** 6),
+       st.sampled_from((1, -1, 10 ** 310)))
+def test_x_sign_is_exact(i, j, w, scale):
+    # the integer filter against exact signs: small vectors, vectors with
+    # entries above 10^308 and vectors whose x is below 2^-35, where the
+    # filter leaves the sign to Q(r)
+    _, e = _operator_data(i)
+    cs = _convergent_vectors(i)
+    c = cs[j % len(cs)]
+    for v in (w, c, w.scale(scale), c.scale(scale), c.scale(scale) + w):
+        assert sail3._x_sign(e, v) == _x_coord(e, v).sign(), v
+
+
+def test_convergent_vectors_reach_below_the_filter():
+    for i in range(4):
+        _, e = _operator_data(i)
+        tiny = [v for v in _convergent_vectors(i)
+                if _x_coord(e, v).bounds(35) in ((0, 1), (-1, 0))]
+        assert tiny
+        assert all(abs(sail3._x_sum(e, v)) < sum(map(abs, v)) for v in tiny)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-(1 << 53), max_value=1 << 53),
+       st.integers(min_value=0, max_value=70))
+# ties at 10^-9 / 2, rounded to even
+@example(1, 10)
+@example(3, 10)
+@example(-5, 10)
+def test_dec_rounds_as_float_formatting(n, k):
+    # a dyadic of 53 bits is a float exactly, and "%.9f" rounds it half to
+    # even
+    assert sail3._dec(Fraction(n, 1 << k)) == "%.9f" % (n / (1 << k))
+
+
+def test_dec_beyond_the_float_range():
+    assert sail3._dec(Fraction(10 ** 400) + Fraction(2, 3)) \
+        == "1" + "0" * 400 + ".666666667"
+    assert sail3._dec(-Fraction(10 ** 400)) == "-1" + "0" * 400 + ".000000000"
+    assert sail3._dec(Fraction(-1, 10 ** 12)) == "-0.000000000"
 
 
 def test_pareto_filter_decides_x_order_exactly():
