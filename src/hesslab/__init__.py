@@ -31,7 +31,7 @@ from .hessenberg import (
     reduce_to_perfect,
 )
 from .mdchar import MDForm3, md_characteristic, md_form3
-from .numberfield import NumberField, PrecisionExhausted
+from .numberfield import NumberField
 from .sail3 import (
     Inconclusive,
     SailData,

@@ -1,10 +1,10 @@
 """Command line surface.
 
 Every library operation is exposed as a subcommand; `--json` switches the
-output to JSON. Exit codes: 0 success, 1 usage or input error, 2 when the
-result is Inconclusive. Defaults come from built-ins, then a
-`hessenberg-lab.toml`-style key=value config file, then the environment
-variable HESSLAB_PRECISION_BITS, then flags.
+output to JSON (atlas and atlas4 also take a path to write it to). Exit
+codes: 0 success, 1 usage or input error, 2 when the result is
+Inconclusive because a budget ran out. Defaults come from built-ins, then
+a `hessenberg-lab.toml`-style key=value config file, then flags.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .hessenberg import (
     reduce_to_perfect,
 )
 from .mdchar import md_characteristic, md_form3
-from .numberfield import PrecisionExhausted
 from .reducedness import (
     Bounded,
     Sail,
@@ -44,7 +43,6 @@ from . import atlas as atlas_mod
 @dataclass(frozen=True)
 class Config:
     bound: Optional[int] = None   # no default: bound 1000 scans for ~45 min
-    precision_bits: int = 4096
     region: int = 40_000_000
     window: int = 20
     window4: int = 15
@@ -82,7 +80,7 @@ def load_config(path=None) -> Config:
         raw = _load_config_file(path)
         palette = {}
         for key, val in raw.items():
-            if key in ("bound", "precision_bits", "region", "window", "window4"):
+            if key in ("bound", "region", "window", "window4"):
                 cfg = replace(cfg, **{key: _int(val, "config key " + key)})
             elif key == "format":
                 cfg = replace(cfg, fmt=val)
@@ -93,10 +91,6 @@ def load_config(path=None) -> Config:
                 raise ExactError("unknown config key %r" % key)
         if palette:
             cfg = replace(cfg, palette=palette)
-    env_bits = os.environ.get("HESSLAB_PRECISION_BITS")
-    if env_bits:
-        cfg = replace(cfg, precision_bits=_int(env_bits,
-                                               "HESSLAB_PRECISION_BITS"))
     return cfg
 
 
@@ -123,7 +117,7 @@ def _strategy(args, cfg):
     name = getattr(args, "strategy", "sail")
     if name == "bounded":
         return Bounded(_scan_bound(args, cfg))
-    return Sail(precision=cfg.precision_bits, region=cfg.region)
+    return Sail(cfg.region)
 
 
 def _cmd_reduce(args, cfg):
@@ -183,7 +177,7 @@ def _verdict_text(v):
 
 def _cmd_fingerprint(args, cfg):
     m = parse_matrix(args.matrix)
-    fp = fingerprint(m, precision=cfg.precision_bits, region=cfg.region)
+    fp = fingerprint(m, cfg.region)
     text = ["min MD value %d" % fp.min_value]
     text += [_matrix_str(h) for h in fp.matrices]
     _emit(args, fp.to_json(), "\n".join(text))
@@ -192,7 +186,7 @@ def _cmd_fingerprint(args, cfg):
 
 def _cmd_sail(args, cfg):
     m = parse_matrix(args.matrix)
-    sail = compute_sail(m, bits=cfg.precision_bits, point_cap=cfg.region)
+    sail = compute_sail(m, cfg.region)
     dump = sail.to_json()
     lines = []
     for entry in dump:
@@ -308,11 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="key=value config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, json_path=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", nargs="?", const=True, default=False,
-                       help="JSON output (atlas subcommands accept a path)")
+        if json_path:
+            # only the atlases take a path: elsewhere an optional value
+            # would swallow a matrix written after --json
+            p.add_argument("--json", nargs="?", const=True, default=False,
+                           help="JSON output, to stdout or to a path")
+        else:
+            p.add_argument("--json", action="store_true", help="JSON output")
         return p
 
     p = add("reduce", _cmd_reduce, help="perfect Hessenberg form of a matrix")
@@ -340,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p = add("classify2", _cmd_classify2, help="SL(2,Z) conjugacy class")
     p.add_argument("matrix")
-    p = add("atlas", _cmd_atlas, help="classify a 3x3 family window")
+    p = add("atlas", _cmd_atlas, json_path=True,
+            help="classify a 3x3 family window")
     p.add_argument("--type", required=True)
     p.add_argument("--anchor", required=True)
     p.add_argument("--range", help="-20:20,-20:20")
@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write a PPM/SVG rendering here")
-    p = add("atlas4", _cmd_atlas4, help="classify the fixed 4D family cube")
+    p = add("atlas4", _cmd_atlas4, json_path=True,
+            help="classify the fixed 4D family cube")
     p.add_argument("--bound", type=int)
     p = add("ray", _cmd_ray, help="verdicts along an NRS-ray")
     p.add_argument("--type", required=True)
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(args, cfg)
-    except (Inconclusive, PrecisionExhausted) as ex:
+    except Inconclusive as ex:
         print("Inconclusive: %s" % ex, file=sys.stderr)
         return 2
     except (ExactError, OSError) as ex:

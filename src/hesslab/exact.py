@@ -477,17 +477,6 @@ def factor_small(p: IntPoly):
         r = min(roots)
         factors.append(IntPoly([-r, 1]))
         work = _divide_linear(work, r)
-    if work.degree == 2:
-        b, c = work.coeffs[1], work.coeffs[0]
-        d = b * b - 4 * c
-        if _is_square(d):
-            s = math.isqrt(d)
-            if (s - b) % 2 == 0:
-                r1 = (-b + s) // 2
-                r2 = (-b - s) // 2
-                factors.append(IntPoly([-r1, 1]))
-                factors.append(IntPoly([-r2, 1]))
-                work = IntPoly([1])
     if work.degree == 4:
         split = _split_quartic(work)
         if split is not None:

@@ -22,12 +22,6 @@ from typing import List, Tuple
 
 from .exact import ExactError, IntPoly, _det_rows, count_real_roots
 
-_DEFAULT_PRECISION_BITS = 4096
-
-
-class PrecisionExhausted(ExactError):
-    """An adaptive sign computation hit the configured precision cap."""
-
 
 def isolate_real_roots(p: IntPoly) -> List[Tuple[Fraction, Fraction]]:
     """Disjoint open isolating intervals for all real roots, left to right.
@@ -189,24 +183,21 @@ class NumberField:
     """Q(r) for a fixed real root r of an irreducible monic integer
     polynomial."""
 
-    def __init__(self, minpoly: IntPoly, root: RealRoot,
-                 precision_bits: int = _DEFAULT_PRECISION_BITS):
+    def __init__(self, minpoly: IntPoly, root: RealRoot):
         if not minpoly.monic:
             raise ExactError("the minimal polynomial must be monic")
         self.minpoly = minpoly
         self.root = root
         self.degree = minpoly.degree
-        self.precision_bits = precision_bits
         self._low = minpoly.coeffs[:-1]   # r^d = -sum _low[i] r^i
 
     @staticmethod
-    def for_largest_root(minpoly: IntPoly,
-                         precision_bits: int = _DEFAULT_PRECISION_BITS) -> "NumberField":
+    def for_largest_root(minpoly: IntPoly) -> "NumberField":
         roots = isolate_real_roots(minpoly)
         if not roots:
             raise ExactError("polynomial has no real roots")
         lo, hi = roots[-1]
-        return NumberField(minpoly, RealRoot(minpoly, lo, hi), precision_bits)
+        return NumberField(minpoly, RealRoot(minpoly, lo, hi))
 
     def _reduce(self, cs: list) -> tuple:
         """Integer coefficients of a polynomial in r, reduced to degree < d
@@ -248,7 +239,7 @@ class FieldElement:
     over the positive denominator `den`, with gcd(den, *num) = 1, so equal
     values have equal representations."""
 
-    __slots__ = ("field", "num", "den", "_approx")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: NumberField, num: tuple, den: int = 1):
         g = gcd(den, *num)
@@ -258,7 +249,6 @@ class FieldElement:
         self.field = field
         self.num = num
         self.den = den
-        self._approx = None
 
     @property
     def coeffs(self) -> tuple:
@@ -345,41 +335,40 @@ class FieldElement:
 
     def sign(self) -> int:
         """The exact sign: the Horner enclosure over the interval of r,
-        with r refined to twice its bits plus 8 while it straddles 0.  A
-        call adds at most precision_bits bits to r, then raises
-        PrecisionExhausted."""
+        with r refined to twice its bits plus 8 while it straddles 0.
+
+        The loop ends.  A rational element's sign is that of its constant
+        term.  An element with an r-term is irrational, as the minimal
+        polynomial is irreducible, so it is nonzero, and its enclosure
+        shrinks onto its value as the interval of r does."""
         num = self.num
         if not any(num[1:]):
             c = num[0]
             return (c > 0) - (c < 0)
         root = self.field.root
-        cap = None
         while True:
             lo, hi = _horner_interval(num, root.a, root.b, root.k)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            bits = root.bits
-            if cap is None:
-                cap = bits + self.field.precision_bits
-            if bits >= cap:
-                raise PrecisionExhausted("sign of field element undecided at cap")
-            root.refine_to(min(2 * max(bits, 0) + 8, cap))
+            root.refine_to(2 * max(root.bits, 0) + 8)
 
     def bounds(self, shift: int = 0) -> Tuple[int, int]:
         """The floor and the ceiling of value * 2^shift, exactly, so whatever
         the refinement of r: the Horner enclosure is refined until, rounded
         outward, it spans at most one unit, or is narrow enough that sign()
-        puts the value on one side of the one integer inside it.  Each
-        refinement asks r for the bits that narrow the enclosure, scaled by
-        2^shift, from its current width to about 2^-10, and a call adds at
-        most precision_bits bits to r, as in sign().  The value of an
-        element with an r-term is irrational, so its bounds differ by one;
-        a rational element's enclosure is the value itself."""
+        puts the value on one side of the one integer inside it.  The value
+        of an element with an r-term is irrational, so its bounds differ by
+        one; a rational element's enclosure is the value itself.
+
+        The loop ends.  Each refinement asks r for the bits that narrow the
+        enclosure, scaled by 2^shift, from its current width to about
+        2^-10; while that width is above 2^-8 this is at least two more
+        bits, and the enclosure narrows with the interval of r, so it gets
+        2^-8 wide, where sign() decides."""
         up, down = 1 << max(shift, 0), 1 << max(-shift, 0)
         num, root = self.num, self.field.root
-        cap = None
         while True:
             lo, hi = _horner_interval(num, root.a, root.b, root.k)
             scale = (self.den << (root.k * (len(num) - 1))) * down
@@ -391,13 +380,8 @@ class FieldElement:
                 # 2^-8 wide: n + 1 is the one integer inside
                 s = (self * up - (n + 1) * down).sign()
                 return n + (s >= 0), n + 1 + (s > 0)
-            bits = root.bits
-            if cap is None:
-                cap = bits + self.field.precision_bits
-            if bits >= cap:
-                raise PrecisionExhausted("bounds of field element undecided at cap")
-            root.refine_to(min(bits + spread.bit_length() - scale.bit_length()
-                               + 10, cap))
+            root.refine_to(root.bits + spread.bit_length()
+                           - scale.bit_length() + 10)
 
     def floor(self, shift: int = 0) -> int:
         """floor(value * 2^shift), exactly."""
@@ -410,14 +394,6 @@ class FieldElement:
         b = (-(-width.denominator // width.numerator) - 1).bit_length()
         lo, hi = self.bounds(b)
         return Fraction(lo, 1 << b), Fraction(hi, 1 << b)
-
-    def approx(self) -> float:
-        """The float nearest the midpoint of the bounds at 2^-40, computed
-        once per element."""
-        if self._approx is None:
-            lo, hi = self.bounds(40)
-            self._approx = (lo + hi) / (1 << 41)
-        return self._approx
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

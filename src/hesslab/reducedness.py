@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 from .exact import ExactError, IntMatrix, IntVector, char_poly, det, factor_small
 from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
 from .mdchar import md_characteristic, md_form3
-from .numberfield import PrecisionExhausted
 from .sail3 import Inconclusive as SailInconclusive, fundamental_window
 
 
@@ -33,7 +32,6 @@ class Bounded:
 
 @dataclass(frozen=True)
 class Sail:
-    precision: int = 4096
     region: int = 40_000_000
 
 
@@ -129,7 +127,7 @@ def _sail_minimum(m: IntMatrix, strategy: Sail) -> Tuple[int, List[IntVector]]:
     invariant under M, so each minimiser is carried into e1's window; both
     ends of the window count when e1's orbit is minimal.
     """
-    w = fundamental_window(m, strategy.precision, strategy.region)
+    w = fundamental_window(m, strategy.region)
     form = md_form3(m)
     vals = [abs(form(v)) for v in w.points]
     best = min(vals)
@@ -162,7 +160,7 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
     if isinstance(strategy, Sail):
         try:
             best, wits = _sail_minimum(m, strategy)
-        except (SailInconclusive, PrecisionExhausted) as ex:
+        except SailInconclusive as ex:
             return ReducedVerdict("Inconclusive", reason=str(ex))
         if best < target:
             return ReducedVerdict("Nonreduced", witness=wits[0])
@@ -170,8 +168,7 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
     raise ExactError("unknown strategy %r" % (strategy,))
 
 
-def fingerprint(m: IntMatrix, precision: int = 4096,
-                region: int = 40_000_000) -> Fingerprint:
+def fingerprint(m: IntMatrix, region: int = 40_000_000) -> Fingerprint:
     """Distinct perfect forms reached from the verdict's MD minimisers, one
     reduction per witness.  Those are the MD-minimal vertices of e1's
     window up to sign, and both of its ends e1 and M e1 when e1's orbit is
@@ -181,7 +178,7 @@ def fingerprint(m: IntMatrix, precision: int = 4096,
     U(M v) = M U(v) and H(M v) = H(v), and likewise for M^-1."""
     if det(m) != 1 or m.n != 3:
         raise ExactError("fingerprints require SL(3,Z) input")
-    best, wits = _sail_minimum(m, Sail(precision, region))
+    best, wits = _sail_minimum(m, Sail(region))
     seen = {}
     for v in wits:
         h, _ = reduce_to_perfect(m, v)

@@ -62,7 +62,8 @@ class SailError(ExactError):
 
 
 class Inconclusive(SailError):
-    """Raised when a certified computation exceeds its configured budget."""
+    """Raised when a certified computation exceeds its cell budget or fails
+    one of its own consistency checks."""
 
 
 def _require_nrs(m: IntMatrix) -> Tuple[IntPoly, int]:
@@ -151,9 +152,9 @@ def _quadratic(field: NumberField, f_table, f_den: int,
                                      for row in f_table), f_den)
 
 
-def eigen_data(m: IntMatrix, bits: int = 4096) -> EigenData3:
+def eigen_data(m: IntMatrix) -> EigenData3:
     p, disc = _require_nrs(m)
-    field = NumberField.for_largest_root(p, precision_bits=bits)
+    field = NumberField.for_largest_root(p)
     r = field.gen()
     a0, w1, w2 = _adjugate_coeffs(m)
 
@@ -483,17 +484,34 @@ def _polar(e: EigenData3, u, v) -> FieldElement:
 
 
 def _log2_floor(a: FieldElement) -> int:
-    """floor(log2 a), exactly; Inconclusive unless 2^-precision_bits < a."""
-    for shift in range(0, a.field.precision_bits + 64, 64):
+    """floor(log2 a), exactly, from the first nonzero floor of 2^shift a,
+    shift = 0, 64, 128, ...  For a > 0 that floor is nonzero once 2^shift
+    a >= 1, so the loop ends; a <= 0, which the slab's x(p), f_max and
+    rho_scale never are, is Inconclusive."""
+    shift, n = 0, a.floor(0)
+    while n == 0 and not a.is_zero():
+        shift += 64
         n = a.floor(shift)
-        if n:
-            break
     if n <= 0:
         raise Inconclusive("slab metric is not positive definite")
     return n.bit_length() - 1 - shift
 
 
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _positive_definite(xs, polar, blend: FieldElement, sx: int,
+                       sf: int) -> bool:
+    """Whether the exact slab metric 2^(2 sx) x(u) x(v) + 2^(sf - 3)
+    (r - 1)^2 2 Phi(u, v) is positive definite on the rows with x values
+    xs and 2 Phi values polar (in _PAIRS order): Sylvester's criterion,
+    with the signs of its three leading minors decided in Q(r)."""
+    wx, wf = Fraction(2) ** (2 * sx), blend * Fraction(2) ** (sf - 3)
+    a, b, c, d, e, f = (xs[k] * xs[l] * wx + wf * p
+                        for (k, l), p in zip(_PAIRS, polar))
+    minor = a * d - b * b
+    det = minor * f + 2 * b * c * e - a * e * e - c * c * d
+    return a.sign() > 0 and minor.sign() > 0 and det.sign() > 0
 
 
 def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
@@ -507,8 +525,14 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     (r - 1)^2 / 8 * 2 Phi(u, v) / f_max; its Gram matrix is made from the
     floors of x, (r - 1)^2 / 8 and 2 Phi at 2^b, a function of p and
     `start` alone however far r is refined, and rounding affects only the
-    basis quality.  While it is not positive definite, b grows from 62 by
-    64 up to precision_bits, and then the slab is Inconclusive.
+    basis quality.
+
+    b starts at 62.  When the integral LLL rejects that Gram matrix, the
+    exact metric decides: an indefinite one makes the slab Inconclusive,
+    and a definite one is retried at b = 124, 248, ...  That ends: x^2 has
+    rank 1 and F rank 2, and their kernels (the plane of the complex pair
+    and the real eigenline) meet only in 0, so the exact metric is
+    positive definite, and 2^-b times the Gram matrix tends to it.
     """
     x_p = _x_coord(e, p)
     if x_p.sign() <= 0:
@@ -520,7 +544,8 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     xs = [_x_coord(e, c) for c in rows]
     polar = [_polar(e, rows[k], rows[l]) for k, l in _PAIRS]
     blend = (e.r - 1) * (e.r - 1)
-    for bits in range(62, e.field.precision_bits + 1, 64):
+    bits = 62
+    while True:
         x = [a.floor(sx + bits) for a in xs]
         b = blend.floor(bits - 3)
         g = [(x[k] * x[l] + b * a.floor(sf + bits)) >> bits
@@ -531,8 +556,9 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
                                        for col in zip(*rows)) for hk in h),
                         x_p, f_max, (-sx, -sf))
         except Inconclusive:
-            pass
-    raise Inconclusive("slab metric is not positive definite")
+            if bits == 62 and not _positive_definite(xs, polar, blend, sx, sf):
+                raise
+        bits *= 2
 
 
 def _slab_box(e: EigenData3, basis, x_ends, sx: int, f_hi: int, sf: int):
@@ -570,14 +596,15 @@ def _slab_box(e: EigenData3, basis, x_ends, sx: int, f_hi: int, sf: int):
 
 
 def gamma0_slab_points(e: EigenData3, slab: Slab,
-                       cap: int = 40_000_000) -> List[IntVector]:
+                       region: int = 40_000_000) -> List[IntVector]:
     """The nonzero integer points of the slab, a certified superset of
     Gamma^0(slab.seed).  The cells u of _slab_box pass an integer filter
     with a proven bound: with X_i = floor(2^sx x(b_i)) and P_ij = floor(2^sf
     Phi(b_i, b_j)), sum u_i X_i and sum u_i u_j P_ij are within n and n^2
     (n = sum |u_i|) of 2^sx x(u B) and 2^sf F(u B); cells it leaves open are
-    decided exactly.  Raises Inconclusive when the box has more than `cap`
-    cells, or when p or Mp, both in the slab, is missing from the output.
+    decided exactly.  Raises Inconclusive when the box has more than
+    `region` cells, or when p or Mp, both in the slab, is missing from the
+    output.
     """
     p, basis, x_p, f_max = slab.seed, slab.basis, slab.x_p, slab.f_max
     mp = e.matrix * p
@@ -586,8 +613,8 @@ def gamma0_slab_points(e: EigenData3, slab: Slab,
     x_lo, x_hi = x_ends = sorted((x_p.floor(sx), x_mp.floor(sx)))
     f_hi = f_max.floor(sf)
     los, his = _slab_box(e, basis, x_ends, sx, f_hi, sf)
-    if math.prod(max(0, hi - lo + 1) for lo, hi in zip(los, his)) > cap:
-        raise Inconclusive("reduced-basis slab box exceeds %d cells" % cap)
+    if math.prod(max(0, hi - lo + 1) for lo, hi in zip(los, his)) > region:
+        raise Inconclusive("reduced-basis slab box exceeds %d cells" % region)
 
     x0, x1, x2 = (_x_coord(e, b).floor(sx) for b in basis)
     p00, p01, p02, p11, p12, p22 = (_polar(e, basis[i], basis[j]).floor(sf - 1)
@@ -656,17 +683,18 @@ class FundamentalWindow:
     """e1's window and the slab points that the verdict, the fingerprint
     and the sail share.
 
-    The generator G is the one of M and M^-1 that expands x, by the float
-    factor rho > 1; start is e1 (up to sign) when G = M and M e1 otherwise,
-    so the window [x(start), x(G start)) has the ends x(e1) and x(M e1) in
-    x order.  points are gamma0_slab_points of fundamental_slab, which
-    spans x from x(seed) to x(M seed), one period.
+    The generator G is the one of M and M^-1 that expands x, by a factor
+    whose natural logarithm is about log_rho > 0; start is e1 (up to sign)
+    when G = M and M e1 otherwise, so the window [x(start), x(G start))
+    has the ends x(e1) and x(M e1) in x order.  points are
+    gamma0_slab_points of fundamental_slab, which spans x from x(seed) to
+    x(M seed), one period.
     """
 
     eigen: EigenData3
     generator: IntMatrix
     generator_inv: IntMatrix
-    rho: float
+    log_rho: float
     start: IntVector
     seed: IntVector
     points: List[IntVector]
@@ -679,7 +707,7 @@ class FundamentalWindow:
         e, t = self.eigen, self.start
         v = _positive(e, v)
         xt, xv = _x_sum(e, t), _x_sum(e, v)
-        k = math.floor((math.log(xt) - math.log(xv)) / math.log(self.rho)) \
+        k = math.floor((math.log(xt) - math.log(xv)) / self.log_rho) \
             if xt > 0 and xv > 0 else 0
         step = self.generator if k > 0 else self.generator_inv
         for _ in range(abs(k)):
@@ -693,26 +721,31 @@ class FundamentalWindow:
             v = u
 
 
-def fundamental_window(m: IntMatrix, bits: int = 4096,
-                       cap: int = 40_000_000) -> FundamentalWindow:
+def fundamental_window(m: IntMatrix,
+                       region: int = 40_000_000) -> FundamentalWindow:
     """e1's window of m, with the points of its fundamental slab (at most
-    `cap` enumerated cells, else Inconclusive)."""
-    e = eigen_data(m, bits)
+    `region` enumerated cells, else Inconclusive).  log_rho is |log r|,
+    with log r taken as log(lo + hi) - 41 log 2 from the bounds lo, hi of
+    2^40 r; lo + hi, odd as r is irrational, is at least 1 and not 2^41,
+    so log_rho is positive and finite (math.log takes ints of any
+    size)."""
+    e = eigen_data(m)
     slab = fundamental_slab(e)
-    points = gamma0_slab_points(e, slab, cap)
+    points = gamma0_slab_points(e, slab, region)
     e1 = _positive(e, IntVector((1, 0, 0)))
+    log_rho = abs(math.log(sum(e.r.bounds(_FILTER_BITS)))
+                  - (_FILTER_BITS + 1) * math.log(2))
     if (e.r - 1).sign() > 0:
-        return FundamentalWindow(e, m, e.inverse, e.r.approx(), e1,
-                                 slab.seed, points)
-    return FundamentalWindow(e, e.inverse, m, 1 / e.r.approx(), m * e1,
-                             slab.seed, points)
+        return FundamentalWindow(e, m, e.inverse, log_rho, e1, slab.seed,
+                                 points)
+    return FundamentalWindow(e, e.inverse, m, log_rho, m * e1, slab.seed,
+                             points)
 
 
-def compute_sail(m: IntMatrix, bits: int = 4096,
-                 point_cap: int = 40_000_000) -> SailData:
+def compute_sail(m: IntMatrix, region: int = 40_000_000) -> SailData:
     """The sail vertices with x in [x(G^-1 e1), x(G^2 e1)], with those of
     e1's window marked fundamental; G and the window are fundamental_window's
-    (at most `point_cap` enumerated cells, else Inconclusive).
+    (at most `region` enumerated cells, else Inconclusive).
 
     The window's slab points with positive x span one period
     [x(p0), x(G p0)] of x, p0 the slab's seed or its M image.  Their
@@ -722,7 +755,7 @@ def compute_sail(m: IntMatrix, bits: int = 4096,
     is verified.  Carried into e1's window they are its vertices, and
     their G-images fill the output range.
     """
-    w = fundamental_window(m, bits, point_cap)
+    w = fundamental_window(m, region)
     e, g, g_inv = w.eigen, w.generator, w.generator_inv
     base = _pareto_filter([project_pi(e, v) for v in w.points
                            if _x_sign(e, v) > 0])

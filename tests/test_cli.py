@@ -135,15 +135,15 @@ def test_fingerprint_where_the_float_metric_was_singular(capsys):
                                 "0 2 3; 1 1 1; 0 3 4"]
 
 
-def test_conjugate_beyond_the_float_range(capsys):
-    # X^-1 M1 X for the shear X = [[1, 10^320, 0], [0, 1, 0], [0, 0, 1]]:
-    # its x form has entries beyond the float range, where a float filter
-    # of x's sign overflowed; the fingerprint is M1's, as for every
-    # conjugate, and the sail prints
-    x = IntMatrix([[1, 10 ** 320, 0], [0, 1, 0], [0, 0, 1]])
+def _check_shear_conjugate(row, col, power, capsys):
+    # X^-1 M1 X for the shear X = I + 10^power E_(row+1)(col+1): the
+    # fingerprint is M1's, as for every conjugate, and the sail prints
+    rows = [[int(i == j) for j in range(3)] for i in range(3)]
+    rows[row][col] = 10 ** power
+    x = IntMatrix(rows)
     m1 = IntMatrix([[0, 1, 2], [1, 0, 0], [0, 3, 5]])
     m = x.inverse_unimodular() * m1 * x
-    text = "; ".join(" ".join(map(str, row)) for row in m.rows)
+    text = "; ".join(" ".join(map(str, r)) for r in m.rows)
     code, out, _ = run(["fingerprint", text, "--json"], capsys)
     assert code == 0
     assert run(["fingerprint", _M1, "--json"], capsys) == (0, out, "")
@@ -151,26 +151,45 @@ def test_conjugate_beyond_the_float_range(capsys):
     assert code == 0 and any(e["is_fundamental"] for e in json.loads(out))
 
 
+def test_conjugate_beyond_the_float_range(capsys):
+    # the shear I + 10^320 E12: its x form has entries beyond the float
+    # range, where a float filter of x's sign overflowed
+    _check_shear_conjugate(0, 1, 320, capsys)
+
+
+@pytest.mark.parametrize("row, col, power", [(2, 0, 320), (0, 1, 1000)],
+                         ids=["E31-10^320", "E12-10^1000"])
+def test_sheared_conjugates_fingerprint_as_m1(row, col, power, capsys):
+    # the precision such inputs need grows with their entries, and a
+    # capped precision made them Inconclusive ("slab metric is not
+    # positive definite", "bounds of field element undecided at cap")
+    _check_shear_conjugate(row, col, power, capsys)
+
+
+def test_json_flag_before_the_matrix(capsys):
+    # --json took an optional path on every subcommand and swallowed a
+    # matrix written after it, exiting 1
+    last = run(["fingerprint", _M1, "--json"], capsys)
+    assert last[0] == 0
+    assert run(["fingerprint", "--json", _M1], capsys) == last
+    assert run(["verdict", "--json", _M1], capsys) \
+        == run(["verdict", _M1, "--json"], capsys)
+
+
 _ATLAS = ["atlas", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1"]
 
 
-@pytest.mark.parametrize("argv, env, config", [
-    (_ATLAS + ["--range", "x:1,2:3"], None, None),
-    (_ATLAS + ["--range", "12,2:3"], None, None),
-    (["complexity", "0 1 2; 1 0 0; 0 3 5"], "abc", None),
-    (["complexity", "0 1 2; 1 0 0; 0 3 5"], None, "region = abc\n"),
+@pytest.mark.parametrize("argv, config", [
+    (_ATLAS + ["--range", "x:1,2:3"], None),
+    (_ATLAS + ["--range", "12,2:3"], None),
+    (["complexity", "0 1 2; 1 0 0; 0 3 5"], "region = abc\n"),
     (["ray", "--type", "<a>", "--anchor", "1,0,1", "--start", "0,0",
-      "--dir", "1,0"], None, None),
-], ids=["range-not-int", "range-no-colon", "env-bits", "config-region",
-        "type-not-int"])
-def test_malformed_numbers_are_input_errors(argv, env, config, tmp_path,
-                                            capsys, monkeypatch):
+      "--dir", "1,0"], None),
+], ids=["range-not-int", "range-no-colon", "config-region", "type-not-int"])
+def test_malformed_numbers_are_input_errors(argv, config, tmp_path, capsys,
+                                            monkeypatch):
     # each escaped as a ValueError traceback
     monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
-    if env is not None:
-        monkeypatch.setenv("HESSLAB_PRECISION_BITS", env)
-    else:
-        monkeypatch.delenv("HESSLAB_PRECISION_BITS", raising=False)
     if config is not None:
         (tmp_path / "conf").write_text(config)
         argv = ["--config", str(tmp_path / "conf")] + argv
@@ -197,22 +216,20 @@ def test_malformed_type_names_the_entry(capsys):
     assert err == "error: type column 2, entry 2: 'x' is not an integer\n"
 
 
-def test_config_file_and_env(tmp_path, capsys, monkeypatch):
+def test_config_file_keys(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "hessenberg-lab.toml"
-    cfg.write_text("precision_bits = 1024\nbound = 7\n")
+    cfg.write_text("region = 1000\nbound = 7\n")
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(["minimize", "0 1 2; 1 0 0; 0 3 5", "--json"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["bound"] == 7
-    monkeypatch.setenv("HESSLAB_PRECISION_BITS", "2048")
-    cfg2 = tmp_path / "conf2"
-    cfg2.write_text("precision_bits = 1024\n")
-    conf = cli.load_config(str(cfg2))
-    assert conf.precision_bits == 2048  # env beats file
-    monkeypatch.delenv("HESSLAB_PRECISION_BITS")
-    conf = cli.load_config(str(cfg2))
-    assert conf.precision_bits == 1024  # file beats built-in
+    assert cli.load_config().region == 1000  # file beats built-in
+    # there is no precision budget: its old key is as unknown as any other
+    cfg.write_text("precision_bits = 1024\n")
+    code, out, err = run(["complexity", "0 1 2; 1 0 0; 0 3 5"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: unknown config key 'precision_bits'\n"
 
 
 def test_bounded_scan_needs_a_bound(tmp_path, capsys, monkeypatch):

@@ -460,9 +460,9 @@ def test_indefinite_slab_metric_is_inconclusive(monkeypatch):
     # a negative definite float metric once made the box radii NaN, which
     # came back as an empty point set with no error.  Scaling the F part of
     # the exact metric by -1/1000 leaves a form of signature (1, 2) with a
-    # positive first entry: its Gram matrix is rejected by the integral LLL
-    # at every scale, 62, 126, 190 and 254 bits under a 256-bit cap, and
-    # then the slab is Inconclusive
+    # positive first entry: the integral LLL rejects its Gram matrix, the
+    # exact leading minors find it indefinite, and the slab is Inconclusive
+    # after that one attempt
     polar = sail3._polar
     monkeypatch.setattr(sail3, "_polar",
                         lambda e, u, v: polar(e, u, v) * Fraction(-1, 1000))
@@ -474,15 +474,35 @@ def test_indefinite_slab_metric_is_inconclusive(monkeypatch):
         return lll(gram)
 
     monkeypatch.setattr(sail3, "_integral_lll", counting_lll)
-    e = eigen_data(M1, bits=256)
+    e = eigen_data(M1)
     with pytest.raises(Inconclusive, match="not positive definite"):
         reduced_slab(e, IntVector((1, 0, 0)))
-    assert len(scales) == 4
-    for small, large in zip(scales, scales[1:]):
-        assert large[0][0].bit_length() - small[0][0].bit_length() == 64
+    assert len(scales) == 1
     with pytest.raises(Inconclusive):
-        fundamental_window(M1, bits=256)
-    assert is_reduced(M1, Sail(precision=256)).status == "Inconclusive"
+        fundamental_window(M1)
+    assert is_reduced(M1, Sail()).status == "Inconclusive"
+
+
+def _slab_metric_is_definite(e, slab):
+    xs = [_x_coord(e, c) for c in slab.basis]
+    polar = [sail3._polar(e, slab.basis[k], slab.basis[l])
+             for k, l in sail3._PAIRS]
+    sx, sf = (-k for k in slab.logs)
+    return sail3._positive_definite(xs, polar, (e.r - 1) * (e.r - 1), sx, sf)
+
+
+def test_exact_definiteness_accepts_the_slab_metrics():
+    # the exact slab metric is positive definite on every operator, so the
+    # check that follows a rejected first LLL attempt never stops a slab
+    # that a finer Gram matrix would reduce
+    rng = random.Random(8)
+    for m in [M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
+                          for _ in range(20)]:
+        e = eigen_data(m)
+        slab = fundamental_slab(e)
+        assert _slab_metric_is_definite(e, slab), str(m)
+        e1 = reduced_slab(e, sail3._positive(e, IntVector((1, 0, 0))))
+        assert _slab_metric_is_definite(e, e1), str(m)
 
 
 # every NRS cell of the two criterion-9 windows (m, n in [-20, 20]) whose
@@ -568,8 +588,8 @@ def test_window_carry_lands_in_window():
         w0 = fundamental_window(m)
         e, g = w0.eigen, w0.generator
         x_lo, x_hi = _x_coord(e, w0.start), _x_coord(e, g * w0.start)
-        for w in (w0, dataclasses.replace(w0, rho=w0.rho ** 2),
-                  dataclasses.replace(w0, rho=w0.rho ** 0.5)):
+        for w in (w0, dataclasses.replace(w0, log_rho=w0.log_rho * 2),
+                  dataclasses.replace(w0, log_rho=w0.log_rho / 2)):
             for v in w.points + [w.start]:
                 u = w.carry(v)
                 assert x_lo.cmp(_x_coord(e, u)) <= 0 < x_hi.cmp(_x_coord(e, u))
