@@ -112,11 +112,6 @@ class FamilyPoint:
             "params": list(self.params),
         }
 
-    @staticmethod
-    def from_json(obj) -> "FamilyPoint":
-        return FamilyPoint(HessType.parse(obj["type"]), IntVector(obj["anchor"]),
-                           obj["params"])
-
 
 def is_hessenberg(m: IntMatrix) -> bool:
     n = m.n

@@ -4,13 +4,13 @@ A perfect Hessenberg matrix is reduced when no integer-conjugate perfect
 matrix has smaller Hessenberg complexity; equivalently, when the minimum of
 the MD-characteristic over nonzero integer vectors equals the complexity.
 The Sail strategy takes that minimum exactly, in Python integers, over the
-slab points of sail3.fundamental_window: they meet the orbit of every sail
-vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
-minimum, and each minimiser is carried into e1's window; the
-fingerprint reduces those minimisers.  The Bounded strategy is a
-box scan in Python integers: it finds the exact minimum over the box (or
-raises ExactError when the MD characteristic vanishes on all of it), but
-a minimum over a box is only ever a heuristic certificate.
+slab points of sail3.fundamental_window: they fill the closed window of the
+slab's seed, which meets the orbit of every sail vertex, where the MD form
+(a multiple of x y^2 on pi_+) attains its minimum; the fingerprint reduces
+the minimisers.  The Bounded strategy is a box scan in Python integers: it
+finds the exact minimum over the box (or raises ExactError when the MD
+characteristic vanishes on all of it), but a minimum over a box is only
+ever a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -118,26 +118,20 @@ def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]
 
 def _sail_minimum(m: IntMatrix, strategy: Sail) -> Tuple[int, List[IntVector]]:
     """Certified global MD minimum over nonzero integer vectors, with its
-    minimisers (up to sign) in the closed window [x(e1), x(M e1)] of e1
-    (taken up to sign; ends in x order).
+    primitive minimisers (up to sign) in the closed window [x(start),
+    x(G start)] of fundamental_window.
 
-    The points of fundamental_window meet the orbit of every sail vertex,
-    where the minimum is attained; md vanishes on no nonzero vector, as the
-    characteristic polynomial is irreducible.  The MD characteristic is
-    invariant under M, so each minimiser is carried into e1's window; both
-    ends of the window count when e1's orbit is minimal.
+    The window's points are every integer point of the fundamental slab,
+    which holds both ends of the window and meets the orbit of every sail
+    vertex, where the minimum is attained; md vanishes on no nonzero
+    vector, as the characteristic polynomial is irreducible.
     """
     w = fundamental_window(m, strategy.region)
     form = md_form3(m)
     vals = [abs(form(v)) for v in w.points]
     best = min(vals)
-    wits = set()
-    for v, val in zip(w.points, vals):
-        if val == best and v.is_primitive():
-            u = w.carry(v)
-            wits.add(_canonical_sign(u))
-            if u == w.start:
-                wits.add(_canonical_sign(w.generator * u))
+    wits = {_canonical_sign(v) for v, val in zip(w.points, vals)
+            if val == best and v.is_primitive()}
     return best, sorted(wits, key=tuple)
 
 
@@ -170,12 +164,13 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
 
 def fingerprint(m: IntMatrix, region: int = 40_000_000) -> Fingerprint:
     """Distinct perfect forms reached from the verdict's MD minimisers, one
-    reduction per witness.  Those are the MD-minimal vertices of e1's
-    window up to sign, and both of its ends e1 and M e1 when e1's orbit is
-    minimal; neither sign nor M changes the form.  reduce_to_perfect is
-    even in the seed, as -U(v) meets every condition that fixes U(-v), so
-    H(-v) = H(v); and the flag of M v is M times the flag of v, so
-    U(M v) = M U(v) and H(M v) = H(v), and likewise for M^-1."""
+    reduction per witness.  Those are the MD-minimal points of the
+    fundamental window up to sign, both of its ends included; neither sign
+    nor the window changes the form.  reduce_to_perfect is even in the
+    seed, as -U(v) meets every condition that fixes U(-v), so H(-v) =
+    H(v); and the flag of M v is M times the flag of v, so U(M v) = M U(v)
+    and H(M v) = H(v), and likewise for M^-1: so the forms are those of
+    every MD-minimal sail vertex, whichever window holds them."""
     if det(m) != 1 or m.n != 3:
         raise ExactError("fingerprints require SL(3,Z) input")
     best, wits = _sail_minimum(m, Sail(region))

@@ -19,9 +19,10 @@ x_form, orders and hull orientations of projected points on the floors
 and ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
-expands x and where e1's window lies; the reducedness verdict and the
-fingerprint share its points and its window, and compute_sail, which
-builds the sail's hull from them, serves only the `sail` command.
+expands x; its window is anchored at the fundamental slab's seed, so it
+holds every slab point.  The reducedness verdict and the fingerprint share
+its points and its window, and compute_sail, which builds the sail's hull
+from them, serves only the `sail` command.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .exact import (
     discriminant,
     factor_small,
 )
+from .mdchar import md_form3
 from .numberfield import (
     FieldElement,
     NumberField,
@@ -655,126 +657,91 @@ def fundamental_slab(e: EigenData3) -> Slab:
     a row of the current reduced basis has a slab at least _SEED_GAIN
     times smaller, that of the row with the smallest.
 
-    A slab's volume is proportional to x(p) * F(p), so e1's depends on the
-    basis the input is written in.  A shortest vector v of any metric
-    alpha X + beta F (X = x^2) has x(v) * F(v) <= C sqrt(det(X + F)), which
-    no unimodular change of basis alters, so a short row of the basis bounds
-    the slab whatever the input basis.  Every integer vector with positive x
-    spans one full period of x, so every G-orbit with positive x meets the
-    slab and e1's window is reached from it; the choice affects cost only.
-    A row seed is re-reduced from the current basis (on long conjugators
-    one step can leave 10^6 points); volumes, a multiple of the norm, are
-    bounded below and compared exactly, so the steps end and the choice
-    depends on the operator alone.
+    A slab's volume is proportional to x(p) * F(p), and so to the integer
+    |MD(p)|, MD(p) = det[p, Mp, M^2 p] (MD = K x F for one K in Q(r), see
+    NOTES.md); e1's depends on the basis the input is written in.  A
+    shortest vector v of any metric alpha X + beta F (X = x^2) has x(v) *
+    F(v) <= C sqrt(det(X + F)), which no unimodular change of basis alters,
+    so a short row of the basis bounds the slab whatever the input basis.
+    Every integer vector with positive x spans one full period of x, so
+    every G-orbit with positive x meets the slab; the choice moves the
+    window and the cost, not the verdict's minimum or the fingerprint.  A
+    row seed is re-reduced from the current basis (on long conjugators one
+    step can leave 10^6 points); each step divides the positive integer
+    |MD| of the seed by at least _SEED_GAIN, so the steps end, and the
+    choice depends on the operator alone.
     """
+    md = md_form3(e.matrix)
     slab = reduced_slab(e, _positive(e, IntVector((1, 0, 0))))
     while True:
         cands = [slab.seed] + [_positive(e, IntVector(b)) for b in slab.basis]
-        vols = [_x_coord(e, v) * _y_sq(e, v) for v in cands]
-        i = min((1, 2, 3), key=functools.cmp_to_key(
-            lambda a, b: vols[a].cmp(vols[b])))
-        if (vols[i] * _SEED_GAIN).cmp(vols[0]) > 0:
+        vols = [abs(md(v)) for v in cands]
+        i = min((1, 2, 3), key=vols.__getitem__)
+        if vols[i] * _SEED_GAIN > vols[0]:
             return slab
         slab = reduced_slab(e, cands[i], slab.basis)
 
 
 @dataclass(frozen=True)
 class FundamentalWindow:
-    """e1's window and the slab points that the verdict, the fingerprint
-    and the sail share.
+    """The window of the fundamental slab's seed p and the slab points that
+    the verdict, the fingerprint and the sail share.
 
-    The generator G is the one of M and M^-1 that expands x, by a factor
-    whose natural logarithm is about log_rho > 0; start is e1 (up to sign)
-    when G = M and M e1 otherwise, so the window [x(start), x(G start))
-    has the ends x(e1) and x(M e1) in x order.  points are
-    gamma0_slab_points of fundamental_slab, which spans x from x(seed) to
-    x(M seed), one period.
+    The generator G is the one of M and M^-1 that expands x; start is p
+    when G = M and M p otherwise, so the closed window [x(start),
+    x(G start)] has the ends x(p) and x(M p) in x order.  points are
+    gamma0_slab_points of fundamental_slab: all of them lie in the closed
+    window, and both start and G start are among them.
     """
 
     eigen: EigenData3
     generator: IntMatrix
     generator_inv: IntMatrix
-    log_rho: float
     start: IntVector
-    seed: IntVector
     points: List[IntVector]
-
-    def carry(self, v: IntVector) -> IntVector:
-        """The member of the G-orbit of v or -v with x in the window: a
-        float guess of the power from the logarithms of the integer sums
-        _x_sum of start and v (math.log takes ints of any size), fixed by
-        exact signs of x, which is linear."""
-        e, t = self.eigen, self.start
-        v = _positive(e, v)
-        xt, xv = _x_sum(e, t), _x_sum(e, v)
-        k = math.floor((math.log(xt) - math.log(xv)) / self.log_rho) \
-            if xt > 0 and xv > 0 else 0
-        step = self.generator if k > 0 else self.generator_inv
-        for _ in range(abs(k)):
-            v = step * v
-        while _x_sign(e, v - t) < 0:
-            v = self.generator * v
-        while True:
-            u = self.generator_inv * v
-            if _x_sign(e, u - t) < 0:
-                return v
-            v = u
 
 
 def fundamental_window(m: IntMatrix,
                        region: int = 40_000_000) -> FundamentalWindow:
-    """e1's window of m, with the points of its fundamental slab (at most
-    `region` enumerated cells, else Inconclusive).  log_rho is |log r|,
-    with log r taken as log(lo + hi) - 41 log 2 from the bounds lo, hi of
-    2^40 r; lo + hi, odd as r is irrational, is at least 1 and not 2^41,
-    so log_rho is positive and finite (math.log takes ints of any
-    size)."""
+    """The window of m's fundamental slab, with the points of that slab (at
+    most `region` enumerated cells, else Inconclusive)."""
     e = eigen_data(m)
     slab = fundamental_slab(e)
     points = gamma0_slab_points(e, slab, region)
-    e1 = _positive(e, IntVector((1, 0, 0)))
-    log_rho = abs(math.log(sum(e.r.bounds(_FILTER_BITS)))
-                  - (_FILTER_BITS + 1) * math.log(2))
     if (e.r - 1).sign() > 0:
-        return FundamentalWindow(e, m, e.inverse, log_rho, e1, slab.seed,
-                                 points)
-    return FundamentalWindow(e, e.inverse, m, log_rho, m * e1, slab.seed,
-                             points)
+        return FundamentalWindow(e, m, e.inverse, slab.seed, points)
+    return FundamentalWindow(e, e.inverse, m, m * slab.seed, points)
 
 
 def compute_sail(m: IntMatrix, region: int = 40_000_000) -> SailData:
-    """The sail vertices with x in [x(G^-1 e1), x(G^2 e1)], with those of
-    e1's window marked fundamental; G and the window are fundamental_window's
-    (at most `region` enumerated cells, else Inconclusive).
+    """The sail vertices with x in [x(G^-1 p), x(G^2 p)], p the fundamental
+    slab's seed, with those of fundamental_window's window [x(start),
+    x(G start)) marked fundamental; G and the window are
+    fundamental_window's (at most `region` enumerated cells, else
+    Inconclusive).
 
-    The window's slab points with positive x span one period
-    [x(p0), x(G p0)] of x, p0 the slab's seed or its M image.  Their
-    Pareto-minimal points, with the G^-1 and G images of those, have a full
-    period, and so a sail vertex, on each side of [x(p0), x(G p0)), so the
-    vertices of their hull there are the sail's; their period consistency
-    is verified.  Carried into e1's window they are its vertices, and
+    The window's slab points span one period of x.  Their Pareto-minimal
+    points, with the G^-1 and G images of those, have a full period, and so
+    a sail vertex, on each side of the window, so the vertices of their
+    hull there are the sail's; their period consistency is verified, and
     their G-images fill the output range.
     """
     w = fundamental_window(m, region)
     e, g, g_inv = w.eigen, w.generator, w.generator_inv
-    base = _pareto_filter([project_pi(e, v) for v in w.points
-                           if _x_sign(e, v) > 0])
+    base = _pareto_filter([project_pi(e, v) for v in w.points])
     hull = _lower_hull(_pareto_filter(base + [
         project_pi(e, u) for p in base
         for u in (g_inv * p.preimage, g * p.preimage)]))
 
-    p0 = w.seed if g == m else m * w.seed
-    x0, x1 = project_pi(e, p0), project_pi(e, g * p0)
-    period = [p.preimage for p in hull
-              if _x_cmp(p, x0) >= 0 and _x_cmp(p, x1) < 0]
+    x0, x1 = project_pi(e, w.start), project_pi(e, g * w.start)
+    fund = [p for p in hull if _x_cmp(p, x0) >= 0 and _x_cmp(p, x1) < 0]
     hull_keys = {p.preimage for p in hull}
-    if not period or any(g * v not in hull_keys for v in period):
+    if not fund or any(g * p.preimage not in hull_keys for p in fund):
         raise Inconclusive("sail period window failed the consistency check")
 
-    fund = sorted((project_pi(e, w.carry(v)) for v in period), key=_X_ORDER)
     # the output range is the window's G^-1, G^0 and G^1 images when
-    # G = M (start = e1), its G^0, G^1 and G^2 images when G = M^-1
-    # (start = G^-1 e1), and G^2 e1 where e1 is a vertex
+    # G = M (start = p), its G^0, G^1 and G^2 images when G = M^-1
+    # (start = G^-1 p), and G^2 p where p is a vertex
     first = g_inv if g == m else IntMatrix.identity(3)
     level = [first * p.preimage for p in fund]
     preimages = []

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,6 +136,19 @@ def test_fingerprint_when_the_float_box_misses_slab_points():
                  "771620 -595395962667 2; 1 -771620 0; "
                  "-730866 563954477253 5"):
         assert fingerprint(parse_matrix(rows)) == fingerprint(M1), rows
+
+
+def test_sheared_conjugate_fingerprints_within_a_cpu_budget():
+    # X^-1 M1 X with X = I + 10^1000 E31: carrying the window's minimisers
+    # from the slab seed's window into e1's walked thousands of exact
+    # G-steps; the seed's own window needs none
+    x = IntMatrix([[1, 0, 0], [0, 1, 0], [10 ** 1000, 0, 1]])
+    m = x.inverse_unimodular() * M1 * x
+    ref = fingerprint(M1)
+    start = time.process_time()
+    fp = fingerprint(m)
+    assert time.process_time() - start < 2.0
+    assert fp == ref
 
 
 def test_verdict_json_shapes():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -25,7 +24,7 @@ from hesslab.hessenberg import (
     family_member,
     reduce_to_perfect,
 )
-from hesslab.mdchar import md_characteristic
+from hesslab.mdchar import md_characteristic, md_form3
 from hesslab.numberfield import NumberField, sign_three_sqrt
 from hesslab.reducedness import (
     Sail,
@@ -505,6 +504,25 @@ def test_exact_definiteness_accepts_the_slab_metrics():
         assert _slab_metric_is_definite(e, e1), str(m)
 
 
+def test_md_form_is_one_multiple_of_x_times_f():
+    # fundamental_slab compares the slab volumes x(v) F(v) through the
+    # integers |MD(v)|: v = a g1 + z g_c + conj(z g_c) gives [v, Mv, M^2 v]
+    # = [g1 g_c conj(g_c)] diag(a, z, conj z) V, V the Vandermonde matrix of
+    # (r, c, conj c), so x(v) F(v) / MD(v) is one element of Q(r) (NOTES.md)
+    rng = random.Random(8)
+    for m in [M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
+                          for _ in range(20)]:
+        e = eigen_data(m)
+        form = md_form3(m)
+        vecs = [IntVector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        vecs += [IntVector(b) for b in fundamental_slab(e).basis]
+        vecs += [IntVector([rng.randint(-50, 50) for _ in range(3)])
+                 for _ in range(4)]
+        ratios = [_x_coord(e, v) * _y_sq(e, v) * Fraction(1, form(v))
+                  for v in vecs if any(v)]
+        assert all((k - ratios[0]).is_zero() for k in ratios[1:]), str(m)
+
+
 # every NRS cell of the two criterion-9 windows (m, n in [-20, 20]) whose
 # sail window used to sit one period above the slab (real eigenvalue
 # r < 1) and fail the period consistency check
@@ -567,37 +585,38 @@ def test_sail_vertices_are_periodic():
     for m in mats + nrs:
         sail = compute_sail(m)
         g = sail.generator
+        # the output range is [x(G^-1 p), x(G^2 p)] for the slab's seed p,
+        # start = p when G = M and G^-1 p when G = M^-1
+        w = fundamental_window(m)
+        seed = w.start if g == m else g * w.start
         # |x| / |x(e1)|, from numpy's left real eigenvector
         vals, vecs = np.linalg.eig(np.array(m.rows, dtype=float).T)
         left = vecs[:, int(np.argmin(np.abs(vals.imag)))].real
         left = left / left[0]
-        x_ge1 = left @ np.array(g.rows, dtype=float)[:, 0]
+        x_gp = abs(left @ np.array(tuple(g * seed), dtype=float))
         keys = {tuple(p.preimage) for p in sail.vertices}
         for p in sail.vertices:
             x = abs(left @ np.array(tuple(p.preimage), dtype=float))
-            if x < x_ge1 * (1 - 1e-9):
+            if x < x_gp * (1 - 1e-9):
                 assert tuple(g * p.preimage) in keys, (str(m), p.preimage)
 
 
-def test_window_carry_lands_in_window():
-    # FRO, M1, a conjugate of M1 and an r < 1 cell (G = M^-1)
-    # (G = M^-1); a wrong expansion factor makes the float guess of the
-    # power undershoot or overshoot, which the exact steps must correct
+def test_window_holds_the_slab_points():
+    # FRO, M1, a re-seeded conjugate of M1 and an r < 1 cell (G = M^-1):
+    # the window is anchored at the slab's seed, so every slab point lies in
+    # its closed window, both ends are slab points, and the sail's
+    # fundamental vertices lie in the half-open window
     for m in (FRO, M1, _conjugate_of_m1(random.Random(5), 12),
               _band_cell(-2, -1)):
-        w0 = fundamental_window(m)
-        e, g = w0.eigen, w0.generator
-        x_lo, x_hi = _x_coord(e, w0.start), _x_coord(e, g * w0.start)
-        for w in (w0, dataclasses.replace(w0, log_rho=w0.log_rho * 2),
-                  dataclasses.replace(w0, log_rho=w0.log_rho / 2)):
-            for v in w.points + [w.start]:
-                u = w.carry(v)
-                assert x_lo.cmp(_x_coord(e, u)) <= 0 < x_hi.cmp(_x_coord(e, u))
-                for k in (-4, -1, 1, 3):
-                    step = g ** k if k > 0 else w.generator_inv ** -k
-                    assert w.carry(step * v) == u
-                    assert w.carry(-(step * v)) == u
-            assert w.carry(g * w.start) == w.start
+        w = fundamental_window(m)
+        e, g = w.eigen, w.generator
+        x_lo, x_hi = _x_coord(e, w.start), _x_coord(e, g * w.start)
+        for v in w.points:
+            x = _x_coord(e, v)
+            assert x_lo.cmp(x) <= 0 <= x_hi.cmp(x), (str(m), v)
+        assert w.start in w.points and g * w.start in w.points, str(m)
+        for p in compute_sail(m).fundamental_vertices():
+            assert x_lo.cmp(p.x) <= 0 < x_hi.cmp(p.x), (str(m), p.preimage)
 
 
 def _window_operators():
@@ -609,7 +628,7 @@ def _window_operators():
 
 def test_verdict_minimum_is_the_sails():
     # the verdict's minimum and witnesses over the window's slab points are
-    # the MD-minimal sail vertices of e1's closed window
+    # the MD-minimal sail vertices of the fundamental window, closed
     for m in _window_operators():
         best, wits = _sail_minimum(m, Sail())
         fund = compute_sail(m).fundamental_vertices()
@@ -645,8 +664,8 @@ def test_fingerprint_is_the_sails():
 @example(24, 24)
 @example(44, 20)
 @example(3, 30)
-# a 60-step conjugator (entries near 3e17) whose slab points have x below
-# the float resolution of carry's power guess, which divided by zero
+# a 60-step conjugator (entries near 3e17): a float guess of the G-power
+# that once carried its slab points into e1's window divided by zero on them
 @example(1013, 60)
 def test_sail_under_long_conjugators(seed, steps):
     m = _conjugate_of_m1(random.Random(seed), steps)
