@@ -96,7 +96,10 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ExactError("matrix must be square and nonempty")
+        return _matrix(tuple(tuple(int(i == j) for j in range(n))
+                             for i in range(n)))
 
     @staticmethod
     def from_columns(cols: Sequence[IntVector]) -> "IntMatrix":
@@ -117,7 +120,7 @@ class IntMatrix:
         return _matrix(tuple(tuple(-x for x in r) for r in self.rows))
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([k * x for x in r] for r in self.rows)
+        return _matrix(tuple(tuple(k * x for x in r) for r in self.rows))
 
     def __mul__(self, other):
         rows = self.rows

@@ -3,26 +3,35 @@
 A perfect Hessenberg matrix is reduced when no integer-conjugate perfect
 matrix has smaller Hessenberg complexity; equivalently, when the minimum of
 the MD-characteristic over nonzero integer vectors equals the complexity.
-The Sail strategy takes that minimum exactly, in Python integers, over the
-slab points of sail3.fundamental_window: they fill the closed window of the
-slab's seed, which meets the orbit of every sail vertex, where the MD form
-(a multiple of x y^2 on pi_+) attains its minimum; the fingerprint reduces
-the minimisers.  The Bounded strategy is a box scan in Python integers: it
-finds the exact minimum over the box (or raises ExactError when the MD
-characteristic vanishes on all of it), but a minimum over a box is only
-ever a heuristic certificate.
+That minimum is at least the content of the MD form, the gcd of its
+coefficients, and the Sail strategy certifies Reduced at once when the
+content equals the complexity.  Otherwise it takes the minimum exactly, in
+Python integers, over the slab points of sail3.fundamental_window: they
+fill the closed window of the slab's seed, which meets the orbit of every
+sail vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
+minimum.  The fingerprint needs every minimiser, not the minimum alone,
+so it always takes that route and reduces the minimisers.  The Bounded
+strategy is a box scan in Python integers: it finds the exact minimum over
+the box (or raises ExactError when the MD characteristic vanishes on all
+of it), but a minimum over a box is only ever a heuristic certificate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .exact import ExactError, IntMatrix, IntVector, char_poly, det, factor_small
 from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
 from .mdchar import md_characteristic, md_form3
-from .sail3 import Inconclusive as SailInconclusive, fundamental_window
+from .sail3 import (
+    Inconclusive as SailInconclusive,
+    NrsCheck,
+    fundamental_window,
+    require_nrs,
+)
 
 
 @dataclass(frozen=True)
@@ -116,19 +125,19 @@ def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]
     return best, sorted(out, key=tuple)
 
 
-def _sail_minimum(m: IntMatrix, strategy: Sail) -> Tuple[int, List[IntVector]]:
+def _sail_minimum(m: IntMatrix, strategy: Sail,
+                  nrs: Optional[NrsCheck] = None) -> Tuple[int, List[IntVector]]:
     """Certified global MD minimum over nonzero integer vectors, with its
     primitive minimisers (up to sign) in the closed window [x(start),
-    x(G start)] of fundamental_window.
+    x(G start)] of fundamental_window; `nrs` is passed to it.
 
     The window's points are every integer point of the fundamental slab,
     which holds both ends of the window and meets the orbit of every sail
     vertex, where the minimum is attained; md vanishes on no nonzero
     vector, as the characteristic polynomial is irreducible.
     """
-    w = fundamental_window(m, strategy.region)
-    form = md_form3(m)
-    vals = [abs(form(v)) for v in w.points]
+    w = fundamental_window(m, strategy.region, nrs)
+    vals = [abs(w.eigen.md(v)) for v in w.points]
     best = min(vals)
     wits = {_canonical_sign(v) for v, val in zip(w.points, vals)
             if val == best and v.is_primitive()}
@@ -139,7 +148,14 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
     """The reducedness verdict of a perfect Hessenberg matrix with an
     irreducible characteristic polynomial.  The Sail route checks
     irreducibility in sail3, which raises SailError (an ExactError) with
-    the message the Bounded route raises."""
+    the message the Bounded route raises.
+
+    Once its input is known to be NRS in SL(3,Z), the Sail route certifies
+    Reduced without a sail when the content of the MD form (the gcd of its
+    coefficients) equals the complexity: every value of MD is a multiple
+    of the content, none is 0 on a nonzero vector, and MD(e1) is plus or
+    minus the complexity (NOTES.md, "The content bound").  Otherwise it
+    takes the minimum over the fundamental window."""
     if not is_perfect(m):
         raise ExactError("matrix is not a perfect Hessenberg matrix")
     target = hessenberg_complexity(m)
@@ -152,8 +168,11 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
         return ReducedVerdict("Reduced", certificate="BoundChecked",
                               bound=strategy.B)
     if isinstance(strategy, Sail):
+        nrs = require_nrs(m)
+        if math.gcd(*nrs.md.coeffs) == target:
+            return ReducedVerdict("Reduced", certificate="SailCertified")
         try:
-            best, wits = _sail_minimum(m, strategy)
+            best, wits = _sail_minimum(m, strategy, nrs)
         except SailInconclusive as ex:
             return ReducedVerdict("Inconclusive", reason=str(ex))
         if best < target:

@@ -20,9 +20,11 @@ and ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x; its window is anchored at the fundamental slab's seed, so it
-holds every slab point.  The reducedness verdict and the fingerprint share
-its points and its window, and compute_sail, which builds the sail's hull
-from them, serves only the `sail` command.
+holds every slab point.  The reducedness verdict, where the content of the
+MD form leaves it open, and the fingerprint share its points and its
+window, and compute_sail, which builds the sail's hull from them, serves
+only the `sail` command.  require_nrs checks an operator once, and its
+NrsCheck, with the MD form, is passed down to eigen_data.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .exact import (
     ExactError,
@@ -46,7 +48,7 @@ from .exact import (
     discriminant,
     factor_small,
 )
-from .mdchar import md_form3
+from .mdchar import MDForm3, md_form3
 from .numberfield import (
     FieldElement,
     NumberField,
@@ -68,9 +70,19 @@ class Inconclusive(SailError):
     one of its own consistency checks."""
 
 
-def _require_nrs(m: IntMatrix) -> Tuple[IntPoly, int]:
-    """The characteristic polynomial of m and its (negative) discriminant,
-    once m is known to be an NRS operator in SL(3,Z)."""
+class NrsCheck(NamedTuple):
+    """An operator's characteristic polynomial, its (negative)
+    discriminant and the operator's MD form, from require_nrs."""
+
+    poly: IntPoly
+    disc: int
+    md: MDForm3
+
+
+def require_nrs(m: IntMatrix) -> NrsCheck:
+    """The NrsCheck of m, once m is known to be an NRS operator in SL(3,Z).
+    Every sail route starts from it, and takes it from its caller when
+    that has one."""
     if m.n != 3:
         raise SailError("sails are implemented for 3x3 operators only")
     if det(m) != 1:
@@ -81,7 +93,7 @@ def _require_nrs(m: IntMatrix) -> Tuple[IntPoly, int]:
     disc = discriminant(p)
     if disc >= 0:
         raise SailError("matrix has real spectrum (RS); sails unsupported")
-    return p, disc
+    return NrsCheck(p, disc, md_form3(m))
 
 
 @dataclass
@@ -109,6 +121,7 @@ class EigenData3:
     """
 
     matrix: IntMatrix
+    md: MDForm3  # fundamental_slab compares seeds by |md|
     inverse: IntMatrix  # adj(M), as det M = 1
     field: NumberField
     r: FieldElement
@@ -154,8 +167,10 @@ def _quadratic(field: NumberField, f_table, f_den: int,
                                      for row in f_table), f_den)
 
 
-def eigen_data(m: IntMatrix) -> EigenData3:
-    p, disc = _require_nrs(m)
+def eigen_data(m: IntMatrix, nrs: Optional[NrsCheck] = None) -> EigenData3:
+    """The eigen data of m, from its NrsCheck `nrs` (require_nrs(m) when
+    None)."""
+    p, disc, md = nrs or require_nrs(m)
     field = NumberField.for_largest_root(p)
     r = field.gen()
     a0, w1, w2 = _adjugate_coeffs(m)
@@ -202,7 +217,7 @@ def eigen_data(m: IntMatrix) -> EigenData3:
                            if 0 <= n - k < 3) for n in range(5)])
     norm = y * _quadratic(field, f_table, f_den, *y.num)
     rho_scale = y * Fraction(4 * norm.den, norm.num[0])
-    return EigenData3(m, a0, field, r, g1, x_form,
+    return EigenData3(m, md, a0, field, r, g1, x_form,
                       tuple(f.floor(_FILTER_BITS) for f in x_form),
                       omega_rows, s, q,
                       x_table, x_den, f_table, f_den, g_hat, omega_cols,
@@ -486,13 +501,16 @@ def _polar(e: EigenData3, u, v) -> FieldElement:
 
 
 def _log2_floor(a: FieldElement) -> int:
-    """floor(log2 a), exactly, from the first nonzero floor of 2^shift a,
-    shift = 0, 64, 128, ...  For a > 0 that floor is nonzero once 2^shift
-    a >= 1, so the loop ends; a <= 0, which the slab's x(p), f_max and
-    rho_scale never are, is Inconclusive."""
+    """floor(log2 a), exactly, from the first nonzero floor n of 2^shift a,
+    shift = 0, 64, 128, 256, ...  A floor n >= 1 puts 2^shift a in [n,
+    n + 1), which lies in [2^k, 2^(k+1)) for k = n.bit_length() - 1, so
+    the answer is k minus the shift at any such shift; doubling reaches
+    one in O(log shift) floors.  For a > 0 the floor is nonzero once
+    2^shift a >= 1, so the loop ends; a <= 0, which the slab's x(p), f_max
+    and rho_scale never are, is Inconclusive."""
     shift, n = 0, a.floor(0)
     while n == 0 and not a.is_zero():
-        shift += 64
+        shift = max(2 * shift, 64)
         n = a.floor(shift)
     if n <= 0:
         raise Inconclusive("slab metric is not positive definite")
@@ -671,11 +689,10 @@ def fundamental_slab(e: EigenData3) -> Slab:
     |MD| of the seed by at least _SEED_GAIN, so the steps end, and the
     choice depends on the operator alone.
     """
-    md = md_form3(e.matrix)
     slab = reduced_slab(e, _positive(e, IntVector((1, 0, 0))))
     while True:
         cands = [slab.seed] + [_positive(e, IntVector(b)) for b in slab.basis]
-        vols = [abs(md(v)) for v in cands]
+        vols = [abs(e.md(v)) for v in cands]
         i = min((1, 2, 3), key=vols.__getitem__)
         if vols[i] * _SEED_GAIN > vols[0]:
             return slab
@@ -701,11 +718,12 @@ class FundamentalWindow:
     points: List[IntVector]
 
 
-def fundamental_window(m: IntMatrix,
-                       region: int = 40_000_000) -> FundamentalWindow:
+def fundamental_window(m: IntMatrix, region: int = 40_000_000,
+                       nrs: Optional[NrsCheck] = None) -> FundamentalWindow:
     """The window of m's fundamental slab, with the points of that slab (at
-    most `region` enumerated cells, else Inconclusive)."""
-    e = eigen_data(m)
+    most `region` enumerated cells, else Inconclusive); `nrs` is passed to
+    eigen_data."""
+    e = eigen_data(m, nrs)
     slab = fundamental_slab(e)
     points = gamma0_slab_points(e, slab, region)
     if (e.r - 1).sign() > 0:

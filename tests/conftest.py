@@ -5,6 +5,14 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from hesslab.exact import IntMatrix, IntVector
+from hesslab.hessenberg import FamilyPoint, HessType, family_member
+
+
+def band_cell(m, n):
+    """The member at (m, n) of the criterion-9 family <0,1|1,0,2>, anchor
+    1,0,1."""
+    t = HessType.parse("<0,1|1,0,2>")
+    return family_member(FamilyPoint(t, IntVector((1, 0, 1)), (m, n)))
 
 
 def shear(n, i, j, k):

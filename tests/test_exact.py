@@ -30,6 +30,17 @@ def test_det_identity():
     assert det(IntMatrix.identity(3)) == 1
 
 
+def test_identity_and_scale_match_the_constructor():
+    # both skip the constructor's int() pass; the results must not differ
+    for n in range(1, 5):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert IntMatrix.identity(n) == IntMatrix(ident)
+        assert IntMatrix.identity(n).scale(-7) == \
+            IntMatrix([[-7 * x for x in row] for row in ident])
+    with pytest.raises(ExactError, match="nonempty"):
+        IntMatrix.identity(0)
+
+
 def test_det_paper_example():
     assert det(parse_matrix("0 1 2; 1 0 0; 0 3 5")) == 1
 

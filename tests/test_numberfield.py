@@ -16,7 +16,7 @@ from hesslab.numberfield import (
     sign_a_plus_b_sqrt,
     sign_three_sqrt,
 )
-from hesslab.reducedness import Sail, is_reduced
+from hesslab.reducedness import Sail, _sail_minimum
 
 
 def _field():
@@ -310,7 +310,9 @@ def test_refine_to_takes_newton_steps_and_bisections(monkeypatch):
 
 def test_refine_to_cuts_the_bisections_of_a_verdict(monkeypatch):
     # M1 and ten criterion-9 NRS band cells: bisecting alone takes about 73
-    # steps per operator, Newton steps leave about 14
+    # steps per operator, Newton steps leave about 14.  The sail's minimum,
+    # not the verdict: the content bound decides five of the cells' verdicts
+    # without a sail
     t = HessType.parse("<0,1|1,0,2>")
     cells = [(m, n) for m in (-4, -3, -2) for n in range(6, 10)][:10]
     mats = [parse_matrix("0 1 2; 1 0 0; 0 3 5")] + [
@@ -319,7 +321,7 @@ def test_refine_to_cuts_the_bisections_of_a_verdict(monkeypatch):
     calls = _count_bisections(monkeypatch)
     for mat in mats:
         del calls[:]
-        assert is_reduced(mat, Sail()).status in ("Reduced", "Nonreduced")
+        assert _sail_minimum(mat, Sail())[0] >= 1
         assert len(calls) <= 25
 
 

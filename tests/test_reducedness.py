@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unimodular
+from conftest import band_cell, random_unimodular
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 from hesslab.mdchar import md_characteristic
 import hesslab.reducedness as red_mod
+import hesslab.sail3 as sail3
 from hesslab.reducedness import (
     Bounded,
     Sail,
@@ -18,6 +19,7 @@ from hesslab.reducedness import (
     is_reduced,
     minimize_md_bounded,
 )
+from hesslab.sail3 import SailError
 
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 M2 = parse_matrix("0 2 3; 1 1 1; 0 3 4")
@@ -85,6 +87,8 @@ def test_nonreduced_has_witness():
 
 
 def test_sail_and_bounded_agree_on_window():
+    # the NRS cells have MD content 1 below complexity 2, so the Sail
+    # verdict takes the sail on each
     t = HessType.parse("<0,1|1,0,2>")
     for params in [(-2, 0), (1, 1), (3, 0), (-7, 3)]:
         m = family_member(FamilyPoint(t, IntVector((1, 0, 1)), params))
@@ -95,6 +99,53 @@ def test_sail_and_bounded_agree_on_window():
         a = is_reduced(m, Sail())
         b = is_reduced(m, Bounded(30))
         assert a.status == b.status
+
+
+def test_content_gate_skips_the_sail(monkeypatch):
+    # FRO (content 1, complexity 1), 0 1 3; 1 0 0; 0 3 8 (3, 3) and the
+    # band cell (-4, 7) (2, 2) are Reduced by the content bound alone
+    def no_window(*args):
+        raise AssertionError("the content gate built a sail")
+
+    monkeypatch.setattr(red_mod, "fundamental_window", no_window)
+    for m in (FRO, parse_matrix("0 1 3; 1 0 0; 0 3 8"), band_cell(-4, 7)):
+        v = is_reduced(m, Sail())
+        assert (v.status, v.certificate) == ("Reduced", "SailCertified"), \
+            str(m)
+
+
+def test_content_gate_runs_after_the_nrs_checks():
+    # each matrix has content 1 = complexity 1, so a gate that ran before
+    # the checks would call it Reduced
+    with pytest.raises(SailError, match="real spectrum"):
+        is_reduced(parse_matrix("0 0 1; 1 0 6; 0 1 0"), Sail())
+    with pytest.raises(ExactError, match="characteristic polynomial is "
+                                         "reducible"):
+        is_reduced(parse_matrix("0 0 1; 1 0 -1; 0 1 1"), Sail())
+    with pytest.raises(SailError, match="not in SL"):
+        is_reduced(parse_matrix("0 0 2; 1 0 0; 0 1 0"), Sail())
+
+
+def test_one_md_form_per_verdict_and_fingerprint(monkeypatch):
+    # the NRS checks and the MD form are made once and passed through:
+    # fingerprint(M1), and the verdicts of (-4, 6), which takes the sail,
+    # and of (-4, 7), which the content gate decides
+    counts = {"md_form3": 0, "discriminant": 0}
+    for name in counts:
+        made = getattr(sail3, name)
+
+        def counting(*args, name=name, made=made):
+            counts[name] += 1
+            return made(*args)
+
+        monkeypatch.setattr(sail3, name, counting)
+    for run in (lambda: fingerprint(M1),
+                lambda: is_reduced(band_cell(-4, 6), Sail()),
+                lambda: is_reduced(band_cell(-4, 7), Sail())):
+        for name in counts:
+            counts[name] = 0
+        run()
+        assert counts == {"md_form3": 1, "discriminant": 1}
 
 
 def test_fingerprint_example_5_8():

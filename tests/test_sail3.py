@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_vectors, random_unimodular, small_matrices
+from conftest import band_cell, nonzero_vectors, random_unimodular, small_matrices
 from hesslab.exact import (
     IntMatrix,
     IntVector,
@@ -22,11 +22,14 @@ from hesslab.hessenberg import (
     FamilyPoint,
     HessType,
     family_member,
+    hessenberg_complexity,
     reduce_to_perfect,
 )
 from hesslab.mdchar import md_characteristic, md_form3
-from hesslab.numberfield import NumberField, sign_three_sqrt
+from hesslab.numberfield import FieldElement, NumberField, sign_three_sqrt
+import hesslab.reducedness as red_mod
 from hesslab.reducedness import (
+    ReducedVerdict,
     Sail,
     _canonical_sign,
     _sail_minimum,
@@ -115,7 +118,7 @@ def _y_sq_oracle(e, v):
 @functools.lru_cache(maxsize=None)
 def _operator_data(i):
     """eigen_data of M1, FRO, a 12-step conjugate of M1 and a band cell."""
-    ops = (M1, FRO, _conjugate_of_m1(random.Random(11), 12), _band_cell(-3, 9))
+    ops = (M1, FRO, _conjugate_of_m1(random.Random(11), 12), band_cell(-3, 9))
     return ops[i], eigen_data(ops[i])
 
 
@@ -424,19 +427,14 @@ def _strictly_inside_slab(m, p, box):
     return pts[inside]
 
 
-def _band_cell(m, n):
-    t = HessType.parse("<0,1|1,0,2>")
-    return family_member(FamilyPoint(t, IntVector((1, 0, 1)), (m, n)))
-
-
 @pytest.mark.parametrize("m, seed", [
     (FRO, (1, 0, 0)),
     (M1, (1, 0, 0)),
     # the hard cell of test_slab_hard_cell_regression, with the seed that
     # improve_seed finds for it
-    (_band_cell(-6, 15), (32, -11, 62)),
-    (_band_cell(-3, 9), (1, 0, 0)),
-    (_band_cell(0, 9), (1, 0, 0)),
+    (band_cell(-6, 15), (32, -11, 62)),
+    (band_cell(-3, 9), (1, 0, 0)),
+    (band_cell(0, 9), (1, 0, 0)),
 ], ids=["FRO", "M1", "hard(-6,15)", "band(-3,9)", "band(0,9)"])
 def test_slab_enumeration_is_sound(m, seed):
     # the natural seed spans a slab of a few points; the wider seed's slab
@@ -480,6 +478,40 @@ def test_indefinite_slab_metric_is_inconclusive(monkeypatch):
     with pytest.raises(Inconclusive):
         fundamental_window(M1)
     assert is_reduced(M1, Sail()).status == "Inconclusive"
+
+
+def _log2_floor_by_steps(a):
+    # the former search, one 64-bit step at a time: the reference value
+    shift, n = 0, a.floor(0)
+    while n == 0:
+        shift += 64
+        n = a.floor(shift)
+    return n.bit_length() - 1 - shift
+
+
+@pytest.mark.parametrize("k", [5000, 16612])
+def test_log2_floor_doubles_its_shift(monkeypatch, k):
+    # a rational 3 / 2^(k+1) and the irrational frac(2^k r) / 2^k, both near
+    # 2^-k: the doubling search agrees with the 64-bit steps and takes
+    # O(log shift) floors, where the steps took about k / 64
+    field = eigen_data(M1).field
+    n = field.gen().floor(k)
+    elems = [field.element([Fraction(3, 2 ** (k + 1))]),
+             field.element([-Fraction(n, 2 ** k), 1])]
+    wants = [_log2_floor_by_steps(a) for a in elems]
+    floor = FieldElement.floor
+    calls = []
+
+    def counting_floor(a, shift=0):
+        calls.append(shift)
+        return floor(a, shift)
+
+    monkeypatch.setattr(FieldElement, "floor", counting_floor)
+    for a, want in zip(elems, wants):
+        assert -k - 64 < want <= -k
+        del calls[:]
+        assert sail3._log2_floor(a) == want
+        assert len(calls) <= 2 + (k // 64).bit_length(), calls
 
 
 def _slab_metric_is_definite(e, slab):
@@ -566,6 +598,33 @@ def _criterion9_nrs_cells():
                 yield mat
 
 
+def test_content_gate_agrees_with_the_sail(monkeypatch):
+    # the verdict skips the sail on the 662 criterion-9 NRS cells where
+    # the MD form's content equals the complexity (all 490 Frobenius cells
+    # and 172 of the 348 <0,1|1,0,2> ones); there the sail's minimum is
+    # the complexity too
+    window = red_mod.fundamental_window
+    calls = []
+
+    def counting_window(*args):
+        calls.append(args)
+        return window(*args)
+
+    monkeypatch.setattr(red_mod, "fundamental_window", counting_window)
+    gated = []
+    for m in _criterion9_nrs_cells():
+        del calls[:]
+        verdict = is_reduced(m, Sail())
+        if not calls:
+            assert verdict == ReducedVerdict("Reduced",
+                                             certificate="SailCertified")
+            gated.append(m)
+    assert len(gated) == 662
+    assert sum(hessenberg_complexity(m) == 1 for m in gated) == 490
+    for m in gated:
+        assert _sail_minimum(m, Sail())[0] == hessenberg_complexity(m), str(m)
+
+
 def _conjugate_of_m1(rng, steps):
     u = random_unimodular(rng, 3, steps)
     if det(u) != 1:
@@ -607,7 +666,7 @@ def test_window_holds_the_slab_points():
     # its closed window, both ends are slab points, and the sail's
     # fundamental vertices lie in the half-open window
     for m in (FRO, M1, _conjugate_of_m1(random.Random(5), 12),
-              _band_cell(-2, -1)):
+              band_cell(-2, -1)):
         w = fundamental_window(m)
         e, g = w.eigen, w.generator
         x_lo, x_hi = _x_coord(e, w.start), _x_coord(e, g * w.start)
@@ -683,7 +742,7 @@ _REFINED_ROOT_CONJUGATE = parse_matrix("-20 10 7; -45 23 13; -6 3 2")
 
 
 @pytest.mark.parametrize("m", [M1, FRO, _REFINED_ROOT_CONJUGATE,
-                               _band_cell(-6, 15)],
+                               band_cell(-6, 15)],
                          ids=["M1", "FRO", "conjugate", "hard(-6,15)"])
 def test_fundamental_slab_ignores_root_refinement(m):
     fresh = eigen_data(m)
