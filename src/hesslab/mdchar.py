@@ -19,6 +19,9 @@ MONOMIALS3 = ("x^3", "x^2*y", "x^2*z", "x*y^2", "x*y*z", "x*z^2",
               "y^3", "y^2*z", "y*z^2", "z^3")
 _EXPONENTS3 = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
                (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
+# _SLOT[i][j][k]: the index in _EXPONENTS3 of the monomial v_i v_j v_k
+_SLOT = [[[_EXPONENTS3.index(tuple((i, j, k).count(t) for t in range(3)))
+           for k in range(3)] for j in range(3)] for i in range(3)]
 
 @dataclass(frozen=True)
 class MDForm3:
@@ -80,15 +83,12 @@ def md_form3(m: IntMatrix) -> MDForm3:
         raise ExactError("md_form3 requires a 3x3 matrix")
     cols = m.transpose().rows
     cols2 = (m * m).transpose().rows
-    coeffs = dict.fromkeys(_EXPONENTS3, 0)
+    coeffs = [0] * len(_EXPONENTS3)
     for j, a in enumerate(cols):
         for k, b in enumerate(cols2):
             cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                      a[0] * b[1] - a[1] * b[0])
             for i, c in enumerate(cross):
-                exps = [0, 0, 0]
-                for t in (i, j, k):
-                    exps[t] += 1
-                coeffs[tuple(exps)] += c
-    return MDForm3(tuple(coeffs[t] for t in _EXPONENTS3))
+                coeffs[_SLOT[i][j][k]] += c
+    return MDForm3(tuple(coeffs))
 

@@ -11,12 +11,14 @@ eigen_data compiles an operator once into integer tables over the power
 basis 1, r, r^2 of Q(r): x is a 3x3 table over one denominator, and
 F = y_sq a table of the six monomials f_a f_b of the omega rows f = (f_0,
 f_1, f_2), also over one denominator.  x(v) and F(v) are then integer dot
-products that build one FieldElement each.  The slab enumeration runs in
-Python integers and Q(r) with proven bounds.  Every sign, order and
-orientation is decided on integer floors at 2^b with a proven error, and
-in Q(r) where that leaves it open: signs of x(v) on the floors of 2^40
-x_form, orders and hull orientations of projected points on the floors
-and ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
+products that build one FieldElement each.  The slab enumeration walks
+the basis coordinates level by level, in ranges from one integer
+quadratic form made of the floors its leaf filter takes, in Python
+integers.  Every sign, order and orientation is decided on integer floors
+at 2^b with a proven error, and in Q(r) where that leaves it open: slab
+membership and signs of x(v) on the floors of 2^40 x, orders and hull
+orientations of projected points on the floors and ceilings of 2^20 x,
+2^20 y_sq and 2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x; its window is anchored at the fundamental slab's seed, so it
@@ -66,16 +68,15 @@ class SailError(ExactError):
 
 
 class Inconclusive(SailError):
-    """Raised when a certified computation exceeds its cell budget or fails
+    """Raised when a certified computation exceeds its node budget or fails
     one of its own consistency checks."""
 
 
 class NrsCheck(NamedTuple):
-    """An operator's characteristic polynomial, its (negative)
-    discriminant and the operator's MD form, from require_nrs."""
+    """An operator's characteristic polynomial and its MD form, from
+    require_nrs."""
 
     poly: IntPoly
-    disc: int
     md: MDForm3
 
 
@@ -90,10 +91,9 @@ def require_nrs(m: IntMatrix) -> NrsCheck:
     p = char_poly(m)
     if len(factor_small(p)) != 1:
         raise SailError("characteristic polynomial is reducible")
-    disc = discriminant(p)
-    if disc >= 0:
+    if discriminant(p) >= 0:
         raise SailError("matrix has real spectrum (RS); sails unsupported")
-    return NrsCheck(p, disc, md_form3(m))
+    return NrsCheck(p, md_form3(m))
 
 
 @dataclass
@@ -114,10 +114,7 @@ class EigenData3:
     coefficient of r^k in x(v) is x_table[k] . v / x_den; f_table[k] holds
     the coefficients of r^k in the six constants 1, s, s^2 - 2q, q, sq, q^2
     (the multipliers of the monomials f_0^2, f_0 f_1, f_0 f_2, f_1^2,
-    f_1 f_2, f_2^2) over the denominator f_den.  For the slab box, g_hat
-    is g1 / x(g1), the integer columns omega_cols sum over c^k to a complex
-    eigenvector g_c with phi(g_c) != 0 for the left one phi(v) = sum c^k
-    f_k, and rho_scale is 4 / |phi(g_c)|^2.
+    f_1 f_2, f_2^2) over the denominator f_den.
     """
 
     matrix: IntMatrix
@@ -135,9 +132,6 @@ class EigenData3:
     x_den: int
     f_table: Tuple[Tuple[int, ...], ...]
     f_den: int
-    g_hat: Tuple[FieldElement, FieldElement, FieldElement]
-    omega_cols: Tuple[Tuple[int, int, int], ...]
-    rho_scale: FieldElement
 
 
 def _adjugate_coeffs(m: IntMatrix):
@@ -170,7 +164,7 @@ def _quadratic(field: NumberField, f_table, f_den: int,
 def eigen_data(m: IntMatrix, nrs: Optional[NrsCheck] = None) -> EigenData3:
     """The eigen data of m, from its NrsCheck `nrs` (require_nrs(m) when
     None)."""
-    p, disc, md = nrs or require_nrs(m)
+    p, md = nrs or require_nrs(m)
     field = NumberField.for_largest_root(p)
     r = field.gen()
     a0, w1, w2 = _adjugate_coeffs(m)
@@ -188,14 +182,13 @@ def eigen_data(m: IntMatrix, nrs: Optional[NrsCheck] = None) -> EigenData3:
     x_form = tuple(b_entry(i0, j) * wg_inv for j in range(3))
     x_table, x_den = _power_table(x_form)
 
-    trace = m.trace()
-    s = field.element([trace]) - r
+    s = field.element([m.trace()]) - r
     q = r.inverse()
     f_table, f_den = _power_table(
         (field.one(), s, s * s - 2 * q, q, s * q, q * q))
 
     # an entry (i, j) of the adjugate that stays nonzero at the complex
-    # eigenvalues: its row gives F, its column the complex eigenvector
+    # eigenvalues: its row gives F
     for i, j in itertools.product(range(3), range(3)):
         entry = _quadratic(field, f_table, f_den, a0[i, j], w1[i, j], w2[i, j])
         if entry.sign() != 0:
@@ -203,25 +196,9 @@ def eigen_data(m: IntMatrix, nrs: Optional[NrsCheck] = None) -> EigenData3:
     else:
         raise SailError("no usable left eigenvector row for the complex pair")
     omega_rows = (a0.rows[i], w1.rows[i], w2.rows[i])
-    omega_cols = tuple(tuple(r[j] for r in w.rows) for w in (a0, w1, w2))
-    # adj(M - tI)^2 = p'(t) adj(M - tI) at an eigenvalue t (rank one, trace
-    # p'(t) = 3 t^2 - 2 tr(M) t + c2, c2 = tr adj(M)): so x(g1) = p'(r) and
-    # phi(g_c) = y(c) for y = p' h, h the entry.  Norms replace inversions:
-    # p'(r) |p'(c)|^2 = -disc(p), and y(r) |y(c)|^2 is a rational
-    slope = (a0.trace(), -2 * trace, 3)
-    x_g1_inv = _quadratic(field, f_table, f_den, *slope) \
-        * Fraction(-1, disc)
-    g_hat = tuple(g * x_g1_inv for g in g1)
-    h = (a0[i, j], w1[i, j], w2[i, j])
-    y = field.element([sum(slope[k] * h[n - k] for k in range(3)
-                           if 0 <= n - k < 3) for n in range(5)])
-    norm = y * _quadratic(field, f_table, f_den, *y.num)
-    rho_scale = y * Fraction(4 * norm.den, norm.num[0])
     return EigenData3(m, md, a0, field, r, g1, x_form,
                       tuple(f.floor(_FILTER_BITS) for f in x_form),
-                      omega_rows, s, q,
-                      x_table, x_den, f_table, f_den, g_hat, omega_cols,
-                      rho_scale)
+                      omega_rows, s, q, x_table, x_den, f_table, f_den)
 
 
 @dataclass(frozen=True)
@@ -506,8 +483,8 @@ def _log2_floor(a: FieldElement) -> int:
     n + 1), which lies in [2^k, 2^(k+1)) for k = n.bit_length() - 1, so
     the answer is k minus the shift at any such shift; doubling reaches
     one in O(log shift) floors.  For a > 0 the floor is nonzero once
-    2^shift a >= 1, so the loop ends; a <= 0, which the slab's x(p), f_max
-    and rho_scale never are, is Inconclusive."""
+    2^shift a >= 1, so the loop ends; a <= 0, which the slab's x(p) and
+    f_max never are, is Inconclusive."""
     shift, n = 0, a.floor(0)
     while n == 0 and not a.is_zero():
         shift = max(2 * shift, 64)
@@ -540,12 +517,12 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
 
     Gamma^0(p) sits inside the slab (x is linear and F convex), a needle
     that an integral LLL basis of the metric x^2 / h^2 + F / f_max, h =
-    |x(Mp) - x(p)| / 2, turns into a small box.  Scaled, with x(p) and
-    f_max rounded down to powers of 2, the metric is x(u) x(v) / x(p)^2 +
-    (r - 1)^2 / 8 * 2 Phi(u, v) / f_max; its Gram matrix is made from the
-    floors of x, (r - 1)^2 / 8 and 2 Phi at 2^b, a function of p and
-    `start` alone however far r is refined, and rounding affects only the
-    basis quality.
+    |x(Mp) - x(p)| / 2, makes short in every basis coordinate.  Scaled,
+    with x(p) and f_max rounded down to powers of 2, the metric is x(u)
+    x(v) / x(p)^2 + (r - 1)^2 / 8 * 2 Phi(u, v) / f_max; its Gram matrix is
+    made from the floors of x, (r - 1)^2 / 8 and 2 Phi at 2^b, a function
+    of p and `start` alone however far r is refined, and rounding affects
+    only the basis quality.
 
     b starts at 62.  When the integral LLL rejects that Gram matrix, the
     exact metric decides: an indefinite one makes the slab Inconclusive,
@@ -581,72 +558,94 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
         bits *= 2
 
 
-def _slab_box(e: EigenData3, basis, x_ends, sx: int, f_hi: int, sf: int):
-    """Bounds (los, his) of the basis coordinates over the slab, given the
-    floors x_ends of 2^sx x(p) and 2^sx x(Mp), and f_hi of 2^sf f_max.
-    Coordinate i of v is l_i . v, l_i column i of B^-1.  Split v along the
-    real eigenvector g1 and the plane of a complex one g_c: l_i . v =
-    x(v) alpha_i + l_i . v_c, alpha_i = (l_i . g1) / x(g1), v_c = z g_c +
-    conj(z g_c).  F(v) = |phi(v)|^2 = |z|^2 |phi(g_c)|^2, so |l_i . v_c| <=
-    2 |z| |l_i . g_c| <= rho_i, rho_i^2 = f_max rho_scale |l_i . g_c|^2.
-    Each factor lies between its floor and the next integer; products of
-    those bound both terms to 2^-8, and los, his round outward.
-    """
-    m = 8  # bits of the box bounds
-    inv = IntMatrix(basis).inverse_unimodular().rows
-    # x(p) 2^sx, rho_scale 2^sr in [2^40, 2^41); 2^(t + m - sx) alpha_i is
-    # within sum |l_ij| of a; |l_i . g_c|^2 makes rho_i^2 2^(100 - 2m)
-    t = 50 + max(sum(map(abs, ell)) for ell in zip(*inv)).bit_length()
-    g = [c.floor(t + m - sx) for c in e.g_hat]
-    sr = _FILTER_BITS - _log2_floor(e.rho_scale)
-    kappa = (f_hi + 1) * (e.rho_scale.floor(sr) + 1)
-    los, his = [], []
-    for ell in zip(*inv):
-        a, err = sum(map(operator.mul, ell, g)), sum(map(abs, ell))
-        ends = [u * v for u in (a - err, a + err) for x in x_ends
-                for v in (x, x + 1)]
-        h = (sum(map(operator.mul, ell, col)) for col in e.omega_cols)
-        q = _quadratic(e.field, e.f_table, e.f_den, *h).floor(
-            100 + 2 * m - sf - sr) + 1
-        q = -(-kappa * q >> 100)
-        s = _sqrt_upper(Fraction(q)).numerator  # rho_i < s / 2^m
-        los.append(-((s - (min(ends) >> t)) >> m))
-        his.append((s - (-max(ends) >> t)) >> m)
-    return los, his
+def _span(alpha: int, beta: int, gamma: int) -> range:
+    """The integers u from -floor((beta + s) / alpha) to floor((s - beta) /
+    alpha), s = isqrt(beta^2 - alpha gamma): a superset of those with alpha
+    u^2 + 2 beta u + gamma < 0, alpha > 0.  Those lie strictly between the
+    roots (-beta -+ sqrt(D)) / alpha, D = beta^2 - alpha gamma, and sqrt(D)
+    < s + 1, so alpha u < s + 1 - beta and alpha u > -beta - s - 1, that
+    is alpha u <= s - beta and alpha u >= -beta - s in integers.  D <= 0
+    leaves the form nonnegative, and the range empty."""
+    d = beta * beta - alpha * gamma
+    if d <= 0:
+        return range(0)
+    s = math.isqrt(d)
+    return range(-((beta + s) // alpha), (s - beta) // alpha + 1)
+
+
+def _eliminate(t, k: int):
+    """The fraction-free Schur complement of t at the pivot t[k][k]: t_kk
+    t_ij - t_ik t_kj over the indices other than k.  When t_kk > 0, for
+    fixed other coordinates, the minimum over real u_k of the form u^T t u
+    is that complement's value divided by t_kk."""
+    keep = [i for i in range(len(t)) if i != k]
+    return [[t[k][k] * t[i][j] - t[i][k] * t[k][j] for j in keep]
+            for i in keep]
 
 
 def gamma0_slab_points(e: EigenData3, slab: Slab,
                        region: int = 40_000_000) -> List[IntVector]:
     """The nonzero integer points of the slab, a certified superset of
-    Gamma^0(slab.seed).  The cells u of _slab_box pass an integer filter
-    with a proven bound: with X_i = floor(2^sx x(b_i)) and P_ij = floor(2^sf
-    Phi(b_i, b_j)), sum u_i X_i and sum u_i u_j P_ij are within n and n^2
-    (n = sum |u_i|) of 2^sx x(u B) and 2^sf F(u B); cells it leaves open are
-    decided exactly.  Raises Inconclusive when the box has more than
-    `region` cells, or when p or Mp, both in the slab, is missing from the
-    output.
+    Gamma^0(slab.seed), in the lexicographic order of their basis
+    coordinates u.
+
+    The leaves u pass an integer filter with a proven bound: with X_i =
+    floor(2^sx x(b_i)) and P_ij = floor(2^sf Phi(b_i, b_j)), xv = sum u_i
+    X_i and fv = sum u_i u_j P_ij are within n and n^2 (n = sum |u_i|) of
+    2^sx x(u B) and 2^sf F(u B); the leaves it cannot decide are decided
+    in Q(r).  The same floors bound the leaves: every slab point has u^T T
+    u < 0 for the integer form T on (u0, u1, u2, 1) below (NOTES.md,
+    "Enumerating the slab"), and the levels u0, then u1 given u0, then u2
+    given both, range over _span of T's fraction-free Schur complements.
+    Raises Inconclusive when a pivot of T is not positive, when the ranges
+    visited come to more than `region` nodes, or when p or Mp, both in the
+    slab, is missing from the output.
     """
     p, basis, x_p, f_max = slab.seed, slab.basis, slab.x_p, slab.f_max
     mp = e.matrix * p
     x_mp = _x_coord(e, mp)
     sx, sf = (_FILTER_BITS - k for k in slab.logs)
-    x_lo, x_hi = x_ends = sorted((x_p.floor(sx), x_mp.floor(sx)))
+    x_lo, x_hi = sorted((x_p.floor(sx), x_mp.floor(sx)))
     f_hi = f_max.floor(sf)
-    los, his = _slab_box(e, basis, x_ends, sx, f_hi, sf)
-    if math.prod(max(0, hi - lo + 1) for lo, hi in zip(los, his)) > region:
-        raise Inconclusive("reduced-basis slab box exceeds %d cells" % region)
-
-    x0, x1, x2 = (_x_coord(e, b).floor(sx) for b in basis)
+    xs = [_x_coord(e, b).floor(sx) for b in basis]
     p00, p01, p02, p11, p12, p22 = (_polar(e, basis[i], basis[j]).floor(sf - 1)
                                     for i, j in _PAIRS)
+
+    # A (2 xv - c)^2 + B fv - 3 (8 A + B) |u|^2 - 3 A w^2 as u^T T u
+    c, w = x_lo + x_hi + 1, x_hi + 1 - x_lo
+    a, b = f_hi + 1, w * w
+    pm = ((p00, p01, p02), (p01, p11, p12), (p02, p12, p22))
+    t = [[4 * a * xs[i] * xs[j] + b * pm[i][j] - 3 * (8 * a + b) * (i == j)
+          for j in range(3)] + [-2 * a * c * xs[i]] for i in range(3)]
+    t.append([row[3] for row in t] + [a * (c * c - 3 * w * w)])
+    t1 = _eliminate(t, 2)   # on (u0, u1, 1)
+    t0 = _eliminate(t1, 1)  # on (u0, 1)
+    if min(t[2][2], t1[1][1], t0[0][0]) <= 0:
+        raise Inconclusive("slab form is not positive definite")
+    (t00, t01, t02, t03), (_, t11, t12, t13), (_, _, t22, t23) = t[:3]
+    t33 = t[3][3]
+    nodes = 0
+
+    def level(alpha, beta, gamma):
+        nonlocal nodes
+        span = _span(alpha, beta, gamma)
+        nodes += len(span)
+        if nodes > region:
+            raise Inconclusive("slab enumeration exceeds %d nodes" % region)
+        return span
+
+    x0, x1, x2 = xs
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = basis
     out = []
-    for u0 in range(los[0], his[0] + 1):
-        for u1 in range(los[1], his[1] + 1):
+    for u0 in level(t0[0][0], t0[0][1], t0[1][1]):
+        for u1 in level(t1[1][1], t1[1][0] * u0 + t1[1][2],
+                        (t1[0][0] * u0 + 2 * t1[0][2]) * u0 + t1[2][2]):
             xa, na = u0 * x0 + u1 * x1, abs(u0) + abs(u1)
             fa = (u0 * p00 + 2 * u1 * p01) * u0 + u1 * u1 * p11
             fl = 2 * (u0 * p02 + u1 * p12)
-            for u2 in range(los[2], his[2] + 1):
+            gamma = ((t00 * u0 + 2 * (t01 * u1 + t03)) * u0
+                     + (t11 * u1 + 2 * t13) * u1 + t33)
+            for u2 in level(t22, t02 * u0 + t12 * u1 + t23, gamma):
                 n = na + abs(u2)
                 xv, fv = xa + u2 * x2, fa + u2 * (fl + u2 * p22)
                 if xv + n < x_lo or xv - n > x_hi or fv - n * n > f_hi:
@@ -721,7 +720,7 @@ class FundamentalWindow:
 def fundamental_window(m: IntMatrix, region: int = 40_000_000,
                        nrs: Optional[NrsCheck] = None) -> FundamentalWindow:
     """The window of m's fundamental slab, with the points of that slab (at
-    most `region` enumerated cells, else Inconclusive); `nrs` is passed to
+    most `region` enumeration nodes, else Inconclusive); `nrs` is passed to
     eigen_data."""
     e = eigen_data(m, nrs)
     slab = fundamental_slab(e)
@@ -735,7 +734,7 @@ def compute_sail(m: IntMatrix, region: int = 40_000_000) -> SailData:
     """The sail vertices with x in [x(G^-1 p), x(G^2 p)], p the fundamental
     slab's seed, with those of fundamental_window's window [x(start),
     x(G start)) marked fundamental; G and the window are
-    fundamental_window's (at most `region` enumerated cells, else
+    fundamental_window's (at most `region` enumeration nodes, else
     Inconclusive).
 
     The window's slab points span one period of x.  Their Pareto-minimal

@@ -77,6 +77,16 @@ def test_verdict_exit_codes(capsys):
     assert doc["status"] == "Nonreduced" and doc["witness"]
 
 
+def test_verdict_on_a_far_out_member(capsys):
+    # <0,1|1,0,2>, anchor 1,0,1, at (4, 10^12): the slab's bounding box
+    # held 4e7 cells, past the region cap, and the verdict exited 2
+    code, out, _ = run(["verdict", "0 1 1000000000001; 1 0 4; "
+                        "0 2 2000000000001", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"status": "Reduced",
+                               "certificate": {"kind": "SailCertified"}}
+
+
 def test_fingerprint(capsys):
     code, out, _ = run(["fingerprint", "0 1 2; 1 0 0; 0 3 5", "--json"], capsys)
     assert code == 0

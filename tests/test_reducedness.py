@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -8,12 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import band_cell, random_unimodular
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, parse_matrix
-from hesslab.hessenberg import FamilyPoint, HessType, family_member
-from hesslab.mdchar import md_characteristic
+from hesslab.hessenberg import (
+    FamilyPoint,
+    HessType,
+    family_member,
+    hessenberg_complexity,
+)
+from hesslab.mdchar import md_characteristic, md_form3
 import hesslab.reducedness as red_mod
 import hesslab.sail3 as sail3
 from hesslab.reducedness import (
     Bounded,
+    ReducedVerdict,
     Sail,
     fingerprint,
     is_reduced,
@@ -200,6 +207,24 @@ def test_sheared_conjugate_fingerprints_within_a_cpu_budget():
     fp = fingerprint(m)
     assert time.process_time() - start < 2.0
     assert fp == ref
+
+
+@pytest.mark.parametrize("mn", [(4, 10 ** 12), (0, 10 ** 14), (10 ** 15, 10 ** 30)],
+                         ids=["(4,10^12)", "(0,10^14)", "(10^15,10^30)"])
+def test_far_out_members_are_certified_within_a_cpu_budget(mn):
+    # along the criterion-10 direction (0, 1) the slab is a needle of two
+    # points whose bounding box grows with r: 4e7 cells at (4, 10^12),
+    # 7e34 at (10^15, 10^30).  The content is not the complexity, so the
+    # verdict builds the slab, and the level enumeration visits a handful
+    # of nodes
+    m = band_cell(*mn)
+    start = time.process_time()
+    assert math.gcd(*md_form3(m).coeffs) != hessenberg_complexity(m)
+    fp = fingerprint(m)
+    assert fp.matrices == (m,) and fp.min_value == 2
+    assert is_reduced(m, Sail()) == ReducedVerdict("Reduced",
+                                                   certificate="SailCertified")
+    assert time.process_time() - start < 1.0
 
 
 def test_verdict_json_shapes():

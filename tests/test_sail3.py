@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -383,9 +385,9 @@ def test_slab_contains_fundamental_vertices():
 
 def test_slab_hard_cell_regression():
     # this family cell has a coordinate bounding box with ~2e9 cross
-    # section; the reduced-basis box must keep feasible both the slab
-    # of (32, -11, 62), a seed that once took a 0.9 GB cube scan to find,
-    # and the slab of the seed the enumeration chooses
+    # section; the reduced-basis enumeration must keep feasible both the
+    # slab of (32, -11, 62), a seed that once took a 0.9 GB cube scan to
+    # find, and the slab of the seed the enumeration chooses
     t = HessType.parse("<0,1|1,0,2>")
     mat = family_member(FamilyPoint(t, IntVector((1, 0, 1)), (-6, 15)))
     e = eigen_data(mat)
@@ -394,8 +396,9 @@ def test_slab_hard_cell_regression():
         seed = -seed
     for slab in (reduced_slab(e, seed), fundamental_slab(e)):
         assert len(gamma0_slab_points(e, slab, 40_000_000)) > 0
-        # the cap bounds the cells of the box, which holds p and M p
-        with pytest.raises(Inconclusive, match="exceeds 1 cells"):
+        # the cap bounds the nodes visited at all levels, which reach the
+        # distinct p and M p, so more than one
+        with pytest.raises(Inconclusive, match="exceeds 1 nodes"):
             gamma0_slab_points(e, slab, 1)
 
 
@@ -427,7 +430,7 @@ def _strictly_inside_slab(m, p, box):
     return pts[inside]
 
 
-@pytest.mark.parametrize("m, seed", [
+_SLAB_CASES = pytest.mark.parametrize("m, seed", [
     (FRO, (1, 0, 0)),
     (M1, (1, 0, 0)),
     # the hard cell of test_slab_hard_cell_regression, with the seed that
@@ -436,6 +439,9 @@ def _strictly_inside_slab(m, p, box):
     (band_cell(-3, 9), (1, 0, 0)),
     (band_cell(0, 9), (1, 0, 0)),
 ], ids=["FRO", "M1", "hard(-6,15)", "band(-3,9)", "band(0,9)"])
+
+
+@_SLAB_CASES
 def test_slab_enumeration_is_sound(m, seed):
     # the natural seed spans a slab of a few points; the wider seed's slab
     # holds hundreds of points of the box
@@ -451,6 +457,28 @@ def test_slab_enumeration_is_sound(m, seed):
         assert not missing, missing[:5]
         checked += len(inside)
     assert checked > 0
+
+
+@_SLAB_CASES
+def test_slab_enumeration_is_exact(m, seed):
+    # the natural seed's slab points are exactly the vectors u B of the box
+    # |u_i| <= 4 in the slab's basis B that lie in the slab by exact
+    # comparisons in Q(r): x(v) between x(p) and x(M p) and F(v) <=
+    # max(F(p), F(M p)), from the field formulas.  Both lists run in the
+    # lexicographic order of u, so the box holds every returned point
+    e = eigen_data(m)
+    p = _positive_seed(e, seed)
+    slab = reduced_slab(e, p)
+    x_lo, x_hi = sorted((_x_coord_oracle(e, p), _x_coord_oracle(e, m * p)))
+    f_max = max(_y_sq_oracle(e, p), _y_sq_oracle(e, m * p))
+    want = []
+    for u in itertools.product(range(-4, 5), repeat=3):
+        v = IntVector([sum(map(operator.mul, u, col))
+                       for col in zip(*slab.basis)])
+        if (any(u) and x_lo <= _x_coord_oracle(e, v) <= x_hi
+                and _y_sq_oracle(e, v) <= f_max):
+            want.append(v)
+    assert gamma0_slab_points(e, slab) == want
 
 
 def test_indefinite_slab_metric_is_inconclusive(monkeypatch):
