@@ -1,17 +1,16 @@
 """Exact arithmetic in the number field Q(r) of a real algebraic number.
 
 The sail machinery needs exact signs of expressions built from the real
-eigenvalue r of an NRS matrix and square roots of nonnegative field
-elements.  The minimal polynomial is monic with integer coefficients, so
-an element of Q(r) is held as integer coefficients of 1, r, ..., r^(d-1)
-over one positive denominator (Cohen, A Course in Computational Algebraic
-Number Theory, 4.2) and products reduce by the minimal polynomial in
-integers.  Signs are decided by interval evaluation on a dyadic isolating
-interval of r, refined to the precision each decision asks for by
-certified Newton steps, with a bisection wherever a step fails (quadratic
-interval refinement: Abbott, 2006; Kerber and Sagraloff, 2011).
-Termination is guaranteed because a nonzero element of the field cannot
-vanish at r.
+eigenvalue r of an NRS matrix.  The minimal polynomial is monic with
+integer coefficients, so an element of Q(r) is held as integer
+coefficients of 1, r, ..., r^(d-1) over one positive denominator (Cohen,
+A Course in Computational Algebraic Number Theory, 4.2) and products
+reduce by the minimal polynomial in integers.  Signs are decided by
+interval evaluation on a dyadic isolating interval of r, refined to the
+precision each decision asks for by certified Newton steps, with a
+bisection wherever a step fails (quadratic interval refinement: Abbott,
+2006; Kerber and Sagraloff, 2011).  Termination is guaranteed because a
+nonzero element of the field cannot vanish at r.
 """
 
 from __future__ import annotations
@@ -422,78 +421,3 @@ class FieldElement:
 
     def __repr__(self):
         return "FieldElement(%s)" % (self.coeffs,)
-
-
-def sign_a_plus_b_sqrt(a: FieldElement, b: FieldElement, d: FieldElement) -> int:
-    """Exact sign of a + b*sqrt(d), for d >= 0 in Q(r)."""
-    sd = d.sign()
-    if sd < 0:
-        raise ExactError("negative radicand")
-    if sd == 0 or b.is_zero():
-        return a.sign()
-    sa, sb = a.sign(), b.sign()
-    if sa == 0:
-        return sb
-    if sa == sb:
-        return sa
-    # opposite signs: compare a^2 against b^2 d
-    t = (a * a - b * b * d).sign()
-    if t == 0:
-        return 0
-    return sa * t if t > 0 else sb
-
-
-def sign_three_sqrt(a: FieldElement, s3: FieldElement,
-                    b: FieldElement, s2: FieldElement,
-                    c: FieldElement, s1: FieldElement) -> int:
-    """Exact sign of a*sqrt(s3) + b*sqrt(s2) + c*sqrt(s1), s_i >= 0 in Q(r).
-
-    Splits off the first radical and squares twice; the nested comparison
-    stays inside expressions of the shape A + B*sqrt(D) with A, B, D in the
-    field, so every branch is decided exactly.
-    """
-    for x, s in ((a, s3), (b, s2), (c, s1)):
-        if s.sign() < 0:
-            raise ExactError("negative radicand")
-    if a.is_zero() or s3.is_zero():
-        return sign_a_plus_b_sqrt_pair(b, s2, c, s1)
-    if b.is_zero() or s2.is_zero():
-        return sign_a_plus_b_sqrt_pair(a, s3, c, s1)
-    if c.is_zero() or s1.is_zero():
-        return sign_a_plus_b_sqrt_pair(a, s3, b, s2)
-    sa, sb, sc = a.sign(), b.sign(), c.sign()
-    if sa == sb == sc:
-        return sa
-    # sign of a*sqrt(s3) vs -(b*sqrt(s2)+c*sqrt(s1)): compare squares,
-    # tracking which side is nonnegative
-    lhs_sq = a * a * s3
-    rhs_sq = b * b * s2 + c * c * s1
-    cross = b * c  # rhs^2 = rhs_sq + 2*b*c*sqrt(s2*s1)
-    # t = lhs_sq - rhs^2 = (lhs_sq - rhs_sq) - 2*cross*sqrt(s2*s1)
-    t = sign_a_plus_b_sqrt(lhs_sq - rhs_sq, -2 * cross, s2 * s1)
-    rhs_sign = sign_a_plus_b_sqrt_pair(b, s2, c, s1)  # sign of b*sqrt+c*sqrt
-    if sa > 0:
-        if rhs_sign >= 0:
-            return 1
-        # both magnitudes compared: a*sqrt(s3) vs |rhs|
-        return t if t != 0 else 0
-    else:
-        if rhs_sign <= 0:
-            return -1
-        return -t if t != 0 else 0
-
-
-def sign_a_plus_b_sqrt_pair(a: FieldElement, sa: FieldElement,
-                            b: FieldElement, sb: FieldElement) -> int:
-    """Exact sign of a*sqrt(sa) + b*sqrt(sb), radicands >= 0 in Q(r)."""
-    if a.is_zero() or sa.is_zero():
-        return b.sign() if sb.sign() != 0 else 0
-    if b.is_zero() or sb.is_zero():
-        return a.sign() if sa.sign() != 0 else 0
-    s1, s2 = a.sign(), b.sign()
-    if s1 == s2:
-        return s1
-    t = (a * a * sa - b * b * sb).sign()
-    if t == 0:
-        return 0
-    return s1 * t if t > 0 else s2

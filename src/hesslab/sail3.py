@@ -51,11 +51,7 @@ from .exact import (
     factor_small,
 )
 from .mdchar import MDForm3, md_form3
-from .numberfield import (
-    FieldElement,
-    NumberField,
-    sign_three_sqrt,
-)
+from .numberfield import FieldElement, NumberField
 
 # bits of the PiPoint boxes
 _BOX_BITS = 20
@@ -100,13 +96,12 @@ def require_nrs(m: IntMatrix) -> NrsCheck:
 class EigenData3:
     """Exact eigen data of an NRS operator, compiled for x and F.
 
-    g1 is the real eigenvector, a column of adj(M - rI); the coordinate x
-    is the linear form x_form, a row w of adj(M - rI) divided once by the
-    entry where that row meets g1's column.  s and q are the elementary
-    symmetric functions c + conj(c) and c*conj(c) of the complex pair, used
-    to fold the complex coordinate modulus into Q(r): with f = omega_rows v,
-    F(v) = f_0^2 + f_0 f_1 s + f_0 f_2 (s^2 - 2q) + f_1^2 q + f_1 f_2 sq
-    + f_2^2 q^2.
+    The coordinate x is the linear form x_form, the first nonzero row of
+    adj(M - rI) divided once by its first nonzero entry.  The elementary
+    symmetric functions s = c + conj(c) = tr M - r and q = c conj(c) = 1 / r
+    of the complex pair fold the complex coordinate modulus into Q(r): with
+    f = omega_rows v, F(v) = f_0^2 + f_0 f_1 s + f_0 f_2 (s^2 - 2q) + f_1^2
+    q + f_1 f_2 sq + f_2^2 q^2.
 
     The compiled tables hold the same values as integers over the power
     basis 1, r, r^2, one row per power r^k: x_table[k][j] is the
@@ -122,12 +117,9 @@ class EigenData3:
     inverse: IntMatrix  # adj(M), as det M = 1
     field: NumberField
     r: FieldElement
-    g1: Tuple[FieldElement, FieldElement, FieldElement]
     x_form: Tuple[FieldElement, FieldElement, FieldElement]
     x_floor: Tuple[int, int, int]  # floor(2^40 x_form[i]), for _x_sign
     omega_rows: Tuple[Tuple[int, ...], ...]  # 3 integer rows: omega_0/1/2 at a fixed row
-    s: FieldElement
-    q: FieldElement
     x_table: Tuple[Tuple[int, int, int], ...]
     x_den: int
     f_table: Tuple[Tuple[int, ...], ...]
@@ -177,7 +169,6 @@ def eigen_data(m: IntMatrix, nrs: Optional[NrsCheck] = None) -> EigenData3:
             break
     else:
         raise SailError("adjugate vanished at the real eigenvalue")
-    g1 = tuple(b_entry(i, j0) for i in range(3))
     wg_inv = b_entry(i0, j0).inverse()
     x_form = tuple(b_entry(i0, j) * wg_inv for j in range(3))
     x_table, x_den = _power_table(x_form)
@@ -196,9 +187,9 @@ def eigen_data(m: IntMatrix, nrs: Optional[NrsCheck] = None) -> EigenData3:
     else:
         raise SailError("no usable left eigenvector row for the complex pair")
     omega_rows = (a0.rows[i], w1.rows[i], w2.rows[i])
-    return EigenData3(m, md, a0, field, r, g1, x_form,
+    return EigenData3(m, md, a0, field, r, x_form,
                       tuple(f.floor(_FILTER_BITS) for f in x_form),
-                      omega_rows, s, q, x_table, x_den, f_table, f_den)
+                      omega_rows, x_table, x_den, f_table, f_den)
 
 
 @dataclass(frozen=True)
@@ -252,14 +243,19 @@ def verify_dirichlet_element(m: IntMatrix, x: IntMatrix) -> bool:
 
 
 def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:
-    """Sign of the cross product (p2-p1) x (p3-p1) in the (x, y) chart,
-    a y3 + b y2 + c y1 with a = x2 - x1, b = x1 - x3, c = x3 - x2.
+    """Sign of the cross product (p2-p1) x (p3-p1) in the (x, y) chart, for
+    points in strictly ascending x, as _pareto_filter returns them: with a =
+    x3 - x2 > 0 and b = x2 - x1 > 0, the sign of a y1 + b y3 - (a + b) y2.
 
     The integer filter evaluates 2^40 times that sum over the points'
     bounds of 2^20 x (box) and 2^20 y (y_box), in integer interval
     arithmetic, so the interval it builds contains the exact value.  It
     decides when the interval lies strictly on one side of 0; otherwise the
-    sign is decided exactly by sign_three_sqrt in Q(r).
+    chord test decides in Q(r).  Both a y1 + b y3 and (a + b) y2 are >= 0,
+    so the sign is that of the difference of their squares, 2 a b y1 y3 -
+    D with D = (a + b)^2 F2 - a^2 F1 - b^2 F3 (F = y^2): +1 when D < 0, and
+    else -sign(D^2 - 4 a^2 b^2 F1 F3), comparing the squares again
+    (NOTES.md, "Hull orientation by the chord test").
     """
     lo = hi = 0
     for u, v, w in ((p2, p1, p3), (p1, p3, p2), (p3, p2, p1)):
@@ -272,10 +268,12 @@ def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:
         return 1
     if hi < 0:
         return -1
-    a = p2.x - p1.x
-    b = p1.x - p3.x
-    c = p3.x - p2.x
-    return sign_three_sqrt(a, p3.y_sq, b, p2.y_sq, c, p1.y_sq)
+    a, b = p3.x - p2.x, p2.x - p1.x
+    d = (a + b) * (a + b) * p2.y_sq - a * a * p1.y_sq - b * b * p3.y_sq
+    if d.sign() < 0:
+        return 1
+    ab = a * b
+    return -(d * d - 4 * ab * ab * p1.y_sq * p3.y_sq).sign()
 
 
 def _box_sign(a_lo, a_hi, b_lo, b_hi) -> int:
@@ -497,20 +495,6 @@ def _log2_floor(a: FieldElement) -> int:
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _positive_definite(xs, polar, blend: FieldElement, sx: int,
-                       sf: int) -> bool:
-    """Whether the exact slab metric 2^(2 sx) x(u) x(v) + 2^(sf - 3)
-    (r - 1)^2 2 Phi(u, v) is positive definite on the rows with x values
-    xs and 2 Phi values polar (in _PAIRS order): Sylvester's criterion,
-    with the signs of its three leading minors decided in Q(r)."""
-    wx, wf = Fraction(2) ** (2 * sx), blend * Fraction(2) ** (sf - 3)
-    a, b, c, d, e, f = (xs[k] * xs[l] * wx + wf * p
-                        for (k, l), p in zip(_PAIRS, polar))
-    minor = a * d - b * b
-    det = minor * f + 2 * b * c * e - a * e * e - c * c * d
-    return a.sign() > 0 and minor.sign() > 0 and det.sign() > 0
-
-
 def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     """The slab of p, reduced from the basis rows `start` (the identity by
     default).
@@ -524,12 +508,11 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     of p and `start` alone however far r is refined, and rounding affects
     only the basis quality.
 
-    b starts at 62.  When the integral LLL rejects that Gram matrix, the
-    exact metric decides: an indefinite one makes the slab Inconclusive,
-    and a definite one is retried at b = 124, 248, ...  That ends: x^2 has
-    rank 1 and F rank 2, and their kernels (the plane of the complex pair
-    and the real eigenline) meet only in 0, so the exact metric is
-    positive definite, and 2^-b times the Gram matrix tends to it.
+    b starts at 62, and doubles while the integral LLL rejects the Gram
+    matrix.  That ends: 2^-b times the Gram matrix tends to the exact
+    metric, which is positive definite, as x^2 has rank 1, F rank 2, and
+    eigen_data's checks make their kernels meet only in 0 (NOTES.md, "The
+    slab metric is positive definite").
     """
     x_p = _x_coord(e, p)
     if x_p.sign() <= 0:
@@ -553,9 +536,7 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
                                        for col in zip(*rows)) for hk in h),
                         x_p, f_max, (-sx, -sf))
         except Inconclusive:
-            if bits == 62 and not _positive_definite(xs, polar, blend, sx, sf):
-                raise
-        bits *= 2
+            bits *= 2
 
 
 def _span(alpha: int, beta: int, gamma: int) -> range:

@@ -13,8 +13,6 @@ from hesslab.numberfield import (
     NumberField,
     RealRoot,
     isolate_real_roots,
-    sign_a_plus_b_sqrt,
-    sign_three_sqrt,
 )
 from hesslab.reducedness import Sail, _sail_minimum
 
@@ -69,54 +67,6 @@ def test_cmp_orders_elements():
     assert (r - 4).sign() == -1
     assert r.cmp(r * 1) == 0
     assert (r * r).cmp(r) == 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=-50, max_value=50),
-       st.integers(min_value=-50, max_value=50),
-       st.integers(min_value=0, max_value=60))
-def test_sign_a_plus_b_sqrt_fuzz(a, b, d):
-    k = _field()
-    got = sign_a_plus_b_sqrt(k.element([a]), k.element([b]), k.element([d]))
-    val = a + b * math.sqrt(d)
-    if abs(val) > 1e-9:
-        assert got == (1 if val > 0 else -1)
-    else:
-        # near-zero float: recheck exactly via squaring
-        exact = (a * abs(a) * 1 + 0) + 0
-        assert got == _sign_exact(a, b, d)
-
-
-def _sign_exact(a, b, d):
-    # sign of a + b sqrt(d) with integers, by case analysis
-    if d == 0 or b == 0:
-        return (a > 0) - (a < 0)
-    if a >= 0 and b >= 0:
-        return 1 if (a or b) else 0
-    if a <= 0 and b <= 0:
-        return -1 if (a or b) else 0
-    lhs = a * a
-    rhs = b * b * d
-    if a > 0:
-        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=-20, max_value=20),
-       st.integers(min_value=0, max_value=30),
-       st.integers(min_value=-20, max_value=20),
-       st.integers(min_value=0, max_value=30),
-       st.integers(min_value=-20, max_value=20),
-       st.integers(min_value=0, max_value=30))
-def test_sign_three_sqrt_fuzz(a, s3, b, s2, c, s1):
-    k = _field()
-    got = sign_three_sqrt(k.element([a]), k.element([s3]),
-                          k.element([b]), k.element([s2]),
-                          k.element([c]), k.element([s1]))
-    val = a * math.sqrt(s3) + b * math.sqrt(s2) + c * math.sqrt(s1)
-    if abs(val) > 1e-7:
-        assert got == (1 if val > 0 else -1)
 
 
 @settings(max_examples=200, deadline=None)

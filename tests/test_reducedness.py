@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import band_cell, random_unimodular
+from conftest import band_cell, random_unimodular, shear
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, parse_matrix
 from hesslab.hessenberg import (
     FamilyPoint,
@@ -197,16 +197,19 @@ def test_fingerprint_when_the_float_box_misses_slab_points():
 
 
 def test_sheared_conjugate_fingerprints_within_a_cpu_budget():
-    # X^-1 M1 X with X = I + 10^1000 E31: carrying the window's minimisers
-    # from the slab seed's window into e1's walked thousands of exact
-    # G-steps; the seed's own window needs none
-    x = IntMatrix([[1, 0, 0], [0, 1, 0], [10 ** 1000, 0, 1]])
-    m = x.inverse_unimodular() * M1 * x
+    # X^-1 M1 X with X = I + 10^1000 E_ij for E31, E12, E13 and E23:
+    # carrying the window's minimisers from the slab seed's window into
+    # e1's walked thousands of exact G-steps; the seed's own window needs
+    # none.  The first slab's Gram matrix is the worst conditioned known:
+    # the integral LLL accepts it after about 8 doublings of its bits
     ref = fingerprint(M1)
-    start = time.process_time()
-    fp = fingerprint(m)
-    assert time.process_time() - start < 2.0
-    assert fp == ref
+    for i, j in ((2, 0), (0, 1), (0, 2), (1, 2)):
+        x = shear(3, i, j, 10 ** 1000)
+        m = x.inverse_unimodular() * M1 * x
+        start = time.process_time()
+        fp = fingerprint(m)
+        assert time.process_time() - start < 2.0, (i, j)
+        assert fp == ref, (i, j)
 
 
 @pytest.mark.parametrize("mn", [(4, 10 ** 12), (0, 10 ** 14), (10 ** 15, 10 ** 30)],

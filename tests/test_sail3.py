@@ -4,6 +4,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hesslab.hessenberg import (
     reduce_to_perfect,
 )
 from hesslab.mdchar import md_characteristic, md_form3
-from hesslab.numberfield import FieldElement, NumberField, sign_three_sqrt
+from hesslab.numberfield import FieldElement, NumberField
 import hesslab.reducedness as red_mod
 from hesslab.reducedness import (
     ReducedVerdict,
@@ -67,23 +68,33 @@ def test_rs_matrix_rejected():
         eigen_data(parse_matrix("0 0 1; 1 0 6; 0 1 0"))
 
 
+def _real_eigenvector(m, field):
+    """The first nonzero column of adj(M - rI) = omega_0 + omega_1 r +
+    omega_2 r^2."""
+    w = sail3._adjugate_coeffs(m)
+    cols = ([field.element([c[i, j] for c in w]) for i in range(3)]
+            for j in range(3))
+    return next(col for col in cols if not all(c.is_zero() for c in col))
+
+
 def test_eigen_data_consistency():
     for m in (FRO, M1):
         e = eigen_data(m)
         r = e.r
+        g1 = _real_eigenvector(m, e.field)
         for i in range(3):
             # g1 is a right eigenvector: (M - r) g1 = 0 componentwise
             acc = e.field.zero()
             for j in range(3):
-                acc = acc + e.g1[j] * m[i, j]
-            assert (acc - r * e.g1[i]).is_zero()
+                acc = acc + g1[j] * m[i, j]
+            assert (acc - r * g1[i]).is_zero()
             # x_form is a left eigenvector: sum_j x_form[j] M[j][i] = r x_form[i]
             acc = e.field.zero()
             for j in range(3):
                 acc = acc + e.x_form[j] * m[j, i]
             assert (acc - r * e.x_form[i]).is_zero()
         x_g1 = e.field.zero()
-        for f, g in zip(e.x_form, e.g1):
+        for f, g in zip(e.x_form, g1):
             x_g1 = x_g1 + f * g
         assert not x_g1.is_zero()
         assert _y_sq(e, IntVector((1, 0, 0))).sign() > 0
@@ -107,7 +118,9 @@ def _y_sq_oracle(e, v):
     f0 = sum(c * vi for c, vi in zip(e.omega_rows[0], v))
     f1 = sum(c * vi for c, vi in zip(e.omega_rows[1], v))
     f2 = sum(c * vi for c, vi in zip(e.omega_rows[2], v))
-    s, q = e.s, e.q
+    # the symmetric functions c + conj(c) = tr M - r and c conj(c) = 1 / r
+    # of the complex pair
+    s, q = e.matrix.trace() - e.r, e.r.inverse()
     out = e.field.element([f0 * f0])
     out = out + (f0 * f1) * s
     out = out + (f0 * f2) * (s * s - 2 * q)
@@ -136,54 +149,107 @@ def test_compiled_x_and_f_match_field_formulas(i, v):
     assert p.x == x and p.y_sq == y_sq
 
 
-def _exact_orientation(p1, p2, p3):
-    return sign_three_sqrt(p2.x - p1.x, p3.y_sq, p1.x - p3.x, p2.y_sq,
-                           p3.x - p2.x, p1.y_sq)
+def _scaled_y(y_sq_lo, y_sq_hi, k):
+    """Integer bounds of 2^k y from those of 2^k y_sq: integer square roots
+    of 2^k times them, rounded outward."""
+    lo, hi = y_sq_lo << k, y_sq_hi << k
+    s = math.isqrt(hi)
+    return math.isqrt(lo), s + (s * s < hi)
 
 
-class _CountingExact:
-    """sail3.sign_three_sqrt replaced by a counting wrapper while active."""
+def _interval_orientation(p1, p2, p3):
+    """The sign of (x2 - x1)(y3 - y1) - (y2 - y1)(x3 - x1), from integer
+    enclosures of 2^k x and 2^k y at k = 16, 32, 64, ... until the interval
+    of 2^(2k) times it excludes 0; an oracle for nonzero cross products
+    that shares no algebra with the chord test."""
+    def sub(a, b):
+        return a[0] - b[1], a[1] - b[0]
 
-    def __enter__(self):
-        self.calls = 0
+    def mul(a, b):
+        ends = [u * v for u in a for v in b]
+        return min(ends), max(ends)
 
-        def counted(*args):
-            self.calls += 1
-            return sign_three_sqrt(*args)
+    for k in (16 << i for i in range(10)):
+        (x1, y1), (x2, y2), (x3, y3) = (
+            (p.x.bounds(k), _scaled_y(*p.y_sq.bounds(k), k))
+            for p in (p1, p2, p3))
+        lo, hi = sub(mul(sub(x2, x1), sub(y3, y1)),
+                     mul(sub(y2, y1), sub(x3, x1)))
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+    raise AssertionError("cross product undecided at 2^-8192")
 
-        sail3.sign_three_sqrt = counted
-        return self
 
-    def __exit__(self, *exc):
-        sail3.sign_three_sqrt = sign_three_sqrt
+def _counting_signs():
+    """FieldElement.sign wrapped, while active, by a mock that counts its
+    calls: the chord test decides by field signs, and the box filter takes
+    none."""
+    return mock.patch.object(FieldElement, "sign", autospec=True,
+                             side_effect=FieldElement.sign)
+
+
+def _ascending(e, vs):
+    """The projections of vs in ascending x, as _lower_hull receives them;
+    their boxes are computed up front, so any field sign that _orientation
+    takes is the chord test's."""
+    pts = sorted((project_pi(e, v) for v in vs), key=sail3._X_ORDER)
+    for p in pts:
+        p.y_box
+    return pts
+
+
+def _undecidable(p):
+    """A copy of p whose box holds x and y_sq, but so loosely that the
+    filter's interval holds 0 for any three such points: the chord test
+    decides their orientation."""
+    x_lo, x_hi, _, y_sq_hi = p.box
+    w = (abs(x_lo) + abs(x_hi) + y_sq_hi + 1) << 40
+    q = PiPoint(p.preimage, p.x, p.y_sq)
+    q.__dict__["box"] = (x_lo - w, x_hi + w, 0, y_sq_hi + w)
+    return q
+
+
+def _on_one_ray(vs):
+    """Whether the vectors are positive multiples of one vector u (equality
+    in Cauchy-Schwarz, with u . v > 0): x is linear and y homogeneous of
+    degree one, so their points lie on one ray through the origin."""
+    u = vs[0]
+
+    def dot(a, b):
+        return sum(map(operator.mul, a, b))
+
+    return all(dot(u, v) > 0 and dot(u, v) ** 2 == dot(u, u) * dot(v, v)
+               for v in vs[1:])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=2),
-       st.lists(nonzero_vectors(lo=-30, hi=30), min_size=3, max_size=3),
-       st.sampled_from(("random", "repeated", "collinear", "huge")))
+       st.lists(nonzero_vectors(lo=-30, hi=30), min_size=3, max_size=3,
+                unique=True),
+       st.sampled_from(("random", "collinear", "huge")))
 def test_orientation_filter_matches_exact(i, vs, shape):
+    # three distinct vectors have three distinct x, as x vanishes on no
+    # nonzero integer vector
     _, e = _operator_data(i)
-    if shape == "repeated":
-        vs = [vs[0], vs[1], vs[0]]
-    elif shape == "collinear":
-        # x is linear and y homogeneous of degree one, so v, 2v, 3v project
-        # onto one ray through the origin
+    if shape == "collinear":
         vs = [vs[0], vs[0].scale(2), vs[0].scale(3)]
     elif shape == "huge":
         # x and y_sq far beyond the float range
         vs = [v.scale(10 ** 400) for v in vs]
-    p1, p2, p3 = (project_pi(e, v) for v in vs)
-    want = _exact_orientation(p1, p2, p3)
-    with _CountingExact() as exact:
-        assert sail3._orientation(p1, p2, p3) == want
+    pts = _ascending(e, vs)
+    want = 0 if _on_one_ray(vs) else _interval_orientation(*pts)
+    with _counting_signs() as sign:
+        assert sail3._orientation(*pts) == want
     if want == 0:
         # an interval that holds 0 falls back
-        assert exact.calls == 1
+        assert sign.call_count > 0
     elif shape == "huge":
         # the cross product of huge points outgrows the boxes' widths, so
         # the integer filter decides
-        assert exact.calls == 0
+        assert sign.call_count == 0
+    with _counting_signs() as sign:
+        assert sail3._orientation(*map(_undecidable, pts)) == want
+    assert sign.call_count > 0
 
 
 def _box_holds(p):
@@ -232,20 +298,20 @@ def test_box_near_the_box_resolution():
 def test_orientation_falls_back_on_a_wide_box():
     e = eigen_data(M1)
     vs = [IntVector(v) for v in ((1, 0, 0), (0, 1, 0), (0, -1, 1))]
-    pts = [project_pi(e, v) for v in vs]
-    want = _exact_orientation(*pts)
+    want = _interval_orientation(*_ascending(e, vs))
     assert want != 0
-    with _CountingExact() as exact:
-        assert sail3._orientation(*pts) == want
-    assert exact.calls == 0
+    with _counting_signs() as sign:
+        assert sail3._orientation(*_ascending(e, vs)) == want
+    assert sign.call_count == 0
     # a box that still holds x and y_sq but is too wide to decide: the
-    # filter's interval holds 0, and the sign comes from Q(r)
+    # filter's interval holds 0, and the chord test decides in Q(r)
     for k in range(3):
-        pts = [project_pi(e, v) for v in vs]
+        pts = _ascending(e, vs)
         pts[k].__dict__["box"] = (-1 << 60, 1 << 60, 0, 1 << 60)
-        with _CountingExact() as exact:
+        del pts[k].__dict__["y_box"]
+        with _counting_signs() as sign:
             assert sail3._orientation(*pts) == want
-        assert exact.calls == 1, k
+            assert sign.call_count > 0, k
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,7 +409,7 @@ def test_y_sq_scaling_under_operator():
     v = IntVector((1, 2, 0))
     f_v = _y_sq(e, v)
     f_mv = _y_sq(e, FRO * v)
-    assert (f_mv - e.q * f_v).is_zero()
+    assert (f_mv * e.r - f_v).is_zero()
 
 
 def test_frobenius_sail_fundamental_domain():
@@ -430,7 +496,7 @@ def _strictly_inside_slab(m, p, box):
     return pts[inside]
 
 
-_SLAB_CASES = pytest.mark.parametrize("m, seed", [
+_SLAB_SEEDS = [
     (FRO, (1, 0, 0)),
     (M1, (1, 0, 0)),
     # the hard cell of test_slab_hard_cell_regression, with the seed that
@@ -438,7 +504,10 @@ _SLAB_CASES = pytest.mark.parametrize("m, seed", [
     (band_cell(-6, 15), (32, -11, 62)),
     (band_cell(-3, 9), (1, 0, 0)),
     (band_cell(0, 9), (1, 0, 0)),
-], ids=["FRO", "M1", "hard(-6,15)", "band(-3,9)", "band(0,9)"])
+]
+_SLAB_CASES = pytest.mark.parametrize(
+    "m, seed", _SLAB_SEEDS,
+    ids=["FRO", "M1", "hard(-6,15)", "band(-3,9)", "band(0,9)"])
 
 
 @_SLAB_CASES
@@ -459,16 +528,12 @@ def test_slab_enumeration_is_sound(m, seed):
     assert checked > 0
 
 
-@_SLAB_CASES
-def test_slab_enumeration_is_exact(m, seed):
-    # the natural seed's slab points are exactly the vectors u B of the box
-    # |u_i| <= 4 in the slab's basis B that lie in the slab by exact
-    # comparisons in Q(r): x(v) between x(p) and x(M p) and F(v) <=
-    # max(F(p), F(M p)), from the field formulas.  Both lists run in the
-    # lexicographic order of u, so the box holds every returned point
-    e = eigen_data(m)
-    p = _positive_seed(e, seed)
-    slab = reduced_slab(e, p)
+def _exact_slab_points(e, slab):
+    """The vectors u B of the box |u_i| <= 4 in the slab's basis B, u != 0,
+    that lie in the slab by exact comparisons in Q(r): x(v) between x(p)
+    and x(M p) and F(v) <= max(F(p), F(M p)), from the field formulas; in
+    the lexicographic order of u."""
+    m, p = e.matrix, slab.seed
     x_lo, x_hi = sorted((_x_coord_oracle(e, p), _x_coord_oracle(e, m * p)))
     f_max = max(_y_sq_oracle(e, p), _y_sq_oracle(e, m * p))
     want = []
@@ -478,34 +543,45 @@ def test_slab_enumeration_is_exact(m, seed):
         if (any(u) and x_lo <= _x_coord_oracle(e, v) <= x_hi
                 and _y_sq_oracle(e, v) <= f_max):
             want.append(v)
-    assert gamma0_slab_points(e, slab) == want
+    return want
 
 
-def test_indefinite_slab_metric_is_inconclusive(monkeypatch):
-    # a negative definite float metric once made the box radii NaN, which
-    # came back as an empty point set with no error.  Scaling the F part of
-    # the exact metric by -1/1000 leaves a form of signature (1, 2) with a
-    # positive first entry: the integral LLL rejects its Gram matrix, the
-    # exact leading minors find it indefinite, and the slab is Inconclusive
-    # after that one attempt
-    polar = sail3._polar
-    monkeypatch.setattr(sail3, "_polar",
-                        lambda e, u, v: polar(e, u, v) * Fraction(-1, 1000))
-    lll = sail3._integral_lll
-    scales = []
+@_SLAB_CASES
+def test_slab_enumeration_is_exact(m, seed):
+    # the natural seed's slab points are exactly _exact_slab_points.  Both
+    # lists run in the lexicographic order of u, so the box holds every
+    # returned point
+    e = eigen_data(m)
+    slab = reduced_slab(e, _positive_seed(e, seed))
+    assert gamma0_slab_points(e, slab) == _exact_slab_points(e, slab)
 
-    def counting_lll(gram):
-        scales.append(gram)
-        return lll(gram)
 
-    monkeypatch.setattr(sail3, "_integral_lll", counting_lll)
-    e = eigen_data(M1)
-    with pytest.raises(Inconclusive, match="not positive definite"):
-        reduced_slab(e, IntVector((1, 0, 0)))
-    assert len(scales) == 1
-    with pytest.raises(Inconclusive):
-        fundamental_window(M1)
-    assert is_reduced(M1, Sail()).status == "Inconclusive"
+def test_leaf_fallback_is_exact(monkeypatch):
+    # at 40 bits the leaf filter decides every leaf of the natural seeds'
+    # slabs, as none lies within 2^-40 of the boundary.  At 4 bits
+    # (eigen_data, called after the patch, floors x_form at 2^4 too) it
+    # leaves some to the exact fallback, whose output must still be exactly
+    # the slab's points.  The seed (0, 1, 1) of M1 sends the fallback leaves
+    # outside its slab's x range, so a fallback that accepted every leaf,
+    # skipped the F comparison or skipped the signs of x would list points
+    # outside the slab
+    monkeypatch.setattr(sail3, "_FILTER_BITS", 4)
+    x_sign = sail3._x_sign
+    fallbacks = []
+
+    def counting_x_sign(e, v):
+        # within gamma0_slab_points, only the fallback takes signs of x
+        fallbacks.append(v)
+        return x_sign(e, v)
+
+    for m, seed in _SLAB_SEEDS + [(M1, (0, 1, 1))]:
+        e = eigen_data(m)
+        slab = reduced_slab(e, _positive_seed(e, seed))
+        with monkeypatch.context() as patch:
+            patch.setattr(sail3, "_x_sign", counting_x_sign)
+            got = gamma0_slab_points(e, slab)
+        assert got == _exact_slab_points(e, slab), str(m)
+    assert fallbacks
 
 
 def _log2_floor_by_steps(a):
@@ -540,28 +616,6 @@ def test_log2_floor_doubles_its_shift(monkeypatch, k):
         del calls[:]
         assert sail3._log2_floor(a) == want
         assert len(calls) <= 2 + (k // 64).bit_length(), calls
-
-
-def _slab_metric_is_definite(e, slab):
-    xs = [_x_coord(e, c) for c in slab.basis]
-    polar = [sail3._polar(e, slab.basis[k], slab.basis[l])
-             for k, l in sail3._PAIRS]
-    sx, sf = (-k for k in slab.logs)
-    return sail3._positive_definite(xs, polar, (e.r - 1) * (e.r - 1), sx, sf)
-
-
-def test_exact_definiteness_accepts_the_slab_metrics():
-    # the exact slab metric is positive definite on every operator, so the
-    # check that follows a rejected first LLL attempt never stops a slab
-    # that a finer Gram matrix would reduce
-    rng = random.Random(8)
-    for m in [M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
-                          for _ in range(20)]:
-        e = eigen_data(m)
-        slab = fundamental_slab(e)
-        assert _slab_metric_is_definite(e, slab), str(m)
-        e1 = reduced_slab(e, sail3._positive(e, IntVector((1, 0, 0))))
-        assert _slab_metric_is_definite(e, e1), str(m)
 
 
 def test_md_form_is_one_multiple_of_x_times_f():
@@ -796,4 +850,4 @@ def test_project_pi_orbit_invariants():
     p = project_pi(e, IntVector((0, -1, 1)))
     q = project_pi(e, M1 * IntVector((0, -1, 1)))
     assert (q.x - e.r * p.x).is_zero()
-    assert (q.y_sq - e.q * p.y_sq).is_zero()
+    assert (q.y_sq * e.r - p.y_sq).is_zero()
