@@ -1,21 +1,23 @@
 """Family-scale experiments: discriminant grids, NRS parabola bounds,
 ray scans, the 4D quartic family, and grid rendering.
 
-A family H(Omega) is scanned cell by cell: reducibility first, then the
-discriminant sign (RS vs NRS), then a reducedness verdict for NRS cells.
+A 3x3 family H(Omega) is scanned cell by cell from its invariants:
+reducibility first, then the discriminant sign (RS vs NRS), then a
+reducedness verdict for NRS cells, which builds the cell's matrix only
+where the content of the MD form leaves the verdict open.
 The parabola machinery gives the asymptotic two-parabola picture of the
 NRS region.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
     ExactError,
-    IntMatrix,
     IntPoly,
     IntVector,
     _is_square,
@@ -24,8 +26,10 @@ from .exact import (
     factor_small,
     quartic_real_roots,
 )
-from .hessenberg import FamilyPoint, HessType, family_member
-from .reducedness import ReducedVerdict, Sail, is_reduced
+from .hessenberg import FamilyPoint, HessType, family_info, family_member
+from .mdchar import md_form3
+from .reducedness import ReducedVerdict, Sail, content_certifies, is_reduced
+from .sail3 import NrsCheck
 
 
 def discriminant_at(fp: FamilyPoint) -> int:
@@ -94,20 +98,13 @@ def lambda_membership(pp: ParabolaParams, eps, mn) -> bool:
 
 
 def normalize_to_frobenius(fp: FamilyPoint) -> Tuple[int, int]:
-    """Parameters of the Frobenius matrix with the same characteristic
-    polynomial; the affine map is the printed one and preserves the
-    discriminant exactly."""
-    t = fp.type
-    if t.n != 3:
+    """Parameters (-c2, tr) of the Frobenius matrix with the member's
+    characteristic polynomial t^3 - tr t^2 + c2 t - 1: the printed affine
+    map, which preserves the discriminant exactly."""
+    if fp.type.n != 3:
         raise ExactError("defined for 3x3 families")
-    base = family_member(FamilyPoint(t, fp.anchor, (0, 0)))
-    a11, a12, a13 = base[0, 0], base[0, 1], base[0, 2]
-    a21, a22, a23 = base[1, 0], base[1, 1], base[1, 2]
-    a32, a33 = base[2, 1], base[2, 2]
-    m, n = fp.params
-    c1 = a23 * a32 - a11 * a33 + a12 * a21 - a22 * a33 - a11 * a22
-    c2 = a11 + a22 + a33
-    return (a21 * a32 * m - a11 * a32 * n + c1, a32 * n + c2)
+    _, c2, minus_tr, _ = char_poly(family_member(fp)).coeffs
+    return -c2, -minus_tr
 
 
 @dataclass(frozen=True)
@@ -124,49 +121,79 @@ class GridCell:
         return out
 
 
-def _classify_cell(args) -> GridCell:
-    t, anchor, mn, strategy = args
-    fp = FamilyPoint(t, IntVector(anchor), mn)
-    mat = family_member(fp)
-    p = char_poly(mat)
-    if len(factor_small(p)) != 1:
-        return GridCell(mn, "ReduciblePoly")
-    d = discriminant(p)
-    assert d != 0  # squarefree since irreducible over Q
-    if d > 0:
-        return GridCell(mn, "RS")
-    verdict = is_reduced(mat, strategy)
-    if verdict.status == "Nonreduced":
-        return GridCell(mn, "NRS_Nonreduced", verdict)
-    if verdict.status == "Reduced":
-        return GridCell(mn, "NRS_Reduced", verdict)
-    return GridCell(mn, "NRS_Unknown", verdict)
+_NRS_CLASS = {"Reduced": "NRS_Reduced", "Nonreduced": "NRS_Nonreduced",
+              "Inconclusive": "NRS_Unknown"}
+# the verdict of an NRS cell whose MD form's content is the complexity
+_CONTENT_CERTIFIED = ReducedVerdict("Reduced", certificate="SailCertified")
+
+
+def _matrix_cell(args) -> GridCell:
+    """An NRS cell classified from its matrix by is_reduced, given the
+    cell's NrsCheck when `poly`, its characteristic polynomial, is."""
+    t, anchor, mn, strategy, poly = args
+    mat = family_member(FamilyPoint(t, anchor, mn))
+    nrs = NrsCheck(poly, md_form3(mat)) if poly is not None else None
+    verdict = is_reduced(mat, strategy, nrs)
+    return GridCell(mn, _NRS_CLASS[verdict.status], verdict)
+
+
+def _classify_cells(t: HessType, anchor, points, strategy,
+                    jobs: int = 1) -> List[GridCell]:
+    """The family's cells at `points`, in their order, from its invariants
+    (NOTES.md, "Atlas cells from the family's invariants"), under
+    `strategy` (Sail when None).  Only the NRS cells that the MD form's
+    content leaves open build a matrix, in a pool of at most `jobs`
+    processes."""
+    if jobs < 1:
+        raise ExactError("jobs must be at least 1, got %d" % jobs)
+    strategy = strategy or Sail()
+    anchor = IntVector(anchor)
+    FamilyPoint(t, anchor, (0, 0))  # family_member's dimension errors
+    perfect, det = family_info(t, anchor)
+    (a11, a21), (a12, a22, a32) = t.columns
+    c = t.complexity()
+    sl3 = isinstance(strategy, Sail) and det == 1
+    certifies = {}  # (m mod c, n mod c) -> whether the content is c
+
+    def certified(m, n):
+        key = (m % c, n % c)
+        if key not in certifies:
+            md = md_form3(family_member(FamilyPoint(t, anchor, (m, n))))
+            certifies[key] = content_certifies(md, c)
+        return certifies[key]
+
+    cells, left = [], []
+    for m, n in points:
+        v2, v3 = anchor[1] + m * a21 + n * a22, anchor[2] + n * a32
+        c2 = a11 * a22 - a12 * a21 + (a11 + a22) * v3 - a32 * v2
+        p = IntPoly((-det, c2, -(a11 + a22 + v3), 1))
+        if p(1) == 0 or p(-1) == 0:
+            cells.append(GridCell((m, n), "ReduciblePoly"))
+        elif discriminant(p) > 0:  # nonzero, as p is squarefree
+            cells.append(GridCell((m, n), "RS"))
+        elif sl3 and perfect and (c == 1 or certified(m, n)):
+            cells.append(GridCell((m, n), "NRS_Reduced", _CONTENT_CERTIFIED))
+        else:
+            cells.append(None)
+            left.append((t, anchor, (m, n), strategy, p if sl3 else None))
+    workers = min(jobs, len(left))
+    if workers > 1:
+        import multiprocessing
+        with multiprocessing.Pool(workers) as pool:
+            done = iter(pool.map(_matrix_cell, left, chunksize=1))
+    else:
+        done = map(_matrix_cell, left)
+    return [cell or next(done) for cell in cells]
 
 
 def classify_grid(t: HessType, anchor, m_range, n_range,
                   strategy=None, jobs: int = 1):
-    """Classify every cell of the window, in a pool of at most `jobs`
-    processes (one per cell at most); returns (cells, counts) with the
-    cells ordered by (m, n) regardless of execution order."""
-    if strategy is None:
-        strategy = Sail()
-    work = [(t, tuple(anchor), (m, n), strategy)
-            for m in range(m_range[0], m_range[1] + 1)
-            for n in range(n_range[0], n_range[1] + 1)]
-    if jobs < 1:
-        raise ExactError("jobs must be at least 1, got %d" % jobs)
-    workers = min(jobs, len(work))
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            cells = pool.map(_classify_cell, work, chunksize=8)
-    else:
-        cells = [_classify_cell(w) for w in work]
-    cells.sort(key=lambda c: c.params)
-    counts: Dict[str, int] = {}
-    for c in cells:
-        counts[c.cls] = counts.get(c.cls, 0) + 1
-    return cells, counts
+    """Classify every cell of the window (_classify_cells); returns (cells,
+    counts) with the cells ordered by (m, n)."""
+    points = [(m, n) for m in range(m_range[0], m_range[1] + 1)
+              for n in range(n_range[0], n_range[1] + 1)]
+    cells = _classify_cells(t, anchor, points, strategy, jobs)
+    return cells, dict(Counter(c.cls for c in cells))
 
 
 def ray_scan(t: HessType, anchor, start, direction, t_max: int,
@@ -177,22 +204,17 @@ def ray_scan(t: HessType, anchor, start, direction, t_max: int,
     (t, cell class, verdict-or-None); non-NRS cells are flagged by their
     class and carry no verdict.
     """
-    if strategy is None:
-        strategy = Sail()
     if len(start) != 2:
         raise ExactError("ray start must have two entries (m,n), got %d"
                          % len(start))
     if tuple(direction) not in ((-1, 0), (t.columns[0][0], t.columns[0][1])):
         raise ExactError("ray direction must be (-1,0) or (a11,a21)")
-    entries = []
-    last_nonreduced = None
-    for k in range(t_max + 1):
-        mn = (start[0] + k * direction[0], start[1] + k * direction[1])
-        cell = _classify_cell((t, tuple(anchor), mn, strategy))
-        entries.append((k, cell.cls, cell.verdict))
-        if cell.cls == "NRS_Nonreduced":
-            last_nonreduced = k
-    return entries, last_nonreduced
+    points = [(start[0] + k * direction[0], start[1] + k * direction[1])
+              for k in range(t_max + 1)]
+    cells = _classify_cells(t, anchor, points, strategy)
+    entries = [(k, cell.cls, cell.verdict) for k, cell in enumerate(cells)]
+    return entries, max((k for k, cls, _ in entries
+                         if cls == "NRS_Nonreduced"), default=None)
 
 
 # the fixed 4D family of the quartic atlas

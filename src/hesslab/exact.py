@@ -13,7 +13,6 @@ counted by integer Sturm chains of primitive pseudo-remainders.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -624,12 +623,3 @@ def parse_vector(text: str) -> IntVector:
 
 def matrix_to_json(m: IntMatrix) -> dict:
     return {"n": m.n, "rows": [list(r) for r in m.rows]}
-
-
-def matrix_from_json(obj) -> IntMatrix:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    m = IntMatrix(obj["rows"])
-    if "n" in obj and obj["n"] != m.n:
-        raise ExactError("declared dimension disagrees with rows")
-    return m

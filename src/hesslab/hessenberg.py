@@ -242,8 +242,7 @@ def family_member(fp: FamilyPoint) -> IntMatrix:
     """Realize M_0 + sum c_i M_i(Omega) for a family point."""
     t = fp.type
     n = t.n
-    if not _valid_pair(t, fp.anchor):
-        raise ExactError("type/anchor pair does not give an SL(n,Z) family")
+    family_info(t, fp.anchor)  # raises on an invalid pair
     last = list(fp.anchor)
     for j, c in enumerate(fp.params):
         col = t.column_vector(j)
@@ -253,9 +252,16 @@ def family_member(fp: FamilyPoint) -> IntMatrix:
 
 
 @functools.lru_cache(maxsize=1024)
-def _valid_pair(t: HessType, anchor: IntVector) -> bool:
-    """validate_type, checked once per (type, anchor) pair."""
-    return validate_type(t, anchor)
+def family_info(t: HessType, anchor: IntVector) -> Tuple[bool, int]:
+    """validate_type, checked once per (type, anchor) pair (ExactError when
+    it fails), and (perfect, det) of every member: is_perfect reads only
+    the type columns, and det, linear in the last column and 0 on the type
+    columns, is the anchor member's."""
+    if not validate_type(t, anchor):
+        raise ExactError("type/anchor pair does not give an SL(n,Z) family")
+    base = IntMatrix.from_columns(
+        [t.column_vector(j) for j in range(t.n - 1)] + [IntVector(anchor)])
+    return is_perfect(base), det(base)
 
 
 def validate_type(t: HessType, anchor: IntVector) -> bool:

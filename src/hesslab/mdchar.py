@@ -41,9 +41,6 @@ class MDForm3:
         a0 = ((c0 * x + c1 * y) * x + c3 * y * y) * x + c6 * y * y * y
         return [((c9 * z + a2) * z + a1) * z + a0 for z in zs]
 
-    def parity_all_even(self) -> bool:
-        return all(c % 2 == 0 for c in self.coeffs)
-
     def __str__(self) -> str:
         parts = []
         for c, mono in zip(self.coeffs, MONOMIALS3):

@@ -257,9 +257,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     def __add__(self, other):
         num, den = self.num, self.den
         if other.__class__ is int:

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .exact import ExactError, IntMatrix, IntVector, char_poly, det, factor_small
 from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
-from .mdchar import md_characteristic, md_form3
+from .mdchar import MDForm3, md_characteristic, md_form3
 from .sail3 import (
     Inconclusive as SailInconclusive,
     NrsCheck,
@@ -144,18 +144,25 @@ def _sail_minimum(m: IntMatrix, strategy: Sail,
     return best, sorted(wits, key=tuple)
 
 
-def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
+def content_certifies(md: MDForm3, complexity: int) -> bool:
+    """Whether the MD form's content, the gcd of its coefficients, is the
+    complexity (NOTES.md, "The content bound")."""
+    return math.gcd(*md.coeffs) == complexity
+
+
+def is_reduced(m: IntMatrix, strategy,
+               nrs: Optional[NrsCheck] = None) -> ReducedVerdict:
     """The reducedness verdict of a perfect Hessenberg matrix with an
     irreducible characteristic polynomial.  The Sail route checks
-    irreducibility in sail3, which raises SailError (an ExactError) with
-    the message the Bounded route raises.
+    irreducibility in sail3 (require_nrs, unless the caller passes m's
+    NrsCheck as `nrs`), which raises SailError (an ExactError) with the
+    message the Bounded route raises.
 
     Once its input is known to be NRS in SL(3,Z), the Sail route certifies
-    Reduced without a sail when the content of the MD form (the gcd of its
-    coefficients) equals the complexity: every value of MD is a multiple
-    of the content, none is 0 on a nonzero vector, and MD(e1) is plus or
-    minus the complexity (NOTES.md, "The content bound").  Otherwise it
-    takes the minimum over the fundamental window."""
+    Reduced without a sail when content_certifies: every value of MD is a
+    multiple of the content, none is 0 on a nonzero vector, and MD(e1) is
+    the complexity (NOTES.md, "The content bound").  Otherwise it takes
+    the minimum over the fundamental window."""
     if not is_perfect(m):
         raise ExactError("matrix is not a perfect Hessenberg matrix")
     target = hessenberg_complexity(m)
@@ -168,8 +175,8 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
         return ReducedVerdict("Reduced", certificate="BoundChecked",
                               bound=strategy.B)
     if isinstance(strategy, Sail):
-        nrs = require_nrs(m)
-        if math.gcd(*nrs.md.coeffs) == target:
+        nrs = nrs or require_nrs(m)
+        if content_certifies(nrs.md, target):
             return ReducedVerdict("Reduced", certificate="SailCertified")
         try:
             best, wits = _sail_minimum(m, strategy, nrs)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,9 @@ from hesslab.exact import (
     quartic_real_roots,
 )
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
+from hesslab.mdchar import md_form3
+from hesslab.reducedness import Bounded, Sail, is_reduced
+from hesslab.sail3 import SailError
 
 T_FRO = HessType.parse("<0,1|0,0,1>")
 A_FRO = IntVector((1, 0, 0))
@@ -167,7 +171,7 @@ def test_inconclusive_cell_is_unknown_without_bounded_scan(monkeypatch):
 
     strategies = []
 
-    def stub(mat, strategy):
+    def stub(mat, strategy, nrs=None):
         strategies.append(strategy)
         if isinstance(strategy, Sail):
             return ReducedVerdict("Inconclusive", reason="stub")
@@ -208,8 +212,8 @@ def test_classify_grid_parallel_equals_serial():
 
 
 def test_classify_grid_pool_size(monkeypatch):
-    # the pool gets at most one worker per cell, and none for one cell;
-    # jobs below 1 ran serially before
+    # the pool gets at most one worker per cell that needs a matrix, and
+    # none for one such cell; jobs below 1 ran serially before
     import multiprocessing
 
     sizes = []
@@ -228,9 +232,13 @@ def test_classify_grid_pool_size(monkeypatch):
             return [fn(w) for w in work]
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    cells, _ = classify_grid(T_FRO, A_FRO, (0, 0), (0, 2), jobs=8)
-    assert sizes == [3] and len(cells) == 3
-    classify_grid(T_FRO, A_FRO, (0, 0), (0, 0), jobs=8)
+    # (0, 0), (0, 2) and (0, 4) need a matrix; the content bound certifies
+    # (0, 1) and (0, 3)
+    cells, _ = classify_grid(T_212, A_212, (0, 0), (0, 4), jobs=8)
+    assert sizes == [3] and len(cells) == 5
+    classify_grid(T_212, A_212, (0, 0), (0, 1), jobs=8)
+    # content-certified NRS and reducible cells never reach the pool
+    classify_grid(T_FRO, A_FRO, (0, 0), (0, 2), jobs=8)
     assert sizes == [3]
     for jobs in (0, -1):
         with pytest.raises(ExactError, match="jobs must be at least 1"):
@@ -242,3 +250,109 @@ def test_ray_scan_start_needs_two_entries(start):
     # (0,) escaped as an IndexError; (0, 0, 0) dropped its last entry
     with pytest.raises(ExactError, match="ray start must have two entries"):
         ray_scan(T_212, A_212, start, (-1, 0), 2)
+
+
+# (type, anchor) of perfect SL(3,Z) families of complexity 1, 2, 4 and 12
+_ORACLE_FAMILIES = (
+    (T_FRO, A_FRO),
+    (T_212, A_212),
+    (HessType.parse("<1,2|0,0,1>"), IntVector((1, 1, 0))),
+    (HessType.parse("<1,2|1,0,3>"), IntVector((0, 1, -2))),
+)
+
+
+def _matrix_route(t, anchor, mn, strategy):
+    """A cell as the public API classifies it from the member's matrix."""
+    mat = family_member(FamilyPoint(t, anchor, mn))
+    p = char_poly(mat)
+    if len(factor_small(p)) != 1:
+        return GridCell(mn, "ReduciblePoly")
+    if discriminant(p) > 0:
+        return GridCell(mn, "RS")
+    v = is_reduced(mat, strategy)
+    cls = {"Reduced": "NRS_Reduced",
+           "Nonreduced": "NRS_Nonreduced"}.get(v.status, "NRS_Unknown")
+    return GridCell(mn, cls, v)
+
+
+def _content(t, anchor, mn):
+    """The gcd of the coefficients of the member's MD form."""
+    mat = family_member(FamilyPoint(t, anchor, mn))
+    return math.gcd(*md_form3(mat).coeffs)
+
+
+def _oracle_grid(t, anchor, lo, hi, strategy):
+    return [_matrix_route(t, anchor, (m, n), strategy)
+            for m in range(lo, hi + 1) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("t, anchor", _ORACLE_FAMILIES,
+                         ids=lambda x: str(x))
+def test_invariant_route_matches_the_matrix_route(t, anchor):
+    cells, counts = classify_grid(t, anchor, (-6, 6), (-6, 6))
+    assert cells == _oracle_grid(t, anchor, -6, 6, Sail())
+    assert {"ReduciblePoly", "RS", "NRS_Reduced"} <= set(counts)
+    assert classify_grid(t, anchor, (-6, 6), (-6, 6), jobs=2) \
+        == (cells, counts)
+    for start, direction in (((0, 0), (-1, 0)), ((2, -3), t.columns[0])):
+        entries, last = ray_scan(t, anchor, start, direction, 12)
+        want = [_matrix_route(t, anchor, (start[0] + k * direction[0],
+                                          start[1] + k * direction[1]),
+                              Sail()) for k in range(13)]
+        assert entries == [(k, c.cls, c.verdict) for k, c in enumerate(want)]
+        nonreduced = [k for k, c in enumerate(want)
+                      if c.cls == "NRS_Nonreduced"]
+        assert last == (nonreduced[-1] if nonreduced else None)
+
+
+def test_invariant_route_keeps_the_matrix_route_errors():
+    # det -1: the Sail verdict of an NRS cell raises the SL(3,Z) SailError,
+    # even where the MD form's content is the complexity; the Bounded scan
+    # classifies every cell
+    anchor = IntVector((-1, 0, -1))
+    nrs = next(c.params for c in _oracle_grid(T_212, anchor, -3, 3,
+                                              Bounded(2))
+               if c.cls.startswith("NRS")
+               and _content(T_212, anchor, c.params) == 2)
+    one = [(x, x) for x in nrs]
+    for route in (lambda: _matrix_route(T_212, anchor, nrs, Sail()),
+                  lambda: classify_grid(T_212, anchor, *one),
+                  lambda: ray_scan(T_212, anchor, nrs, (-1, 0), 0)):
+        with pytest.raises(SailError, match=r"not in SL\(3,Z\)"):
+            route()
+    cells, _ = classify_grid(T_212, anchor, (-3, 3), (-3, 3), Bounded(2))
+    assert cells == _oracle_grid(T_212, anchor, -3, 3, Bounded(2))
+    # a non-perfect type (a11 = a21) raises where its first NRS cell does
+    t = HessType.parse("<1,1|0,0,1>")
+    for route in (lambda: _oracle_grid(t, A_FRO, -3, 3, Sail()),
+                  lambda: classify_grid(t, A_FRO, (-3, 3), (-3, 3)),
+                  lambda: classify_grid(t, A_FRO, (-3, 3), (-3, 3),
+                                        Bounded(2))):
+        with pytest.raises(ExactError,
+                           match="not a perfect Hessenberg matrix"):
+            route()
+
+
+def test_matrices_only_for_cells_that_reach_the_sail(monkeypatch):
+    # on the criterion-9 windows only the cells the content bound leaves to
+    # the sail build a matrix and a form, plus one of each per residue
+    # class (m mod c, n mod c) of the NRS cells
+    import hesslab.atlas as atlas_mod
+
+    calls = {"family_member": 0, "md_form3": 0, "is_reduced": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(atlas_mod, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(atlas_mod, name, counted)
+    for (t, anchor), want_sail in (((T_212, A_212), 176), ((T_FRO, A_FRO), 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        cells, _ = classify_grid(t, anchor, (-20, 20), (-20, 20))
+        c = t.complexity()
+        nrs = [cell.params for cell in cells if cell.cls.startswith("NRS")]
+        sail = sum(_content(t, anchor, mn) != c for mn in nrs)
+        classes = len({(m % c, n % c) for m, n in nrs}) if c > 1 else 0
+        assert sail == want_sail
+        assert calls["is_reduced"] == sail
+        assert calls["family_member"] <= sail + classes
+        assert calls["md_form3"] <= sail + classes

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -187,6 +188,28 @@ def test_json_flag_before_the_matrix(capsys):
 
 
 _ATLAS = ["atlas", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1"]
+
+
+# sha256 of `atlas --json` on the two criterion-9 windows, as printed
+# when every cell was classified from its member's matrix
+_ATLAS_JSON_SHA256 = {
+    "<0,1|1,0,2>":
+        "a6f173c13cfa58c5c99af9ff95f66c181c753a7b4422b3363f776d066031f3f8",
+    "<0,1|0,0,1>":
+        "072c42ae30015341fa06a5ca9fd06ee03caf1d4db30d49698edc62ffd318ac9a",
+}
+
+
+@pytest.mark.parametrize("family, anchor", [("<0,1|1,0,2>", "1,0,1"),
+                                            ("<0,1|0,0,1>", "1,0,0")])
+def test_criterion9_atlas_json_is_pinned(family, anchor, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
+    code, out, _ = run(["atlas", "--type", family, "--anchor", anchor,
+                        "--range=-20:20,-20:20", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == _ATLAS_JSON_SHA256[family]
 
 
 @pytest.mark.parametrize("argv, config", [

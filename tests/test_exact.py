@@ -19,8 +19,6 @@ from hesslab.exact import (
     factor_small,
     integer_distance,
     integer_volume,
-    matrix_from_json,
-    matrix_to_json,
     parse_matrix,
     quartic_real_roots,
 )
@@ -140,11 +138,6 @@ def test_parse_matrix_position_annotated():
     with pytest.raises(ExactError) as ei:
         parse_matrix("1 2; 3 x")
     assert "row 2" in str(ei.value) and "entry 2" in str(ei.value)
-
-
-def test_matrix_json_round_trip():
-    m = parse_matrix("0 1 2; 1 0 0; 0 3 5")
-    assert matrix_from_json(matrix_to_json(m)) == m
 
 
 @settings(max_examples=120, deadline=None)

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from conftest import leibniz_det, nonzero_vectors, small_matrices, unimodular_matrices
 from hesslab.exact import ExactError, IntMatrix, IntVector, det, parse_matrix
-from hesslab.hessenberg import FamilyPoint, HessType, family_member, hessenberg_complexity, is_hessenberg
-from hesslab.mdchar import MDForm3, md_characteristic, md_form3
+from hesslab.hessenberg import hessenberg_complexity, is_hessenberg
+from hesslab.mdchar import md_characteristic, md_form3
 
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 FRO = parse_matrix("0 0 1; 1 0 1; 0 1 3")
@@ -36,15 +36,6 @@ def test_form_reproduces_md():
 def test_form_x3_coefficient_is_complexity():
     assert abs(md_form3(FRO).coeffs[0]) == 1
     assert abs(md_form3(M1).coeffs[0]) == 3
-
-
-def test_parity_statement():
-    t = HessType.parse("<0,1|1,0,2>")
-    f_odd = md_form3(family_member(FamilyPoint(t, IntVector((1, 0, 1)), (1, 2))))
-    assert f_odd.parity_all_even()
-    f_even = md_form3(family_member(FamilyPoint(t, IntVector((1, 0, 1)), (1, 1))))
-    assert not f_even.parity_all_even()
-    assert MDForm3((0,) * 10).parity_all_even()
 
 
 @settings(max_examples=150, deadline=None)
