@@ -29,7 +29,6 @@ from .exact import (
 from .hessenberg import FamilyPoint, HessType, family_info, family_member
 from .mdchar import md_form3
 from .reducedness import ReducedVerdict, Sail, content_certifies, is_reduced
-from .sail3 import NrsCheck
 
 
 def discriminant_at(fp: FamilyPoint) -> int:
@@ -128,12 +127,9 @@ _CONTENT_CERTIFIED = ReducedVerdict("Reduced", certificate="SailCertified")
 
 
 def _matrix_cell(args) -> GridCell:
-    """An NRS cell classified from its matrix by is_reduced, given the
-    cell's NrsCheck when `poly`, its characteristic polynomial, is."""
-    t, anchor, mn, strategy, poly = args
-    mat = family_member(FamilyPoint(t, anchor, mn))
-    nrs = NrsCheck(poly, md_form3(mat)) if poly is not None else None
-    verdict = is_reduced(mat, strategy, nrs)
+    """An NRS cell classified from its matrix by is_reduced."""
+    t, anchor, mn, strategy = args
+    verdict = is_reduced(family_member(FamilyPoint(t, anchor, mn)), strategy)
     return GridCell(mn, _NRS_CLASS[verdict.status], verdict)
 
 
@@ -175,7 +171,7 @@ def _classify_cells(t: HessType, anchor, points, strategy,
             cells.append(GridCell((m, n), "NRS_Reduced", _CONTENT_CERTIFIED))
         else:
             cells.append(None)
-            left.append((t, anchor, (m, n), strategy, p if sl3 else None))
+            left.append((t, anchor, (m, n), strategy))
     workers = min(jobs, len(left))
     if workers > 1:
         import multiprocessing

@@ -35,7 +35,12 @@ from .reducedness import (
     is_reduced,
     minimize_md_bounded,
 )
-from .sail3 import Inconclusive, compute_sail, verify_dirichlet_element
+from .sail3 import (
+    NODE_BUDGET,
+    Inconclusive,
+    compute_sail,
+    verify_dirichlet_element,
+)
 from .gauss2 import classify_sl2, sail_period
 from . import atlas as atlas_mod
 
@@ -43,7 +48,7 @@ from . import atlas as atlas_mod
 @dataclass(frozen=True)
 class Config:
     bound: Optional[int] = None   # no default: bound 1000 scans for ~45 min
-    region: int = 40_000_000
+    region: int = NODE_BUDGET
     window: int = 20
     window4: int = 15
     fmt: str = "PPM"
@@ -101,10 +106,6 @@ def _emit(args, data, text):
         print(text)
 
 
-def _matrix_str(m):
-    return "; ".join(" ".join(str(x) for x in r) for r in m.rows)
-
-
 def _scan_bound(args, cfg) -> int:
     bound = args.bound if args.bound is not None else cfg.bound
     if bound is None:
@@ -125,7 +126,7 @@ def _cmd_reduce(args, cfg):
     seed = parse_vector(args.seed)
     h, u = reduce_to_perfect(m, seed)
     _emit(args, {"perfect": matrix_to_json(h), "conjugator": matrix_to_json(u)},
-          "perfect: %s\nconjugator: %s" % (_matrix_str(h), _matrix_str(u)))
+          "perfect: %s\nconjugator: %s" % (h, u))
     return 0
 
 
@@ -179,7 +180,7 @@ def _cmd_fingerprint(args, cfg):
     m = parse_matrix(args.matrix)
     fp = fingerprint(m, cfg.region)
     text = ["min MD value %d" % fp.min_value]
-    text += [_matrix_str(h) for h in fp.matrices]
+    text += [str(h) for h in fp.matrices]
     _emit(args, fp.to_json(), "\n".join(text))
     return 0
 
@@ -209,7 +210,7 @@ def _cmd_classify2(args, cfg):
     cls = classify_sl2(parse_matrix(args.matrix))
     data = cls.to_json()
     if cls.kind == "ComplexSpectrum":
-        text = "ComplexSpectrum, canonical %s" % _matrix_str(cls.canonical)
+        text = "ComplexSpectrum, canonical %s" % (cls.canonical,)
     elif cls.kind == "MultipleEigen":
         text = "MultipleEigen(epsilon=%d, k=%d)" % (cls.epsilon, cls.k)
     else:

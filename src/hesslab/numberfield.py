@@ -383,14 +383,6 @@ class FieldElement:
         """floor(value * 2^shift), exactly."""
         return self.bounds(shift)[0]
 
-    def interval(self, width: Fraction) -> Tuple[Fraction, Fraction]:
-        """A dyadic enclosure of the real value, of at most given width:
-        the bounds at the least 2^-b <= width."""
-        width = Fraction(width)
-        b = (-(-width.denominator // width.numerator) - 1).bit_length()
-        lo, hi = self.bounds(b)
-        return Fraction(lo, 1 << b), Fraction(hi, 1 << b)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)

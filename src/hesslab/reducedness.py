@@ -4,16 +4,18 @@ A perfect Hessenberg matrix is reduced when no integer-conjugate perfect
 matrix has smaller Hessenberg complexity; equivalently, when the minimum of
 the MD-characteristic over nonzero integer vectors equals the complexity.
 That minimum is at least the content of the MD form, the gcd of its
-coefficients, and the Sail strategy certifies Reduced at once when the
+coefficients.  The Sail strategy first checks, in sail3.require_nrs, that
+its input is NRS in SL(3,Z), and certifies Reduced at once when the
 content equals the complexity.  Otherwise it takes the minimum exactly, in
 Python integers, over the slab points of sail3.fundamental_window: they
 fill the closed window of the slab's seed, which meets the orbit of every
 sail vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
 minimum.  The fingerprint needs every minimiser, not the minimum alone,
-so it always takes that route and reduces the minimisers.  The Bounded
-strategy is a box scan in Python integers: it finds the exact minimum over
-the box (or raises ExactError when the MD characteristic vanishes on all
-of it), but a minimum over a box is only ever a heuristic certificate.
+so it always takes that route, behind the same require_nrs, and reduces
+the minimisers.  The Bounded strategy is a box scan in Python integers: it
+finds the exact minimum over the box (or raises ExactError when the MD
+characteristic vanishes on all of it), but a minimum over a box is only
+ever a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .exact import ExactError, IntMatrix, IntVector, char_poly, det, factor_small
+from .exact import ExactError, IntMatrix, IntVector, char_poly, factor_small
 from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
 from .mdchar import MDForm3, md_characteristic, md_form3
 from .sail3 import (
+    NODE_BUDGET,
     Inconclusive as SailInconclusive,
     NrsCheck,
     fundamental_window,
@@ -41,7 +44,7 @@ class Bounded:
 
 @dataclass(frozen=True)
 class Sail:
-    region: int = 40_000_000
+    region: int = NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -125,18 +128,18 @@ def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]
     return best, sorted(out, key=tuple)
 
 
-def _sail_minimum(m: IntMatrix, strategy: Sail,
-                  nrs: Optional[NrsCheck] = None) -> Tuple[int, List[IntVector]]:
+def _sail_minimum(nrs: NrsCheck,
+                  region: int = NODE_BUDGET) -> Tuple[int, List[IntVector]]:
     """Certified global MD minimum over nonzero integer vectors, with its
     primitive minimisers (up to sign) in the closed window [x(start),
-    x(G start)] of fundamental_window; `nrs` is passed to it.
+    x(G start)] of fundamental_window (at most `region` enumeration nodes).
 
     The window's points are every integer point of the fundamental slab,
     which holds both ends of the window and meets the orbit of every sail
     vertex, where the minimum is attained; md vanishes on no nonzero
     vector, as the characteristic polynomial is irreducible.
     """
-    w = fundamental_window(m, strategy.region, nrs)
+    w = fundamental_window(nrs, region)
     vals = [abs(w.eigen.md(v)) for v in w.points]
     best = min(vals)
     wits = {_canonical_sign(v) for v, val in zip(w.points, vals)
@@ -150,13 +153,11 @@ def content_certifies(md: MDForm3, complexity: int) -> bool:
     return math.gcd(*md.coeffs) == complexity
 
 
-def is_reduced(m: IntMatrix, strategy,
-               nrs: Optional[NrsCheck] = None) -> ReducedVerdict:
+def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
     """The reducedness verdict of a perfect Hessenberg matrix with an
     irreducible characteristic polynomial.  The Sail route checks
-    irreducibility in sail3 (require_nrs, unless the caller passes m's
-    NrsCheck as `nrs`), which raises SailError (an ExactError) with the
-    message the Bounded route raises.
+    irreducibility in sail3.require_nrs, which raises SailError (an
+    ExactError) with the message the Bounded route raises.
 
     Once its input is known to be NRS in SL(3,Z), the Sail route certifies
     Reduced without a sail when content_certifies: every value of MD is a
@@ -175,11 +176,11 @@ def is_reduced(m: IntMatrix, strategy,
         return ReducedVerdict("Reduced", certificate="BoundChecked",
                               bound=strategy.B)
     if isinstance(strategy, Sail):
-        nrs = nrs or require_nrs(m)
+        nrs = require_nrs(m)
         if content_certifies(nrs.md, target):
             return ReducedVerdict("Reduced", certificate="SailCertified")
         try:
-            best, wits = _sail_minimum(m, strategy, nrs)
+            best, wits = _sail_minimum(nrs, strategy.region)
         except SailInconclusive as ex:
             return ReducedVerdict("Inconclusive", reason=str(ex))
         if best < target:
@@ -188,7 +189,7 @@ def is_reduced(m: IntMatrix, strategy,
     raise ExactError("unknown strategy %r" % (strategy,))
 
 
-def fingerprint(m: IntMatrix, region: int = 40_000_000) -> Fingerprint:
+def fingerprint(m: IntMatrix, region: int = NODE_BUDGET) -> Fingerprint:
     """Distinct perfect forms reached from the verdict's MD minimisers, one
     reduction per witness.  Those are the MD-minimal points of the
     fundamental window up to sign, both of its ends included; neither sign
@@ -197,9 +198,7 @@ def fingerprint(m: IntMatrix, region: int = 40_000_000) -> Fingerprint:
     H(v); and the flag of M v is M times the flag of v, so U(M v) = M U(v)
     and H(M v) = H(v), and likewise for M^-1: so the forms are those of
     every MD-minimal sail vertex, whichever window holds them."""
-    if det(m) != 1 or m.n != 3:
-        raise ExactError("fingerprints require SL(3,Z) input")
-    best, wits = _sail_minimum(m, Sail(region))
+    best, wits = _sail_minimum(require_nrs(m), region)
     seen = {}
     for v in wits:
         h, _ = reduce_to_perfect(m, v)

@@ -25,8 +25,10 @@ expands x; its window is anchored at the fundamental slab's seed, so it
 holds every slab point.  The reducedness verdict, where the content of the
 MD form leaves it open, and the fingerprint share its points and its
 window, and compute_sail, which builds the sail's hull from them, serves
-only the `sail` command.  require_nrs checks an operator once, and its
-NrsCheck, with the MD form, is passed down to eigen_data.
+only the `sail` command.  require_nrs is the one check that an operator is
+NRS in SL(3,Z), and the one maker of an NrsCheck: eigen_data and
+fundamental_window take that handle, with the matrix, its characteristic
+polynomial and its MD form, and not the bare matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .exact import (
     ExactError,
@@ -57,6 +59,8 @@ from .numberfield import FieldElement, NumberField
 _BOX_BITS = 20
 # bits of the integer filters of x(v) and of the slab's cuts
 _FILTER_BITS = 40
+# enumeration nodes of one slab before it is Inconclusive
+NODE_BUDGET = 40_000_000
 
 
 class SailError(ExactError):
@@ -69,17 +73,17 @@ class Inconclusive(SailError):
 
 
 class NrsCheck(NamedTuple):
-    """An operator's characteristic polynomial and its MD form, from
-    require_nrs."""
+    """An NRS operator in SL(3,Z), with its characteristic polynomial and
+    its MD form; only require_nrs makes one."""
 
+    matrix: IntMatrix
     poly: IntPoly
     md: MDForm3
 
 
 def require_nrs(m: IntMatrix) -> NrsCheck:
-    """The NrsCheck of m, once m is known to be an NRS operator in SL(3,Z).
-    Every sail route starts from it, and takes it from its caller when
-    that has one."""
+    """The NrsCheck of m, once m is known to be an NRS operator in SL(3,Z),
+    else SailError.  Every sail route starts from it."""
     if m.n != 3:
         raise SailError("sails are implemented for 3x3 operators only")
     if det(m) != 1:
@@ -89,7 +93,7 @@ def require_nrs(m: IntMatrix) -> NrsCheck:
         raise SailError("characteristic polynomial is reducible")
     if discriminant(p) >= 0:
         raise SailError("matrix has real spectrum (RS); sails unsupported")
-    return NrsCheck(p, md_form3(m))
+    return NrsCheck(m, p, md_form3(m))
 
 
 @dataclass
@@ -153,10 +157,9 @@ def _quadratic(field: NumberField, f_table, f_den: int,
                                      for row in f_table), f_den)
 
 
-def eigen_data(m: IntMatrix, nrs: Optional[NrsCheck] = None) -> EigenData3:
-    """The eigen data of m, from its NrsCheck `nrs` (require_nrs(m) when
-    None)."""
-    p, md = nrs or require_nrs(m)
+def eigen_data(nrs: NrsCheck) -> EigenData3:
+    """The eigen data of the operator of `nrs`."""
+    m, p, md = nrs
     field = NumberField.for_largest_root(p)
     r = field.gen()
     a0, w1, w2 = _adjugate_coeffs(m)
@@ -321,15 +324,13 @@ class SailData:
     generator: IntMatrix
     fundamental: Tuple[int, ...]           # indices into vertices
 
-    def fundamental_vertices(self) -> List[PiPoint]:
-        return [self.vertices[i] for i in self.fundamental]
-
     def to_json(self) -> list:
         out = []
         fund = set(self.fundamental)
         for i, p in enumerate(self.vertices):
-            x_lo, x_hi = p.x.interval(Fraction(1, 10 ** 12))
-            ysq_lo, ysq_hi = p.y_sq.interval(Fraction(1, 10 ** 12))
+            # bounds at 2^-40 <= 10^-12
+            x_lo, x_hi = (Fraction(b, 1 << 40) for b in p.x.bounds(40))
+            ysq_lo, ysq_hi = (Fraction(b, 1 << 40) for b in p.y_sq.bounds(40))
             y_lo = _sqrt_lower(max(ysq_lo, Fraction(0)))
             y_hi = _sqrt_upper(max(ysq_hi, Fraction(0)))
             out.append({
@@ -565,7 +566,7 @@ def _eliminate(t, k: int):
 
 
 def gamma0_slab_points(e: EigenData3, slab: Slab,
-                       region: int = 40_000_000) -> List[IntVector]:
+                       region: int = NODE_BUDGET) -> List[IntVector]:
     """The nonzero integer points of the slab, a certified superset of
     Gamma^0(slab.seed), in the lexicographic order of their basis
     coordinates u.
@@ -698,12 +699,12 @@ class FundamentalWindow:
     points: List[IntVector]
 
 
-def fundamental_window(m: IntMatrix, region: int = 40_000_000,
-                       nrs: Optional[NrsCheck] = None) -> FundamentalWindow:
-    """The window of m's fundamental slab, with the points of that slab (at
-    most `region` enumeration nodes, else Inconclusive); `nrs` is passed to
-    eigen_data."""
-    e = eigen_data(m, nrs)
+def fundamental_window(nrs: NrsCheck,
+                       region: int = NODE_BUDGET) -> FundamentalWindow:
+    """The window of the fundamental slab of nrs's operator, with the points
+    of that slab (at most `region` enumeration nodes, else Inconclusive)."""
+    e = eigen_data(nrs)
+    m = nrs.matrix
     slab = fundamental_slab(e)
     points = gamma0_slab_points(e, slab, region)
     if (e.r - 1).sign() > 0:
@@ -711,7 +712,7 @@ def fundamental_window(m: IntMatrix, region: int = 40_000_000,
     return FundamentalWindow(e, e.inverse, m, m * slab.seed, points)
 
 
-def compute_sail(m: IntMatrix, region: int = 40_000_000) -> SailData:
+def compute_sail(m: IntMatrix, region: int = NODE_BUDGET) -> SailData:
     """The sail vertices with x in [x(G^-1 p), x(G^2 p)], p the fundamental
     slab's seed, with those of fundamental_window's window [x(start),
     x(G start)) marked fundamental; G and the window are
@@ -724,7 +725,7 @@ def compute_sail(m: IntMatrix, region: int = 40_000_000) -> SailData:
     hull there are the sail's; their period consistency is verified, and
     their G-images fill the output range.
     """
-    w = fundamental_window(m, region)
+    w = fundamental_window(require_nrs(m), region)
     e, g, g_inv = w.eigen, w.generator, w.generator_inv
     base = _pareto_filter([project_pi(e, v) for v in w.points])
     hull = _lower_hull(_pareto_filter(base + [

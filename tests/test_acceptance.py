@@ -35,7 +35,7 @@ from hesslab.hessenberg import (
 )
 from hesslab.mdchar import md_characteristic, md_form3
 from hesslab.reducedness import Bounded, Sail, fingerprint, is_reduced, minimize_md_bounded
-from hesslab.sail3 import compute_sail, eigen_data, verify_dirichlet_element, _x_coord, _y_sq
+from hesslab.sail3 import compute_sail, eigen_data, require_nrs, verify_dirichlet_element, _x_coord, _y_sq
 
 from conftest import continuant_matrix, random_unimodular
 
@@ -204,14 +204,14 @@ def test_criterion_07_couple_distinguished():
 def test_criterion_08_frobenius_sail():
     fro = parse_matrix("0 0 1; 1 0 1; 0 1 3")
     sail = compute_sail(fro)
-    fund = sail.fundamental_vertices()
+    fund = [sail.vertices[i] for i in sail.fundamental]
     assert len(fund) == 1
     assert tuple(fund[0].preimage) == (1, 0, 0)
     assert tuple(fro * fund[0].preimage) == (0, 1, 0)
     # the second sail is the -E image of the first: negating a vertex
     # negates its x coordinate and preserves the torus-orbit invariant F,
     # so -E maps the computed sail exactly onto the opposite-cone sail
-    e = eigen_data(fro)
+    e = eigen_data(require_nrs(fro))
     for p in sail.vertices:
         v = p.preimage
         w = IntVector(tuple(-c for c in v))

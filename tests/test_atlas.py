@@ -171,7 +171,7 @@ def test_inconclusive_cell_is_unknown_without_bounded_scan(monkeypatch):
 
     strategies = []
 
-    def stub(mat, strategy, nrs=None):
+    def stub(mat, strategy):
         strategies.append(strategy)
         if isinstance(strategy, Sail):
             return ReducedVerdict("Inconclusive", reason="stub")

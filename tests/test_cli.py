@@ -97,7 +97,7 @@ def test_fingerprint(capsys):
 
 
 # (preimage, x, y, is_fundamental) of M1's sail; the printed enclosures are
-# FieldElement.interval at width 10^-12, rounded to nine decimals
+# FieldElement.bounds at 2^-40 <= 10^-12, rounded to nine decimals
 _M1_SAIL = (
     ((0, -5, 3), "0.191282440", "5.131338958", False),
     ((-1, 2, -1), "0.678862991", "2.723812375", False),

@@ -14,7 +14,8 @@ from hesslab.numberfield import (
     RealRoot,
     isolate_real_roots,
 )
-from hesslab.reducedness import Sail, _sail_minimum
+from hesslab.reducedness import _sail_minimum
+from hesslab.sail3 import require_nrs
 
 
 def _field():
@@ -44,8 +45,8 @@ def test_field_arithmetic():
     assert x.sign() == -1 and (x + 1).is_zero()
     assert (r.inverse() * r - 1).is_zero()
     assert r.sign() == 1
-    lo, hi = r.interval(Fraction(1, 10 ** 20))
-    assert lo <= hi and hi - lo <= Fraction(1, 10 ** 20)
+    lo, hi = r.bounds(67)
+    assert lo < hi and hi - lo == 1
 
 
 def test_sign_of_exact_zero():
@@ -79,16 +80,16 @@ def test_floor_is_exact_and_ignores_refinement(num, den, shift):
     # a root refined first gives the same
     scale = Fraction(2) ** shift / den
     a = _field().element(num) * Fraction(1, den)
-    lo, hi = _field().element(num).interval(Fraction(1, 2) ** (shift + 220))
+    lo, hi = (Fraction(k, 2 ** (shift + 220))
+              for k in _field().element(num).bounds(shift + 220))
     assert math.floor(lo * scale) == math.floor(hi * scale) == a.floor(shift)
     b = _field().element(num) * Fraction(1, den)
-    b.interval(Fraction(1, 2 ** 300))
+    b.bounds(300)
     assert b.floor(shift) == a.floor(shift)
     # r minus its floor at 2^-(shift + 40) lies in [0, 2^-(shift + 40)):
     # enclosures straddle 0 until sign() decides the side
     r = _field().gen()
-    g = math.floor(r.interval(Fraction(1, 2) ** (shift + 60))[0]
-                   * 2 ** (shift + 40))
+    g = r.floor(shift + 60) >> 20
     tiny = r - Fraction(g, 1) * Fraction(1, 2) ** (shift + 40)
     assert tiny.floor(shift) == 0 and (-tiny).floor(shift) == -1
 
@@ -110,7 +111,7 @@ def test_bounds_enclose_and_ignore_refinement(num, den, shift, refined):
     assert hi - lo == (0 if not any(a.num[1:]) and (scaled - lo).is_zero()
                        else 1)
     b = _field().element(num) * Fraction(1, den)
-    b.interval(Fraction(1, 2 ** refined))
+    b.bounds(refined)
     assert b.bounds(shift) == (lo, hi)
 
 
@@ -122,8 +123,7 @@ def test_bounds_of_rationals_and_near_integers():
     # r - d is positive and below 2^-60, so the enclosures straddle 0 until
     # the exact sign decides
     r = k.gen()
-    d = Fraction(math.floor(r.interval(Fraction(1, 2 ** 80))[0] * 2 ** 60),
-                 2 ** 60)
+    d = Fraction(r.floor(80) >> 20, 2 ** 60)
     tiny = _field().gen() - d
     assert tiny.bounds(20) == (0, 1) and (-tiny).bounds(20) == (-1, 0)
 
@@ -132,7 +132,7 @@ def test_sign_and_bounds_are_exact_near_a_rational():
     # r against a rational within 2^-200 of it: from a fresh isolating
     # interval, sign() and bounds() refine r as far as they need, with no
     # cap, and agree with the Fraction oracle
-    lo, hi = _field().gen().interval(Fraction(1, 2 ** 200))
+    lo, hi = (Fraction(k, 2 ** 200) for k in _field().gen().bounds(200))
     mid = (lo + hi) / 2
     ref = PolyModField((-1, -2, -3, 1), 3, 4)
     want = ref.sign([-mid, 1, 0])
@@ -187,8 +187,9 @@ def test_field_matches_fraction_oracle(data):
     assert (x < y) == (ref.sign(ref.sub(a, b)) < 0)
 
     z, want = cases[data.draw(st.integers(0, len(cases) - 1))]
-    width = Fraction(1, 2 ** data.draw(st.integers(0, 60)))
-    z_lo, z_hi = z.interval(width)
+    bits = data.draw(st.integers(0, 60))
+    width = Fraction(1, 2 ** bits)
+    z_lo, z_hi = (Fraction(k, 2 ** bits) for k in z.bounds(bits))
     assert isinstance(z_lo, Fraction) and 0 <= z_hi - z_lo <= width
     assert ref.sign(ref.sub(want, [z_lo] + [0] * (d - 1))) >= 0
     assert ref.sign(ref.sub(want, [z_hi] + [0] * (d - 1))) <= 0
@@ -271,7 +272,7 @@ def test_refine_to_cuts_the_bisections_of_a_verdict(monkeypatch):
     calls = _count_bisections(monkeypatch)
     for mat in mats:
         del calls[:]
-        assert _sail_minimum(mat, Sail())[0] >= 1
+        assert _sail_minimum(require_nrs(mat))[0] >= 1
         assert len(calls) <= 25
 
 

@@ -26,7 +26,7 @@ from hesslab.reducedness import (
     is_reduced,
     minimize_md_bounded,
 )
-from hesslab.sail3 import SailError
+from hesslab.sail3 import SailError, compute_sail
 
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 M2 = parse_matrix("0 2 3; 1 1 1; 0 3 4")
@@ -122,15 +122,25 @@ def test_content_gate_skips_the_sail(monkeypatch):
 
 
 def test_content_gate_runs_after_the_nrs_checks():
-    # each matrix has content 1 = complexity 1, so a gate that ran before
-    # the checks would call it Reduced
-    with pytest.raises(SailError, match="real spectrum"):
-        is_reduced(parse_matrix("0 0 1; 1 0 6; 0 1 0"), Sail())
-    with pytest.raises(ExactError, match="characteristic polynomial is "
-                                         "reducible"):
-        is_reduced(parse_matrix("0 0 1; 1 0 -1; 0 1 1"), Sail())
-    with pytest.raises(SailError, match="not in SL"):
-        is_reduced(parse_matrix("0 0 2; 1 0 0; 0 1 0"), Sail())
+    # each of the first three matrices has content 1 = complexity 1, so a
+    # gate that ran before the checks would call it Reduced.  The last is
+    # the det -1 cell of <0,1|1,0,2> at anchor (-1, 0, -1), (-3, -3): run
+    # past the check, its sail route did not return within 15 s.  The
+    # verdict, the fingerprint and the sail all reach sail3.require_nrs
+    # first, and raise its SailError at once
+    cases = (("0 0 1; 1 0 6; 0 1 0", "real spectrum"),
+             ("0 0 1; 1 0 -1; 0 1 1", "characteristic polynomial is "
+                                      "reducible"),
+             ("0 0 2; 1 0 0; 0 1 0", "not in SL"),
+             ("0 1 -4; 1 0 -3; 0 2 -7", "not in SL"))
+    for rows, message in cases:
+        m = parse_matrix(rows)
+        for route in (lambda: is_reduced(m, Sail()), lambda: fingerprint(m),
+                      lambda: compute_sail(m)):
+            start = time.process_time()
+            with pytest.raises(SailError, match=message):
+                route()
+            assert time.process_time() - start < 1.0, rows
 
 
 def test_one_md_form_per_verdict_and_fingerprint(monkeypatch):

@@ -51,6 +51,7 @@ from hesslab.sail3 import (
     gamma0_slab_points,
     project_pi,
     reduced_slab,
+    require_nrs,
     verify_dirichlet_element,
     _x_coord,
     _y_sq,
@@ -62,10 +63,10 @@ M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 
 def test_rs_matrix_rejected():
     with pytest.raises(SailError):
-        eigen_data(IntMatrix.identity(3))
+        eigen_data(require_nrs(IntMatrix.identity(3)))
     with pytest.raises(SailError):
         # all-real spectrum cubic
-        eigen_data(parse_matrix("0 0 1; 1 0 6; 0 1 0"))
+        eigen_data(require_nrs(parse_matrix("0 0 1; 1 0 6; 0 1 0")))
 
 
 def _real_eigenvector(m, field):
@@ -79,7 +80,7 @@ def _real_eigenvector(m, field):
 
 def test_eigen_data_consistency():
     for m in (FRO, M1):
-        e = eigen_data(m)
+        e = eigen_data(require_nrs(m))
         r = e.r
         g1 = _real_eigenvector(m, e.field)
         for i in range(3):
@@ -134,7 +135,7 @@ def _y_sq_oracle(e, v):
 def _operator_data(i):
     """eigen_data of M1, FRO, a 12-step conjugate of M1 and a band cell."""
     ops = (M1, FRO, _conjugate_of_m1(random.Random(11), 12), band_cell(-3, 9))
-    return ops[i], eigen_data(ops[i])
+    return ops[i], eigen_data(require_nrs(ops[i]))
 
 
 @settings(max_examples=120, deadline=None)
@@ -284,8 +285,7 @@ def test_box_near_the_box_resolution():
     # units, and of 0
     field = NumberField.for_largest_root(char_poly(M1))
     r = field.gen()
-    lo, _ = r.interval(Fraction(1, 1 << 80))
-    tiny = r - Fraction(math.floor(lo * (1 << 60)), 1 << 60)  # in (0, 2^-60)
+    tiny = r - Fraction(r.floor(80) >> 20, 1 << 60)  # in (0, 2^-60)
     unit = Fraction(1, 1 << 20)
     values = [field.element([c]) for c in (0, unit, -unit, unit / 2, 3 * unit)]
     values += [tiny, -tiny, tiny + unit, unit - tiny, tiny * (1 << 30)]
@@ -296,7 +296,7 @@ def test_box_near_the_box_resolution():
 
 
 def test_orientation_falls_back_on_a_wide_box():
-    e = eigen_data(M1)
+    e = eigen_data(require_nrs(M1))
     vs = [IntVector(v) for v in ((1, 0, 0), (0, 1, 0), (0, -1, 1))]
     want = _interval_orientation(*_ascending(e, vs))
     assert want != 0
@@ -319,7 +319,7 @@ def _convergent_vectors(i):
     """q e2 - p e1 for the convergents p / q < 2^80 of alpha = x(e2) /
     x(e1), whose x = x(e1) (q alpha - p) shrinks like 1 / q."""
     _, e = _operator_data(i)
-    a, _ = (e.x_form[1] / e.x_form[0]).interval(Fraction(1, 1 << 240))
+    a = Fraction((e.x_form[1] / e.x_form[0]).floor(240), 1 << 240)
     out = []
     p0, q0, p1, q1 = 1, 0, math.floor(a), 1
     a -= p1
@@ -381,9 +381,8 @@ def test_pareto_filter_decides_x_order_exactly():
     # field overlap, and p1 has the larger y_sq: both points are
     # Pareto-minimal, but a filter that ordered by box ends alone once
     # sorted p2 first and dropped p1
-    lo, _ = NumberField.for_largest_root(char_poly(M1)).gen().interval(
-        Fraction(1, 1 << 40))
-    d = Fraction(math.floor(lo * (1 << 25)), 1 << 25)
+    d = Fraction(NumberField.for_largest_root(char_poly(M1)).gen().floor(40)
+                 >> 15, 1 << 25)
     field = NumberField.for_largest_root(char_poly(M1))
     third = field.element([Fraction(1, 3)])
     p1 = PiPoint(IntVector((1, 0, 0)), third, field.element([2]))
@@ -397,7 +396,7 @@ def test_pareto_filter_decides_x_order_exactly():
 
 
 def test_x_equivariance():
-    e = eigen_data(FRO)
+    e = eigen_data(require_nrs(FRO))
     v = IntVector((1, 2, 0))
     x_v = _x_coord(e, v)
     x_mv = _x_coord(e, FRO * v)
@@ -405,7 +404,7 @@ def test_x_equivariance():
 
 
 def test_y_sq_scaling_under_operator():
-    e = eigen_data(FRO)
+    e = eigen_data(require_nrs(FRO))
     v = IntVector((1, 2, 0))
     f_v = _y_sq(e, v)
     f_mv = _y_sq(e, FRO * v)
@@ -414,7 +413,7 @@ def test_y_sq_scaling_under_operator():
 
 def test_frobenius_sail_fundamental_domain():
     sail = compute_sail(FRO)
-    fund = sail.fundamental_vertices()
+    fund = [sail.vertices[i] for i in sail.fundamental]
     assert len(fund) == 1
     assert tuple(fund[0].preimage) == (1, 0, 0)
     assert tuple(FRO * fund[0].preimage) == (0, 1, 0)
@@ -440,11 +439,11 @@ def test_sail_vertices_sorted_and_consistent():
 
 
 def test_slab_contains_fundamental_vertices():
-    e = eigen_data(M1)
+    e = eigen_data(require_nrs(M1))
     pts = gamma0_slab_points(e, reduced_slab(e, IntVector((1, 0, 0))))
     keys = {tuple(p) for p in pts}
     sail = compute_sail(M1)
-    for p in sail.fundamental_vertices():
+    for p in [sail.vertices[i] for i in sail.fundamental]:
         v = tuple(p.preimage)
         assert v in keys or tuple(-c for c in v) in keys
 
@@ -456,7 +455,7 @@ def test_slab_hard_cell_regression():
     # find, and the slab of the seed the enumeration chooses
     t = HessType.parse("<0,1|1,0,2>")
     mat = family_member(FamilyPoint(t, IntVector((1, 0, 1)), (-6, 15)))
-    e = eigen_data(mat)
+    e = eigen_data(require_nrs(mat))
     seed = IntVector((32, -11, 62))
     if _x_coord(e, seed).sign() < 0:
         seed = -seed
@@ -514,7 +513,7 @@ _SLAB_CASES = pytest.mark.parametrize(
 def test_slab_enumeration_is_sound(m, seed):
     # the natural seed spans a slab of a few points; the wider seed's slab
     # holds hundreds of points of the box
-    e = eigen_data(m)
+    e = eigen_data(require_nrs(m))
     checked = 0
     for p in (_positive_seed(e, seed), _positive_seed(e, (3, -2, 4))):
         pts = gamma0_slab_points(e, reduced_slab(e, p))
@@ -551,7 +550,7 @@ def test_slab_enumeration_is_exact(m, seed):
     # the natural seed's slab points are exactly _exact_slab_points.  Both
     # lists run in the lexicographic order of u, so the box holds every
     # returned point
-    e = eigen_data(m)
+    e = eigen_data(require_nrs(m))
     slab = reduced_slab(e, _positive_seed(e, seed))
     assert gamma0_slab_points(e, slab) == _exact_slab_points(e, slab)
 
@@ -575,7 +574,7 @@ def test_leaf_fallback_is_exact(monkeypatch):
         return x_sign(e, v)
 
     for m, seed in _SLAB_SEEDS + [(M1, (0, 1, 1))]:
-        e = eigen_data(m)
+        e = eigen_data(require_nrs(m))
         slab = reduced_slab(e, _positive_seed(e, seed))
         with monkeypatch.context() as patch:
             patch.setattr(sail3, "_x_sign", counting_x_sign)
@@ -598,7 +597,7 @@ def test_log2_floor_doubles_its_shift(monkeypatch, k):
     # a rational 3 / 2^(k+1) and the irrational frac(2^k r) / 2^k, both near
     # 2^-k: the doubling search agrees with the 64-bit steps and takes
     # O(log shift) floors, where the steps took about k / 64
-    field = eigen_data(M1).field
+    field = eigen_data(require_nrs(M1)).field
     n = field.gen().floor(k)
     elems = [field.element([Fraction(3, 2 ** (k + 1))]),
              field.element([-Fraction(n, 2 ** k), 1])]
@@ -626,7 +625,7 @@ def test_md_form_is_one_multiple_of_x_times_f():
     rng = random.Random(8)
     for m in [M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
                           for _ in range(20)]:
-        e = eigen_data(m)
+        e = eigen_data(require_nrs(m))
         form = md_form3(m)
         vecs = [IntVector(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         vecs += [IntVector(b) for b in fundamental_slab(e).basis]
@@ -657,10 +656,10 @@ def test_sail_window_when_real_eigenvalue_below_one():
     assert len(cells) == 29
     for t, anchor, mn in cells:
         mat = family_member(FamilyPoint(t, anchor, mn))
-        e = eigen_data(mat)
+        e = eigen_data(require_nrs(mat))
         assert (e.r - 1).sign() < 0, mn
         sail = compute_sail(mat)
-        fund = sail.fundamental_vertices()
+        fund = [sail.vertices[i] for i in sail.fundamental]
         assert fund, mn
         # the window is [x(M p), x(p)) for the seed p = +-e1
         x_p = _x_coord(e, IntVector((1, 0, 0)))
@@ -704,7 +703,7 @@ def test_content_gate_agrees_with_the_sail(monkeypatch):
     assert len(gated) == 662
     assert sum(hessenberg_complexity(m) == 1 for m in gated) == 490
     for m in gated:
-        assert _sail_minimum(m, Sail())[0] == hessenberg_complexity(m), str(m)
+        assert _sail_minimum(require_nrs(m))[0] == hessenberg_complexity(m), str(m)
 
 
 def _conjugate_of_m1(rng, steps):
@@ -728,7 +727,7 @@ def test_sail_vertices_are_periodic():
         g = sail.generator
         # the output range is [x(G^-1 p), x(G^2 p)] for the slab's seed p,
         # start = p when G = M and G^-1 p when G = M^-1
-        w = fundamental_window(m)
+        w = fundamental_window(require_nrs(m))
         seed = w.start if g == m else g * w.start
         # |x| / |x(e1)|, from numpy's left real eigenvector
         vals, vecs = np.linalg.eig(np.array(m.rows, dtype=float).T)
@@ -749,14 +748,15 @@ def test_window_holds_the_slab_points():
     # fundamental vertices lie in the half-open window
     for m in (FRO, M1, _conjugate_of_m1(random.Random(5), 12),
               band_cell(-2, -1)):
-        w = fundamental_window(m)
+        w = fundamental_window(require_nrs(m))
         e, g = w.eigen, w.generator
         x_lo, x_hi = _x_coord(e, w.start), _x_coord(e, g * w.start)
         for v in w.points:
             x = _x_coord(e, v)
             assert x_lo.cmp(x) <= 0 <= x_hi.cmp(x), (str(m), v)
         assert w.start in w.points and g * w.start in w.points, str(m)
-        for p in compute_sail(m).fundamental_vertices():
+        sail = compute_sail(m)
+        for p in [sail.vertices[i] for i in sail.fundamental]:
             assert x_lo.cmp(p.x) <= 0 < x_hi.cmp(p.x), (str(m), p.preimage)
 
 
@@ -771,13 +771,14 @@ def test_verdict_minimum_is_the_sails():
     # the verdict's minimum and witnesses over the window's slab points are
     # the MD-minimal sail vertices of the fundamental window, closed
     for m in _window_operators():
-        best, wits = _sail_minimum(m, Sail())
-        fund = compute_sail(m).fundamental_vertices()
+        best, wits = _sail_minimum(require_nrs(m))
+        sail = compute_sail(m)
+        fund = [sail.vertices[i] for i in sail.fundamental]
         vals = [md_characteristic(m, p.preimage) for p in fund]
         assert best == min(vals), str(m)
         want = {tuple(_canonical_sign(p.preimage))
                 for p, val in zip(fund, vals) if val == best}
-        w = fundamental_window(m)
+        w = fundamental_window(require_nrs(m))
         if fund[0].preimage == w.start and vals[0] == best:
             want.add(tuple(_canonical_sign(w.generator * w.start)))
         assert {tuple(v) for v in wits} == want, str(m)
@@ -787,7 +788,8 @@ def test_fingerprint_is_the_sails():
     # the fingerprint reduces the verdict's witnesses; the forms are those
     # of the MD-minimal vertices of the sail that compute_sail builds
     for m in _window_operators():
-        fund = compute_sail(m).fundamental_vertices()
+        sail = compute_sail(m)
+        fund = [sail.vertices[i] for i in sail.fundamental]
         vals = [md_characteristic(m, p.preimage) for p in fund]
         best = min(vals)
         forms = {reduce_to_perfect(m, p.preimage)[0].rows
@@ -810,7 +812,7 @@ def test_fingerprint_is_the_sails():
 @example(1013, 60)
 def test_sail_under_long_conjugators(seed, steps):
     m = _conjugate_of_m1(random.Random(seed), steps)
-    e = eigen_data(m)
+    e = eigen_data(require_nrs(m))
     # the e1 slabs of such inputs run to ~27k points on average and past
     # the 40M-cell cap; the chosen seed's slab held at most 53 points over
     # 1628 draws
@@ -827,9 +829,9 @@ _REFINED_ROOT_CONJUGATE = parse_matrix("-20 10 7; -45 23 13; -6 3 2")
                                band_cell(-6, 15)],
                          ids=["M1", "FRO", "conjugate", "hard(-6,15)"])
 def test_fundamental_slab_ignores_root_refinement(m):
-    fresh = eigen_data(m)
-    refined = eigen_data(m)
-    refined.r.interval(Fraction(1, 2 ** 300))
+    fresh = eigen_data(require_nrs(m))
+    refined = eigen_data(require_nrs(m))
+    refined.r.bounds(300)
     slabs = [fundamental_slab(e) for e in (fresh, refined)]
     assert slabs[0] == slabs[1]
     assert gamma0_slab_points(fresh, slabs[0]) \
@@ -846,7 +848,7 @@ def test_verify_dirichlet_element():
 
 
 def test_project_pi_orbit_invariants():
-    e = eigen_data(M1)
+    e = eigen_data(require_nrs(M1))
     p = project_pi(e, IntVector((0, -1, 1)))
     q = project_pi(e, M1 * IntVector((0, -1, 1)))
     assert (q.x - e.r * p.x).is_zero()
