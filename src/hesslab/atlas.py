@@ -23,8 +23,7 @@ from .exact import (
     _is_square,
     char_poly,
     discriminant,
-    factor_small,
-    quartic_real_roots,
+    quartic_real_root_count,
 )
 from .hessenberg import FamilyPoint, HessType, family_info, family_member
 from .mdchar import md_form3
@@ -241,22 +240,30 @@ def reducible_4d(l: int, m: int, n: int) -> bool:
 
 
 def classify_family_4d(bound: int = 15) -> List[GridCell]:
-    """Classification of the fixed 4D family on |l|,|m|,|n| <= bound:
-    reducible cells and, for irreducible ones, the spectrum kind from the
-    sign invariants of quartic_real_roots.  quartic_4d is the family's
-    characteristic polynomial at every cell (its coefficients are affine in
-    (l, m, n), and the tests check it at four affinely independent points)."""
+    """Classification of the fixed 4D family on |l|,|m|,|n| <= bound, from
+    (l, m, n) alone: reducible cells by reducible_4d, and for irreducible
+    ones the spectrum kind from quartic_real_root_count on the coefficients
+    (1, -4n-2, -4m-2, 2-4l, 1) of quartic_4d, the family's characteristic
+    polynomial at every cell (its coefficients are affine in (l, m, n), and
+    the tests check it at four affinely independent points).  An irreducible
+    quartic is squarefree, so no cell has a zero discriminant (NOTES.md, 4D
+    cells from closed forms)."""
+    if bound < 0:
+        raise ExactError("bound must be at least 0, got %d" % bound)
     kinds = {0: "Spectrum4(complex)", 2: "Spectrum4(2+2)", 4: "Spectrum4(real)"}
     cells = []
     rng = range(-bound, bound + 1)
     for l in rng:
+        d = 2 - 4 * l
         for m in rng:
+            c = -4 * m - 2
             for n in rng:
-                p = quartic_4d(l, m, n)
-                if len(factor_small(p)) != 1:
-                    cells.append(GridCell((l, m, n), "ReduciblePoly"))
+                if reducible_4d(l, m, n):
+                    cls = "ReduciblePoly"
                 else:
-                    cells.append(GridCell((l, m, n), kinds[quartic_real_roots(p)]))
+                    real = quartic_real_root_count(1, -4 * n - 2, c, d, 1)
+                    cls = kinds[real]
+                cells.append(GridCell((l, m, n), cls))
     return cells
 
 

@@ -351,15 +351,18 @@ def discriminant(p: IntPoly) -> int:
                 - 27 * a * a * e * e + 18 * a * b * c * e)
     if d == 4:
         e, d, c, b, a = p.coeffs
-        return (256 * a ** 3 * e ** 3 - 192 * a * a * b * d * e * e
-                - 128 * a * a * c * c * e * e + 144 * a * a * c * d * d * e
-                - 27 * a * a * d ** 4 + 144 * a * b * b * c * e * e
-                - 6 * a * b * b * d * d * e - 80 * a * b * c * c * d * e
-                + 18 * a * b * c * d ** 3 + 16 * a * c ** 4 * e
-                - 4 * a * c ** 3 * d * d - 27 * b ** 4 * e * e
-                + 18 * b ** 3 * c * d * e - 4 * b ** 3 * d ** 3
-                - 4 * b * b * c ** 3 * e + b * b * c * c * d * d)
+        return quartic_discriminant(a, b, c, d, e)
     raise ExactError("discriminant requires degree in 2..4, got %d" % d)
+
+
+def quartic_discriminant(a: int, b: int, c: int, d: int, e: int) -> int:
+    """Discriminant of a t^4 + b t^3 + c t^2 + d t + e, from the invariants
+    D0 = c^2 - 3bd + 12ae and D1 = 2c^3 - 9bcd + 27b^2 e + 27ad^2 - 72ace of
+    weight 2 and 3: 27 disc = 4 D0^3 - D1^2, and the division is exact."""
+    d0 = c * c - 3 * b * d + 12 * a * e
+    d1 = (2 * c * c * c - 9 * b * c * d + 27 * b * b * e + 27 * a * d * d
+          - 72 * a * c * e)
+    return (4 * d0 * d0 * d0 - d1 * d1) // 27
 
 
 # ---------------------------------------------------------------------------
@@ -523,21 +526,29 @@ def _split_quartic(p: IntPoly):
 
 
 def quartic_real_roots(p: IntPoly) -> int:
-    """Number of real roots of a squarefree quartic a t^4 + ... + e: 2 when
-    its discriminant is negative; otherwise 4 when P = 8ac - 3b^2 < 0 and
-    D = 64a^3 e - 16a^2 c^2 + 16ab^2 c - 16a^2 bd - 3b^4 < 0, else 0 (Rees
-    1922; Lazard 1988)."""
+    """Number of real roots of a squarefree quartic; see
+    quartic_real_root_count."""
     if p.degree != 4:
         raise ExactError("quartic_real_roots requires degree 4, got %d" % p.degree)
-    disc = discriminant(p)
+    e, d, c, b, a = p.coeffs
+    return quartic_real_root_count(a, b, c, d, e)
+
+
+def quartic_real_root_count(a: int, b: int, c: int, d: int, e: int) -> int:
+    """Number of real roots of the squarefree quartic a t^4 + b t^3 + c t^2
+    + d t + e (a != 0), from its coefficients alone: 2 when its
+    discriminant is negative; otherwise 4 when P = 8ac - 3b^2 < 0 and
+    D = 64a^3 e - 16a^2 c^2 + 16ab^2 c - 16a^2 bd - 3b^4 < 0, else 0 (Rees
+    1922; Lazard 1988)."""
+    disc = quartic_discriminant(a, b, c, d, e)
     if disc == 0:
         raise ExactError("quartic has a repeated root")
     if disc < 0:
         return 2
-    e, d, c, b, a = p.coeffs
-    big_p = 8 * a * c - 3 * b * b
-    big_d = (64 * a ** 3 * e - 16 * a * a * c * c + 16 * a * b * b * c
-             - 16 * a * a * b * d - 3 * b ** 4)
+    bb = b * b
+    big_p = 8 * a * c - 3 * bb
+    big_d = (64 * a * a * a * e - 16 * a * a * c * c + 16 * a * bb * c
+             - 16 * a * a * b * d - 3 * bb * bb)
     return 4 if big_p < 0 and big_d < 0 else 0
 
 

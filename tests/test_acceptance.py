@@ -16,6 +16,7 @@ from hesslab.atlas import (
     parabola_params,
     quartic_4d,
     ray_scan,
+    reducible_4d,
 )
 from hesslab.exact import (
     IntMatrix,
@@ -287,6 +288,9 @@ def _has_int_solution(s, p):
 
 @criterion(12)
 def test_criterion_12_4d_family():
+    # cells where exactly one of the four conditions holds, by condition:
+    # each count is nonzero, so reducible_4d needs every branch
+    alone = [0, 0, 0, 0]
     for l in range(-15, 16):
         for m in range(-15, 16):
             for n in range(-15, 16):
@@ -297,13 +301,18 @@ def test_criterion_12_4d_family():
                 # printed: n - m - l == 0 as the second condition. A root
                 # at -1 needs p(-1) = 4(l - m + n) = 0, as a root at 1
                 # needs p(1) = -4(l + m + n) = 0 (NOTES.md, criterion 12).
-                closed_form = (
-                    n + m + l == 0
-                    or n - m + l == 0
-                    or (l - n - 1 == 0 and _has_int_solution(2 - 4 * l,
-                                                             -4 * m - 4))
-                    or (l + n == 0 and _has_int_solution(4 * l - 2, -4 * m)))
+                conditions = (
+                    n + m + l == 0,
+                    n - m + l == 0,
+                    l - n - 1 == 0 and _has_int_solution(2 - 4 * l,
+                                                         -4 * m - 4),
+                    l + n == 0 and _has_int_solution(4 * l - 2, -4 * m))
+                closed_form = any(conditions)
                 assert reducible == closed_form, (l, m, n)
+                assert reducible_4d(l, m, n) == reducible, (l, m, n)
+                if sum(conditions) == 1:
+                    alone[conditions.index(True)] += 1
+    assert alone == [674, 674, 44, 44]
 
 
 @criterion(13)

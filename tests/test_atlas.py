@@ -142,6 +142,63 @@ def test_classify_family_4d_small_cube():
                       "Spectrum4(real)": 24, "Spectrum4(complex)": 6}
 
 
+def test_classify_family_4d_matches_matrix_oracle():
+    # oracle from each cell's matrix: its characteristic polynomial,
+    # factored by factor_small, with real roots counted by Sturm chains
+    # (not the sign invariants the atlas reads)
+    kinds = {0: "Spectrum4(complex)", 2: "Spectrum4(2+2)", 4: "Spectrum4(real)"}
+    cells = classify_family_4d(6)
+    rng = range(-6, 7)
+    assert [c.params for c in cells] == [(l, m, n) for l in rng for m in rng
+                                         for n in rng]
+    for cell in cells:
+        fp = FamilyPoint(FAMILY_4D_TYPE, FAMILY_4D_ANCHOR, cell.params)
+        p = char_poly(family_member(fp))
+        if len(factor_small(p)) > 1:
+            want = "ReduciblePoly"
+        else:
+            want = kinds[count_real_roots(p)]
+        assert cell.cls == want, cell.params
+        assert cell.verdict is None
+    assert Counter(c.cls for c in cells) == {
+        "ReduciblePoly": 269, "Spectrum4(2+2)": 1106,
+        "Spectrum4(real)": 754, "Spectrum4(complex)": 68}
+
+
+def test_classify_family_4d_builds_no_polynomial(monkeypatch):
+    # every cell is read from (l, m, n): no factorization, no quartic_4d,
+    # no IntPoly, and one coefficient-level root count per irreducible cell
+    import hesslab.atlas as atlas_mod
+    import hesslab.exact as exact_mod
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for mod, name in [(exact_mod, "factor_small"),
+                      (exact_mod, "quartic_real_roots"),
+                      (atlas_mod, "discriminant"), (atlas_mod, "quartic_4d"),
+                      (atlas_mod, "IntPoly"),
+                      (atlas_mod, "quartic_real_root_count")]:
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    # a factor_small imported into atlas would not see the patch above
+    monkeypatch.setattr(atlas_mod, "factor_small",
+                        counting("factor_small", exact_mod.factor_small),
+                        raising=False)
+    cells = classify_family_4d(2)
+    irreducible = sum(c.cls != "ReduciblePoly" for c in cells)
+    assert calls == {"quartic_real_root_count": irreducible}
+
+
+def test_classify_family_4d_rejects_negative_bound():
+    with pytest.raises(ExactError):
+        classify_family_4d(-1)
+
+
 def test_ray_scan_frobenius_direction():
     entries, last_nr = ray_scan(T_FRO, A_FRO, (3, 3), (-1, 0), 12)
     assert len(entries) == 13

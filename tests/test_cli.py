@@ -212,6 +212,20 @@ def test_criterion9_atlas_json_is_pinned(family, anchor, tmp_path, capsys,
         == _ATLAS_JSON_SHA256[family]
 
 
+# sha256 of `atlas4 --bound 15 --json`, as printed when every cell was
+# classified from its polynomial by factor_small and the discriminant
+_ATLAS4_BOUND15_JSON_SHA256 = \
+    "948ca2241e9c7a9ba2aeb495a3d7287916bbd6a397d77de7697c0e538f01817c"
+
+
+def test_atlas4_bound15_json_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
+    code, out, _ = run(["atlas4", "--bound", "15", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == _ATLAS4_BOUND15_JSON_SHA256
+
+
 @pytest.mark.parametrize("argv, config", [
     (_ATLAS + ["--range", "x:1,2:3"], None),
     (_ATLAS + ["--range", "12,2:3"], None),
