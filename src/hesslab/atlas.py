@@ -105,7 +105,7 @@ def normalize_to_frobenius(fp: FamilyPoint) -> Tuple[int, int]:
     return -c2, -minus_tr
 
 
-@dataclass(frozen=True)
+@dataclass
 class GridCell:
     params: tuple
     cls: str            # ReduciblePoly | RS | NRS_Reduced | NRS_Nonreduced

@@ -3,18 +3,16 @@
 Every library operation is exposed as a subcommand; `--json` switches the
 output to JSON (atlas and atlas4 also take a path to write it to). Exit
 codes: 0 success, 1 usage or input error, 2 when the result is
-Inconclusive because a budget ran out. Defaults come from built-ins, then
-a `hessenberg-lab.toml`-style key=value config file, then flags.
+Inconclusive because the slab enumeration ran past sail3.NODE_BUDGET.
+Every setting is a flag: no file or environment variable changes a
+result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
 
 from .exact import (
     ExactError,
@@ -35,24 +33,9 @@ from .reducedness import (
     is_reduced,
     minimize_md_bounded,
 )
-from .sail3 import (
-    NODE_BUDGET,
-    Inconclusive,
-    compute_sail,
-    verify_dirichlet_element,
-)
+from .sail3 import Inconclusive, compute_sail, verify_dirichlet_element
 from .gauss2 import classify_sl2, sail_period
 from . import atlas as atlas_mod
-
-
-@dataclass(frozen=True)
-class Config:
-    bound: Optional[int] = None   # no default: bound 1000 scans for ~45 min
-    region: int = NODE_BUDGET
-    window: int = 20
-    window4: int = 15
-    fmt: str = "PPM"
-    palette: dict = None
 
 
 def _int(text: str, what: str) -> int:
@@ -63,42 +46,6 @@ def _int(text: str, what: str) -> int:
             from None
 
 
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ExactError("config line %d: expected key=value" % ln)
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val.strip("\"'")
-    return out
-
-
-def load_config(path=None) -> Config:
-    cfg = Config()
-    if path is None and os.path.exists("hessenberg-lab.toml"):
-        path = "hessenberg-lab.toml"
-    if path:
-        raw = _load_config_file(path)
-        palette = {}
-        for key, val in raw.items():
-            if key in ("bound", "region", "window", "window4"):
-                cfg = replace(cfg, **{key: _int(val, "config key " + key)})
-            elif key == "format":
-                cfg = replace(cfg, fmt=val)
-            elif key.startswith("palette."):
-                palette[key.split(".", 1)[1]] = tuple(
-                    _int(x, "config key " + key) for x in val.split(","))
-            else:
-                raise ExactError("unknown config key %r" % key)
-        if palette:
-            cfg = replace(cfg, palette=palette)
-    return cfg
-
-
 def _emit(args, data, text):
     if getattr(args, "json", False):
         print(json.dumps(data, sort_keys=True))
@@ -106,22 +53,21 @@ def _emit(args, data, text):
         print(text)
 
 
-def _scan_bound(args, cfg) -> int:
-    bound = args.bound if args.bound is not None else cfg.bound
-    if bound is None:
-        raise ExactError("a bounded scan needs --bound (or bound in the "
-                         "config file)")
-    return bound
+def _scan_bound(args) -> int:
+    # no default: the scan visits (2 bound + 1)^n vectors, and bound 1000
+    # takes most of an hour
+    if args.bound is None:
+        raise ExactError("a bounded scan needs --bound")
+    return args.bound
 
 
-def _strategy(args, cfg):
-    name = getattr(args, "strategy", "sail")
-    if name == "bounded":
-        return Bounded(_scan_bound(args, cfg))
-    return Sail(cfg.region)
+def _strategy(args):
+    if args.strategy == "bounded":
+        return Bounded(_scan_bound(args))
+    return Sail()
 
 
-def _cmd_reduce(args, cfg):
+def _cmd_reduce(args):
     m = parse_matrix(args.matrix)
     seed = parse_vector(args.seed)
     h, u = reduce_to_perfect(m, seed)
@@ -130,28 +76,28 @@ def _cmd_reduce(args, cfg):
     return 0
 
 
-def _cmd_complexity(args, cfg):
+def _cmd_complexity(args):
     v = hessenberg_complexity(parse_matrix(args.matrix))
     _emit(args, {"complexity": v}, str(v))
     return 0
 
 
-def _cmd_mdchar(args, cfg):
+def _cmd_mdchar(args):
     m = parse_matrix(args.matrix)
     val = md_characteristic(m, parse_vector(args.vector))
     _emit(args, {"md": val}, str(val))
     return 0
 
 
-def _cmd_form(args, cfg):
+def _cmd_form(args):
     f = md_form3(parse_matrix(args.matrix))
     _emit(args, {"coeffs": list(f.coeffs)}, str(f))
     return 0
 
 
-def _cmd_minimize(args, cfg):
+def _cmd_minimize(args):
     m = parse_matrix(args.matrix)
-    bound = _scan_bound(args, cfg)
+    bound = _scan_bound(args)
     best, wits = minimize_md_bounded(m, bound)
     _emit(args,
           {"min": best, "bound": bound, "witnesses": [list(w) for w in wits]},
@@ -160,9 +106,9 @@ def _cmd_minimize(args, cfg):
     return 0
 
 
-def _cmd_verdict(args, cfg):
+def _cmd_verdict(args):
     m = parse_matrix(args.matrix)
-    verdict = is_reduced(m, _strategy(args, cfg))
+    verdict = is_reduced(m, _strategy(args))
     _emit(args, verdict.to_json(), _verdict_text(verdict))
     return 2 if verdict.status == "Inconclusive" else 0
 
@@ -176,18 +122,18 @@ def _verdict_text(v):
     return "Inconclusive: %s" % v.reason
 
 
-def _cmd_fingerprint(args, cfg):
+def _cmd_fingerprint(args):
     m = parse_matrix(args.matrix)
-    fp = fingerprint(m, cfg.region)
+    fp = fingerprint(m)
     text = ["min MD value %d" % fp.min_value]
     text += [str(h) for h in fp.matrices]
     _emit(args, fp.to_json(), "\n".join(text))
     return 0
 
 
-def _cmd_sail(args, cfg):
+def _cmd_sail(args):
     m = parse_matrix(args.matrix)
-    sail = compute_sail(m, cfg.region)
+    sail = compute_sail(m)
     dump = sail.to_json()
     lines = []
     for entry in dump:
@@ -199,14 +145,14 @@ def _cmd_sail(args, cfg):
     return 0
 
 
-def _cmd_period(args, cfg):
+def _cmd_period(args):
     p = sail_period(parse_matrix(args.matrix))
     _emit(args, {"period": list(p.entries)},
           "(" + ",".join(str(x) for x in p.entries) + ")")
     return 0
 
 
-def _cmd_classify2(args, cfg):
+def _cmd_classify2(args):
     cls = classify_sl2(parse_matrix(args.matrix))
     data = cls.to_json()
     if cls.kind == "ComplexSpectrum":
@@ -220,41 +166,39 @@ def _cmd_classify2(args, cfg):
     return 0
 
 
-def _parse_range(text, default):
+def _parse_range(text):
     """`-20:20,-20:20` -> ((-20,20), (-20,20))."""
-    if not text:
-        return (-default, default), (-default, default)
     parts = [p.split(":") for p in text.split(",")]
     if len(parts) != 2 or any(len(p) != 2 for p in parts):
         raise ExactError("range must look like -20:20,-20:20")
     return tuple(tuple(_int(x, "a range bound") for x in p) for p in parts)
 
 
-def _cmd_atlas(args, cfg):
+def _cmd_atlas(args):
     t = HessType.parse(args.type)
     anchor = tuple(parse_vector(args.anchor))
-    m_range, n_range = _parse_range(args.range, cfg.window)
+    m_range, n_range = _parse_range(args.range)
     cells, counts = atlas_mod.classify_grid(
-        t, anchor, m_range, n_range, _strategy(args, cfg), jobs=args.jobs)
+        t, anchor, m_range, n_range, _strategy(args), jobs=args.jobs)
     if args.out:
-        fmt = "SVG" if args.out.lower().endswith(".svg") else cfg.fmt
+        fmt = "SVG" if args.out.lower().endswith(".svg") else "PPM"
         with open(args.out, "wb") as fh:
-            fh.write(atlas_mod.render_grid(cells, fmt, cfg.palette))
+            fh.write(atlas_mod.render_grid(cells, fmt))
     return _emit_atlas(args, {"window": {"m": list(m_range),
                                          "n": list(n_range)},
                               "counts": counts,
                               "cells": [c.to_json() for c in cells]})
 
 
-def _cmd_atlas4(args, cfg):
-    bound = args.bound if args.bound is not None else cfg.window4
-    if bound < 0:
-        raise ExactError("atlas4 --bound must be at least 0, got %d" % bound)
-    cells = atlas_mod.classify_family_4d(bound)
+def _cmd_atlas4(args):
+    if args.bound < 0:
+        raise ExactError("atlas4 --bound must be at least 0, got %d"
+                         % args.bound)
+    cells = atlas_mod.classify_family_4d(args.bound)
     counts = {}
     for c in cells:
         counts[c.cls] = counts.get(c.cls, 0) + 1
-    return _emit_atlas(args, {"bound": bound, "counts": counts,
+    return _emit_atlas(args, {"bound": args.bound, "counts": counts,
                               "cells": [c.to_json() for c in cells]})
 
 
@@ -270,13 +214,13 @@ def _emit_atlas(args, data):
     return 0
 
 
-def _cmd_ray(args, cfg):
+def _cmd_ray(args):
     t = HessType.parse(args.type)
     anchor = tuple(parse_vector(args.anchor))
     start = tuple(parse_vector(args.start))
     direction = tuple(parse_vector(args.dir))
     entries, last = atlas_mod.ray_scan(
-        t, anchor, start, direction, args.tmax, _strategy(args, cfg))
+        t, anchor, start, direction, args.tmax, _strategy(args))
     data = {"last_nonreduced": last,
             "entries": [{"t": k, "class": cls,
                          "verdict": v.to_json() if v else None}
@@ -288,7 +232,7 @@ def _cmd_ray(args, cfg):
     return 0
 
 
-def _cmd_verify_dirichlet(args, cfg):
+def _cmd_verify_dirichlet(args):
     m = parse_matrix(args.matrix)
     x = parse_matrix(args.element)
     ok = verify_dirichlet_element(m, x)
@@ -300,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hesslab",
         description="Exact Gauss reduction theory for SL(n,Z) matrices")
-    ap.add_argument("--config", help="key=value config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, json_path=False, **kw):
@@ -344,14 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="classify a 3x3 family window")
     p.add_argument("--type", required=True)
     p.add_argument("--anchor", required=True)
-    p.add_argument("--range", help="-20:20,-20:20")
+    p.add_argument("--range", default="-20:20,-20:20",
+                   help="m and n windows, default -20:20,-20:20")
     p.add_argument("--strategy", choices=("sail", "bounded"), default="sail")
     p.add_argument("--bound", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write a PPM/SVG rendering here")
     p = add("atlas4", _cmd_atlas4, json_path=True,
             help="classify the fixed 4D family cube")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, default=15)
     p = add("ray", _cmd_ray, help="verdicts along an NRS-ray")
     p.add_argument("--type", required=True)
     p.add_argument("--anchor", required=True)
@@ -397,8 +341,7 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return 1 if ex.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config)
-        return args.fn(args, cfg)
+        return args.fn(args)
     except Inconclusive as ex:
         print("Inconclusive: %s" % ex, file=sys.stderr)
         return 2

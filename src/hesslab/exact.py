@@ -525,15 +525,6 @@ def _split_quartic(p: IntPoly):
 # real roots
 
 
-def quartic_real_roots(p: IntPoly) -> int:
-    """Number of real roots of a squarefree quartic; see
-    quartic_real_root_count."""
-    if p.degree != 4:
-        raise ExactError("quartic_real_roots requires degree 4, got %d" % p.degree)
-    e, d, c, b, a = p.coeffs
-    return quartic_real_root_count(a, b, c, d, e)
-
-
 def quartic_real_root_count(a: int, b: int, c: int, d: int, e: int) -> int:
     """Number of real roots of the squarefree quartic a t^4 + b t^3 + c t^2
     + d t + e (a != 0), from its coefficients alone: 2 when its

@@ -29,7 +29,6 @@ from .exact import ExactError, IntMatrix, IntVector, char_poly, factor_small
 from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
 from .mdchar import MDForm3, md_characteristic, md_form3
 from .sail3 import (
-    NODE_BUDGET,
     Inconclusive as SailInconclusive,
     NrsCheck,
     fundamental_window,
@@ -44,7 +43,8 @@ class Bounded:
 
 @dataclass(frozen=True)
 class Sail:
-    region: int = NODE_BUDGET
+    """The certified strategy: the exact minimum over the fundamental
+    window, behind the content bound."""
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,17 @@ def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]
     return best, sorted(out, key=tuple)
 
 
-def _sail_minimum(nrs: NrsCheck,
-                  region: int = NODE_BUDGET) -> Tuple[int, List[IntVector]]:
+def _sail_minimum(nrs: NrsCheck) -> Tuple[int, List[IntVector]]:
     """Certified global MD minimum over nonzero integer vectors, with its
     primitive minimisers (up to sign) in the closed window [x(start),
-    x(G start)] of fundamental_window (at most `region` enumeration nodes).
+    x(G start)] of fundamental_window (Inconclusive past its node budget).
 
     The window's points are every integer point of the fundamental slab,
     which holds both ends of the window and meets the orbit of every sail
     vertex, where the minimum is attained; md vanishes on no nonzero
     vector, as the characteristic polynomial is irreducible.
     """
-    w = fundamental_window(nrs, region)
+    w = fundamental_window(nrs)
     vals = [abs(w.eigen.md(v)) for v in w.points]
     best = min(vals)
     wits = {_canonical_sign(v) for v, val in zip(w.points, vals)
@@ -180,7 +179,7 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
         if content_certifies(nrs.md, target):
             return ReducedVerdict("Reduced", certificate="SailCertified")
         try:
-            best, wits = _sail_minimum(nrs, strategy.region)
+            best, wits = _sail_minimum(nrs)
         except SailInconclusive as ex:
             return ReducedVerdict("Inconclusive", reason=str(ex))
         if best < target:
@@ -189,7 +188,7 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
     raise ExactError("unknown strategy %r" % (strategy,))
 
 
-def fingerprint(m: IntMatrix, region: int = NODE_BUDGET) -> Fingerprint:
+def fingerprint(m: IntMatrix) -> Fingerprint:
     """Distinct perfect forms reached from the verdict's MD minimisers, one
     reduction per witness.  Those are the MD-minimal points of the
     fundamental window up to sign, both of its ends included; neither sign
@@ -198,7 +197,7 @@ def fingerprint(m: IntMatrix, region: int = NODE_BUDGET) -> Fingerprint:
     H(v); and the flag of M v is M times the flag of v, so U(M v) = M U(v)
     and H(M v) = H(v), and likewise for M^-1: so the forms are those of
     every MD-minimal sail vertex, whichever window holds them."""
-    best, wits = _sail_minimum(require_nrs(m), region)
+    best, wits = _sail_minimum(require_nrs(m))
     seen = {}
     for v in wits:
         h, _ = reduce_to_perfect(m, v)

@@ -50,7 +50,6 @@ from .exact import (
     count_real_roots,
     det,
     discriminant,
-    factor_small,
 )
 from .mdchar import MDForm3, md_form3
 from .numberfield import FieldElement, NumberField
@@ -89,7 +88,8 @@ def require_nrs(m: IntMatrix) -> NrsCheck:
     if det(m) != 1:
         raise SailError("matrix is not in SL(3,Z)")
     p = char_poly(m)
-    if len(factor_small(p)) != 1:
+    # monic with constant term -det = -1: a rational root divides 1
+    if p(1) == 0 or p(-1) == 0:
         raise SailError("characteristic polynomial is reducible")
     if discriminant(p) >= 0:
         raise SailError("matrix has real spectrum (RS); sails unsupported")
@@ -565,8 +565,7 @@ def _eliminate(t, k: int):
             for i in keep]
 
 
-def gamma0_slab_points(e: EigenData3, slab: Slab,
-                       region: int = NODE_BUDGET) -> List[IntVector]:
+def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
     """The nonzero integer points of the slab, a certified superset of
     Gamma^0(slab.seed), in the lexicographic order of their basis
     coordinates u.
@@ -580,7 +579,7 @@ def gamma0_slab_points(e: EigenData3, slab: Slab,
     "Enumerating the slab"), and the levels u0, then u1 given u0, then u2
     given both, range over _span of T's fraction-free Schur complements.
     Raises Inconclusive when a pivot of T is not positive, when the ranges
-    visited come to more than `region` nodes, or when p or Mp, both in the
+    visited come to more than NODE_BUDGET nodes, or when p or Mp, both in the
     slab, is missing from the output.
     """
     p, basis, x_p, f_max = slab.seed, slab.basis, slab.x_p, slab.f_max
@@ -612,8 +611,9 @@ def gamma0_slab_points(e: EigenData3, slab: Slab,
         nonlocal nodes
         span = _span(alpha, beta, gamma)
         nodes += len(span)
-        if nodes > region:
-            raise Inconclusive("slab enumeration exceeds %d nodes" % region)
+        if nodes > NODE_BUDGET:
+            raise Inconclusive("slab enumeration exceeds %d nodes"
+                               % NODE_BUDGET)
         return span
 
     x0, x1, x2 = xs
@@ -699,25 +699,24 @@ class FundamentalWindow:
     points: List[IntVector]
 
 
-def fundamental_window(nrs: NrsCheck,
-                       region: int = NODE_BUDGET) -> FundamentalWindow:
+def fundamental_window(nrs: NrsCheck) -> FundamentalWindow:
     """The window of the fundamental slab of nrs's operator, with the points
-    of that slab (at most `region` enumeration nodes, else Inconclusive)."""
+    of that slab (Inconclusive past NODE_BUDGET enumeration nodes)."""
     e = eigen_data(nrs)
     m = nrs.matrix
     slab = fundamental_slab(e)
-    points = gamma0_slab_points(e, slab, region)
+    points = gamma0_slab_points(e, slab)
     if (e.r - 1).sign() > 0:
         return FundamentalWindow(e, m, e.inverse, slab.seed, points)
     return FundamentalWindow(e, e.inverse, m, m * slab.seed, points)
 
 
-def compute_sail(m: IntMatrix, region: int = NODE_BUDGET) -> SailData:
+def compute_sail(m: IntMatrix) -> SailData:
     """The sail vertices with x in [x(G^-1 p), x(G^2 p)], p the fundamental
     slab's seed, with those of fundamental_window's window [x(start),
     x(G start)) marked fundamental; G and the window are
-    fundamental_window's (at most `region` enumeration nodes, else
-    Inconclusive).
+    fundamental_window's (Inconclusive past NODE_BUDGET enumeration
+    nodes).
 
     The window's slab points span one period of x.  Their Pareto-minimal
     points, with the G^-1 and G images of those, have a full period, and so
@@ -725,7 +724,7 @@ def compute_sail(m: IntMatrix, region: int = NODE_BUDGET) -> SailData:
     hull there are the sail's; their period consistency is verified, and
     their G-images fill the output range.
     """
-    w = fundamental_window(require_nrs(m), region)
+    w = fundamental_window(require_nrs(m))
     e, g, g_inv = w.eigen, w.generator, w.generator_inv
     base = _pareto_filter([project_pi(e, v) for v in w.points])
     hull = _lower_hull(_pareto_filter(base + [

@@ -18,7 +18,6 @@ from hesslab.atlas import (
     parabola_params,
     quartic_4d,
     ray_scan,
-    reducible_4d,
     render_grid,
 )
 from hesslab.exact import (
@@ -28,7 +27,6 @@ from hesslab.exact import (
     count_real_roots,
     discriminant,
     factor_small,
-    quartic_real_roots,
 )
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 from hesslab.mdchar import md_form3
@@ -100,15 +98,6 @@ def test_normalize_to_frobenius_preserves_discriminant():
         assert discriminant_at(ref) == discriminant_at(fp), (m, n)
 
 
-def test_reducible_4d_matches_factorization():
-    for l in range(-4, 5):
-        for m in range(-4, 5):
-            for n in range(-4, 5):
-                got = reducible_4d(l, m, n)
-                want = len(factor_small(quartic_4d(l, m, n))) > 1
-                assert got == want, (l, m, n)
-
-
 def test_quartic_4d_matches_family_char_poly():
     # a family member differs from the anchor member only in its last
     # column, and det(tI - M) is linear in one column, so both sides have
@@ -119,19 +108,6 @@ def test_quartic_4d_matches_family_char_poly():
                 (1, 2, 3), (-3, 1, -2), (5, -5, 4)]:
         fp = FamilyPoint(FAMILY_4D_TYPE, FAMILY_4D_ANCHOR, lmn)
         assert char_poly(family_member(fp)) == quartic_4d(*lmn)
-
-
-def test_quartic_real_roots_matches_sturm_on_cube():
-    kinds = Counter()
-    for l in range(-6, 7):
-        for m in range(-6, 7):
-            for n in range(-6, 7):
-                p = quartic_4d(l, m, n)
-                if len(factor_small(p)) == 1:
-                    real = quartic_real_roots(p)
-                    assert real == count_real_roots(p), (l, m, n)
-                    kinds[real] += 1
-    assert kinds == {0: 68, 2: 1106, 4: 754}
 
 
 def test_classify_family_4d_small_cube():
@@ -180,7 +156,6 @@ def test_classify_family_4d_builds_no_polynomial(monkeypatch):
         return wrapped
 
     for mod, name in [(exact_mod, "factor_small"),
-                      (exact_mod, "quartic_real_roots"),
                       (atlas_mod, "discriminant"), (atlas_mod, "quartic_4d"),
                       (atlas_mod, "IntPoly"),
                       (atlas_mod, "quartic_real_root_count")]:

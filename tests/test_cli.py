@@ -80,7 +80,7 @@ def test_verdict_exit_codes(capsys):
 
 def test_verdict_on_a_far_out_member(capsys):
     # <0,1|1,0,2>, anchor 1,0,1, at (4, 10^12): the slab's bounding box
-    # held 4e7 cells, past the region cap, and the verdict exited 2
+    # held 4e7 cells, past the node budget, and the verdict exited 2
     code, out, _ = run(["verdict", "0 1 1000000000001; 1 0 4; "
                         "0 2 2000000000001", "--json"], capsys)
     assert code == 0
@@ -202,9 +202,7 @@ _ATLAS_JSON_SHA256 = {
 
 @pytest.mark.parametrize("family, anchor", [("<0,1|1,0,2>", "1,0,1"),
                                             ("<0,1|0,0,1>", "1,0,0")])
-def test_criterion9_atlas_json_is_pinned(family, anchor, tmp_path, capsys,
-                                         monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
+def test_criterion9_atlas_json_is_pinned(family, anchor, capsys):
     code, out, _ = run(["atlas", "--type", family, "--anchor", anchor,
                         "--range=-20:20,-20:20", "--json"], capsys)
     assert code == 0
@@ -218,28 +216,21 @@ _ATLAS4_BOUND15_JSON_SHA256 = \
     "948ca2241e9c7a9ba2aeb495a3d7287916bbd6a397d77de7697c0e538f01817c"
 
 
-def test_atlas4_bound15_json_is_pinned(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
+def test_atlas4_bound15_json_is_pinned(capsys):
     code, out, _ = run(["atlas4", "--bound", "15", "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() \
         == _ATLAS4_BOUND15_JSON_SHA256
 
 
-@pytest.mark.parametrize("argv, config", [
-    (_ATLAS + ["--range", "x:1,2:3"], None),
-    (_ATLAS + ["--range", "12,2:3"], None),
-    (["complexity", "0 1 2; 1 0 0; 0 3 5"], "region = abc\n"),
-    (["ray", "--type", "<a>", "--anchor", "1,0,1", "--start", "0,0",
-      "--dir", "1,0"], None),
-], ids=["range-not-int", "range-no-colon", "config-region", "type-not-int"])
-def test_malformed_numbers_are_input_errors(argv, config, tmp_path, capsys,
-                                            monkeypatch):
+@pytest.mark.parametrize("argv", [
+    _ATLAS + ["--range", "x:1,2:3"],
+    _ATLAS + ["--range", "12,2:3"],
+    ["ray", "--type", "<a>", "--anchor", "1,0,1", "--start", "0,0",
+     "--dir", "1,0"],
+], ids=["range-not-int", "range-no-colon", "type-not-int"])
+def test_malformed_numbers_are_input_errors(argv, capsys):
     # each escaped as a ValueError traceback
-    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
-    if config is not None:
-        (tmp_path / "conf").write_text(config)
-        argv = ["--config", str(tmp_path / "conf")] + argv
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -263,24 +254,7 @@ def test_malformed_type_names_the_entry(capsys):
     assert err == "error: type column 2, entry 2: 'x' is not an integer\n"
 
 
-def test_config_file_keys(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "hessenberg-lab.toml"
-    cfg.write_text("region = 1000\nbound = 7\n")
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(["minimize", "0 1 2; 1 0 0; 0 3 5", "--json"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["bound"] == 7
-    assert cli.load_config().region == 1000  # file beats built-in
-    # there is no precision budget: its old key is as unknown as any other
-    cfg.write_text("precision_bits = 1024\n")
-    code, out, err = run(["complexity", "0 1 2; 1 0 0; 0 3 5"], capsys)
-    assert code == 1 and out == ""
-    assert err == "error: unknown config key 'precision_bits'\n"
-
-
-def test_bounded_scan_needs_a_bound(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
+def test_bounded_scan_needs_a_bound(capsys):
     for argv in (["minimize", "0 1 2; 1 0 0; 0 3 5"],
                  ["verdict", "0 1 2; 1 0 0; 0 3 5", "--strategy", "bounded"]):
         code, out, err = run(argv, capsys)
@@ -292,9 +266,8 @@ def test_bounded_scan_needs_a_bound(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["bound"] == 4
 
 
-def test_atlas4_bound_zero_and_negative(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no hessenberg-lab.toml here
-    # --bound 0 is the one-cell cube, not the config's default window
+def test_atlas4_bound_zero_and_negative(capsys):
+    # --bound 0 is the one-cell cube, not the default bound 15
     code, out, _ = run(["atlas4", "--bound", "0", "--json"], capsys)
     assert code == 0
     doc = json.loads(out)

@@ -20,7 +20,7 @@ from hesslab.exact import (
     integer_distance,
     integer_volume,
     parse_matrix,
-    quartic_real_roots,
+    quartic_real_root_count,
 )
 
 
@@ -295,9 +295,9 @@ def test_quartic_real_roots_matches_sturm(low, a):
     p = IntPoly(low + [a])
     if discriminant(p) == 0:
         with pytest.raises(ExactError):
-            quartic_real_roots(p)
+            quartic_real_root_count(a, *reversed(low))
         return
-    assert quartic_real_roots(p) == count_real_roots(p)
+    assert quartic_real_root_count(a, *reversed(low)) == count_real_roots(p)
 
 
 def _ratio(t):
@@ -330,4 +330,4 @@ def test_count_real_roots_factored_oracle(c, linear, quadratic, lo, hi):
                if (lo is None or lo < r) and (hi is None or r <= hi))
     assert count_real_roots(p, lo, hi) == want
     if p.degree == 4:
-        assert quartic_real_roots(p) == len(roots)
+        assert quartic_real_root_count(*reversed(p.coeffs)) == len(roots)

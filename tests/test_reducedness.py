@@ -26,7 +26,8 @@ from hesslab.reducedness import (
     is_reduced,
     minimize_md_bounded,
 )
-from hesslab.sail3 import SailError, compute_sail
+from hesslab import cli
+from hesslab.sail3 import Inconclusive, SailError, compute_sail
 
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
 M2 = parse_matrix("0 2 3; 1 1 1; 0 3 4")
@@ -141,6 +142,32 @@ def test_content_gate_runs_after_the_nrs_checks():
             with pytest.raises(SailError, match=message):
                 route()
             assert time.process_time() - start < 1.0, rows
+
+
+def test_node_budget_reaches_every_route(monkeypatch, capsys):
+    # band_cell(-4, 6) is left to the sail by the content bound, and its
+    # slab enumeration visits more than one node: with sail3.NODE_BUDGET at
+    # 1 the verdict, the fingerprint and the sail are Inconclusive, in the
+    # library and on the command line, where they exit 2
+    m = band_cell(-4, 6)
+    text = "0 1 7; 1 0 -4; 0 2 13"
+    assert m == parse_matrix(text)
+    v = is_reduced(m, Sail())
+    assert v.status == "Nonreduced" and tuple(v.witness) == (2, -6, 1)
+    assert cli.main(["verdict", text]) == 0
+    assert capsys.readouterr().out == "Nonreduced, witness (2, -6, 1)\n"
+    reason = "slab enumeration exceeds 1 nodes"
+    monkeypatch.setattr(sail3, "NODE_BUDGET", 1)
+    assert is_reduced(m, Sail()) == ReducedVerdict("Inconclusive",
+                                                   reason=reason)
+    for route in (lambda: fingerprint(m), lambda: compute_sail(m)):
+        with pytest.raises(Inconclusive, match=reason):
+            route()
+    assert cli.main(["verdict", text]) == 2
+    assert capsys.readouterr().out == "Inconclusive: %s\n" % reason
+    for command in ("fingerprint", "sail"):
+        assert cli.main([command, text]) == 2
+        assert capsys.readouterr() == ("", "Inconclusive: %s\n" % reason)
 
 
 def test_one_md_form_per_verdict_and_fingerprint(monkeypatch):

@@ -69,6 +69,41 @@ def test_rs_matrix_rejected():
         eigen_data(require_nrs(parse_matrix("0 0 1; 1 0 6; 0 1 0")))
 
 
+def test_require_nrs_reducibility_matches_factorization():
+    # require_nrs reads reducibility off p(1) and p(-1): the monic cubic p
+    # has constant term -det = -1, so a rational root of it divides 1.
+    # Oracle: factor_small, on every cell of both criterion-9 windows and on
+    # seeded conjugates of cells of each class
+    cells = [family_member(FamilyPoint(HessType.parse(t), IntVector(a),
+                                       (m, n)))
+             for t, a in (("<0,1|1,0,2>", (1, 0, 1)), ("<0,1|0,0,1>", (1, 0, 0)))
+             for m in range(-20, 21) for n in range(-20, 21)]
+    assert len(cells) == 3362
+    by_class = {"reducible": [], "RS": [], "NRS": []}
+    for m in cells:
+        p = char_poly(m)
+        if len(factor_small(p)) > 1:
+            by_class["reducible"].append(m)
+        else:
+            by_class["RS" if discriminant(p) > 0 else "NRS"].append(m)
+    rng = random.Random(30)
+    conjugates = []
+    for kind, members in sorted(by_class.items()):
+        assert members, kind
+        for m in rng.sample(members, 8):
+            u = random_unimodular(rng, 3, 8)
+            conjugates.append(u.inverse_unimodular() * m * u)
+    for m in cells + conjugates:
+        assert det(m) == 1
+        reducible = len(factor_small(char_poly(m))) > 1
+        try:
+            require_nrs(m)
+            raised = False
+        except SailError as ex:
+            raised = str(ex) == "characteristic polynomial is reducible"
+        assert raised == reducible, m
+
+
 def _real_eigenvector(m, field):
     """The first nonzero column of adj(M - rI) = omega_0 + omega_1 r +
     omega_2 r^2."""
@@ -448,7 +483,7 @@ def test_slab_contains_fundamental_vertices():
         assert v in keys or tuple(-c for c in v) in keys
 
 
-def test_slab_hard_cell_regression():
+def test_slab_hard_cell_regression(monkeypatch):
     # this family cell has a coordinate bounding box with ~2e9 cross
     # section; the reduced-basis enumeration must keep feasible both the
     # slab of (32, -11, 62), a seed that once took a 0.9 GB cube scan to
@@ -459,12 +494,15 @@ def test_slab_hard_cell_regression():
     seed = IntVector((32, -11, 62))
     if _x_coord(e, seed).sign() < 0:
         seed = -seed
-    for slab in (reduced_slab(e, seed), fundamental_slab(e)):
-        assert len(gamma0_slab_points(e, slab, 40_000_000)) > 0
-        # the cap bounds the nodes visited at all levels, which reach the
-        # distinct p and M p, so more than one
+    slabs = (reduced_slab(e, seed), fundamental_slab(e))
+    for slab in slabs:
+        assert len(gamma0_slab_points(e, slab)) > 0
+    # the budget bounds the nodes visited at all levels, which reach the
+    # distinct p and M p, so more than one
+    monkeypatch.setattr(sail3, "NODE_BUDGET", 1)
+    for slab in slabs:
         with pytest.raises(Inconclusive, match="exceeds 1 nodes"):
-            gamma0_slab_points(e, slab, 1)
+            gamma0_slab_points(e, slab)
 
 
 def _positive_seed(e, v):
