@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
     ExactError,
+    IntMatrix,
     IntPoly,
     IntVector,
     _is_square,
@@ -127,8 +128,8 @@ _CONTENT_CERTIFIED = ReducedVerdict("Reduced", certificate="SailCertified")
 
 def _matrix_cell(args) -> GridCell:
     """An NRS cell classified from its matrix by is_reduced."""
-    t, anchor, mn, strategy = args
-    verdict = is_reduced(family_member(FamilyPoint(t, anchor, mn)), strategy)
+    mn, matrix, strategy = args
+    verdict = is_reduced(matrix, strategy)
     return GridCell(mn, _NRS_CLASS[verdict.status], verdict)
 
 
@@ -137,8 +138,9 @@ def _classify_cells(t: HessType, anchor, points, strategy,
     """The family's cells at `points`, in their order, from its invariants
     (NOTES.md, "Atlas cells from the family's invariants"), under
     `strategy` (Sail when None).  Only the NRS cells that the MD form's
-    content leaves open build a matrix, in a pool of at most `jobs`
-    processes."""
+    content leaves open build a matrix, from the last column that the
+    invariants are made of, and take their verdicts in a pool of at most
+    `jobs` processes."""
     if jobs < 1:
         raise ExactError("jobs must be at least 1, got %d" % jobs)
     strategy = strategy or Sail()
@@ -169,8 +171,10 @@ def _classify_cells(t: HessType, anchor, points, strategy,
         elif sl3 and perfect and (c == 1 or certified(m, n)):
             cells.append(GridCell((m, n), "NRS_Reduced", _CONTENT_CERTIFIED))
         else:
+            v1 = anchor[0] + m * a11 + n * a12
             cells.append(None)
-            left.append((t, anchor, (m, n), strategy))
+            left.append(((m, n), IntMatrix(((a11, a12, v1), (a21, a22, v2),
+                                            (0, a32, v3))), strategy))
     workers = min(jobs, len(left))
     if workers > 1:
         import multiprocessing
@@ -199,6 +203,8 @@ def ray_scan(t: HessType, anchor, start, direction, t_max: int,
     (t, cell class, verdict-or-None); non-NRS cells are flagged by their
     class and carry no verdict.
     """
+    if t_max < 0:
+        raise ExactError("t_max must be at least 0, got %d" % t_max)
     if len(start) != 2:
         raise ExactError("ray start must have two entries (m,n), got %d"
                          % len(start))

@@ -16,6 +16,7 @@ import sys
 
 from .exact import (
     ExactError,
+    IntVector,
     matrix_to_json,
     parse_matrix,
     parse_vector,
@@ -69,7 +70,10 @@ def _strategy(args):
 
 def _cmd_reduce(args):
     m = parse_matrix(args.matrix)
-    seed = parse_vector(args.seed)
+    if args.seed is None:  # e1, of the matrix's size
+        seed = IntVector(int(i == 0) for i in range(m.n))
+    else:
+        seed = parse_vector(args.seed)
     h, u = reduce_to_perfect(m, seed)
     _emit(args, {"perfect": matrix_to_json(h), "conjugator": matrix_to_json(u)},
           "perfect: %s\nconjugator: %s" % (h, u))
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("reduce", _cmd_reduce, help="perfect Hessenberg form of a matrix")
     p.add_argument("matrix")
-    p.add_argument("--seed", default="1,0,0")
+    p.add_argument("--seed", help="primitive seed vector (default e1)")
     p = add("complexity", _cmd_complexity, help="Hessenberg complexity")
     p.add_argument("matrix")
     p = add("mdchar", _cmd_mdchar, help="MD-characteristic at a vector")

@@ -19,6 +19,7 @@ from .exact import (
     IntMatrix,
     IntPoly,
     IntVector,
+    _matrix,
     char_poly,
     det,
     integer_distance,
@@ -228,8 +229,9 @@ def reduce_to_perfect(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatr
                 if q:
                     add_col(j, i, -q)
 
-    u = IntMatrix.from_columns(cols)
-    u_inv = IntMatrix(inv)
+    # the entries are Python ints already: no conversion pass
+    u = _matrix(tuple(zip(*cols)))
+    u_inv = _matrix(tuple(map(tuple, inv)))
     if u_inv * u != IntMatrix.identity(n):
         raise ReductionError("column operations lost the inverse")
     h = u_inv * m * u

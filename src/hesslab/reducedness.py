@@ -12,10 +12,10 @@ fill the closed window of the slab's seed, which meets the orbit of every
 sail vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
 minimum.  The fingerprint needs every minimiser, not the minimum alone,
 so it always takes that route, behind the same require_nrs, and reduces
-the minimisers.  The Bounded strategy is a box scan in Python integers: it
-finds the exact minimum over the box (or raises ExactError when the MD
-characteristic vanishes on all of it), but a minimum over a box is only
-ever a heuristic certificate.
+one minimiser per M-orbit.  The Bounded strategy is a box scan in Python
+integers: it finds the exact minimum over the box (or raises ExactError
+when the MD characteristic vanishes on all of it), but a minimum over a
+box is only ever a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .exact import ExactError, IntMatrix, IntVector, char_poly, factor_small
 from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
 from .mdchar import MDForm3, md_characteristic, md_form3
 from .sail3 import (
+    FundamentalWindow,
     Inconclusive as SailInconclusive,
-    NrsCheck,
     fundamental_window,
     require_nrs,
 )
@@ -128,17 +128,16 @@ def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]
     return best, sorted(out, key=tuple)
 
 
-def _sail_minimum(nrs: NrsCheck) -> Tuple[int, List[IntVector]]:
+def _sail_minimum(w: FundamentalWindow) -> Tuple[int, List[IntVector]]:
     """Certified global MD minimum over nonzero integer vectors, with its
     primitive minimisers (up to sign) in the closed window [x(start),
-    x(G start)] of fundamental_window (Inconclusive past its node budget).
+    x(G start)] of the fundamental window w.
 
     The window's points are every integer point of the fundamental slab,
     which holds both ends of the window and meets the orbit of every sail
     vertex, where the minimum is attained; md vanishes on no nonzero
     vector, as the characteristic polynomial is irreducible.
     """
-    w = fundamental_window(nrs)
     vals = [abs(w.eigen.md(v)) for v in w.points]
     best = min(vals)
     wits = {_canonical_sign(v) for v, val in zip(w.points, vals)
@@ -179,7 +178,7 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
         if content_certifies(nrs.md, target):
             return ReducedVerdict("Reduced", certificate="SailCertified")
         try:
-            best, wits = _sail_minimum(nrs)
+            best, wits = _sail_minimum(fundamental_window(nrs))
         except SailInconclusive as ex:
             return ReducedVerdict("Inconclusive", reason=str(ex))
         if best < target:
@@ -190,18 +189,25 @@ def is_reduced(m: IntMatrix, strategy) -> ReducedVerdict:
 
 def fingerprint(m: IntMatrix) -> Fingerprint:
     """Distinct perfect forms reached from the verdict's MD minimisers, one
-    reduction per witness.  Those are the MD-minimal points of the
+    reduction per M-orbit.  Those are the MD-minimal points of the
     fundamental window up to sign, both of its ends included; neither sign
     nor the window changes the form.  reduce_to_perfect is even in the
     seed, as -U(v) meets every condition that fixes U(-v), so H(-v) =
     H(v); and the flag of M v is M times the flag of v, so U(M v) = M U(v)
     and H(M v) = H(v), and likewise for M^-1: so the forms are those of
-    every MD-minimal sail vertex, whichever window holds them."""
-    best, wits = _sail_minimum(require_nrs(m))
+    every MD-minimal sail vertex, whichever window holds them.  G
+    multiplies x by the ratio of the window's ends, so the one orbit that
+    meets the closed window twice is that of start and G start; as MD(G v)
+    = MD(v), start is a witness whenever G start is, and G start is
+    skipped."""
+    w = fundamental_window(require_nrs(m))
+    best, wits = _sail_minimum(w)
+    end = _canonical_sign(w.generator * w.start)
     seen = {}
     for v in wits:
-        h, _ = reduce_to_perfect(m, v)
-        seen[h.rows] = h
+        if v != end:
+            h, _ = reduce_to_perfect(m, v)
+            seen[h.rows] = h
     mats = [seen[k] for k in sorted(seen)]
     for h in mats:
         complexity = hessenberg_complexity(h)

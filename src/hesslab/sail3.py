@@ -7,18 +7,24 @@ in Q(r) and y is stored through its square y_sq in Q(r) (a fixed positive
 multiple of the true squared radius; convex hulls in (x, y) are invariant
 under positive axis scalings, so the scale never matters).
 
-eigen_data compiles an operator once into integer tables over the power
-basis 1, r, r^2 of Q(r): x is a 3x3 table over one denominator, and
-F = y_sq a table of the six monomials f_a f_b of the omega rows f = (f_0,
-f_1, f_2), also over one denominator.  x(v) and F(v) are then integer dot
-products that build one FieldElement each.  The slab enumeration walks
-the basis coordinates level by level, in ranges from one integer
-quadratic form made of the floors its leaf filter takes, in Python
-integers.  Every sign, order and orientation is decided on integer floors
-at 2^b with a proven error, and in Q(r) where that leaves it open: slab
-membership and signs of x(v) on the floors of 2^40 x, orders and hull
-orientations of projected points on the floors and ceilings of 2^20 x,
-2^20 y_sq and 2^20 y that each point keeps.
+eigen_data compiles an operator once, in integers, into tables over the
+power basis 1, r, r^2 of Q(r), from the coefficients of its
+characteristic polynomial (NOTES.md, "Closed forms over Z[r]"): r is
+isolated on (0, 1 + max |c_i|) with no Sturm chain, F = y_sq is a
+closed-form table over Z[r] of the six monomials f_a f_b of the omega rows
+f = (f_0, f_1, f_2), and x is a 3x3 table over one denominator, from the
+adjugate of one integer multiplication matrix.  x(v) and F(v) are integer
+dot products.  Every floor the slab takes goes from those numerators
+through _floor, which needs a FieldElement only where r's interval leaves
+the floor open; a FieldElement is kept only for a value that is compared
+exactly, such as a slab's x(p) and f_max or a PiPoint.  The slab
+enumeration walks the basis coordinates level by level, in ranges from
+one integer quadratic form made of the floors its leaf filter takes, in
+Python integers.  Every sign, order and orientation is decided on
+integer floors at 2^b with a proven error, and in Q(r) where that leaves
+it open: slab membership and signs of x(v) on the floors of 2^40 x,
+orders and hull orientations of projected points on the floors and
+ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x; its window is anchored at the fundamental slab's seed, so it
@@ -52,7 +58,7 @@ from .exact import (
     discriminant,
 )
 from .mdchar import MDForm3, md_form3
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, RealRoot, _horner_interval
 
 # bits of the PiPoint boxes
 _BOX_BITS = 20
@@ -100,12 +106,13 @@ def require_nrs(m: IntMatrix) -> NrsCheck:
 class EigenData3:
     """Exact eigen data of an NRS operator, compiled for x and F.
 
-    The coordinate x is the linear form x_form, the first nonzero row of
-    adj(M - rI) divided once by its first nonzero entry.  The elementary
-    symmetric functions s = c + conj(c) = tr M - r and q = c conj(c) = 1 / r
-    of the complex pair fold the complex coordinate modulus into Q(r): with
-    f = omega_rows v, F(v) = f_0^2 + f_0 f_1 s + f_0 f_2 (s^2 - 2q) + f_1^2
-    q + f_1 f_2 sq + f_2^2 q^2.
+    The characteristic polynomial is p = t^3 + c2 t^2 + c1 t - 1, and r its
+    one real root.  The coordinate x is the linear form x_form, row 0 of
+    adj(M - rI) divided once by its entry at (0, 0).  The elementary
+    symmetric functions s = c + conj(c) = -c2 - r and q = c conj(c) = 1 / r
+    of the complex pair fold the complex coordinate modulus into Q(r):
+    with f = omega_rows v, F(v) = f_0^2 + f_0 f_1 s + f_0 f_2 (s^2 - 2q) +
+    f_1^2 q + f_1 f_2 sq + f_2^2 q^2.
 
     The compiled tables hold the same values as integers over the power
     basis 1, r, r^2, one row per power r^k: x_table[k][j] is the
@@ -113,7 +120,8 @@ class EigenData3:
     coefficient of r^k in x(v) is x_table[k] . v / x_den; f_table[k] holds
     the coefficients of r^k in the six constants 1, s, s^2 - 2q, q, sq, q^2
     (the multipliers of the monomials f_0^2, f_0 f_1, f_0 f_2, f_1^2,
-    f_1 f_2, f_2^2) over the denominator f_den.
+    f_1 f_2, f_2^2), which all lie in Z[r] (NOTES.md, "Closed forms over
+    Z[r]").
     """
 
     matrix: IntMatrix
@@ -123,76 +131,72 @@ class EigenData3:
     r: FieldElement
     x_form: Tuple[FieldElement, FieldElement, FieldElement]
     x_floor: Tuple[int, int, int]  # floor(2^40 x_form[i]), for _x_sign
-    omega_rows: Tuple[Tuple[int, ...], ...]  # 3 integer rows: omega_0/1/2 at a fixed row
+    omega_rows: Tuple[Tuple[int, ...], ...]  # row 0 of omega_0, 1 and 2
     x_table: Tuple[Tuple[int, int, int], ...]
     x_den: int
     f_table: Tuple[Tuple[int, ...], ...]
-    f_den: int
 
 
 def _adjugate_coeffs(m: IntMatrix):
     """Matrix coefficients omega_0,1,2 with adj(M - t I) = sum omega_k t^k.
 
-    By Cayley-Hamilton, omega_0 = M^2 - tr(M) M + c2 I = adj(M),
-    omega_1 = M - tr(M) I and omega_2 = I, with c2 the sum of the
-    principal 2-minors of M.
+    By Cayley-Hamilton, omega_0 = M^2 - tr(M) M + c1 I = adj(M),
+    omega_1 = M - tr(M) I and omega_2 = I, with c1 the sum of the
+    principal 2-minors of M, the coefficient of t in p.
     """
     ident = IntMatrix.identity(3)
     return m.adjugate(), m - ident.scale(m.trace()), ident
 
 
-def _power_table(elems):
-    """(table, den) with den the least common denominator of the field
-    elements and table[k][j] the coefficient of r^k in elems[j] * den."""
-    den = math.lcm(*(f.den for f in elems))
-    return tuple(zip(*(tuple(c * (den // f.den) for c in f.num)
-                       for f in elems))), den
-
-
-def _quadratic(field: NumberField, f_table, f_den: int,
-               f0: int, f1: int, f2: int) -> FieldElement:
-    """F at the omega-row values (f0, f1, f2), from the compiled table."""
+def _quadratic(f_table, f0: int, f1: int, f2: int) -> tuple:
+    """The coefficients of 1, r, r^2 in F at the omega-row values (f0, f1,
+    f2), from the compiled table."""
     mono = (f0 * f0, f0 * f1, f0 * f2, f1 * f1, f1 * f2, f2 * f2)
-    return FieldElement(field, tuple(sum(map(operator.mul, mono, row))
-                                     for row in f_table), f_den)
+    return tuple(sum(map(operator.mul, mono, row)) for row in f_table)
+
+
+def _mult_matrix(b, c1: int, c2: int) -> IntMatrix:
+    """The matrix of multiplication by b_0 + b_1 r + b_2 r^2 on the power
+    basis, reduced by r^3 = 1 - c1 r - c2 r^2."""
+    def times_r(v):
+        return v[2], v[0] - c1 * v[2], v[1] - c2 * v[2]
+    rb = times_r(b)
+    return IntMatrix(zip(b, rb, times_r(rb)))
 
 
 def eigen_data(nrs: NrsCheck) -> EigenData3:
-    """The eigen data of the operator of `nrs`."""
+    """The eigen data of the operator of `nrs`, in integers from the
+    coefficients of p = t^3 + c2 t^2 + c1 t - 1 (NOTES.md, "Closed forms
+    over Z[r]"): r is isolated on (0, 1 + max |c_i|), f_table is the
+    closed form of the six constants, and x_form is row 0 of adj(M - rI)
+    over its entry b(r) at (0, 0), b(t) = t^2 + omega_1[0, 0] t +
+    omega_0[0, 0], through the adjugate of the integer matrix of
+    multiplication by b(r).  b(r) is nonzero, and so is F at row 0's entry
+    (0, 0), |b(c)|^2 at a complex eigenvalue c: b is monic of degree 2,
+    and r and c have degree 3."""
     m, p, md = nrs
-    field = NumberField.for_largest_root(p)
-    r = field.gen()
+    _, c1, c2, _ = p.coeffs
+    field = NumberField(p, RealRoot(p, 0, 1 + max(map(abs, p.coeffs[:-1]))))
     a0, w1, w2 = _adjugate_coeffs(m)
-
-    def b_entry(i, j):
-        return field.element([a0[i, j], w1[i, j], w2[i, j]])
-
-    for i0, j0 in itertools.product(range(3), range(3)):
-        if b_entry(i0, j0).sign() != 0:
-            break
-    else:
-        raise SailError("adjugate vanished at the real eigenvalue")
-    wg_inv = b_entry(i0, j0).inverse()
-    x_form = tuple(b_entry(i0, j) * wg_inv for j in range(3))
-    x_table, x_den = _power_table(x_form)
-
-    s = field.element([m.trace()]) - r
-    q = r.inverse()
-    f_table, f_den = _power_table(
-        (field.one(), s, s * s - 2 * q, q, s * q, q * q))
-
-    # an entry (i, j) of the adjugate that stays nonzero at the complex
-    # eigenvalues: its row gives F
-    for i, j in itertools.product(range(3), range(3)):
-        entry = _quadratic(field, f_table, f_den, a0[i, j], w1[i, j], w2[i, j])
-        if entry.sign() != 0:
-            break
-    else:
-        raise SailError("no usable left eigenvector row for the complex pair")
-    omega_rows = (a0.rows[i], w1.rows[i], w2.rows[i])
-    return EigenData3(m, md, a0, field, r, x_form,
-                      tuple(f.floor(_FILTER_BITS) for f in x_form),
-                      omega_rows, x_table, x_den, f_table, f_den)
+    omega_rows = (a0.rows[0], w1.rows[0], w2.rows[0])
+    # adj(B) = d B^-1, with B the multiplication by b(r) and d = det B, is
+    # the multiplication by d / b(r): applied to the coefficients of row 0,
+    # it gives d times x_form, column by column
+    mult = _mult_matrix((a0[0, 0], w1[0, 0], 1), c1, c2)
+    d = det(mult)
+    rows = (mult.adjugate() * IntMatrix(omega_rows)).rows
+    g = math.gcd(d, *itertools.chain(*rows)) * (1 if d > 0 else -1)
+    x_table, x_den = tuple(tuple(c // g for c in row) for row in rows), d // g
+    x_nums = tuple(zip(*x_table))
+    s2 = c2 * c2
+    f_table = ((1, -c2, s2 - 2 * c1, c1, -c1 * c2 - 1, c1 * c1 + c2),
+               (0, -1, 0, c2, -s2, c1 * c2 + 1),
+               (0, 0, -1, 1, -c2, c1))
+    return EigenData3(m, md, a0, field, field.gen(),
+                      tuple(FieldElement(field, c, x_den) for c in x_nums),
+                      tuple(_floor(field, c, x_den, _FILTER_BITS)
+                            for c in x_nums),
+                      omega_rows, x_table, x_den, f_table)
 
 
 @dataclass(frozen=True)
@@ -215,16 +219,39 @@ class PiPoint:
         return math.isqrt(lo), _sqrt_upper(Fraction(hi)).numerator
 
 
-def _x_coord(e: EigenData3, v: IntVector) -> FieldElement:
+def _floor(field: NumberField, num, den: int, shift: int) -> int:
+    """floor(2^shift (num . (1, r, r^2)) / den), exactly: from the Horner
+    enclosure at r's current interval when both its ends have that floor,
+    else from FieldElement.floor, which refines r."""
+    root = field.root
+    lo, hi = _horner_interval(num, root.a, root.b, root.k)
+    scale = den << (root.k * (len(num) - 1))
+    if shift >= 0:
+        lo, hi = lo << shift, hi << shift
+    else:
+        scale <<= -shift
+    n = lo // scale
+    if hi // scale == n:
+        return n
+    return FieldElement(field, num, den).floor(shift)
+
+
+def _x_num(e: EigenData3, v) -> tuple:
+    """The coefficients of 1, r, r^2 in x(v) times x_den."""
     a, b, c = v[0], v[1], v[2]
-    return FieldElement(e.field, tuple(a * t0 + b * t1 + c * t2
-                                       for t0, t1, t2 in e.x_table), e.x_den)
+    return tuple(a * t0 + b * t1 + c * t2 for t0, t1, t2 in e.x_table)
+
+
+def _x_coord(e: EigenData3, v: IntVector) -> FieldElement:
+    return FieldElement(e.field, _x_num(e, v), e.x_den)
+
+
+def _omega(e: EigenData3, v) -> list:
+    return [w[0] * v[0] + w[1] * v[1] + w[2] * v[2] for w in e.omega_rows]
 
 
 def _y_sq(e: EigenData3, v: IntVector) -> FieldElement:
-    a, b, c = v[0], v[1], v[2]
-    return _quadratic(e.field, e.f_table, e.f_den,
-                      *(w[0] * a + w[1] * b + w[2] * c for w in e.omega_rows))
+    return FieldElement(e.field, _quadratic(e.f_table, *_omega(e, v)))
 
 
 def project_pi(e: EigenData3, v: IntVector) -> PiPoint:
@@ -465,15 +492,22 @@ class Slab:
     logs: Tuple[int, int]
 
 
-def _polar(e: EigenData3, u, v) -> FieldElement:
-    """2 Phi(u, v), Phi the polar form of F, from the compiled table."""
-    (f0, f1, f2), (g0, g1, g2) = (
-        [w[0] * a[0] + w[1] * a[1] + w[2] * a[2] for w in e.omega_rows]
-        for a in (u, v))
-    mono = (2 * f0 * g0, f0 * g1 + f1 * g0, f0 * g2 + f2 * g0, 2 * f1 * g1,
-            f1 * g2 + f2 * g1, 2 * f2 * g2)
-    return FieldElement(e.field, tuple(sum(map(operator.mul, mono, row))
-                                       for row in e.f_table), e.f_den)
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _polar_nums(e: EigenData3, rows) -> List[tuple]:
+    """The coefficients of 1, r, r^2 in 2 Phi(b_k, b_l), Phi the polar form
+    of F, for the rows b and the pairs (k, l) of _PAIRS, from the compiled
+    table."""
+    fs = [_omega(e, b) for b in rows]
+    out = []
+    for k, l in _PAIRS:
+        (f0, f1, f2), (g0, g1, g2) = fs[k], fs[l]
+        mono = (2 * f0 * g0, f0 * g1 + f1 * g0, f0 * g2 + f2 * g0,
+                2 * f1 * g1, f1 * g2 + f2 * g1, 2 * f2 * g2)
+        out.append(tuple(sum(map(operator.mul, mono, row))
+                         for row in e.f_table))
+    return out
 
 
 def _log2_floor(a: FieldElement) -> int:
@@ -484,16 +518,14 @@ def _log2_floor(a: FieldElement) -> int:
     one in O(log shift) floors.  For a > 0 the floor is nonzero once
     2^shift a >= 1, so the loop ends; a <= 0, which the slab's x(p) and
     f_max never are, is Inconclusive."""
-    shift, n = 0, a.floor(0)
-    while n == 0 and not a.is_zero():
+    field, num, den = a.field, a.num, a.den
+    shift, n = 0, _floor(field, num, den, 0)
+    while n == 0 and any(num):
         shift = max(2 * shift, 64)
-        n = a.floor(shift)
+        n = _floor(field, num, den, shift)
     if n <= 0:
         raise Inconclusive("slab metric is not positive definite")
     return n.bit_length() - 1 - shift
-
-
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
@@ -522,14 +554,15 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     # f_max = max(F(p), F(Mp)), as F(Mp) = F(p) / r
     f_max = _y_sq(e, p if (e.r - 1).sign() > 0 else e.matrix * p)
     sx, sf = -_log2_floor(x_p), -_log2_floor(f_max)
-    xs = [_x_coord(e, c) for c in rows]
-    polar = [_polar(e, rows[k], rows[l]) for k, l in _PAIRS]
-    blend = (e.r - 1) * (e.r - 1)
+    field, x_den = e.field, e.x_den
+    xs = [_x_num(e, c) for c in rows]
+    polar = _polar_nums(e, rows)
     bits = 62
     while True:
-        x = [a.floor(sx + bits) for a in xs]
-        b = blend.floor(bits - 3)
-        g = [(x[k] * x[l] + b * a.floor(sf + bits)) >> bits
+        x = [_floor(field, a, x_den, sx + bits) for a in xs]
+        # (r - 1)^2 = 1 - 2 r + r^2
+        b = _floor(field, (1, -2, 1), 1, bits - 3)
+        g = [(x[k] * x[l] + b * _floor(field, a, 1, sf + bits)) >> bits
              for (k, l), a in zip(_PAIRS, polar)]
         try:
             h = _integral_lll([g[0:3], [g[1], g[3], g[4]], [g[2], g[4], g[5]]])
@@ -583,14 +616,15 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
     slab, is missing from the output.
     """
     p, basis, x_p, f_max = slab.seed, slab.basis, slab.x_p, slab.f_max
+    field, x_den = e.field, e.x_den
     mp = e.matrix * p
-    x_mp = _x_coord(e, mp)
     sx, sf = (_FILTER_BITS - k for k in slab.logs)
-    x_lo, x_hi = sorted((x_p.floor(sx), x_mp.floor(sx)))
-    f_hi = f_max.floor(sf)
-    xs = [_x_coord(e, b).floor(sx) for b in basis]
-    p00, p01, p02, p11, p12, p22 = (_polar(e, basis[i], basis[j]).floor(sf - 1)
-                                    for i, j in _PAIRS)
+    x_lo, x_hi = sorted((_floor(field, x_p.num, x_p.den, sx),
+                         _floor(field, _x_num(e, mp), x_den, sx)))
+    f_hi = _floor(field, f_max.num, f_max.den, sf)
+    xs = [_floor(field, _x_num(e, b), x_den, sx) for b in basis]
+    p00, p01, p02, p11, p12, p22 = (_floor(field, a, 1, sf - 1)
+                                    for a in _polar_nums(e, basis))
 
     # A (2 xv - c)^2 + B fv - 3 (8 A + B) |u|^2 - 3 A w^2 as u^T T u
     c, w = x_lo + x_hi + 1, x_hi + 1 - x_lo

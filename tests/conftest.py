@@ -4,7 +4,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from hesslab.exact import IntMatrix, IntVector
+from hesslab.exact import (
+    IntMatrix,
+    IntVector,
+    char_poly,
+    discriminant,
+    factor_small,
+)
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 
 
@@ -13,6 +19,19 @@ def band_cell(m, n):
     1,0,1."""
     t = HessType.parse("<0,1|1,0,2>")
     return family_member(FamilyPoint(t, IntVector((1, 0, 1)), (m, n)))
+
+
+def criterion9_nrs_cells():
+    """The matrices of the NRS cells of the two criterion-9 windows,
+    <0,1|0,0,1> at anchor 1,0,0 and <0,1|1,0,2> at anchor 1,0,1, with m and
+    n in [-20, 20]: 838 cells."""
+    for t, anchor in (("<0,1|0,0,1>", (1, 0, 0)), ("<0,1|1,0,2>", (1, 0, 1))):
+        for mn in ((m, n) for m in range(-20, 21) for n in range(-20, 21)):
+            mat = family_member(FamilyPoint(HessType.parse(t),
+                                            IntVector(anchor), mn))
+            p = char_poly(mat)
+            if len(factor_small(p)) == 1 and discriminant(p) < 0:
+                yield mat
 
 
 def shear(n, i, j, k):

@@ -284,6 +284,14 @@ def test_ray_scan_start_needs_two_entries(start):
         ray_scan(T_212, A_212, start, (-1, 0), 2)
 
 
+def test_ray_scan_rejects_negative_t_max():
+    # t_max = -1 returned an empty ray with no Nonreduced cell
+    with pytest.raises(ExactError, match="t_max must be at least 0, got -1"):
+        ray_scan(T_212, A_212, (0, 6), (-1, 0), -1)
+    entries, _ = ray_scan(T_212, A_212, (0, 6), (-1, 0), 0)
+    assert [k for k, _, _ in entries] == [0]
+
+
 # (type, anchor) of perfect SL(3,Z) families of complexity 1, 2, 4 and 12
 _ORACLE_FAMILIES = (
     (T_FRO, A_FRO),

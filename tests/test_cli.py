@@ -299,6 +299,33 @@ def test_ray_cli(capsys):
     assert len(doc["entries"]) == 5
 
 
+def test_ray_negative_tmax_is_an_input_error(capsys):
+    # an empty ray printed "last nonreduced: None" and exited 0
+    code, out, err = run(["ray", "--type", "<0,1|0,0,1>", "--anchor",
+                          "1,0,0", "--start", "2,2", "--dir", "-1,0",
+                          "--tmax", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert "t_max must be at least 0" in err
+
+
+@pytest.mark.parametrize("matrix, e1, text", [
+    ("5 2; 2 1", "1,0", None),
+    ("0 0 0 -1; 1 0 0 4; 0 1 0 6; 0 0 1 4", "1,0,0,0", None),
+    # the README example, as printed with the fixed default 1,0,0
+    ("2 1 0; 1 1 1; 3 0 2", "1,0,0",
+     "perfect: 0 5 5; 1 0 -2; 0 6 5\nconjugator: 1 2 0; 0 1 1; 0 3 2\n"),
+], ids=["2x2", "4x4", "3x3"])
+def test_reduce_seeds_with_e1_of_the_input_size(matrix, e1, text, capsys):
+    # without --seed, a 2x2 or 4x4 input exited 1 with "seed dimension
+    # mismatch" against the fixed default 1,0,0
+    for argv in ([], ["--json"]):
+        code, out, err = run(["reduce", matrix] + argv, capsys)
+        assert code == 0 and err == ""
+        assert run(["reduce", matrix, "--seed", e1] + argv, capsys) \
+            == (0, out, "")
+    assert text is None or run(["reduce", matrix], capsys) == (0, text, "")
+
+
 def test_verify_dirichlet_cli(capsys):
     code, out, _ = run(["verify-dirichlet", "0 0 1; 1 0 1; 0 1 3",
                         "0 0 1; 1 0 1; 0 1 3"], capsys)

@@ -15,7 +15,7 @@ from hesslab.numberfield import (
     isolate_real_roots,
 )
 from hesslab.reducedness import _sail_minimum
-from hesslab.sail3 import require_nrs
+from hesslab.sail3 import fundamental_window, require_nrs
 
 
 def _field():
@@ -272,7 +272,7 @@ def test_refine_to_cuts_the_bisections_of_a_verdict(monkeypatch):
     calls = _count_bisections(monkeypatch)
     for mat in mats:
         del calls[:]
-        assert _sail_minimum(require_nrs(mat))[0] >= 1
+        assert _sail_minimum(fundamental_window(require_nrs(mat)))[0] >= 1
         assert len(calls) <= 25
 
 

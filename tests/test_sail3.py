@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import band_cell, nonzero_vectors, random_unimodular, small_matrices
+from conftest import (
+    band_cell,
+    criterion9_nrs_cells,
+    nonzero_vectors,
+    random_unimodular,
+    shear,
+    small_matrices,
+)
 from hesslab.exact import (
     IntMatrix,
     IntVector,
@@ -183,6 +190,152 @@ def test_compiled_x_and_f_match_field_formulas(i, v):
     assert _x_coord(e, v) == x and _y_sq(e, v) == y_sq
     p = project_pi(e, v)
     assert p.x == x and p.y_sq == y_sq
+
+
+def _field_tables(m):
+    """eigen_data's tables built in FieldElement arithmetic: r isolated by
+    Sturm sequences, x_form from the first nonzero entry of adj(M - rI) by
+    FieldElement.inverse and products, the six constants of F by products,
+    and each table over the lcm of its elements' denominators.  Returns
+    (x_table, x_den, x_floor, f_table, f_den, omega row index)."""
+    p = char_poly(m)
+    field = NumberField.for_largest_root(p)
+    r = field.gen()
+    w = sail3._adjugate_coeffs(m)
+
+    def entry(i, j):
+        return field.element([c[i, j] for c in w])
+
+    def table(elems):
+        den = math.lcm(*(f.den for f in elems))
+        return tuple(zip(*(tuple(c * (den // f.den) for c in f.num)
+                           for f in elems))), den
+
+    cells = list(itertools.product(range(3), range(3)))
+    i0, j0 = next((i, j) for i, j in cells if entry(i, j).sign() != 0)
+    inv = entry(i0, j0).inverse()
+    x_form = [entry(i0, j) * inv for j in range(3)]
+    s = field.element([m.trace()]) - r
+    q = r.inverse()
+    consts = (field.one(), s, s * s - 2 * q, q, s * q, q * q)
+
+    def f_entry(i, j):
+        # F at the omega values of entry (i, j), mono . consts
+        total = field.zero()
+        for (k, l), c in zip(sail3._PAIRS, consts):
+            total = total + c * (w[k][i, j] * w[l][i, j])
+        return total
+
+    row = next(i for i, j in cells if f_entry(i, j).sign() != 0)
+    return (*table(x_form), tuple(f.floor(40) for f in x_form),
+            *table(consts), row)
+
+
+def _shears_of_m1(power):
+    return [shear(3, i, j, 10 ** power).inverse_unimodular() * M1
+            * shear(3, i, j, 10 ** power)
+            for i, j in itertools.permutations(range(3), 2)]
+
+
+def test_closed_form_tables_match_field_arithmetic():
+    # eigen_data builds its tables in integers: r on (0, 1 + max |c_i|),
+    # the six constants of F in closed form over Z[r], x_form from the
+    # adjugate of a multiplication matrix.  Oracle: the same tables from
+    # Sturm isolation and FieldElement products and inverses, on the 838
+    # criterion-9 NRS cells and the six shears of M1 at 10^40
+    mats = list(criterion9_nrs_cells()) + _shears_of_m1(40)
+    assert len(mats) == 844
+    for m in mats:
+        e = eigen_data(require_nrs(m))
+        x_table, x_den, x_floor, f_table, f_den, row = _field_tables(m)
+        assert (e.x_table, e.x_den, e.x_floor) == (x_table, x_den, x_floor), m
+        assert (e.f_table, f_den) == (f_table, 1), m
+        assert e.omega_rows == tuple(c.rows[row] for c in
+                                     sail3._adjugate_coeffs(m)), m
+
+
+def _near_integer(base, shift, k, above):
+    """(num, den) of a value v with 2^shift v in (k, k + 2^-60) when
+    `above`, else in (k - 2^-60, k): base moved by a dyadic rational, from
+    the floor of 2^(shift + 60) base."""
+    t = shift + 60
+    f = base.floor(t) + (not above)
+    num = (base.num[0] * (1 << t) - (f - (k << 60)) * base.den,
+           base.num[1] << t, base.num[2] << t)
+    return num, base.den << t
+
+
+def test_floor_matches_field_floor(monkeypatch):
+    # sail3._floor takes the Horner enclosure at r's current interval when
+    # both its ends have one floor, and FieldElement.floor otherwise.
+    # Oracle: FieldElement.floor, on seeded numerators, denominators and
+    # shifts, and on values within 2^-60 of an integer, where the enclosure
+    # at eigen_data's refinement straddles the integer and the fallback
+    # must run
+    rng = random.Random(32)
+    mats = [M1, FRO, band_cell(-3, 9), _shears_of_m1(40)[0]]
+    for m in mats:
+        field = eigen_data(require_nrs(m)).field
+        for _ in range(200):
+            num = tuple(rng.randint(-2 ** 200, 2 ** 200) >> rng.randint(0, 200)
+                        for _ in range(3))
+            den = rng.randint(1, 2 ** rng.randint(1, 80))
+            shift = rng.randint(-120, 300)
+            assert sail3._floor(field, num, den, shift) \
+                == FieldElement(field, num, den).floor(shift), (m, num, den)
+    floor = FieldElement.floor
+    fallbacks = []
+
+    def counting_floor(a, shift=0):
+        fallbacks.append(shift)
+        return floor(a, shift)
+
+    near = 0
+    for m in mats:
+        oracle = eigen_data(require_nrs(m)).field
+        for shift in (0, 40, 100):
+            base = FieldElement(oracle, tuple(rng.randint(-2 ** 40, 2 ** 40)
+                                              for _ in range(3)),
+                                rng.randint(1, 2 ** 20))
+            for above in (True, False):
+                k = rng.randint(-2 ** 30, 2 ** 30)
+                num, den = _near_integer(base, shift, k, above)
+                want = k if above else k - 1
+                assert FieldElement(oracle, num, den).floor(shift) == want
+                # r as eigen_data leaves it, not refined by the oracle
+                field = eigen_data(require_nrs(m)).field
+                with monkeypatch.context() as patch:
+                    patch.setattr(FieldElement, "floor", counting_floor)
+                    assert sail3._floor(field, num, den, shift) == want
+                near += 1
+                assert len(fallbacks) == near, (m, shift, above)
+
+
+def test_fundamental_window_takes_no_field_products(monkeypatch):
+    # the sail route compiles its operator in integers: no Sturm isolation
+    # of r and no FieldElement product or inverse, on a band cell with
+    # three slab points
+    import hesslab.exact as exact_mod
+    import hesslab.numberfield as nf_mod
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for attr in ("inverse", "__mul__", "__rmul__"):
+        monkeypatch.setattr(FieldElement, attr,
+                            counting(attr, getattr(FieldElement, attr)))
+    for mod in (nf_mod, exact_mod, sail3):
+        for attr in ("isolate_real_roots", "count_real_roots"):
+            if hasattr(mod, attr):
+                monkeypatch.setattr(mod, attr,
+                                    counting(attr, getattr(mod, attr)))
+    w = fundamental_window(require_nrs(band_cell(-2, 6)))
+    assert len(w.points) == 3
+    assert calls == []
 
 
 def _scaled_y(y_sq_lo, y_sq_hi, k):
@@ -707,16 +860,6 @@ def test_sail_window_when_real_eigenvalue_below_one():
             assert v.x.cmp(e.r * x_p) >= 0 and v.x.cmp(x_p) < 0, mn
 
 
-def _criterion9_nrs_cells():
-    for t, anchor in (("<0,1|0,0,1>", (1, 0, 0)), ("<0,1|1,0,2>", (1, 0, 1))):
-        for mn in ((m, n) for m in range(-20, 21) for n in range(-20, 21)):
-            mat = family_member(FamilyPoint(HessType.parse(t),
-                                            IntVector(anchor), mn))
-            p = char_poly(mat)
-            if len(factor_small(p)) == 1 and discriminant(p) < 0:
-                yield mat
-
-
 def test_content_gate_agrees_with_the_sail(monkeypatch):
     # the verdict skips the sail on the 662 criterion-9 NRS cells where
     # the MD form's content equals the complexity (all 490 Frobenius cells
@@ -731,7 +874,7 @@ def test_content_gate_agrees_with_the_sail(monkeypatch):
 
     monkeypatch.setattr(red_mod, "fundamental_window", counting_window)
     gated = []
-    for m in _criterion9_nrs_cells():
+    for m in criterion9_nrs_cells():
         del calls[:]
         verdict = is_reduced(m, Sail())
         if not calls:
@@ -741,7 +884,8 @@ def test_content_gate_agrees_with_the_sail(monkeypatch):
     assert len(gated) == 662
     assert sum(hessenberg_complexity(m) == 1 for m in gated) == 490
     for m in gated:
-        assert _sail_minimum(require_nrs(m))[0] == hessenberg_complexity(m), str(m)
+        best, _ = _sail_minimum(fundamental_window(require_nrs(m)))
+        assert best == hessenberg_complexity(m), str(m)
 
 
 def _conjugate_of_m1(rng, steps):
@@ -758,7 +902,7 @@ def test_sail_vertices_are_periodic():
     rng = random.Random(8)
     mats = [M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
                         for _ in range(20)]
-    nrs = list(_criterion9_nrs_cells())
+    nrs = list(criterion9_nrs_cells())
     assert len(nrs) == 838
     for m in mats + nrs:
         sail = compute_sail(m)
@@ -802,14 +946,14 @@ def _window_operators():
     rng = random.Random(9)
     return ([M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
                          for _ in range(20)]
-            + list(_criterion9_nrs_cells())[::4])
+            + list(criterion9_nrs_cells())[::4])
 
 
 def test_verdict_minimum_is_the_sails():
     # the verdict's minimum and witnesses over the window's slab points are
     # the MD-minimal sail vertices of the fundamental window, closed
     for m in _window_operators():
-        best, wits = _sail_minimum(require_nrs(m))
+        best, wits = _sail_minimum(fundamental_window(require_nrs(m)))
         sail = compute_sail(m)
         fund = [sail.vertices[i] for i in sail.fundamental]
         vals = [md_characteristic(m, p.preimage) for p in fund]
