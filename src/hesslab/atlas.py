@@ -1,8 +1,9 @@
 """Family-scale experiments: discriminant grids, NRS parabola bounds,
 ray scans, the 4D quartic family, and grid rendering.
 
-A 3x3 family H(Omega) is scanned cell by cell from its invariants:
-reducibility first, then the discriminant sign (RS vs NRS), then a
+A 3x3 family H(Omega) is scanned cell by cell from its invariants, in
+integers: reducibility first, from p(1) and p(-1) of the characteristic
+polynomial, then the sign of its cubic discriminant (RS vs NRS), then a
 reducedness verdict for NRS cells, which builds the cell's matrix only
 where the content of the MD form leaves the verdict open.
 The parabola machinery gives the asymptotic two-parabola picture of the
@@ -11,7 +12,6 @@ NRS region.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -23,6 +23,7 @@ from .exact import (
     IntVector,
     _is_square,
     char_poly,
+    cubic_discriminant,
     discriminant,
     quartic_real_root_count,
 )
@@ -137,17 +138,23 @@ def _classify_cells(t: HessType, anchor, points, strategy,
                     jobs: int = 1) -> List[GridCell]:
     """The family's cells at `points`, in their order, from its invariants
     (NOTES.md, "Atlas cells from the family's invariants"), under
-    `strategy` (Sail when None).  Only the NRS cells that the MD form's
-    content leaves open build a matrix, from the last column that the
-    invariants are made of, and take their verdicts in a pool of at most
-    `jobs` processes."""
+    `strategy` (Sail when None).  A cell that does not reach a sail takes
+    its class from integers alone: the coefficients b = -tr and c2 of its
+    characteristic polynomial, p(1), p(-1) and cubic_discriminant.  Only
+    the NRS cells that the MD form's content leaves open build a matrix,
+    from the last column that the invariants are made of, and take their
+    verdicts in a pool of at most `jobs` processes."""
     if jobs < 1:
         raise ExactError("jobs must be at least 1, got %d" % jobs)
     strategy = strategy or Sail()
-    anchor = IntVector(anchor)
-    FamilyPoint(t, anchor, (0, 0))  # family_member's dimension errors
+    if not isinstance(anchor, IntVector):
+        anchor = IntVector(anchor)
+    if t.n != 3:  # raises FamilyPoint's error for the two parameters
+        FamilyPoint(t, anchor, (0, 0))
     perfect, det = family_info(t, anchor)
     (a11, a21), (a12, a22, a32) = t.columns
+    w1, w2, w3 = anchor.coords
+    tr0, minor0 = a11 + a22, a11 * a22 - a12 * a21
     c = t.complexity()
     sl3 = isinstance(strategy, Sail) and det == 1
     certifies = {}  # (m mod c, n mod c) -> whether the content is c
@@ -161,17 +168,17 @@ def _classify_cells(t: HessType, anchor, points, strategy,
 
     cells, left = [], []
     for m, n in points:
-        v2, v3 = anchor[1] + m * a21 + n * a22, anchor[2] + n * a32
-        c2 = a11 * a22 - a12 * a21 + (a11 + a22) * v3 - a32 * v2
-        p = IntPoly((-det, c2, -(a11 + a22 + v3), 1))
-        if p(1) == 0 or p(-1) == 0:
+        v2, v3 = w2 + m * a21 + n * a22, w3 + n * a32
+        b = -tr0 - v3
+        c2 = minor0 + tr0 * v3 - a32 * v2
+        if 1 + b + c2 - det == 0 or -1 + b - c2 - det == 0:  # p(1), p(-1)
             cells.append(GridCell((m, n), "ReduciblePoly"))
-        elif discriminant(p) > 0:  # nonzero, as p is squarefree
+        elif cubic_discriminant(1, b, c2, -det) > 0:  # p is squarefree
             cells.append(GridCell((m, n), "RS"))
         elif sl3 and perfect and (c == 1 or certified(m, n)):
             cells.append(GridCell((m, n), "NRS_Reduced", _CONTENT_CERTIFIED))
         else:
-            v1 = anchor[0] + m * a11 + n * a12
+            v1 = w1 + m * a11 + n * a12
             cells.append(None)
             left.append(((m, n), IntMatrix(((a11, a12, v1), (a21, a22, v2),
                                             (0, a32, v3))), strategy))
@@ -188,11 +195,18 @@ def _classify_cells(t: HessType, anchor, points, strategy,
 def classify_grid(t: HessType, anchor, m_range, n_range,
                   strategy=None, jobs: int = 1):
     """Classify every cell of the window (_classify_cells); returns (cells,
-    counts) with the cells ordered by (m, n)."""
+    counts) with the cells ordered by (m, n).  A range lo:hi with lo > hi
+    holds no cell and is an ExactError."""
+    for axis, (lo, hi) in (("m", m_range), ("n", n_range)):
+        if lo > hi:
+            raise ExactError("the %s range %d:%d is empty" % (axis, lo, hi))
     points = [(m, n) for m in range(m_range[0], m_range[1] + 1)
               for n in range(n_range[0], n_range[1] + 1)]
     cells = _classify_cells(t, anchor, points, strategy, jobs)
-    return cells, dict(Counter(c.cls for c in cells))
+    counts = {}
+    for cell in cells:
+        counts[cell.cls] = counts.get(cell.cls, 0) + 1
+    return cells, counts
 
 
 def ray_scan(t: HessType, anchor, start, direction, t_max: int,

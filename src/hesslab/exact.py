@@ -346,13 +346,20 @@ def discriminant(p: IntPoly) -> int:
         c, b, a = p.coeffs
         return b * b - 4 * a * c
     if d == 3:
-        e, c, b, a = p.coeffs
-        return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * e
-                - 27 * a * a * e * e + 18 * a * b * c * e)
+        d, c, b, a = p.coeffs
+        return cubic_discriminant(a, b, c, d)
     if d == 4:
         e, d, c, b, a = p.coeffs
         return quartic_discriminant(a, b, c, d, e)
     raise ExactError("discriminant requires degree in 2..4, got %d" % d)
+
+
+def cubic_discriminant(a: int, b: int, c: int, d: int) -> int:
+    """Discriminant of a t^3 + b t^2 + c t + d:
+    b^2 c^2 - 4ac^3 - 4b^3 d - 27a^2 d^2 + 18abcd."""
+    bc = b * c
+    return (bc * (bc + 18 * a * d) - 4 * (a * c * c * c + b * b * b * d)
+            - 27 * a * a * d * d)
 
 
 def quartic_discriminant(a: int, b: int, c: int, d: int, e: int) -> int:

@@ -255,10 +255,13 @@ def family_member(fp: FamilyPoint) -> IntMatrix:
 
 @functools.lru_cache(maxsize=1024)
 def family_info(t: HessType, anchor: IntVector) -> Tuple[bool, int]:
-    """validate_type, checked once per (type, anchor) pair (ExactError when
-    it fails), and (perfect, det) of every member: is_perfect reads only
-    the type columns, and det, linear in the last column and 0 on the type
-    columns, is the anchor member's."""
+    """The anchor's dimension and validate_type, checked once per (type,
+    anchor) pair (ExactError when either fails, with FamilyPoint's message
+    for the first), and (perfect, det) of every member: is_perfect reads
+    only the type columns, and det, linear in the last column and 0 on the
+    type columns, is the anchor member's."""
+    if anchor.n != t.n:
+        raise ExactError("anchor dimension mismatch")
     if not validate_type(t, anchor):
         raise ExactError("type/anchor pair does not give an SL(n,Z) family")
     base = IntMatrix.from_columns(

@@ -25,6 +25,7 @@ from hesslab.exact import (
     IntVector,
     char_poly,
     count_real_roots,
+    cubic_discriminant,
     discriminant,
     factor_small,
 )
@@ -275,6 +276,92 @@ def test_classify_grid_pool_size(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ExactError, match="jobs must be at least 1"):
             classify_grid(T_FRO, A_FRO, (0, 0), (0, 0), jobs=jobs)
+
+
+@pytest.mark.parametrize("m_range, n_range, axis", [
+    ((5, 1), (0, 0), "m 5:1"), ((0, 0), (3, -3), "n 3:-3"),
+    ((2, 1), (1, 0), "m 2:1")])
+def test_classify_grid_rejects_an_empty_range(m_range, n_range, axis):
+    # a reversed range returned ([], {}), which the CLI printed as nothing
+    # and rendered as a 0x0 picture
+    with pytest.raises(ExactError, match="the %s range %s is empty"
+                       % tuple(axis.split())):
+        classify_grid(T_FRO, A_FRO, m_range, n_range)
+    cells, _ = classify_grid(T_FRO, A_FRO, (1, 1), (0, 0))
+    assert [c.params for c in cells] == [(1, 0)]
+
+
+def _frobenius_polynomial_class(mn):
+    """A Frobenius cell's class from its member's polynomial: the family has
+    complexity 1, so the content bound certifies every NRS cell."""
+    p = char_poly(family_member(FamilyPoint(T_FRO, A_FRO, mn)))
+    if len(factor_small(p)) != 1:
+        return "ReduciblePoly"
+    return "RS" if discriminant(p) > 0 else "NRS_Reduced"
+
+
+def test_far_out_frobenius_cells_match_the_polynomial_oracle():
+    # the member at (m, n) has p = t^3 - n t^2 - m t - 1, so p(1) = -m - n
+    # and p(-1) = m - n - 2: the reducible cells lie on n = -m and
+    # n = m - 2.  The NRS cells lie between the parabolas 4m = -n^2 and
+    # 4n = m^2, so half the cells are drawn near them.
+    rng = random.Random(34)
+    big = 10 ** 12
+    cells = [(rng.randint(-big, big), rng.randint(-big, big))
+             for _ in range(1000)]
+    for _ in range(500):
+        n = rng.randint(-1999000, 1999000)
+        m = -(n * n) // 4 + rng.randint(-10 ** 6, 10 ** 6)
+        cells += [(m, n), (n, m)]
+    for _ in range(200):
+        m = rng.randint(-big + 2, big)
+        cells += [(m, -m), (m, m - 2)]
+    assert all(abs(m) <= big and abs(n) <= big for m, n in cells)
+    got = Counter()
+    for mn in cells:
+        (cell,), _ = classify_grid(T_FRO, A_FRO, *[(x, x) for x in mn])
+        assert cell.cls == _frobenius_polynomial_class(mn), mn
+        got[cell.cls] += 1
+        d, c, b, a = char_poly(family_member(FamilyPoint(T_FRO, A_FRO,
+                                                         mn))).coeffs
+        for lead in (a, rng.choice((-3, 2, 7))):
+            assert cubic_discriminant(lead, b, c, d) == (
+                b * b * c * c - 4 * lead * c ** 3 - 4 * b ** 3 * d
+                - 27 * lead * lead * d * d + 18 * lead * b * c * d)
+    assert got["ReduciblePoly"] >= 400 and got["RS"] > 1000 \
+        and got["NRS_Reduced"] > 200, got
+
+
+def test_frobenius_window_builds_no_polynomial(monkeypatch):
+    # cells that reach no sail are classified from integers alone: no
+    # IntPoly, no discriminant of one, and no member or FamilyPoint
+    import sys
+    import hesslab.exact as exact_mod
+    import hesslab.hessenberg as hessenberg_mod
+    from hesslab.hessenberg import family_info
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for cls in (exact_mod.IntPoly, hessenberg_mod.FamilyPoint):
+        monkeypatch.setattr(cls, "__init__",
+                            counting(cls.__name__, cls.__init__))
+    for fn in (exact_mod.discriminant, exact_mod.char_poly,
+               hessenberg_mod.family_member):
+        wrapped = counting(fn.__name__, fn)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hesslab") and \
+                    getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapped)
+    family_info.cache_clear()  # the first window of a pair counts too
+    cells, counts = classify_grid(T_FRO, A_FRO, (-20, 20), (-20, 20))
+    assert len(cells) == 41 * 41 and counts["NRS_Reduced"] > 0
+    assert calls == {}
 
 
 @pytest.mark.parametrize("start", [(0,), (0, 0, 0)])

@@ -210,6 +210,20 @@ def test_criterion9_atlas_json_is_pinned(family, anchor, capsys):
         == _ATLAS_JSON_SHA256[family]
 
 
+# sha256 of `atlas --json` on the 201x201 Frobenius window, as printed
+# when every cell's polynomial was an IntPoly put through discriminant
+_FROBENIUS_201_JSON_SHA256 = \
+    "0980c6601ec4547e53cbd3697eb2b672087c0b67857d88851acde7cef9e9c32e"
+
+
+def test_frobenius_201_atlas_json_is_pinned(capsys):
+    code, out, _ = run(["atlas", "--type", "<0,1|0,0,1>", "--anchor", "1,0,0",
+                        "--range=-100:100,-100:100", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == _FROBENIUS_201_JSON_SHA256
+
+
 # sha256 of `atlas4 --bound 15 --json`, as printed when every cell was
 # classified from its polynomial by factor_small and the discriminant
 _ATLAS4_BOUND15_JSON_SHA256 = \
@@ -288,6 +302,23 @@ def test_atlas_out_and_json_files(tmp_path, capsys):
     assert ppm.read_bytes().startswith(b"P3\n3 3\n255\n")
     doc = json.loads(js.read_text())
     assert len(doc["cells"]) == 9
+
+
+@pytest.mark.parametrize("output", ["text", "json", "grid.ppm", "grid.svg",
+                                    "grid.json"])
+def test_atlas_reversed_range_is_an_input_error(output, tmp_path, capsys):
+    # a reversed range exited 0 with no counts, "cells": [] or a 0x0
+    # picture
+    argv = ["atlas", "--type", "<0,1|0,0,1>", "--anchor", "1,0,0",
+            "--range", "5:1,0:0"]
+    path = tmp_path / output
+    argv += {"text": [], "json": ["--json"]}.get(
+        output, ["--json" if output.endswith(".json") else "--out",
+                 str(path)])
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == "error: the m range 5:1 is empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ray_cli(capsys):
