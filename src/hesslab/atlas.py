@@ -129,24 +129,23 @@ _CONTENT_CERTIFIED = ReducedVerdict("Reduced", certificate="SailCertified")
 
 def _matrix_cell(args) -> GridCell:
     """An NRS cell classified from its matrix by is_reduced."""
-    mn, matrix, strategy = args
-    verdict = is_reduced(matrix, strategy)
+    mn, matrix = args
+    verdict = is_reduced(matrix, Sail())
     return GridCell(mn, _NRS_CLASS[verdict.status], verdict)
 
 
-def _classify_cells(t: HessType, anchor, points, strategy,
+def _classify_cells(t: HessType, anchor, points,
                     jobs: int = 1) -> List[GridCell]:
     """The family's cells at `points`, in their order, from its invariants
-    (NOTES.md, "Atlas cells from the family's invariants"), under
-    `strategy` (Sail when None).  A cell that does not reach a sail takes
-    its class from integers alone: the coefficients b = -tr and c2 of its
-    characteristic polynomial, p(1), p(-1) and cubic_discriminant.  Only
-    the NRS cells that the MD form's content leaves open build a matrix,
-    from the last column that the invariants are made of, and take their
-    verdicts in a pool of at most `jobs` processes."""
+    (NOTES.md, "Atlas cells from the family's invariants").  A cell that
+    does not reach a sail takes its class from integers alone: the
+    coefficients b = -tr and c2 of its characteristic polynomial, p(1),
+    p(-1) and cubic_discriminant.  Only the NRS cells that the MD form's
+    content leaves open build a matrix, from the last column that the
+    invariants are made of, and take their Sail verdicts in a pool of at
+    most `jobs` processes."""
     if jobs < 1:
         raise ExactError("jobs must be at least 1, got %d" % jobs)
-    strategy = strategy or Sail()
     if not isinstance(anchor, IntVector):
         anchor = IntVector(anchor)
     if t.n != 3:  # raises FamilyPoint's error for the two parameters
@@ -156,7 +155,6 @@ def _classify_cells(t: HessType, anchor, points, strategy,
     w1, w2, w3 = anchor.coords
     tr0, minor0 = a11 + a22, a11 * a22 - a12 * a21
     c = t.complexity()
-    sl3 = isinstance(strategy, Sail) and det == 1
     certifies = {}  # (m mod c, n mod c) -> whether the content is c
 
     def certified(m, n):
@@ -175,13 +173,13 @@ def _classify_cells(t: HessType, anchor, points, strategy,
             cells.append(GridCell((m, n), "ReduciblePoly"))
         elif cubic_discriminant(1, b, c2, -det) > 0:  # p is squarefree
             cells.append(GridCell((m, n), "RS"))
-        elif sl3 and perfect and (c == 1 or certified(m, n)):
+        elif det == 1 and perfect and (c == 1 or certified(m, n)):
             cells.append(GridCell((m, n), "NRS_Reduced", _CONTENT_CERTIFIED))
         else:
             v1 = w1 + m * a11 + n * a12
             cells.append(None)
             left.append(((m, n), IntMatrix(((a11, a12, v1), (a21, a22, v2),
-                                            (0, a32, v3))), strategy))
+                                            (0, a32, v3)))))
     workers = min(jobs, len(left))
     if workers > 1:
         import multiprocessing
@@ -192,8 +190,7 @@ def _classify_cells(t: HessType, anchor, points, strategy,
     return [cell or next(done) for cell in cells]
 
 
-def classify_grid(t: HessType, anchor, m_range, n_range,
-                  strategy=None, jobs: int = 1):
+def classify_grid(t: HessType, anchor, m_range, n_range, jobs: int = 1):
     """Classify every cell of the window (_classify_cells); returns (cells,
     counts) with the cells ordered by (m, n).  A range lo:hi with lo > hi
     holds no cell and is an ExactError."""
@@ -202,15 +199,14 @@ def classify_grid(t: HessType, anchor, m_range, n_range,
             raise ExactError("the %s range %d:%d is empty" % (axis, lo, hi))
     points = [(m, n) for m in range(m_range[0], m_range[1] + 1)
               for n in range(n_range[0], n_range[1] + 1)]
-    cells = _classify_cells(t, anchor, points, strategy, jobs)
+    cells = _classify_cells(t, anchor, points, jobs)
     counts = {}
     for cell in cells:
         counts[cell.cls] = counts.get(cell.cls, 0) + 1
     return cells, counts
 
 
-def ray_scan(t: HessType, anchor, start, direction, t_max: int,
-             strategy=None):
+def ray_scan(t: HessType, anchor, start, direction, t_max: int):
     """Verdicts along the ray start + t*direction, t = 0..t_max.
 
     Returns (entries, last_nonreduced) where entries are
@@ -226,7 +222,7 @@ def ray_scan(t: HessType, anchor, start, direction, t_max: int,
         raise ExactError("ray direction must be (-1,0) or (a11,a21)")
     points = [(start[0] + k * direction[0], start[1] + k * direction[1])
               for k in range(t_max + 1)]
-    cells = _classify_cells(t, anchor, points, strategy)
+    cells = _classify_cells(t, anchor, points)
     entries = [(k, cell.cls, cell.verdict) for k, cell in enumerate(cells)]
     return entries, max((k for k, cls, _ in entries
                          if cls == "NRS_Nonreduced"), default=None)

@@ -62,12 +62,6 @@ def _scan_bound(args) -> int:
     return args.bound
 
 
-def _strategy(args):
-    if args.strategy == "bounded":
-        return Bounded(_scan_bound(args))
-    return Sail()
-
-
 def _cmd_reduce(args):
     m = parse_matrix(args.matrix)
     if args.seed is None:  # e1, of the matrix's size
@@ -112,7 +106,8 @@ def _cmd_minimize(args):
 
 def _cmd_verdict(args):
     m = parse_matrix(args.matrix)
-    verdict = is_reduced(m, _strategy(args))
+    verdict = is_reduced(m, Bounded(_scan_bound(args))
+                         if args.strategy == "bounded" else Sail())
     _emit(args, verdict.to_json(), _verdict_text(verdict))
     return 2 if verdict.status == "Inconclusive" else 0
 
@@ -183,7 +178,7 @@ def _cmd_atlas(args):
     anchor = tuple(parse_vector(args.anchor))
     m_range, n_range = _parse_range(args.range)
     cells, counts = atlas_mod.classify_grid(
-        t, anchor, m_range, n_range, _strategy(args), jobs=args.jobs)
+        t, anchor, m_range, n_range, jobs=args.jobs)
     if args.out:
         fmt = "SVG" if args.out.lower().endswith(".svg") else "PPM"
         with open(args.out, "wb") as fh:
@@ -211,7 +206,7 @@ def _emit_atlas(args, data):
     and its class counts as text otherwise."""
     if args.json and args.json is not True:
         with open(args.json, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
+            fh.write(json.dumps(data, sort_keys=True))
         args = argparse.Namespace(**{**vars(args), "json": False})
     _emit(args, data, "\n".join(
         "%s %d" % (k, v) for k, v in sorted(data["counts"].items())))
@@ -223,8 +218,7 @@ def _cmd_ray(args):
     anchor = tuple(parse_vector(args.anchor))
     start = tuple(parse_vector(args.start))
     direction = tuple(parse_vector(args.dir))
-    entries, last = atlas_mod.ray_scan(
-        t, anchor, start, direction, args.tmax, _strategy(args))
+    entries, last = atlas_mod.ray_scan(t, anchor, start, direction, args.tmax)
     data = {"last_nonreduced": last,
             "entries": [{"t": k, "class": cls,
                          "verdict": v.to_json() if v else None}
@@ -293,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", required=True)
     p.add_argument("--range", default="-20:20,-20:20",
                    help="m and n windows, default -20:20,-20:20")
-    p.add_argument("--strategy", choices=("sail", "bounded"), default="sail")
-    p.add_argument("--bound", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write a PPM/SVG rendering here")
     p = add("atlas4", _cmd_atlas4, json_path=True,
@@ -306,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--dir", required=True)
     p.add_argument("--tmax", type=int, default=30)
-    p.add_argument("--strategy", choices=("sail", "bounded"), default="sail")
-    p.add_argument("--bound", type=int)
     p = add("verify-dirichlet", _cmd_verify_dirichlet,
             help="Dirichlet group membership check")
     p.add_argument("matrix")

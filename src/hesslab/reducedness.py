@@ -12,10 +12,12 @@ fill the closed window of the slab's seed, which meets the orbit of every
 sail vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
 minimum.  The fingerprint needs every minimiser, not the minimum alone,
 so it always takes that route, behind the same require_nrs, and reduces
-one minimiser per M-orbit.  The Bounded strategy is a box scan in Python
-integers: it finds the exact minimum over the box (or raises ExactError
-when the MD characteristic vanishes on all of it), but a minimum over a
-box is only ever a heuristic certificate.
+one minimiser per M-orbit.  The Bounded strategy is the box scan of
+`verdict --strategy bounded` and `minimize`, in Python integers, and the
+only verdict for RS and n != 3 input: it finds the exact minimum over the
+box (or raises ExactError when the MD characteristic vanishes on all of
+it), but a minimum over a box is only ever a heuristic certificate.  The
+family scans of the atlas module take the Sail strategy alone.
 """
 
 from __future__ import annotations

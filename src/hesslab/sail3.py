@@ -355,24 +355,22 @@ class SailData:
         out = []
         fund = set(self.fundamental)
         for i, p in enumerate(self.vertices):
-            # bounds at 2^-40 <= 10^-12
-            x_lo, x_hi = (Fraction(b, 1 << 40) for b in p.x.bounds(40))
-            ysq_lo, ysq_hi = (Fraction(b, 1 << 40) for b in p.y_sq.bounds(40))
-            y_lo = _sqrt_lower(max(ysq_lo, Fraction(0)))
-            y_hi = _sqrt_upper(max(ysq_hi, Fraction(0)))
+            # 10^9 x lies in [x_lo, x_hi] and 10^18 y_sq in [f, c], c <= f + 1,
+            # so 10^9 y lies in [isqrt(f), isqrt(f) + 1], and is isqrt(f)
+            # when f = c is a square
+            x_lo, x_hi = (p.x * 10 ** 9).bounds()
+            f, c = (p.y_sq * 10 ** 18).bounds()
+            y_lo = math.isqrt(f)
+            y_hi = y_lo + (f != c or y_lo * y_lo != f)
             out.append({
                 "preimage": list(p.preimage),
-                "x": [_dec(x_lo), _dec(x_hi)],
-                "y": [_dec(y_lo), _dec(y_hi)],
+                "x": [_dec(Fraction(x_lo, 10 ** 9)),
+                      _dec(Fraction(x_hi, 10 ** 9))],
+                "y": [_dec(Fraction(y_lo, 10 ** 9)),
+                      _dec(Fraction(y_hi, 10 ** 9))],
                 "is_fundamental": i in fund,
             })
         return out
-
-
-def _sqrt_lower(x: Fraction) -> Fraction:
-    """floor(sqrt(n d)) / d <= sqrt(x) for x = n / d >= 0."""
-    n, d = x.numerator, x.denominator
-    return Fraction(math.isqrt(n * d), d)
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:

@@ -31,7 +31,7 @@ from hesslab.exact import (
 )
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 from hesslab.mdchar import md_form3
-from hesslab.reducedness import Bounded, Sail, is_reduced
+from hesslab.reducedness import Sail, is_reduced
 from hesslab.sail3 import SailError
 
 T_FRO = HessType.parse("<0,1|0,0,1>")
@@ -388,7 +388,7 @@ _ORACLE_FAMILIES = (
 )
 
 
-def _matrix_route(t, anchor, mn, strategy):
+def _matrix_route(t, anchor, mn):
     """A cell as the public API classifies it from the member's matrix."""
     mat = family_member(FamilyPoint(t, anchor, mn))
     p = char_poly(mat)
@@ -396,7 +396,7 @@ def _matrix_route(t, anchor, mn, strategy):
         return GridCell(mn, "ReduciblePoly")
     if discriminant(p) > 0:
         return GridCell(mn, "RS")
-    v = is_reduced(mat, strategy)
+    v = is_reduced(mat, Sail())
     cls = {"Reduced": "NRS_Reduced",
            "Nonreduced": "NRS_Nonreduced"}.get(v.status, "NRS_Unknown")
     return GridCell(mn, cls, v)
@@ -408,8 +408,8 @@ def _content(t, anchor, mn):
     return math.gcd(*md_form3(mat).coeffs)
 
 
-def _oracle_grid(t, anchor, lo, hi, strategy):
-    return [_matrix_route(t, anchor, (m, n), strategy)
+def _oracle_grid(t, anchor, lo, hi):
+    return [_matrix_route(t, anchor, (m, n))
             for m in range(lo, hi + 1) for n in range(lo, hi + 1)]
 
 
@@ -417,15 +417,15 @@ def _oracle_grid(t, anchor, lo, hi, strategy):
                          ids=lambda x: str(x))
 def test_invariant_route_matches_the_matrix_route(t, anchor):
     cells, counts = classify_grid(t, anchor, (-6, 6), (-6, 6))
-    assert cells == _oracle_grid(t, anchor, -6, 6, Sail())
+    assert cells == _oracle_grid(t, anchor, -6, 6)
     assert {"ReduciblePoly", "RS", "NRS_Reduced"} <= set(counts)
     assert classify_grid(t, anchor, (-6, 6), (-6, 6), jobs=2) \
         == (cells, counts)
     for start, direction in (((0, 0), (-1, 0)), ((2, -3), t.columns[0])):
         entries, last = ray_scan(t, anchor, start, direction, 12)
         want = [_matrix_route(t, anchor, (start[0] + k * direction[0],
-                                          start[1] + k * direction[1]),
-                              Sail()) for k in range(13)]
+                                          start[1] + k * direction[1]))
+                for k in range(13)]
         assert entries == [(k, c.cls, c.verdict) for k, c in enumerate(want)]
         nonreduced = [k for k, c in enumerate(want)
                       if c.cls == "NRS_Nonreduced"]
@@ -434,27 +434,25 @@ def test_invariant_route_matches_the_matrix_route(t, anchor):
 
 def test_invariant_route_keeps_the_matrix_route_errors():
     # det -1: the Sail verdict of an NRS cell raises the SL(3,Z) SailError,
-    # even where the MD form's content is the complexity; the Bounded scan
-    # classifies every cell
+    # even where the MD form's content is the complexity
     anchor = IntVector((-1, 0, -1))
-    nrs = next(c.params for c in _oracle_grid(T_212, anchor, -3, 3,
-                                              Bounded(2))
-               if c.cls.startswith("NRS")
-               and _content(T_212, anchor, c.params) == 2)
+
+    def is_nrs(mn):
+        p = char_poly(family_member(FamilyPoint(T_212, anchor, mn)))
+        return len(factor_small(p)) == 1 and discriminant(p) < 0
+
+    nrs = next((m, n) for m in range(-3, 4) for n in range(-3, 4)
+               if is_nrs((m, n)) and _content(T_212, anchor, (m, n)) == 2)
     one = [(x, x) for x in nrs]
-    for route in (lambda: _matrix_route(T_212, anchor, nrs, Sail()),
+    for route in (lambda: _matrix_route(T_212, anchor, nrs),
                   lambda: classify_grid(T_212, anchor, *one),
                   lambda: ray_scan(T_212, anchor, nrs, (-1, 0), 0)):
         with pytest.raises(SailError, match=r"not in SL\(3,Z\)"):
             route()
-    cells, _ = classify_grid(T_212, anchor, (-3, 3), (-3, 3), Bounded(2))
-    assert cells == _oracle_grid(T_212, anchor, -3, 3, Bounded(2))
     # a non-perfect type (a11 = a21) raises where its first NRS cell does
     t = HessType.parse("<1,1|0,0,1>")
-    for route in (lambda: _oracle_grid(t, A_FRO, -3, 3, Sail()),
-                  lambda: classify_grid(t, A_FRO, (-3, 3), (-3, 3)),
-                  lambda: classify_grid(t, A_FRO, (-3, 3), (-3, 3),
-                                        Bounded(2))):
+    for route in (lambda: _oracle_grid(t, A_FRO, -3, 3),
+                  lambda: classify_grid(t, A_FRO, (-3, 3), (-3, 3))):
         with pytest.raises(ExactError,
                            match="not a perfect Hessenberg matrix"):
             route()

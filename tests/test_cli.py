@@ -96,16 +96,24 @@ def test_fingerprint(capsys):
     assert len(doc["matrices"]) == 2
 
 
-# (preimage, x, y, is_fundamental) of M1's sail; the printed enclosures are
-# FieldElement.bounds at 2^-40 <= 10^-12, rounded to nine decimals
+# (preimage, x, y, is_fundamental) of M1's sail; the printed intervals
+# enclose x and y, with ends at 10^-9 (an x that is an integer is printed
+# as a point)
 _M1_SAIL = (
-    ((0, -5, 3), "0.191282440", "5.131338958", False),
-    ((-1, 2, -1), "0.678862991", "2.723812375", False),
-    ((1, 0, 0), "1.000000000", "2.244234607", True),
-    ((0, -1, 1), "3.549008421", "1.191282440", True),
-    ((0, 1, 0), "5.227871412", "0.981535037", False),
-    ((1, 0, 2), "18.553759666", "0.521017477", False),
-    ((1, 0, 3), "27.330639500", "0.429282672", False),
+    ((0, -5, 3), ("0.191282440", "0.191282441"),
+     ("5.131338957", "5.131338958"), False),
+    ((-1, 2, -1), ("0.678862990", "0.678862991"),
+     ("2.723812374", "2.723812375"), False),
+    ((1, 0, 0), ("1.000000000", "1.000000000"),
+     ("2.244234607", "2.244234608"), True),
+    ((0, -1, 1), ("3.549008421", "3.549008422"),
+     ("1.191282440", "1.191282441"), True),
+    ((0, 1, 0), ("5.227871411", "5.227871412"),
+     ("0.981535036", "0.981535037"), False),
+    ((1, 0, 2), ("18.553759666", "18.553759667"),
+     ("0.521017477", "0.521017478"), False),
+    ((1, 0, 3), ("27.330639499", "27.330639500"),
+     ("0.429282671", "0.429282672"), False),
 )
 
 
@@ -114,8 +122,8 @@ def test_sail_and_fingerprint_json_golden(capsys):
     assert code == 0
     assert out == "[%s]\n" % ", ".join(
         '{"is_fundamental": %s, "preimage": [%s], "x": ["%s", "%s"], '
-        '"y": ["%s", "%s"]}' % ("true" if fund else "false",
-                                ", ".join(map(str, v)), x, x, y, y)
+        '"y": ["%s", "%s"]}' % (("true" if fund else "false",
+                                 ", ".join(map(str, v))) + x + y)
         for v, x, y, fund in _M1_SAIL)
     code, out, _ = run(["fingerprint", "0 1 2; 1 0 0; 0 3 5", "--json"],
                        capsys)
@@ -302,6 +310,11 @@ def test_atlas_out_and_json_files(tmp_path, capsys):
     assert ppm.read_bytes().startswith(b"P3\n3 3\n255\n")
     doc = json.loads(js.read_text())
     assert len(doc["cells"]) == 9
+    # the file holds what a bare --json prints, without the newline
+    code, out, _ = run(["atlas", "--type", "<0,1|0,0,1>", "--anchor", "1,0,0",
+                        "--range", "-1:1,-1:1", "--json"], capsys)
+    assert code == 0
+    assert js.read_bytes() + b"\n" == out.encode()
 
 
 @pytest.mark.parametrize("output", ["text", "json", "grid.ppm", "grid.svg",
@@ -319,6 +332,36 @@ def test_atlas_reversed_range_is_an_input_error(output, tmp_path, capsys):
     assert code == 1 and out == ""
     assert err == "error: the m range 5:1 is empty\n"
     assert list(tmp_path.iterdir()) == []
+
+
+_ATLAS = ["atlas", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1",
+          "--range", "0:0,0:0"]
+_RAY = ["ray", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1", "--start", "0,0",
+        "--dir", "-1,0", "--tmax", "1"]
+
+
+@pytest.mark.parametrize("scan", [_ATLAS, _RAY], ids=["atlas", "ray"])
+@pytest.mark.parametrize("flags", [["--strategy", "sail"],
+                                   ["--strategy", "bounded"],
+                                   ["--bound", "3"]])
+def test_family_scans_take_no_strategy(scan, flags, capsys):
+    # a family scan has one route, the certified one: the box scan's bound
+    # belongs to minimize and verdict --strategy bounded
+    code, out, _ = run(scan + flags, capsys)
+    assert code == 1 and out == ""
+    code, out, _ = run(scan, capsys)
+    assert code == 0 and out
+
+
+def test_family_scan_options_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {name: {a.dest for a in sub.choices[name]._actions}
+             for name in ("atlas", "ray")}
+    assert dests == {
+        "atlas": {"help", "json", "type", "anchor", "range", "jobs", "out"},
+        "ray": {"help", "json", "type", "anchor", "start", "dir", "tmax"},
+    }
 
 
 def test_ray_cli(capsys):

@@ -620,8 +620,7 @@ def test_sail_vertices_sorted_and_consistent():
         assert any(e["is_fundamental"] for e in dump)
         for entry in dump:
             assert float(entry["x"][0]) <= float(entry["x"][1])
-            # the 1e-12 enclosure of y_sq gives a y enclosure no wider
-            # than the last printed digit
+            # the y enclosure is no wider than the last printed digit
             y_lo, y_hi = (Fraction(t) for t in entry["y"])
             assert 0 <= y_hi - y_lo <= Fraction(1, 10 ** 9), (m, entry)
 
@@ -893,6 +892,30 @@ def _conjugate_of_m1(rng, steps):
     if det(u) != 1:
         u = u * IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     return u.inverse_unimodular() * M1 * u
+
+
+def test_sail_intervals_enclose_the_values():
+    # the printed x and y intervals contain the exact values, whose bounds
+    # at 2^-60 they must enclose, and are at most 10^-9 wide; they were
+    # both ends rounded to nine decimals, [a, a], which missed every x
+    # that is not an integer
+    rng = random.Random(12)
+    mats = [M1, FRO, parse_matrix("0 2 3; 1 1 1; 0 3 4")] \
+        + [_conjugate_of_m1(rng, rng.randint(4, 16)) for _ in range(20)]
+    one = 1 << 60
+    for m in mats:
+        sail = compute_sail(m)
+        for p, entry in zip(sail.vertices, sail.to_json()):
+            assert entry["preimage"] == list(p.preimage)
+            x_lo, x_hi = (Fraction(t) for t in entry["x"])
+            y_lo, y_hi = (Fraction(t) for t in entry["y"])
+            lo, hi = p.x.bounds(60)
+            assert x_lo * one <= lo <= hi <= x_hi * one, (str(m), entry)
+            lo, hi = p.y_sq.bounds(60)
+            assert 0 <= y_lo and y_lo * y_lo * one <= lo, (str(m), entry)
+            assert hi <= y_hi * y_hi * one, (str(m), entry)
+            for a, b in ((x_lo, x_hi), (y_lo, y_hi)):
+                assert 0 <= b - a <= Fraction(1, 10 ** 9), (str(m), entry)
 
 
 def test_sail_vertices_are_periodic():
