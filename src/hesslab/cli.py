@@ -106,8 +106,14 @@ def _cmd_minimize(args):
 
 def _cmd_verdict(args):
     m = parse_matrix(args.matrix)
-    verdict = is_reduced(m, Bounded(_scan_bound(args))
-                         if args.strategy == "bounded" else Sail())
+    if args.strategy == "bounded":
+        strategy = Bounded(_scan_bound(args))
+    elif args.bound is not None:
+        # the sail route takes no bound: ignoring it would read as a box scan
+        raise ExactError("--bound needs --strategy bounded")
+    else:
+        strategy = Sail()
+    verdict = is_reduced(m, strategy)
     _emit(args, verdict.to_json(), _verdict_text(verdict))
     return 2 if verdict.status == "Inconclusive" else 0
 

@@ -11,6 +11,7 @@ implements that basis construction.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -185,27 +186,34 @@ def reduce_to_perfect(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatr
     # cols[j] is column j of C; inv[i] is row i of C^-1
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
     inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    mul = operator.mul
 
     def add_col(dst, src, q):
-        # c_dst += q c_src; C^-1 row src -= q row dst; y_src -= q y_dst
+        # c_dst += q c_src; C^-1 row src -= q row dst
         cols[dst] = [a + q * b for a, b in zip(cols[dst], cols[src])]
         inv[src] = [a - q * b for a, b in zip(inv[src], inv[dst])]
 
     for k in range(n):
         t = list(seed) if k == 0 else [
-            sum(a * b for a, b in zip(row, cols[k - 1])) for row in m.rows]
-        y = [sum(a * b for a, b in zip(row, t)) for row in inv]
+            sum(map(mul, row, cols[k - 1])) for row in m.rows]
+        y = [sum(map(mul, row, t)) for row in inv]
         while True:
-            nonzero = [j for j in range(k, n) if y[j]]
+            # the first of the least nonzero |y_j|, j >= k, in one pass
+            p, least, nonzero = k, 0, 0
+            for j in range(k, n):
+                a = abs(y[j])
+                if a:
+                    nonzero += 1
+                    if not least or a < least:
+                        p, least = j, a
             if not nonzero:
                 raise ReductionError(
                     "flag degenerated at step %d: characteristic polynomial reducible" % k)
-            p = min(nonzero, key=lambda j: abs(y[j]))
             if p != k:
                 cols[k], cols[p] = cols[p], cols[k]
                 inv[k], inv[p] = inv[p], inv[k]
                 y[k], y[p] = y[p], y[k]
-            if len(nonzero) == 1:
+            if nonzero == 1:
                 break
             for j in range(k + 1, n):
                 q = y[j] // y[k]
@@ -220,12 +228,12 @@ def reduce_to_perfect(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatr
             q = y[i] // d
             if q:
                 add_col(k, i, q)
+        # the flag columns 0..k stay fixed from here: their norms once
+        norms = [sum(map(mul, c, c)) for c in cols[:k + 1]]
         for j in range(k + 1, n):
             for i in range(k, -1, -1):
-                ci = cols[i]
-                norm = sum(a * a for a in ci)
-                dot = sum(a * b for a, b in zip(cols[j], ci))
-                q = (2 * dot + norm) // (2 * norm)
+                q = (2 * sum(map(mul, cols[j], cols[i])) + norms[i]) \
+                    // (2 * norms[i])
                 if q:
                     add_col(j, i, -q)
 

@@ -10,21 +10,24 @@ under positive axis scalings, so the scale never matters).
 eigen_data compiles an operator once, in integers, into tables over the
 power basis 1, r, r^2 of Q(r), from the coefficients of its
 characteristic polynomial (NOTES.md, "Closed forms over Z[r]"): r is
-isolated on (0, 1 + max |c_i|) with no Sturm chain, F = y_sq is a
-closed-form table over Z[r] of the six monomials f_a f_b of the omega rows
-f = (f_0, f_1, f_2), and x is a 3x3 table over one denominator, from the
-adjugate of one integer multiplication matrix.  x(v) and F(v) are integer
-dot products.  Every floor the slab takes goes from those numerators
-through _floor, which needs a FieldElement only where r's interval leaves
-the floor open; a FieldElement is kept only for a value that is compared
-exactly, such as a slab's x(p) and f_max or a PiPoint.  The slab
-enumeration walks the basis coordinates level by level, in ranges from
-one integer quadratic form made of the floors its leaf filter takes, in
-Python integers.  Every sign, order and orientation is decided on
-integer floors at 2^b with a proven error, and in Q(r) where that leaves
-it open: slab membership and signs of x(v) on the floors of 2^40 x,
-orders and hull orientations of projected points on the floors and
-ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
+isolated on (0, 1 + max |c_i|) with no Sturm chain, x is a 3x3 table over
+one denominator, from the adjugate of one integer multiplication matrix,
+and F = y_sq is three symmetric integer matrices Q_k, the polar-Gram
+tables, with F(v) = v^T Q_k v / 2 in the power r^k.  x(v) and F(v) are
+integer dot products, and the polar Gram matrix of any basis is one
+congruence of each Q_k.  Every floor the slab takes goes from those
+numerators through _floor, in straight-line integers, which needs a
+FieldElement only where r's interval leaves the floor open; a slab keeps
+x(p) and f_max as numerators, and a FieldElement is built only for a
+value that is compared exactly, such as a PiPoint or a slab leaf the
+integer filter leaves open.  The slab enumeration walks the basis
+coordinates level by level, in ranges from one integer quadratic form
+made of the floors its leaf filter takes, in Python integers.  Every
+sign, order and orientation is decided on integer floors at 2^b with a
+proven error, and in Q(r) where that leaves it open: slab membership and
+signs of x(v) on the floors of 2^40 x, orders and hull orientations of
+projected points on the floors and ceilings of 2^20 x, 2^20 y_sq and
+2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x; its window is anchored at the fundamental slab's seed, so it
@@ -52,13 +55,14 @@ from .exact import (
     IntMatrix,
     IntPoly,
     IntVector,
+    _matrix,
     char_poly,
     count_real_roots,
     det,
     discriminant,
 )
 from .mdchar import MDForm3, md_form3
-from .numberfield import FieldElement, NumberField, RealRoot, _horner_interval
+from .numberfield import FieldElement, NumberField, RealRoot
 
 # bits of the PiPoint boxes
 _BOX_BITS = 20
@@ -107,34 +111,45 @@ class EigenData3:
     """Exact eigen data of an NRS operator, compiled for x and F.
 
     The characteristic polynomial is p = t^3 + c2 t^2 + c1 t - 1, and r its
-    one real root.  The coordinate x is the linear form x_form, row 0 of
-    adj(M - rI) divided once by its entry at (0, 0).  The elementary
-    symmetric functions s = c + conj(c) = -c2 - r and q = c conj(c) = 1 / r
-    of the complex pair fold the complex coordinate modulus into Q(r):
-    with f = omega_rows v, F(v) = f_0^2 + f_0 f_1 s + f_0 f_2 (s^2 - 2q) +
-    f_1^2 q + f_1 f_2 sq + f_2^2 q^2.
+    one real root; expands is r > 1, which holds exactly when p(1) = c1 +
+    c2 < 0, as p is monic with one real root.  The coordinate x is the
+    linear form x_form, row 0 of adj(M - rI) divided once by its entry at
+    (0, 0).  The elementary symmetric functions s = c + conj(c) = -c2 - r
+    and q = c conj(c) = 1 / r of the complex pair fold the complex
+    coordinate modulus into Q(r): with f = W v, W the omega rows (row 0 of
+    omega_0, 1 and 2), F(v) = f_0^2 + f_0 f_1 s + f_0 f_2 (s^2 - 2q) + f_1^2
+    q + f_1 f_2 sq + f_2^2 q^2 = f^T S f.
 
     The compiled tables hold the same values as integers over the power
-    basis 1, r, r^2, one row per power r^k: x_table[k][j] is the
+    basis 1, r, r^2, one entry per power r^k: x_table[k][j] is the
     coefficient of r^k in x_form[j] over the denominator x_den, so the
-    coefficient of r^k in x(v) is x_table[k] . v / x_den; f_table[k] holds
-    the coefficients of r^k in the six constants 1, s, s^2 - 2q, q, sq, q^2
-    (the multipliers of the monomials f_0^2, f_0 f_1, f_0 f_2, f_1^2,
-    f_1 f_2, f_2^2), which all lie in Z[r] (NOTES.md, "Closed forms over
-    Z[r]").
+    coefficient of r^k in x(v) is x_table[k] . v / x_den; q_table[k] is the
+    symmetric integer matrix Q_k = W^T (2 S_k) W, 2 S_k the coefficient of
+    r^k in 2S, so Q_k[i][j] is the coefficient of r^k in 2 Phi(e_i, e_j),
+    Phi the polar form of F.  Its diagonal is even, and the coefficient of
+    r^k in F(v) is v^T Q_k v / 2 (NOTES.md, "Closed forms over Z[r]").
     """
 
     matrix: IntMatrix
     md: MDForm3  # fundamental_slab compares seeds by |md|
     inverse: IntMatrix  # adj(M), as det M = 1
     field: NumberField
-    r: FieldElement
-    x_form: Tuple[FieldElement, FieldElement, FieldElement]
+    expands: bool  # r > 1: M expands x
     x_floor: Tuple[int, int, int]  # floor(2^40 x_form[i]), for _x_sign
-    omega_rows: Tuple[Tuple[int, ...], ...]  # row 0 of omega_0, 1 and 2
     x_table: Tuple[Tuple[int, int, int], ...]
     x_den: int
-    f_table: Tuple[Tuple[int, ...], ...]
+    q_table: Tuple[Tuple[Tuple[int, int, int], ...], ...]
+
+    # the sail route reads the tables; these field elements are built
+    # only where they are asked for
+    @property
+    def r(self) -> FieldElement:
+        return self.field.gen()
+
+    @property
+    def x_form(self) -> Tuple[FieldElement, FieldElement, FieldElement]:
+        return tuple(FieldElement(self.field, c, self.x_den)
+                     for c in zip(*self.x_table))
 
 
 def _adjugate_coeffs(m: IntMatrix):
@@ -148,11 +163,28 @@ def _adjugate_coeffs(m: IntMatrix):
     return m.adjugate(), m - ident.scale(m.trace()), ident
 
 
-def _quadratic(f_table, f0: int, f1: int, f2: int) -> tuple:
-    """The coefficients of 1, r, r^2 in F at the omega-row values (f0, f1,
-    f2), from the compiled table."""
-    mono = (f0 * f0, f0 * f1, f0 * f2, f1 * f1, f1 * f2, f2 * f2)
-    return tuple(sum(map(operator.mul, mono, row)) for row in f_table)
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _congruence(rows, q) -> tuple:
+    """The entries (k, l) of _PAIRS of rows q rows^T, for the symmetric 3x3
+    integer matrix q and three integer rows."""
+    (q00, q01, q02), (_, q11, q12), (_, _, q22) = q
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    qa0 = q00 * a0 + q01 * a1 + q02 * a2
+    qa1 = q01 * a0 + q11 * a1 + q12 * a2
+    qa2 = q02 * a0 + q12 * a1 + q22 * a2
+    qb0 = q00 * b0 + q01 * b1 + q02 * b2
+    qb1 = q01 * b0 + q11 * b1 + q12 * b2
+    qb2 = q02 * b0 + q12 * b1 + q22 * b2
+    return (a0 * qa0 + a1 * qa1 + a2 * qa2,
+            b0 * qa0 + b1 * qa1 + b2 * qa2,
+            c0 * qa0 + c1 * qa1 + c2 * qa2,
+            b0 * qb0 + b1 * qb1 + b2 * qb2,
+            c0 * qb0 + c1 * qb1 + c2 * qb2,
+            (c0 * (q00 * c0 + 2 * (q01 * c1 + q02 * c2))
+             + c1 * (q11 * c1 + 2 * q12 * c2) + q22 * c2 * c2))
 
 
 def _mult_matrix(b, c1: int, c2: int) -> IntMatrix:
@@ -161,19 +193,19 @@ def _mult_matrix(b, c1: int, c2: int) -> IntMatrix:
     def times_r(v):
         return v[2], v[0] - c1 * v[2], v[1] - c2 * v[2]
     rb = times_r(b)
-    return IntMatrix(zip(b, rb, times_r(rb)))
+    return _matrix(tuple(zip(b, rb, times_r(rb))))
 
 
 def eigen_data(nrs: NrsCheck) -> EigenData3:
     """The eigen data of the operator of `nrs`, in integers from the
     coefficients of p = t^3 + c2 t^2 + c1 t - 1 (NOTES.md, "Closed forms
-    over Z[r]"): r is isolated on (0, 1 + max |c_i|), f_table is the
-    closed form of the six constants, and x_form is row 0 of adj(M - rI)
-    over its entry b(r) at (0, 0), b(t) = t^2 + omega_1[0, 0] t +
-    omega_0[0, 0], through the adjugate of the integer matrix of
-    multiplication by b(r).  b(r) is nonzero, and so is F at row 0's entry
-    (0, 0), |b(c)|^2 at a complex eigenvalue c: b is monic of degree 2,
-    and r and c have degree 3."""
+    over Z[r]"): r is isolated on (0, 1 + max |c_i|), expands is p(1) < 0,
+    q_table is W^T (2 S_k) W over the closed forms of the six constants,
+    and x_form is row 0 of adj(M - rI) over its entry b(r) at (0, 0), b(t)
+    = t^2 + omega_1[0, 0] t + omega_0[0, 0], through the adjugate of the
+    integer matrix of multiplication by b(r).  b(r) is nonzero, and so is
+    F at row 0's entry (0, 0), |b(c)|^2 at a complex eigenvalue c: b is
+    monic of degree 2, and r and c have degree 3."""
     m, p, md = nrs
     _, c1, c2, _ = p.coeffs
     field = NumberField(p, RealRoot(p, 0, 1 + max(map(abs, p.coeffs[:-1]))))
@@ -184,19 +216,24 @@ def eigen_data(nrs: NrsCheck) -> EigenData3:
     # it gives d times x_form, column by column
     mult = _mult_matrix((a0[0, 0], w1[0, 0], 1), c1, c2)
     d = det(mult)
-    rows = (mult.adjugate() * IntMatrix(omega_rows)).rows
+    rows = (mult.adjugate() * _matrix(omega_rows)).rows
     g = math.gcd(d, *itertools.chain(*rows)) * (1 if d > 0 else -1)
     x_table, x_den = tuple(tuple(c // g for c in row) for row in rows), d // g
-    x_nums = tuple(zip(*x_table))
-    s2 = c2 * c2
-    f_table = ((1, -c2, s2 - 2 * c1, c1, -c1 * c2 - 1, c1 * c1 + c2),
-               (0, -1, 0, c2, -s2, c1 * c2 + 1),
-               (0, 0, -1, 1, -c2, c1))
-    return EigenData3(m, md, a0, field, field.gen(),
-                      tuple(FieldElement(field, c, x_den) for c in x_nums),
+    # 2 S_k, from the coefficients of r^k in the six constants 1, s,
+    # s^2 - 2q, q, sq, q^2: the diagonal doubles 1, q and q^2
+    s2, sq = c2 * c2 - 2 * c1, -c1 * c2 - 1
+    two_s = (((2, -c2, s2), (-c2, 2 * c1, sq), (s2, sq, 2 * (c1 * c1 + c2))),
+             ((0, -1, 0), (-1, 2 * c2, -c2 * c2), (0, -c2 * c2, -2 * sq)),
+             ((0, 0, -1), (0, 2, -c2), (-1, -c2, 2 * c1)))
+    cols = tuple(zip(*omega_rows))
+    q_table = []
+    for s in two_s:
+        q00, q01, q02, q11, q12, q22 = _congruence(cols, s)
+        q_table.append(((q00, q01, q02), (q01, q11, q12), (q02, q12, q22)))
+    return EigenData3(m, md, a0, field, c1 + c2 < 0,
                       tuple(_floor(field, c, x_den, _FILTER_BITS)
-                            for c in x_nums),
-                      omega_rows, x_table, x_den, f_table)
+                            for c in zip(*x_table)),
+                      x_table, x_den, tuple(q_table))
 
 
 @dataclass(frozen=True)
@@ -221,11 +258,22 @@ class PiPoint:
 
 def _floor(field: NumberField, num, den: int, shift: int) -> int:
     """floor(2^shift (num . (1, r, r^2)) / den), exactly: from the Horner
-    enclosure at r's current interval when both its ends have that floor,
-    else from FieldElement.floor, which refines r."""
+    enclosure at r's current interval (a, b) / 2^k when both its ends have
+    that floor, else from FieldElement.floor, which refines r.  The
+    interval lies in (0, B), so a >= 0, and each Horner step multiplies a
+    lower bound by a where it is >= 0 and by b where it is < 0, an upper
+    bound the other way round."""
     root = field.root
-    lo, hi = _horner_interval(num, root.a, root.b, root.k)
-    scale = den << (root.k * (len(num) - 1))
+    a, b, k = root.a, root.b, root.k
+    c0, c1, c2 = num
+    # 2^2k times the value lies in [lo, hi]
+    c1 <<= k
+    lo = c2 * (a if c2 >= 0 else b) + c1
+    hi = c2 * (b if c2 >= 0 else a) + c1
+    c0 <<= 2 * k
+    lo = lo * (a if lo >= 0 else b) + c0
+    hi = hi * (b if hi >= 0 else a) + c0
+    scale = den << 2 * k
     if shift >= 0:
         lo, hi = lo << shift, hi << shift
     else:
@@ -246,12 +294,18 @@ def _x_coord(e: EigenData3, v: IntVector) -> FieldElement:
     return FieldElement(e.field, _x_num(e, v), e.x_den)
 
 
-def _omega(e: EigenData3, v) -> list:
-    return [w[0] * v[0] + w[1] * v[1] + w[2] * v[2] for w in e.omega_rows]
+def _f_num(e: EigenData3, v) -> tuple:
+    """The coefficients of 1, r, r^2 in F(v): v^T Q_k v / 2, exactly, as
+    every Q_k has an even diagonal."""
+    a, b, c = v[0], v[1], v[2]
+    return tuple(((q00 * a + 2 * (q01 * b + q02 * c)) * a
+                  + (q11 * b + 2 * q12 * c) * b + q22 * c * c) >> 1
+                 for (q00, q01, q02), (_, q11, q12), (_, _, q22)
+                 in e.q_table)
 
 
 def _y_sq(e: EigenData3, v: IntVector) -> FieldElement:
-    return FieldElement(e.field, _quadratic(e.f_table, *_omega(e, v)))
+    return FieldElement(e.field, _f_num(e, v))
 
 
 def project_pi(e: EigenData3, v: IntVector) -> PiPoint:
@@ -414,109 +468,100 @@ def _integral_lll(gram):
     the integer Gram matrix `gram` (3x3).
 
     Cohen's all-integer form (A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i rows
-    and lam[k][j] = d[j+1] * mu_kj, so every quantity is an integer and
-    every division exact.  A Gram determinant d[i] <= 0 means `gram` is
-    not positive definite, where the swaps need not terminate; it raises
-    Inconclusive.
+    Theory, Alg. 2.6.7), step for step, with the basis rows b_i, the Gram
+    determinants d_i of the first i rows and lam_kj = d_(j+1) mu_kj in
+    local variables: every quantity is an integer and every division
+    exact.  A Gram determinant d_i <= 0 means `gram` is not positive
+    definite, where the swaps need not terminate; it raises Inconclusive.
     """
-    b = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    lam = [[0] * 3 for _ in range(3)]
-    d = [1, 0, 0, 0]
-
-    def dot(u, v):
-        return sum(ui * (row[0] * v[0] + row[1] * v[1] + row[2] * v[2])
-                   for ui, row in zip(u, gram))
-
-    def gram_schmidt(k):
-        for j in range(k + 1):
-            u = dot(b[k], b[j])
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            elif u <= 0:
-                raise Inconclusive("slab metric is not positive definite")
-            else:
-                d[k + 1] = u
-
-    def size_reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap(k):
-        b[k - 1], b[k] = b[k], b[k - 1]
-        for j in range(k - 1):
-            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
-        mu = lam[k][k - 1]
-        new = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
-        for i in range(k + 1, k_max + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
-            lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k + 1]
-        d[k] = new
-
-    gram_schmidt(0)
-    k, k_max = 1, 0
-    while k < 3:
-        if k > k_max:
-            k_max = k
-            gram_schmidt(k)
-        size_reduce(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
-            swap(k)
-            k = max(k - 1, 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
-            k += 1
-    return b
+    (g00, _, _), (g10, g11, _), (g20, g21, g22) = gram
+    # the Gram-Schmidt steps of rows 0 and 1, still e_0 and e_1 (d_0 = 1)
+    if g00 <= 0:
+        raise Inconclusive("slab metric is not positive definite")
+    d1, l10 = g00, g10
+    d2 = g00 * g11 - g10 * g10
+    if d2 <= 0:
+        raise Inconclusive("slab metric is not positive definite")
+    b0, b1, b2 = _IDENTITY
+    d3 = l20 = l21 = 0
+    k, k_max = 1, 1
+    while True:
+        if k == 1:
+            if 2 * abs(l10) > d1:
+                q = (2 * l10 + d1) // (2 * d1)
+                b1 = (b1[0] - q * b0[0], b1[1] - q * b0[1], b1[2] - q * b0[2])
+                l10 -= q * d1
+            if 4 * d2 < 3 * d1 * d1 - 4 * l10 * l10:
+                # swap rows 0 and 1
+                b0, b1 = b1, b0
+                new = (d2 + l10 * l10) // d1
+                if k_max == 2:
+                    t = l21
+                    l21 = (d2 * l20 - l10 * t) // d1
+                    l20 = (new * t + l10 * l21) // d2
+                d1 = new
+                continue
+            if k_max == 1:
+                # the Gram-Schmidt step of row 2, still e_2, so that
+                # b_2 G v = g_2 . v
+                k_max = 2
+                l20 = g20 * b0[0] + g21 * b0[1] + g22 * b0[2]
+                l21 = (d1 * (g20 * b1[0] + g21 * b1[1] + g22 * b1[2])
+                       - l20 * l10)
+                d3 = (d2 * (d1 * g22 - l20 * l20) - l21 * l21) // d1
+                if d3 <= 0:
+                    raise Inconclusive("slab metric is not positive definite")
+            k = 2
+        if 2 * abs(l21) > d2:
+            q = (2 * l21 + d2) // (2 * d2)
+            b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1], b2[2] - q * b1[2])
+            l21 -= q * d2
+            l20 -= q * l10
+        if 4 * d3 * d1 < 3 * d2 * d2 - 4 * l21 * l21:
+            # swap rows 1 and 2
+            b1, b2 = b2, b1
+            l10, l20 = l20, l10
+            d2 = (d1 * d3 + l21 * l21) // d2
+            k = 1
+            continue
+        if 2 * abs(l20) > d1:
+            q = (2 * l20 + d1) // (2 * d1)
+            b2 = (b2[0] - q * b0[0], b2[1] - q * b0[1], b2[2] - q * b0[2])
+        return b0, b1, b2
 
 
 @dataclass(frozen=True)
 class Slab:
     """The slab {x between x(p) and x(Mp), F <= f_max = max(F(p), F(Mp))}
     of a seed p, with an integral-LLL basis (rows of a unimodular matrix),
-    x(p), f_max and the floors of their log2."""
+    x(p) and f_max as numerators over Z[r] (the coefficients of 1, r, r^2;
+    x(p) over the operator's x_den, f_max over 1) and the floors of their
+    log2."""
 
     seed: IntVector
     basis: Tuple[Tuple[int, int, int], ...]
-    x_p: FieldElement
-    f_max: FieldElement
+    x_p: Tuple[int, int, int]
+    f_max: Tuple[int, int, int]
     logs: Tuple[int, int]
-
-
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def _polar_nums(e: EigenData3, rows) -> List[tuple]:
     """The coefficients of 1, r, r^2 in 2 Phi(b_k, b_l), Phi the polar form
-    of F, for the rows b and the pairs (k, l) of _PAIRS, from the compiled
-    table."""
-    fs = [_omega(e, b) for b in rows]
-    out = []
-    for k, l in _PAIRS:
-        (f0, f1, f2), (g0, g1, g2) = fs[k], fs[l]
-        mono = (2 * f0 * g0, f0 * g1 + f1 * g0, f0 * g2 + f2 * g0,
-                2 * f1 * g1, f1 * g2 + f2 * g1, 2 * f2 * g2)
-        out.append(tuple(sum(map(operator.mul, mono, row))
-                         for row in e.f_table))
-    return out
+    of F, for the rows b and the pairs (k, l) of _PAIRS: the entries of
+    the congruences b Q_k b^T, read off Q_k itself for the identity rows."""
+    if rows == _IDENTITY:
+        return [tuple(q[k][l] for q in e.q_table) for k, l in _PAIRS]
+    return list(zip(*(_congruence(rows, q) for q in e.q_table)))
 
 
-def _log2_floor(a: FieldElement) -> int:
-    """floor(log2 a), exactly, from the first nonzero floor n of 2^shift a,
-    shift = 0, 64, 128, 256, ...  A floor n >= 1 puts 2^shift a in [n,
-    n + 1), which lies in [2^k, 2^(k+1)) for k = n.bit_length() - 1, so
-    the answer is k minus the shift at any such shift; doubling reaches
-    one in O(log shift) floors.  For a > 0 the floor is nonzero once
-    2^shift a >= 1, so the loop ends; a <= 0, which the slab's x(p) and
-    f_max never are, is Inconclusive."""
-    field, num, den = a.field, a.num, a.den
+def _log2_floor(field: NumberField, num, den: int) -> int:
+    """floor(log2 a), exactly, for a = num . (1, r, r^2) / den, from the
+    first nonzero floor n of 2^shift a, shift = 0, 64, 128, 256, ...  A
+    floor n >= 1 puts 2^shift a in [n, n + 1), which lies in [2^k,
+    2^(k+1)) for k = n.bit_length() - 1, so the answer is k minus the shift
+    at any such shift; doubling reaches one in O(log shift) floors.  For
+    a > 0 the floor is nonzero once 2^shift a >= 1, so the loop ends; a <=
+    0, which the slab's x(p) and f_max never are, is Inconclusive."""
     shift, n = 0, _floor(field, num, den, 0)
     while n == 0 and any(num):
         shift = max(2 * shift, 64)
@@ -545,14 +590,14 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     eigen_data's checks make their kernels meet only in 0 (NOTES.md, "The
     slab metric is positive definite").
     """
-    x_p = _x_coord(e, p)
-    if x_p.sign() <= 0:
+    if _x_sign(e, p) <= 0:
         raise SailError("slab seed must have positive x coordinate")
-    rows = tuple(map(tuple, start or IntMatrix.identity(3).rows))
-    # f_max = max(F(p), F(Mp)), as F(Mp) = F(p) / r
-    f_max = _y_sq(e, p if (e.r - 1).sign() > 0 else e.matrix * p)
-    sx, sf = -_log2_floor(x_p), -_log2_floor(f_max)
+    rows = start or _IDENTITY
     field, x_den = e.field, e.x_den
+    x_p = _x_num(e, p)
+    # f_max = max(F(p), F(Mp)), as F(Mp) = F(p) / r
+    f_max = _f_num(e, p if e.expands else e.matrix * p)
+    sx, sf = -_log2_floor(field, x_p, x_den), -_log2_floor(field, f_max, 1)
     xs = [_x_num(e, c) for c in rows]
     polar = _polar_nums(e, rows)
     bits = 62
@@ -560,15 +605,19 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
         x = [_floor(field, a, x_den, sx + bits) for a in xs]
         # (r - 1)^2 = 1 - 2 r + r^2
         b = _floor(field, (1, -2, 1), 1, bits - 3)
-        g = [(x[k] * x[l] + b * _floor(field, a, 1, sf + bits)) >> bits
-             for (k, l), a in zip(_PAIRS, polar)]
+        g00, g01, g02, g11, g12, g22 = [
+            (x[k] * x[l] + b * _floor(field, a, 1, sf + bits)) >> bits
+            for (k, l), a in zip(_PAIRS, polar)]
         try:
-            h = _integral_lll([g[0:3], [g[1], g[3], g[4]], [g[2], g[4], g[5]]])
-            return Slab(p, tuple(tuple(sum(map(operator.mul, hk, col))
-                                       for col in zip(*rows)) for hk in h),
-                        x_p, f_max, (-sx, -sf))
+            h = _integral_lll(((g00, g01, g02), (g01, g11, g12),
+                               (g02, g12, g22)))
         except Inconclusive:
             bits *= 2
+            continue
+        if rows is not _IDENTITY:
+            h = tuple(tuple(sum(map(operator.mul, hk, col))
+                            for col in zip(*rows)) for hk in h)
+        return Slab(p, h, x_p, f_max, (-sx, -sf))
 
 
 def _span(alpha: int, beta: int, gamma: int) -> range:
@@ -584,16 +633,6 @@ def _span(alpha: int, beta: int, gamma: int) -> range:
         return range(0)
     s = math.isqrt(d)
     return range(-((beta + s) // alpha), (s - beta) // alpha + 1)
-
-
-def _eliminate(t, k: int):
-    """The fraction-free Schur complement of t at the pivot t[k][k]: t_kk
-    t_ij - t_ik t_kj over the indices other than k.  When t_kk > 0, for
-    fixed other coordinates, the minimum over real u_k of the form u^T t u
-    is that complement's value divided by t_kk."""
-    keep = [i for i in range(len(t)) if i != k]
-    return [[t[k][k] * t[i][j] - t[i][k] * t[k][j] for j in keep]
-            for i in keep]
 
 
 def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
@@ -617,26 +656,40 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
     field, x_den = e.field, e.x_den
     mp = e.matrix * p
     sx, sf = (_FILTER_BITS - k for k in slab.logs)
-    x_lo, x_hi = sorted((_floor(field, x_p.num, x_p.den, sx),
+    x_lo, x_hi = sorted((_floor(field, x_p, x_den, sx),
                          _floor(field, _x_num(e, mp), x_den, sx)))
-    f_hi = _floor(field, f_max.num, f_max.den, sf)
-    xs = [_floor(field, _x_num(e, b), x_den, sx) for b in basis]
+    f_hi = _floor(field, f_max, 1, sf)
+    x0, x1, x2 = (_floor(field, _x_num(e, b), x_den, sx) for b in basis)
     p00, p01, p02, p11, p12, p22 = (_floor(field, a, 1, sf - 1)
                                     for a in _polar_nums(e, basis))
 
     # A (2 xv - c)^2 + B fv - 3 (8 A + B) |u|^2 - 3 A w^2 as u^T T u
     c, w = x_lo + x_hi + 1, x_hi + 1 - x_lo
     a, b = f_hi + 1, w * w
-    pm = ((p00, p01, p02), (p01, p11, p12), (p02, p12, p22))
-    t = [[4 * a * xs[i] * xs[j] + b * pm[i][j] - 3 * (8 * a + b) * (i == j)
-          for j in range(3)] + [-2 * a * c * xs[i]] for i in range(3)]
-    t.append([row[3] for row in t] + [a * (c * c - 3 * w * w)])
-    t1 = _eliminate(t, 2)   # on (u0, u1, 1)
-    t0 = _eliminate(t1, 1)  # on (u0, 1)
-    if min(t[2][2], t1[1][1], t0[0][0]) <= 0:
+    a4, diag, ac = 4 * a, 3 * (8 * a + b), -2 * a * c
+    t00 = a4 * x0 * x0 + b * p00 - diag
+    t01 = a4 * x0 * x1 + b * p01
+    t02 = a4 * x0 * x2 + b * p02
+    t11 = a4 * x1 * x1 + b * p11 - diag
+    t12 = a4 * x1 * x2 + b * p12
+    t22 = a4 * x2 * x2 + b * p22 - diag
+    t03, t13, t23 = ac * x0, ac * x1, ac * x2
+    t33 = a * (c * c - 3 * w * w)
+    # the fraction-free Schur complements t_kk t_ij - t_ik t_kj of T at
+    # t22, on (u0, u1, 1), and of that at s11, on (u0, 1): when the pivot
+    # is positive, the least value of the form over real u_k, the other
+    # coordinates fixed, is the complement's value over the pivot
+    s00 = t22 * t00 - t02 * t02
+    s01 = t22 * t01 - t02 * t12
+    s03 = t22 * t03 - t02 * t23
+    s11 = t22 * t11 - t12 * t12
+    s13 = t22 * t13 - t12 * t23
+    s33 = t22 * t33 - t23 * t23
+    r00 = s11 * s00 - s01 * s01
+    r03 = s11 * s03 - s01 * s13
+    r33 = s11 * s33 - s13 * s13
+    if min(t22, s11, r00) <= 0:
         raise Inconclusive("slab form is not positive definite")
-    (t00, t01, t02, t03), (_, t11, t12, t13), (_, _, t22, t23) = t[:3]
-    t33 = t[3][3]
     nodes = 0
 
     def level(alpha, beta, gamma):
@@ -648,12 +701,10 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
                                % NODE_BUDGET)
         return span
 
-    x0, x1, x2 = xs
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = basis
     out = []
-    for u0 in level(t0[0][0], t0[0][1], t0[1][1]):
-        for u1 in level(t1[1][1], t1[1][0] * u0 + t1[1][2],
-                        (t1[0][0] * u0 + 2 * t1[0][2]) * u0 + t1[2][2]):
+    for u0 in level(r00, r03, r33):
+        for u1 in level(s11, s01 * u0 + s13, (s00 * u0 + 2 * s03) * u0 + s33):
             xa, na = u0 * x0 + u1 * x1, abs(u0) + abs(u1)
             fa = (u0 * p00 + 2 * u1 * p01) * u0 + u1 * u1 * p11
             fl = 2 * (u0 * p02 + u1 * p12)
@@ -667,11 +718,15 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
                 v = IntVector((u0 * b00 + u1 * b10 + u2 * b20,
                                u0 * b01 + u1 * b11 + u2 * b21,
                                u0 * b02 + u1 * b12 + u2 * b22))
-                if (xv - n > x_lo and xv + n < x_hi and fv + n * n < f_hi
-                        or v == p or v == mp
-                        or (_x_sign(e, v - p) * _x_sign(e, mp - v) >= 0
-                            and _y_sq(e, v).cmp(f_max) <= 0)):
-                    out.append(v)
+                if not (xv - n > x_lo and xv + n < x_hi and fv + n * n < f_hi
+                        or v == p or v == mp):
+                    # the leaf the filter leaves open, decided in Q(r)
+                    if _x_sign(e, v - p) * _x_sign(e, mp - v) < 0:
+                        continue
+                    d = tuple(map(operator.sub, _f_num(e, v), f_max))
+                    if FieldElement(field, d).sign() > 0:
+                        continue
+                out.append(v)
     for end in {p, mp} - set(out):
         raise Inconclusive("slab enumeration lost its end %s" % (tuple(end),))
     return out
@@ -738,7 +793,7 @@ def fundamental_window(nrs: NrsCheck) -> FundamentalWindow:
     m = nrs.matrix
     slab = fundamental_slab(e)
     points = gamma0_slab_points(e, slab)
-    if (e.r - 1).sign() > 0:
+    if e.expands:
         return FundamentalWindow(e, m, e.inverse, slab.seed, points)
     return FundamentalWindow(e, e.inverse, m, m * slab.seed, points)
 

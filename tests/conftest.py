@@ -49,6 +49,15 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
     return m
 
 
+def pin_conjugates():
+    """40 seeded conjugates u^-1 M1 u, u from random_unimodular, M1 = 0 1 2;
+    1 0 0; 0 3 5: the inputs of the output pins."""
+    m1 = IntMatrix([[0, 1, 2], [1, 0, 0], [0, 3, 5]])
+    rng = random.Random(32)
+    return [u.inverse_unimodular() * m1 * u
+            for u in (random_unimodular(rng, 3) for _ in range(40))]
+
+
 def continuant_matrix(entries):
     """prod R^a L^b ... for the even period (a1, ..., a2k)."""
     r = IntMatrix([[1, 1], [0, 1]])

@@ -288,6 +288,28 @@ def test_bounded_scan_needs_a_bound(capsys):
     assert json.loads(out)["bound"] == 4
 
 
+def test_verdict_bound_needs_the_bounded_strategy(capsys):
+    # the sail route takes no bound: `--bound` without `--strategy bounded`
+    # printed the Sail verdict and exited 0, as if a box scan had run
+    m1 = "0 1 2; 1 0 0; 0 3 5"
+    for argv in (["verdict", m1, "--bound", "3"],
+                 ["verdict", m1, "--strategy", "sail", "--bound", "3"],
+                 ["verdict", m1, "--bound", "3", "--json"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: --bound needs --strategy bounded\n"
+    # the bounded scan and minimize keep their output
+    code, out, _ = run(["verdict", m1, "--strategy", "bounded", "--bound", "3",
+                        "--json"], capsys)
+    assert code == 0
+    assert out == ('{"certificate": {"bound": 3, "kind": "BoundChecked"}, '
+                   '"status": "Reduced"}\n')
+    code, out, _ = run(["minimize", m1, "--bound", "3"], capsys)
+    assert code == 0
+    assert out == ("min 3 within bound 3 at (0, 1, -1), (0, 1, 0), (1, -2, 1),"
+                   " (1, 0, 0), (1, 0, 2), (1, 0, 3), (2, 3, -2)\n")
+
+
 def test_atlas4_bound_zero_and_negative(capsys):
     # --bound 0 is the one-cell cube, not the default bound 15
     code, out, _ = run(["atlas4", "--bound", "0", "--json"], capsys)

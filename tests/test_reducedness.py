@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import band_cell, criterion9_nrs_cells, random_unimodular, shear
+from conftest import (
+    band_cell,
+    criterion9_nrs_cells,
+    pin_conjugates,
+    random_unimodular,
+    shear,
+)
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, parse_matrix
 from hesslab.hessenberg import (
     FamilyPoint,
@@ -298,15 +304,8 @@ def test_fingerprint_conjugation_invariant(seed):
     assert [str(x) for x in fp.matrices] == [str(x) for x in ref.matrices]
 
 
-def _pin_conjugates():
-    """40 seeded conjugates u^-1 M1 u, u from random_unimodular."""
-    rng = random.Random(32)
-    return [u.inverse_unimodular() * M1 * u
-            for u in (random_unimodular(rng, 3) for _ in range(40))]
-
-
 # sha256 of the JSON lines of is_reduced(m, Sail()) on the 838 criterion-9
-# NRS cells, then of fingerprint on _pin_conjugates, as printed by the
+# NRS cells, then of fingerprint on pin_conjugates, as printed by the
 # field-arithmetic eigen_data that the integer tables replaced
 _OUTPUT_PIN = \
     "25c2ee4d833528658ce81e24c564c6570629d0e1baec1e010e2f47c971b8eb46"
@@ -317,7 +316,7 @@ def test_verdicts_and_fingerprints_are_pinned():
              for m in criterion9_nrs_cells()]
     assert len(lines) == 838
     lines += [json.dumps(fingerprint(m).to_json(), sort_keys=True)
-              for m in _pin_conjugates()]
+              for m in pin_conjugates()]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _OUTPUT_PIN
 
@@ -334,7 +333,7 @@ def test_fingerprint_reduces_once_per_orbit(monkeypatch):
         return reduce(m, seed)
 
     monkeypatch.setattr(red_mod, "reduce_to_perfect", counting_reduce)
-    for m in [M1] + _pin_conjugates():
+    for m in [M1] + pin_conjugates():
         del calls[:]
         fp = fingerprint(m)
         assert len(fp.matrices) == 2 and len(calls) == 2, m

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import math
 import operator
 import random
@@ -15,6 +17,7 @@ from conftest import (
     band_cell,
     criterion9_nrs_cells,
     nonzero_vectors,
+    pin_conjugates,
     random_unimodular,
     shear,
     small_matrices,
@@ -158,9 +161,11 @@ def _x_coord_oracle(e, v):
 
 
 def _y_sq_oracle(e, v):
-    f0 = sum(c * vi for c, vi in zip(e.omega_rows[0], v))
-    f1 = sum(c * vi for c, vi in zip(e.omega_rows[1], v))
-    f2 = sum(c * vi for c, vi in zip(e.omega_rows[2], v))
+    # the omega rows: row 0 of omega_0, omega_1 and omega_2
+    w0, w1, w2 = (c.rows[0] for c in sail3._adjugate_coeffs(e.matrix))
+    f0 = sum(c * vi for c, vi in zip(w0, v))
+    f1 = sum(c * vi for c, vi in zip(w1, v))
+    f2 = sum(c * vi for c, vi in zip(w2, v))
     # the symmetric functions c + conj(c) = tr M - r and c conj(c) = 1 / r
     # of the complex pair
     s, q = e.matrix.trace() - e.r, e.r.inverse()
@@ -195,9 +200,12 @@ def test_compiled_x_and_f_match_field_formulas(i, v):
 def _field_tables(m):
     """eigen_data's tables built in FieldElement arithmetic: r isolated by
     Sturm sequences, x_form from the first nonzero entry of adj(M - rI) by
-    FieldElement.inverse and products, the six constants of F by products,
-    and each table over the lcm of its elements' denominators.  Returns
-    (x_table, x_den, x_floor, f_table, f_den, omega row index)."""
+    FieldElement.inverse and products, x_table over the lcm of its
+    elements' denominators, and the polar-Gram table from the omega values
+    of the first row of adj(M - rI) on which F is nonzero: Q_k[i][j] is the
+    coefficient of r^k in 2 Phi(e_i, e_j), the six monomials of the omega
+    values of columns i and j times the constants 1, s, s^2 - 2q, q, sq,
+    q^2, built by products.  Returns (x_table, x_den, x_floor, q_table)."""
     p = char_poly(m)
     field = NumberField.for_largest_root(p)
     r = field.gen()
@@ -206,29 +214,35 @@ def _field_tables(m):
     def entry(i, j):
         return field.element([c[i, j] for c in w])
 
-    def table(elems):
-        den = math.lcm(*(f.den for f in elems))
-        return tuple(zip(*(tuple(c * (den // f.den) for c in f.num)
-                           for f in elems))), den
-
     cells = list(itertools.product(range(3), range(3)))
     i0, j0 = next((i, j) for i, j in cells if entry(i, j).sign() != 0)
     inv = entry(i0, j0).inverse()
     x_form = [entry(i0, j) * inv for j in range(3)]
+    x_den = math.lcm(*(f.den for f in x_form))
+    x_table = tuple(zip(*(tuple(c * (x_den // f.den) for c in f.num)
+                          for f in x_form)))
     s = field.element([m.trace()]) - r
     q = r.inverse()
     consts = (field.one(), s, s * s - 2 * q, q, s * q, q * q)
 
-    def f_entry(i, j):
-        # F at the omega values of entry (i, j), mono . consts
+    def polar(row, i, j):
+        # 2 Phi(e_i, e_j) at the omega values of row `row`
+        f = [c[row, i] for c in w]
+        g = [c[row, j] for c in w]
+        mono = (2 * f[0] * g[0], f[0] * g[1] + f[1] * g[0],
+                f[0] * g[2] + f[2] * g[0], 2 * f[1] * g[1],
+                f[1] * g[2] + f[2] * g[1], 2 * f[2] * g[2])
         total = field.zero()
-        for (k, l), c in zip(sail3._PAIRS, consts):
-            total = total + c * (w[k][i, j] * w[l][i, j])
+        for a, c in zip(mono, consts):
+            total = total + c * a
         return total
 
-    row = next(i for i, j in cells if f_entry(i, j).sign() != 0)
-    return (*table(x_form), tuple(f.floor(40) for f in x_form),
-            *table(consts), row)
+    row = next(i for i, j in cells if polar(i, j, j).sign() != 0)
+    gram = [[polar(row, i, j) for j in range(3)] for i in range(3)]
+    assert all(x.den == 1 for g in gram for x in g)
+    q_table = tuple(tuple(tuple(x.num[k] for x in g) for g in gram)
+                    for k in range(3))
+    return x_table, x_den, tuple(f.floor(40) for f in x_form), q_table
 
 
 def _shears_of_m1(power):
@@ -239,19 +253,20 @@ def _shears_of_m1(power):
 
 def test_closed_form_tables_match_field_arithmetic():
     # eigen_data builds its tables in integers: r on (0, 1 + max |c_i|),
-    # the six constants of F in closed form over Z[r], x_form from the
-    # adjugate of a multiplication matrix.  Oracle: the same tables from
-    # Sturm isolation and FieldElement products and inverses, on the 838
-    # criterion-9 NRS cells and the six shears of M1 at 10^40
+    # the polar-Gram tables Q_k = W^T (2 S_k) W from the closed forms of
+    # the six constants of F over Z[r], x_form from the adjugate of a
+    # multiplication matrix, and expands from the sign of p(1).  Oracle:
+    # the same tables from Sturm isolation and FieldElement products and
+    # inverses, and the sign of r - 1 in Q(r), on the 838 criterion-9 NRS
+    # cells and the six shears of M1 at 10^40
     mats = list(criterion9_nrs_cells()) + _shears_of_m1(40)
     assert len(mats) == 844
     for m in mats:
         e = eigen_data(require_nrs(m))
-        x_table, x_den, x_floor, f_table, f_den, row = _field_tables(m)
+        x_table, x_den, x_floor, q_table = _field_tables(m)
         assert (e.x_table, e.x_den, e.x_floor) == (x_table, x_den, x_floor), m
-        assert (e.f_table, f_den) == (f_table, 1), m
-        assert e.omega_rows == tuple(c.rows[row] for c in
-                                     sail3._adjugate_coeffs(m)), m
+        assert e.q_table == q_table, m
+        assert e.expands == ((e.r - 1).sign() > 0), m
 
 
 def _near_integer(base, shift, k, above):
@@ -803,7 +818,7 @@ def test_log2_floor_doubles_its_shift(monkeypatch, k):
     for a, want in zip(elems, wants):
         assert -k - 64 < want <= -k
         del calls[:]
-        assert sail3._log2_floor(a) == want
+        assert sail3._log2_floor(a.field, a.num, a.den) == want
         assert len(calls) <= 2 + (k // 64).bit_length(), calls
 
 
@@ -1058,3 +1073,198 @@ def test_project_pi_orbit_invariants():
     q = project_pi(e, M1 * IntVector((0, -1, 1)))
     assert (q.x - e.r * p.x).is_zero()
     assert (q.y_sq * e.r - p.y_sq).is_zero()
+
+
+def _reference_integral_lll(gram):
+    """Rows of a unimodular integer matrix, LLL-reduced (delta = 3/4) for
+    the integer Gram matrix `gram` (3x3).
+
+    Cohen's all-integer form (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i rows
+    and lam[k][j] = d[j+1] * mu_kj, so every quantity is an integer and
+    every division exact.  A Gram determinant d[i] <= 0 means `gram` is
+    not positive definite, where the swaps need not terminate; it raises
+    Inconclusive.
+    """
+    b = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    lam = [[0] * 3 for _ in range(3)]
+    d = [1, 0, 0, 0]
+
+    def dot(u, v):
+        return sum(ui * (row[0] * v[0] + row[1] * v[1] + row[2] * v[2])
+                   for ui, row in zip(u, gram))
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise Inconclusive("slab metric is not positive definite")
+            else:
+                d[k + 1] = u
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        mu = lam[k][k - 1]
+        new = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = new
+
+    gram_schmidt(0)
+    k, k_max = 1, 0
+    while k < 3:
+        if k > k_max:
+            k_max = k
+            gram_schmidt(k)
+        size_reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b
+
+
+def _lll_outcome(lll, gram):
+    """The basis that `lll` returns on `gram`, as lists, or None when it
+    raises Inconclusive."""
+    try:
+        return [list(row) for row in lll(gram)]
+    except Inconclusive:
+        return None
+
+
+def _gram(rows):
+    return [[sum(map(operator.mul, u, v)) for v in rows] for u in rows]
+
+
+def test_integral_lll_matches_the_reference_on_seeded_grams():
+    # the locals-only integral LLL takes the steps of the closure-based
+    # reference, so it returns the identical basis: on 500 seeded positive
+    # definite Grams with entries up to 2^80, of random bases skewed by
+    # up to 12 shear steps
+    rng = random.Random(43)
+    grams = []
+    while len(grams) < 500:
+        bits = rng.randint(1, 39)
+        a = IntMatrix([[rng.randint(-2 ** bits, 2 ** bits) for _ in range(3)]
+                       for _ in range(3)])
+        rows = (random_unimodular(rng, 3, rng.randint(0, 12)) * a).rows
+        g = _gram(rows)
+        if det(a) and max(abs(x) for row in g for x in row) <= 2 ** 80:
+            grams.append(g)
+    swaps = 0
+    for g in grams:
+        want = _reference_integral_lll(g)
+        assert _lll_outcome(sail3._integral_lll, g) == want, g
+        swaps += want != [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert swaps > 250
+
+
+def test_integral_lll_raises_where_the_reference_does():
+    # seeded symmetric integer matrices, most of them indefinite, and
+    # singular Grams of rank 1 and 2: the same Inconclusive, and on the
+    # positive definite ones the same basis
+    rng = random.Random(44)
+    grams = []
+    for _ in range(300):
+        bits = rng.randint(1, 40)
+        e = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(6)]
+        grams.append([[e[0], e[1], e[2]], [e[1], e[3], e[4]],
+                      [e[2], e[4], e[5]]])
+    for rank in (1, 2):
+        for _ in range(100):
+            basis = [[rng.randint(-2 ** 20, 2 ** 20) for _ in range(3)]
+                     for _ in range(rank)]
+            mix = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(3)]
+            grams.append(_gram([[sum(c * v[i] for c, v in zip(w, basis))
+                                 for i in range(3)] for w in mix]))
+    raised = 0
+    for g in grams:
+        want = _lll_outcome(_reference_integral_lll, g)
+        assert _lll_outcome(sail3._integral_lll, g) == want, g
+        raised += want is None
+    assert raised > 300
+
+
+def _pin_grams(monkeypatch):
+    """The Grams that fingerprint hands the integral LLL on
+    pin_conjugates."""
+    lll = sail3._integral_lll
+    grams = []
+
+    def recording(gram):
+        grams.append(gram)
+        return lll(gram)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sail3, "_integral_lll", recording)
+        for m in pin_conjugates():
+            fingerprint(m)
+    return grams
+
+
+def test_integral_lll_matches_the_reference_on_the_pin_grams(monkeypatch):
+    grams = _pin_grams(monkeypatch)
+    assert len(grams) == 71
+    outcomes = [_lll_outcome(_reference_integral_lll, g) for g in grams]
+    assert [_lll_outcome(sail3._integral_lll, g) for g in grams] == outcomes
+
+
+def test_fingerprint_work_is_capped(monkeypatch):
+    # a work count: over fingerprint of pin_conjugates, the FieldElement.floor
+    # fallbacks of sail3._floor and the integral LLL calls, at most the 99
+    # and 71 of the Horner-loop floors and the closure-based LLL that the
+    # straight-line kernels replaced.  An enclosure that saves time per
+    # floor must not spend it again on refinements of r
+    floor, lll = FieldElement.floor, sail3._integral_lll
+    counts = {"floor": 0, "lll": 0}
+
+    def counting_floor(a, shift=0):
+        counts["floor"] += 1
+        return floor(a, shift)
+
+    def counting_lll(gram):
+        counts["lll"] += 1
+        return lll(gram)
+
+    monkeypatch.setattr(FieldElement, "floor", counting_floor)
+    monkeypatch.setattr(sail3, "_integral_lll", counting_lll)
+    for m in pin_conjugates():
+        fingerprint(m)
+    assert counts["floor"] <= 99 and counts["lll"] <= 71, counts
+
+
+# sha256 of the JSON lines, keys sorted, of compute_sail(m).to_json() on
+# pin_conjugates, M1, FRO and 0 2 3; 1 1 1; 0 3 4, as printed by the
+# Horner-loop floors and the closure-based LLL that the straight-line
+# kernels replaced.  Fingerprints cannot show a moved seed; the sail's
+# window is anchored at the fundamental slab's seed, so its output can
+_SAIL_PIN = \
+    "ff42f6a79ef795e44397aa24f09b5bdd9fa36cf2d3d679567dfdcec59f67c114"
+
+
+def test_sail_windows_are_pinned():
+    mats = pin_conjugates() + [M1, FRO, parse_matrix("0 2 3; 1 1 1; 0 3 4")]
+    lines = [json.dumps(compute_sail(m).to_json(), sort_keys=True)
+             for m in mats]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _SAIL_PIN
