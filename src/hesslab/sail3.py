@@ -15,19 +15,20 @@ one denominator, from the adjugate of one integer multiplication matrix,
 and F = y_sq is three symmetric integer matrices Q_k, the polar-Gram
 tables, with F(v) = v^T Q_k v / 2 in the power r^k.  x(v) and F(v) are
 integer dot products, and the polar Gram matrix of any basis is one
-congruence of each Q_k.  Every floor the slab takes goes from those
-numerators through _floor, in straight-line integers, which needs a
-FieldElement only where r's interval leaves the floor open; a slab keeps
-x(p) and f_max as numerators, and a FieldElement is built only for a
-value that is compared exactly, such as a PiPoint or a slab leaf the
-integer filter leaves open.  The slab enumeration walks the basis
-coordinates level by level, in ranges from one integer quadratic form
-made of the floors its leaf filter takes, in Python integers.  Every
-sign, order and orientation is decided on integer floors at 2^b with a
-proven error, and in Q(r) where that leaves it open: slab membership and
-signs of x(v) on the floors of 2^40 x, orders and hull orientations of
-projected points on the floors and ceilings of 2^20 x, 2^20 y_sq and
-2^20 y that each point keeps.
+congruence of each Q_k.  Every value in Q(r) is such a numerator over
+Z[r], x's over x_den and F's over 1: a slab's x(p) and f_max, a
+PiPoint's x and y_sq.  Every floor the slab takes goes from those
+numerators through _floor, in straight-line integers, which asks the
+NumberField kernel only where r's interval leaves the floor open; the
+kernel's sign, bounds and mul decide every exact sign, order and chord
+test, on numerators and their integer differences.  The slab
+enumeration walks the basis coordinates level by level, in ranges from
+one integer quadratic form made of the floors its leaf filter takes, in
+Python integers.  Every sign, order and orientation is decided on integer
+floors at 2^b with a proven error, and in Q(r) where that leaves it
+open: slab membership and signs of x(v) on the floors of 2^40 x, orders
+and hull orientations of projected points on the floors and ceilings of
+2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x; its window is anchored at the fundamental slab's seed, so it
@@ -62,7 +63,7 @@ from .exact import (
     discriminant,
 )
 from .mdchar import MDForm3, md_form3
-from .numberfield import FieldElement, NumberField, RealRoot
+from .numberfield import NumberField, RealRoot
 
 # bits of the PiPoint boxes
 _BOX_BITS = 20
@@ -121,7 +122,8 @@ class EigenData3:
     q + f_1 f_2 sq + f_2^2 q^2 = f^T S f.
 
     The compiled tables hold the same values as integers over the power
-    basis 1, r, r^2, one entry per power r^k: x_table[k][j] is the
+    basis 1, r, r^2, one entry per power r^k, and the sail route reads x
+    and F from them as numerators (_x_num, _f_num): x_table[k][j] is the
     coefficient of r^k in x_form[j] over the denominator x_den, so the
     coefficient of r^k in x(v) is x_table[k] . v / x_den; q_table[k] is the
     symmetric integer matrix Q_k = W^T (2 S_k) W, 2 S_k the coefficient of
@@ -139,17 +141,6 @@ class EigenData3:
     x_table: Tuple[Tuple[int, int, int], ...]
     x_den: int
     q_table: Tuple[Tuple[Tuple[int, int, int], ...], ...]
-
-    # the sail route reads the tables; these field elements are built
-    # only where they are asked for
-    @property
-    def r(self) -> FieldElement:
-        return self.field.gen()
-
-    @property
-    def x_form(self) -> Tuple[FieldElement, FieldElement, FieldElement]:
-        return tuple(FieldElement(self.field, c, self.x_den)
-                     for c in zip(*self.x_table))
 
 
 def _adjugate_coeffs(m: IntMatrix):
@@ -238,15 +229,23 @@ def eigen_data(nrs: NrsCheck) -> EigenData3:
 
 @dataclass(frozen=True)
 class PiPoint:
+    """The projection of an integer vector: the numerators over Z[r] of its
+    x, over x_den, and of its y_sq, over 1, in the field that decides
+    them."""
+
     preimage: IntVector
-    x: FieldElement
-    y_sq: FieldElement
+    x: Tuple[int, int, int]
+    y_sq: Tuple[int, int, int]
+    x_den: int
+    field: NumberField
 
     @functools.cached_property
     def box(self) -> Tuple[int, int, int, int]:
         """(x_lo, x_hi, y_sq_lo, y_sq_hi): the integer bounds of 2^20 x and
-        2^20 y_sq (FieldElement.bounds), computed once."""
-        return self.x.bounds(_BOX_BITS) + self.y_sq.bounds(_BOX_BITS)
+        2^20 y_sq (NumberField.bounds), computed once."""
+        bounds = self.field.bounds
+        return (bounds(self.x, self.x_den, _BOX_BITS)
+                + bounds(self.y_sq, 1, _BOX_BITS))
 
     @functools.cached_property
     def y_box(self) -> Tuple[int, int]:
@@ -259,9 +258,9 @@ class PiPoint:
 def _floor(field: NumberField, num, den: int, shift: int) -> int:
     """floor(2^shift (num . (1, r, r^2)) / den), exactly: from the Horner
     enclosure at r's current interval (a, b) / 2^k when both its ends have
-    that floor, else from FieldElement.floor, which refines r.  The
-    interval lies in (0, B), so a >= 0, and each Horner step multiplies a
-    lower bound by a where it is >= 0 and by b where it is < 0, an upper
+    that floor, else the lower end of NumberField.bounds, which refines r.
+    The interval lies in (0, B), so a >= 0, and each Horner step multiplies
+    a lower bound by a where it is >= 0 and by b where it is < 0, an upper
     bound the other way round."""
     root = field.root
     a, b, k = root.a, root.b, root.k
@@ -281,17 +280,13 @@ def _floor(field: NumberField, num, den: int, shift: int) -> int:
     n = lo // scale
     if hi // scale == n:
         return n
-    return FieldElement(field, num, den).floor(shift)
+    return field.bounds(num, den, shift)[0]
 
 
 def _x_num(e: EigenData3, v) -> tuple:
     """The coefficients of 1, r, r^2 in x(v) times x_den."""
     a, b, c = v[0], v[1], v[2]
     return tuple(a * t0 + b * t1 + c * t2 for t0, t1, t2 in e.x_table)
-
-
-def _x_coord(e: EigenData3, v: IntVector) -> FieldElement:
-    return FieldElement(e.field, _x_num(e, v), e.x_den)
 
 
 def _f_num(e: EigenData3, v) -> tuple:
@@ -304,21 +299,19 @@ def _f_num(e: EigenData3, v) -> tuple:
                  in e.q_table)
 
 
-def _y_sq(e: EigenData3, v: IntVector) -> FieldElement:
-    return FieldElement(e.field, _f_num(e, v))
-
-
 def project_pi(e: EigenData3, v: IntVector) -> PiPoint:
     if not isinstance(v, IntVector):
         v = IntVector(v)
-    return PiPoint(v, _x_coord(e, v), _y_sq(e, v))
+    return PiPoint(v, _x_num(e, v), _f_num(e, v), e.x_den, e.field)
 
 
 def verify_dirichlet_element(m: IntMatrix, x: IntMatrix) -> bool:
     """Membership test for the Dirichlet group of m: commutes with m, has
-    determinant one, and all its real eigenvalues are positive."""
+    determinant one, and all its real eigenvalues are positive.  An x of
+    another size than m is an input error."""
     if m.n != x.n:
-        return False
+        raise ExactError("the element is %dx%d, the matrix is %dx%d"
+                         % (x.n, x.n, m.n, m.n))
     if m * x != x * m:
         return False
     if det(x) != 1:
@@ -352,12 +345,21 @@ def _orientation(p1: PiPoint, p2: PiPoint, p3: PiPoint) -> int:
         return 1
     if hi < 0:
         return -1
-    a, b = p3.x - p2.x, p2.x - p1.x
-    d = (a + b) * (a + b) * p2.y_sq - a * a * p1.y_sq - b * b * p3.y_sq
-    if d.sign() < 0:
+    field = p1.field
+    mul, f1, f3 = field.mul, p1.y_sq, p3.y_sq
+    # a, b and c = a + b times x_den, which scales both signs' arguments
+    # by a positive power of it
+    a = tuple(map(operator.sub, p3.x, p2.x))
+    b = tuple(map(operator.sub, p2.x, p1.x))
+    c = tuple(map(operator.sub, p3.x, p1.x))
+    d = tuple(u - v - w for u, v, w in zip(mul(mul(c, c), p2.y_sq),
+                                           mul(mul(a, a), f1),
+                                           mul(mul(b, b), f3)))
+    if field.sign(d) < 0:
         return 1
-    ab = a * b
-    return -(d * d - 4 * ab * ab * p1.y_sq * p3.y_sq).sign()
+    ab = mul(a, b)
+    return -field.sign(tuple(
+        u - 4 * v for u, v in zip(mul(d, d), mul(mul(mul(ab, ab), f1), f3))))
 
 
 def _box_sign(a_lo, a_hi, b_lo, b_hi) -> int:
@@ -368,14 +370,15 @@ def _box_sign(a_lo, a_hi, b_lo, b_hi) -> int:
 
 def _x_cmp(p: PiPoint, q: PiPoint) -> int:
     """The sign of x(p) - x(q): from the points' boxes where these are
-    disjoint, else in Q(r)."""
-    return _box_sign(p.box[0], p.box[1], q.box[0], q.box[1]) or p.x.cmp(q.x)
+    disjoint, else the sign of the difference of the numerators."""
+    return (_box_sign(p.box[0], p.box[1], q.box[0], q.box[1])
+            or p.field.sign(tuple(map(operator.sub, p.x, q.x))))
 
 
 def _y_cmp(p: PiPoint, q: PiPoint) -> int:
     """The sign of y_sq(p) - y_sq(q), decided as _x_cmp decides x."""
-    return _box_sign(p.box[2], p.box[3], q.box[2], q.box[3]) \
-        or p.y_sq.cmp(q.y_sq)
+    return (_box_sign(p.box[2], p.box[3], q.box[2], q.box[3])
+            or p.field.sign(tuple(map(operator.sub, p.y_sq, q.y_sq))))
 
 
 _X_ORDER = functools.cmp_to_key(_x_cmp)
@@ -412,8 +415,8 @@ class SailData:
             # 10^9 x lies in [x_lo, x_hi] and 10^18 y_sq in [f, c], c <= f + 1,
             # so 10^9 y lies in [isqrt(f), isqrt(f) + 1], and is isqrt(f)
             # when f = c is a square
-            x_lo, x_hi = (p.x * 10 ** 9).bounds()
-            f, c = (p.y_sq * 10 ** 18).bounds()
+            x_lo, x_hi = p.field.bounds([a * 10 ** 9 for a in p.x], p.x_den)
+            f, c = p.field.bounds([a * 10 ** 18 for a in p.y_sq])
             y_lo = math.isqrt(f)
             y_hi = y_lo + (f != c or y_lo * y_lo != f)
             out.append({
@@ -454,7 +457,7 @@ def _x_sign(e: EigenData3, v: IntVector) -> int:
     s = _x_sum(e, v)
     if abs(s) >= abs(v[0]) + abs(v[1]) + abs(v[2]):
         return (s > 0) - (s < 0)
-    return _x_coord(e, v).sign()
+    return e.field.sign(_x_num(e, v))
 
 
 def _positive(e: EigenData3, v: IntVector) -> IntVector:
@@ -723,8 +726,8 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
                     # the leaf the filter leaves open, decided in Q(r)
                     if _x_sign(e, v - p) * _x_sign(e, mp - v) < 0:
                         continue
-                    d = tuple(map(operator.sub, _f_num(e, v), f_max))
-                    if FieldElement(field, d).sign() > 0:
+                    if field.sign(tuple(map(operator.sub, _f_num(e, v),
+                                            f_max))) > 0:
                         continue
                 out.append(v)
     for end in {p, mp} - set(out):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import strategies as st
 
 from hesslab.exact import (
     IntMatrix,
+    IntPoly,
     IntVector,
     char_poly,
+    count_real_roots,
     discriminant,
     factor_small,
 )
@@ -92,6 +95,16 @@ def nonzero_vectors(draw, n=3, lo=-20, hi=20):
     return IntVector(coords)
 
 
+def num_sum(*nums):
+    """The termwise sum of numerators over Z[r], tuples of integer
+    coefficients of 1, r, r^2, ..."""
+    return tuple(map(sum, zip(*nums)))
+
+
+def num_times(num, c):
+    return tuple(a * c for a in num)
+
+
 def leibniz_det(rows):
     """Determinant by the permutation expansion, independent of the
     library's elimination."""
@@ -107,10 +120,41 @@ def leibniz_det(rows):
     return total
 
 
+def isolate_real_roots(p: IntPoly):
+    """Disjoint open isolating intervals for all real roots, left to right,
+    by bisection on integer Sturm counts: the oracle's root isolation.
+
+    The root bound is an integer, so every endpoint is dyadic."""
+    if p.degree < 1:
+        return []
+    lead = abs(p.coeffs[-1])
+    bound = Fraction(1 - (-max(abs(c) for c in p.coeffs[:-1]) // lead))
+    total = count_real_roots(p, -bound, bound)
+    intervals = []
+    stack = [(-bound, bound, total)]
+    while stack:
+        lo, hi, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            intervals.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        # nudge off a root of p so the subdivision point is regular
+        while p(mid) == 0:
+            mid = (lo + mid) / 2
+        left = count_real_roots(p, lo, mid)
+        stack.append((lo, mid, left))
+        stack.append((mid, hi, cnt - left))
+    intervals.sort()
+    return intervals
+
+
 class PolyModField:
     """Plain Fraction-polynomial oracle for Q(r) = Q[t]/(minpoly): schoolbook
     products with long division, extended Euclid for inverses, and signs
-    from Fraction bisection of the root with interval Horner evaluation."""
+    and floors from Fraction bisection of the root with interval Horner
+    evaluation."""
 
     def __init__(self, minpoly, lo, hi):
         self.p = [Fraction(c) for c in minpoly]
@@ -196,4 +240,17 @@ class PolyModField:
                 return 1
             if hi < 0:
                 return -1
+            self._bisect()
+
+    def floor(self, a, shift=0):
+        """floor(value * 2^shift): bisect until both ends of the enclosure
+        have one floor, which ends for an irrational value, as the
+        enclosure shrinks onto it, and at once for a rational one, whose
+        enclosure is the value."""
+        scale = Fraction(2) ** shift
+        while True:
+            lo, hi = self._enclose(a)
+            n = math.floor(lo * scale)
+            if math.floor(hi * scale) == n:
+                return n
             self._bisect()

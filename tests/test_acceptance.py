@@ -36,7 +36,7 @@ from hesslab.hessenberg import (
 )
 from hesslab.mdchar import md_characteristic, md_form3
 from hesslab.reducedness import Bounded, Sail, fingerprint, is_reduced, minimize_md_bounded
-from hesslab.sail3 import compute_sail, eigen_data, require_nrs, verify_dirichlet_element, _x_coord, _y_sq
+from hesslab.sail3 import compute_sail, eigen_data, require_nrs, verify_dirichlet_element, _f_num, _x_num
 
 from conftest import continuant_matrix, random_unimodular
 
@@ -211,13 +211,15 @@ def test_criterion_08_frobenius_sail():
     assert tuple(fro * fund[0].preimage) == (0, 1, 0)
     # the second sail is the -E image of the first: negating a vertex
     # negates its x coordinate and preserves the torus-orbit invariant F,
-    # so -E maps the computed sail exactly onto the opposite-cone sail
+    # so -E maps the computed sail exactly onto the opposite-cone sail.
+    # Their numerators over Z[r] are compared, which is exact, as 1, r,
+    # r^2 is a basis of Q(r)
     e = eigen_data(require_nrs(fro))
     for p in sail.vertices:
         v = p.preimage
         w = IntVector(tuple(-c for c in v))
-        assert (_x_coord(e, w) + _x_coord(e, v)).is_zero()
-        assert (_y_sq(e, w) - _y_sq(e, v)).is_zero()
+        assert _x_num(e, w) == tuple(-c for c in _x_num(e, v))
+        assert _f_num(e, w) == _f_num(e, v)
         assert md_characteristic(fro, w) == md_characteristic(fro, v)
 
 

@@ -429,6 +429,17 @@ def test_verify_dirichlet_cli(capsys):
     assert "member" in out
 
 
+def test_verify_dirichlet_size_mismatch_is_an_error(capsys):
+    # an element of another size than the matrix is an input error, as a
+    # vector of the wrong length is for mdchar; it printed "not a member"
+    # and exited 0
+    for argv in ([], ["--json"]):
+        code, out, err = run(["verify-dirichlet", "0 0 1; 1 0 1; 0 1 3",
+                              "1 0; 0 1"] + argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: the element is 2x2, the matrix is 3x3\n"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(["no-such-command"], capsys)
     assert code == 1

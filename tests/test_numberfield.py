@@ -1,26 +1,37 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PolyModField
+from conftest import PolyModField, isolate_real_roots, num_sum, num_times
 from hesslab.exact import ExactError, IntPoly, IntVector, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
-from hesslab.numberfield import (
-    NumberField,
-    RealRoot,
-    isolate_real_roots,
-)
+from hesslab.numberfield import NumberField, RealRoot
 from hesslab.reducedness import _sail_minimum
 from hesslab.sail3 import fundamental_window, require_nrs
 
+# the NRS cubic t^3 - 3t^2 - 2t - 1: unique real root near 3.627
+_CUBIC = (-1, -2, -3, 1)
+# the numerator of r
+R = (0, 1, 0)
+# the Fraction oracle of the cubic, shared: its bisections only narrow the
+# isolating interval of the same root
+_REF = PolyModField(_CUBIC, 3, 4)
 
-def _field():
-    # the NRS cubic t^3 - 3t^2 - 2t - 1: unique real root near 3.627
-    return NumberField.for_largest_root(IntPoly([-1, -2, -3, 1]))
+
+def _field(poly=_CUBIC):
+    """Q(r) for the largest real root r of poly, on a fresh isolating
+    interval."""
+    p = IntPoly(list(poly))
+    return NumberField(p, RealRoot(p, *isolate_real_roots(p)[-1]))
+
+
+def _over(num, den):
+    """The Fraction coefficients of num over den, as the oracle holds
+    them."""
+    return [Fraction(c, den) for c in num]
 
 
 def test_isolate_real_roots_counts():
@@ -34,40 +45,42 @@ def test_isolate_real_roots_counts():
 
 def test_generator_satisfies_minpoly():
     k = _field()
-    r = k.gen()
-    assert (r * r * r - 3 * (r * r) - 2 * r - 1).is_zero()
+    r2 = k.mul(R, R)
+    r3 = k.mul(r2, R)
+    assert num_sum(r3, num_times(r2, -3), num_times(R, -2),
+                   (-1, 0, 0)) == (0, 0, 0)
+    assert _over(r3, 1) == _REF.mul(_REF.mul([0, 1, 0], [0, 1, 0]), [0, 1, 0])
 
 
 def test_field_arithmetic():
     k = _field()
-    r = k.gen()
-    x = (r + 1) * (r - 1) - (r * r)
-    assert x.sign() == -1 and (x + 1).is_zero()
-    assert (r.inverse() * r - 1).is_zero()
-    assert r.sign() == 1
-    lo, hi = r.bounds(67)
+    # (r + 1)(r - 1) - r^2 = -1
+    x = num_sum(k.mul((1, 1, 0), (-1, 1, 0)), num_times(k.mul(R, R), -1))
+    assert x == (-1, 0, 0) and k.sign(x) == -1
+    assert k.sign(R) == 1 == _REF.sign([0, 1, 0])
+    lo, hi = k.bounds(R, 1, 67)
     assert lo < hi and hi - lo == 1
+    assert _REF.sign([-Fraction(lo, 2 ** 67), 1, 0]) > 0 \
+        > _REF.sign([-Fraction(hi, 2 ** 67), 1, 0])
 
 
 def test_sign_of_exact_zero():
     k = _field()
-    assert k.zero().sign() == 0
-    assert (k.gen() - k.gen()).sign() == 0
-
-
-def test_division_by_zero():
-    k = _field()
-    with pytest.raises(Exception):
-        k.one() / k.zero()
+    assert k.sign((0, 0, 0)) == 0
+    # the minimal polynomial at r, by products
+    r2 = k.mul(R, R)
+    zero = num_sum(k.mul(r2, R), num_times(r2, -3), num_times(R, -2),
+                   (-1, 0, 0))
+    assert k.sign(zero) == 0 and k.bounds(zero, 5, 10) == (0, 0)
 
 
 def test_cmp_orders_elements():
+    # orders are signs of numerator differences
     k = _field()
-    r = k.gen()
-    assert (r - 3).sign() == 1
-    assert (r - 4).sign() == -1
-    assert r.cmp(r * 1) == 0
-    assert (r * r).cmp(r) == 1
+    assert k.sign(num_sum(R, (-3, 0, 0))) == 1
+    assert k.sign(num_sum(R, (-4, 0, 0))) == -1
+    assert k.sign(num_sum(k.mul(R, (1, 0, 0)), num_times(R, -1))) == 0
+    assert k.sign(num_sum(k.mul(R, R), num_times(R, -1))) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -76,22 +89,21 @@ def test_cmp_orders_elements():
        st.integers(min_value=1, max_value=10 ** 6),
        st.integers(min_value=-40, max_value=80))
 def test_floor_is_exact_and_ignores_refinement(num, den, shift):
-    # floor(value * 2^shift) is the floor read off a narrow enclosure, and
-    # a root refined first gives the same
-    scale = Fraction(2) ** shift / den
-    a = _field().element(num) * Fraction(1, den)
-    lo, hi = (Fraction(k, 2 ** (shift + 220))
-              for k in _field().element(num).bounds(shift + 220))
-    assert math.floor(lo * scale) == math.floor(hi * scale) == a.floor(shift)
-    b = _field().element(num) * Fraction(1, den)
-    b.bounds(300)
-    assert b.floor(shift) == a.floor(shift)
+    # floor(value * 2^shift) is the oracle's, from its own bisection, and a
+    # root refined first gives the same
+    want = _REF.floor(_over(num, den), shift)
+    assert _field().bounds(num, den, shift)[0] == want
+    k = _field()
+    k.bounds(num, den, 300)
+    assert k.bounds(num, den, shift)[0] == want
     # r minus its floor at 2^-(shift + 40) lies in [0, 2^-(shift + 40)):
     # enclosures straddle 0 until sign() decides the side
-    r = _field().gen()
-    g = r.floor(shift + 60) >> 20
-    tiny = r - Fraction(g, 1) * Fraction(1, 2) ** (shift + 40)
-    assert tiny.floor(shift) == 0 and (-tiny).floor(shift) == -1
+    k = _field()
+    g = k.bounds(R, 1, shift + 60)[0] >> 20
+    t = 1 << (shift + 40)
+    tiny = (-g, t, 0)
+    assert k.bounds(tiny, t, shift)[0] == 0
+    assert k.bounds(num_times(tiny, -1), t, shift)[0] == -1
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,47 +113,46 @@ def test_floor_is_exact_and_ignores_refinement(num, den, shift):
        st.integers(min_value=-40, max_value=80),
        st.integers(min_value=0, max_value=300))
 def test_bounds_enclose_and_ignore_refinement(num, den, shift, refined):
-    # floor and ceiling of value * 2^shift, checked by exact signs, the same
-    # whether r was refined to 2^-refined first or not at all
-    a = _field().element(num) * Fraction(1, den)
-    lo, hi = a.bounds(shift)
-    assert lo == a.floor(shift)
-    scaled = a * Fraction(2) ** shift
-    assert (scaled - lo).sign() >= 0 and (scaled - hi).sign() <= 0
-    assert hi - lo == (0 if not any(a.num[1:]) and (scaled - lo).is_zero()
-                       else 1)
-    b = _field().element(num) * Fraction(1, den)
-    b.bounds(refined)
-    assert b.bounds(shift) == (lo, hi)
+    # floor and ceiling of value * 2^shift, checked by the oracle's exact
+    # signs, the same whether r was refined to 2^-refined first or not at
+    # all
+    lo, hi = _field().bounds(num, den, shift)
+    scaled = [c * Fraction(2) ** shift for c in _over(num, den)]
+    assert _REF.sign(_REF.sub(scaled, [lo, 0, 0])) >= 0
+    assert _REF.sign(_REF.sub(scaled, [hi, 0, 0])) <= 0
+    assert hi - lo == (0 if not any(num[1:]) and scaled[0] == lo else 1)
+    k = _field()
+    k.bounds(num, den, refined)
+    assert k.bounds(num, den, shift) == (lo, hi)
 
 
 def test_bounds_of_rationals_and_near_integers():
     k = _field()
-    assert k.element([Fraction(3, 4)]).bounds(2) == (3, 3)
-    assert k.element([Fraction(-3, 4)]).bounds(1) == (-2, -1)
-    assert k.element([Fraction(-3, 4)]).bounds(-1) == (-1, 0)
+    assert k.bounds((3, 0, 0), 4, 2) == (3, 3)
+    assert k.bounds((-3, 0, 0), 4, 1) == (-2, -1)
+    assert k.bounds((-3, 0, 0), 4, -1) == (-1, 0)
     # r - d is positive and below 2^-60, so the enclosures straddle 0 until
     # the exact sign decides
-    r = k.gen()
-    d = Fraction(r.floor(80) >> 20, 2 ** 60)
-    tiny = _field().gen() - d
-    assert tiny.bounds(20) == (0, 1) and (-tiny).bounds(20) == (-1, 0)
+    tiny = (-(k.bounds(R, 1, 80)[0] >> 20), 1 << 60, 0)
+    k = _field()
+    assert k.bounds(tiny, 1 << 60, 20) == (0, 1)
+    assert k.bounds(num_times(tiny, -1), 1 << 60, 20) == (-1, 0)
 
 
 def test_sign_and_bounds_are_exact_near_a_rational():
     # r against a rational within 2^-200 of it: from a fresh isolating
     # interval, sign() and bounds() refine r as far as they need, with no
     # cap, and agree with the Fraction oracle
-    lo, hi = (Fraction(k, 2 ** 200) for k in _field().gen().bounds(200))
+    lo, hi = (Fraction(k, 2 ** 200) for k in _field().bounds(R, 1, 200))
     mid = (lo + hi) / 2
-    ref = PolyModField((-1, -2, -3, 1), 3, 4)
+    ref = PolyModField(_CUBIC, 3, 4)
     want = ref.sign([-mid, 1, 0])
     assert want != 0
-    assert (_field().gen() - mid).sign() == want
-    assert (_field().gen() - mid).bounds(0) == ((0, 1) if want > 0
-                                                else (-1, 0))
+    num, den = (-mid.numerator, mid.denominator, 0), mid.denominator
+    assert _field().sign(num) == want
+    assert _field().bounds(num, den) == ((0, 1) if want > 0 else (-1, 0))
     # scaled by 2^190 the value is still below 2^-10 in magnitude
-    assert ((_field().gen() - mid) * 2 ** 190).bounds(0) \
+    assert _field().bounds(num_times(num, 2 ** 190), den) \
         == ((0, 1) if want > 0 else (-1, 0))
 
 
@@ -158,44 +169,55 @@ def _coefficients(d):
                     min_size=d, max_size=d)
 
 
+def _numerator(coeffs):
+    """The numerator of Fraction coefficients over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_field_matches_fraction_oracle(data):
+    # products, signs and bounds of the kernel against the oracle's; sums
+    # and integer multiples are integer operations on the numerators
     poly, lo, hi = data.draw(st.sampled_from(_ORACLE_FIELDS))
     d = len(poly) - 1
-    k = NumberField.for_largest_root(IntPoly(poly))
+    k = _field(poly)
     ref = PolyModField(poly, lo, hi)
     a = data.draw(_coefficients(d))
     b = data.draw(_coefficients(d))
-    x, y = k.element(a), k.element(b)
-    assert list(x.coeffs) == a and list(y.coeffs) == b
+    (x, dx), (y, dy) = _numerator(a), _numerator(b)
+    one = (1,) + (0,) * (d - 1)
 
-    cases = [(x, a), (y, b),
-             (x + y, ref.add(a, b)), (x - y, ref.sub(a, b)),
-             (x * y, ref.mul(a, b)), (x * 3 - y, ref.sub([3 * c for c in a], b)),
-             (2 - x * x, ref.sub([2] + [0] * (d - 1), ref.mul(a, a))),
-             (x * Fraction(-5, 7) + 1, ref.add([c * Fraction(-5, 7) for c in a],
-                                               [1] + [0] * (d - 1)))]
-    if any(b):
-        cases.append((x / y, ref.mul(a, ref.inverse(b))))
-        cases.append((y.inverse() * y, [1] + [0] * (d - 1)))
-    for z, want in cases:
-        assert list(z.coeffs) == want
-        assert z.sign() == ref.sign(want)
-        assert z == k.element(want) and hash(z) == hash(k.element(want))
-    assert x.cmp(y) == ref.sign(ref.sub(a, b))
-    assert (x < y) == (ref.sign(ref.sub(a, b)) < 0)
+    cases = [(x, dx, a), (y, dy, b),
+             (num_sum(num_times(x, dy), num_times(y, dx)), dx * dy,
+              ref.add(a, b)),
+             (num_sum(num_times(x, dy), num_times(y, -dx)), dx * dy,
+              ref.sub(a, b)),
+             (k.mul(x, y), dx * dy, ref.mul(a, b)),
+             (num_sum(num_times(x, 3 * dy), num_times(y, -dx)), dx * dy,
+              ref.sub([3 * c for c in a], b)),
+             (num_sum(num_times(one, 2 * dx * dx), num_times(k.mul(x, x), -1)),
+              dx * dx, ref.sub([2] + [0] * (d - 1), ref.mul(a, a))),
+             (num_sum(num_times(x, -5), num_times(one, 7 * dx)), 7 * dx,
+              ref.add([c * Fraction(-5, 7) for c in a], [1] + [0] * (d - 1)))]
+    for z, dz, want in cases:
+        assert _over(z, dz) == want
+        assert k.sign(z) == ref.sign(want)
 
-    z, want = cases[data.draw(st.integers(0, len(cases) - 1))]
+    z, dz, want = cases[data.draw(st.integers(0, len(cases) - 1))]
     bits = data.draw(st.integers(0, 60))
     width = Fraction(1, 2 ** bits)
-    z_lo, z_hi = (Fraction(k, 2 ** bits) for k in z.bounds(bits))
-    assert isinstance(z_lo, Fraction) and 0 <= z_hi - z_lo <= width
+    z_lo, z_hi = (Fraction(t, 2 ** bits) for t in k.bounds(z, dz, bits))
+    assert 0 <= z_hi - z_lo <= width
     assert ref.sign(ref.sub(want, [z_lo] + [0] * (d - 1))) >= 0
     assert ref.sign(ref.sub(want, [z_hi] + [0] * (d - 1))) <= 0
     # a rational within 2^-41 of the value: the sign must still be exact
     mid = (z_lo + z_hi) / 2
-    assert (z - mid).sign() == ref.sign(ref.sub(want, [mid] + [0] * (d - 1)))
+    near = num_sum(num_times(z, mid.denominator),
+                   num_times(one, -mid.numerator * dz))
+    assert k.sign(near) == ref.sign(ref.sub(want, [mid] + [0] * (d - 1)))
 
 
 # 2^20 t^2 - 2 on (0, 2): the root sqrt(2)/1024 sits near the left end, so

@@ -14,15 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PolyModField,
     band_cell,
     criterion9_nrs_cells,
+    isolate_real_roots,
     nonzero_vectors,
+    num_sum,
+    num_times,
     pin_conjugates,
     random_unimodular,
     shear,
     small_matrices,
 )
 from hesslab.exact import (
+    ExactError,
     IntMatrix,
     IntVector,
     char_poly,
@@ -39,7 +44,7 @@ from hesslab.hessenberg import (
     reduce_to_perfect,
 )
 from hesslab.mdchar import md_characteristic, md_form3
-from hesslab.numberfield import FieldElement, NumberField
+from hesslab.numberfield import NumberField
 import hesslab.reducedness as red_mod
 from hesslab.reducedness import (
     ReducedVerdict,
@@ -63,12 +68,14 @@ from hesslab.sail3 import (
     reduced_slab,
     require_nrs,
     verify_dirichlet_element,
-    _x_coord,
-    _y_sq,
+    _f_num,
+    _x_num,
 )
 
 FRO = parse_matrix("0 0 1; 1 0 1; 0 1 3")
 M1 = parse_matrix("0 1 2; 1 0 0; 0 3 5")
+# the numerator of r
+R = (0, 1, 0)
 
 
 def test_rs_matrix_rejected():
@@ -114,36 +121,31 @@ def test_require_nrs_reducibility_matches_factorization():
         assert raised == reducible, m
 
 
-def _real_eigenvector(m, field):
-    """The first nonzero column of adj(M - rI) = omega_0 + omega_1 r +
-    omega_2 r^2."""
+def _real_eigenvector(m):
+    """The numerators of the first nonzero column of adj(M - rI) = omega_0
+    + omega_1 r + omega_2 r^2."""
     w = sail3._adjugate_coeffs(m)
-    cols = ([field.element([c[i, j] for c in w]) for i in range(3)]
-            for j in range(3))
-    return next(col for col in cols if not all(c.is_zero() for c in col))
+    cols = ([tuple(c[i, j] for c in w) for i in range(3)] for j in range(3))
+    return next(col for col in cols if any(map(any, col)))
 
 
 def test_eigen_data_consistency():
+    # numerators over Z[r] are equal exactly when their values are, as 1,
+    # r, r^2 is a basis of Q(r)
     for m in (FRO, M1):
         e = eigen_data(require_nrs(m))
-        r = e.r
-        g1 = _real_eigenvector(m, e.field)
+        mul = e.field.mul
+        g1 = _real_eigenvector(m)
+        x_form = list(zip(*e.x_table))  # over x_den
         for i in range(3):
             # g1 is a right eigenvector: (M - r) g1 = 0 componentwise
-            acc = e.field.zero()
-            for j in range(3):
-                acc = acc + g1[j] * m[i, j]
-            assert (acc - r * g1[i]).is_zero()
+            assert num_sum(*(num_times(g1[j], m[i, j]) for j in range(3))) \
+                == mul(R, g1[i])
             # x_form is a left eigenvector: sum_j x_form[j] M[j][i] = r x_form[i]
-            acc = e.field.zero()
-            for j in range(3):
-                acc = acc + e.x_form[j] * m[j, i]
-            assert (acc - r * e.x_form[i]).is_zero()
-        x_g1 = e.field.zero()
-        for f, g in zip(e.x_form, g1):
-            x_g1 = x_g1 + f * g
-        assert not x_g1.is_zero()
-        assert _y_sq(e, IntVector((1, 0, 0))).sign() > 0
+            assert num_sum(*(num_times(x_form[j], m[j, i])
+                             for j in range(3))) == mul(R, x_form[i])
+        assert any(num_sum(*map(mul, x_form, g1)))
+        assert e.field.sign(_f_num(e, IntVector((1, 0, 0)))) > 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,27 +157,57 @@ def test_adjugate_coeffs_cayley_hamilton(m):
         assert total == (m - IntMatrix.identity(3).scale(t)).adjugate(), t
 
 
-def _x_coord_oracle(e, v):
-    f0, f1, f2 = e.x_form
-    return f0 * v[0] + f1 * v[1] + f2 * v[2]
+class _Oracle:
+    """The operator m in the Fraction oracle's Q(r): r isolated by Sturm
+    bisection, x_form, row 0 of adj(M - rI) over its first nonzero entry,
+    by the oracle's extended-Euclid inverse and products, and the six
+    constants 1, s, s^2 - 2q, q, sq, q^2 of F from the symmetric functions
+    s = c + conj(c) = tr M - r and q = c conj(c) = 1 / r of the complex
+    pair.  Values are lists of the Fraction coefficients of 1, r, r^2."""
+
+    def __init__(self, m):
+        p = char_poly(m)
+        self.ref = ref = PolyModField(p.coeffs, *isolate_real_roots(p)[-1])
+        self.w = w = sail3._adjugate_coeffs(m)
+
+        def entry(i, j):
+            return [Fraction(c[i, j]) for c in w]
+
+        cells = list(itertools.product(range(3), range(3)))
+        i0, j0 = next((i, j) for i, j in cells if any(entry(i, j)))
+        inv = ref.inverse(entry(i0, j0))
+        self.x_form = [ref.mul(entry(i0, j), inv) for j in range(3)]
+        s = [Fraction(m.trace()), Fraction(-1), Fraction(0)]
+        q = ref.inverse([0, 1, 0])
+        self.consts = ([1, 0, 0], s,
+                       ref.sub(ref.mul(s, s), [2 * c for c in q]),
+                       q, ref.mul(s, q), ref.mul(q, q))
+
+    def x(self, v):
+        return [sum(f[k] * vi for f, vi in zip(self.x_form, v))
+                for k in range(3)]
+
+    def polar(self, row, f, g):
+        """2 Phi(f, g) at the omega values of row `row`: the six monomials
+        of those values times the six constants."""
+        f = [sum(c[row, j] * fj for j, fj in enumerate(f)) for c in self.w]
+        g = [sum(c[row, j] * gj for j, gj in enumerate(g)) for c in self.w]
+        mono = (2 * f[0] * g[0], f[0] * g[1] + f[1] * g[0],
+                f[0] * g[2] + f[2] * g[0], 2 * f[1] * g[1],
+                f[1] * g[2] + f[2] * g[1], 2 * f[2] * g[2])
+        return [sum(a * c[k] for a, c in zip(mono, self.consts))
+                for k in range(3)]
+
+    def y_sq(self, v):
+        return [c / 2 for c in self.polar(0, v, v)]
+
+    def cmp(self, a, b):
+        return self.ref.sign(self.ref.sub(a, b))
 
 
-def _y_sq_oracle(e, v):
-    # the omega rows: row 0 of omega_0, omega_1 and omega_2
-    w0, w1, w2 = (c.rows[0] for c in sail3._adjugate_coeffs(e.matrix))
-    f0 = sum(c * vi for c, vi in zip(w0, v))
-    f1 = sum(c * vi for c, vi in zip(w1, v))
-    f2 = sum(c * vi for c, vi in zip(w2, v))
-    # the symmetric functions c + conj(c) = tr M - r and c conj(c) = 1 / r
-    # of the complex pair
-    s, q = e.matrix.trace() - e.r, e.r.inverse()
-    out = e.field.element([f0 * f0])
-    out = out + (f0 * f1) * s
-    out = out + (f0 * f2) * (s * s - 2 * q)
-    out = out + (f1 * f1) * q
-    out = out + (f1 * f2) * (s * q)
-    out = out + (f2 * f2) * (q * q)
-    return out
+@functools.lru_cache(maxsize=None)
+def _oracle(m):
+    return _Oracle(m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,60 +221,35 @@ def _operator_data(i):
 @given(st.integers(min_value=0, max_value=3),
        nonzero_vectors(lo=-10 ** 6, hi=10 ** 6))
 def test_compiled_x_and_f_match_field_formulas(i, v):
-    _, e = _operator_data(i)
-    # equal values have equal (num, den), which == compares
-    x, y_sq = _x_coord_oracle(e, v), _y_sq_oracle(e, v)
-    assert _x_coord(e, v) == x and _y_sq(e, v) == y_sq
+    m, e = _operator_data(i)
+    # equal values have equal coefficients, as 1, r, r^2 is a basis
+    x, y_sq = _oracle(m).x(v), _oracle(m).y_sq(v)
+    assert [Fraction(c, e.x_den) for c in _x_num(e, v)] == x
+    assert list(_f_num(e, v)) == y_sq
     p = project_pi(e, v)
-    assert p.x == x and p.y_sq == y_sq
+    assert (p.x, p.y_sq, p.x_den) == (_x_num(e, v), _f_num(e, v), e.x_den)
 
 
 def _field_tables(m):
-    """eigen_data's tables built in FieldElement arithmetic: r isolated by
-    Sturm sequences, x_form from the first nonzero entry of adj(M - rI) by
-    FieldElement.inverse and products, x_table over the lcm of its
-    elements' denominators, and the polar-Gram table from the omega values
-    of the first row of adj(M - rI) on which F is nonzero: Q_k[i][j] is the
-    coefficient of r^k in 2 Phi(e_i, e_j), the six monomials of the omega
-    values of columns i and j times the constants 1, s, s^2 - 2q, q, sq,
-    q^2, built by products.  Returns (x_table, x_den, x_floor, q_table)."""
-    p = char_poly(m)
-    field = NumberField.for_largest_root(p)
-    r = field.gen()
-    w = sail3._adjugate_coeffs(m)
-
-    def entry(i, j):
-        return field.element([c[i, j] for c in w])
-
-    cells = list(itertools.product(range(3), range(3)))
-    i0, j0 = next((i, j) for i, j in cells if entry(i, j).sign() != 0)
-    inv = entry(i0, j0).inverse()
-    x_form = [entry(i0, j) * inv for j in range(3)]
-    x_den = math.lcm(*(f.den for f in x_form))
-    x_table = tuple(zip(*(tuple(c * (x_den // f.den) for c in f.num)
-                          for f in x_form)))
-    s = field.element([m.trace()]) - r
-    q = r.inverse()
-    consts = (field.one(), s, s * s - 2 * q, q, s * q, q * q)
-
-    def polar(row, i, j):
-        # 2 Phi(e_i, e_j) at the omega values of row `row`
-        f = [c[row, i] for c in w]
-        g = [c[row, j] for c in w]
-        mono = (2 * f[0] * g[0], f[0] * g[1] + f[1] * g[0],
-                f[0] * g[2] + f[2] * g[0], 2 * f[1] * g[1],
-                f[1] * g[2] + f[2] * g[1], 2 * f[2] * g[2])
-        total = field.zero()
-        for a, c in zip(mono, consts):
-            total = total + c * a
-        return total
-
-    row = next(i for i, j in cells if polar(i, j, j).sign() != 0)
-    gram = [[polar(row, i, j) for j in range(3)] for i in range(3)]
-    assert all(x.den == 1 for g in gram for x in g)
-    q_table = tuple(tuple(tuple(x.num[k] for x in g) for g in gram)
+    """eigen_data's tables built in the Fraction oracle's arithmetic
+    (_Oracle): x_table over the lcm of the denominators of x_form, x_floor
+    by the oracle's own bisection, and the polar-Gram table from the omega
+    values of the first row of adj(M - rI) on which F is nonzero: Q_k[i][j]
+    is the coefficient of r^k in 2 Phi(e_i, e_j).  Returns (x_table, x_den,
+    x_floor, q_table, expands), expands the oracle's sign of r - 1."""
+    o = _oracle(m)
+    x_den = math.lcm(*(c.denominator for f in o.x_form for c in f))
+    x_table = tuple(zip(*(tuple(int(c * x_den) for c in f)
+                          for f in o.x_form)))
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    row = next(i for i, j in itertools.product(range(3), range(3))
+               if any(o.polar(i, unit[j], unit[j])))
+    gram = [[o.polar(row, u, v) for v in unit] for u in unit]
+    assert all(c.denominator == 1 for g in gram for x in g for c in x)
+    q_table = tuple(tuple(tuple(int(x[k]) for x in g) for g in gram)
                     for k in range(3))
-    return x_table, x_den, tuple(f.floor(40) for f in x_form), q_table
+    x_floor = tuple(o.ref.floor(f, 40) for f in o.x_form)
+    return x_table, x_den, x_floor, q_table, o.ref.sign([-1, 1, 0]) > 0
 
 
 def _shears_of_m1(power):
@@ -256,37 +263,47 @@ def test_closed_form_tables_match_field_arithmetic():
     # the polar-Gram tables Q_k = W^T (2 S_k) W from the closed forms of
     # the six constants of F over Z[r], x_form from the adjugate of a
     # multiplication matrix, and expands from the sign of p(1).  Oracle:
-    # the same tables from Sturm isolation and FieldElement products and
-    # inverses, and the sign of r - 1 in Q(r), on the 838 criterion-9 NRS
-    # cells and the six shears of M1 at 10^40
+    # the same tables from Sturm isolation and the Fraction oracle's
+    # products, inverses and floors, and its sign of r - 1, on the 838
+    # criterion-9 NRS cells and the six shears of M1 at 10^40
     mats = list(criterion9_nrs_cells()) + _shears_of_m1(40)
     assert len(mats) == 844
     for m in mats:
         e = eigen_data(require_nrs(m))
-        x_table, x_den, x_floor, q_table = _field_tables(m)
+        x_table, x_den, x_floor, q_table, expands = _field_tables(m)
         assert (e.x_table, e.x_den, e.x_floor) == (x_table, x_den, x_floor), m
         assert e.q_table == q_table, m
-        assert e.expands == ((e.r - 1).sign() > 0), m
+        assert e.expands == expands, m
 
 
-def _near_integer(base, shift, k, above):
+def _near_integer(field, base, den, shift, k, above):
     """(num, den) of a value v with 2^shift v in (k, k + 2^-60) when
-    `above`, else in (k - 2^-60, k): base moved by a dyadic rational, from
-    the floor of 2^(shift + 60) base."""
+    `above`, else in (k - 2^-60, k): base / den moved by a dyadic rational,
+    from the floor of 2^(shift + 60) base / den."""
     t = shift + 60
-    f = base.floor(t) + (not above)
-    num = (base.num[0] * (1 << t) - (f - (k << 60)) * base.den,
-           base.num[1] << t, base.num[2] << t)
-    return num, base.den << t
+    f = field.bounds(base, den, t)[0] + (not above)
+    num = (base[0] * (1 << t) - (f - (k << 60)) * den,
+           base[1] << t, base[2] << t)
+    return num, den << t
+
+
+def _counting_bounds(calls):
+    """NumberField.bounds, appending its shift to `calls` at every call."""
+    bounds = NumberField.bounds
+
+    def counting(field, num, den=1, shift=0):
+        calls.append(shift)
+        return bounds(field, num, den, shift)
+    return counting
 
 
 def test_floor_matches_field_floor(monkeypatch):
     # sail3._floor takes the Horner enclosure at r's current interval when
-    # both its ends have one floor, and FieldElement.floor otherwise.
-    # Oracle: FieldElement.floor, on seeded numerators, denominators and
-    # shifts, and on values within 2^-60 of an integer, where the enclosure
-    # at eigen_data's refinement straddles the integer and the fallback
-    # must run
+    # both its ends have one floor, and the lower end of NumberField.bounds
+    # otherwise.  Oracle: NumberField.bounds, on seeded numerators,
+    # denominators and shifts, and on values within 2^-60 of an integer,
+    # where the enclosure at eigen_data's refinement straddles the integer
+    # and the fallback must run
     rng = random.Random(32)
     mats = [M1, FRO, band_cell(-3, 9), _shears_of_m1(40)[0]]
     for m in mats:
@@ -297,30 +314,25 @@ def test_floor_matches_field_floor(monkeypatch):
             den = rng.randint(1, 2 ** rng.randint(1, 80))
             shift = rng.randint(-120, 300)
             assert sail3._floor(field, num, den, shift) \
-                == FieldElement(field, num, den).floor(shift), (m, num, den)
-    floor = FieldElement.floor
+                == field.bounds(num, den, shift)[0], (m, num, den)
     fallbacks = []
-
-    def counting_floor(a, shift=0):
-        fallbacks.append(shift)
-        return floor(a, shift)
-
     near = 0
     for m in mats:
         oracle = eigen_data(require_nrs(m)).field
         for shift in (0, 40, 100):
-            base = FieldElement(oracle, tuple(rng.randint(-2 ** 40, 2 ** 40)
-                                              for _ in range(3)),
-                                rng.randint(1, 2 ** 20))
+            base = tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3))
+            base_den = rng.randint(1, 2 ** 20)
             for above in (True, False):
                 k = rng.randint(-2 ** 30, 2 ** 30)
-                num, den = _near_integer(base, shift, k, above)
+                num, den = _near_integer(oracle, base, base_den, shift, k,
+                                         above)
                 want = k if above else k - 1
-                assert FieldElement(oracle, num, den).floor(shift) == want
+                assert oracle.bounds(num, den, shift)[0] == want
                 # r as eigen_data leaves it, not refined by the oracle
                 field = eigen_data(require_nrs(m)).field
                 with monkeypatch.context() as patch:
-                    patch.setattr(FieldElement, "floor", counting_floor)
+                    patch.setattr(NumberField, "bounds",
+                                  _counting_bounds(fallbacks))
                     assert sail3._floor(field, num, den, shift) == want
                 near += 1
                 assert len(fallbacks) == near, (m, shift, above)
@@ -328,8 +340,8 @@ def test_floor_matches_field_floor(monkeypatch):
 
 def test_fundamental_window_takes_no_field_products(monkeypatch):
     # the sail route compiles its operator in integers: no Sturm isolation
-    # of r and no FieldElement product or inverse, on a band cell with
-    # three slab points
+    # of r and no NumberField product, on a band cell with three slab
+    # points
     import hesslab.exact as exact_mod
     import hesslab.numberfield as nf_mod
     calls = []
@@ -340,9 +352,7 @@ def test_fundamental_window_takes_no_field_products(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for attr in ("inverse", "__mul__", "__rmul__"):
-        monkeypatch.setattr(FieldElement, attr,
-                            counting(attr, getattr(FieldElement, attr)))
+    monkeypatch.setattr(NumberField, "mul", counting("mul", NumberField.mul))
     for mod in (nf_mod, exact_mod, sail3):
         for attr in ("isolate_real_roots", "count_real_roots"):
             if hasattr(mod, attr):
@@ -375,7 +385,8 @@ def _interval_orientation(p1, p2, p3):
 
     for k in (16 << i for i in range(10)):
         (x1, y1), (x2, y2), (x3, y3) = (
-            (p.x.bounds(k), _scaled_y(*p.y_sq.bounds(k), k))
+            (p.field.bounds(p.x, p.x_den, k),
+             _scaled_y(*p.field.bounds(p.y_sq, 1, k), k))
             for p in (p1, p2, p3))
         lo, hi = sub(mul(sub(x2, x1), sub(y3, y1)),
                      mul(sub(y2, y1), sub(x3, x1)))
@@ -385,11 +396,11 @@ def _interval_orientation(p1, p2, p3):
 
 
 def _counting_signs():
-    """FieldElement.sign wrapped, while active, by a mock that counts its
+    """NumberField.sign wrapped, while active, by a mock that counts its
     calls: the chord test decides by field signs, and the box filter takes
     none."""
-    return mock.patch.object(FieldElement, "sign", autospec=True,
-                             side_effect=FieldElement.sign)
+    return mock.patch.object(NumberField, "sign", autospec=True,
+                             side_effect=NumberField.sign)
 
 
 def _ascending(e, vs):
@@ -408,7 +419,7 @@ def _undecidable(p):
     decides their orientation."""
     x_lo, x_hi, _, y_sq_hi = p.box
     w = (abs(x_lo) + abs(x_hi) + y_sq_hi + 1) << 40
-    q = PiPoint(p.preimage, p.x, p.y_sq)
+    q = PiPoint(p.preimage, p.x, p.y_sq, p.x_den, p.field)
     q.__dict__["box"] = (x_lo - w, x_hi + w, 0, y_sq_hi + w)
     return q
 
@@ -458,16 +469,22 @@ def test_orientation_filter_matches_exact(i, vs, shape):
 
 def _box_holds(p):
     # box bounds 2^20 x and 2^20 y_sq, y_box 2^20 y, each by its floor
-    # and ceiling
+    # and ceiling: exact signs of 2^20 x_den x - x_den n, 2^20 y_sq - n
+    # and 2^40 y_sq - n^2
     x_lo, x_hi, ysq_lo, ysq_hi = p.box
     y_lo, y_hi = p.y_box
-    unit = Fraction(1, 1 << 20)
-    assert (p.x - x_lo * unit).sign() >= 0 >= (p.x - x_hi * unit).sign()
-    assert (p.y_sq - ysq_lo * unit).sign() >= 0 \
-        >= (p.y_sq - ysq_hi * unit).sign()
+    sign, x, y_sq = p.field.sign, num_times(p.x, 1 << 20), p.y_sq
+
+    def minus(num, n):
+        return (num[0] - n,) + num[1:]
+
+    assert sign(minus(x, x_lo * p.x_den)) >= 0 \
+        >= sign(minus(x, x_hi * p.x_den))
+    assert sign(minus(num_times(y_sq, 1 << 20), ysq_lo)) >= 0 \
+        >= sign(minus(num_times(y_sq, 1 << 20), ysq_hi))
     assert x_hi - x_lo <= 1 and ysq_hi - ysq_lo <= 1
-    assert (p.y_sq - (y_lo * unit) ** 2).sign() >= 0 \
-        >= (p.y_sq - (y_hi * unit) ** 2).sign()
+    assert sign(minus(num_times(y_sq, 1 << 40), y_lo ** 2)) >= 0 \
+        >= sign(minus(num_times(y_sq, 1 << 40), y_hi ** 2))
     assert (y_lo + 1) ** 2 > ysq_lo << 20
     assert y_hi == 0 or (y_hi - 1) ** 2 < ysq_hi << 20
 
@@ -479,23 +496,35 @@ def test_box_holds_x_and_y(i, v):
     _, e = _operator_data(i)
     for w in (v, v.scale(10 ** 400)):
         p = project_pi(e, w)
-        assert p.box == p.x.bounds(20) + p.y_sq.bounds(20)
+        assert p.box == (e.field.bounds(_x_num(e, w), e.x_den, 20)
+                         + e.field.bounds(_f_num(e, w), 1, 20))
         _box_holds(p)
 
 
 def test_box_near_the_box_resolution():
-    # values at, just off and far below 2^-20: integer bounds of a few
-    # units, and of 0
-    field = NumberField.for_largest_root(char_poly(M1))
-    r = field.gen()
-    tiny = r - Fraction(r.floor(80) >> 20, 1 << 60)  # in (0, 2^-60)
-    unit = Fraction(1, 1 << 20)
-    values = [field.element([c]) for c in (0, unit, -unit, unit / 2, 3 * unit)]
-    values += [tiny, -tiny, tiny + unit, unit - tiny, tiny * (1 << 30)]
-    for x in values:
-        for y_sq in values:
-            if y_sq.sign() >= 0:
-                _box_holds(PiPoint(IntVector((1, 0, 0)), x, y_sq))
+    # x values at, just off and far below 2^-20, over x_den = 2^61: r - d
+    # lies in (0, 2^-60).  y_sq is over 1, so its values near the box
+    # resolution are integers and squares moved by the unit r^-30 of
+    # Z[r], in (0, 2^-70): integer bounds of a few units, and of 0
+    field = eigen_data(require_nrs(M1)).field
+    tiny = (-(field.bounds(R, 1, 80)[0] >> 20) * 2, 1 << 61, 0)
+    unit = (1 << 41, 0, 0)
+    xs = [num_times(unit, c) for c in (0, 1, -1)]
+    xs += [(1 << 40, 0, 0), num_times(unit, 3), tiny, num_times(tiny, -1),
+           num_sum(tiny, unit), num_sum(unit, num_times(tiny, -1)),
+           num_times(tiny, 1 << 30)]
+    # 1 / r = r^2 - 5 r - 1, as r^3 = 5 r^2 + r + 1 for M1
+    small = (1, 0, 0)
+    for _ in range(30):
+        small = field.mul(small, (-1, -5, 1))
+    assert field.bounds(small, 1, 70) == (0, 1)
+    ys = [(0, 0, 0), (1, 0, 0), (3, 0, 0), small, num_times(small, 1 << 30)]
+    ys += [num_sum((c, 0, 0), num_times(small, s))
+           for c in (1, 4, 1 << 40) for s in (1, -1)]
+    for x in xs:
+        for y_sq in ys:
+            _box_holds(PiPoint(IntVector((1, 0, 0)), x, y_sq, 1 << 61,
+                               field))
 
 
 def test_orientation_falls_back_on_a_wide_box():
@@ -522,7 +551,10 @@ def _convergent_vectors(i):
     """q e2 - p e1 for the convergents p / q < 2^80 of alpha = x(e2) /
     x(e1), whose x = x(e1) (q alpha - p) shrinks like 1 / q."""
     _, e = _operator_data(i)
-    a = Fraction((e.x_form[1] / e.x_form[0]).floor(240), 1 << 240)
+    # x(e2) / x(e1) to about 2^-300, from both floors at 2^400
+    x0, x1, _ = (e.field.bounds(c, e.x_den, 400)[0]
+                 for c in zip(*e.x_table))
+    a = Fraction(x1, x0)
     out = []
     p0, q0, p1, q1 = 1, 0, math.floor(a), 1
     a -= p1
@@ -547,14 +579,15 @@ def test_x_sign_is_exact(i, j, w, scale):
     cs = _convergent_vectors(i)
     c = cs[j % len(cs)]
     for v in (w, c, w.scale(scale), c.scale(scale), c.scale(scale) + w):
-        assert sail3._x_sign(e, v) == _x_coord(e, v).sign(), v
+        assert sail3._x_sign(e, v) == e.field.sign(_x_num(e, v)), v
 
 
 def test_convergent_vectors_reach_below_the_filter():
     for i in range(4):
         _, e = _operator_data(i)
         tiny = [v for v in _convergent_vectors(i)
-                if _x_coord(e, v).bounds(35) in ((0, 1), (-1, 0))]
+                if e.field.bounds(_x_num(e, v), e.x_den, 35)
+                in ((0, 1), (-1, 0))]
         assert tiny
         assert all(abs(sail3._x_sum(e, v)) < sum(map(abs, v)) for v in tiny)
 
@@ -580,38 +613,36 @@ def test_dec_beyond_the_float_range():
 
 
 def test_pareto_filter_decides_x_order_exactly():
-    # x(p2) - x(p1) = r - d is below 2^-25, so the 2^-20 boxes of a fresh
-    # field overlap, and p1 has the larger y_sq: both points are
-    # Pareto-minimal, but a filter that ordered by box ends alone once
-    # sorted p2 first and dropped p1
-    d = Fraction(NumberField.for_largest_root(char_poly(M1)).gen().floor(40)
-                 >> 15, 1 << 25)
-    field = NumberField.for_largest_root(char_poly(M1))
-    third = field.element([Fraction(1, 3)])
-    p1 = PiPoint(IntVector((1, 0, 0)), third, field.element([2]))
-    p2 = PiPoint(IntVector((0, 1, 0)), third + (field.gen() - d),
-                 field.element([1]))
+    # x(p2) - x(p1) = r - d is below 2^-25, so the 2^-20 boxes overlap,
+    # and p1 has the larger y_sq: both points are Pareto-minimal, but a
+    # filter that ordered by box ends alone once sorted p2 first and
+    # dropped p1.  x is over x_den = 3 * 2^25, x(p1) = 1/3
+    field = eigen_data(require_nrs(M1)).field
+    d = field.bounds(R, 1, 40)[0] >> 15
+    den = 3 << 25
+
+    def point(v, x, y_sq):
+        return PiPoint(IntVector(v), x, (y_sq, 0, 0), den, field)
+
+    p1 = point((1, 0, 0), (1 << 25, 0, 0), 2)
+    p2 = point((0, 1, 0), ((1 << 25) - 3 * d, den, 0), 1)
     for pts in ([p1, p2], [p2, p1]):
         assert sail3._pareto_filter(pts) == [p1, p2]
     # a repeated or weakly dominated point goes
-    p3 = PiPoint(IntVector((0, 0, 1)), third + 1, field.element([1]))
+    p3 = point((0, 0, 1), (4 << 25, 0, 0), 1)
     assert sail3._pareto_filter([p3, p2, p1, p2]) == [p1, p2]
 
 
 def test_x_equivariance():
     e = eigen_data(require_nrs(FRO))
     v = IntVector((1, 2, 0))
-    x_v = _x_coord(e, v)
-    x_mv = _x_coord(e, FRO * v)
-    assert (x_mv - e.r * x_v).is_zero()
+    assert _x_num(e, FRO * v) == e.field.mul(R, _x_num(e, v))
 
 
 def test_y_sq_scaling_under_operator():
     e = eigen_data(require_nrs(FRO))
     v = IntVector((1, 2, 0))
-    f_v = _y_sq(e, v)
-    f_mv = _y_sq(e, FRO * v)
-    assert (f_mv * e.r - f_v).is_zero()
+    assert e.field.mul(_f_num(e, FRO * v), R) == _f_num(e, v)
 
 
 def test_frobenius_sail_fundamental_domain():
@@ -628,9 +659,8 @@ def test_frobenius_sail_fundamental_domain():
 def test_sail_vertices_sorted_and_consistent():
     for m in (M1, FRO):
         sail = compute_sail(m)
-        xs = [p.x for p in sail.vertices]
-        for a, b in zip(xs, xs[1:]):
-            assert a.cmp(b) < 0
+        for p, q in zip(sail.vertices, sail.vertices[1:]):
+            assert p.field.sign(num_sum(q.x, num_times(p.x, -1))) > 0
         dump = sail.to_json()
         assert any(e["is_fundamental"] for e in dump)
         for entry in dump:
@@ -659,7 +689,7 @@ def test_slab_hard_cell_regression(monkeypatch):
     mat = family_member(FamilyPoint(t, IntVector((1, 0, 1)), (-6, 15)))
     e = eigen_data(require_nrs(mat))
     seed = IntVector((32, -11, 62))
-    if _x_coord(e, seed).sign() < 0:
+    if e.field.sign(_x_num(e, seed)) < 0:
         seed = -seed
     slabs = (reduced_slab(e, seed), fundamental_slab(e))
     for slab in slabs:
@@ -674,7 +704,7 @@ def test_slab_hard_cell_regression(monkeypatch):
 
 def _positive_seed(e, v):
     v = IntVector(v)
-    return -v if _x_coord(e, v).sign() < 0 else v
+    return -v if e.field.sign(_x_num(e, v)) < 0 else v
 
 
 def _strictly_inside_slab(m, p, box):
@@ -734,18 +764,23 @@ def test_slab_enumeration_is_sound(m, seed):
 
 def _exact_slab_points(e, slab):
     """The vectors u B of the box |u_i| <= 4 in the slab's basis B, u != 0,
-    that lie in the slab by exact comparisons in Q(r): x(v) between x(p)
-    and x(M p) and F(v) <= max(F(p), F(M p)), from the field formulas; in
-    the lexicographic order of u."""
+    that lie in the slab by exact comparisons in the Fraction oracle: x(v)
+    between x(p) and x(M p) and F(v) <= max(F(p), F(M p)), from the field
+    formulas; in the lexicographic order of u."""
     m, p = e.matrix, slab.seed
-    x_lo, x_hi = sorted((_x_coord_oracle(e, p), _x_coord_oracle(e, m * p)))
-    f_max = max(_y_sq_oracle(e, p), _y_sq_oracle(e, m * p))
+    o = _oracle(m)
+    key = functools.cmp_to_key(o.cmp)
+    x_lo, x_hi = sorted((o.x(p), o.x(m * p)), key=key)
+    f_max = max(o.y_sq(p), o.y_sq(m * p), key=key)
     want = []
     for u in itertools.product(range(-4, 5), repeat=3):
         v = IntVector([sum(map(operator.mul, u, col))
                        for col in zip(*slab.basis)])
-        if (any(u) and x_lo <= _x_coord_oracle(e, v) <= x_hi
-                and _y_sq_oracle(e, v) <= f_max):
+        if not any(u):
+            continue
+        x = o.x(v)
+        if (o.cmp(x_lo, x) <= 0 <= o.cmp(x_hi, x)
+                and o.cmp(o.y_sq(v), f_max) <= 0):
             want.append(v)
     return want
 
@@ -788,12 +823,12 @@ def test_leaf_fallback_is_exact(monkeypatch):
     assert fallbacks
 
 
-def _log2_floor_by_steps(a):
+def _log2_floor_by_steps(field, num, den):
     # the former search, one 64-bit step at a time: the reference value
-    shift, n = 0, a.floor(0)
+    shift, n = 0, field.bounds(num, den, 0)[0]
     while n == 0:
         shift += 64
-        n = a.floor(shift)
+        n = field.bounds(num, den, shift)[0]
     return n.bit_length() - 1 - shift
 
 
@@ -803,22 +838,15 @@ def test_log2_floor_doubles_its_shift(monkeypatch, k):
     # 2^-k: the doubling search agrees with the 64-bit steps and takes
     # O(log shift) floors, where the steps took about k / 64
     field = eigen_data(require_nrs(M1)).field
-    n = field.gen().floor(k)
-    elems = [field.element([Fraction(3, 2 ** (k + 1))]),
-             field.element([-Fraction(n, 2 ** k), 1])]
-    wants = [_log2_floor_by_steps(a) for a in elems]
-    floor = FieldElement.floor
+    n = field.bounds(R, 1, k)[0]
+    elems = [((3, 0, 0), 2 ** (k + 1)), ((-n, 2 ** k, 0), 2 ** k)]
+    wants = [_log2_floor_by_steps(field, *a) for a in elems]
     calls = []
-
-    def counting_floor(a, shift=0):
-        calls.append(shift)
-        return floor(a, shift)
-
-    monkeypatch.setattr(FieldElement, "floor", counting_floor)
-    for a, want in zip(elems, wants):
+    monkeypatch.setattr(NumberField, "bounds", _counting_bounds(calls))
+    for (num, den), want in zip(elems, wants):
         assert -k - 64 < want <= -k
         del calls[:]
-        assert sail3._log2_floor(a.field, a.num, a.den) == want
+        assert sail3._log2_floor(field, num, den) == want
         assert len(calls) <= 2 + (k // 64).bit_length(), calls
 
 
@@ -836,9 +864,13 @@ def test_md_form_is_one_multiple_of_x_times_f():
         vecs += [IntVector(b) for b in fundamental_slab(e).basis]
         vecs += [IntVector([rng.randint(-50, 50) for _ in range(3)])
                  for _ in range(4)]
-        ratios = [_x_coord(e, v) * _y_sq(e, v) * Fraction(1, form(v))
+        # x(v) F(v) / MD(v) over x_den, compared by cross-multiplying the
+        # integer MD values
+        ratios = [(e.field.mul(_x_num(e, v), _f_num(e, v)), form(v))
                   for v in vecs if any(v)]
-        assert all((k - ratios[0]).is_zero() for k in ratios[1:]), str(m)
+        (a, s), others = ratios[0], ratios[1:]
+        assert all(num_times(b, s) == num_times(a, t) for b, t in others), \
+            str(m)
 
 
 # every NRS cell of the two criterion-9 windows (m, n in [-20, 20]) whose
@@ -862,16 +894,18 @@ def test_sail_window_when_real_eigenvalue_below_one():
     for t, anchor, mn in cells:
         mat = family_member(FamilyPoint(t, anchor, mn))
         e = eigen_data(require_nrs(mat))
-        assert (e.r - 1).sign() < 0, mn
+        sign = e.field.sign
+        assert sign((-1, 1, 0)) < 0, mn
         sail = compute_sail(mat)
         fund = [sail.vertices[i] for i in sail.fundamental]
         assert fund, mn
         # the window is [x(M p), x(p)) for the seed p = +-e1
-        x_p = _x_coord(e, IntVector((1, 0, 0)))
-        if x_p.sign() < 0:
-            x_p = -x_p
+        x_p = _x_num(e, IntVector((1, 0, 0)))
+        if sign(x_p) < 0:
+            x_p = num_times(x_p, -1)
         for v in fund:
-            assert v.x.cmp(e.r * x_p) >= 0 and v.x.cmp(x_p) < 0, mn
+            assert sign(num_sum(v.x, num_times(e.field.mul(R, x_p), -1))) >= 0
+            assert sign(num_sum(v.x, num_times(x_p, -1))) < 0, mn
 
 
 def test_content_gate_agrees_with_the_sail(monkeypatch):
@@ -924,9 +958,9 @@ def test_sail_intervals_enclose_the_values():
             assert entry["preimage"] == list(p.preimage)
             x_lo, x_hi = (Fraction(t) for t in entry["x"])
             y_lo, y_hi = (Fraction(t) for t in entry["y"])
-            lo, hi = p.x.bounds(60)
+            lo, hi = p.field.bounds(p.x, p.x_den, 60)
             assert x_lo * one <= lo <= hi <= x_hi * one, (str(m), entry)
-            lo, hi = p.y_sq.bounds(60)
+            lo, hi = p.field.bounds(p.y_sq, 1, 60)
             assert 0 <= y_lo and y_lo * y_lo * one <= lo, (str(m), entry)
             assert hi <= y_hi * y_hi * one, (str(m), entry)
             for a, b in ((x_lo, x_hi), (y_lo, y_hi)):
@@ -970,14 +1004,18 @@ def test_window_holds_the_slab_points():
               band_cell(-2, -1)):
         w = fundamental_window(require_nrs(m))
         e, g = w.eigen, w.generator
-        x_lo, x_hi = _x_coord(e, w.start), _x_coord(e, g * w.start)
+
+        def cmp(a, b):
+            return e.field.sign(num_sum(a, num_times(b, -1)))
+
+        x_lo, x_hi = _x_num(e, w.start), _x_num(e, g * w.start)
         for v in w.points:
-            x = _x_coord(e, v)
-            assert x_lo.cmp(x) <= 0 <= x_hi.cmp(x), (str(m), v)
+            x = _x_num(e, v)
+            assert cmp(x_lo, x) <= 0 <= cmp(x_hi, x), (str(m), v)
         assert w.start in w.points and g * w.start in w.points, str(m)
         sail = compute_sail(m)
         for p in [sail.vertices[i] for i in sail.fundamental]:
-            assert x_lo.cmp(p.x) <= 0 < x_hi.cmp(p.x), (str(m), p.preimage)
+            assert cmp(x_lo, p.x) <= 0 < cmp(x_hi, p.x), (str(m), p.preimage)
 
 
 def _window_operators():
@@ -1051,7 +1089,7 @@ _REFINED_ROOT_CONJUGATE = parse_matrix("-20 10 7; -45 23 13; -6 3 2")
 def test_fundamental_slab_ignores_root_refinement(m):
     fresh = eigen_data(require_nrs(m))
     refined = eigen_data(require_nrs(m))
-    refined.r.bounds(300)
+    refined.field.bounds(R, 1, 300)
     slabs = [fundamental_slab(e) for e in (fresh, refined)]
     assert slabs[0] == slabs[1]
     assert gamma0_slab_points(fresh, slabs[0]) \
@@ -1067,12 +1105,20 @@ def test_verify_dirichlet_element():
     assert not verify_dirichlet_element(FRO, M1)
 
 
+def test_verify_dirichlet_element_rejects_a_size_mismatch():
+    # an element of another size is an ExactError, not a non-member
+    for x in (IntMatrix.identity(2), IntMatrix.identity(4)):
+        with pytest.raises(ExactError, match="the element is %dx%d, the "
+                           "matrix is 3x3" % (x.n, x.n)):
+            verify_dirichlet_element(FRO, x)
+
+
 def test_project_pi_orbit_invariants():
     e = eigen_data(require_nrs(M1))
     p = project_pi(e, IntVector((0, -1, 1)))
     q = project_pi(e, M1 * IntVector((0, -1, 1)))
-    assert (q.x - e.r * p.x).is_zero()
-    assert (q.y_sq * e.r - p.y_sq).is_zero()
+    assert q.x == e.field.mul(R, p.x)
+    assert e.field.mul(q.y_sq, R) == p.y_sq
 
 
 def _reference_integral_lll(gram):
@@ -1230,27 +1276,24 @@ def test_integral_lll_matches_the_reference_on_the_pin_grams(monkeypatch):
 
 
 def test_fingerprint_work_is_capped(monkeypatch):
-    # a work count: over fingerprint of pin_conjugates, the FieldElement.floor
-    # fallbacks of sail3._floor and the integral LLL calls, at most the 99
+    # a work count: over fingerprint of pin_conjugates, the exact floors of
+    # the kernel (NumberField.bounds, the fallback of sail3._floor, and on
+    # this route nothing else) and the integral LLL calls, at most the 99
     # and 71 of the Horner-loop floors and the closure-based LLL that the
     # straight-line kernels replaced.  An enclosure that saves time per
     # floor must not spend it again on refinements of r
-    floor, lll = FieldElement.floor, sail3._integral_lll
-    counts = {"floor": 0, "lll": 0}
-
-    def counting_floor(a, shift=0):
-        counts["floor"] += 1
-        return floor(a, shift)
+    floors, lll = [], sail3._integral_lll
+    counts = {"lll": 0}
 
     def counting_lll(gram):
         counts["lll"] += 1
         return lll(gram)
 
-    monkeypatch.setattr(FieldElement, "floor", counting_floor)
+    monkeypatch.setattr(NumberField, "bounds", _counting_bounds(floors))
     monkeypatch.setattr(sail3, "_integral_lll", counting_lll)
     for m in pin_conjugates():
         fingerprint(m)
-    assert counts["floor"] <= 99 and counts["lll"] <= 71, counts
+    assert len(floors) <= 99 and counts["lll"] <= 71, (len(floors), counts)
 
 
 # sha256 of the JSON lines, keys sorted, of compute_sail(m).to_json() on
