@@ -207,12 +207,39 @@ def _cmd_atlas4(args):
                               "cells": [c.to_json() for c in cells]})
 
 
+# items of a top-level list that _write_json encodes in one piece
+_JSON_CHUNK = 1024
+
+
+def _write_json(fh, data: dict) -> None:
+    """The bytes of json.dumps(data, sort_keys=True), data a nonempty
+    dict, to fh, written one top-level value, or _JSON_CHUNK items of a
+    top-level list, at a time, so that the document is never held whole.
+    Each piece is one json.dumps, which keeps the C encoder; a chunk's
+    encoding, brackets stripped, is its items' joined by ", ", as in the
+    whole list's."""
+    sep = "{"
+    for key in sorted(data):
+        fh.write("%s%s: " % (sep, json.dumps(key)))
+        value = data[key]
+        if isinstance(value, list):
+            fh.write("[")
+            for i in range(0, len(value), _JSON_CHUNK):
+                chunk = json.dumps(value[i:i + _JSON_CHUNK], sort_keys=True)
+                fh.write((", " if i else "") + chunk[1:-1])
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value, sort_keys=True))
+        sep = ", "
+    fh.write("}")
+
+
 def _emit_atlas(args, data):
     """An atlas's JSON to `--json PATH`, or to stdout under a bare --json,
     and its class counts as text otherwise."""
     if args.json and args.json is not True:
         with open(args.json, "w") as fh:
-            fh.write(json.dumps(data, sort_keys=True))
+            _write_json(fh, data)
         args = argparse.Namespace(**{**vars(args), "json": False})
     _emit(args, data, "\n".join(
         "%s %d" % (k, v) for k, v in sorted(data["counts"].items())))

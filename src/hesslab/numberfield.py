@@ -9,11 +9,13 @@ Theory, 4.2).  A NumberField is the kernel on numerators: a product,
 reduced by the minimal polynomial in integers, the exact sign, and the
 exact floor and ceiling of a value scaled by 2^shift; sums and integer
 multiples are the caller's integer operations.  Signs are decided by
-interval evaluation on a dyadic isolating interval of r, refined to the
-precision each decision asks for by certified Newton steps, with a
+interval evaluation on a dyadic isolating interval of r, given by integer
+endpoint numerators over 2^k and refined by certified Newton steps, with a
 bisection wherever a step fails (quadratic interval refinement: Abbott,
-2006; Kerber and Sagraloff, 2011).  Termination is guaranteed because a
-nonzero element of the field cannot vanish at r.
+2006; Kerber and Sagraloff, 2011).  The sail route hands the kernel r on
+a narrow interval, refined once to a working precision, and a decision
+refines it further only where that interval leaves it open.  Termination
+is guaranteed because a nonzero element of the field cannot vanish at r.
 """
 
 from __future__ import annotations
@@ -25,33 +27,22 @@ from typing import Tuple
 from .exact import ExactError, IntPoly
 
 
-def _dyadic_numerator(x: Fraction, k: int) -> int:
-    """x * 2^k, which must be an integer."""
-    num, rem = divmod(x.numerator << k, x.denominator)
-    if rem:
-        raise ExactError("isolating interval endpoints must be dyadic")
-    return num
-
-
 class RealRoot:
     """A real root of an integer polynomial, held as a shrinking isolating
-    interval (a/2^k, b/2^k) with integers a < b, plus the sign of the
-    polynomial at the left end.  Mutable on purpose: refinement is shared
-    by every decision of the field that holds the root."""
+    interval (a/2^k, b/2^k) with integers a < b and k >= 0, plus the sign
+    of the polynomial at the left end.  Mutable on purpose: refinement is
+    shared by every decision of the field that holds the root."""
 
     __slots__ = ("poly", "a", "b", "k", "sign_a")
 
-    def __init__(self, poly: IntPoly, lo: Fraction, hi: Fraction):
-        lo, hi = Fraction(lo), Fraction(hi)
-        k = max(lo.denominator, hi.denominator).bit_length() - 1
-        self.poly = poly
-        self.a = _dyadic_numerator(lo, k)
-        self.b = _dyadic_numerator(hi, k)
-        self.k = k
-        self.sign_a = self._sign_at(self.a, k)
+    def __init__(self, poly: IntPoly, a: int, b: int, k: int = 0):
+        """The root of poly in (a/2^k, b/2^k), once exact signs of poly at
+        the ends differ; else ExactError."""
+        self.poly, self.a, self.b, self.k = poly, a, b, k
+        self.sign_a = self._sign_at(a, k)
         if self.sign_a == 0:
             raise ExactError("isolating interval endpoint hits the root")
-        if self.sign_a * self._sign_at(self.b, k) > 0:
+        if self.sign_a * self._sign_at(b, k) > 0:
             raise ExactError("interval does not isolate a sign change")
 
     @property

@@ -10,18 +10,20 @@ under positive axis scalings, so the scale never matters).
 eigen_data compiles an operator once, in integers, into tables over the
 power basis 1, r, r^2 of Q(r), from the coefficients of its
 characteristic polynomial (NOTES.md, "Closed forms over Z[r]"): r is
-isolated on (0, 1 + max |c_i|) with no Sturm chain, x is a 3x3 table over
-one denominator, from the adjugate of one integer multiplication matrix,
-and F = y_sq is three symmetric integer matrices Q_k, the polar-Gram
-tables, with F(v) = v^T Q_k v / 2 in the power r^k.  x(v) and F(v) are
-integer dot products, and the polar Gram matrix of any basis is one
-congruence of each Q_k.  Every value in Q(r) is such a numerator over
-Z[r], x's over x_den and F's over 1: a slab's x(p) and f_max, a
-PiPoint's x and y_sq.  Every floor the slab takes goes from those
+isolated with no Sturm chain, on a float bracket that exact signs of p
+confirm, else on (0, 1 + max |c_i|), and refined once to _R_BITS; x is a
+3x3 table over one denominator, from the adjugate of one integer
+multiplication matrix, and F = y_sq is three symmetric integer matrices
+Q_k, the polar-Gram tables, with F(v) = v^T Q_k v / 2 in the power r^k.
+x(v) and F(v) are integer dot products, and the polar Gram matrix of any
+basis is one congruence of each Q_k.  Every value in Q(r) is such a
+numerator over Z[r], x's over x_den and F's over 1: a slab's x(p) and
+f_max, a PiPoint's x and y_sq.  Every floor the slab takes goes from those
 numerators through _floor, in straight-line integers, which asks the
-NumberField kernel only where r's interval leaves the floor open; the
-kernel's sign, bounds and mul decide every exact sign, order and chord
-test, on numerators and their integer differences.  The slab
+NumberField kernel only where r's interval at _R_BITS leaves the floor
+open, and on the atlas families nowhere; the kernel's sign, bounds and mul
+decide every exact sign, order and chord test, on numerators and their
+integer differences.  The slab
 enumeration walks the basis coordinates level by level, in ranges from
 one integer quadratic form made of the floors its leaf filter takes, in
 Python integers.  Every sign, order and orientation is decided on integer
@@ -69,6 +71,12 @@ from .numberfield import NumberField, RealRoot
 _BOX_BITS = 20
 # bits of the integer filters of x(v) and of the slab's cuts
 _FILTER_BITS = 40
+# bits to which eigen_data refines r, once: the slab's floors at 2^40 and
+# the boxes at 2^20 then decide on r's interval without refining it
+_R_BITS = 96
+# half-width of r's float bracket, in units of 2^-44 of the estimate's
+# binade: about 2^-32 relative
+_BRACKET = 1 << 12
 # enumeration nodes of one slab before it is Inconclusive
 NODE_BUDGET = 40_000_000
 
@@ -187,19 +195,69 @@ def _mult_matrix(b, c1: int, c2: int) -> IntMatrix:
     return _matrix(tuple(zip(b, rb, times_r(rb))))
 
 
+def _cardano(b: float, c: float) -> float:
+    """The real root of t^3 + b t^2 + c t - 1, whose discriminant is
+    negative, in floats: Cardano's formula for the depressed cubic u^3 + P u
+    + Q, t = u - b/3, with the cube root A of -Q/2 - sign(Q) sqrt(D), the
+    one of the two whose terms do not cancel, and u = A - P / (3A); then
+    one Newton step.  D = Q^2/4 + P^3/27 cancels when the complex pair
+    nearly meets (a real root far from it): the square root then keeps
+    half the digits, and the Newton step restores them."""
+    pp = c - b * b / 3
+    qq = (2 * b * b / 27 - c / 3) * b - 1
+    d = max(qq * qq / 4 + pp * pp * pp / 27, 0.0)
+    w = -qq / 2 - math.copysign(math.sqrt(d), qq)
+    a = math.copysign(abs(w) ** (1 / 3), w)
+    t = (a - pp / (3 * a) if a else 0.0) - b / 3
+    return t - (((t + b) * t + c) * t - 1) / ((3 * t + 2 * b) * t + c)
+
+
+def _isolate_r(p: IntPoly) -> RealRoot:
+    """r's RealRoot, on a dyadic bracket about 2^-32 wide relative to a
+    float estimate of r and cut at B = 1 + max |c_i|, when exact signs of p
+    at its ends differ, and else on (0, B) (NOTES.md, "Closed forms over
+    Z[r]").  The estimate is _cardano's root of p when r > 1, and else the
+    reciprocal of that of -t^3 p(1/t) = t^3 - c1 t^2 - c2 t - 1, whose real
+    root 1/r is > 1: for a root R > 1 the shift b/3 has at most R's size,
+    so t = u - b/3 does not cancel."""
+    _, c1, c2, _ = p.coeffs
+    bound = 1 + max(map(abs, p.coeffs[:-1]))
+    try:
+        est = (_cardano(float(c2), float(c1)) if c1 + c2 < 0
+               else 1 / _cardano(float(-c1), float(-c2)))
+        mant, e = math.frexp(est)
+        m = int(math.ldexp(mant, 44))
+    except (ArithmeticError, ValueError):
+        # a coefficient beyond the float range, a division by 0, or an
+        # estimate that overflowed to inf or nan
+        m = 0
+    if m > _BRACKET:
+        # (a, b) / 2^k = est -+ 2^(e - 32) > 0, with k >= 0
+        a, b, k = m - _BRACKET, m + _BRACKET, 44 - e
+        if k < 0:
+            a, b, k = a << -k, b << -k, 0
+        try:
+            return RealRoot(p, a, min(b, bound << k), k)
+        except ExactError:
+            pass
+    return RealRoot(p, 0, bound)
+
+
 def eigen_data(nrs: NrsCheck) -> EigenData3:
     """The eigen data of the operator of `nrs`, in integers from the
     coefficients of p = t^3 + c2 t^2 + c1 t - 1 (NOTES.md, "Closed forms
-    over Z[r]"): r is isolated on (0, 1 + max |c_i|), expands is p(1) < 0,
-    q_table is W^T (2 S_k) W over the closed forms of the six constants,
-    and x_form is row 0 of adj(M - rI) over its entry b(r) at (0, 0), b(t)
-    = t^2 + omega_1[0, 0] t + omega_0[0, 0], through the adjugate of the
-    integer matrix of multiplication by b(r).  b(r) is nonzero, and so is
-    F at row 0's entry (0, 0), |b(c)|^2 at a complex eigenvalue c: b is
-    monic of degree 2, and r and c have degree 3."""
+    over Z[r]"): r is isolated by _isolate_r and refined once to _R_BITS,
+    expands is p(1) < 0, q_table is W^T (2 S_k) W over the closed forms of
+    the six constants, and x_form is row 0 of adj(M - rI) over its entry
+    b(r) at (0, 0), b(t) = t^2 + omega_1[0, 0] t + omega_0[0, 0], through
+    the adjugate of the integer matrix of multiplication by b(r).  b(r) is
+    nonzero, and so is F at row 0's entry (0, 0), |b(c)|^2 at a complex
+    eigenvalue c: b is monic of degree 2, and r and c have degree 3."""
     m, p, md = nrs
     _, c1, c2, _ = p.coeffs
-    field = NumberField(p, RealRoot(p, 0, 1 + max(map(abs, p.coeffs[:-1]))))
+    root = _isolate_r(p)
+    root.refine_to(_R_BITS)
+    field = NumberField(p, root)
     a0, w1, w2 = _adjugate_coeffs(m)
     omega_rows = (a0.rows[0], w1.rows[0], w2.rows[0])
     # adj(B) = d B^-1, with B the multiplication by b(r) and d = det B, is

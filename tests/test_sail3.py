@@ -259,9 +259,10 @@ def _shears_of_m1(power):
 
 
 def test_closed_form_tables_match_field_arithmetic():
-    # eigen_data builds its tables in integers: r on (0, 1 + max |c_i|),
-    # the polar-Gram tables Q_k = W^T (2 S_k) W from the closed forms of
-    # the six constants of F over Z[r], x_form from the adjugate of a
+    # eigen_data builds its tables in integers: r on a float bracket that
+    # exact signs confirm, else on (0, 1 + max |c_i|), the polar-Gram
+    # tables Q_k = W^T (2 S_k) W from the closed forms of the six
+    # constants of F over Z[r], x_form from the adjugate of a
     # multiplication matrix, and expands from the sign of p(1).  Oracle:
     # the same tables from Sturm isolation and the Fraction oracle's
     # products, inverses and floors, and its sign of r - 1, on the 838
@@ -276,13 +277,18 @@ def test_closed_form_tables_match_field_arithmetic():
         assert e.expands == expands, m
 
 
+# the distance of the near-integer values from their integer: 32 bits
+# past the precision to which eigen_data refines r
+_NEAR = sail3._R_BITS + 32
+
+
 def _near_integer(field, base, den, shift, k, above):
-    """(num, den) of a value v with 2^shift v in (k, k + 2^-60) when
-    `above`, else in (k - 2^-60, k): base / den moved by a dyadic rational,
-    from the floor of 2^(shift + 60) base / den."""
-    t = shift + 60
+    """(num, den) of a value v with 2^shift v in (k, k + 2^-_NEAR) when
+    `above`, else in (k - 2^-_NEAR, k): base / den moved by a dyadic
+    rational, from the floor of 2^(shift + _NEAR) base / den."""
+    t = shift + _NEAR
     f = field.bounds(base, den, t)[0] + (not above)
-    num = (base[0] * (1 << t) - (f - (k << 60)) * den,
+    num = (base[0] * (1 << t) - (f - (k << _NEAR)) * den,
            base[1] << t, base[2] << t)
     return num, den << t
 
@@ -301,9 +307,9 @@ def test_floor_matches_field_floor(monkeypatch):
     # sail3._floor takes the Horner enclosure at r's current interval when
     # both its ends have one floor, and the lower end of NumberField.bounds
     # otherwise.  Oracle: NumberField.bounds, on seeded numerators,
-    # denominators and shifts, and on values within 2^-60 of an integer,
-    # where the enclosure at eigen_data's refinement straddles the integer
-    # and the fallback must run
+    # denominators and shifts, and on values within 2^-(_R_BITS + 32) of an
+    # integer, where the enclosure at eigen_data's refinement straddles the
+    # integer and the fallback must run
     rng = random.Random(32)
     mats = [M1, FRO, band_cell(-3, 9), _shears_of_m1(40)[0]]
     for m in mats:
@@ -336,6 +342,74 @@ def test_floor_matches_field_floor(monkeypatch):
                     assert sail3._floor(field, num, den, shift) == want
                 near += 1
                 assert len(fallbacks) == near, (m, shift, above)
+
+
+_REDUCED = {"status": "Reduced", "certificate": {"kind": "SailCertified"}}
+# (operator, whether the float bracket isolates its r, its fingerprint's
+# matrices (None: the operator alone) and minimum, and its verdict (None:
+# not a perfect Hessenberg matrix)), the outputs as r's isolation on the
+# Cauchy interval (0, B) gave them: M1, two with r < 1, two far-out band
+# members and a Frobenius member whose c2 = -10^400 has no float
+_BRACKET_CASES = {
+    "M1": (M1, True, (M1, parse_matrix("0 2 3; 1 1 1; 0 3 4")), 3,
+           _REDUCED),
+    "M1^-1": (M1.inverse_unimodular(), True,
+              (parse_matrix("0 1 0; 1 0 -2; 0 3 -1"),
+               parse_matrix("0 2 -1; 1 1 -3; 0 3 -2")), 3, None),
+    "(-7,3)": (band_cell(-7, 3), True,
+               (parse_matrix("0 0 1; 1 0 -13; 0 1 7"),), 1,
+               {"status": "Nonreduced", "witness": [1, -2, 1]}),
+    "(4,10^12)": (band_cell(4, 10 ** 12), True, None, 2, _REDUCED),
+    "(10^15,10^30)": (band_cell(10 ** 15, 10 ** 30), True, None, 2,
+                      _REDUCED),
+    "c2=-10^400": (IntMatrix([[0, 0, 1], [1, 0, 3], [0, 1, 10 ** 400]]),
+                   False, None, 1, _REDUCED),
+}
+
+
+def _check_bracket_case(name, in_float):
+    """Assert that r's starting interval for the case `name` is the float
+    bracket when `in_float`, else (0, B), and that the fingerprint and the
+    verdict are the case's."""
+    m, _, matrices, min_value, verdict = _BRACKET_CASES[name]
+    p = require_nrs(m).poly
+    bound = 1 + max(map(abs, p.coeffs[:-1]))
+    root = sail3._isolate_r(p)
+    if in_float:
+        assert 0 < root.lo < root.hi <= bound, name
+        assert root.hi - root.lo < root.lo / 2 ** 30, name
+    else:
+        assert (root.lo, root.hi) == (0, bound), name
+    fp = fingerprint(m)
+    assert fp.matrices == (matrices or (m,)) and fp.min_value == min_value
+    if verdict is not None:
+        assert is_reduced(m, Sail()).to_json() == verdict, name
+
+
+@pytest.mark.parametrize("name", list(_BRACKET_CASES))
+def test_float_bracket_isolates_r(name):
+    # eigen_data isolates r on a bracket about 2^-32 wide relative to a
+    # float estimate of it, kept when exact signs of p at its ends differ
+    # and it lies in (0, B), else on (0, B); a coefficient with no float
+    # takes (0, B).  Every floor is exact at any interval of r, so the
+    # outputs are those of the isolation on (0, B)
+    _check_bracket_case(name, _BRACKET_CASES[name][1])
+
+
+@pytest.mark.parametrize("wrong", [lambda t: math.nan, lambda t: math.inf,
+                                   lambda t: t * (1 + 2 ** -20),
+                                   lambda t: -t, lambda t: 0.0],
+                         ids=["nan", "inf", "off-by-2^-20", "negated", "zero"])
+def test_wrong_float_estimate_falls_back_to_the_cauchy_interval(monkeypatch,
+                                                                 wrong):
+    # a float estimate that misses r, or is no number, fails the bracket's
+    # exact check or its range check, and r is isolated on (0, B) with the
+    # same outputs
+    cardano = sail3._cardano
+    monkeypatch.setattr(sail3, "_cardano", lambda b, c: wrong(cardano(b, c)))
+    for name, case in _BRACKET_CASES.items():
+        if case[1]:
+            _check_bracket_case(name, False)
 
 
 def test_fundamental_window_takes_no_field_products(monkeypatch):
@@ -1278,10 +1352,13 @@ def test_integral_lll_matches_the_reference_on_the_pin_grams(monkeypatch):
 def test_fingerprint_work_is_capped(monkeypatch):
     # a work count: over fingerprint of pin_conjugates, the exact floors of
     # the kernel (NumberField.bounds, the fallback of sail3._floor, and on
-    # this route nothing else) and the integral LLL calls, at most the 99
-    # and 71 of the Horner-loop floors and the closure-based LLL that the
-    # straight-line kernels replaced.  An enclosure that saves time per
-    # floor must not spend it again on refinements of r
+    # this route nothing else) and the integral LLL calls: none of the
+    # first, as eigen_data refines r once to a precision at which every
+    # Horner enclosure decides its floor, where the enclosures at r's
+    # staged refinement left 99, and at most the 71 LLL calls of the
+    # closure-based LLL that the straight-line kernel replaced.  An
+    # enclosure that saves time per floor must not spend it again on
+    # refinements of r
     floors, lll = [], sail3._integral_lll
     counts = {"lll": 0}
 
@@ -1293,7 +1370,7 @@ def test_fingerprint_work_is_capped(monkeypatch):
     monkeypatch.setattr(sail3, "_integral_lll", counting_lll)
     for m in pin_conjugates():
         fingerprint(m)
-    assert len(floors) <= 99 and counts["lll"] <= 71, (len(floors), counts)
+    assert floors == [] and counts["lll"] <= 71, (len(floors), counts)
 
 
 # sha256 of the JSON lines, keys sorted, of compute_sail(m).to_json() on
