@@ -5,22 +5,23 @@ eigenvalue r of an NRS matrix.  The minimal polynomial is monic with
 integer coefficients, so a value of Q(r) is a numerator, the integer
 coefficients of 1, r, ..., r^(d-1), over one positive denominator that
 its caller keeps (Cohen, A Course in Computational Algebraic Number
-Theory, 4.2).  A NumberField is the kernel on numerators: a product,
-reduced by the minimal polynomial in integers, the exact sign, and the
-exact floor and ceiling of a value scaled by 2^shift; sums and integer
-multiples are the caller's integer operations.  Signs are decided by
-interval evaluation on a dyadic isolating interval of r, given by integer
-endpoint numerators over 2^k and refined by certified Newton steps, with a
-bisection wherever a step fails (quadratic interval refinement: Abbott,
-2006; Kerber and Sagraloff, 2011).  The sail route hands the kernel r on
-a narrow interval, refined once to a working precision, and a decision
-refines it further only where that interval leaves it open.  Termination
-is guaranteed because a nonzero element of the field cannot vanish at r.
+Theory, 4.2).  A NumberField is the kernel on numerators, with three
+operations: a product, reduced by the minimal polynomial in integers, the
+exact sign, and the exact floor of a value scaled by 2^shift, the one
+integer path out of Q(r); a ceiling is minus the floor of the negated
+numerator, and sums and integer multiples are the caller's integer
+operations.  Signs and floors are decided by interval evaluation on a
+dyadic isolating interval of r, given by integer endpoint numerators over
+2^k and refined by certified Newton steps, with a bisection wherever a
+step fails (quadratic interval refinement: Abbott, 2006; Kerber and
+Sagraloff, 2011).  The sail route hands the kernel r on a narrow
+interval, refined once to a working precision, and a decision refines it
+further only where that interval leaves it open.  Termination is
+guaranteed because a nonzero element of the field cannot vanish at r.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
@@ -44,14 +45,6 @@ class RealRoot:
             raise ExactError("isolating interval endpoint hits the root")
         if self.sign_a * self._sign_at(b, k) > 0:
             raise ExactError("interval does not isolate a sign change")
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.a, 1 << self.k)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.b, 1 << self.k)
 
     def _sign_at(self, m: int, k: int) -> int:
         """Sign of poly(m / 2^k), from sum c_i m^i 2^(k(d-i)) by Horner."""
@@ -121,7 +114,8 @@ class RealRoot:
             self.sign_a = s
 
     def __repr__(self):
-        return "RealRoot(%s, %s, %s)" % (self.poly, self.lo, self.hi)
+        return "RealRoot(%s, %d/2^%d, %d/2^%d)" % (self.poly, self.a, self.k,
+                                                   self.b, self.k)
 
 
 def _horner_interval(num, a: int, b: int, k: int) -> Tuple[int, int]:
@@ -195,21 +189,47 @@ class NumberField:
                 return -1
             root.refine_to(2 * max(root.bits, 0) + 8)
 
-    def bounds(self, num, den: int = 1, shift: int = 0) -> Tuple[int, int]:
-        """The floor and the ceiling of 2^shift times the value of num over
-        the positive denominator den, exactly, so whatever the refinement of
-        r.  num and den are first divided by gcd(den, *num), so that the
-        refinements of r depend on the value alone.  The Horner enclosure
-        is refined until, rounded outward, it spans at most one unit, or is
-        narrow enough that sign() puts the value on one side of the one
-        integer inside it.  An irrational value's bounds differ by one; a
-        rational value's enclosure is the value itself.
+    def floor(self, num, den: int = 1, shift: int = 0) -> int:
+        """floor(2^shift times the value of num over the positive
+        denominator den), exact at any refinement of r.  First the
+        straight-line Horner enclosure at r's interval (a, b) / 2^k when a
+        >= 0, as on the sail route, and num is cubic: a lower bound is
+        multiplied by a where it is >= 0 and by b where it is < 0, an upper
+        bound the other way round.  Where its ends' floors differ, or the
+        enclosure does not apply, _slow_floor refines r until it decides."""
+        root = self.root
+        a, b, k = root.a, root.b, root.k
+        if a >= 0:
+            try:
+                c0, c1, c2 = num
+            except ValueError:  # not a cubic field's numerator
+                return self._slow_floor(num, den, shift)
+            # 2^2k times the value lies in [lo, hi]
+            c1 <<= k
+            lo = c2 * (a if c2 >= 0 else b) + c1
+            hi = c2 * (b if c2 >= 0 else a) + c1
+            c0 <<= 2 * k
+            lo = lo * (a if lo >= 0 else b) + c0
+            hi = hi * (b if hi >= 0 else a) + c0
+            scale = den << 2 * k
+            if shift >= 0:
+                lo, hi = lo << shift, hi << shift
+            else:
+                scale <<= -shift
+            n = lo // scale
+            if hi // scale == n:
+                return n
+        return self._slow_floor(num, den, shift)
 
-        The loop ends.  Each refinement asks r for the bits that narrow the
-        enclosure, scaled by 2^shift, from its current width to about
-        2^-10; while that width is above 2^-8 this is at least two more
-        bits, and the enclosure narrows with the interval of r, so it gets
-        2^-8 wide, where sign() decides."""
+    def _slow_floor(self, num, den: int, shift: int) -> int:
+        """floor(), refining r, with num and den first divided by gcd(den,
+        *num) so that the refinements depend on the value alone: until the
+        Horner enclosure, rounded outward, spans at most one unit (an
+        irrational value lies strictly inside it, a rational one's is the
+        value), or is 2^-8 wide and sign() puts the value on one side of
+        the one integer inside.  The loop ends: each refinement asks r for
+        the bits that narrow the scaled enclosure to about 2^-10, at least
+        two more while it is wider than 2^-8, and it narrows as r's does."""
         g = gcd(den, *num)
         if g != 1:
             num = tuple(c // g for c in num)
@@ -219,14 +239,14 @@ class NumberField:
         while True:
             lo, hi = _horner_interval(num, root.a, root.b, root.k)
             scale = (den << (root.k * (len(num) - 1))) * down
-            n, m = lo * up // scale, -(-hi * up // scale)
-            if m - n <= 1:
-                return n, m
+            n = lo * up // scale
+            if -(-hi * up // scale) - n <= 1:
+                return n
             spread = (hi - lo) * up
             if spread << 8 <= scale:
                 # 2^-8 wide: n + 1 is the one integer inside
                 s = self.sign((num[0] * up - (n + 1) * down * den,)
                               + tuple(c * up for c in num[1:]))
-                return n + (s >= 0), n + 1 + (s > 0)
+                return n + (s >= 0)
             root.refine_to(root.bits + spread.bit_length()
                            - scale.bit_length() + 10)

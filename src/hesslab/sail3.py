@@ -18,19 +18,21 @@ Q_k, the polar-Gram tables, with F(v) = v^T Q_k v / 2 in the power r^k.
 x(v) and F(v) are integer dot products, and the polar Gram matrix of any
 basis is one congruence of each Q_k.  Every value in Q(r) is such a
 numerator over Z[r], x's over x_den and F's over 1: a slab's x(p) and
-f_max, a PiPoint's x and y_sq.  Every floor the slab takes goes from those
-numerators through _floor, in straight-line integers, which asks the
-NumberField kernel only where r's interval at _R_BITS leaves the floor
-open, and on the atlas families nowhere; the kernel's sign, bounds and mul
-decide every exact sign, order and chord test, on numerators and their
-integer differences.  The slab
-enumeration walks the basis coordinates level by level, in ranges from
-one integer quadratic form made of the floors its leaf filter takes, in
-Python integers.  Every sign, order and orientation is decided on integer
-floors at 2^b with a proven error, and in Q(r) where that leaves it
-open: slab membership and signs of x(v) on the floors of 2^40 x, orders
-and hull orientations of projected points on the floors and ceilings of
-2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
+f_max, a PiPoint's x and y_sq.  Every floor that the slab, the boxes and
+the JSON take goes from those numerators to Z through the kernel's one
+integer path, NumberField.floor, in straight-line integers at r's
+interval at _R_BITS, which refines r only where that interval leaves the
+floor open, and on the atlas families nowhere; a ceiling is minus the
+floor of the negated numerator.  The kernel's sign and mul decide every
+exact sign, order and chord test, on numerators and their integer
+differences.  The slab enumeration walks the basis coordinates level by
+level, in ranges from one integer quadratic form made of the floors its
+leaf filter takes, in Python integers.  Every sign, order and
+orientation is decided on integer floors at 2^b with a proven error, and
+in Q(r) where that leaves it open: slab membership and signs of x(v) on
+the floors of 2^40 x, orders and hull orientations of projected points
+on the floors and ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each
+point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x; its window is anchored at the fundamental slab's seed, so it
@@ -50,7 +52,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from .exact import (
@@ -280,7 +281,7 @@ def eigen_data(nrs: NrsCheck) -> EigenData3:
         q00, q01, q02, q11, q12, q22 = _congruence(cols, s)
         q_table.append(((q00, q01, q02), (q01, q11, q12), (q02, q12, q22)))
     return EigenData3(m, md, a0, field, c1 + c2 < 0,
-                      tuple(_floor(field, c, x_den, _FILTER_BITS)
+                      tuple(field.floor(c, x_den, _FILTER_BITS)
                             for c in zip(*x_table)),
                       x_table, x_den, tuple(q_table))
 
@@ -299,46 +300,26 @@ class PiPoint:
 
     @functools.cached_property
     def box(self) -> Tuple[int, int, int, int]:
-        """(x_lo, x_hi, y_sq_lo, y_sq_hi): the integer bounds of 2^20 x and
-        2^20 y_sq (NumberField.bounds), computed once."""
-        bounds = self.field.bounds
-        return (bounds(self.x, self.x_den, _BOX_BITS)
-                + bounds(self.y_sq, 1, _BOX_BITS))
+        """(x_lo, x_hi, y_sq_lo, y_sq_hi): the floors and ceilings of 2^20 x
+        and 2^20 y_sq, computed once."""
+        field, x, y_sq = self.field, self.x, self.y_sq
+        return (field.floor(x, self.x_den, _BOX_BITS),
+                _ceil(field, x, self.x_den, _BOX_BITS),
+                field.floor(y_sq, 1, _BOX_BITS),
+                _ceil(field, y_sq, 1, _BOX_BITS))
 
     @functools.cached_property
     def y_box(self) -> Tuple[int, int]:
-        """(y_lo, y_hi): integer bounds of 2^20 y, y = sqrt(y_sq), the
-        integer square roots of 2^20 times box's bounds of 2^20 y_sq."""
+        """(y_lo, y_hi): integer bounds of 2^20 y, y = sqrt(y_sq): integer
+        square roots, down and up, of 2^20 times box's bounds of 2^20 y_sq."""
         lo, hi = (b << _BOX_BITS for b in self.box[2:])
-        return math.isqrt(lo), _sqrt_upper(Fraction(hi)).numerator
+        s = math.isqrt(hi)
+        return math.isqrt(lo), s + (s * s < hi)
 
 
-def _floor(field: NumberField, num, den: int, shift: int) -> int:
-    """floor(2^shift (num . (1, r, r^2)) / den), exactly: from the Horner
-    enclosure at r's current interval (a, b) / 2^k when both its ends have
-    that floor, else the lower end of NumberField.bounds, which refines r.
-    The interval lies in (0, B), so a >= 0, and each Horner step multiplies
-    a lower bound by a where it is >= 0 and by b where it is < 0, an upper
-    bound the other way round."""
-    root = field.root
-    a, b, k = root.a, root.b, root.k
-    c0, c1, c2 = num
-    # 2^2k times the value lies in [lo, hi]
-    c1 <<= k
-    lo = c2 * (a if c2 >= 0 else b) + c1
-    hi = c2 * (b if c2 >= 0 else a) + c1
-    c0 <<= 2 * k
-    lo = lo * (a if lo >= 0 else b) + c0
-    hi = hi * (b if hi >= 0 else a) + c0
-    scale = den << 2 * k
-    if shift >= 0:
-        lo, hi = lo << shift, hi << shift
-    else:
-        scale <<= -shift
-    n = lo // scale
-    if hi // scale == n:
-        return n
-    return field.bounds(num, den, shift)[0]
+def _ceil(field: NumberField, num, den: int = 1, shift: int = 0) -> int:
+    """ceil(2^shift (num . (1, r, r^2)) / den) = -floor(-...), exactly."""
+    return -field.floor(tuple(-c for c in num), den, shift)
 
 
 def _x_num(e: EigenData3, v) -> tuple:
@@ -473,32 +454,25 @@ class SailData:
             # 10^9 x lies in [x_lo, x_hi] and 10^18 y_sq in [f, c], c <= f + 1,
             # so 10^9 y lies in [isqrt(f), isqrt(f) + 1], and is isqrt(f)
             # when f = c is a square
-            x_lo, x_hi = p.field.bounds([a * 10 ** 9 for a in p.x], p.x_den)
-            f, c = p.field.bounds([a * 10 ** 18 for a in p.y_sq])
+            field, x9 = p.field, [a * 10 ** 9 for a in p.x]
+            x_lo, x_hi = field.floor(x9, p.x_den), _ceil(field, x9, p.x_den)
+            y18 = [a * 10 ** 18 for a in p.y_sq]
+            f, c = field.floor(y18), _ceil(field, y18)
             y_lo = math.isqrt(f)
             y_hi = y_lo + (f != c or y_lo * y_lo != f)
             out.append({
                 "preimage": list(p.preimage),
-                "x": [_dec(Fraction(x_lo, 10 ** 9)),
-                      _dec(Fraction(x_hi, 10 ** 9))],
-                "y": [_dec(Fraction(y_lo, 10 ** 9)),
-                      _dec(Fraction(y_hi, 10 ** 9))],
+                "x": [_dec(x_lo), _dec(x_hi)],
+                "y": [_dec(y_lo), _dec(y_hi)],
                 "is_fundamental": i in fund,
             })
         return out
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """ceil(sqrt(n d)) / d >= sqrt(x) for x = n / d >= 0."""
-    nd = x.numerator * x.denominator
-    s = math.isqrt(nd)
-    return Fraction(s + (s * s < nd), x.denominator)
-
-
-def _dec(x: Fraction) -> str:
-    """x to 9 decimals, rounded half to even, with its sign."""
-    n = round(abs(x) * 10 ** 9)
-    return "%s%d.%09d" % ("-" if x < 0 else "", n // 10 ** 9, n % 10 ** 9)
+def _dec(n: int) -> str:
+    """n / 10^9 to its 9 decimals, with its sign."""
+    q, r = divmod(abs(n), 10 ** 9)
+    return "%s%d.%09d" % ("-" if n < 0 else "", q, r)
 
 
 def _x_sum(e: EigenData3, v: IntVector) -> int:
@@ -623,10 +597,10 @@ def _log2_floor(field: NumberField, num, den: int) -> int:
     at any such shift; doubling reaches one in O(log shift) floors.  For
     a > 0 the floor is nonzero once 2^shift a >= 1, so the loop ends; a <=
     0, which the slab's x(p) and f_max never are, is Inconclusive."""
-    shift, n = 0, _floor(field, num, den, 0)
+    shift, n = 0, field.floor(num, den)
     while n == 0 and any(num):
         shift = max(2 * shift, 64)
-        n = _floor(field, num, den, shift)
+        n = field.floor(num, den, shift)
     if n <= 0:
         raise Inconclusive("slab metric is not positive definite")
     return n.bit_length() - 1 - shift
@@ -663,11 +637,11 @@ def reduced_slab(e: EigenData3, p: IntVector, start=None) -> Slab:
     polar = _polar_nums(e, rows)
     bits = 62
     while True:
-        x = [_floor(field, a, x_den, sx + bits) for a in xs]
+        x = [field.floor(a, x_den, sx + bits) for a in xs]
         # (r - 1)^2 = 1 - 2 r + r^2
-        b = _floor(field, (1, -2, 1), 1, bits - 3)
+        b = field.floor((1, -2, 1), 1, bits - 3)
         g00, g01, g02, g11, g12, g22 = [
-            (x[k] * x[l] + b * _floor(field, a, 1, sf + bits)) >> bits
+            (x[k] * x[l] + b * field.floor(a, 1, sf + bits)) >> bits
             for (k, l), a in zip(_PAIRS, polar)]
         try:
             h = _integral_lll(((g00, g01, g02), (g01, g11, g12),
@@ -717,11 +691,12 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
     field, x_den = e.field, e.x_den
     mp = e.matrix * p
     sx, sf = (_FILTER_BITS - k for k in slab.logs)
-    x_lo, x_hi = sorted((_floor(field, x_p, x_den, sx),
-                         _floor(field, _x_num(e, mp), x_den, sx)))
-    f_hi = _floor(field, f_max, 1, sf)
-    x0, x1, x2 = (_floor(field, _x_num(e, b), x_den, sx) for b in basis)
-    p00, p01, p02, p11, p12, p22 = (_floor(field, a, 1, sf - 1)
+    floor = field.floor
+    x_lo, x_hi = sorted((floor(x_p, x_den, sx),
+                         floor(_x_num(e, mp), x_den, sx)))
+    f_hi = floor(f_max, 1, sf)
+    x0, x1, x2 = (floor(_x_num(e, b), x_den, sx) for b in basis)
+    p00, p01, p02, p11, p12, p22 = (floor(a, 1, sf - 1)
                                     for a in _polar_nums(e, basis))
 
     # A (2 xv - c)^2 + B fv - 3 (8 A + B) |u|^2 - 3 A w^2 as u^T T u

@@ -105,6 +105,19 @@ def num_times(num, c):
     return tuple(a * c for a in num)
 
 
+def root_ends(root):
+    """The ends a / 2^k and b / 2^k of a RealRoot's isolating interval, as
+    Fractions."""
+    return Fraction(root.a, 1 << root.k), Fraction(root.b, 1 << root.k)
+
+
+def field_bounds(field, num, den=1, shift=0):
+    """The floor and the ceiling of 2^shift times the value of num over den,
+    from NumberField.floor: the ceiling is -floor(-num)."""
+    return (field.floor(num, den, shift),
+            -field.floor(num_times(num, -1), den, shift))
+
+
 def leibniz_det(rows):
     """Determinant by the permutation expansion, independent of the
     library's elimination."""

@@ -487,11 +487,12 @@ def test_sail_cells_take_r_as_eigen_data_refines_it(monkeypatch):
     # a work canary: eigen_data brackets r around a checked float estimate
     # and refines it once, to sail3._R_BITS; on the 41 x 41 <0,1|1,0,2>
     # window, whose 176 sail cells take every slab floor and box, nothing
-    # refines it further: no NumberField.bounds call and no bisection
+    # refines it further: no slow-path floor (NumberField._slow_floor) and
+    # no bisection
     from hesslab.numberfield import NumberField, RealRoot
 
     calls = Counter()
-    for cls, name in ((NumberField, "bounds"), (RealRoot, "refine")):
+    for cls, name in ((NumberField, "_slow_floor"), (RealRoot, "refine")):
         def counted(*args, _real=getattr(cls, name), _name=name):
             calls[_name] += 1
             return _real(*args)

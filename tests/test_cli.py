@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from hesslab import cli
-from hesslab.exact import IntMatrix
+from hesslab.exact import IntMatrix, parse_matrix
+from hesslab.mdchar import md_form3
 
 
 def run(argv, capsys):
@@ -29,6 +30,37 @@ def test_period_golden(capsys):
     code, out, _ = run(["period", "2 7; 5 18"], capsys)
     assert code == 0
     assert out.strip() == "(2,1,1,3)"
+
+
+def test_form_of_m1(capsys):
+    # the associated cubic form of M1, as text and as JSON coefficients in
+    # the order of MONOMIALS3, against md_form3
+    m1 = "0 1 2; 1 0 0; 0 3 5"
+    form = md_form3(parse_matrix(m1))
+    code, out, _ = run(["form", m1], capsys)
+    assert code == 0
+    assert out.strip() == str(form) == (
+        "3*x^3+15*x^2*y+24*x^2*z-3*x*y^2-18*x*y*z-20*x*z^2+3*y^3+6*y^2*z"
+        "+4*y*z^2+4*z^3")
+    code, out, _ = run(["form", m1, "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"coeffs": list(form.coeffs)} \
+        == {"coeffs": [3, 15, 24, -3, -18, -20, 3, 6, 4, 4]}
+
+
+@pytest.mark.parametrize("matrix,text,doc", [
+    ("0 1; -1 0", "ComplexSpectrum, canonical 0 1; -1 0",
+     {"kind": "ComplexSpectrum", "canonical": [[0, 1], [-1, 0]]}),
+    ("1 1; 0 1", "MultipleEigen(epsilon=1, k=1)",
+     {"kind": "MultipleEigen", "epsilon": 1, "k": 1}),
+    ("2 7; 5 18", "RealSpectrum, period (2,1,1,3)",
+     {"kind": "RealSpectrum", "period": [2, 1, 1, 3]}),
+], ids=["complex", "multiple", "real"])
+def test_classify2_of_each_kind(matrix, text, doc, capsys):
+    code, out, _ = run(["classify2", matrix], capsys)
+    assert code == 0 and out.strip() == text
+    code, out, _ = run(["classify2", matrix, "--json"], capsys)
+    assert code == 0 and json.loads(out) == doc
 
 
 def test_mdchar_and_zero_vector(capsys):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PolyModField, isolate_real_roots, num_sum, num_times
+from conftest import (
+    PolyModField,
+    field_bounds,
+    isolate_real_roots,
+    num_sum,
+    num_times,
+    root_ends,
+)
 from hesslab.exact import ExactError, IntPoly, IntVector, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 from hesslab.numberfield import NumberField, RealRoot
@@ -65,7 +72,7 @@ def test_field_arithmetic():
     x = num_sum(k.mul((1, 1, 0), (-1, 1, 0)), num_times(k.mul(R, R), -1))
     assert x == (-1, 0, 0) and k.sign(x) == -1
     assert k.sign(R) == 1 == _REF.sign([0, 1, 0])
-    lo, hi = k.bounds(R, 1, 67)
+    lo, hi = field_bounds(k, R, 1, 67)
     assert lo < hi and hi - lo == 1
     assert _REF.sign([-Fraction(lo, 2 ** 67), 1, 0]) > 0 \
         > _REF.sign([-Fraction(hi, 2 ** 67), 1, 0])
@@ -78,7 +85,7 @@ def test_sign_of_exact_zero():
     r2 = k.mul(R, R)
     zero = num_sum(k.mul(r2, R), num_times(r2, -3), num_times(R, -2),
                    (-1, 0, 0))
-    assert k.sign(zero) == 0 and k.bounds(zero, 5, 10) == (0, 0)
+    assert k.sign(zero) == 0 and field_bounds(k, zero, 5, 10) == (0, 0)
 
 
 def test_cmp_orders_elements():
@@ -99,18 +106,18 @@ def test_floor_is_exact_and_ignores_refinement(num, den, shift):
     # floor(value * 2^shift) is the oracle's, from its own bisection, and a
     # root refined first gives the same
     want = _REF.floor(_over(num, den), shift)
-    assert _field().bounds(num, den, shift)[0] == want
+    assert _field().floor(num, den, shift) == want
     k = _field()
-    k.bounds(num, den, 300)
-    assert k.bounds(num, den, shift)[0] == want
+    k.floor(num, den, 300)
+    assert k.floor(num, den, shift) == want
     # r minus its floor at 2^-(shift + 40) lies in [0, 2^-(shift + 40)):
     # enclosures straddle 0 until sign() decides the side
     k = _field()
-    g = k.bounds(R, 1, shift + 60)[0] >> 20
+    g = k.floor(R, 1, shift + 60) >> 20
     t = 1 << (shift + 40)
     tiny = (-g, t, 0)
-    assert k.bounds(tiny, t, shift)[0] == 0
-    assert k.bounds(num_times(tiny, -1), t, shift)[0] == -1
+    assert k.floor(tiny, t, shift) == 0
+    assert k.floor(num_times(tiny, -1), t, shift) == -1
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,46 +127,48 @@ def test_floor_is_exact_and_ignores_refinement(num, den, shift):
        st.integers(min_value=-40, max_value=80),
        st.integers(min_value=0, max_value=300))
 def test_bounds_enclose_and_ignore_refinement(num, den, shift, refined):
-    # floor and ceiling of value * 2^shift, checked by the oracle's exact
-    # signs, the same whether r was refined to 2^-refined first or not at
-    # all
-    lo, hi = _field().bounds(num, den, shift)
+    # floor and ceiling, -floor(-num), of value * 2^shift, checked by the
+    # oracle's exact signs, the same whether r was refined to 2^-refined
+    # first or not at all
+    lo, hi = field_bounds(_field(), num, den, shift)
     scaled = [c * Fraction(2) ** shift for c in _over(num, den)]
     assert _REF.sign(_REF.sub(scaled, [lo, 0, 0])) >= 0
     assert _REF.sign(_REF.sub(scaled, [hi, 0, 0])) <= 0
     assert hi - lo == (0 if not any(num[1:]) and scaled[0] == lo else 1)
     k = _field()
-    k.bounds(num, den, refined)
-    assert k.bounds(num, den, shift) == (lo, hi)
+    k.floor(num, den, refined)
+    assert field_bounds(k, num, den, shift) == (lo, hi)
 
 
 def test_bounds_of_rationals_and_near_integers():
     k = _field()
-    assert k.bounds((3, 0, 0), 4, 2) == (3, 3)
-    assert k.bounds((-3, 0, 0), 4, 1) == (-2, -1)
-    assert k.bounds((-3, 0, 0), 4, -1) == (-1, 0)
+    assert field_bounds(k, (3, 0, 0), 4, 2) == (3, 3)
+    assert field_bounds(k, (-3, 0, 0), 4, 1) == (-2, -1)
+    assert field_bounds(k, (-3, 0, 0), 4, -1) == (-1, 0)
     # r - d is positive and below 2^-60, so the enclosures straddle 0 until
     # the exact sign decides
-    tiny = (-(k.bounds(R, 1, 80)[0] >> 20), 1 << 60, 0)
+    tiny = (-(k.floor(R, 1, 80) >> 20), 1 << 60, 0)
     k = _field()
-    assert k.bounds(tiny, 1 << 60, 20) == (0, 1)
-    assert k.bounds(num_times(tiny, -1), 1 << 60, 20) == (-1, 0)
+    assert field_bounds(k, tiny, 1 << 60, 20) == (0, 1)
+    assert field_bounds(k, num_times(tiny, -1), 1 << 60, 20) == (-1, 0)
 
 
 def test_sign_and_bounds_are_exact_near_a_rational():
     # r against a rational within 2^-200 of it: from a fresh isolating
-    # interval, sign() and bounds() refine r as far as they need, with no
+    # interval, sign() and floor() refine r as far as they need, with no
     # cap, and agree with the Fraction oracle
-    lo, hi = (Fraction(k, 2 ** 200) for k in _field().bounds(R, 1, 200))
+    lo, hi = (Fraction(k, 2 ** 200) for k in field_bounds(_field(), R, 1,
+                                                          200))
     mid = (lo + hi) / 2
     ref = PolyModField(_CUBIC, 3, 4)
     want = ref.sign([-mid, 1, 0])
     assert want != 0
     num, den = (-mid.numerator, mid.denominator, 0), mid.denominator
     assert _field().sign(num) == want
-    assert _field().bounds(num, den) == ((0, 1) if want > 0 else (-1, 0))
+    assert field_bounds(_field(), num, den) \
+        == ((0, 1) if want > 0 else (-1, 0))
     # scaled by 2^190 the value is still below 2^-10 in magnitude
-    assert _field().bounds(num_times(num, 2 ** 190), den) \
+    assert field_bounds(_field(), num_times(num, 2 ** 190), den) \
         == ((0, 1) if want > 0 else (-1, 0))
 
 
@@ -186,7 +195,8 @@ def _numerator(coeffs):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_field_matches_fraction_oracle(data):
-    # products, signs and bounds of the kernel against the oracle's; sums
+    # products, signs, floors and ceilings of the kernel against the
+    # oracle's, on cubic fields and on fields of degree 2 and 4; sums
     # and integer multiples are integer operations on the numerators
     poly, lo, hi = data.draw(st.sampled_from(_ORACLE_FIELDS))
     d = len(poly) - 1
@@ -216,7 +226,8 @@ def test_field_matches_fraction_oracle(data):
     z, dz, want = cases[data.draw(st.integers(0, len(cases) - 1))]
     bits = data.draw(st.integers(0, 60))
     width = Fraction(1, 2 ** bits)
-    z_lo, z_hi = (Fraction(t, 2 ** bits) for t in k.bounds(z, dz, bits))
+    z_lo, z_hi = (Fraction(t, 2 ** bits)
+                  for t in field_bounds(k, z, dz, bits))
     assert 0 <= z_hi - z_lo <= width
     assert ref.sign(ref.sub(want, [z_lo] + [0] * (d - 1))) >= 0
     assert ref.sign(ref.sub(want, [z_hi] + [0] * (d - 1))) <= 0
@@ -248,11 +259,12 @@ def _assert_refined(root, old, bits):
     def p(x):
         return sum(c * x ** i for i, c in enumerate(root.poly.coeffs))
     old_lo, old_hi, old_bits = old
+    lo, hi = root_ends(root)
     assert root.a < root.b
-    assert root.sign_a == (p(root.lo) > 0) - (p(root.lo) < 0) != 0
-    assert p(root.lo) * p(root.hi) < 0
-    assert old_lo <= root.lo and root.hi <= old_hi
-    assert root.hi - root.lo < Fraction(2) ** -bits
+    assert root.sign_a == (p(lo) > 0) - (p(lo) < 0) != 0
+    assert p(lo) * p(hi) < 0
+    assert old_lo <= lo and hi <= old_hi
+    assert hi - lo < Fraction(2) ** -bits
     assert root.bits == max(bits, old_bits)
 
 
@@ -265,7 +277,7 @@ def test_refine_to_keeps_an_isolating_interval(field, start, bits):
     assert root.k == 0
     for _ in range(start):
         root.refine()
-    old = (root.lo, root.hi, root.bits)
+    old = root_ends(root) + (root.bits,)
     root.refine_to(bits)
     _assert_refined(root, old, bits)
 
@@ -278,7 +290,7 @@ def test_refine_to_takes_newton_steps_and_bisections(monkeypatch):
     for poly, lo, hi in _ORACLE_FIELDS + (_SKEWED,):
         for bits in range(0, 41):
             root = RealRoot(IntPoly(poly), lo, hi)
-            old = (root.lo, root.hi, root.bits)
+            old = root_ends(root) + (root.bits,)
             root.refine_to(bits)
             _assert_refined(root, old, bits)
         del calls[:]

@@ -16,7 +16,15 @@ from conftest import (
     random_unimodular,
     shear,
 )
-from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, parse_matrix
+from hesslab.exact import (
+    ExactError,
+    IntMatrix,
+    IntVector,
+    char_poly,
+    det,
+    discriminant,
+    parse_matrix,
+)
 from hesslab.hessenberg import (
     FamilyPoint,
     HessType,
@@ -350,3 +358,27 @@ def test_fingerprint_reduces_once_per_orbit(monkeypatch):
         del calls[:]
         fp = fingerprint(m)
         assert len(fp.matrices) == 2 and len(calls) == 2, m
+
+
+def test_davenport_bound_on_the_sail_minima():
+    # Davenport: a product of one real and two complex-conjugate linear
+    # forms of discriminant D < 0 has a nonzero integer point with |f| <=
+    # sqrt(|D| / 23), with equality only for multiples of forms equivalent
+    # to the norm form of the cubic field of discriminant -23; MD is such
+    # a product, of discriminant disc p (NOTES.md, "Davenport's bound on
+    # the MD minimum").  On the 838 criterion-9 NRS cells and the 40 pin
+    # conjugates, 23 min|MD|^2 <= |disc p|, with equality exactly at the
+    # cells of disc p = -23
+    equal, at_23 = [], []
+    ops = list(criterion9_nrs_cells()) + pin_conjugates()
+    assert len(ops) == 878
+    for m in ops:
+        best, _ = red_mod._sail_minimum(
+            sail3.fundamental_window(sail3.require_nrs(m)))
+        disc = discriminant(char_poly(m))
+        assert disc < 0 and 23 * best * best <= -disc, str(m)
+        if 23 * best * best == -disc:
+            equal.append(m)
+        if disc == -23:
+            at_23.append(m)
+    assert len(at_23) == 12 and equal == at_23

@@ -17,12 +17,14 @@ from conftest import (
     PolyModField,
     band_cell,
     criterion9_nrs_cells,
+    field_bounds,
     isolate_real_roots,
     nonzero_vectors,
     num_sum,
     num_times,
     pin_conjugates,
     random_unimodular,
+    root_ends,
     shear,
     small_matrices,
 )
@@ -287,61 +289,65 @@ def _near_integer(field, base, den, shift, k, above):
     `above`, else in (k - 2^-_NEAR, k): base / den moved by a dyadic
     rational, from the floor of 2^(shift + _NEAR) base / den."""
     t = shift + _NEAR
-    f = field.bounds(base, den, t)[0] + (not above)
+    f = field.floor(base, den, t) + (not above)
     num = (base[0] * (1 << t) - (f - (k << _NEAR)) * den,
            base[1] << t, base[2] << t)
     return num, den << t
 
 
-def _counting_bounds(calls):
-    """NumberField.bounds, appending its shift to `calls` at every call."""
-    bounds = NumberField.bounds
+def _counting_slow_floors(calls):
+    """NumberField._slow_floor, the refining path of NumberField.floor,
+    appending its shift to `calls` at every call."""
+    slow = NumberField._slow_floor
 
-    def counting(field, num, den=1, shift=0):
+    def counting(field, num, den, shift):
         calls.append(shift)
-        return bounds(field, num, den, shift)
+        return slow(field, num, den, shift)
     return counting
 
 
-def test_floor_matches_field_floor(monkeypatch):
-    # sail3._floor takes the Horner enclosure at r's current interval when
-    # both its ends have one floor, and the lower end of NumberField.bounds
-    # otherwise.  Oracle: NumberField.bounds, on seeded numerators,
-    # denominators and shifts, and on values within 2^-(_R_BITS + 32) of an
-    # integer, where the enclosure at eigen_data's refinement straddles the
-    # integer and the fallback must run
+def test_field_floor_matches_the_oracle(monkeypatch):
+    # NumberField.floor takes the Horner enclosure at r's current interval
+    # when both its ends have one floor, and its slow path, which refines
+    # r, otherwise; a ceiling is -floor(-num).  Oracle: the floors of
+    # PolyModField, by its own bisection of r, on seeded numerators,
+    # denominators and shifts, and on values within 2^-(_R_BITS + 32) of
+    # an integer, where the enclosure at eigen_data's refinement straddles
+    # the integer and the slow path must run, once
     rng = random.Random(32)
     mats = [M1, FRO, band_cell(-3, 9), _shears_of_m1(40)[0]]
     for m in mats:
-        field = eigen_data(require_nrs(m)).field
+        field, ref = eigen_data(require_nrs(m)).field, _oracle(m).ref
         for _ in range(200):
             num = tuple(rng.randint(-2 ** 200, 2 ** 200) >> rng.randint(0, 200)
                         for _ in range(3))
             den = rng.randint(1, 2 ** rng.randint(1, 80))
             shift = rng.randint(-120, 300)
-            assert sail3._floor(field, num, den, shift) \
-                == field.bounds(num, den, shift)[0], (m, num, den)
-    fallbacks = []
+            want = (ref.floor([Fraction(c, den) for c in num], shift),
+                    -ref.floor([Fraction(-c, den) for c in num], shift))
+            assert field_bounds(field, num, den, shift) == want, (m, num, den)
+    slow = []
     near = 0
     for m in mats:
-        oracle = eigen_data(require_nrs(m)).field
+        ref = _oracle(m).ref
         for shift in (0, 40, 100):
             base = tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3))
             base_den = rng.randint(1, 2 ** 20)
             for above in (True, False):
                 k = rng.randint(-2 ** 30, 2 ** 30)
-                num, den = _near_integer(oracle, base, base_den, shift, k,
-                                         above)
+                num, den = _near_integer(eigen_data(require_nrs(m)).field,
+                                         base, base_den, shift, k, above)
                 want = k if above else k - 1
-                assert oracle.bounds(num, den, shift)[0] == want
+                assert ref.floor([Fraction(c, den) for c in num], shift) \
+                    == want
                 # r as eigen_data leaves it, not refined by the oracle
                 field = eigen_data(require_nrs(m)).field
                 with monkeypatch.context() as patch:
-                    patch.setattr(NumberField, "bounds",
-                                  _counting_bounds(fallbacks))
-                    assert sail3._floor(field, num, den, shift) == want
+                    patch.setattr(NumberField, "_slow_floor",
+                                  _counting_slow_floors(slow))
+                    assert field.floor(num, den, shift) == want
                 near += 1
-                assert len(fallbacks) == near, (m, shift, above)
+                assert len(slow) == near, (m, shift, above)
 
 
 _REDUCED = {"status": "Reduced", "certificate": {"kind": "SailCertified"}}
@@ -374,12 +380,12 @@ def _check_bracket_case(name, in_float):
     m, _, matrices, min_value, verdict = _BRACKET_CASES[name]
     p = require_nrs(m).poly
     bound = 1 + max(map(abs, p.coeffs[:-1]))
-    root = sail3._isolate_r(p)
+    lo, hi = root_ends(sail3._isolate_r(p))
     if in_float:
-        assert 0 < root.lo < root.hi <= bound, name
-        assert root.hi - root.lo < root.lo / 2 ** 30, name
+        assert 0 < lo < hi <= bound, name
+        assert hi - lo < lo / 2 ** 30, name
     else:
-        assert (root.lo, root.hi) == (0, bound), name
+        assert (lo, hi) == (0, bound), name
     fp = fingerprint(m)
     assert fp.matrices == (matrices or (m,)) and fp.min_value == min_value
     if verdict is not None:
@@ -459,8 +465,8 @@ def _interval_orientation(p1, p2, p3):
 
     for k in (16 << i for i in range(10)):
         (x1, y1), (x2, y2), (x3, y3) = (
-            (p.field.bounds(p.x, p.x_den, k),
-             _scaled_y(*p.field.bounds(p.y_sq, 1, k), k))
+            (field_bounds(p.field, p.x, p.x_den, k),
+             _scaled_y(*field_bounds(p.field, p.y_sq, 1, k), k))
             for p in (p1, p2, p3))
         lo, hi = sub(mul(sub(x2, x1), sub(y3, y1)),
                      mul(sub(y2, y1), sub(x3, x1)))
@@ -570,8 +576,8 @@ def test_box_holds_x_and_y(i, v):
     _, e = _operator_data(i)
     for w in (v, v.scale(10 ** 400)):
         p = project_pi(e, w)
-        assert p.box == (e.field.bounds(_x_num(e, w), e.x_den, 20)
-                         + e.field.bounds(_f_num(e, w), 1, 20))
+        assert p.box == (field_bounds(e.field, _x_num(e, w), e.x_den, 20)
+                         + field_bounds(e.field, _f_num(e, w), 1, 20))
         _box_holds(p)
 
 
@@ -581,7 +587,7 @@ def test_box_near_the_box_resolution():
     # resolution are integers and squares moved by the unit r^-30 of
     # Z[r], in (0, 2^-70): integer bounds of a few units, and of 0
     field = eigen_data(require_nrs(M1)).field
-    tiny = (-(field.bounds(R, 1, 80)[0] >> 20) * 2, 1 << 61, 0)
+    tiny = (-(field.floor(R, 1, 80) >> 20) * 2, 1 << 61, 0)
     unit = (1 << 41, 0, 0)
     xs = [num_times(unit, c) for c in (0, 1, -1)]
     xs += [(1 << 40, 0, 0), num_times(unit, 3), tiny, num_times(tiny, -1),
@@ -591,7 +597,7 @@ def test_box_near_the_box_resolution():
     small = (1, 0, 0)
     for _ in range(30):
         small = field.mul(small, (-1, -5, 1))
-    assert field.bounds(small, 1, 70) == (0, 1)
+    assert field_bounds(field, small, 1, 70) == (0, 1)
     ys = [(0, 0, 0), (1, 0, 0), (3, 0, 0), small, num_times(small, 1 << 30)]
     ys += [num_sum((c, 0, 0), num_times(small, s))
            for c in (1, 4, 1 << 40) for s in (1, -1)]
@@ -626,8 +632,7 @@ def _convergent_vectors(i):
     x(e1), whose x = x(e1) (q alpha - p) shrinks like 1 / q."""
     _, e = _operator_data(i)
     # x(e2) / x(e1) to about 2^-300, from both floors at 2^400
-    x0, x1, _ = (e.field.bounds(c, e.x_den, 400)[0]
-                 for c in zip(*e.x_table))
+    x0, x1, _ = (e.field.floor(c, e.x_den, 400) for c in zip(*e.x_table))
     a = Fraction(x1, x0)
     out = []
     p0, q0, p1, q1 = 1, 0, math.floor(a), 1
@@ -660,30 +665,30 @@ def test_convergent_vectors_reach_below_the_filter():
     for i in range(4):
         _, e = _operator_data(i)
         tiny = [v for v in _convergent_vectors(i)
-                if e.field.bounds(_x_num(e, v), e.x_den, 35)
+                if field_bounds(e.field, _x_num(e, v), e.x_den, 35)
                 in ((0, 1), (-1, 0))]
         assert tiny
         assert all(abs(sail3._x_sum(e, v)) < sum(map(abs, v)) for v in tiny)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=-(1 << 53), max_value=1 << 53),
-       st.integers(min_value=0, max_value=70))
-# ties at 10^-9 / 2, rounded to even
-@example(1, 10)
-@example(3, 10)
-@example(-5, 10)
-def test_dec_rounds_as_float_formatting(n, k):
-    # a dyadic of 53 bits is a float exactly, and "%.9f" rounds it half to
-    # even
-    assert sail3._dec(Fraction(n, 1 << k)) == "%.9f" % (n / (1 << k))
+@given(st.integers(min_value=-(1 << 40), max_value=1 << 40))
+@example(0)
+@example(-1)
+@example(10 ** 9)
+@example(-10 ** 9 - 1)
+def test_dec_rounds_as_float_formatting(n):
+    # _dec prints the integer n as n / 10^9; for |n| <= 2^40 the float
+    # n / 10^9 lies within 2^-43 of that value, far inside the 10^-9 / 2
+    # that "%.9f" rounds away
+    assert sail3._dec(n) == "%.9f" % (n / 10 ** 9)
 
 
 def test_dec_beyond_the_float_range():
-    assert sail3._dec(Fraction(10 ** 400) + Fraction(2, 3)) \
+    assert sail3._dec(10 ** 409 + 666666667) \
         == "1" + "0" * 400 + ".666666667"
-    assert sail3._dec(-Fraction(10 ** 400)) == "-1" + "0" * 400 + ".000000000"
-    assert sail3._dec(Fraction(-1, 10 ** 12)) == "-0.000000000"
+    assert sail3._dec(-10 ** 409) == "-1" + "0" * 400 + ".000000000"
+    assert sail3._dec(-10 ** 409 - 1) == "-1" + "0" * 400 + ".000000001"
 
 
 def test_pareto_filter_decides_x_order_exactly():
@@ -692,7 +697,7 @@ def test_pareto_filter_decides_x_order_exactly():
     # filter that ordered by box ends alone once sorted p2 first and
     # dropped p1.  x is over x_den = 3 * 2^25, x(p1) = 1/3
     field = eigen_data(require_nrs(M1)).field
-    d = field.bounds(R, 1, 40)[0] >> 15
+    d = field.floor(R, 1, 40) >> 15
     den = 3 << 25
 
     def point(v, x, y_sq):
@@ -899,10 +904,10 @@ def test_leaf_fallback_is_exact(monkeypatch):
 
 def _log2_floor_by_steps(field, num, den):
     # the former search, one 64-bit step at a time: the reference value
-    shift, n = 0, field.bounds(num, den, 0)[0]
+    shift, n = 0, field.floor(num, den)
     while n == 0:
         shift += 64
-        n = field.bounds(num, den, shift)[0]
+        n = field.floor(num, den, shift)
     return n.bit_length() - 1 - shift
 
 
@@ -912,11 +917,12 @@ def test_log2_floor_doubles_its_shift(monkeypatch, k):
     # 2^-k: the doubling search agrees with the 64-bit steps and takes
     # O(log shift) floors, where the steps took about k / 64
     field = eigen_data(require_nrs(M1)).field
-    n = field.bounds(R, 1, k)[0]
+    n = field.floor(R, 1, k)
     elems = [((3, 0, 0), 2 ** (k + 1)), ((-n, 2 ** k, 0), 2 ** k)]
     wants = [_log2_floor_by_steps(field, *a) for a in elems]
     calls = []
-    monkeypatch.setattr(NumberField, "bounds", _counting_bounds(calls))
+    monkeypatch.setattr(NumberField, "_slow_floor",
+                        _counting_slow_floors(calls))
     for (num, den), want in zip(elems, wants):
         assert -k - 64 < want <= -k
         del calls[:]
@@ -1032,9 +1038,9 @@ def test_sail_intervals_enclose_the_values():
             assert entry["preimage"] == list(p.preimage)
             x_lo, x_hi = (Fraction(t) for t in entry["x"])
             y_lo, y_hi = (Fraction(t) for t in entry["y"])
-            lo, hi = p.field.bounds(p.x, p.x_den, 60)
+            lo, hi = field_bounds(p.field, p.x, p.x_den, 60)
             assert x_lo * one <= lo <= hi <= x_hi * one, (str(m), entry)
-            lo, hi = p.field.bounds(p.y_sq, 1, 60)
+            lo, hi = field_bounds(p.field, p.y_sq, 1, 60)
             assert 0 <= y_lo and y_lo * y_lo * one <= lo, (str(m), entry)
             assert hi <= y_hi * y_hi * one, (str(m), entry)
             for a, b in ((x_lo, x_hi), (y_lo, y_hi)):
@@ -1092,11 +1098,18 @@ def test_window_holds_the_slab_points():
             assert cmp(x_lo, p.x) <= 0 < cmp(x_hi, p.x), (str(m), p.preimage)
 
 
+@functools.lru_cache(maxsize=None)
 def _window_operators():
+    """M1, FRO, 20 seeded conjugates of M1, the 838 criterion-9 NRS cells
+    and the 40 pin conjugates: the inputs on which the verdict and the
+    fingerprint read the sail (NOTES.md, "MD minima lie at sail
+    vertices")."""
     rng = random.Random(9)
-    return ([M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
-                         for _ in range(20)]
-            + list(criterion9_nrs_cells())[::4])
+    ops = ([M1, FRO] + [_conjugate_of_m1(rng, rng.randint(4, 16))
+                        for _ in range(20)]
+           + list(criterion9_nrs_cells()) + pin_conjugates())
+    assert len(ops) == 22 + 838 + 40
+    return tuple(ops)
 
 
 def test_verdict_minimum_is_the_sails():
@@ -1163,7 +1176,7 @@ _REFINED_ROOT_CONJUGATE = parse_matrix("-20 10 7; -45 23 13; -6 3 2")
 def test_fundamental_slab_ignores_root_refinement(m):
     fresh = eigen_data(require_nrs(m))
     refined = eigen_data(require_nrs(m))
-    refined.field.bounds(R, 1, 300)
+    refined.field.floor(R, 1, 300)
     slabs = [fundamental_slab(e) for e in (fresh, refined)]
     assert slabs[0] == slabs[1]
     assert gamma0_slab_points(fresh, slabs[0]) \
@@ -1350,12 +1363,12 @@ def test_integral_lll_matches_the_reference_on_the_pin_grams(monkeypatch):
 
 
 def test_fingerprint_work_is_capped(monkeypatch):
-    # a work count: over fingerprint of pin_conjugates, the exact floors of
-    # the kernel (NumberField.bounds, the fallback of sail3._floor, and on
-    # this route nothing else) and the integral LLL calls: none of the
-    # first, as eigen_data refines r once to a precision at which every
-    # Horner enclosure decides its floor, where the enclosures at r's
-    # staged refinement left 99, and at most the 71 LLL calls of the
+    # a work count: over fingerprint of pin_conjugates, the floors that
+    # refine r (NumberField._slow_floor, the slow path of
+    # NumberField.floor) and the integral LLL calls: none of the first, as
+    # eigen_data refines r once to a precision at which every Horner
+    # enclosure decides its floor, where the enclosures at r's staged
+    # refinement left 99, and at most the 71 LLL calls of the
     # closure-based LLL that the straight-line kernel replaced.  An
     # enclosure that saves time per floor must not spend it again on
     # refinements of r
@@ -1366,7 +1379,8 @@ def test_fingerprint_work_is_capped(monkeypatch):
         counts["lll"] += 1
         return lll(gram)
 
-    monkeypatch.setattr(NumberField, "bounds", _counting_bounds(floors))
+    monkeypatch.setattr(NumberField, "_slow_floor",
+                        _counting_slow_floors(floors))
     monkeypatch.setattr(sail3, "_integral_lll", counting_lll)
     for m in pin_conjugates():
         fingerprint(m)
