@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .exact import ExactError, IntMatrix, IntVector, det
+from .exact import ExactError, IntMatrix, det
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,6 @@ _COMPLEX_REPS = {
 }
 
 
-def _primitive_kernel_vector(m: IntMatrix, eps: int) -> IntVector:
-    """A primitive integer eigenvector of m for eigenvalue eps (tr = 2 eps)."""
-    a, b = m[0, 0] - eps, m[0, 1]
-    c, d = m[1, 0], m[1, 1] - eps
-    for (p, q) in ((b, -a), (d, -c)):
-        if (p, q) != (0, 0):
-            g = math.gcd(abs(p), abs(q))
-            return IntVector((p // g, q // g))
-    return IntVector((1, 0))  # m = eps * E
-
-
 def classify_sl2(m: IntMatrix) -> Sl2Class:
     if m.n != 2:
         raise ExactError("classify_sl2 requires a 2x2 matrix")
@@ -84,31 +73,14 @@ def classify_sl2(m: IntMatrix) -> Sl2Class:
     if abs(tr) < 2:
         return Sl2Class("ComplexSpectrum", canonical=_COMPLEX_REPS[tr])
     if abs(tr) == 2:
+        # m - eps I = k u (-u_2, u_1)^T for a primitive u, so k is the gcd of
+        # its entries with the sign of b, or of -c when b = 0 (NOTES.md,
+        # "The parabolic class in closed form")
         eps = tr // 2
-        b1 = _primitive_kernel_vector(m, eps)
-        # complete b1 to a determinant-one basis via the extended gcd
-        g, s, t = _xgcd(b1[0], b1[1])
-        assert g == 1
-        b2 = IntVector((-t, s))
-        u = IntMatrix.from_columns([b1, b2])
-        h = u.inverse_unimodular() * m * u
-        assert h[0, 0] == eps and h[1, 0] == 0 and h[1, 1] == eps
-        return Sl2Class("MultipleEigen", epsilon=eps, k=h[0, 1])
+        a, b, c = m[0, 0] - eps, m[0, 1], m[1, 0]
+        s = 1 if b > 0 or b == 0 and c < 0 else -1
+        return Sl2Class("MultipleEigen", epsilon=eps, k=s * math.gcd(a, b, c))
     return Sl2Class("RealSpectrum", period=sail_period(m))
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def sail_period(m: IntMatrix) -> Period:

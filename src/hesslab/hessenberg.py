@@ -23,8 +23,6 @@ from .exact import (
     _matrix,
     char_poly,
     det,
-    integer_distance,
-    integer_volume,
 )
 
 
@@ -267,27 +265,28 @@ def family_info(t: HessType, anchor: IntVector) -> Tuple[bool, int]:
     anchor) pair (ExactError when either fails, with FamilyPoint's message
     for the first), and (perfect, det) of every member: is_perfect reads
     only the type columns, and det, linear in the last column and 0 on the
-    type columns, is the anchor member's."""
+    type columns, is the anchor member's, so validate_type is |det| = 1."""
     if anchor.n != t.n:
         raise ExactError("anchor dimension mismatch")
-    if not validate_type(t, anchor):
-        raise ExactError("type/anchor pair does not give an SL(n,Z) family")
     base = IntMatrix.from_columns(
         [t.column_vector(j) for j in range(t.n - 1)] + [IntVector(anchor)])
-    return is_perfect(base), det(base)
+    d = det(base)
+    if abs(d) != 1:
+        raise ExactError("type/anchor pair does not give an SL(n,Z) family")
+    return is_perfect(base), d
 
 
 def validate_type(t: HessType, anchor: IntVector) -> bool:
-    """Check the two lattice conditions for H(Omega) to sit inside SL(n,Z):
-    unit integer volume of the type simplex and unit integer distance from
-    the anchor to its hyperplane."""
-    cols = [t.column_vector(j) for j in range(t.n - 1)]
+    """The two lattice conditions for H(Omega) to sit inside SL(n,Z), unit
+    integer volume of the type simplex and unit integer distance from the
+    anchor to its hyperplane, as one: family_info's |det[type columns |
+    anchor]| = 1, as that det is the volume times the distance (NOTES.md,
+    "The type conditions are one determinant")."""
     try:
-        if integer_volume(cols) != 1:
-            return False
-        return integer_distance(IntVector(anchor), cols) == 1
+        family_info(t, IntVector(anchor))
     except ExactError:
         return False
+    return True
 
 
 def last_column_from(t: HessType, p: IntPoly) -> Optional[IntVector]:

@@ -7,9 +7,10 @@ That minimum is at least the content of the MD form, the gcd of its
 coefficients.  The Sail strategy first checks, in sail3.require_nrs, that
 its input is NRS in SL(3,Z), and certifies Reduced at once when the
 content equals the complexity.  Otherwise it takes the minimum exactly, in
-Python integers, over the slab points of sail3.fundamental_window: they
-fill the closed window of the slab's seed, which meets the orbit of every
-sail vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
+Python integers, in one fold over the slab points of
+sail3.fundamental_window as sail3.slab_points streams them: they fill the
+closed window of the slab's seed, which meets the orbit of every sail
+vertex, where the MD form (a multiple of x y^2 on pi_+) attains its
 minimum.  The fingerprint needs every minimiser, not the minimum alone,
 so it always takes that route, behind the same require_nrs, and reduces
 one minimiser per M-orbit.  The Bounded strategy is the box scan of
@@ -27,7 +28,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .exact import ExactError, IntMatrix, IntVector, char_poly, factor_small
+from .exact import (
+    ExactError,
+    IntMatrix,
+    IntVector,
+    char_poly,
+    discriminant,
+    factor_small,
+)
 from .hessenberg import hessenberg_complexity, is_perfect, reduce_to_perfect
 from .mdchar import MDForm3, md_characteristic, md_form3
 from .sail3 import (
@@ -35,6 +43,7 @@ from .sail3 import (
     Inconclusive as SailInconclusive,
     fundamental_window,
     require_nrs,
+    slab_points,
 )
 
 
@@ -133,17 +142,25 @@ def minimize_md_bounded(m: IntMatrix, bound: int) -> Tuple[int, List[IntVector]]
 def _sail_minimum(w: FundamentalWindow) -> Tuple[int, List[IntVector]]:
     """Certified global MD minimum over nonzero integer vectors, with its
     primitive minimisers (up to sign) in the closed window [x(start),
-    x(G start)] of the fundamental window w.
+    x(G start)] of the fundamental window w, in one fold over the window's
+    points.
 
     The window's points are every integer point of the fundamental slab,
     which holds both ends of the window and meets the orbit of every sail
     vertex, where the minimum is attained; md vanishes on no nonzero
-    vector, as the characteristic polynomial is irreducible.
+    vector, as the characteristic polynomial is irreducible.  A minimum
+    past Davenport's bound, 23 best^2 > |disc p|, is Inconclusive (NOTES.md,
+    "Davenport's bound on the MD minimum").
     """
-    vals = [abs(w.eigen.md(v)) for v in w.points]
-    best = min(vals)
-    wits = {_canonical_sign(v) for v, val in zip(w.points, vals)
-            if val == best and v.is_primitive()}
+    md, best, wits = w.eigen.md, math.inf, set()
+    for v in slab_points(w.eigen, w.slab):
+        val = abs(md(v))
+        if val < best:
+            best, wits = val, set()
+        if val == best and v.is_primitive():
+            wits.add(_canonical_sign(v))
+    if 23 * best * best > abs(discriminant(w.eigen.field.minpoly)):
+        raise SailInconclusive("Davenport's bound fails")
     return best, sorted(wits, key=tuple)
 
 

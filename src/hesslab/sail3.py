@@ -36,13 +36,15 @@ point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x; its window is anchored at the fundamental slab's seed, so it
-holds every slab point.  The reducedness verdict, where the content of the
-MD form leaves it open, and the fingerprint share its points and its
-window, and compute_sail, which builds the sail's hull from them, serves
-only the `sail` command.  require_nrs is the one check that an operator is
-NRS in SL(3,Z), and the one maker of an NrsCheck: eigen_data and
-fundamental_window take that handle, with the matrix, its characteristic
-polynomial and its MD form, and not the bare matrix.
+holds every slab point.  slab_points streams those points, and nothing
+sized by the slab is kept: the reducedness verdict, where the content of
+the MD form leaves it open, and the fingerprint fold them to a running
+minimum, and compute_sail, which serves only the `sail` command, keeps
+only their Pareto front and builds the sail's hull from it.  require_nrs
+is the one check that an operator is NRS in SL(3,Z), and the one maker of
+an NrsCheck: eigen_data and fundamental_window take that handle, with the
+matrix, its characteristic polynomial and its MD form, and not the bare
+matrix.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from .exact import (
     ExactError,
@@ -420,24 +422,34 @@ def _y_cmp(p: PiPoint, q: PiPoint) -> int:
             or p.field.sign(tuple(map(operator.sub, p.y_sq, q.y_sq))))
 
 
-_X_ORDER = functools.cmp_to_key(_x_cmp)
-
-
-def _pareto_filter(points: List[PiPoint]) -> List[PiPoint]:
+def _pareto_filter(points: Iterable[PiPoint]) -> List[PiPoint]:
     """The points that no other point weakly dominates in (x, y_sq), in
-    ascending x, each once.
+    ascending x, each once, kept as the points stream in.
 
     Hull vertices of a point set with positive-quadrant recession cone
-    survive: in x order, p is dropped when the last point q kept, whose
-    y_sq is the least so far, has y_sq(q) <= y_sq(p), so that p lies in
-    q + R_+^2.  Both orders are decided exactly, and distinct integer
-    vectors have distinct x, since x vanishes on no nonzero integer vector.
+    survive.  The front ascends in x and strictly descends in y_sq, so
+    p's left neighbour, found by bisection in x, has the least y_sq left of
+    p: p is dropped when that is <= y_sq(p), so that p lies in its
+    neighbour + R_+^2, and else replaces the run of right neighbours it
+    dominates (the same vector among them).  Both orders are decided
+    exactly, and distinct integer vectors have distinct x, since x
+    vanishes on no nonzero integer vector.
     """
-    out = []
-    for p in sorted(points, key=_X_ORDER):
-        if not out or _y_cmp(out[-1], p) > 0:
-            out.append(p)
-    return out
+    front: List[PiPoint] = []
+    for p in points:
+        lo, hi = 0, len(front)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _x_cmp(front[mid], p) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo and _y_cmp(front[lo - 1], p) <= 0:
+            continue
+        while hi < len(front) and _y_cmp(front[hi], p) >= 0:
+            hi += 1
+        front[lo:hi] = [p]
+    return front
 
 
 @dataclass(frozen=True)
@@ -484,7 +496,7 @@ def _x_sum(e: EigenData3, v: IntVector) -> int:
 
 def _x_sign(e: EigenData3, v: IntVector) -> int:
     """The sign of x(v): that of _x_sum where its magnitude is at least
-    its error bound sum |v_i|, the bound of gamma0_slab_points' filter;
+    its error bound sum |v_i|, the bound of slab_points' filter;
     any other is decided in Q(r)."""
     s = _x_sum(e, v)
     if abs(s) >= abs(v[0]) + abs(v[1]) + abs(v[2]):
@@ -670,10 +682,10 @@ def _span(alpha: int, beta: int, gamma: int) -> range:
     return range(-((beta + s) // alpha), (s - beta) // alpha + 1)
 
 
-def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
+def slab_points(e: EigenData3, slab: Slab) -> Iterator[IntVector]:
     """The nonzero integer points of the slab, a certified superset of
-    Gamma^0(slab.seed), in the lexicographic order of their basis
-    coordinates u.
+    Gamma^0(slab.seed), yielded one at a time in the lexicographic order of
+    their basis coordinates u; nothing sized by the slab is kept.
 
     The leaves u pass an integer filter with a proven bound: with X_i =
     floor(2^sx x(b_i)) and P_ij = floor(2^sf Phi(b_i, b_j)), xv = sum u_i
@@ -684,8 +696,8 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
     "Enumerating the slab"), and the levels u0, then u1 given u0, then u2
     given both, range over _span of T's fraction-free Schur complements.
     Raises Inconclusive when a pivot of T is not positive, when the ranges
-    visited come to more than NODE_BUDGET nodes, or when p or Mp, both in the
-    slab, is missing from the output.
+    visited come to more than NODE_BUDGET nodes, or, once the stream is
+    exhausted, when p or Mp, both in the slab, was not among its points.
     """
     p, basis, x_p, f_max = slab.seed, slab.basis, slab.x_p, slab.f_max
     field, x_den = e.field, e.x_den
@@ -738,7 +750,7 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
         return span
 
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = basis
-    out = []
+    lost = {p, mp}
     for u0 in level(r00, r03, r33):
         for u1 in level(s11, s01 * u0 + s13, (s00 * u0 + 2 * s03) * u0 + s33):
             xa, na = u0 * x0 + u1 * x1, abs(u0) + abs(u1)
@@ -754,18 +766,18 @@ def gamma0_slab_points(e: EigenData3, slab: Slab) -> List[IntVector]:
                 v = IntVector((u0 * b00 + u1 * b10 + u2 * b20,
                                u0 * b01 + u1 * b11 + u2 * b21,
                                u0 * b02 + u1 * b12 + u2 * b22))
-                if not (xv - n > x_lo and xv + n < x_hi and fv + n * n < f_hi
-                        or v == p or v == mp):
-                    # the leaf the filter leaves open, decided in Q(r)
-                    if _x_sign(e, v - p) * _x_sign(e, mp - v) < 0:
+                if not (xv - n > x_lo and xv + n < x_hi and fv + n * n < f_hi):
+                    # an end, whose xv is within n of x_lo or x_hi, or a
+                    # leaf the filter leaves open, decided in Q(r)
+                    if v == p or v == mp:
+                        lost.discard(v)
+                    elif (_x_sign(e, v - p) * _x_sign(e, mp - v) < 0
+                          or field.sign(tuple(map(operator.sub, _f_num(e, v),
+                                                  f_max))) > 0):
                         continue
-                    if field.sign(tuple(map(operator.sub, _f_num(e, v),
-                                            f_max))) > 0:
-                        continue
-                out.append(v)
-    for end in {p, mp} - set(out):
+                yield v
+    for end in lost:
         raise Inconclusive("slab enumeration lost its end %s" % (tuple(end),))
-    return out
 
 
 # a basis row replaces e1 as the seed only when its slab is this many
@@ -805,33 +817,32 @@ def fundamental_slab(e: EigenData3) -> Slab:
 
 @dataclass(frozen=True)
 class FundamentalWindow:
-    """The window of the fundamental slab's seed p and the slab points that
-    the verdict, the fingerprint and the sail share.
+    """The window of the fundamental slab's seed p, and the slab whose
+    points the verdict, the fingerprint and the sail share.
 
     The generator G is the one of M and M^-1 that expands x; start is p
     when G = M and M p otherwise, so the closed window [x(start),
-    x(G start)] has the ends x(p) and x(M p) in x order.  points are
-    gamma0_slab_points of fundamental_slab: all of them lie in the closed
-    window, and both start and G start are among them.
+    x(G start)] has the ends x(p) and x(M p) in x order.  Each consumer
+    draws the points afresh as slab_points(eigen, slab): all of them lie
+    in the closed window, and both start and G start are among them.
     """
 
     eigen: EigenData3
     generator: IntMatrix
     generator_inv: IntMatrix
     start: IntVector
-    points: List[IntVector]
+    slab: Slab
 
 
 def fundamental_window(nrs: NrsCheck) -> FundamentalWindow:
-    """The window of the fundamental slab of nrs's operator, with the points
-    of that slab (Inconclusive past NODE_BUDGET enumeration nodes)."""
+    """The window of the fundamental slab of nrs's operator; its points are
+    enumerated where they are drawn (Inconclusive past NODE_BUDGET nodes)."""
     e = eigen_data(nrs)
     m = nrs.matrix
     slab = fundamental_slab(e)
-    points = gamma0_slab_points(e, slab)
     if e.expands:
-        return FundamentalWindow(e, m, e.inverse, slab.seed, points)
-    return FundamentalWindow(e, e.inverse, m, m * slab.seed, points)
+        return FundamentalWindow(e, m, e.inverse, slab.seed, slab)
+    return FundamentalWindow(e, e.inverse, m, m * slab.seed, slab)
 
 
 def compute_sail(m: IntMatrix) -> SailData:
@@ -849,10 +860,10 @@ def compute_sail(m: IntMatrix) -> SailData:
     """
     w = fundamental_window(require_nrs(m))
     e, g, g_inv = w.eigen, w.generator, w.generator_inv
-    base = _pareto_filter([project_pi(e, v) for v in w.points])
-    hull = _lower_hull(_pareto_filter(base + [
+    base = _pareto_filter(project_pi(e, v) for v in slab_points(e, w.slab))
+    hull = _lower_hull(_pareto_filter(itertools.chain(base, (
         project_pi(e, u) for p in base
-        for u in (g_inv * p.preimage, g * p.preimage)]))
+        for u in (g_inv * p.preimage, g * p.preimage)))))
 
     x0, x1 = project_pi(e, w.start), project_pi(e, g * w.start)
     fund = [p for p in hull if _x_cmp(p, x0) >= 0 and _x_cmp(p, x1) < 0]

@@ -582,6 +582,54 @@ def test_certified_path_runs_without_numpy():
     assert docs["verify-dirichlet"] == {"member": True}
 
 
+# a member of complexity 5.4e10 whose fundamental slab holds 162,923
+# points, and the sha256 of its `sail --json`
+_LARGE = "2391 2344 -205147829; 4229 2887 -362848366; 0 3029 276"
+_LARGE_SAIL_SHA = \
+    "f5b91c9437b37ea62cd2ef6d849083c5774d6091cf9d7b4f1ed30a287feb2a3a"
+
+_AT_SCALE = """
+import contextlib, hashlib, io, json, resource, sys
+from hesslab import cli
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+run(["verdict", "0 1 2; 1 0 0; 0 3 5"])
+warm = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+m = sys.argv[1]
+(_, verdict), (_, fp), (_, sail) = (
+    run(argv) for argv in (["verdict", m], ["fingerprint", m],
+                           ["sail", "--json", m]))
+print(json.dumps({
+    "growth_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - warm,
+    "verdict": verdict, "fingerprint": fp,
+    "sail_sha": hashlib.sha256(sail.encode()).hexdigest()}))
+"""
+
+
+def test_large_member_runs_in_constant_memory():
+    # the verdict and the fingerprint fold the slab's points, and the sail
+    # keeps only their Pareto front: after a warm-up verdict of M1, the
+    # three commands on a 162,923-point slab grow the peak RSS (ru_maxrss,
+    # in KB on Linux) by less than 10 MB, where a materialised slab and
+    # its sort grew it by about 155 MB
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", _AT_SCALE, _LARGE],
+                          capture_output=True, text=True, env=env, cwd=root,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "Reduced [SailCertified]\n"
+    assert doc["fingerprint"].startswith("min MD value 54171971789\n")
+    assert doc["sail_sha"] == _LARGE_SAIL_SHA
+    assert doc["growth_kb"] < 10 * 1024, doc["growth_kb"]
+
+
 def test_no_module_imports_numpy():
     src = pathlib.Path(cli.__file__).parent
     modules = sorted(src.glob("*.py"))

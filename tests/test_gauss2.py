@@ -56,6 +56,21 @@ def test_classify_unipotent():
     assert cls.kind == "MultipleEigen" and cls.epsilon == 1 and cls.k == 0
 
 
+def test_classify_parabolic_under_shear_words():
+    # [[eps, k], [0, eps]] is the canonical form of its class and k a
+    # conjugacy invariant: the closed form recovers k from a conjugate by
+    # any shear word (NOTES.md, "The parabolic class in closed form")
+    rng = random.Random(47)
+    for eps in (1, -1):
+        for k in range(-50, 51):
+            u = random_unimodular(rng, 2, steps=8)
+            m = u * IntMatrix([[eps, k], [0, eps]]) \
+                * u.inverse_unimodular()
+            cls = classify_sl2(m)
+            assert (cls.kind, cls.epsilon, cls.k) \
+                == ("MultipleEigen", eps, k), (m.rows, u.rows)
+
+
 def test_classify_real_spectrum():
     cls = classify_sl2(h25(3))
     assert cls.kind == "RealSpectrum"

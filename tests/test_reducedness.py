@@ -30,6 +30,7 @@ from hesslab.hessenberg import (
     HessType,
     family_member,
     hessenberg_complexity,
+    reduce_to_perfect,
 )
 from hesslab.mdchar import md_characteristic, md_form3
 import hesslab.reducedness as red_mod
@@ -382,3 +383,31 @@ def test_davenport_bound_on_the_sail_minima():
         if disc == -23:
             at_23.append(m)
     assert len(at_23) == 12 and equal == at_23
+
+
+def test_davenport_bound_catches_a_lost_minimum(monkeypatch):
+    # a stream that drops the |MD| = 1 points of the disc -23 cells, after
+    # slab_points' own lost-end check, leaves a least |MD| >= 2 past
+    # Davenport's bound 23 m^2 <= 23: the fold must call it Inconclusive,
+    # never a larger minimum.  The cells have complexity 1, which the
+    # content bound certifies without a sail, so the verdict runs on a
+    # perfect conjugate of each of larger complexity
+    def without_units(e, slab):
+        return (v for v in sail3.slab_points(e, slab) if abs(e.md(v)) != 1)
+
+    cells = [m for m in criterion9_nrs_cells()
+             if discriminant(char_poly(m)) == -23]
+    assert len(cells) == 12
+    conjugates = []
+    for m in cells:
+        forms = (reduce_to_perfect(m, IntVector(v))[0]
+                 for v in ((1, 1, 0), (1, 0, 1), (1, 1, 1)))
+        conjugates.append(next(h for h in forms
+                               if hessenberg_complexity(h) > 1))
+    monkeypatch.setattr(red_mod, "slab_points", without_units)
+    for m, h in zip(cells, conjugates):
+        for op in (m, h):
+            with pytest.raises(Inconclusive, match="Davenport"):
+                fingerprint(op)
+        assert is_reduced(h, Sail()) == ReducedVerdict(
+            "Inconclusive", reason="Davenport's bound fails"), str(h)

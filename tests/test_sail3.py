@@ -65,10 +65,10 @@ from hesslab.sail3 import (
     eigen_data,
     fundamental_slab,
     fundamental_window,
-    gamma0_slab_points,
     project_pi,
     reduced_slab,
     require_nrs,
+    slab_points,
     verify_dirichlet_element,
     _f_num,
     _x_num,
@@ -439,7 +439,7 @@ def test_fundamental_window_takes_no_field_products(monkeypatch):
                 monkeypatch.setattr(mod, attr,
                                     counting(attr, getattr(mod, attr)))
     w = fundamental_window(require_nrs(band_cell(-2, 6)))
-    assert len(w.points) == 3
+    assert len(list(slab_points(w.eigen, w.slab))) == 3
     assert calls == []
 
 
@@ -487,7 +487,8 @@ def _ascending(e, vs):
     """The projections of vs in ascending x, as _lower_hull receives them;
     their boxes are computed up front, so any field sign that _orientation
     takes is the chord test's."""
-    pts = sorted((project_pi(e, v) for v in vs), key=sail3._X_ORDER)
+    pts = sorted((project_pi(e, v) for v in vs),
+                 key=functools.cmp_to_key(sail3._x_cmp))
     for p in pts:
         p.y_box
     return pts
@@ -751,7 +752,7 @@ def test_sail_vertices_sorted_and_consistent():
 
 def test_slab_contains_fundamental_vertices():
     e = eigen_data(require_nrs(M1))
-    pts = gamma0_slab_points(e, reduced_slab(e, IntVector((1, 0, 0))))
+    pts = list(slab_points(e, reduced_slab(e, IntVector((1, 0, 0)))))
     keys = {tuple(p) for p in pts}
     sail = compute_sail(M1)
     for p in [sail.vertices[i] for i in sail.fundamental]:
@@ -772,13 +773,13 @@ def test_slab_hard_cell_regression(monkeypatch):
         seed = -seed
     slabs = (reduced_slab(e, seed), fundamental_slab(e))
     for slab in slabs:
-        assert len(gamma0_slab_points(e, slab)) > 0
+        assert len(list(slab_points(e, slab))) > 0
     # the budget bounds the nodes visited at all levels, which reach the
     # distinct p and M p, so more than one
     monkeypatch.setattr(sail3, "NODE_BUDGET", 1)
     for slab in slabs:
         with pytest.raises(Inconclusive, match="exceeds 1 nodes"):
-            gamma0_slab_points(e, slab)
+            list(slab_points(e, slab))
 
 
 def _positive_seed(e, v):
@@ -830,7 +831,7 @@ def test_slab_enumeration_is_sound(m, seed):
     e = eigen_data(require_nrs(m))
     checked = 0
     for p in (_positive_seed(e, seed), _positive_seed(e, (3, -2, 4))):
-        pts = gamma0_slab_points(e, reduced_slab(e, p))
+        pts = list(slab_points(e, reduced_slab(e, p)))
         keys = {tuple(v) for v in pts}
         for v in (p, m * p):
             assert tuple(v) in keys or tuple(-v) in keys
@@ -871,7 +872,7 @@ def test_slab_enumeration_is_exact(m, seed):
     # returned point
     e = eigen_data(require_nrs(m))
     slab = reduced_slab(e, _positive_seed(e, seed))
-    assert gamma0_slab_points(e, slab) == _exact_slab_points(e, slab)
+    assert list(slab_points(e, slab)) == _exact_slab_points(e, slab)
 
 
 def test_leaf_fallback_is_exact(monkeypatch):
@@ -888,7 +889,7 @@ def test_leaf_fallback_is_exact(monkeypatch):
     fallbacks = []
 
     def counting_x_sign(e, v):
-        # within gamma0_slab_points, only the fallback takes signs of x
+        # within slab_points, only the fallback takes signs of x
         fallbacks.append(v)
         return x_sign(e, v)
 
@@ -897,7 +898,7 @@ def test_leaf_fallback_is_exact(monkeypatch):
         slab = reduced_slab(e, _positive_seed(e, seed))
         with monkeypatch.context() as patch:
             patch.setattr(sail3, "_x_sign", counting_x_sign)
-            got = gamma0_slab_points(e, slab)
+            got = list(slab_points(e, slab))
         assert got == _exact_slab_points(e, slab), str(m)
     assert fallbacks
 
@@ -1089,10 +1090,11 @@ def test_window_holds_the_slab_points():
             return e.field.sign(num_sum(a, num_times(b, -1)))
 
         x_lo, x_hi = _x_num(e, w.start), _x_num(e, g * w.start)
-        for v in w.points:
+        pts = list(slab_points(e, w.slab))
+        for v in pts:
             x = _x_num(e, v)
             assert cmp(x_lo, x) <= 0 <= cmp(x_hi, x), (str(m), v)
-        assert w.start in w.points and g * w.start in w.points, str(m)
+        assert w.start in pts and g * w.start in pts, str(m)
         sail = compute_sail(m)
         for p in [sail.vertices[i] for i in sail.fundamental]:
             assert cmp(x_lo, p.x) <= 0 < cmp(x_hi, p.x), (str(m), p.preimage)
@@ -1161,7 +1163,7 @@ def test_sail_under_long_conjugators(seed, steps):
     # the e1 slabs of such inputs run to ~27k points on average and past
     # the 40M-cell cap; the chosen seed's slab held at most 53 points over
     # 1628 draws
-    assert len(gamma0_slab_points(e, fundamental_slab(e))) <= 100
+    assert len(list(slab_points(e, fundamental_slab(e)))) <= 100
     assert fingerprint(m) == fingerprint(M1)
 
 
@@ -1179,8 +1181,8 @@ def test_fundamental_slab_ignores_root_refinement(m):
     refined.field.floor(R, 1, 300)
     slabs = [fundamental_slab(e) for e in (fresh, refined)]
     assert slabs[0] == slabs[1]
-    assert gamma0_slab_points(fresh, slabs[0]) \
-        == gamma0_slab_points(refined, slabs[1])
+    assert list(slab_points(fresh, slabs[0])) \
+        == list(slab_points(refined, slabs[1]))
 
 
 def test_verify_dirichlet_element():
