@@ -5,12 +5,15 @@ Its type collects the first n-1 columns; its complexity is the product
 prod |a_{j+1,j}|^(n-j).  Every SL(n,Z) matrix with irreducible
 characteristic polynomial can be conjugated, starting from any primitive
 seed vector, to a unique perfect Hessenberg matrix; `reduce_to_perfect`
-implements that basis construction.
+implements that basis construction: in closed form for 3x3 operators,
+from one cross product and two Bezout vectors, and by Euclid steps on one
+unimodular matrix for every other size.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -161,17 +164,11 @@ def reduce_to_perfect(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatr
     are unique: g_{k+1} must complete (g_1..g_k) to a basis of the integer
     points of span(seed, m seed, ..., m^k seed), signed so the subdiagonal
     entry is positive and shifted so the entries above it land in
-    [0, subdiagonal).
-
-    The flag is built inside one unimodular matrix C, kept with its inverse
-    and changed only by integer column operations (the matching row
-    operations on C^-1): columns 0..k-1 of C are g_1..g_k and the rest
-    complete them to a basis of Z^n.  Step k writes t = seed (k = 0) or
-    t = m g_k in C's coordinates, runs Euclid on the completion coordinates
-    until only coordinate k is nonzero (a Hermite normal form step),
-    shifts column k by the flag columns into the perfect range, and
-    size-reduces the remaining completion columns against the flag to keep
-    the entries small.
+    [0, subdiagonal).  So the two routes below give the same (H, U): a
+    3x3 operator takes the closed form (_reduce_3x3), any other size the
+    Euclid steps (_reduce_by_euclid).  A flag that degenerates at step k,
+    m^k seed in the span of the earlier ones, raises ReductionError
+    "flag degenerated at step k" on either route.
     """
     n = m.n
     if seed.n != n:
@@ -180,7 +177,110 @@ def reduce_to_perfect(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatr
         raise ReductionError("seed is the zero vector")
     if not seed.is_primitive():
         raise ReductionError("seed must be primitive (unit integer length)")
+    if n == 3:
+        return _reduce_3x3(m, seed)
+    return _reduce_by_euclid(m, seed)
 
+
+_DEGENERATE = "flag degenerated at step %d: characteristic polynomial reducible"
+
+
+def _bezout(x: int, y: int) -> Tuple[int, int]:
+    """(s, t) with s x + t y = gcd(x, y), from one gcd and one inverse
+    modulo y / gcd(x, y); (0, 0) when x = y = 0."""
+    g = math.gcd(x, y)
+    if not g:
+        return 0, 0
+    if not y:
+        return (1 if x > 0 else -1), 0
+    s = pow(x // g, -1, abs(y // g))
+    return s, (g - s * x) // y
+
+
+def _unit_dual(x: int, y: int, z: int) -> Tuple[int, int, int]:
+    """An integer a with a . (x, y, z) = 1, for primitive (x, y, z): the
+    Bezout pair of x and y, then that of gcd(x, y) and z."""
+    s, t = _bezout(x, y)
+    p, q = _bezout(math.gcd(x, y), z)
+    return p * s, p * t, q
+
+
+def _reduce_3x3(m: IntMatrix, v: IntVector) -> Tuple[IntMatrix, IntMatrix]:
+    """The perfect form of a 3x3 operator from a primitive seed v in closed
+    form (NOTES.md, "The perfect form of a 3x3 operator in closed form").
+
+    With w = m v and c = v x w, a21 = gcd(c) and n = c / a21.  For a with
+    a . v = 1, g2 = n x a + floor(a . w / a21) v.  For b with n . b = 1,
+    gamma = n . (m g2), a32 = |gamma|, and g3 = sign(gamma) b +
+    floor(alpha / a32) v + floor(beta / a32) g2, where alpha and beta are
+    the dual rows g2 x b and b x v applied to m g2.  U = [v, g2, g3] must
+    have det U = +-1, and H = det U adj(U) (m U) must be perfect.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.rows
+    v0, v1, v2 = v.coords
+    w0 = m00 * v0 + m01 * v1 + m02 * v2
+    w1 = m10 * v0 + m11 * v1 + m12 * v2
+    w2 = m20 * v0 + m21 * v1 + m22 * v2
+    c0, c1, c2 = v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
+    a21 = math.gcd(c0, c1, c2)
+    if not a21:
+        raise ReductionError(_DEGENERATE % 1)
+    n0, n1, n2 = c0 // a21, c1 // a21, c2 // a21
+    a0, a1, a2 = _unit_dual(v0, v1, v2)
+    q = (a0 * w0 + a1 * w1 + a2 * w2) // a21
+    g20 = n1 * a2 - n2 * a1 + q * v0
+    g21 = n2 * a0 - n0 * a2 + q * v1
+    g22 = n0 * a1 - n1 * a0 + q * v2
+    y0 = m00 * g20 + m01 * g21 + m02 * g22
+    y1 = m10 * g20 + m11 * g21 + m12 * g22
+    y2 = m20 * g20 + m21 * g21 + m22 * g22
+    gamma = n0 * y0 + n1 * y1 + n2 * y2
+    if not gamma:
+        raise ReductionError(_DEGENERATE % 2)
+    b0, b1, b2 = _unit_dual(n0, n1, n2)
+    alpha = ((g21 * b2 - g22 * b1) * y0 + (g22 * b0 - g20 * b2) * y1
+             + (g20 * b1 - g21 * b0) * y2)
+    beta = ((b1 * v2 - b2 * v1) * y0 + (b2 * v0 - b0 * v2) * y1
+            + (b0 * v1 - b1 * v0) * y2)
+    a32 = abs(gamma)
+    if gamma < 0:
+        b0, b1, b2 = -b0, -b1, -b2
+    qa, qb = alpha // a32, beta // a32
+    g30 = b0 + qa * v0 + qb * g20
+    g31 = b1 + qa * v1 + qb * g21
+    g32 = b2 + qa * v2 + qb * g22
+    # the rows of adj(U): adj(U) U = det(U) I holds identically
+    r0 = (g21 * g32 - g22 * g31, g22 * g30 - g20 * g32, g20 * g31 - g21 * g30)
+    r1 = (g31 * v2 - g32 * v1, g32 * v0 - g30 * v2, g30 * v1 - g31 * v0)
+    r2 = (v1 * g22 - v2 * g21, v2 * g20 - v0 * g22, v0 * g21 - v1 * g20)
+    d = v0 * r0[0] + v1 * r0[1] + v2 * r0[2]
+    if d != 1 and d != -1:
+        raise ReductionError("column operations lost the inverse")
+    z = (m00 * g30 + m01 * g31 + m02 * g32,
+         m10 * g30 + m11 * g31 + m12 * g32,
+         m20 * g30 + m21 * g31 + m22 * g32)
+    h = _matrix(tuple(
+        (d * (r[0] * w0 + r[1] * w1 + r[2] * w2),
+         d * (r[0] * y0 + r[1] * y1 + r[2] * y2),
+         d * (r[0] * z[0] + r[1] * z[1] + r[2] * z[2]))
+        for r in (r0, r1, r2)))
+    if not is_perfect(h):
+        raise ReductionError("reduction did not reach a perfect matrix")
+    return h, _matrix(((v0, g20, g30), (v1, g21, g31), (v2, g22, g32)))
+
+
+def _reduce_by_euclid(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatrix]:
+    """The flag of any size, built inside one unimodular matrix C, kept with
+    its inverse and changed only by integer column operations (the
+    matching row operations on C^-1): columns 0..k-1 of C are g_1..g_k and
+    the rest complete them to a basis of Z^n.  Step k writes t = seed
+    (k = 0) or t = m g_k in C's coordinates, runs Euclid on the completion
+    coordinates until only coordinate k is nonzero (a Hermite normal form
+    step), shifts column k by the flag columns into the perfect range, and
+    size-reduces the remaining completion columns against the flag to keep
+    the entries small.  The seed is reduce_to_perfect's, checked there.
+    """
+    n = m.n
     # cols[j] is column j of C; inv[i] is row i of C^-1
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
     inv = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -205,8 +305,7 @@ def reduce_to_perfect(m: IntMatrix, seed: IntVector) -> Tuple[IntMatrix, IntMatr
                     if not least or a < least:
                         p, least = j, a
             if not nonzero:
-                raise ReductionError(
-                    "flag degenerated at step %d: characteristic polynomial reducible" % k)
+                raise ReductionError(_DEGENERATE % k)
             if p != k:
                 cols[k], cols[p] = cols[p], cols[k]
                 inv[k], inv[p] = inv[p], inv[k]

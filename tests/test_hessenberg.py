@@ -7,13 +7,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_vectors, random_unimodular, unimodular_matrices
+import hesslab.reducedness as red_mod
+from conftest import (
+    criterion9_nrs_cells,
+    nonzero_vectors,
+    random_unimodular,
+    unimodular_matrices,
+)
+from hard_inputs import perfect_nrs_matrices
 from hesslab.atlas import FAMILY_4D_ANCHOR, FAMILY_4D_TYPE
 from hesslab.exact import ExactError, IntMatrix, IntVector, char_poly, det, factor_small, parse_matrix
 from hesslab.hessenberg import (
     FamilyPoint,
     HessType,
     ReductionError,
+    _reduce_by_euclid,
     family_member,
     hessenberg_complexity,
     is_hessenberg,
@@ -74,9 +82,18 @@ def test_reduce_seed_preconditions():
 
 
 def test_reduce_reducible_poly_degenerates():
+    # at step 1 under the identity, and at step 2 under a matrix with the
+    # invariant plane span(e1, e2), from a seed in that plane; the closed
+    # form raises the Euclid steps' messages
     m = IntMatrix.identity(3)
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="degenerated at step 1"):
         reduce_to_perfect(m, IntVector((1, 0, 0)))
+    assert _euclid_agrees(m, IntVector((1, 0, 0))) is None
+    block = parse_matrix("2 1 5; 1 1 -3; 0 0 1")
+    with pytest.raises(ReductionError, match="degenerated at step 2"):
+        reduce_to_perfect(block, IntVector((3, -2, 0)))
+    assert _euclid_agrees(block, IntVector((3, -2, 0))) is None
+    assert _euclid_agrees(block, IntVector((3, -2, 1))) is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,3 +240,89 @@ def test_reduce_4d_family_conjugates(seed, params):
     assert w.column(0) == v
     assert w.inverse_unimodular() * m * w == h
     assert h_base == h
+
+
+# The closed form for 3x3 operators against the Euclid steps it replaced
+# there: the two give equal (H, U), or raise equal ReductionError messages
+# (NOTES.md, "The perfect form of a 3x3 operator in closed form").
+
+def _euclid_agrees(m, v):
+    """reduce_to_perfect(m, v), asserted equal to the Euclid steps; None
+    when both raise the same ReductionError."""
+    try:
+        expected = _reduce_by_euclid(m, v)
+    except ReductionError as ex:
+        with pytest.raises(ReductionError) as got:
+            reduce_to_perfect(m, v)
+        assert str(got.value) == str(ex), (str(m), v)
+        return None
+    assert reduce_to_perfect(m, v) == expected, (str(m), v)
+    return expected
+
+
+def _primitive(rng, bound, dims=3):
+    """A primitive seed in Z^3 with its first dims coordinates in [-bound,
+    bound] and the rest 0."""
+    while True:
+        v = [rng.randint(-bound, bound) for _ in range(dims)]
+        if math.gcd(*v) == 1:
+            return IntVector(v + [0] * (3 - dims))
+
+
+def test_closed_form_matches_euclid_on_random_matrices():
+    # any determinant; one in five has the invariant plane span(e1, e2),
+    # and half of those a seed in it, which degenerates at step 2
+    rng = random.Random(48)
+    raised = 0
+    for _ in range(3000):
+        rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        v = _primitive(rng, 9)
+        if rng.random() < 0.2:
+            rows[2][0] = rows[2][1] = 0
+            if rng.random() < 0.5:
+                v = _primitive(rng, 9, dims=2)
+        raised += _euclid_agrees(IntMatrix(rows), v) is None
+    assert 200 < raised < 1000
+
+
+def test_closed_form_matches_euclid_on_conjugates():
+    # M1 and FRO conjugated by 4 to 16 shears, seeds of coordinates up to
+    # 10^6 and up to 9
+    rng = random.Random(4816)
+    for _ in range(300):
+        u = random_unimodular(rng, 3, rng.randint(4, 16))
+        m = u.inverse_unimodular() * rng.choice((M1, FRO)) * u
+        for bound in (10 ** 6, 9):
+            h, w = _euclid_agrees(m, _primitive(rng, bound))
+            assert w.inverse_unimodular() * m * w == h
+
+
+def test_closed_form_matches_euclid_on_fingerprint_minimisers(monkeypatch):
+    reduce, seeds = red_mod.reduce_to_perfect, []
+
+    def recording_reduce(m, seed):
+        seeds.append((m, seed))
+        return reduce(m, seed)
+
+    monkeypatch.setattr(red_mod, "reduce_to_perfect", recording_reduce)
+    cells = list(criterion9_nrs_cells())
+    assert len(cells) == 838
+    for m in cells:
+        red_mod.fingerprint(m)
+    assert len(seeds) >= 838
+    for m, v in seeds:
+        assert _euclid_agrees(m, v) is not None
+
+
+def test_closed_form_matches_euclid_on_hard_inputs():
+    # conjugates of random perfect NRS matrices: the seed u^-1 e1 gives
+    # back the perfect matrix and u^-1, and random seeds agree
+    rng = random.Random(400)
+    e1 = IntVector((1, 0, 0))
+    for h in perfect_nrs_matrices(rng, 50, 20):
+        u = random_unimodular(rng, 3, rng.randint(4, 16))
+        u_inv = u.inverse_unimodular()
+        m = u_inv * h * u
+        assert _euclid_agrees(m, u_inv * e1) == (h, u_inv)
+        for bound in (10 ** 6, 9):
+            assert _euclid_agrees(m, _primitive(rng, bound)) is not None

@@ -4,6 +4,8 @@ import json
 import math
 import random
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -369,11 +371,14 @@ def test_davenport_bound_on_the_sail_minima():
     # a product, of discriminant disc p (NOTES.md, "Davenport's bound on
     # the MD minimum").  On the 838 criterion-9 NRS cells and the 40 pin
     # conjugates, 23 min|MD|^2 <= |disc p|, with equality exactly at the
-    # cells of disc p = -23
-    equal, at_23 = [], []
-    ops = list(criterion9_nrs_cells()) + pin_conjugates()
+    # cells of disc p = -23.  The bottom of the spectrum of |disc p| /
+    # min|MD|^2 over the cells, with the number of cells at each value, is
+    # the ten smallest |discriminants| of complex cubic fields
+    equal, at_23, spectrum = [], [], Counter()
+    cells = list(criterion9_nrs_cells())
+    ops = cells + pin_conjugates()
     assert len(ops) == 878
-    for m in ops:
+    for i, m in enumerate(ops):
         best, _ = red_mod._sail_minimum(
             sail3.fundamental_window(sail3.require_nrs(m)))
         disc = discriminant(char_poly(m))
@@ -382,7 +387,14 @@ def test_davenport_bound_on_the_sail_minima():
             equal.append(m)
         if disc == -23:
             at_23.append(m)
+        if i < len(cells):
+            spectrum[Fraction(-disc, best * best)] += 1
     assert len(at_23) == 12 and equal == at_23
+    assert sorted(spectrum.items())[:10] == [
+        (Fraction(23), 12), (Fraction(31), 8), (Fraction(44), 10),
+        (Fraction(59), 4), (Fraction(76), 6), (Fraction(83), 2),
+        (Fraction(87), 2), (Fraction(104), 2), (Fraction(107), 2),
+        (Fraction(108), 4)]
 
 
 def test_davenport_bound_catches_a_lost_minimum(monkeypatch):

@@ -47,6 +47,7 @@ from hesslab.hessenberg import (
 )
 from hesslab.mdchar import md_characteristic, md_form3
 from hesslab.numberfield import NumberField
+import hesslab.hessenberg as hessenberg
 import hesslab.reducedness as red_mod
 from hesslab.reducedness import (
     ReducedVerdict,
@@ -1373,20 +1374,27 @@ def test_fingerprint_work_is_capped(monkeypatch):
     # refinement left 99, and at most the 71 LLL calls of the
     # closure-based LLL that the straight-line kernel replaced.  An
     # enclosure that saves time per floor must not spend it again on
-    # refinements of r
-    floors, lll = [], sail3._integral_lll
-    counts = {"lll": 0}
+    # refinements of r.  And no reduction of a minimiser takes the Euclid
+    # steps: a 3x3 operator's perfect form comes in closed form
+    floors, lll, euclid = [], sail3._integral_lll, hessenberg._reduce_by_euclid
+    counts = {"lll": 0, "euclid": 0}
 
     def counting_lll(gram):
         counts["lll"] += 1
         return lll(gram)
 
+    def counting_euclid(m, seed):
+        counts["euclid"] += 1
+        return euclid(m, seed)
+
     monkeypatch.setattr(NumberField, "_slow_floor",
                         _counting_slow_floors(floors))
     monkeypatch.setattr(sail3, "_integral_lll", counting_lll)
+    monkeypatch.setattr(hessenberg, "_reduce_by_euclid", counting_euclid)
     for m in pin_conjugates():
         fingerprint(m)
-    assert floors == [] and counts["lll"] <= 71, (len(floors), counts)
+    assert floors == [] and counts["lll"] <= 71 and counts["euclid"] == 0, \
+        (len(floors), counts)
 
 
 # sha256 of the JSON lines, keys sorted, of compute_sail(m).to_json() on
