@@ -117,17 +117,19 @@ class FamilyPoint:
 
 
 def is_hessenberg(m: IntMatrix) -> bool:
-    n = m.n
-    return all(m[i, j] == 0 for j in range(n) for i in range(j + 2, n))
+    """Whether every entry below the first subdiagonal is zero: row i
+    vanishes in its first i - 1 columns."""
+    return not any(any(row[:i]) for i, row in enumerate(m.rows[2:], 1))
 
 
 def hessenberg_complexity(m: IntMatrix) -> int:
     if not is_hessenberg(m):
         raise ExactError("matrix does not have the Hessenberg zero pattern")
-    n = m.n
+    rows = m.rows
+    n = len(rows)
     out = 1
     for j in range(n - 1):
-        out *= abs(m[j + 1, j]) ** (n - 1 - j)
+        out *= abs(rows[j + 1][j]) ** (n - 1 - j)
     return out
 
 
@@ -139,12 +141,10 @@ def is_perfect(m: IntMatrix) -> bool:
     """
     if not is_hessenberg(m):
         return False
-    n = m.n
-    for j in range(n - 1):
-        sub = m[j + 1, j]
-        if sub <= 0:
-            return False
-        if any(not 0 <= m[i, j] < sub for i in range(j + 1)):
+    rows = m.rows
+    for j in range(len(rows) - 1):
+        sub = rows[j + 1][j]
+        if sub <= 0 or any(not 0 <= rows[i][j] < sub for i in range(j + 1)):
             return False
     return True
 

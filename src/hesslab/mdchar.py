@@ -19,9 +19,13 @@ MONOMIALS3 = ("x^3", "x^2*y", "x^2*z", "x*y^2", "x*y*z", "x*z^2",
               "y^3", "y^2*z", "y*z^2", "z^3")
 _EXPONENTS3 = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
                (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
-# _SLOT[i][j][k]: the index in _EXPONENTS3 of the monomial v_i v_j v_k
-_SLOT = [[[_EXPONENTS3.index(tuple((i, j, k).count(t) for t in range(3)))
-           for k in range(3)] for j in range(3)] for i in range(3)]
+# _SLOTS[3 j + k]: the indices in _EXPONENTS3 of the monomials v_i v_j v_k,
+# i = 0, 1, 2
+_SLOTS = tuple(tuple(_EXPONENTS3.index(tuple((i, j, k).count(t)
+                                             for t in range(3)))
+                     for i in range(3))
+               for j in range(3) for k in range(3))
+
 
 @dataclass(frozen=True)
 class MDForm3:
@@ -78,14 +82,17 @@ def md_form3(m: IntMatrix) -> MDForm3:
     """
     if m.n != 3:
         raise ExactError("md_form3 requires a 3x3 matrix")
-    cols = m.transpose().rows
-    cols2 = (m * m).transpose().rows
+    (a, b, c), (d, e, f), (g, h, i) = m.rows
+    cols = ((a, d, g), (b, e, h), (c, f, i))
+    # the columns of M^2, M times those of M
+    cols2 = [(a * x + b * y + c * z, d * x + e * y + f * z,
+              g * x + h * y + i * z) for x, y, z in cols]
     coeffs = [0] * len(_EXPONENTS3)
-    for j, a in enumerate(cols):
-        for k, b in enumerate(cols2):
-            cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0])
-            for i, c in enumerate(cross):
-                coeffs[_SLOT[i][j][k]] += c
+    slots = iter(_SLOTS)
+    for a0, a1, a2 in cols:
+        for b0, b1, b2 in cols2:
+            s0, s1, s2 = next(slots)
+            coeffs[s0] += a1 * b2 - a2 * b1
+            coeffs[s1] += a2 * b0 - a0 * b2
+            coeffs[s2] += a0 * b1 - a1 * b0
     return MDForm3(tuple(coeffs))
-

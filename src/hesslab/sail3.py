@@ -7,14 +7,15 @@ in Q(r) and y is stored through its square y_sq in Q(r) (a fixed positive
 multiple of the true squared radius; convex hulls in (x, y) are invariant
 under positive axis scalings, so the scale never matters).
 
-eigen_data compiles an operator once, in integers, into tables over the
-power basis 1, r, r^2 of Q(r), from the coefficients of its
-characteristic polynomial (NOTES.md, "Closed forms over Z[r]"): r is
-isolated with no Sturm chain, on a float bracket that exact signs of p
-confirm, else on (0, 1 + max |c_i|), and refined once to _R_BITS; x is a
-3x3 table over one denominator, from the adjugate of one integer
-multiplication matrix, and F = y_sq is three symmetric integer matrices
-Q_k, the polar-Gram tables, with F(v) = v^T Q_k v / 2 in the power r^k.
+eigen_data compiles an operator once, in straight-line integers on
+tuples, into tables over the power basis 1, r, r^2 of Q(r), from the
+coefficients of its characteristic polynomial and the one adjugate of M
+that it keeps (NOTES.md, "Closed forms over Z[r]"): r is isolated with
+no Sturm chain, on a float bracket that exact signs of p confirm, else
+on (0, 1 + max |c_i|), and refined once to _R_BITS; x is a 3x3 table
+over one denominator, from the adjugate of one integer multiplication
+matrix, and F = y_sq is three symmetric integer matrices Q_k, the
+polar-Gram tables, with F(v) = v^T Q_k v / 2 in the power r^k.
 x(v) and F(v) are integer dot products, and the polar Gram matrix of any
 basis is one congruence of each Q_k.  Every value in Q(r) is such a
 numerator over Z[r], x's over x_den and F's over 1: a slab's x(p) and
@@ -22,29 +23,31 @@ f_max, a PiPoint's x and y_sq.  Every floor that the slab, the boxes and
 the JSON take goes from those numerators to Z through the kernel's one
 integer path, NumberField.floor, in straight-line integers at r's
 interval at _R_BITS, which refines r only where that interval leaves the
-floor open, and on the atlas families nowhere; a ceiling is minus the
-floor of the negated numerator.  The kernel's sign and mul decide every
-exact sign, order and chord test, on numerators and their integer
-differences.  The slab enumeration walks the basis coordinates level by
-level, in ranges from one integer quadratic form made of the floors its
-leaf filter takes, in Python integers.  Every sign, order and
-orientation is decided on integer floors at 2^b with a proven error, and
-in Q(r) where that leaves it open: slab membership and signs of x(v) on
-the floors of 2^40 x, orders and hull orientations of projected points
-on the floors and ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each
-point keeps.
+floor open, and on the atlas families nowhere; the ceiling of an
+irrational value is its floor + 1, and only a rational value's takes a
+second floor.  The kernel's sign and mul decide every exact sign, order
+and chord test, on numerators and their integer differences.  The slab
+enumeration walks the basis coordinates level by level, in ranges from
+one integer quadratic form made of the floors its leaf filter takes, in
+Python integers.  Every sign, order and orientation is decided on
+integer floors at 2^b with a proven error, and in Q(r) where that leaves
+it open: slab membership and signs of x(v) on the floors of 2^40 x,
+orders and hull orientations of projected points on the floors and
+ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
 expands x; its window is anchored at the fundamental slab's seed, so it
-holds every slab point.  slab_points streams those points, and nothing
-sized by the slab is kept: the reducedness verdict, where the content of
-the MD form leaves it open, and the fingerprint fold them to a running
-minimum, and compute_sail, which serves only the `sail` command, keeps
-only their Pareto front and builds the sail's hull from it.  require_nrs
-is the one check that an operator is NRS in SL(3,Z), and the one maker of
-an NrsCheck: eigen_data and fundamental_window take that handle, with the
-matrix, its characteristic polynomial and its MD form, and not the bare
-matrix.
+holds every slab point.  fundamental_slab starts from e1 and reads the
+reduced basis rows for a better seed only while the seed's |MD| is at
+least _SEED_GAIN, where a row could win.  slab_points streams those
+points, and nothing sized by the slab is kept: the reducedness verdict,
+where the content of the MD form leaves it open, and the fingerprint
+fold them to a running minimum, and compute_sail, which serves only the
+`sail` command, keeps only their Pareto front and builds the sail's hull
+from it.  require_nrs is the one check that an operator is NRS in
+SL(3,Z), and the one maker of an NrsCheck: eigen_data and
+fundamental_window take that handle, with the matrix, its characteristic
+polynomial and its MD form, and not the bare matrix.
 """
 
 from __future__ import annotations
@@ -154,17 +157,6 @@ class EigenData3:
     q_table: Tuple[Tuple[Tuple[int, int, int], ...], ...]
 
 
-def _adjugate_coeffs(m: IntMatrix):
-    """Matrix coefficients omega_0,1,2 with adj(M - t I) = sum omega_k t^k.
-
-    By Cayley-Hamilton, omega_0 = M^2 - tr(M) M + c1 I = adj(M),
-    omega_1 = M - tr(M) I and omega_2 = I, with c1 the sum of the
-    principal 2-minors of M, the coefficient of t in p.
-    """
-    ident = IntMatrix.identity(3)
-    return m.adjugate(), m - ident.scale(m.trace()), ident
-
-
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -189,13 +181,14 @@ def _congruence(rows, q) -> tuple:
              + c1 * (q11 * c1 + 2 * q12 * c2) + q22 * c2 * c2))
 
 
-def _mult_matrix(b, c1: int, c2: int) -> IntMatrix:
-    """The matrix of multiplication by b_0 + b_1 r + b_2 r^2 on the power
-    basis, reduced by r^3 = 1 - c1 r - c2 r^2."""
+def _mult_rows(b, c1: int, c2: int) -> tuple:
+    """The rows of the matrix of multiplication by b_0 + b_1 r + b_2 r^2 on
+    the power basis, reduced by r^3 = 1 - c1 r - c2 r^2: its columns are
+    the coefficients of b, r b and r^2 b."""
     def times_r(v):
         return v[2], v[0] - c1 * v[2], v[1] - c2 * v[2]
     rb = times_r(b)
-    return _matrix(tuple(zip(b, rb, times_r(rb))))
+    return tuple(zip(b, rb, times_r(rb)))
 
 
 def _cardano(b: float, c: float) -> float:
@@ -247,29 +240,36 @@ def _isolate_r(p: IntPoly) -> RealRoot:
 
 
 def eigen_data(nrs: NrsCheck) -> EigenData3:
-    """The eigen data of the operator of `nrs`, in integers from the
-    coefficients of p = t^3 + c2 t^2 + c1 t - 1 (NOTES.md, "Closed forms
-    over Z[r]"): r is isolated by _isolate_r and refined once to _R_BITS,
-    expands is p(1) < 0, q_table is W^T (2 S_k) W over the closed forms of
-    the six constants, and x_form is row 0 of adj(M - rI) over its entry
-    b(r) at (0, 0), b(t) = t^2 + omega_1[0, 0] t + omega_0[0, 0], through
-    the adjugate of the integer matrix of multiplication by b(r).  b(r) is
-    nonzero, and so is F at row 0's entry (0, 0), |b(c)|^2 at a complex
-    eigenvalue c: b is monic of degree 2, and r and c have degree 3."""
+    """The eigen data of the operator of `nrs`, in straight-line integers
+    from the coefficients of p = t^3 + c2 t^2 + c1 t - 1 and from adj(M),
+    kept as `inverse` (NOTES.md, "Closed forms over Z[r]"): r is isolated
+    by _isolate_r and refined once to _R_BITS, expands is p(1) < 0,
+    q_table is W^T (2 S_k) W over the closed forms of the six constants,
+    W the rows 0 of omega_0 = adj(M), omega_1 = M - tr(M) I and omega_2 =
+    I, and x_form is row 0 of adj(M - rI) over its entry b(r) at (0, 0),
+    b(t) = t^2 + omega_1[0, 0] t + omega_0[0, 0], through the adjugate of
+    the integer matrix of multiplication by b(r).  b(r) is nonzero, and so
+    is F at row 0's entry (0, 0), |b(c)|^2 at a complex eigenvalue c: b is
+    monic of degree 2, and r and c have degree 3."""
     m, p, md = nrs
     _, c1, c2, _ = p.coeffs
     root = _isolate_r(p)
     root.refine_to(_R_BITS)
     field = NumberField(p, root)
-    a0, w1, w2 = _adjugate_coeffs(m)
-    omega_rows = (a0.rows[0], w1.rows[0], w2.rows[0])
+    # rows 0 of omega_0 = adj(M) and omega_1 = M - tr(M) I, with
+    # adj(M - tI) = omega_0 + omega_1 t + I t^2 by Cayley-Hamilton
+    inverse = m.adjugate()
+    (_, m01, m02), (_, m11, _), (_, _, m22) = m.rows
+    w0, w1 = inverse.rows[0], (-m11 - m22, m01, m02)
     # adj(B) = d B^-1, with B the multiplication by b(r) and d = det B, is
     # the multiplication by d / b(r): applied to the coefficients of row 0,
-    # it gives d times x_form, column by column
-    mult = _mult_matrix((a0[0, 0], w1[0, 0], 1), c1, c2)
-    d = det(mult)
-    rows = (mult.adjugate() * _matrix(omega_rows)).rows
-    g = math.gcd(d, *itertools.chain(*rows)) * (1 if d > 0 else -1)
+    # column by column, it gives d times x_form
+    mult = _mult_rows((w0[0], w1[0], 1), c1, c2)
+    adj = _matrix(mult).adjugate().rows
+    d = sum(map(operator.mul, mult[0], (row[0] for row in adj)))
+    rows = [(a * w0[0] + b * w1[0] + c, a * w0[1] + b * w1[1],
+             a * w0[2] + b * w1[2]) for a, b, c in adj]
+    g = math.gcd(d, *rows[0], *rows[1], *rows[2]) * (1 if d > 0 else -1)
     x_table, x_den = tuple(tuple(c // g for c in row) for row in rows), d // g
     # 2 S_k, from the coefficients of r^k in the six constants 1, s,
     # s^2 - 2q, q, sq, q^2: the diagonal doubles 1, q and q^2
@@ -277,12 +277,12 @@ def eigen_data(nrs: NrsCheck) -> EigenData3:
     two_s = (((2, -c2, s2), (-c2, 2 * c1, sq), (s2, sq, 2 * (c1 * c1 + c2))),
              ((0, -1, 0), (-1, 2 * c2, -c2 * c2), (0, -c2 * c2, -2 * sq)),
              ((0, 0, -1), (0, 2, -c2), (-1, -c2, 2 * c1)))
-    cols = tuple(zip(*omega_rows))
+    cols = tuple(zip(w0, w1, (1, 0, 0)))
     q_table = []
     for s in two_s:
         q00, q01, q02, q11, q12, q22 = _congruence(cols, s)
         q_table.append(((q00, q01, q02), (q01, q11, q12), (q02, q12, q22)))
-    return EigenData3(m, md, a0, field, c1 + c2 < 0,
+    return EigenData3(m, md, inverse, field, c1 + c2 < 0,
                       tuple(field.floor(c, x_den, _FILTER_BITS)
                             for c in zip(*x_table)),
                       x_table, x_den, tuple(q_table))
@@ -304,11 +304,9 @@ class PiPoint:
     def box(self) -> Tuple[int, int, int, int]:
         """(x_lo, x_hi, y_sq_lo, y_sq_hi): the floors and ceilings of 2^20 x
         and 2^20 y_sq, computed once."""
-        field, x, y_sq = self.field, self.x, self.y_sq
-        return (field.floor(x, self.x_den, _BOX_BITS),
-                _ceil(field, x, self.x_den, _BOX_BITS),
-                field.floor(y_sq, 1, _BOX_BITS),
-                _ceil(field, y_sq, 1, _BOX_BITS))
+        field = self.field
+        return (_floor_ceil(field, self.x, self.x_den, _BOX_BITS)
+                + _floor_ceil(field, self.y_sq, 1, _BOX_BITS))
 
     @functools.cached_property
     def y_box(self) -> Tuple[int, int]:
@@ -319,21 +317,30 @@ class PiPoint:
         return math.isqrt(lo), s + (s * s < hi)
 
 
-def _ceil(field: NumberField, num, den: int = 1, shift: int = 0) -> int:
-    """ceil(2^shift (num . (1, r, r^2)) / den) = -floor(-...), exactly."""
-    return -field.floor(tuple(-c for c in num), den, shift)
+def _floor_ceil(field: NumberField, num, den: int = 1,
+                shift: int = 0) -> Tuple[int, int]:
+    """The floor and the ceiling of 2^shift (num . (1, r, r^2)) / den,
+    exactly.  A value with a nonzero coefficient of r or r^2 is irrational,
+    as r has degree 3, so its ceiling is its floor + 1, from one floor; a
+    rational value's ceiling is minus the floor of its negation."""
+    lo = field.floor(num, den, shift)
+    if num[1] or num[2]:
+        return lo, lo + 1
+    return lo, -field.floor(tuple(-c for c in num), den, shift)
 
 
 def _x_num(e: EigenData3, v) -> tuple:
     """The coefficients of 1, r, r^2 in x(v) times x_den."""
-    a, b, c = v[0], v[1], v[2]
-    return tuple(a * t0 + b * t1 + c * t2 for t0, t1, t2 in e.x_table)
+    a, b, c = v
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = e.x_table
+    return (a * t00 + b * t01 + c * t02, a * t10 + b * t11 + c * t12,
+            a * t20 + b * t21 + c * t22)
 
 
 def _f_num(e: EigenData3, v) -> tuple:
     """The coefficients of 1, r, r^2 in F(v): v^T Q_k v / 2, exactly, as
     every Q_k has an even diagonal."""
-    a, b, c = v[0], v[1], v[2]
+    a, b, c = v
     return tuple(((q00 * a + 2 * (q01 * b + q02 * c)) * a
                   + (q11 * b + 2 * q12 * c) * b + q22 * c * c) >> 1
                  for (q00, q01, q02), (_, q11, q12), (_, _, q22)
@@ -467,9 +474,8 @@ class SailData:
             # so 10^9 y lies in [isqrt(f), isqrt(f) + 1], and is isqrt(f)
             # when f = c is a square
             field, x9 = p.field, [a * 10 ** 9 for a in p.x]
-            x_lo, x_hi = field.floor(x9, p.x_den), _ceil(field, x9, p.x_den)
-            y18 = [a * 10 ** 18 for a in p.y_sq]
-            f, c = field.floor(y18), _ceil(field, y18)
+            x_lo, x_hi = _floor_ceil(field, x9, p.x_den)
+            f, c = _floor_ceil(field, [a * 10 ** 18 for a in p.y_sq])
             y_lo = math.isqrt(f)
             y_hi = y_lo + (f != c or y_lo * y_lo != f)
             out.append({
@@ -804,15 +810,25 @@ def fundamental_slab(e: EigenData3) -> Slab:
     step can leave 10^6 points); each step divides the positive integer
     |MD| of the seed by at least _SEED_GAIN, so the steps end, and the
     choice depends on the operator alone.
+
+    |MD| is taken once per seed, and the rows are scanned only while the
+    seed's is at least _SEED_GAIN: MD vanishes on no nonzero integer
+    vector, so every row has |MD| >= 1, and below _SEED_GAIN no row can
+    be _SEED_GAIN times smaller (NOTES.md, "Closed forms over Z[r]").  |MD|
+    is even, so the rows are compared as they stand, and only the chosen
+    one is signed by _positive; its |MD| is the next seed's.
     """
     slab = reduced_slab(e, _positive(e, IntVector((1, 0, 0))))
-    while True:
-        cands = [slab.seed] + [_positive(e, IntVector(b)) for b in slab.basis]
-        vols = [abs(e.md(v)) for v in cands]
-        i = min((1, 2, 3), key=vols.__getitem__)
-        if vols[i] * _SEED_GAIN > vols[0]:
-            return slab
-        slab = reduced_slab(e, cands[i], slab.basis)
+    vol = abs(e.md(slab.seed))
+    while vol >= _SEED_GAIN:
+        vols = [abs(e.md(b)) for b in slab.basis]
+        i = min((0, 1, 2), key=vols.__getitem__)
+        if vols[i] * _SEED_GAIN > vol:
+            break
+        slab = reduced_slab(e, _positive(e, IntVector(slab.basis[i])),
+                            slab.basis)
+        vol = vols[i]
+    return slab
 
 
 @dataclass(frozen=True)

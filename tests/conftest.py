@@ -163,6 +163,17 @@ def isolate_real_roots(p: IntPoly):
     return intervals
 
 
+def adjugate_coeffs(m: IntMatrix):
+    """Matrix coefficients omega_0,1,2 with adj(M - t I) = sum omega_k t^k.
+
+    By Cayley-Hamilton, omega_0 = M^2 - tr(M) M + c1 I = adj(M),
+    omega_1 = M - tr(M) I and omega_2 = I, with c1 the sum of the
+    principal 2-minors of M, the coefficient of t in p.
+    """
+    ident = IntMatrix.identity(3)
+    return m.adjugate(), m - ident.scale(m.trace()), ident
+
+
 class PolyModField:
     """Plain Fraction-polynomial oracle for Q(r) = Q[t]/(minpoly): schoolbook
     products with long division, extended Euclid for inverses, and signs

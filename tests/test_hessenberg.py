@@ -4,7 +4,7 @@ import random
 import signal
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hesslab.reducedness as red_mod
@@ -51,6 +51,45 @@ def test_type_complexity():
 def test_complexity_examples():
     assert hessenberg_complexity(M1) == 3
     assert hessenberg_complexity(FRO) == 1
+
+
+@st.composite
+def patterned_matrices(draw):
+    """n x n integer matrices, n = 2, 3 or 4, with entries in [-3, 6] and
+    a random zero pattern; half of them zero below the subdiagonal, so
+    that perfect ones are drawn too."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    hess = draw(st.booleans())
+    entries = st.integers(min_value=-3, max_value=6)
+    return IntMatrix([[draw(entries) if draw(st.booleans())
+                       and not (hess and i > j + 1) else 0
+                       for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterned_matrices())
+@example(M1)
+@example(FRO)
+@example(parse_matrix("0 1 0 5; 2 1 0 3; 0 3 0 1; 0 0 1 7"))
+@example(parse_matrix("0 1 1 5; 2 1 0 3; 0 3 0 1; 0 0 1 7"))
+def test_hessenberg_checks_match_their_entrywise_definitions(m):
+    # is_hessenberg, hessenberg_complexity and is_perfect read the rows;
+    # oracle: their definitions, entry by entry through m[i, j]
+    n = m.n
+    hess = all(m[i, j] == 0 for i in range(n) for j in range(n) if i > j + 1)
+    assert is_hessenberg(m) == hess
+    if hess:
+        want = 1
+        for j in range(n - 1):
+            want *= abs(m[j + 1, j]) ** (n - 1 - j)
+        assert hessenberg_complexity(m) == want
+    else:
+        with pytest.raises(ExactError):
+            hessenberg_complexity(m)
+    assert is_perfect(m) == (hess and all(
+        m[j + 1, j] > 0 and all(0 <= m[i, j] < m[j + 1, j]
+                                for i in range(j + 1))
+        for j in range(n - 1)))
 
 
 def test_complexity_requires_hessenberg():

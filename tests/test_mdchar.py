@@ -82,3 +82,25 @@ def test_complexity_identity_n3(m):
     h = IntMatrix(rows)
     assert is_hessenberg(h)
     assert hessenberg_complexity(h) == md_characteristic(h, IntVector((1, 0, 0)))
+
+
+# the ten exponent vectors of the cubic monomials, (i, j, k) with i + j + k
+# = 3: the principal lattice of degree 3, on which a cubic form's values
+# fix its ten coefficients
+_LATTICE3 = [IntVector((i, j, 3 - i - j)) for i in range(4)
+             for j in range(4 - i)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices(n=3, lo=-10 ** 6, hi=10 ** 6),
+       nonzero_vectors(lo=-10 ** 6, hi=10 ** 6))
+def test_closed_form_md_form3_matches_md_characteristic(m, v):
+    # md_form3 builds its ten coefficients from the columns of M and M^2
+    # with the monomial slots precomputed; oracle: the determinant that
+    # md_characteristic takes the absolute value of, at the principal
+    # lattice, which fixes the form, and at one more vector
+    form = md_form3(m)
+    for w in _LATTICE3 + [v]:
+        value = form(w)
+        assert value == det(IntMatrix.from_columns([w, m * w, m * (m * w)]))
+        assert abs(value) == md_characteristic(m, w)

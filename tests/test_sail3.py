@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     PolyModField,
+    adjugate_coeffs,
     band_cell,
     criterion9_nrs_cells,
     field_bounds,
@@ -28,6 +29,7 @@ from conftest import (
     shear,
     small_matrices,
 )
+from hard_inputs import perfect_nrs_matrices
 from hesslab.exact import (
     ExactError,
     IntMatrix,
@@ -45,7 +47,8 @@ from hesslab.hessenberg import (
     hessenberg_complexity,
     reduce_to_perfect,
 )
-from hesslab.mdchar import md_characteristic, md_form3
+from hesslab.atlas import classify_grid
+from hesslab.mdchar import MDForm3, md_characteristic, md_form3
 from hesslab.numberfield import NumberField
 import hesslab.hessenberg as hessenberg
 import hesslab.reducedness as red_mod
@@ -127,7 +130,7 @@ def test_require_nrs_reducibility_matches_factorization():
 def _real_eigenvector(m):
     """The numerators of the first nonzero column of adj(M - rI) = omega_0
     + omega_1 r + omega_2 r^2."""
-    w = sail3._adjugate_coeffs(m)
+    w = adjugate_coeffs(m)
     cols = ([tuple(c[i, j] for c in w) for i in range(3)] for j in range(3))
     return next(col for col in cols if any(map(any, col)))
 
@@ -154,7 +157,7 @@ def test_eigen_data_consistency():
 @settings(max_examples=100, deadline=None)
 @given(small_matrices(n=3, lo=-9, hi=9))
 def test_adjugate_coeffs_cayley_hamilton(m):
-    w0, w1, w2 = sail3._adjugate_coeffs(m)
+    w0, w1, w2 = adjugate_coeffs(m)
     for t in (-1, 0, 1, 2, 3):
         total = w0 + w1.scale(t) + w2.scale(t * t)
         assert total == (m - IntMatrix.identity(3).scale(t)).adjugate(), t
@@ -171,7 +174,7 @@ class _Oracle:
     def __init__(self, m):
         p = char_poly(m)
         self.ref = ref = PolyModField(p.coeffs, *isolate_real_roots(p)[-1])
-        self.w = w = sail3._adjugate_coeffs(m)
+        self.w = w = adjugate_coeffs(m)
 
         def entry(i, j):
             return [Fraction(c[i, j]) for c in w]
@@ -278,6 +281,52 @@ def test_closed_form_tables_match_field_arithmetic():
         assert (e.x_table, e.x_den, e.x_floor) == (x_table, x_den, x_floor), m
         assert e.q_table == q_table, m
         assert e.expands == expands, m
+
+
+def _intmatrix_tables(m, p):
+    """eigen_data's x_table, x_den and q_table by the IntMatrix route that
+    its straight-line integers replaced: the omega matrices of
+    adjugate_coeffs, the multiplication by b(r) as an IntMatrix with its
+    det and adjugate, x's rows as adj(B) times the matrix of omega rows 0,
+    and Q_k = W^T (2 S_k) W by IntMatrix products, W the omega rows 0."""
+    _, c1, c2, _ = p.coeffs
+    w0, w1, w2 = adjugate_coeffs(m)
+    omega = IntMatrix([w0.row(0), w1.row(0), w2.row(0)])
+
+    def times_r(v):
+        return v[2], v[0] - c1 * v[2], v[1] - c2 * v[2]
+    b = (w0[0, 0], w1[0, 0], 1)
+    mult = IntMatrix.from_columns([IntVector(b), IntVector(times_r(b)),
+                                   IntVector(times_r(times_r(b)))])
+    d = det(mult)
+    rows = (mult.adjugate() * omega).rows
+    g = math.gcd(d, *itertools.chain(*rows)) * (1 if d > 0 else -1)
+    x_table = tuple(tuple(c // g for c in row) for row in rows)
+    s2, sq = c2 * c2 - 2 * c1, -c1 * c2 - 1
+    two_s = (((2, -c2, s2), (-c2, 2 * c1, sq), (s2, sq, 2 * (c1 * c1 + c2))),
+             ((0, -1, 0), (-1, 2 * c2, -c2 * c2), (0, -c2 * c2, -2 * sq)),
+             ((0, 0, -1), (0, 2, -c2), (-1, -c2, 2 * c1)))
+    q_table = tuple((omega.transpose() * IntMatrix(s) * omega).rows
+                    for s in two_s)
+    return x_table, d // g, q_table
+
+
+def test_straight_line_tables_match_the_intmatrix_route():
+    # eigen_data takes omega's rows 0 from adj(M) and M - tr(M) e_0 and
+    # builds the multiplication matrix, its adjugate and det, x's table
+    # and the congruences on tuples of ints; oracle: the same tables by
+    # IntMatrix arithmetic, on M1, FRO, the 40 pin conjugates and 20
+    # random perfect NRS matrices at each of A = 50 and 400
+    mats = [M1, FRO] + pin_conjugates()
+    for a in (50, 400):
+        mats += perfect_nrs_matrices(random.Random(a), a, 20)
+    assert len(mats) == 82
+    for m in mats:
+        nrs = require_nrs(m)
+        e = eigen_data(nrs)
+        assert (e.x_table, e.x_den, e.q_table) \
+            == _intmatrix_tables(m, nrs.poly), m
+        assert e.inverse == m.adjugate()
 
 
 # the distance of the near-integer values from their integer: 32 bits
@@ -569,6 +618,37 @@ def _box_holds(p):
         >= sign(minus(num_times(y_sq, 1 << 40), y_hi ** 2))
     assert (y_lo + 1) ** 2 > ysq_lo << 20
     assert y_hi == 0 or (y_hi - 1) ** 2 < ysq_hi << 20
+
+
+def test_floor_ceil_takes_one_floor_off_the_rationals(monkeypatch):
+    # _floor_ceil returns floor + 1 as the ceiling of a value with a
+    # nonzero r- or r^2-coefficient, which is irrational, and takes a
+    # second floor only for a rational value; oracle: field_bounds, the
+    # floor and -floor(-num), on seeded numerators with 0, 1 or 2 of those
+    # coefficients zeroed, and on integers, whose ceiling is themselves
+    rng = random.Random(49)
+    field = eigen_data(require_nrs(M1)).field
+    floors = []
+    floor = NumberField.floor
+
+    def counting(self, num, den=1, shift=0):
+        floors.append(num)
+        return floor(self, num, den, shift)
+
+    cases = [((4 * k, 0, 0), 4, 0) for k in range(-3, 4)]
+    for _ in range(300):
+        num = [rng.randint(-2 ** 80, 2 ** 80) for _ in range(3)]
+        for j in rng.sample((1, 2), rng.randint(0, 2)):
+            num[j] = 0
+        cases.append((tuple(num), rng.randint(1, 2 ** 40),
+                      rng.randint(-60, 60)))
+    for num, den, shift in cases:
+        want = field_bounds(field, num, den, shift)
+        with monkeypatch.context() as patch:
+            patch.setattr(NumberField, "floor", counting)
+            assert sail3._floor_ceil(field, num, den, shift) == want
+        assert len(floors) == (2 if num[1] == num[2] == 0 else 1), num
+        floors.clear()
 
 
 @settings(max_examples=100, deadline=None)
@@ -1395,6 +1475,60 @@ def test_fingerprint_work_is_capped(monkeypatch):
         fingerprint(m)
     assert floors == [] and counts["lll"] <= 71 and counts["euclid"] == 0, \
         (len(floors), counts)
+
+
+def _seed_work(monkeypatch, run):
+    """(reduced_slab calls, MD evaluations of basis rows) while `run()`
+    runs: a basis-row evaluation is an MD evaluation inside
+    fundamental_slab of anything but the seed of the slab last reduced."""
+    counts = {"reduced_slab": 0, "rows": 0}
+    slabs = []
+    reduce, scan, call = (sail3.reduced_slab, sail3.fundamental_slab,
+                          MDForm3.__call__)
+
+    def counting_reduce(e, p, start=None):
+        counts["reduced_slab"] += 1
+        slabs.append(reduce(e, p, start))
+        return slabs[-1]
+
+    def scanning(e):
+        slabs.append(None)
+        try:
+            return scan(e)
+        finally:
+            slabs.clear()
+
+    def counting_md(form, v):
+        if slabs and (slabs[-1] is None or v is not slabs[-1].seed):
+            counts["rows"] += 1
+        return call(form, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sail3, "reduced_slab", counting_reduce)
+        patch.setattr(sail3, "fundamental_slab", scanning)
+        patch.setattr(MDForm3, "__call__", counting_md)
+        run()
+    return counts["reduced_slab"], counts["rows"]
+
+
+def test_seed_scan_runs_only_when_a_row_could_win(monkeypatch):
+    # a work count: fundamental_slab takes |MD| of each seed once and scans
+    # the basis rows only while it is >= _SEED_GAIN, as no row, whose |MD|
+    # is >= 1, can then be _SEED_GAIN times smaller.  The 176 sail cells
+    # of the 41 x 41 <0,1|1,0,2> window, where |MD(e1)| is the complexity
+    # 2, make one reduction each and evaluate MD on no basis row, where the
+    # unconditional scan evaluated 528.  Over fingerprint of
+    # pin_conjugates both counts are capped at this scan's: 71 reductions,
+    # as before, and 105 row evaluations, against 213 for the scan that
+    # read every row of every basis
+    t = HessType.parse("<0,1|1,0,2>")
+    cells = []
+    work = _seed_work(monkeypatch, lambda: cells.extend(classify_grid(
+        t, IntVector((1, 0, 1)), (-20, 20), (-20, 20))[0]))
+    assert len(cells) == 41 * 41 and work == (176, 0)
+    reductions, rows = _seed_work(
+        monkeypatch, lambda: [fingerprint(m) for m in pin_conjugates()])
+    assert reductions <= 71 and rows <= 105, (reductions, rows)
 
 
 # sha256 of the JSON lines, keys sorted, of compute_sail(m).to_json() on
