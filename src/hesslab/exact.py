@@ -4,8 +4,10 @@ Everything in this module works over arbitrary-precision integers (or
 ``fractions.Fraction`` where division is unavoidable); no floating point
 arithmetic is used anywhere.  The central objects are square integer
 matrices, integer vectors and monic integer polynomials of degree at most
-four.  Lattice indices (the integer volume of a set of vectors and the
-integer distance of a vector from their span) are gcds of maximal minors.
+four; their constructors take Python and numpy integers and refuse any
+other entry rather than truncate it.  Lattice indices (the integer
+volume of a set of vectors and the integer distance of a vector from
+their span) are gcds of maximal minors.
 Discriminants are closed forms in the coefficients, and real roots are
 counted by integer Sturm chains of primitive pseudo-remainders.
 """
@@ -23,6 +25,20 @@ class ExactError(ValueError):
     """Raised on violated preconditions of exact-arithmetic operations."""
 
 
+def _int_tuple(values: Iterable[int]) -> tuple:
+    """The entries of values as Python ints, read through operator.index,
+    which takes Python and numpy integers and truncates nothing; any other
+    entry, a float or a Fraction, is an ExactError that names it."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            if not hasattr(type(v), "__index__"):
+                raise ExactError("entry %r is not an integer" % (v,)) from None
+        raise
+
+
 # ---------------------------------------------------------------------------
 # vectors and matrices
 
@@ -32,7 +48,7 @@ class IntVector:
     coords: tuple
 
     def __init__(self, coords: Iterable[int]):
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
+        object.__setattr__(self, "coords", _int_tuple(coords))
 
     @property
     def n(self) -> int:
@@ -74,7 +90,7 @@ class IntMatrix:
     rows: tuple
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(map(_int_tuple, rows))
         if not rs or any(len(r) != len(rs) for r in rs):
             raise ExactError("matrix must be square and nonempty")
         object.__setattr__(self, "rows", rs)
@@ -194,8 +210,9 @@ class IntMatrix:
 
 
 # Results of arithmetic are built from tuples of Python ints by these two,
-# which skip the public constructors' int() pass: that pass converts entries
-# from outside (numpy integers, say), and it dominated small 3x3 products.
+# which skip the public constructors' _int_tuple pass: that pass checks and
+# converts entries from outside (numpy integers, say), and it dominated
+# small 3x3 products.
 
 def _vector(coords: tuple) -> IntVector:
     v = object.__new__(IntVector)
@@ -253,7 +270,7 @@ class IntPoly:
     coeffs: tuple
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
+        cs = list(_int_tuple(coeffs))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

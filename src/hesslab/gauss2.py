@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .exact import ExactError, IntMatrix, det
+from .exact import ExactError, IntMatrix, _int_tuple, det
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class Period:
     entries: Tuple[int, ...]
 
     def __init__(self, entries):
-        es = tuple(int(x) for x in entries)
+        es = _int_tuple(entries)
         if not es or any(x < 1 for x in es):
             raise ExactError("period entries must be positive")
         object.__setattr__(self, "entries", es)

@@ -23,6 +23,7 @@ from .exact import (
     IntMatrix,
     IntPoly,
     IntVector,
+    _int_tuple,
     _matrix,
     char_poly,
     det,
@@ -45,7 +46,7 @@ class HessType:
     columns: tuple
 
     def __init__(self, columns: Sequence[Sequence[int]]):
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = tuple(map(_int_tuple, columns))
         for j, c in enumerate(cols):
             if len(c) != j + 2:
                 raise ExactError("column %d must have %d entries" % (j + 1, j + 2))
@@ -102,7 +103,7 @@ class FamilyPoint:
     def __init__(self, type: HessType, anchor: IntVector, params: Sequence[int]):
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "anchor", IntVector(anchor))
-        object.__setattr__(self, "params", tuple(int(p) for p in params))
+        object.__setattr__(self, "params", _int_tuple(params))
         if self.anchor.n != type.n:
             raise ExactError("anchor dimension mismatch")
         if len(self.params) != type.n - 1:

@@ -1,23 +1,25 @@
-"""Exact arithmetic in the number field Q(r) of a real algebraic number.
+"""Exact arithmetic in the number field Q(r) of an NRS operator.
 
-The sail machinery needs exact signs of expressions built from the real
-eigenvalue r of an NRS matrix.  The minimal polynomial is monic with
-integer coefficients, so a value of Q(r) is a numerator, the integer
-coefficients of 1, r, ..., r^(d-1), over one positive denominator that
-its caller keeps (Cohen, A Course in Computational Algebraic Number
-Theory, 4.2).  A NumberField is the kernel on numerators, with three
-operations: a product, reduced by the minimal polynomial in integers, the
-exact sign, and the exact floor of a value scaled by 2^shift, the one
-integer path out of Q(r); a ceiling is minus the floor of the negated
-numerator, and sums and integer multiples are the caller's integer
-operations.  Signs and floors are decided by interval evaluation on a
-dyadic isolating interval of r, given by integer endpoint numerators over
-2^k and refined by certified Newton steps, with a bisection wherever a
-step fails (quadratic interval refinement: Abbott, 2006; Kerber and
-Sagraloff, 2011).  The sail route hands the kernel r on a narrow
-interval, refined once to a working precision, and a decision refines it
-further only where that interval leaves it open.  Termination is
-guaranteed because a nonzero element of the field cannot vanish at r.
+An NRS operator has one real eigenvalue r, the root of its irreducible
+characteristic polynomial p = t^3 + c2 t^2 + c1 t - 1; p(0) = -1 puts r
+> 0.  A value of Q(r) is a numerator, the integer coefficients of 1, r,
+r^2, over one positive denominator that its caller keeps (Cohen, A Course
+in Computational Algebraic Number Theory, 4.2).  A NumberField is the
+kernel on numerators, for a monic cubic and a root interval in [0, oo),
+with three operations: a product, reduced by r^3 = -(c0 + c1 r + c2 r^2)
+in straight-line integers, the exact sign, and the exact floor of a value
+scaled by 2^shift, the one integer path out of Q(r); a ceiling is minus
+the floor of the negated numerator, and sums and integer multiples are
+the caller's integer operations.  Signs and floors are decided by one
+straight-line Horner enclosure of the numerator at a dyadic isolating
+interval of r, given by integer endpoint numerators over 2^k and refined
+by certified Newton steps, with a bisection wherever a step fails
+(quadratic interval refinement: Abbott, 2006; Kerber and Sagraloff,
+2011); RealRoot, which refines, holds a root of any integer polynomial.
+The sail route hands the kernel r on a narrow interval, refined once to a
+working precision, and a decision refines it further only where that
+interval leaves it open.  Termination is guaranteed because a nonzero
+element of the field cannot vanish at r.
 """
 
 from __future__ import annotations
@@ -118,71 +120,65 @@ class RealRoot:
                                                    self.b, self.k)
 
 
-def _horner_interval(num, a: int, b: int, k: int) -> Tuple[int, int]:
-    """Interval Horner evaluation of sum num_i t^i over t in [a/2^k, b/2^k]:
-    integers lo <= hi such that [lo, hi] / 2^(k(d-1)) is the enclosure."""
-    lo = hi = num[-1]
-    shift = 0
-    for c in num[-2::-1]:
-        shift += k
-        if a >= 0:
-            lo *= a if lo >= 0 else b
-            hi *= b if hi >= 0 else a
-        else:
-            products = (lo * a, lo * b, hi * a, hi * b)
-            lo, hi = min(products), max(products)
-        c <<= shift
-        lo += c
-        hi += c
-    return lo, hi
-
-
 class NumberField:
-    """Q(r) for a fixed real root r of an irreducible monic integer
-    polynomial, acting on numerators: tuples of the integer coefficients of
-    1, r, ..., r^(d-1)."""
+    """Q(r) for the real root r > 0 of an irreducible monic integer cubic,
+    as the characteristic polynomial t^3 + c2 t^2 + c1 t - 1 of an NRS
+    operator is, acting on numerators: triples of the integer coefficients
+    of 1, r, r^2."""
 
     def __init__(self, minpoly: IntPoly, root: RealRoot):
-        if not minpoly.monic:
-            raise ExactError("the minimal polynomial must be monic")
+        if minpoly.degree != 3 or not minpoly.monic:
+            raise ExactError("the minimal polynomial must be a monic cubic")
+        if root.a < 0:
+            raise ExactError("the interval of r must lie in [0, oo)")
         self.minpoly = minpoly
         self.root = root
-        self.degree = minpoly.degree
-        self._low = minpoly.coeffs[:-1]   # r^d = -sum _low[i] r^i
+        self._low = minpoly.coeffs[:3]   # r^3 = -(c0 + c1 r + c2 r^2)
 
     def mul(self, a, b) -> tuple:
         """The numerator of the product of the values of a and b, whose
         denominator is the product of theirs: the product of the
-        polynomials in r, reduced to degree < d by the monic minimal
-        polynomial, in integers."""
-        d, low = self.degree, self._low
-        prod = [0] * max(len(a) + len(b) - 1, d)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        for i in range(len(prod) - 1, d - 1, -1):
-            h = prod[i]
-            if h:
-                for j, c in enumerate(low, i - d):
-                    prod[j] -= h * c
-        return tuple(prod[:d])
+        polynomials in r, with its r^4 and then its r^3 term reduced by
+        r^3 = -(c0 + c1 r + c2 r^2), in integers."""
+        c0, c1, c2 = self._low
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        p4 = a2 * b2
+        p3 = a1 * b2 + a2 * b1 - p4 * c2
+        return (a0 * b0 - p3 * c0,
+                a0 * b1 + a1 * b0 - p4 * c0 - p3 * c1,
+                a0 * b2 + a1 * b1 + a2 * b0 - p4 * c1 - p3 * c2)
+
+    def _enclose(self, num) -> Tuple[int, int, int]:
+        """(lo, hi, k) with 2^2k times the value of num in [lo, hi]: the
+        straight-line Horner enclosure at r's interval (a, b) / 2^k, a >= 0,
+        where a lower bound is multiplied by a where it is >= 0 and by b
+        where it is < 0, an upper bound the other way round."""
+        root = self.root
+        a, b, k = root.a, root.b, root.k
+        c0, c1, c2 = num
+        c1 <<= k
+        lo = c2 * (a if c2 >= 0 else b) + c1
+        hi = c2 * (b if c2 >= 0 else a) + c1
+        c0 <<= 2 * k
+        return (lo * (a if lo >= 0 else b) + c0,
+                hi * (b if hi >= 0 else a) + c0, k)
 
     def sign(self, num) -> int:
         """The exact sign of the value of num (over any positive
-        denominator): the Horner enclosure over the interval of r, with r
-        refined to twice its bits plus 8 while it straddles 0.
+        denominator): the enclosure at the interval of r, with r refined to
+        twice its bits plus 8 while it straddles 0.
 
         The loop ends.  A rational value's sign is that of its constant
-        term.  A numerator with an r-term is irrational, as the minimal
-        polynomial is irreducible, so it is nonzero, and its enclosure
-        shrinks onto its value as the interval of r does."""
-        if not any(num[1:]):
+        term.  A numerator with an r- or r^2-term is irrational, as the
+        minimal polynomial is irreducible, so it is nonzero, and its
+        enclosure shrinks onto its value as the interval of r does."""
+        if not (num[1] or num[2]):
             c = num[0]
             return (c > 0) - (c < 0)
         root = self.root
         while True:
-            lo, hi = _horner_interval(num, root.a, root.b, root.k)
+            lo, hi, _ = self._enclose(num)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -191,45 +187,29 @@ class NumberField:
 
     def floor(self, num, den: int = 1, shift: int = 0) -> int:
         """floor(2^shift times the value of num over the positive
-        denominator den), exact at any refinement of r.  First the
-        straight-line Horner enclosure at r's interval (a, b) / 2^k when a
-        >= 0, as on the sail route, and num is cubic: a lower bound is
-        multiplied by a where it is >= 0 and by b where it is < 0, an upper
-        bound the other way round.  Where its ends' floors differ, or the
-        enclosure does not apply, _slow_floor refines r until it decides."""
-        root = self.root
-        a, b, k = root.a, root.b, root.k
-        if a >= 0:
-            try:
-                c0, c1, c2 = num
-            except ValueError:  # not a cubic field's numerator
-                return self._slow_floor(num, den, shift)
-            # 2^2k times the value lies in [lo, hi]
-            c1 <<= k
-            lo = c2 * (a if c2 >= 0 else b) + c1
-            hi = c2 * (b if c2 >= 0 else a) + c1
-            c0 <<= 2 * k
-            lo = lo * (a if lo >= 0 else b) + c0
-            hi = hi * (b if hi >= 0 else a) + c0
-            scale = den << 2 * k
-            if shift >= 0:
-                lo, hi = lo << shift, hi << shift
-            else:
-                scale <<= -shift
-            n = lo // scale
-            if hi // scale == n:
-                return n
+        denominator den), exact at any refinement of r: the floor of the
+        enclosure's ends, where they agree, and else _slow_floor, which
+        refines r until it decides."""
+        lo, hi, k = self._enclose(num)
+        scale = den << 2 * k
+        if shift >= 0:
+            lo, hi = lo << shift, hi << shift
+        else:
+            scale <<= -shift
+        n = lo // scale
+        if hi // scale == n:
+            return n
         return self._slow_floor(num, den, shift)
 
     def _slow_floor(self, num, den: int, shift: int) -> int:
         """floor(), refining r, with num and den first divided by gcd(den,
         *num) so that the refinements depend on the value alone: until the
-        Horner enclosure, rounded outward, spans at most one unit (an
-        irrational value lies strictly inside it, a rational one's is the
-        value), or is 2^-8 wide and sign() puts the value on one side of
-        the one integer inside.  The loop ends: each refinement asks r for
-        the bits that narrow the scaled enclosure to about 2^-10, at least
-        two more while it is wider than 2^-8, and it narrows as r's does."""
+        enclosure, rounded outward, spans at most one unit (an irrational
+        value lies strictly inside it, a rational one's is the value), or
+        is 2^-8 wide and sign() puts the value on one side of the one
+        integer inside.  The loop ends: each refinement asks r for the bits
+        that narrow the scaled enclosure to about 2^-10, at least two more
+        while it is wider than 2^-8, and it narrows as r's does."""
         g = gcd(den, *num)
         if g != 1:
             num = tuple(c // g for c in num)
@@ -237,16 +217,16 @@ class NumberField:
         up, down = 1 << max(shift, 0), 1 << max(-shift, 0)
         root = self.root
         while True:
-            lo, hi = _horner_interval(num, root.a, root.b, root.k)
-            scale = (den << (root.k * (len(num) - 1))) * down
+            lo, hi, k = self._enclose(num)
+            scale = (den << 2 * k) * down
             n = lo * up // scale
             if -(-hi * up // scale) - n <= 1:
                 return n
             spread = (hi - lo) * up
             if spread << 8 <= scale:
                 # 2^-8 wide: n + 1 is the one integer inside
-                s = self.sign((num[0] * up - (n + 1) * down * den,)
-                              + tuple(c * up for c in num[1:]))
+                s = self.sign((num[0] * up - (n + 1) * down * den,
+                               num[1] * up, num[2] * up))
                 return n + (s >= 0)
             root.refine_to(root.bits + spread.bit_length()
                            - scale.bit_length() + 10)

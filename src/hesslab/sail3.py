@@ -26,13 +26,15 @@ interval at _R_BITS, which refines r only where that interval leaves the
 floor open, and on the atlas families nowhere; the ceiling of an
 irrational value is its floor + 1, and only a rational value's takes a
 second floor.  The kernel's sign and mul decide every exact sign, order
-and chord test, on numerators and their integer differences.  The slab
+and chord test, on numerators and their integer differences; a sign of
+x(v) is the kernel's sign of x(v)'s numerator, which the enclosure at
+_R_BITS decides on its own wherever |x(v)| is not tiny.  The slab
 enumeration walks the basis coordinates level by level, in ranges from
 one integer quadratic form made of the floors its leaf filter takes, in
-Python integers.  Every sign, order and orientation is decided on
-integer floors at 2^b with a proven error, and in Q(r) where that leaves
-it open: slab membership and signs of x(v) on the floors of 2^40 x,
-orders and hull orientations of projected points on the floors and
+Python integers.  Slab membership, orders and hull orientations are
+decided on integer floors at 2^b with a proven error, and in Q(r) where
+that leaves them open: slab membership on the floors of 2^40 x and 2^40
+F, orders and hull orientations of projected points on the floors and
 ceilings of 2^20 x, 2^20 y_sq and 2^20 y that each point keeps.
 
 fundamental_window is the one place that knows which of M and M^-1
@@ -75,10 +77,11 @@ from .numberfield import NumberField, RealRoot
 
 # bits of the PiPoint boxes
 _BOX_BITS = 20
-# bits of the integer filters of x(v) and of the slab's cuts
+# bits of the slab's cuts: the floors of slab_points' leaf filter
 _FILTER_BITS = 40
-# bits to which eigen_data refines r, once: the slab's floors at 2^40 and
-# the boxes at 2^20 then decide on r's interval without refining it
+# bits to which eigen_data refines r, once: the slab's floors at 2^40, the
+# boxes at 2^20 and the signs of x(v) then decide on r's interval without
+# refining it
 _R_BITS = 96
 # half-width of r's float bracket, in units of 2^-44 of the estimate's
 # binade: about 2^-32 relative
@@ -151,7 +154,6 @@ class EigenData3:
     inverse: IntMatrix  # adj(M), as det M = 1
     field: NumberField
     expands: bool  # r > 1: M expands x
-    x_floor: Tuple[int, int, int]  # floor(2^40 x_form[i]), for _x_sign
     x_table: Tuple[Tuple[int, int, int], ...]
     x_den: int
     q_table: Tuple[Tuple[Tuple[int, int, int], ...], ...]
@@ -282,10 +284,8 @@ def eigen_data(nrs: NrsCheck) -> EigenData3:
     for s in two_s:
         q00, q01, q02, q11, q12, q22 = _congruence(cols, s)
         q_table.append(((q00, q01, q02), (q01, q11, q12), (q02, q12, q22)))
-    return EigenData3(m, md, inverse, field, c1 + c2 < 0,
-                      tuple(field.floor(c, x_den, _FILTER_BITS)
-                            for c in zip(*x_table)),
-                      x_table, x_den, tuple(q_table))
+    return EigenData3(m, md, inverse, field, c1 + c2 < 0, x_table, x_den,
+                      tuple(q_table))
 
 
 @dataclass(frozen=True)
@@ -493,20 +493,8 @@ def _dec(n: int) -> str:
     return "%s%d.%09d" % ("-" if n < 0 else "", q, r)
 
 
-def _x_sum(e: EigenData3, v: IntVector) -> int:
-    """sum v_i X_i with X_i = x_floor[i]: 2^40 x_form[i] lies in [X_i,
-    X_i + 1), so the sum is within sum |v_i| of 2^40 x(v), strictly."""
-    x0, x1, x2 = e.x_floor
-    return v[0] * x0 + v[1] * x1 + v[2] * x2
-
-
 def _x_sign(e: EigenData3, v: IntVector) -> int:
-    """The sign of x(v): that of _x_sum where its magnitude is at least
-    its error bound sum |v_i|, the bound of slab_points' filter;
-    any other is decided in Q(r)."""
-    s = _x_sum(e, v)
-    if abs(s) >= abs(v[0]) + abs(v[1]) + abs(v[2]):
-        return (s > 0) - (s < 0)
+    """The sign of x(v), exactly: the kernel's sign of its numerator."""
     return e.field.sign(_x_num(e, v))
 
 

@@ -500,3 +500,29 @@ def test_sail_cells_take_r_as_eigen_data_refines_it(monkeypatch):
     cells, counts = classify_grid(T_212, A_212, (-20, 20), (-20, 20))
     assert len(cells) == 41 * 41 and counts["NRS_Nonreduced"] > 0
     assert calls == {}
+
+
+def test_r_is_refined_only_by_eigen_data(monkeypatch):
+    # a work canary: each eigen_data refines r once, by refine_to(_R_BITS),
+    # and no sign, floor or box asks r for more bits, on the 41 x 41
+    # <0,1|1,0,2> window and in fingerprint of the 40 pin conjugates.  It
+    # counts every RealRoot.refine_to call, so it also sees a sign that
+    # Newton steps decide, which the canaries of slow floors and bisections
+    # miss
+    from conftest import pin_conjugates
+    from hesslab import sail3
+    from hesslab.numberfield import RealRoot
+    from hesslab.reducedness import fingerprint
+
+    calls = Counter()
+    for owner, name in ((RealRoot, "refine_to"), (sail3, "eigen_data")):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    classify_grid(T_212, A_212, (-20, 20), (-20, 20))
+    assert calls == {"eigen_data": 176, "refine_to": 176}
+    calls.clear()
+    for m in pin_conjugates():
+        fingerprint(m)
+    assert calls == {"eigen_data": 40, "refine_to": 40}

@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -331,3 +333,40 @@ def test_count_real_roots_factored_oracle(c, linear, quadratic, lo, hi):
     assert count_real_roots(p, lo, hi) == want
     if p.degree == 4:
         assert quartic_real_root_count(*reversed(p.coeffs)) == len(roots)
+
+
+def _constructors():
+    """Each public constructor of integer data, as a function of one
+    entry x placed among integers."""
+    from hesslab.gauss2 import Period
+    from hesslab.hessenberg import FamilyPoint, HessType
+
+    return {
+        "IntVector": lambda x: IntVector([2, x, 1]),
+        "IntMatrix": lambda x: IntMatrix([[0, 1], [x, 1]]),
+        "IntPoly": lambda x: IntPoly([x, 0, 1]),
+        "HessType": lambda x: HessType([[0, x]]),
+        "FamilyPoint": lambda x: FamilyPoint(HessType([[0, 1]]), (1, 0), [x]),
+        "Period": lambda x: Period([1, x]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_constructors()))
+def test_constructors_refuse_to_truncate(name):
+    # entries are read through operator.index: Python and numpy integers
+    # are taken as the integers they are, and a float, a Fraction or a
+    # numpy float, which int() truncated, is an ExactError naming it
+    np = pytest.importorskip("numpy")
+    make = _constructors()[name]
+    for good in (3, np.int64(3)):
+        assert make(good) == make(3)
+        assert all(type(c) is int for c in _flat(astuple(make(good))))
+    for bad in (1.9, 3.0, Fraction(7, 2), Fraction(3), np.float64(3.0)):
+        with pytest.raises(ExactError, match=re.escape(repr(bad))):
+            make(bad)
+
+
+def _flat(x):
+    """The leaves of nested tuples."""
+    return [c for y in x for c in _flat(y)] if isinstance(x, tuple) else [x]
+

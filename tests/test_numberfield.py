@@ -28,18 +28,11 @@ R = (0, 1, 0)
 _REF = PolyModField(_CUBIC, 3, 4)
 
 
-def _dyadic_root(p, lo, hi):
-    """The RealRoot of p on the isolating interval (lo, hi) of dyadic
-    Fractions."""
-    k = max(lo.denominator, hi.denominator).bit_length() - 1
-    return RealRoot(p, int(lo * 2 ** k), int(hi * 2 ** k), k)
-
-
 def _field(poly=_CUBIC):
-    """Q(r) for the largest real root r of poly, on a fresh isolating
-    interval."""
+    """Q(r) for the real root r > 0 of the NRS cubic poly, on a fresh
+    isolating interval (0, 1 + max |c_i|), as eigen_data falls back to."""
     p = IntPoly(list(poly))
-    return NumberField(p, _dyadic_root(p, *isolate_real_roots(p)[-1]))
+    return NumberField(p, RealRoot(p, 0, 1 + max(map(abs, poly[:-1]))))
 
 
 def _over(num, den):
@@ -172,11 +165,18 @@ def test_sign_and_bounds_are_exact_near_a_rational():
         == ((0, 1) if want > 0 else (-1, 0))
 
 
-# (minimal polynomial low-first, an isolating interval of its largest real
-# root): the NRS cubic, its mirror t -> -t (a negative root), sqrt(2) and
-# the quartic t^4 - t - 1
-_ORACLE_FIELDS = (((-1, -2, -3, 1), 3, 4), ((1, -2, 3, 1), -4, -3),
-                  ((-2, 0, 1), 1, 2), ((-1, -1, 0, 0, 1), 1, 2))
+# (minimal polynomial low-first, an isolating interval of its real root
+# r): the characteristic polynomials of M1 = 0 1 2; 1 0 0; 0 3 5, of FRO =
+# 0 0 1; 1 0 1; 0 1 3 and of M1^-1 (r < 1), and an NRS cubic with a
+# coefficient near 10^40
+_NRS_FIELDS = (((-1, -1, -5, 1), 5, 6), ((-1, -1, -3, 1), 3, 4),
+               ((-1, 5, 1, 1), 0, 1))
+_ORACLE_FIELDS = _NRS_FIELDS + (
+    ((-1, 3, -10 ** 40 - 1, 1), 10 ** 40, 10 ** 40 + 1),)
+# roots of other integer polynomials, for RealRoot alone: the mirror t ->
+# -t of _CUBIC (a negative root), sqrt(2) and the quartic t^4 - t - 1
+_OTHER_ROOTS = (((1, -2, 3, 1), -4, -3), ((-2, 0, 1), 1, 2),
+                ((-1, -1, 0, 0, 1), 1, 2))
 
 
 def _coefficients(d):
@@ -196,10 +196,10 @@ def _numerator(coeffs):
 @given(st.data())
 def test_field_matches_fraction_oracle(data):
     # products, signs, floors and ceilings of the kernel against the
-    # oracle's, on cubic fields and on fields of degree 2 and 4; sums
-    # and integer multiples are integer operations on the numerators
+    # oracle's, on the fields of NRS cubics; sums and integer multiples are
+    # integer operations on the numerators
     poly, lo, hi = data.draw(st.sampled_from(_ORACLE_FIELDS))
-    d = len(poly) - 1
+    d = 3
     k = _field(poly)
     ref = PolyModField(poly, lo, hi)
     a = data.draw(_coefficients(d))
@@ -269,7 +269,7 @@ def _assert_refined(root, old, bits):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_ORACLE_FIELDS + (_SKEWED,)),
+@given(st.sampled_from(_ORACLE_FIELDS + _OTHER_ROOTS + (_SKEWED,)),
        st.integers(0, 60), st.integers(-5, 400))
 def test_refine_to_keeps_an_isolating_interval(field, start, bits):
     poly, lo, hi = field
@@ -285,9 +285,11 @@ def test_refine_to_keeps_an_isolating_interval(field, start, bits):
 def test_refine_to_takes_newton_steps_and_bisections(monkeypatch):
     # from a k = 0 start both paths run: bisections until Newton's bracket
     # holds, then Newton steps; on the skewed field the bracket check turns
-    # the overshooting steps into bisections
+    # the overshooting steps into bisections.  (The root near 10^40 takes
+    # about 67 bisections from its unit interval: precision is absolute.)
     calls = _count_bisections(monkeypatch)
-    for poly, lo, hi in _ORACLE_FIELDS + (_SKEWED,):
+    for poly, lo, hi in (((_CUBIC, 3, 4),) + _NRS_FIELDS + _OTHER_ROOTS
+                         + (_SKEWED,)):
         for bits in range(0, 41):
             root = RealRoot(IntPoly(poly), lo, hi)
             old = root_ends(root) + (root.bits,)
@@ -320,7 +322,20 @@ def test_refine_to_cuts_the_bisections_of_a_verdict(monkeypatch):
 
 
 def test_non_monic_minimal_polynomial_is_rejected():
-    p = IntPoly([-1, 0, 2])
-    lo, hi = isolate_real_roots(p)[-1]
+    p = IntPoly([-3, -1, 0, 2])
     with pytest.raises(ExactError):
-        NumberField(p, _dyadic_root(p, lo, hi))
+        NumberField(p, RealRoot(p, 1, 2))
+
+
+@pytest.mark.parametrize("poly, lo, hi", [
+    ((-2, 0, 1), 1, 2),            # sqrt(2): a quadratic
+    ((-1, -1, 0, 0, 1), 1, 2),     # t^4 - t - 1: a quartic
+    (_CUBIC, -1, 4),               # r's interval reaches below 0
+])
+def test_field_takes_a_monic_cubic_on_a_nonnegative_interval(poly, lo, hi):
+    # RealRoot holds each of these roots; the field of an NRS operator
+    # does not
+    p = IntPoly(list(poly))
+    root = RealRoot(p, lo, hi)
+    with pytest.raises(ExactError):
+        NumberField(p, root)

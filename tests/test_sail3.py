@@ -238,11 +238,11 @@ def test_compiled_x_and_f_match_field_formulas(i, v):
 
 def _field_tables(m):
     """eigen_data's tables built in the Fraction oracle's arithmetic
-    (_Oracle): x_table over the lcm of the denominators of x_form, x_floor
-    by the oracle's own bisection, and the polar-Gram table from the omega
-    values of the first row of adj(M - rI) on which F is nonzero: Q_k[i][j]
-    is the coefficient of r^k in 2 Phi(e_i, e_j).  Returns (x_table, x_den,
-    x_floor, q_table, expands), expands the oracle's sign of r - 1."""
+    (_Oracle): x_table over the lcm of the denominators of x_form, and the
+    polar-Gram table from the omega values of the first row of adj(M - rI)
+    on which F is nonzero: Q_k[i][j] is the coefficient of r^k in 2
+    Phi(e_i, e_j).  Returns (x_table, x_den, q_table, expands), expands
+    the oracle's sign of r - 1."""
     o = _oracle(m)
     x_den = math.lcm(*(c.denominator for f in o.x_form for c in f))
     x_table = tuple(zip(*(tuple(int(c * x_den) for c in f)
@@ -254,8 +254,7 @@ def _field_tables(m):
     assert all(c.denominator == 1 for g in gram for x in g for c in x)
     q_table = tuple(tuple(tuple(int(x[k]) for x in g) for g in gram)
                     for k in range(3))
-    x_floor = tuple(o.ref.floor(f, 40) for f in o.x_form)
-    return x_table, x_den, x_floor, q_table, o.ref.sign([-1, 1, 0]) > 0
+    return x_table, x_den, q_table, o.ref.sign([-1, 1, 0]) > 0
 
 
 def _shears_of_m1(power):
@@ -271,14 +270,14 @@ def test_closed_form_tables_match_field_arithmetic():
     # constants of F over Z[r], x_form from the adjugate of a
     # multiplication matrix, and expands from the sign of p(1).  Oracle:
     # the same tables from Sturm isolation and the Fraction oracle's
-    # products, inverses and floors, and its sign of r - 1, on the 838
+    # products and inverses, and its sign of r - 1, on the 838
     # criterion-9 NRS cells and the six shears of M1 at 10^40
     mats = list(criterion9_nrs_cells()) + _shears_of_m1(40)
     assert len(mats) == 844
     for m in mats:
         e = eigen_data(require_nrs(m))
-        x_table, x_den, x_floor, q_table, expands = _field_tables(m)
-        assert (e.x_table, e.x_den, e.x_floor) == (x_table, x_den, x_floor), m
+        x_table, x_den, q_table, expands = _field_tables(m)
+        assert (e.x_table, e.x_den) == (x_table, x_den), m
         assert e.q_table == q_table, m
         assert e.expands == expands, m
 
@@ -733,24 +732,15 @@ def _convergent_vectors(i):
        nonzero_vectors(lo=-10 ** 6, hi=10 ** 6),
        st.sampled_from((1, -1, 10 ** 310)))
 def test_x_sign_is_exact(i, j, w, scale):
-    # the integer filter against exact signs: small vectors, vectors with
-    # entries above 10^308 and vectors whose x is below 2^-35, where the
-    # filter leaves the sign to Q(r)
-    _, e = _operator_data(i)
+    # signs of x against the Fraction oracle's sign of x(v) from its own
+    # bisection of r: small vectors, vectors with entries above 10^308 and
+    # the convergent vectors, whose x shrinks like 1 / q for q up to 2^80
+    m, e = _operator_data(i)
+    o = _oracle(m)
     cs = _convergent_vectors(i)
     c = cs[j % len(cs)]
     for v in (w, c, w.scale(scale), c.scale(scale), c.scale(scale) + w):
-        assert sail3._x_sign(e, v) == e.field.sign(_x_num(e, v)), v
-
-
-def test_convergent_vectors_reach_below_the_filter():
-    for i in range(4):
-        _, e = _operator_data(i)
-        tiny = [v for v in _convergent_vectors(i)
-                if field_bounds(e.field, _x_num(e, v), e.x_den, 35)
-                in ((0, 1), (-1, 0))]
-        assert tiny
-        assert all(abs(sail3._x_sum(e, v)) < sum(map(abs, v)) for v in tiny)
+        assert sail3._x_sign(e, v) == o.ref.sign(o.x(v)), v
 
 
 @settings(max_examples=300, deadline=None)
@@ -958,10 +948,9 @@ def test_slab_enumeration_is_exact(m, seed):
 
 def test_leaf_fallback_is_exact(monkeypatch):
     # at 40 bits the leaf filter decides every leaf of the natural seeds'
-    # slabs, as none lies within 2^-40 of the boundary.  At 4 bits
-    # (eigen_data, called after the patch, floors x_form at 2^4 too) it
-    # leaves some to the exact fallback, whose output must still be exactly
-    # the slab's points.  The seed (0, 1, 1) of M1 sends the fallback leaves
+    # slabs, as none lies within 2^-40 of the boundary.  At 4 bits, the
+    # bits of slab_points' floors of x and F, it leaves some to the exact
+    # fallback, whose output must still be exactly the slab's points.  The seed (0, 1, 1) of M1 sends the fallback leaves
     # outside its slab's x range, so a fallback that accepted every leaf,
     # skipped the F comparison or skipped the signs of x would list points
     # outside the slab
