@@ -227,12 +227,15 @@ def _matrix(rows: tuple) -> IntMatrix:
 
 
 def _det_rows(rows) -> int:
-    """Determinant of a list-of-lists: the cofactor expansion for 3x3,
-    fraction-free Gauss-Bareiss otherwise."""
+    """Determinant of a list-of-lists: the cofactor expansion for 3x3, ad - bc
+    for 2x2, fraction-free Gauss-Bareiss otherwise."""
     n = len(rows)
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     a = [list(r) for r in rows]
     if n == 1:
         return a[0][0]

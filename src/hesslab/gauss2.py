@@ -5,7 +5,9 @@ tr = +-2 the unipotent families, and |tr| > 2 the real-spectrum classes,
 classified completely by the period of the characteristic sequence
 (alternating integer lengths and integer angles) of a sail of the
 Klein continued fraction.  That period is read from the regular
-continued fraction of an eigenline slope; no lattice points are scanned.
+continued fraction of an eigenline slope: it starts at the first reduced
+complete quotient (Galois) and ends when that quotient recurs, so no
+lattice points are scanned and no quotient is stored.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .exact import ExactError, IntMatrix, _int_tuple, det
+from .exact import ExactError, IntMatrix, _int_tuple
 
 
 @dataclass(frozen=True)
@@ -23,7 +25,7 @@ class Period:
 
     def __init__(self, entries):
         es = _int_tuple(entries)
-        if not es or any(x < 1 for x in es):
+        if not es or min(es) < 1:
             raise ExactError("period entries must be positive")
         object.__setattr__(self, "entries", es)
 
@@ -64,12 +66,21 @@ _COMPLEX_REPS = {
 }
 
 
-def classify_sl2(m: IntMatrix) -> Sl2Class:
-    if m.n != 2:
-        raise ExactError("classify_sl2 requires a 2x2 matrix")
-    if det(m) != 1:
+def _sl2_entries(m: IntMatrix, caller: str) -> Tuple[int, int, int, int]:
+    """The entries a, b, c, d of m = [[a, b], [c, d]], checked to lie in
+    SL(2,Z): det = ad - bc = 1 in closed form."""
+    rows = m.rows
+    if len(rows) != 2:
+        raise ExactError("%s requires a 2x2 matrix" % caller)
+    (a, b), (c, d) = rows
+    if a * d - b * c != 1:
         raise ExactError("matrix is not in SL(2,Z)")
-    tr = m.trace()
+    return a, b, c, d
+
+
+def classify_sl2(m: IntMatrix) -> Sl2Class:
+    a, b, c, d = _sl2_entries(m, "classify_sl2")
+    tr = a + d
     if abs(tr) < 2:
         return Sl2Class("ComplexSpectrum", canonical=_COMPLEX_REPS[tr])
     if abs(tr) == 2:
@@ -77,10 +88,10 @@ def classify_sl2(m: IntMatrix) -> Sl2Class:
         # its entries with the sign of b, or of -c when b = 0 (NOTES.md,
         # "The parabolic class in closed form")
         eps = tr // 2
-        a, b, c = m[0, 0] - eps, m[0, 1], m[1, 0]
         s = 1 if b > 0 or b == 0 and c < 0 else -1
-        return Sl2Class("MultipleEigen", epsilon=eps, k=s * math.gcd(a, b, c))
-    return Sl2Class("RealSpectrum", period=sail_period(m))
+        return Sl2Class("MultipleEigen", epsilon=eps,
+                        k=s * math.gcd(a - eps, b, c))
+    return Sl2Class("RealSpectrum", period=_hyperbolic_period(a, c, d, tr))
 
 
 def sail_period(m: IntMatrix) -> Period:
@@ -92,10 +103,14 @@ def sail_period(m: IntMatrix) -> Period:
     is the periodic part of the regular continued fraction of the fixed
     point (a - d + sqrt(D)) / 2c of g = [[a, b], [c, d]], where g = m or
     -m, whichever has positive trace, and D = tr^2 - 4 (c != 0 because
-    m is hyperbolic).  The expansion runs on exact integers in O(period)
-    steps; its cycle is rotated by one place when the cycle's start
-    index plus [c < 0] is even, so that lengths sit at even places.
-    Then:
+    m is hyperbolic).  The complete quotients are (p + sqrt(D)) / q on
+    exact integers.  By Galois's theorem the period starts at the first
+    reduced quotient (x > 1 and -1 < x' < 0), which is the first that
+    recurs, and the cycle closes when that quotient comes back, in
+    O(preperiod + period) steps with no state stored (NOTES.md, "The 2D
+    period from the first reduced quotient").  The cycle is rotated by
+    one place when the preperiod's length plus [c < 0] is even, so that
+    lengths sit at even places.  Then:
 
     - an odd continued-fraction period is doubled, so the result always
       has even length;
@@ -104,29 +119,30 @@ def sail_period(m: IntMatrix) -> Period:
       t_(j+1) = t_1 t_j - t_(j-1), t_0 = 2, which must reach |tr|;
     - the result is the lexicographically largest even rotation.
     """
-    if m.n != 2:
-        raise ExactError("sail_period requires a 2x2 matrix")
-    if det(m) != 1:
-        raise ExactError("matrix is not in SL(2,Z)")
-    tr = m.trace()
+    a, _, c, d = _sl2_entries(m, "sail_period")
+    tr = a + d
     if abs(tr) <= 2:
         raise ExactError("sail periods require |trace| > 2")
-    s = 1 if tr > 0 else -1
-    a, c, d = s * m[0, 0], s * m[1, 0], s * m[1, 1]
+    return _hyperbolic_period(a, c, d, tr)
+
+
+def _hyperbolic_period(a: int, c: int, d: int, tr: int) -> Period:
+    """sail_period of [[a, b], [c, d]] in SL(2,Z) with trace tr, |tr| > 2."""
+    if tr < 0:
+        a, c, d = -a, -c, -d
     disc = tr * tr - 4
     root = math.isqrt(disc)
     # x = (p + sqrt(disc)) / q with q | disc - p^2, since disc - (a-d)^2 = 4bc
-    p, q = a - d, 2 * c
-    seen = {}
-    quotients: List[int] = []
-    while (p, q) not in seen:
-        seen[p, q] = len(quotients)
-        k = (p + root + (q < 0)) // q  # floor((p + sqrt(disc)) / q)
-        quotients.append(k)
+    p0, q0, start = _first_reduced(a - d, 2 * c, disc, root)
+    p, q = p0, q0
+    cycle: List[int] = []
+    while True:
+        k = (p + root) // q  # q > 0 on the cycle
+        cycle.append(k)
         p = k * q - p
         q = (disc - p * p) // q
-    start = seen[p, q]
-    cycle = quotients[start:]
+        if p == p0 and q == q0:
+            break
     if (start + (c < 0)) % 2 == 0:
         cycle = cycle[1:] + cycle[:1]
     if len(cycle) % 2:
@@ -142,6 +158,22 @@ def sail_period(m: IntMatrix) -> Period:
     if cur != abs(tr):
         raise ExactError("trace is not a continuant trace of the period")
     return Period(_canonical_rotation(cycle * reps))
+
+
+def _first_reduced(p: int, q: int, disc: int,
+                   root: int) -> Tuple[int, int, int]:
+    """(p', q', j): the first reduced complete quotient (p' + sqrt(disc)) / q'
+    of the regular continued fraction of x = (p + sqrt(disc)) / q, and its
+    index j.  disc > 0 is not a square, root = isqrt(disc), q != 0 divides
+    disc - p^2.  A quotient is reduced, x > 1 and -1 < x' < 0, iff
+    root - p < q <= root + p and p <= root, and then q > 0."""
+    j = 0
+    while not (root - p < q <= root + p and p <= root):
+        k = (p + root + (q < 0)) // q  # floor((p + sqrt(disc)) / q)
+        p = k * q - p
+        q = (disc - p * p) // q
+        j += 1
+    return p, q, j
 
 
 def _canonical_rotation(entries: List[int]) -> List[int]:

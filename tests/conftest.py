@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from hesslab.exact import (
+    ExactError,
     IntMatrix,
     IntPoly,
     IntVector,
@@ -14,6 +15,7 @@ from hesslab.exact import (
     discriminant,
     factor_small,
 )
+from hesslab.gauss2 import Period
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
 
 
@@ -70,6 +72,59 @@ def continuant_matrix(entries):
         g = r if i % 2 == 0 else l
         out = out * (g ** a)
     return out
+
+
+def cf_by_seen_states(p, q, disc):
+    """The regular continued fraction of x = (p + sqrt(disc)) / q, disc > 0
+    not a square and q | disc - p^2, walked by storing every complete
+    quotient (p, q) until one recurs: (quotients, start, (p, q)), where the
+    recurring quotient (p, q) has index start and the period is
+    quotients[start:]."""
+    root = math.isqrt(disc)
+    seen = {}
+    quotients = []
+    while (p, q) not in seen:
+        seen[p, q] = len(quotients)
+        k = (p + root + (q < 0)) // q  # floor((p + sqrt(disc)) / q)
+        quotients.append(k)
+        p = k * q - p
+        q = (disc - p * p) // q
+    return quotients, seen[p, q], (p, q)
+
+
+def period_by_seen_states(m):
+    """The sail period of m by the walk that stores every complete quotient
+    of the fixed point (a - d + sqrt(D)) / 2c of g = +-m (positive trace)
+    until one recurs: the test oracle of gauss2.sail_period, with the same
+    ExactError messages.  The cycle is rotated by one place when its start
+    index plus [c < 0] is even, doubled when odd, repeated k times when the
+    continuant traces reach |tr| at the k-th, and read from its
+    lexicographically largest even rotation."""
+    if m.n != 2:
+        raise ExactError("sail_period requires a 2x2 matrix")
+    if leibniz_det(m.rows) != 1:
+        raise ExactError("matrix is not in SL(2,Z)")
+    (a, _), (c, d) = m.rows
+    tr = a + d
+    if abs(tr) <= 2:
+        raise ExactError("sail periods require |trace| > 2")
+    if tr < 0:
+        a, c, d = -a, -c, -d
+    quotients, start, _ = cf_by_seen_states(a - d, 2 * c, tr * tr - 4)
+    cycle = quotients[start:]
+    if (start + (c < 0)) % 2 == 0:
+        cycle = cycle[1:] + cycle[:1]
+    if len(cycle) % 2:
+        cycle = cycle + cycle
+    t1 = continuant_matrix(cycle).trace()
+    prev, cur, reps = 2, t1, 1
+    while cur < abs(tr):
+        prev, cur, reps = cur, t1 * cur - prev, reps + 1
+    if cur != abs(tr):
+        raise ExactError("trace is not a continuant trace of the period")
+    entries = cycle * reps
+    return Period(max(tuple(entries[i:] + entries[:i])
+                      for i in range(0, len(entries), 2)))
 
 
 @st.composite

@@ -5,6 +5,11 @@
 draws random perfect det-1 NRS matrices whose complexity a21^2 a32 lies in
 [a^3, 8 a^3]: a = 10 gives about 10^3 to 10^4, a = 400 about 3 10^8 and
 a = 3000 about 10^11.
+
+    continued_fraction_conjugates(random.Random(seed), count)
+
+draws hyperbolic SL(2,Z) matrices of known sail period, written in a
+sheared basis, as perfbench's periods2d pool does.
 """
 
 import math
@@ -56,3 +61,27 @@ def perfect_nrs_matrix(rng, a):
 
 def perfect_nrs_matrices(rng, a, count):
     return [perfect_nrs_matrix(rng, a) for _ in range(count)]
+
+
+def continued_fraction_conjugate(rng):
+    """One sign * u^-1 g u in SL(2,Z): g is the product of [[a, 1], [1, 0]]
+    over a word a1..aL (L <= 6, ai in [1, 12]; an odd word is doubled, so
+    that det g = 1 and |tr g| >= 3), u a product of 2 to 8 shears
+    [[1, k], [0, 1]] or [[1, 0], [k, 1]] with k in +-{1, 2, 3}, and the
+    sign random."""
+    word = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+    if len(word) % 2:
+        word = word + word
+    g = IntMatrix.identity(2)
+    for a in word:
+        g = g * IntMatrix([[a, 1], [1, 0]])
+    u = IntMatrix.identity(2)
+    for _ in range(rng.randint(2, 8)):
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        u = u * IntMatrix([[1, k], [0, 1]] if rng.random() < 0.5
+                          else [[1, 0], [k, 1]])
+    return (u.inverse_unimodular() * g * u).scale(rng.choice((1, -1)))
+
+
+def continued_fraction_conjugates(rng, count):
+    return [continued_fraction_conjugate(rng) for _ in range(count)]

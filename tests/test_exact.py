@@ -49,6 +49,15 @@ def test_det_2x2_by_hand():
     assert det(IntMatrix([[1, 2], [3, 4]])) == -2
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(n=2, lo=-10 ** 12, hi=10 ** 12))
+def test_det_2x2_closed_form_matches_bareiss(m):
+    # block-diag(m, I_2) is 4x4, so _det_rows takes it through Bareiss
+    (a, b), (c, d) = m.rows
+    block = [[a, b, 0, 0], [c, d, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert det(m) == _det_rows(block) == leibniz_det(m.rows)
+
+
 def test_char_poly_identity():
     assert char_poly(IntMatrix.identity(3)) == IntPoly([-1, 3, -3, 1])
 
