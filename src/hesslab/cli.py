@@ -54,14 +54,6 @@ def _emit(args, data, text):
         print(text)
 
 
-def _scan_bound(args) -> int:
-    # no default: the scan visits (2 bound + 1)^n vectors, and bound 1000
-    # takes most of an hour
-    if args.bound is None:
-        raise ExactError("a bounded scan needs --bound")
-    return args.bound
-
-
 def _cmd_reduce(args):
     m = parse_matrix(args.matrix)
     if args.seed is None:  # e1, of the matrix's size
@@ -95,7 +87,11 @@ def _cmd_form(args):
 
 def _cmd_minimize(args):
     m = parse_matrix(args.matrix)
-    bound = _scan_bound(args)
+    # no default: the scan visits (2 bound + 1)^n vectors, and bound 1000
+    # takes most of an hour
+    bound = args.bound
+    if bound is None:
+        raise ExactError("a bounded scan needs --bound")
     best, wits = minimize_md_bounded(m, bound)
     _emit(args,
           {"min": best, "bound": bound, "witnesses": [list(w) for w in wits]},
@@ -106,13 +102,8 @@ def _cmd_minimize(args):
 
 def _cmd_verdict(args):
     m = parse_matrix(args.matrix)
-    if args.strategy == "bounded":
-        strategy = Bounded(_scan_bound(args))
-    elif args.bound is not None:
-        # the sail route takes no bound: ignoring it would read as a box scan
-        raise ExactError("--bound needs --strategy bounded")
-    else:
-        strategy = Sail()
+    # a bound asks for the box scan; the sail route takes none
+    strategy = Sail() if args.bound is None else Bounded(args.bound)
     verdict = is_reduced(m, strategy)
     _emit(args, verdict.to_json(), _verdict_text(verdict))
     return 2 if verdict.status == "Inconclusive" else 0
@@ -304,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int)
     p = add("verdict", _cmd_verdict, help="reducedness verdict")
     p.add_argument("matrix")
-    p.add_argument("--strategy", choices=("sail", "bounded"), default="sail")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int,
+                   help="scan the box of this bound, not the sail")
     p = add("fingerprint", _cmd_fingerprint, help="conjugacy fingerprint")
     p.add_argument("matrix")
     p = add("sail", _cmd_sail, help="Klein-Voronoi sail vertices")

@@ -12,13 +12,13 @@ scaled by 2^shift, the one integer path out of Q(r); a ceiling is minus
 the floor of the negated numerator, and sums and integer multiples are
 the caller's integer operations.  Signs and floors are decided by one
 straight-line Horner enclosure of the numerator at a dyadic isolating
-interval of r, given by integer endpoint numerators over 2^k and refined
-by certified Newton steps, with a bisection wherever a step fails
-(quadratic interval refinement: Abbott, 2006; Kerber and Sagraloff,
-2011); RealRoot, which refines, holds a root of any integer polynomial.
-The sail route hands the kernel r on a narrow interval, refined once to a
-working precision, and a decision refines it further only where that
-interval leaves it open.  Termination is guaranteed because a nonzero
+interval of r, given by integer endpoint numerators over 2^k.  The field
+holds that interval and refines it itself, by certified Newton steps, with
+a bisection wherever a step fails (quadratic interval refinement: Abbott,
+2006; Kerber and Sagraloff, 2011), in straight-line integers for the
+cubic.  The sail route hands the kernel r on a narrow interval, refined
+once to a working precision, and a decision refines it further only where
+that interval leaves it open.  Termination is guaranteed because a nonzero
 element of the field cannot vanish at r.
 """
 
@@ -30,18 +30,28 @@ from typing import Tuple
 from .exact import ExactError, IntPoly
 
 
-class RealRoot:
-    """A real root of an integer polynomial, held as a shrinking isolating
-    interval (a/2^k, b/2^k) with integers a < b and k >= 0, plus the sign
-    of the polynomial at the left end.  Mutable on purpose: refinement is
-    shared by every decision of the field that holds the root."""
+class NumberField:
+    """Q(r) for the real root r > 0 of an irreducible monic integer cubic,
+    as the characteristic polynomial t^3 + c2 t^2 + c1 t - 1 of an NRS
+    operator is, acting on numerators: triples of the integer coefficients
+    of 1, r, r^2.  It holds r as a shrinking isolating interval (a/2^k,
+    b/2^k), with integers 0 <= a < b and k >= 0, plus the sign at the left
+    end of its minimal polynomial p.  Mutable on purpose: a refinement is
+    shared by every decision of the field."""
 
-    __slots__ = ("poly", "a", "b", "k", "sign_a")
+    __slots__ = ("minpoly", "_low", "a", "b", "k", "sign_a")
 
-    def __init__(self, poly: IntPoly, a: int, b: int, k: int = 0):
-        """The root of poly in (a/2^k, b/2^k), once exact signs of poly at
-        the ends differ; else ExactError."""
-        self.poly, self.a, self.b, self.k = poly, a, b, k
+    def __init__(self, minpoly: IntPoly, a: int, b: int, k: int = 0):
+        """Q(r) for the root r of minpoly in (a/2^k, b/2^k), once minpoly is
+        a monic cubic, a >= 0 and exact signs of minpoly at the ends differ;
+        else ExactError."""
+        if minpoly.degree != 3 or not minpoly.monic:
+            raise ExactError("the minimal polynomial must be a monic cubic")
+        if a < 0:
+            raise ExactError("the interval of r must lie in [0, oo)")
+        self.minpoly = minpoly
+        self._low = minpoly.coeffs[:3]   # r^3 = -(c0 + c1 r + c2 r^2)
+        self.a, self.b, self.k = a, b, k
         self.sign_a = self._sign_at(a, k)
         if self.sign_a == 0:
             raise ExactError("isolating interval endpoint hits the root")
@@ -49,14 +59,10 @@ class RealRoot:
             raise ExactError("interval does not isolate a sign change")
 
     def _sign_at(self, m: int, k: int) -> int:
-        """Sign of poly(m / 2^k), from sum c_i m^i 2^(k(d-i)) by Horner."""
-        cs = self.poly.coeffs
-        acc = cs[-1]
-        shift = 0
-        for c in cs[-2::-1]:
-            shift += k
-            acc = acc * m + (c << shift)
-        return (acc > 0) - (acc < 0)
+        """Sign of p(m / 2^k), from m^3 + c2 m^2 2^k + c1 m 2^2k + c0 2^3k."""
+        c0, c1, c2 = self._low
+        v = ((m + (c2 << k)) * m + (c1 << 2 * k)) * m + (c0 << 3 * k)
+        return (v > 0) - (v < 0)
 
     @property
     def bits(self) -> int:
@@ -64,18 +70,18 @@ class RealRoot:
         return self.k - (self.b - self.a).bit_length()
 
     def refine_to(self, bits: int) -> None:
-        """Refine until the interval is narrower than 2^-bits; one that is
+        """Refine r until its interval is narrower than 2^-bits; one that is
         not yet ends with precision exactly `bits`.
 
         Each step tries Newton's method from the midpoint m / 2^j at K bits,
-        about twice the current precision: T = floor(2^K (m/2^j -
-        p/p')), in integers, with p and p' scaled by 2^(jd) and 2^(j(d-1)).
-        The interval ((T - 1)/2^K, (T + 2)/2^K) holds the root once
-        Newton's error is below 2^-K, and it is kept only if it lies inside
-        the old one and exact signs of p at its ends bracket the root;
-        otherwise the step is one bisection.
+        about twice the current precision: T = floor(2^K (m/2^j - p/p')),
+        in integers, with p and p' scaled by 2^3j and 2^2j.  The interval
+        ((T - 1)/2^K, (T + 2)/2^K) holds the root once Newton's error is
+        below 2^-K, and it is kept only if it lies inside the old one and
+        exact signs of p at its ends bracket the root; otherwise the step is
+        one bisection.
         """
-        cs = self.poly.coeffs
+        c0, c1, c2 = self._low
         while True:
             have = self.bits
             if have >= bits:
@@ -83,13 +89,13 @@ class RealRoot:
             a, b, k = self.a, self.b, self.k
             big_k = min(2 * have, bits + 2)
             if big_k >= k + 2:
+                # p and p' at the midpoint m / 2^j, times 2^3j and 2^2j,
+                # through q = m^2 + c2 m 2^j + c1 2^2j
                 m, j = a + b, k + 1
-                pv, dv = cs[-1], 0
-                shift = 0
-                for c in cs[-2::-1]:
-                    shift += j
-                    dv = dv * m + pv
-                    pv = pv * m + (c << shift)
+                t2 = c2 << j
+                q = (m + t2) * m + (c1 << 2 * j)
+                dv = (2 * m + t2) * m + q
+                pv = q * m + (c0 << 3 * j)
                 if dv:
                     t = ((m * dv - pv) << (big_k - j)) // dv
                     lo, hi, up = t - 1, t + 2, big_k - k
@@ -101,7 +107,7 @@ class RealRoot:
             self.refine()
 
     def refine(self) -> None:
-        """One bisection step: the interval halves."""
+        """One bisection step: r's interval halves."""
         a, b, k = self.a, self.b, self.k + 1
         mid = a + b
         s = self._sign_at(mid, k)
@@ -114,26 +120,6 @@ class RealRoot:
         else:
             self.a, self.b, self.k = mid, 2 * b, k
             self.sign_a = s
-
-    def __repr__(self):
-        return "RealRoot(%s, %d/2^%d, %d/2^%d)" % (self.poly, self.a, self.k,
-                                                   self.b, self.k)
-
-
-class NumberField:
-    """Q(r) for the real root r > 0 of an irreducible monic integer cubic,
-    as the characteristic polynomial t^3 + c2 t^2 + c1 t - 1 of an NRS
-    operator is, acting on numerators: triples of the integer coefficients
-    of 1, r, r^2."""
-
-    def __init__(self, minpoly: IntPoly, root: RealRoot):
-        if minpoly.degree != 3 or not minpoly.monic:
-            raise ExactError("the minimal polynomial must be a monic cubic")
-        if root.a < 0:
-            raise ExactError("the interval of r must lie in [0, oo)")
-        self.minpoly = minpoly
-        self.root = root
-        self._low = minpoly.coeffs[:3]   # r^3 = -(c0 + c1 r + c2 r^2)
 
     def mul(self, a, b) -> tuple:
         """The numerator of the product of the values of a and b, whose
@@ -154,8 +140,7 @@ class NumberField:
         straight-line Horner enclosure at r's interval (a, b) / 2^k, a >= 0,
         where a lower bound is multiplied by a where it is >= 0 and by b
         where it is < 0, an upper bound the other way round."""
-        root = self.root
-        a, b, k = root.a, root.b, root.k
+        a, b, k = self.a, self.b, self.k
         c0, c1, c2 = num
         c1 <<= k
         lo = c2 * (a if c2 >= 0 else b) + c1
@@ -176,14 +161,13 @@ class NumberField:
         if not (num[1] or num[2]):
             c = num[0]
             return (c > 0) - (c < 0)
-        root = self.root
         while True:
             lo, hi, _ = self._enclose(num)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            root.refine_to(2 * max(root.bits, 0) + 8)
+            self.refine_to(2 * max(self.bits, 0) + 8)
 
     def floor(self, num, den: int = 1, shift: int = 0) -> int:
         """floor(2^shift times the value of num over the positive
@@ -215,7 +199,6 @@ class NumberField:
             num = tuple(c // g for c in num)
             den //= g
         up, down = 1 << max(shift, 0), 1 << max(-shift, 0)
-        root = self.root
         while True:
             lo, hi, k = self._enclose(num)
             scale = (den << 2 * k) * down
@@ -228,5 +211,5 @@ class NumberField:
                 s = self.sign((num[0] * up - (n + 1) * down * den,
                                num[1] * up, num[2] * up))
                 return n + (s >= 0)
-            root.refine_to(root.bits + spread.bit_length()
+            self.refine_to(self.bits + spread.bit_length()
                            - scale.bit_length() + 10)

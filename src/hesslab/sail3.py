@@ -73,7 +73,7 @@ from .exact import (
     discriminant,
 )
 from .mdchar import MDForm3, md_form3
-from .numberfield import NumberField, RealRoot
+from .numberfield import NumberField
 
 # bits of the PiPoint boxes
 _BOX_BITS = 20
@@ -210,8 +210,8 @@ def _cardano(b: float, c: float) -> float:
     return t - (((t + b) * t + c) * t - 1) / ((3 * t + 2 * b) * t + c)
 
 
-def _isolate_r(p: IntPoly) -> RealRoot:
-    """r's RealRoot, on a dyadic bracket about 2^-32 wide relative to a
+def _isolate_r(p: IntPoly) -> NumberField:
+    """Q(r), with r on a dyadic bracket about 2^-32 wide relative to a
     float estimate of r and cut at B = 1 + max |c_i|, when exact signs of p
     at its ends differ, and else on (0, B) (NOTES.md, "Closed forms over
     Z[r]").  The estimate is _cardano's root of p when r > 1, and else the
@@ -235,10 +235,10 @@ def _isolate_r(p: IntPoly) -> RealRoot:
         if k < 0:
             a, b, k = a << -k, b << -k, 0
         try:
-            return RealRoot(p, a, min(b, bound << k), k)
+            return NumberField(p, a, min(b, bound << k), k)
         except ExactError:
             pass
-    return RealRoot(p, 0, bound)
+    return NumberField(p, 0, bound)
 
 
 def eigen_data(nrs: NrsCheck) -> EigenData3:
@@ -255,9 +255,8 @@ def eigen_data(nrs: NrsCheck) -> EigenData3:
     monic of degree 2, and r and c have degree 3."""
     m, p, md = nrs
     _, c1, c2, _ = p.coeffs
-    root = _isolate_r(p)
-    root.refine_to(_R_BITS)
-    field = NumberField(p, root)
+    field = _isolate_r(p)
+    field.refine_to(_R_BITS)
     # rows 0 of omega_0 = adj(M) and omega_1 = M - tr(M) I, with
     # adj(M - tI) = omega_0 + omega_1 t + I t^2 by Cayley-Hamilton
     inverse = m.adjugate()

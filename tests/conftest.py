@@ -160,9 +160,96 @@ def num_times(num, c):
     return tuple(a * c for a in num)
 
 
+class RealRoot:
+    """A real root of an integer polynomial, held as a shrinking isolating
+    interval (a/2^k, b/2^k) with integers a < b and k >= 0, plus the sign
+    of the polynomial at the left end: the test oracle of NumberField's
+    refinement, with the same steps written as Horner loops over any
+    degree."""
+
+    __slots__ = ("poly", "a", "b", "k", "sign_a")
+
+    def __init__(self, poly: IntPoly, a: int, b: int, k: int = 0):
+        """The root of poly in (a/2^k, b/2^k), once exact signs of poly at
+        the ends differ; else ExactError."""
+        self.poly, self.a, self.b, self.k = poly, a, b, k
+        self.sign_a = self._sign_at(a, k)
+        if self.sign_a == 0:
+            raise ExactError("isolating interval endpoint hits the root")
+        if self.sign_a * self._sign_at(b, k) > 0:
+            raise ExactError("interval does not isolate a sign change")
+
+    def _sign_at(self, m: int, k: int) -> int:
+        """Sign of poly(m / 2^k), from sum c_i m^i 2^(k(d-i)) by Horner."""
+        cs = self.poly.coeffs
+        acc = cs[-1]
+        shift = 0
+        for c in cs[-2::-1]:
+            shift += k
+            acc = acc * m + (c << shift)
+        return (acc > 0) - (acc < 0)
+
+    @property
+    def bits(self) -> int:
+        """The precision: the largest n with width (b - a)/2^k below 2^-n."""
+        return self.k - (self.b - self.a).bit_length()
+
+    def refine_to(self, bits: int) -> None:
+        """Refine until the interval is narrower than 2^-bits; one that is
+        not yet ends with precision exactly `bits`.
+
+        Each step tries Newton's method from the midpoint m / 2^j at K bits,
+        about twice the current precision: T = floor(2^K (m/2^j -
+        p/p')), in integers, with p and p' scaled by 2^(jd) and 2^(j(d-1)).
+        The interval ((T - 1)/2^K, (T + 2)/2^K) holds the root once
+        Newton's error is below 2^-K, and it is kept only if it lies inside
+        the old one and exact signs of p at its ends bracket the root;
+        otherwise the step is one bisection.
+        """
+        cs = self.poly.coeffs
+        while True:
+            have = self.bits
+            if have >= bits:
+                return
+            a, b, k = self.a, self.b, self.k
+            big_k = min(2 * have, bits + 2)
+            if big_k >= k + 2:
+                m, j = a + b, k + 1
+                pv, dv = cs[-1], 0
+                shift = 0
+                for c in cs[-2::-1]:
+                    shift += j
+                    dv = dv * m + pv
+                    pv = pv * m + (c << shift)
+                if dv:
+                    t = ((m * dv - pv) << (big_k - j)) // dv
+                    lo, hi, up = t - 1, t + 2, big_k - k
+                    if (a << up <= lo and hi <= b << up
+                            and self._sign_at(lo, big_k) == self.sign_a
+                            and self._sign_at(hi, big_k) == -self.sign_a):
+                        self.a, self.b, self.k = lo, hi, big_k
+                        continue
+            self.refine()
+
+    def refine(self) -> None:
+        """One bisection step: the interval halves."""
+        a, b, k = self.a, self.b, self.k + 1
+        mid = a + b
+        s = self._sign_at(mid, k)
+        if s == 0:
+            # land the interval strictly around the (rational) root
+            self.a, self.b, self.k = 3 * a + b, a + 3 * b, k + 1
+            self.sign_a = self._sign_at(self.a, self.k)
+        elif self.sign_a * s < 0:
+            self.a, self.b, self.k = 2 * a, mid, k
+        else:
+            self.a, self.b, self.k = mid, 2 * b, k
+            self.sign_a = s
+
+
 def root_ends(root):
-    """The ends a / 2^k and b / 2^k of a RealRoot's isolating interval, as
-    Fractions."""
+    """The ends a / 2^k and b / 2^k of the isolating interval of r held by
+    a NumberField or a RealRoot, as Fractions."""
     return Fraction(root.a, 1 << root.k), Fraction(root.b, 1 << root.k)
 
 

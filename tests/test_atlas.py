@@ -488,15 +488,15 @@ def test_sail_cells_take_r_as_eigen_data_refines_it(monkeypatch):
     # and refines it once, to sail3._R_BITS; on the 41 x 41 <0,1|1,0,2>
     # window, whose 176 sail cells take every slab floor and box, nothing
     # refines it further: no slow-path floor (NumberField._slow_floor) and
-    # no bisection
-    from hesslab.numberfield import NumberField, RealRoot
+    # no bisection (NumberField.refine)
+    from hesslab.numberfield import NumberField
 
     calls = Counter()
-    for cls, name in ((NumberField, "_slow_floor"), (RealRoot, "refine")):
-        def counted(*args, _real=getattr(cls, name), _name=name):
+    for name in ("_slow_floor", "refine"):
+        def counted(*args, _real=getattr(NumberField, name), _name=name):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(NumberField, name, counted)
     cells, counts = classify_grid(T_212, A_212, (-20, 20), (-20, 20))
     assert len(cells) == 41 * 41 and counts["NRS_Nonreduced"] > 0
     assert calls == {}
@@ -506,16 +506,16 @@ def test_r_is_refined_only_by_eigen_data(monkeypatch):
     # a work canary: each eigen_data refines r once, by refine_to(_R_BITS),
     # and no sign, floor or box asks r for more bits, on the 41 x 41
     # <0,1|1,0,2> window and in fingerprint of the 40 pin conjugates.  It
-    # counts every RealRoot.refine_to call, so it also sees a sign that
+    # counts every NumberField.refine_to call, so it also sees a sign that
     # Newton steps decide, which the canaries of slow floors and bisections
     # miss
     from conftest import pin_conjugates
     from hesslab import sail3
-    from hesslab.numberfield import RealRoot
+    from hesslab.numberfield import NumberField
     from hesslab.reducedness import fingerprint
 
     calls = Counter()
-    for owner, name in ((RealRoot, "refine_to"), (sail3, "eigen_data")):
+    for owner, name in ((NumberField, "refine_to"), (sail3, "eigen_data")):
         def counted(*args, _real=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _real(*args)

@@ -309,33 +309,31 @@ def test_malformed_type_names_the_entry(capsys):
 
 
 def test_bounded_scan_needs_a_bound(capsys):
-    for argv in (["minimize", "0 1 2; 1 0 0; 0 3 5"],
-                 ["verdict", "0 1 2; 1 0 0; 0 3 5", "--strategy", "bounded"]):
-        code, out, err = run(argv, capsys)
-        assert code == 1 and out == ""
-        assert "--bound" in err
+    code, out, err = run(["minimize", "0 1 2; 1 0 0; 0 3 5"], capsys)
+    assert code == 1 and out == ""
+    assert "--bound" in err
     code, out, _ = run(["minimize", "0 1 2; 1 0 0; 0 3 5", "--bound", "4",
                         "--json"], capsys)
     assert code == 0
     assert json.loads(out)["bound"] == 4
 
 
-def test_verdict_bound_needs_the_bounded_strategy(capsys):
-    # the sail route takes no bound: `--bound` without `--strategy bounded`
-    # printed the Sail verdict and exited 0, as if a box scan had run
+def test_verdict_bound_is_the_box_scan(capsys):
+    # `verdict M --bound B` is the box scan, `verdict M` the sail route;
+    # --strategy is an unknown option, as on atlas and ray
     m1 = "0 1 2; 1 0 0; 0 3 5"
-    for argv in (["verdict", m1, "--bound", "3"],
-                 ["verdict", m1, "--strategy", "sail", "--bound", "3"],
-                 ["verdict", m1, "--bound", "3", "--json"]):
-        code, out, err = run(argv, capsys)
-        assert code == 1 and out == ""
-        assert err == "error: --bound needs --strategy bounded\n"
-    # the bounded scan and minimize keep their output
-    code, out, _ = run(["verdict", m1, "--strategy", "bounded", "--bound", "3",
-                        "--json"], capsys)
+    code, out, _ = run(["verdict", m1, "--bound", "3", "--json"], capsys)
     assert code == 0
     assert out == ('{"certificate": {"bound": 3, "kind": "BoundChecked"}, '
                    '"status": "Reduced"}\n')
+    code, out, _ = run(["verdict", m1, "--json"], capsys)
+    assert code == 0 and json.loads(out)["status"] == "Reduced"
+    assert "BoundChecked" not in out
+    for flags in (["--strategy", "sail"], ["--strategy", "bounded"],
+                  ["--strategy", "bounded", "--bound", "3"]):
+        code, out, err = run(["verdict", m1] + flags, capsys)
+        assert code == 1 and out == ""
+        assert "--strategy" in err
     code, out, _ = run(["minimize", m1, "--bound", "3"], capsys)
     assert code == 0
     assert out == ("min 3 within bound 3 at (0, 1, -1), (0, 1, 0), (1, -2, 1),"
@@ -423,7 +421,7 @@ _RAY = ["ray", "--type", "<0,1|1,0,2>", "--anchor", "1,0,1", "--start", "0,0",
                                    ["--bound", "3"]])
 def test_family_scans_take_no_strategy(scan, flags, capsys):
     # a family scan has one route, the certified one: the box scan's bound
-    # belongs to minimize and verdict --strategy bounded
+    # belongs to minimize and verdict --bound
     code, out, _ = run(scan + flags, capsys)
     assert code == 1 and out == ""
     code, out, _ = run(scan, capsys)
@@ -521,8 +519,7 @@ _NUMPY_FREE_RUNS = {
     "minimize3": ["minimize", _M1, "--bound", "4"],
     "minimize2": ["minimize", "2 7; 5 18", "--bound", "6"],
     "verdict": ["verdict", _M1],
-    "verdict-bounded": ["verdict", _M1, "--strategy", "bounded",
-                        "--bound", "4"],
+    "verdict-bounded": ["verdict", _M1, "--bound", "4"],
     "fingerprint": ["fingerprint", _M1],
     "sail": ["sail", _M1],
     "period": ["period", "2 7; 5 18"],

@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 
 from conftest import (
     PolyModField,
+    RealRoot,
     field_bounds,
     isolate_real_roots,
     num_sum,
     num_times,
+    pin_conjugates,
     root_ends,
 )
 from hesslab.exact import ExactError, IntPoly, IntVector, parse_matrix
 from hesslab.hessenberg import FamilyPoint, HessType, family_member
-from hesslab.numberfield import NumberField, RealRoot
+from hesslab import sail3
+from hesslab.numberfield import NumberField
 from hesslab.reducedness import _sail_minimum
 from hesslab.sail3 import fundamental_window, require_nrs
 
@@ -31,8 +34,7 @@ _REF = PolyModField(_CUBIC, 3, 4)
 def _field(poly=_CUBIC):
     """Q(r) for the real root r > 0 of the NRS cubic poly, on a fresh
     isolating interval (0, 1 + max |c_i|), as eigen_data falls back to."""
-    p = IntPoly(list(poly))
-    return NumberField(p, RealRoot(p, 0, 1 + max(map(abs, poly[:-1]))))
+    return NumberField(IntPoly(list(poly)), 0, 1 + max(map(abs, poly[:-1])))
 
 
 def _over(num, den):
@@ -57,6 +59,17 @@ def test_generator_satisfies_minpoly():
     assert num_sum(r3, num_times(r2, -3), num_times(R, -2),
                    (-1, 0, 0)) == (0, 0, 0)
     assert _over(r3, 1) == _REF.mul(_REF.mul([0, 1, 0], [0, 1, 0]), [0, 1, 0])
+
+
+def test_products_match_the_oracle_on_fixed_numerators():
+    # products whose r^4 and r^3 terms both reduce, r^2 r^2 among them, on
+    # every oracle field
+    nums = ((0, 0, 1), (0, 1, 1), (2, -3, 5), (-7, 0, 4), (1, 1, 1))
+    for poly, lo, hi in _ORACLE_FIELDS:
+        k, ref = _field(poly), PolyModField(poly, lo, hi)
+        for x in nums:
+            for y in nums:
+                assert _over(k.mul(x, y), 1) == ref.mul(list(x), list(y))
 
 
 def test_field_arithmetic():
@@ -173,10 +186,6 @@ _NRS_FIELDS = (((-1, -1, -5, 1), 5, 6), ((-1, -1, -3, 1), 3, 4),
                ((-1, 5, 1, 1), 0, 1))
 _ORACLE_FIELDS = _NRS_FIELDS + (
     ((-1, 3, -10 ** 40 - 1, 1), 10 ** 40, 10 ** 40 + 1),)
-# roots of other integer polynomials, for RealRoot alone: the mirror t ->
-# -t of _CUBIC (a negative root), sqrt(2) and the quartic t^4 - t - 1
-_OTHER_ROOTS = (((1, -2, 3, 1), -4, -3), ((-2, 0, 1), 1, 2),
-                ((-1, -1, 0, 0, 1), 1, 2))
 
 
 def _coefficients(d):
@@ -238,68 +247,134 @@ def test_field_matches_fraction_oracle(data):
     assert k.sign(near) == ref.sign(ref.sub(want, [mid] + [0] * (d - 1)))
 
 
-# 2^20 t^2 - 2 on (0, 2): the root sqrt(2)/1024 sits near the left end, so
-# Newton's step from the midpoint overshoots until the interval is narrow
-_SKEWED = ((-2, 0, 1 << 20), 0, 2)
+# t^3 + 2^20 t^2 - 2 on (0, 2): the root, about sqrt(2)/1024, sits near
+# the left end, so Newton's step from the midpoint overshoots until the
+# interval is narrow
+_SKEWED = ((-2, 0, 1 << 20, 1), 0, 2)
 
 
 def _count_bisections(monkeypatch):
-    """A list that gains an entry at every RealRoot.refine call."""
+    """A list that gains an entry at every NumberField.refine call."""
     calls = []
-    bisect = RealRoot.refine
-    monkeypatch.setattr(RealRoot, "refine",
+    bisect = NumberField.refine
+    monkeypatch.setattr(NumberField, "refine",
                         lambda self: calls.append(1) or bisect(self))
     return calls
 
 
-def _assert_refined(root, old, bits):
+class _CountingField(NumberField):
+    """A NumberField that counts its bisections, and among them those
+    taken where refine_to(bits) tries a Newton step first, at K = min(2
+    precision, bits + 2) >= k + 2: where p' has no root in (0, oo), as on
+    _SKEWED, each of those follows a rejected Newton step."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.bisections = self.rejected = 0
+        self.target = None
+
+    def refine_to(self, bits):
+        self.target = bits
+        super().refine_to(bits)
+
+    def refine(self):
+        self.bisections += 1
+        if (self.target is not None
+                and min(2 * self.bits, self.target + 2) >= self.k + 2):
+            self.rejected += 1
+        super().refine()
+
+
+def _assert_refined(field, old, bits):
     """The contract of refine_to(bits), checked with Fraction values of p:
     a narrower isolating interval inside the old one, precision exactly
     bits if it was below."""
     def p(x):
-        return sum(c * x ** i for i, c in enumerate(root.poly.coeffs))
+        return sum(c * x ** i for i, c in enumerate(field.minpoly.coeffs))
     old_lo, old_hi, old_bits = old
-    lo, hi = root_ends(root)
-    assert root.a < root.b
-    assert root.sign_a == (p(lo) > 0) - (p(lo) < 0) != 0
+    lo, hi = root_ends(field)
+    assert field.a < field.b
+    assert field.sign_a == (p(lo) > 0) - (p(lo) < 0) != 0
     assert p(lo) * p(hi) < 0
     assert old_lo <= lo and hi <= old_hi
     assert hi - lo < Fraction(2) ** -bits
-    assert root.bits == max(bits, old_bits)
+    assert field.bits == max(bits, old_bits)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_ORACLE_FIELDS + _OTHER_ROOTS + (_SKEWED,)),
+@given(st.sampled_from(_ORACLE_FIELDS + (_SKEWED,)),
        st.integers(0, 60), st.integers(-5, 400))
 def test_refine_to_keeps_an_isolating_interval(field, start, bits):
     poly, lo, hi = field
-    root = RealRoot(IntPoly(poly), lo, hi)
-    assert root.k == 0
+    k = NumberField(IntPoly(poly), lo, hi)
+    assert k.k == 0
     for _ in range(start):
-        root.refine()
-    old = root_ends(root) + (root.bits,)
-    root.refine_to(bits)
-    _assert_refined(root, old, bits)
+        k.refine()
+    old = root_ends(k) + (k.bits,)
+    k.refine_to(bits)
+    _assert_refined(k, old, bits)
 
 
-def test_refine_to_takes_newton_steps_and_bisections(monkeypatch):
+def test_refine_to_takes_newton_steps_and_bisections():
     # from a k = 0 start both paths run: bisections until Newton's bracket
     # holds, then Newton steps; on the skewed field the bracket check turns
     # the overshooting steps into bisections.  (The root near 10^40 takes
     # about 67 bisections from its unit interval: precision is absolute.)
-    calls = _count_bisections(monkeypatch)
-    for poly, lo, hi in (((_CUBIC, 3, 4),) + _NRS_FIELDS + _OTHER_ROOTS
-                         + (_SKEWED,)):
+    for poly, lo, hi in ((_CUBIC, 3, 4),) + _NRS_FIELDS + (_SKEWED,):
         for bits in range(0, 41):
-            root = RealRoot(IntPoly(poly), lo, hi)
-            old = root_ends(root) + (root.bits,)
-            root.refine_to(bits)
-            _assert_refined(root, old, bits)
-        del calls[:]
-        root = RealRoot(IntPoly(poly), lo, hi)
-        root.refine_to(400)
-        assert 1 <= len(calls) <= (30 if poly == _SKEWED[0] else 8)
-        assert root.bits == 400
+            k = NumberField(IntPoly(poly), lo, hi)
+            old = root_ends(k) + (k.bits,)
+            k.refine_to(bits)
+            _assert_refined(k, old, bits)
+        k = _CountingField(IntPoly(poly), lo, hi)
+        old = root_ends(k) + (k.bits,)
+        k.refine_to(400)
+        _assert_refined(k, old, 400)
+        assert 1 <= k.bisections <= (30 if poly == _SKEWED[0] else 8)
+        if poly == _SKEWED[0]:
+            assert k.rejected >= 1
+
+
+def _state(root):
+    return root.a, root.b, root.k, root.sign_a
+
+
+def test_refinement_matches_the_generic_oracle():
+    # the field's straight-line steps against conftest.RealRoot's Horner
+    # loops over any degree: the same interval and sign after every
+    # bisection, after refine_to(bits) from a fresh interval for every bits
+    # up to 400, and along one chain of refine_to calls, also where Newton
+    # steps are rejected
+    for poly, lo, hi in ((_CUBIC, 3, 4),) + _ORACLE_FIELDS + (_SKEWED,):
+        p = IntPoly(list(poly))
+        k, ref = NumberField(p, lo, hi), RealRoot(p, lo, hi)
+        for _ in range(200):
+            k.refine()
+            ref.refine()
+            assert _state(k) == _state(ref), poly
+        chain, chain_ref = NumberField(p, lo, hi), RealRoot(p, lo, hi)
+        for bits in range(0, 401):
+            k, ref = NumberField(p, lo, hi), RealRoot(p, lo, hi)
+            k.refine_to(bits)
+            ref.refine_to(bits)
+            assert _state(k) == _state(ref), (poly, bits)
+            chain.refine_to(bits)
+            chain_ref.refine_to(bits)
+            assert _state(chain) == _state(chain_ref), (poly, bits)
+
+
+def test_isolated_r_matches_the_generic_oracle_on_the_pins():
+    # r as _isolate_r brackets it for the 40 pin conjugates, then refined
+    # as eigen_data does and further, against the oracle on that bracket
+    for m in pin_conjugates():
+        p = require_nrs(m).poly
+        k = sail3._isolate_r(p)
+        ref = RealRoot(p, k.a, k.b, k.k)
+        assert _state(k) == _state(ref)
+        for bits in (sail3._R_BITS, 400):
+            k.refine_to(bits)
+            ref.refine_to(bits)
+            assert _state(k) == _state(ref)
 
 
 def test_refine_to_cuts_the_bisections_of_a_verdict(monkeypatch):
@@ -322,9 +397,8 @@ def test_refine_to_cuts_the_bisections_of_a_verdict(monkeypatch):
 
 
 def test_non_monic_minimal_polynomial_is_rejected():
-    p = IntPoly([-3, -1, 0, 2])
     with pytest.raises(ExactError):
-        NumberField(p, RealRoot(p, 1, 2))
+        NumberField(IntPoly([-3, -1, 0, 2]), 1, 2)
 
 
 @pytest.mark.parametrize("poly, lo, hi", [
@@ -333,9 +407,7 @@ def test_non_monic_minimal_polynomial_is_rejected():
     (_CUBIC, -1, 4),               # r's interval reaches below 0
 ])
 def test_field_takes_a_monic_cubic_on_a_nonnegative_interval(poly, lo, hi):
-    # RealRoot holds each of these roots; the field of an NRS operator
-    # does not
-    p = IntPoly(list(poly))
-    root = RealRoot(p, lo, hi)
+    # each interval isolates a root of its polynomial; the field of an NRS
+    # operator takes none of them
     with pytest.raises(ExactError):
-        NumberField(p, root)
+        NumberField(IntPoly(list(poly)), lo, hi)

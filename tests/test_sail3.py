@@ -619,7 +619,7 @@ def _box_holds(p):
     assert y_hi == 0 or (y_hi - 1) ** 2 < ysq_hi << 20
 
 
-def test_floor_ceil_takes_one_floor_off_the_rationals(monkeypatch):
+def test_floor_ceil_takes_one_floor_off_the_rationals():
     # _floor_ceil returns floor + 1 as the ceiling of a value with a
     # nonzero r- or r^2-coefficient, which is irrational, and takes a
     # second floor only for a rational value; oracle: field_bounds, the
@@ -643,8 +643,7 @@ def test_floor_ceil_takes_one_floor_off_the_rationals(monkeypatch):
                       rng.randint(-60, 60)))
     for num, den, shift in cases:
         want = field_bounds(field, num, den, shift)
-        with monkeypatch.context() as patch:
-            patch.setattr(NumberField, "floor", counting)
+        with mock.patch.object(NumberField, "floor", counting):
             assert sail3._floor_ceil(field, num, den, shift) == want
         assert len(floors) == (2 if num[1] == num[2] == 0 else 1), num
         floors.clear()
